@@ -297,14 +297,6 @@ class LaurentPoly:
             raise ValueError("QT ring has no distinguished unit variable")
         return {k[0] for k in self.coeffs}
 
-    def z_exponent_range(self):
-        """Componentwise (min, max) over z-exponents of the support."""
-        zo = self.zoff
-        keys = [k[zo:] for k in self.coeffs]
-        lo = tuple(min(k[i] for k in keys) for i in range(self.nvars))
-        hi = tuple(max(k[i] for k in keys) for i in range(self.nvars))
-        return lo, hi
-
     def at_unit_one(self):
         """Set the scalar variable to 1 (integer rings); unit slot collapses to 0."""
         if self.ring == RING_QT:

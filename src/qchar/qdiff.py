@@ -12,18 +12,14 @@ Three families act in r+1 variables:
   coefficients prod (t z_i - z_j)/(z_i - z_j), over QQ(q, t).
 
 Every rational subset sum is evaluated exactly by clearing the Vandermonde
-denominator.  The default evaluation path compresses the subset sum into a
-single signed permutation orbit: with ``I0 = {1..alpha}``, the Vandermonde-
-cleared summand for ``I0`` is antisymmetrized in canonical alternant form,
-and the quotient by the Vandermonde is read off Schur-function by
-Schur-function.  ``method="subsets"`` keeps the literal subset-by-subset
-expansion and one exact division; both paths agree and the slow one serves
-as an independent cross-check.
+denominator, compressed into a single signed permutation orbit: with
+``I0 = {1..alpha}``, the Vandermonde-cleared summand for ``I0`` is
+antisymmetrized in canonical alternant form, and the quotient by the
+Vandermonde is read off Schur-function by Schur-function.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import factorial
 
@@ -31,10 +27,8 @@ from .cartan import CartanData
 from .laurent import (
     LaurentPoly,
     delta_on,
-    exact_div,
     require_symmetric,
     signed_buckets,
-    vandermonde,
 )
 from .rings import (
     RING_Q,
@@ -149,36 +143,7 @@ def _orbit_apply_folded(f, alpha, power, du_subset, du_all):
     )
 
 
-def _subset_data(nvars, alpha):
-    """(subset, complement, sign) for all subsets of size alpha; the sign is
-    the parity of the number of split pairs whose subset element is larger."""
-    out = []
-    for subset in itertools.combinations(range(nvars), alpha):
-        comp = tuple(i for i in range(nvars) if i not in subset)
-        inv = sum(1 for i in subset for j in comp if j < i)
-        out.append((subset, comp, -1 if inv % 2 else 1))
-    return out
-
-
-def _subset_apply_folded(f, alpha, power, du_subset, du_all):
-    """Literal subset-by-subset Vandermonde clearing; one exact division."""
-    nvars = f.nvars
-    num = LaurentPoly.zero(f.ring, f.nvars)
-    step = power + nvars - alpha
-    for subset, comp, sign in _subset_data(nvars, alpha):
-        shifted = {}
-        for k, c in f.coeffs.items():
-            du = du_subset * sum(k[1 + i] for i in subset) + du_all * sum(k[1:])
-            shifted[(k[0] + du,) + k[1:]] = sign * c
-        part = delta_on(f.ring, nvars, subset) * delta_on(f.ring, nvars, comp)
-        part = part * LaurentPoly(f.ring, nvars, shifted)
-        if step:
-            part = part.times_z(tuple(step if i in subset else 0 for i in range(nvars)))
-        num = num + part
-    return exact_div(num, vandermonde(f.ring, nvars))
-
-
-def apply_M(alpha, n, f, *, rank=None, checked=False, method="orbit"):
+def apply_M(alpha, n, f, *, rank=None, checked=False):
     """Act with the subset raising operator of index ``alpha`` and power ``n``
     on a symmetric polynomial ``f`` in r+1 variables (integer-ring
     coefficients; the shift scales subset variables by q)."""
@@ -191,13 +156,10 @@ def apply_M(alpha, n, f, *, rank=None, checked=False, method="orbit"):
         require_symmetric(f)
     if alpha == 0 or f.is_zero():
         return f
-    du = _unit_shift_gamma(f.ring, r)
-    if method == "orbit":
-        return _orbit_apply_folded(f, alpha, n, du, 0)
-    return _subset_apply_folded(f, alpha, n, du, 0)
+    return _orbit_apply_folded(f, alpha, n, _unit_shift_gamma(f.ring, r), 0)
 
 
-def apply_D(alpha, n, f, *, rank=None, checked=False, method="orbit"):
+def apply_D(alpha, n, f, *, rank=None, checked=False):
     """Act with the twisted raising operator (W-ring): subset variables are
     scaled by q*v, the rest by v, and the result carries the prefactor
     ``w**(-lam(a,a)*n - 2*sum_b lam(a,b))``."""
@@ -216,14 +178,11 @@ def apply_D(alpha, n, f, *, rank=None, checked=False, method="orbit"):
         return f
     if alpha == 0:
         return f.times_unit(wshift)
-    if method == "orbit":
-        out = _orbit_apply_folded(f, alpha, n, -2 * (r + 1), 2 * alpha)
-    else:
-        out = _subset_apply_folded(f, alpha, n, -2 * (r + 1), 2 * alpha)
+    out = _orbit_apply_folded(f, alpha, n, -2 * (r + 1), 2 * alpha)
     return out.times_unit(wshift)
 
 
-def apply_macdonald_qt(alpha, f, *, checked=False, method="orbit"):
+def apply_macdonald_qt(alpha, f, *, checked=False):
     """Act with the classical Macdonald operator of index ``alpha`` on a
     symmetric polynomial with QQ(q, t) coefficients."""
     if f.ring != RING_QT:
@@ -235,28 +194,12 @@ def apply_macdonald_qt(alpha, f, *, checked=False, method="orbit"):
         require_symmetric(f)
     if alpha == 0 or f.is_zero():
         return f
-    if method == "orbit":
-        shifted = {}
-        for k, c in f.coeffs.items():
-            s = sum(k[:alpha])
-            cc = c * qt_q**s if s else c
-            shifted[k] = cc
-        t0 = _pair_delta_qt(nvars, alpha) * LaurentPoly(RING_QT, nvars, shifted)
-        den = factorial(alpha) * factorial(nvars - alpha)
-        return LaurentPoly(
-            RING_QT, nvars, _schur_reconstruct_qt(signed_buckets(t0), nvars, den)
-        )
-    num = LaurentPoly.zero(RING_QT, nvars)
-    for subset, comp, sign in _subset_data(nvars, alpha):
-        shifted = {}
-        for k, c in f.coeffs.items():
-            s = sum(k[i] for i in subset)
-            shifted[k] = sign * (c * qt_q**s if s else c)
-        part = delta_on(RING_QT, nvars, subset) * delta_on(RING_QT, nvars, comp)
-        for i in subset:
-            for j in comp:
-                zi = LaurentPoly.variable(RING_QT, nvars, i)
-                zj = LaurentPoly.variable(RING_QT, nvars, j)
-                part = part * (zi.times_scalar_raw(qt_t) - zj)
-        num = num + part * LaurentPoly(RING_QT, nvars, shifted)
-    return exact_div(num, vandermonde(RING_QT, nvars))
+    shifted = {}
+    for k, c in f.coeffs.items():
+        s = sum(k[:alpha])
+        shifted[k] = c * qt_q**s if s else c
+    t0 = _pair_delta_qt(nvars, alpha) * LaurentPoly(RING_QT, nvars, shifted)
+    den = factorial(alpha) * factorial(nvars - alpha)
+    return LaurentPoly(
+        RING_QT, nvars, _schur_reconstruct_qt(signed_buckets(t0), nvars, den)
+    )

@@ -11,6 +11,8 @@ Three rings appear throughout the package:
   sympy's sparse fraction field (gcd-reduced, canonical sign).
 
 ``RING_W``/``RING_Q`` scalars are stored as plain ``{exponent: int}`` dicts.
+``QT_FIELD`` is the only sympy field in the package; the rank-one Whittaker
+series use the same integer trick as ``RING_W``, with s = p**(1/2).
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ RING_Q = "q"
 RING_QT = "qt"
 
 QT_FIELD, qt_q, qt_t = field("q,t", QQ)
-
-P_FIELD, p_sym = field("p", QQ)
 
 
 class NotDivisible(ArithmeticError):

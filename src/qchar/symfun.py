@@ -105,19 +105,6 @@ def schur(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
     return LaurentPoly(ring, nvars, {(0,) + k: c for k, c in zc.items()})
 
 
-def schur_shifted(lam_weak, nvars: int, ring=RING_Q) -> LaurentPoly:
-    """Schur function indexed by a weakly decreasing integer vector; negative
-    parts are allowed and produce a Laurent polynomial (a power of
-    z_1...z_N times an ordinary Schur function)."""
-    lam_weak = tuple(lam_weak)
-    base = lam_weak[-1] if lam_weak else 0
-    core = tuple(p - base for p in lam_weak)
-    s = schur(core, nvars, ring)
-    if base:
-        s = s.times_z((base,) * nvars)
-    return s
-
-
 def elementary(m: int, nvars: int, ring=RING_Q) -> LaurentPoly:
     """The elementary symmetric polynomial e_m; e_0 = 1, e_m = 0 for m > N."""
     if m < 0 or m > nvars:

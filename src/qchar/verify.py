@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .cartan import CartanData
 from .characters import (
@@ -40,11 +41,7 @@ from .qdiff import apply_D, apply_M, apply_macdonald_qt
 from .qtorus import NcLaurent, evaluate, q_recursion
 from .rings import RING_Q, RING_QT, RING_W, Scalar
 from .symfun import elementary, monomial_sym, partitions, partitions_up_to, schur
-from .whittaker import (
-    check_level1_toda,
-    check_toda_eigen,
-    class_one_combination,
-)
+from .whittaker import check_level1_toda, class_one_combination, toda_residual
 
 
 @dataclass
@@ -106,9 +103,6 @@ def _bucket_adjust(buckets, qshift, sign):
         key: {e + qshift: sign * c for e, c in payload.items()}
         for key, payload in buckets.items()
     }
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
@@ -676,8 +670,6 @@ def check_macdonald(nvars_max: int = 3, weight_max: int = 4) -> CheckReport:
 
 
 def check_whittaker(order: int = 20, toda_n: int = 6, classone_n: int = 4) -> CheckReport:
-    from .whittaker import toda_residual
-
     rep = CheckReport("whittaker")
     for n in range(1, toda_n + 1):
         for refl in (False, True):

@@ -1,20 +1,23 @@
 """Rank-one Whittaker series and the level-1 Toda difference equation.
 
 The two fundamental series, as functions of an integer n >= 0 truncated at
-order N in u = q**-1 (coefficients are exact rational functions of p, with
-an overall p**(1/2) parity carried as a flag):
+order N in u = q**-1:
 
     W(n)      = p**(n-1/2)  sum_{a>=0} u**(a(n+1)) / prod_{i=1}^{a} (1-u**i)(1-p**2 u**i)
     W_ref(n)  = p**(1/2-n)  sum_{a>=0} u**(a(n+1)) / prod_{i=1}^{a} (1-u**i)(1-p**-2 u**i)
 
-Both satisfy the three-term relation
+Every coefficient is an integer Laurent polynomial in s = p**(1/2), so the
+series live in Z[s, s**-1][u] / (u**(N+1)), and the reflection p -> 1/p is
+s -> 1/s.  Both satisfy the three-term relation
 
     W(n+1) + (1 - u**n) W(n-1) = (p + p**-1) W(n),
 
 which is the rank-one level-1 difference equation for graded characters with
 z = p.  The class-one combination ``c W(n) + c_ref W_ref(n)`` reproduces the
 graded character itself: all series coefficients beyond the polynomial
-degree cancel order by order.
+degree cancel order by order.  The coefficients carry a 1/(1 - p**-2) head,
+so the identity is checked multiplied through by 1 - p**-2, which is not a
+zero divisor in the series ring.
 
 ``check_level1_toda`` verifies the level-1 difference equation for general
 rank on the exact constrained characters, with the convention that a shifted
@@ -26,144 +29,108 @@ from __future__ import annotations
 
 from .characters import NVector, graded_character
 from .laurent import LaurentPoly, constrain
-from .rings import P_FIELD, RING_Q, p_sym
+from .rings import RING_Q
 from .symfun import elementary
 
 
 class TruncatedSeries:
-    """Truncated power series in u with QQ(p) coefficients and an overall
-    p**(half/2) flag (half in {0, 1})."""
+    """Truncated power series in u with integer Laurent-polynomial
+    coefficients in s = p**(1/2), stored as {(u-exponent, s-exponent): int}."""
 
-    __slots__ = ("order", "half", "coeffs")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, order, coeffs=None, half=0):
+    def __init__(self, order, coeffs=None):
         self.order = order
-        self.half = half
         self.coeffs = {} if coeffs is None else {
-            e: c for e, c in coeffs.items() if c and e <= order
+            k: c for k, c in coeffs.items() if c and k[0] <= order
         }
 
     @classmethod
-    def zero(cls, order, half=0):
-        return cls(order, {}, half)
+    def zero(cls, order):
+        return cls(order, {})
 
     @classmethod
     def one(cls, order):
-        return cls(order, {0: P_FIELD.one})
+        return cls(order, {(0, 0): 1})
 
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSeries)
             and self.order == other.order
-            and self.half == other.half
             and self.coeffs == other.coeffs
         )
 
     __hash__ = None
 
     def __add__(self, other):
-        if self.half != other.half:
-            raise ValueError("cannot add series with different p**(1/2) parity")
         order = min(self.order, other.order)
-        out = {e: c for e, c in self.coeffs.items() if e <= order}
-        for e, c in other.coeffs.items():
-            if e > order:
+        out = {k: c for k, c in self.coeffs.items() if k[0] <= order}
+        for k, c in other.coeffs.items():
+            if k[0] > order:
                 continue
-            nv = out.get(e, P_FIELD.zero) + c
+            nv = out.get(k, 0) + c
             if nv:
-                out[e] = nv
+                out[k] = nv
             else:
-                out.pop(e, None)
-        return TruncatedSeries(order, out, self.half)
+                out.pop(k, None)
+        return TruncatedSeries(order, out)
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.order, {e: -c for e, c in self.coeffs.items()}, self.half
-        )
+        return TruncatedSeries(self.order, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         order = min(self.order, other.order)
-        half = self.half + other.half
-        carry = P_FIELD.one
-        if half == 2:
-            half = 0
-            carry = p_sym
         out = {}
-        for e1, c1 in self.coeffs.items():
+        for (e1, k1), c1 in self.coeffs.items():
             if e1 > order:
                 continue
-            for e2, c2 in other.coeffs.items():
+            for (e2, k2), c2 in other.coeffs.items():
                 e = e1 + e2
                 if e > order:
                     continue
-                nv = out.get(e, P_FIELD.zero) + c1 * c2
+                key = (e, k1 + k2)
+                nv = out.get(key, 0) + c1 * c2
                 if nv:
-                    out[e] = nv
+                    out[key] = nv
                 else:
-                    del out[e]
-        if carry != P_FIELD.one:
-            out = {e: c * carry for e, c in out.items()}
-        return TruncatedSeries(order, out, half)
-
-    def times_field(self, c):
-        return TruncatedSeries(
-            self.order, {e: v * c for e, v in self.coeffs.items()}, self.half
-        )
+                    del out[key]
+        return TruncatedSeries(order, out)
 
     def is_zero(self):
         return not self.coeffs
 
     def __repr__(self):
-        bits = ["(%s) u^%d" % (c, e) for e, c in sorted(self.coeffs.items())]
-        head = "p^(1/2) * " if self.half else ""
-        return "TruncatedSeries(%s%s + O(u^%d))" % (head, " + ".join(bits) or "0", self.order + 1)
+        bits = ["%d s^%d u^%d" % (c, k, e) for (e, k), c in sorted(self.coeffs.items())]
+        return "TruncatedSeries(%s + O(u^%d))" % (" + ".join(bits) or "0", self.order + 1)
 
 
-def _geometric(order, ratio, step):
-    """1 / (1 - ratio * u**step) to the given order."""
-    out = {}
-    c = P_FIELD.one
-    e = 0
-    while e <= order:
-        out[e] = c
-        c = c * ratio
-        e += step
-    return TruncatedSeries(order, out)
-
-
-def _p_invert(c):
-    """The image of a QQ(p) element under p -> p**-1."""
-    def flip(pe):
-        out = P_FIELD.zero
-        for m, v in pe.terms():
-            out = out + (P_FIELD.one * v) * p_sym ** (-m[0])
-        return out
-
-    return flip(c.numer) / flip(c.denom)
+def _geometric(order, s_exp, step):
+    """1 / (1 - s**s_exp * u**step) to the given order."""
+    return TruncatedSeries(order, {(j * step, j * s_exp): 1 for j in range(order // step + 1)})
 
 
 def w_series(n: int, reflected: bool, order: int) -> TruncatedSeries:
     """The fundamental series at argument n >= 0, truncated at the order."""
     if n < 0:
         raise ValueError("the series is only summable for n >= 0")
-    psq = p_sym**-2 if reflected else p_sym**2
+    s4 = -4 if reflected else 4
+    pref = 1 - 2 * n if reflected else 2 * n - 1
     total = TruncatedSeries.zero(order)
     a = 0
     while a * (n + 1) <= order:
-        term = TruncatedSeries.one(order - a * (n + 1))
+        shift = a * (n + 1)
+        term = TruncatedSeries.one(order - shift)
         for i in range(1, a + 1):
-            term = term * _geometric(term.order, P_FIELD.one, i)
-            term = term * _geometric(term.order, psq, i)
-        shifted = TruncatedSeries(
-            order, {e + a * (n + 1): c for e, c in term.coeffs.items()}
+            term = term * _geometric(term.order, 0, i)
+            term = term * _geometric(term.order, s4, i)
+        total = total + TruncatedSeries(
+            order, {(e + shift, k + pref): c for (e, k), c in term.coeffs.items()}
         )
-        total = total + shifted
         a += 1
-    pref = p_sym ** (-n) if reflected else p_sym ** (n - 1)
-    return TruncatedSeries(order, {e: c * pref for e, c in total.coeffs.items()}, half=1)
+    return total
 
 
 def toda_residual(n: int, order: int, reflected: bool) -> TruncatedSeries:
@@ -174,10 +141,10 @@ def toda_residual(n: int, order: int, reflected: bool) -> TruncatedSeries:
     class-one condition, verified by ``class_one_combination``)."""
     if n < 1:
         raise ValueError("the three-term relation needs n >= 1")
-    gate = TruncatedSeries(order, {0: P_FIELD.one, n: -P_FIELD.one})
+    gate = TruncatedSeries(order, {(0, 0): 1, (n, 0): -1})
     lhs = w_series(n + 1, reflected, order) + gate * w_series(n - 1, reflected, order)
-    rhs = w_series(n, reflected, order).times_field(p_sym + p_sym**-1)
-    return lhs - rhs
+    eigen = TruncatedSeries(order, {(0, 2): 1, (0, -2): 1})
+    return lhs - eigen * w_series(n, reflected, order)
 
 
 def check_toda_eigen(n_values, order: int) -> bool:
@@ -193,40 +160,36 @@ def check_toda_eigen(n_values, order: int) -> bool:
 
 
 def class_one_coefficient(order: int, reflected: bool) -> TruncatedSeries:
-    """The combination coefficient  p**(1/2) / ((1-p**-2) prod_{i>=1} (1-p**-2 u**i))
-    (p -> p**-1 for the reflected one), with the infinite product truncated."""
-    psq = p_sym**2 if reflected else p_sym**-2
-    series = TruncatedSeries.one(order)
+    """The combination coefficient times 1 - p**-2, with the infinite product
+    truncated.  The coefficient is  p**(1/2) / ((1-p**-2) prod_{i>=1} (1-p**-2 u**i)),
+    so this is  s / prod (1 - s**-4 u**i);  the reflected coefficient is
+    p**(-1/2) / ((1-p**2) prod (1-p**2 u**i)), and (1-p**-2)/(1-p**2) = -p**-2
+    makes this  -s**-5 / prod (1 - s**4 u**i)."""
+    s4 = 4 if reflected else -4
+    series = TruncatedSeries(order, {(0, -5): -1} if reflected else {(0, 1): 1})
     for i in range(1, order + 1):
-        series = series * _geometric(order, psq, i)
-    head = P_FIELD.one / (P_FIELD.one - psq)
-    # the reflected prefactor is p**(-1/2)/(1-p**2) = p**(1/2) * p**-1/(1-p**2)
-    coeff = head * p_sym**-1 if reflected else head
-    return TruncatedSeries(order, {e: c * coeff for e, c in series.coeffs.items()}, half=1)
+        series = series * _geometric(order, s4, i)
+    return series
 
 
 def char_to_series(n: int, order: int) -> TruncatedSeries:
     """The rank-one level-1 character chi_n constrained to z = p, as a
     u-series (exact; polynomial, so truncation only forgets nothing)."""
     chi = constrain(graded_character(NVector.level_one(1, (n,))).poly, 1)
-    out = {}
-    for (qe, ze), c in chi.coeffs.items():
-        if -qe > order:
-            continue
-        cur = out.get(-qe, P_FIELD.zero)
-        out[-qe] = cur + (P_FIELD.one * c) * p_sym**ze
-    return TruncatedSeries(order, out)
+    return TruncatedSeries(order, {(-qe, 2 * ze): c for (qe, ze), c in chi.coeffs.items()})
 
 
 def class_one_combination(n_values, order: int) -> bool:
     """The class-one combination of the two fundamental series reproduces the
     exact character for every n: all coefficients beyond the polynomial
-    degree cancel up to the truncation order."""
+    degree cancel up to the truncation order.  Both sides are multiplied by
+    1 - p**-2 (see ``class_one_coefficient``)."""
     c_plus = class_one_coefficient(order, False)
     c_minus = class_one_coefficient(order, True)
+    head = TruncatedSeries(order, {(0, 0): 1, (0, -4): -1})
     for n in n_values:
         combo = c_plus * w_series(n, False, order) + c_minus * w_series(n, True, order)
-        if combo != char_to_series(n, order):
+        if combo != head * char_to_series(n, order):
             return False
     return True
 

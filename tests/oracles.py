@@ -1,8 +1,15 @@
-"""Independent brute-force oracles used only by the tests.
+"""Independent slow paths used only by the tests.
 
-These recompute the subset difference operators with sympy's symbolic
-rational-function arithmetic (no shared code with the package kernel), so an
-agreement is a genuine two-path check.
+* ``subset_operator_bruteforce`` recomputes the subset difference operators
+  with sympy's symbolic rational-function arithmetic (no shared code with the
+  package kernel), so an agreement is a genuine two-path check.
+* ``subset_apply_M``/``subset_apply_D``/``subset_apply_macdonald_qt`` expand
+  the same operators subset by subset and divide once by the Vandermonde.
+  Unlike the sympy oracle this path shares ``LaurentPoly`` arithmetic with
+  the package; it checks the signed-orbit compression and the Schur
+  read-off of ``qchar.qdiff``, not the kernel.
+* ``whittaker_series_sympy`` expands the rank-one Whittaker series with
+  sympy ``series`` in u.
 """
 
 from __future__ import annotations
@@ -11,12 +18,15 @@ import itertools
 
 import sympy
 
-from qchar.laurent import LaurentPoly
-from qchar.rings import RING_Q, RING_QT, RING_W
+from qchar.cartan import CartanData
+from qchar.laurent import LaurentPoly, delta_on, exact_div, vandermonde
+from qchar.rings import RING_Q, RING_QT, RING_W, qt_q, qt_t
 
 Q = sympy.Symbol("q")
 T = sympy.Symbol("t")
 W = sympy.Symbol("w")
+S = sympy.Symbol("s")
+U = sympy.Symbol("u")
 
 
 def zsyms(nvars):
@@ -96,3 +106,87 @@ def subset_operator_bruteforce(alpha, n, f: LaurentPoly, kind="gamma"):
                 subs[z[i]] = (W**2) ** alpha * (qw if i in subset else 1) * z[i]
         total += coeff * expr.subs(subs, simultaneous=True)
     return sympy.cancel(sympy.together(total))
+
+
+def _subset_data(nvars, alpha):
+    """(subset, complement, sign) for all subsets of size alpha; the sign is
+    the parity of the number of split pairs whose subset element is larger."""
+    out = []
+    for subset in itertools.combinations(range(nvars), alpha):
+        comp = tuple(i for i in range(nvars) if i not in subset)
+        inv = sum(1 for i in subset for j in comp if j < i)
+        out.append((subset, comp, -1 if inv % 2 else 1))
+    return out
+
+
+def _subset_apply_folded(f, alpha, power, du_subset, du_all):
+    """Literal subset-by-subset Vandermonde clearing; one exact division.
+
+    ``du_subset``/``du_all`` give the unit-exponent shift per unit of
+    z-degree inside the subset / across all variables."""
+    nvars = f.nvars
+    num = LaurentPoly.zero(f.ring, f.nvars)
+    step = power + nvars - alpha
+    for subset, comp, sign in _subset_data(nvars, alpha):
+        shifted = {}
+        for k, c in f.coeffs.items():
+            du = du_subset * sum(k[1 + i] for i in subset) + du_all * sum(k[1:])
+            shifted[(k[0] + du,) + k[1:]] = sign * c
+        part = delta_on(f.ring, nvars, subset) * delta_on(f.ring, nvars, comp)
+        part = part * LaurentPoly(f.ring, nvars, shifted)
+        if step:
+            part = part.times_z(tuple(step if i in subset else 0 for i in range(nvars)))
+        num = num + part
+    return exact_div(num, vandermonde(f.ring, nvars))
+
+
+def subset_apply_M(alpha, n, f):
+    """``qdiff.apply_M`` for Q-ring input, by the literal subset sum."""
+    return _subset_apply_folded(f, alpha, n, 1, 0)
+
+
+def subset_apply_D(alpha, n, f):
+    """``qdiff.apply_D`` by the literal subset sum, prefactor included."""
+    r = f.nvars - 1
+    cart = CartanData(r)
+    out = _subset_apply_folded(f, alpha, n, -2 * (r + 1), 2 * alpha)
+    return out.times_unit(-cart.lam(alpha, alpha) * n - 2 * cart.lam_row_sum(alpha))
+
+
+def subset_apply_macdonald_qt(alpha, f):
+    """``qdiff.apply_macdonald_qt`` by the literal subset sum."""
+    nvars = f.nvars
+    num = LaurentPoly.zero(RING_QT, nvars)
+    for subset, comp, sign in _subset_data(nvars, alpha):
+        shifted = {}
+        for k, c in f.coeffs.items():
+            s = sum(k[i] for i in subset)
+            shifted[k] = sign * (c * qt_q**s if s else c)
+        part = delta_on(RING_QT, nvars, subset) * delta_on(RING_QT, nvars, comp)
+        for i in subset:
+            for j in comp:
+                zi = LaurentPoly.variable(RING_QT, nvars, i)
+                zj = LaurentPoly.variable(RING_QT, nvars, j)
+                part = part * (zi.times_scalar_raw(qt_t) - zj)
+        num = num + part * LaurentPoly(RING_QT, nvars, shifted)
+    return exact_div(num, vandermonde(RING_QT, nvars))
+
+
+def whittaker_series_sympy(n, reflected, order):
+    """p**(n-1/2) sum_a u**(a(n+1)) / prod_{i<=a} (1-u**i)(1-p**(+-2) u**i)
+    with s = p**(1/2) (s -> 1/s when reflected), each summand expanded by
+    sympy ``series`` in u through u**order; ``{(u-exponent, s-exponent): int}``."""
+    s = 1 / S if reflected else S
+    total = sympy.Integer(0)
+    for a in range(order // (n + 1) + 1):
+        den = sympy.Integer(1)
+        for i in range(1, a + 1):
+            den *= (1 - U**i) * (1 - s**4 * U**i)
+        rest = order - a * (n + 1)
+        total += U ** (a * (n + 1)) * sympy.series(1 / sympy.expand(den), U, 0, rest + 1).removeO()
+    out = {}
+    for term in sympy.Add.make_args(sympy.expand(s ** (2 * n - 1) * total)):
+        coeff, powers = term.as_coeff_Mul()
+        degs = powers.as_powers_dict()
+        out[(int(degs.get(U, 0)), int(degs.get(S, 0)))] = int(coeff)
+    return {k: c for k, c in out.items() if c}

@@ -117,3 +117,12 @@ def test_verify_small_suite_end_to_end():
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["passed"] and data["reports"][0]["name"] == "lemmas"
+
+
+def test_verify_whittaker_stdout_pinned():
+    out = run_cli(["verify", "--suite", "whittaker", "--order", "10"])
+    assert out.returncode == 0
+    assert out.stdout == (
+        '{"schema":1,"suite":"whittaker","passed":true,"reports":[{"name":"whittaker",'
+        '"points":15,"passed":true,"failures":[],"notes":{"residual-order":10}}]}\n'
+    )

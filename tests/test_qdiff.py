@@ -1,12 +1,20 @@
-"""Difference operator tests: boundary actions, two evaluation paths, an
-independent symbolic oracle, and the operator algebra."""
+"""Difference operator tests: boundary actions, the orbit path against the
+literal subset sum, an independent symbolic oracle, and the operator
+algebra."""
 
 import itertools
 
 import pytest
 import sympy
 
-from oracles import poly_to_sympy, subset_operator_bruteforce, sympy_equal
+from oracles import (
+    poly_to_sympy,
+    subset_apply_D,
+    subset_apply_M,
+    subset_apply_macdonald_qt,
+    subset_operator_bruteforce,
+    sympy_equal,
+)
 from qchar.cartan import CartanData
 from qchar.laurent import LaurentPoly
 from qchar.qdiff import apply_D, apply_M, apply_macdonald_qt
@@ -62,11 +70,9 @@ def test_orbit_and_subset_paths_agree():
         fqt = monomial_sym(lam, 3, RING_QT)
         for alpha in (1, 2, 3):
             for n in (-1, 0, 1, 2):
-                assert apply_M(alpha, n, f) == apply_M(alpha, n, f, method="subsets")
-                assert apply_D(alpha, n, fw) == apply_D(alpha, n, fw, method="subsets")
-            assert apply_macdonald_qt(alpha, fqt) == apply_macdonald_qt(
-                alpha, fqt, method="subsets"
-            )
+                assert apply_M(alpha, n, f) == subset_apply_M(alpha, n, f)
+                assert apply_D(alpha, n, fw) == subset_apply_D(alpha, n, fw)
+            assert apply_macdonald_qt(alpha, fqt) == subset_apply_macdonald_qt(alpha, fqt)
 
 
 def test_against_symbolic_oracle():
