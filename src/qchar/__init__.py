@@ -22,7 +22,7 @@ from .laurent import (
 )
 from .macdonald import MacdonaldPoly, macdonald_poly, qwhittaker_specialize
 from .qdiff import apply_D, apply_M, apply_macdonald_qt
-from .qtorus import NcLaurent, evaluate, nc_mul, q_recursion
+from .qtorus import NcLaurent, evaluate, q_recursion
 from .rings import (
     RING_Q,
     RING_QT,

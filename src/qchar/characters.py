@@ -13,6 +13,9 @@ with the level-1 factors applied first and the integer exponent
 The same product in the twisted operators, constrained to z_1...z_{r+1} = 1,
 gives the renormalized coefficients G_n; the two paths are related by an
 explicit power of v and cross-check each other.
+
+``difference_equation_terms`` generates the level-k difference equation at
+every rank and level; ``difference_equation_holds`` checks it on chi or G.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .laurent import LaurentPoly, constrain, w_to_q
 from .qdiff import apply_D, apply_M
 from .rings import RING_Q, RING_W, Scalar
 from .symfun import (
+    elementary,
     normalize_partition,
     partition_of_weight,
     schur,
@@ -69,22 +73,36 @@ class NVector:
         return cls(rank, 1, tuple((x,) for x in entries))
 
     def entry(self, alpha: int, i: int) -> int:
+        if not (1 <= alpha <= self.rank and 1 <= i <= self.level):
+            raise ValueError("entry (%d, %d) outside the occupation matrix" % (alpha, i))
         return self.rows[alpha - 1][i - 1]
 
     def sigma(self) -> int:
         return sum(sum(row) for row in self.rows)
 
-    def shift(self, *moves):
-        """Apply unit moves (alpha, i, delta); moves with alpha 0 or r+1 are
-        dropped.  Returns None when an entry would become negative."""
+    def cells(self):
+        """(alpha, i, n_i^(alpha)) for every nonzero entry."""
+        return [(a + 1, i + 1, x) for a, row in enumerate(self.rows) for i, x in enumerate(row) if x]
+
+    def dual(self):
+        """The occupation matrix relabelled a -> r+1-a."""
+        return NVector(self.rank, self.level, self.rows[::-1])
+
+    def _moved(self, moves):
+        """Rows after unit moves (alpha, i, delta), negative entries kept.
+        Moves at label 0 or r+1, or at level 0, drop out."""
         rows = [list(r) for r in self.rows]
         for alpha, i, delta in moves:
-            if alpha == 0 or alpha == self.rank + 1:
-                continue
-            rows[alpha - 1][i - 1] += delta
-            if rows[alpha - 1][i - 1] < 0:
-                return None
-        return NVector.from_rows(self.rank, self.level, rows)
+            if not (0 <= alpha <= self.rank + 1 and 0 <= i <= self.level):
+                raise ValueError("move (%d, %d) outside labels and levels" % (alpha, i))
+            if 0 < alpha <= self.rank and i:
+                rows[alpha - 1][i - 1] += delta
+        return tuple(tuple(r) for r in rows)
+
+    def shift(self, *moves):
+        """Apply unit moves (see ``_moved``); None when an entry goes negative."""
+        rows = self._moved(moves)
+        return None if min(map(min, rows)) < 0 else NVector(self.rank, self.level, rows)
 
     def top_weight(self):
         """Dominant-weight labels of the leading component: sum_i i n_i^(a)."""
@@ -118,31 +136,31 @@ def raising_product(n: NVector) -> LaurentPoly:
     """The bare operator product applied to 1 (Q-ring, r+1 variables,
     no prefactor); level-1 factors act first, higher levels after."""
     cached = _RAISING_CACHE.get(n)
-    if cached is not None:
-        return cached
-    f = LaurentPoly.one(RING_Q, n.rank + 1)
+    if cached is None:
+        cached = _RAISING_CACHE[n] = operator_product(n, apply_M, RING_Q)
+    return cached
+
+
+def operator_product(n: NVector, op, ring, reverse: bool = False) -> LaurentPoly:
+    """op(alpha, i) applied n_i^(alpha) times to 1: level 1 first, labels in
+    increasing order within a level (decreasing with ``reverse``)."""
+    f = LaurentPoly.one(ring, n.rank + 1)
     for i in range(1, n.level + 1):
-        for alpha in range(1, n.rank + 1):
+        for alpha in range(n.rank, 0, -1) if reverse else range(1, n.rank + 1):
             for _ in range(n.entry(alpha, i)):
-                f = apply_M(alpha, i, f, checked=True)
-    _RAISING_CACHE[n] = f
+                f = op(alpha, i, f, checked=True)
     return f
+
+
+def _pairing(n: NVector, pair) -> int:
+    """sum over entries of n_i^(a) min(i, j) pair(a, b) n_j^(b)."""
+    cells = n.cells()
+    return sum(x * y * min(i, j) * pair(a, b) for a, i, x in cells for b, j, y in cells)
 
 
 def char_q_exponent(n: NVector) -> int:
     """The (nonpositive) q-exponent of the character prefactor."""
-    quad = 0
-    lin = 0
-    for a in range(1, n.rank + 1):
-        for i in range(1, n.level + 1):
-            x = n.entry(a, i)
-            if not x:
-                continue
-            lin += i * a * x
-            for b in range(1, n.rank + 1):
-                for j in range(1, n.level + 1):
-                    quad += x * min(i, j) * min(a, b) * n.entry(b, j)
-    diff = quad - lin
+    diff = _pairing(n, min) - sum(i * a * x for a, i, x in n.cells())
     if diff % 2:
         raise ArithmeticError("prefactor exponent is not an integer")
     return -(diff // 2)
@@ -181,12 +199,7 @@ def top_component(n: NVector):
 
 def g_raising_product(n: NVector) -> LaurentPoly:
     """The twisted-operator product applied to 1 (W-ring, unconstrained)."""
-    f = LaurentPoly.one(RING_W, n.rank + 1)
-    for i in range(1, n.level + 1):
-        for alpha in range(1, n.rank + 1):
-            for _ in range(n.entry(alpha, i)):
-                f = apply_D(alpha, i, f, checked=True)
-    return f
+    return operator_product(n, apply_D, RING_W)
 
 
 def g_coefficient(n: NVector) -> LaurentPoly:
@@ -203,18 +216,8 @@ def g_to_char_w_exponent(n: NVector) -> int:
     """w-exponent of the prefactor relating the twisted product to the
     character: chi_n = w**E * (twisted product on 1)."""
     cart = CartanData(n.rank)
-    lin = 0
-    quad = 0
-    for a in range(1, n.rank + 1):
-        for i in range(1, n.level + 1):
-            x = n.entry(a, i)
-            if not x:
-                continue
-            for b in range(1, n.rank + 1):
-                lin += x * cart.lam(a, b)
-                for j in range(1, n.level + 1):
-                    quad += x * min(i, j) * cart.lam(a, b) * n.entry(b, j)
-    return 2 * lin + quad
+    lin = sum(x * cart.lam_row_sum(a) for a, i, x in n.cells())
+    return 2 * lin + _pairing(n, cart.lam)
 
 
 def char_from_g(n: NVector) -> LaurentPoly:
@@ -223,3 +226,75 @@ def char_from_g(n: NVector) -> LaurentPoly:
     ``graded_character(n).poly`` exactly."""
     lifted = g_raising_product(n).times_unit(g_to_char_w_exponent(n))
     return w_to_q(lifted, n.rank)
+
+
+# -- difference equations ------------------------------------------------------
+
+
+def difference_equation_terms(n: NVector, dual: bool = False) -> list:
+    """The level-k difference equation at n,
+
+        sum_{a=1}^{r+1} chi[n + e(a-1,k-1) - e(a,k-1) + e(a,k) - e(a-1,k)]
+          - sum_{a=1}^{r} q**(k-1 - sum_i i n_i^(a))
+                chi[n + e(a-1,k-1) - e(a,k-1) + e(a+1,k) - e(a,k)]  =  e_1 chi[n],
+
+    as (shifted NVector or None, q-coefficient Scalar) pairs, one per distinct
+    shift.  Moves at label 0 or r+1 and at level 0 drop out, so at k = 1 the
+    sums merge into the level-1 coefficients 1 - q**(-n^(a)).  A negative
+    shift (None) must carry a zero coefficient.  ``dual`` relabels
+    a -> r+1-a, which puts e_r on the right-hand side."""
+    if dual:
+        return [(m and m.dual(), c) for m, c in difference_equation_terms(n.dual())]
+    r, k = n.rank, n.level
+    merged = {}
+    for a in range(1, r + 2):
+        low = ((a - 1, k - 1, 1), (a, k - 1, -1))
+        sums = [(low + ((a, k, 1), (a - 1, k, -1)), 0, 1)]
+        if a <= r:
+            qexp = k - 1 - sum(i * n.entry(a, i) for i in range(1, k + 1))
+            sums.append((low + ((a + 1, k, 1), (a, k, -1)), qexp, -1))
+        for moves, qexp, sign in sums:
+            coeff = merged.setdefault(n._moved(moves), (moves, {}))[1]
+            coeff[qexp] = coeff.get(qexp, 0) + sign
+    return [
+        (n.shift(*moves), Scalar(RING_Q, {e: c for e, c in coeff.items() if c}))
+        for moves, coeff in merged.values()
+    ]
+
+
+def g_form_terms(n: NVector, terms) -> list:
+    """The terms for G_n instead of chi_n: chi_m = w**E(m) G_m on the
+    constraint (E = ``g_to_char_w_exponent``), so q = w**(-2(r+1)) and each
+    term is multiplied by w**(E(n_t) - E(n))."""
+    scale, base = -2 * (n.rank + 1), g_to_char_w_exponent(n)
+    out = []
+    for m, coeff in terms:
+        shift = 0 if m is None else g_to_char_w_exponent(m) - base
+        out.append((m, Scalar(RING_W, {scale * e + shift: c for e, c in coeff.data.items()})))
+    return out
+
+
+def _equation_value(m: NVector, form: str) -> LaurentPoly:
+    if form == "G":
+        return g_coefficient(m)
+    return constrain(graded_character(m).poly, m.rank)
+
+
+def difference_equation_holds(n: NVector, form: str = "chi", dual: bool = False) -> bool:
+    """Whether the difference equation holds at n, on constrained characters
+    in q (form "chi") or on the coefficients G_n in w (form "G")."""
+    if form not in ("chi", "G"):
+        raise ValueError("unknown equation form %r" % form)
+    terms = difference_equation_terms(n, dual)
+    if form == "G":
+        terms = g_form_terms(n, terms)
+    lhs = LaurentPoly.zero(RING_W if form == "G" else RING_Q, n.rank)
+    for m, coeff in terms:
+        if coeff and m is None:
+            return False
+        if coeff:
+            value = _equation_value(m, form)
+            for e, c in coeff.data.items():
+                lhs = lhs + value.times_unit(e).times_scalar_raw(c)
+    e = elementary(n.rank if dual else 1, n.rank + 1, lhs.ring)
+    return lhs == constrain(e, n.rank) * _equation_value(n, form)

@@ -124,6 +124,18 @@ def render_character(payload: dict, fmt: str) -> str:
     raise ValueError("unknown format %r" % fmt)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, else a usage error (exit 2)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("%d is below the minimum %d" % (value, low))
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qchar",
@@ -141,9 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    pv.add_argument("--rank", type=int, default=None)
-    pv.add_argument("--bound", type=int, default=None)
-    pv.add_argument("--order", type=int, default=None)
+    pv.add_argument("--rank", type=_int_at_least(1), default=None)
+    pv.add_argument("--bound", type=_int_at_least(0), default=None)
+    pv.add_argument("--order", type=_int_at_least(0), default=None)
     pv.add_argument("--out", default=None, help="output file (default stdout)")
     return parser
 

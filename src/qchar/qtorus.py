@@ -221,34 +221,12 @@ class NcLaurent:
         return "NcLaurent(r=%d, %s)" % (self.rank, self.to_text())
 
 
-def nc_mul(f: NcLaurent, g: NcLaurent) -> NcLaurent:
-    """Normal-ordered product (function form of ``*``)."""
-    return f * g
-
-
 def _flat(key):
     return key[0] + key[1]
 
 
 def _grade(flat):
     return (sum(flat),) + flat
-
-
-def _exponent_shift(rank, coeffs, offset):
-    """Translate every support exponent by ``offset`` (coefficients kept).
-
-    This is multiplication by a monomial up to per-term unit twists; support
-    geometry is all the division normalization needs, and the twists are
-    reinstated by performing the actual monomial products around the call.
-    """
-    a_off, b_off = tuple(offset[:rank]), tuple(offset[rank:])
-    return {
-        (
-            tuple(x + y for x, y in zip(a, a_off)),
-            tuple(x + y for x, y in zip(b, b_off)),
-        ): c
-        for (a, b), c in coeffs.items()
-    }
 
 
 def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:

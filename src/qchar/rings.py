@@ -62,11 +62,6 @@ def qt_int(n: int):
     return QT_FIELD.one * n
 
 
-def qt_monomial(qexp: int, texp: int, coeff=1):
-    """The field element ``coeff * q**qexp * t**texp`` (exponents may be negative)."""
-    return qt_int(coeff) * qt_q**qexp * qt_t**texp
-
-
 class Scalar:
     """A coefficient viewed on its own: a w- or q-Laurent polynomial over the
     integers, or a reduced rational function of (q, t).
@@ -194,20 +189,6 @@ class Scalar:
         if self.ring == RING_QT:
             raise ValueError("at_unit_one is only defined for the integer rings")
         return sum(self.data.values())
-
-    def as_int(self) -> int:
-        """The value as a plain integer; raises when not constant."""
-        if self.ring == RING_QT:
-            if self.data.denom == QT_FIELD.ring.one and self.data.numer.is_ground:
-                c = self.data.numer.coeff(1)
-                if QQ.denom(c) == 1:
-                    return int(QQ.numer(c))
-            raise ValueError("scalar %r is not an integer constant" % self)
-        if not self.data:
-            return 0
-        if set(self.data) == {0}:
-            return self.data[0]
-        raise ValueError("scalar %r is not constant" % self)
 
     # -- presentation ------------------------------------------------------
 

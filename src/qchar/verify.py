@@ -6,7 +6,8 @@ first counterexample).  The subset-fraction identities behind the operator
 algebra are verified in N!-cleared form: both sides are multiplied by the
 Vandermonde determinant and by the symmetric product of all (z_x - q z_y),
 which turns them into polynomial statements, and the signed permutation
-orbits are compared in canonical alternant-bucket form.
+orbits are compared in canonical alternant-bucket form.  Every difference
+equation check runs through ``characters.difference_equation_holds``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from .cartan import CartanData
 from .characters import (
     NVector,
     char_from_g,
+    difference_equation_holds,
     g_coefficient,
     graded_character,
+    operator_product,
     raising_product,
     top_component,
 )
@@ -38,8 +41,8 @@ from .macdonald import (
     qwhittaker_specialize,
 )
 from .qdiff import apply_D, apply_M, apply_macdonald_qt
-from .qtorus import NcLaurent, evaluate, q_recursion
-from .rings import RING_Q, RING_QT, RING_W, Scalar
+from .qtorus import NcLaurent, check_polynomiality, evaluate, q_recursion
+from .rings import RING_Q, RING_QT, RING_W
 from .symfun import elementary, monomial_sym, partitions, partitions_up_to, schur
 from .whittaker import check_level1_toda, class_one_combination, toda_residual
 
@@ -315,176 +318,78 @@ def _admissible_grids(rank, level, sigma_max):
     return out
 
 
+def _equation_report(name, grid, form="chi") -> CheckReport:
+    rep = CheckReport(name)
+    rep.notes["points"] = len(grid)
+    for n in grid:
+        rep.record(n, difference_equation_holds(n, form))
+    return rep
+
+
 def check_difference_equation(rank: int, level: int, sigma_max: int = 5) -> CheckReport:
     """The level-k (k >= 2) difference equation on exact constrained
     characters, over every admissible grid point with sigma(n) <= bound."""
     if level < 2:
         raise ValueError("the level-1 equation is covered by check_level1_toda")
-    rep = CheckReport("diffeq-r%d-k%d" % (rank, level))
-    k = level
-    e1 = constrain(elementary(1, rank + 1, RING_Q), rank)
     grid = _admissible_grids(rank, level, sigma_max)
-    rep.notes["points"] = len(grid)
-    for n in grid:
-        chi = constrain(graded_character(n).poly, rank)
-        lhs = LaurentPoly.zero(RING_Q, rank)
-        ok = True
-        for alpha in range(1, rank + 2):
-            shifted = n.shift(
-                (alpha - 1, k - 1, +1), (alpha, k - 1, -1), (alpha, k, +1), (alpha - 1, k, -1)
-            )
-            if shifted is None:
-                ok = False
-                break
-            lhs = lhs + constrain(graded_character(shifted).poly, rank)
-        if ok:
-            for alpha in range(1, rank + 1):
-                shifted = n.shift(
-                    (alpha - 1, k - 1, +1), (alpha, k - 1, -1), (alpha + 1, k, +1), (alpha, k, -1)
-                )
-                if shifted is None:
-                    ok = False
-                    break
-                qexp = k - 1 - sum(i * n.entry(alpha, i) for i in range(1, k + 1))
-                lhs = lhs - constrain(graded_character(shifted).poly, rank).times_unit(qexp)
-        rep.record(n, ok and lhs == e1 * chi)
-    return rep
+    return _equation_report("diffeq-r%d-k%d" % (rank, level), grid)
 
 
 def check_level1_report(rank: int, sigma_max: int) -> CheckReport:
     rep = CheckReport("diffeq-level1-r%d" % rank)
-    grid = [
-        comp
-        for comp in itertools.product(range(sigma_max + 1), repeat=rank)
-        if sum(comp) <= sigma_max
-    ]
+    grid = _level1_entries(rank, sigma_max)
     rep.notes["points"] = len(grid)
     rep.record(("level1", rank, sigma_max), check_level1_toda(rank, grid))
     return rep
 
 
-def _wscalar(pairs) -> Scalar:
-    d = {}
-    for e, c in pairs:
-        nv = d.get(e, 0) + c
-        if nv:
-            d[e] = nv
-        else:
-            d.pop(e, None)
-    return Scalar(RING_W, d)
+def _record_both_relations(rep, grid):
+    """The G-form equation at every point (first relation, e_1) and its dual
+    (second relation, e_r), then the compatibility e_2 G_{1,0} = e_1 G_{0,1}."""
+    for n in grid:
+        entries = tuple(x for level in zip(*n.rows) for x in level)
+        rep.record(("first",) + entries, difference_equation_holds(n, "G"))
+        rep.record(("second",) + entries, difference_equation_holds(n, "G", dual=True))
+    e1, e2 = (constrain(elementary(m, 3, RING_W), 2) for m in (1, 2))
+    g10, g01 = (g_coefficient(NVector.level_one(2, x)) for x in ((1, 0), (0, 1)))
+    rep.record(("compatibility",), e2 * g10 == e1 * g01)
+    return rep
 
 
 def check_sl3_level1_G(sigma_max: int = 5) -> CheckReport:
     """The two rank-2 level-1 three-term recursions on the renormalized
     coefficients G_{n,p} (both conserved-quantity insertions), in v-form."""
-    rep = CheckReport("sl3-level1-G")
-    e1c = constrain(elementary(1, 3, RING_W), 2)
-    e2c = constrain(elementary(2, 3, RING_W), 2)
-
-    def G(n, p):
-        if n < 0 or p < 0:
-            return None
-        return g_coefficient(NVector.level_one(2, (n, p)))
-
-    zero2 = LaurentPoly.zero(RING_W, 2)
-
-    def add_term(acc, val, coeff: Scalar):
-        if val is None:
-            return acc if coeff.is_zero() else None
-        return acc + val.times_scalar(coeff)
-
-    for n in range(0, sigma_max + 1):
-        for p in range(0, sigma_max + 1 - n):
-            lhs = add_term(zero2, G(n + 1, p), _wscalar([(6, 1)]))
-            lhs = add_term(lhs, G(n - 1, p + 1), _wscalar([(-6 * n, 1), (0, -1)]))
-            lhs = add_term(lhs, G(n, p - 1), _wscalar([(-6 - 6 * n - 6 * p, 1), (-6 - 6 * n, -1)]))
-            rhs = (e1c * G(n, p)).times_unit(-4 * n - 2 * p - 2)
-            rep.record(("first", n, p), lhs is not None and lhs == rhs)
-
-            lhs = add_term(zero2, G(n, p + 1), _wscalar([(6, 1)]))
-            lhs = add_term(lhs, G(n + 1, p - 1), _wscalar([(-6 * p, 1), (0, -1)]))
-            lhs = add_term(lhs, G(n - 1, p), _wscalar([(-6 - 6 * n - 6 * p, 1), (-6 - 6 * p, -1)]))
-            rhs = (e2c * G(n, p)).times_unit(-2 * n - 4 * p - 2)
-            rep.record(("second", n, p), lhs is not None and lhs == rhs)
-    rep.record(
-        ("compatibility",), e2c * G(1, 0) == e1c * G(0, 1)
-    )
-    return rep
+    return _record_both_relations(CheckReport("sl3-level1-G"), _level1_grid(2, sigma_max))
 
 
 def check_sl3_level2_G(entry_max: int = 2) -> CheckReport:
     """Both rank-2 level-2 recursions on G (the two conserved-quantity
     insertions), for all admissible occupation entries in [1, entry_max]."""
-    rep = CheckReport("sl3-level2-G")
-    e1c = constrain(elementary(1, 3, RING_W), 2)
-    e2c = constrain(elementary(2, 3, RING_W), 2)
-
-    def G(n1, p1, n2, p2):
-        if min(n1, p1, n2, p2) < 0:
-            raise ValueError("negative occupation")
-        return g_coefficient(NVector.from_rows(2, 2, ((n1, n2), (p1, p2))))
-
-    rng = range(1, entry_max + 1)
-    for n1, p1, n2, p2 in itertools.product(rng, repeat=4):
-        lhs = (
-            G(n1 - 1, p1, n2 + 1, p2)
-            + G(n1 + 1, p1 - 1, n2 - 1, p2 + 1).times_unit(-6 * n2)
-            + G(n1, p1 + 1, n2, p2 - 1).times_unit(-6 * n2 - 6 * p2)
-            - G(n1 - 1, p1, n2 - 1, p2 + 1).times_unit(-6)
-            - G(n1 + 1, p1 - 1, n2, p2 - 1).times_unit(-6 - 6 * n2)
-        )
-        rhs = (e1c * G(n1, p1, n2, p2)).times_unit(-2 - 4 * n2 - 2 * p2)
-        rep.record(("first", n1, p1, n2, p2), lhs == rhs)
-
-        lhs = (
-            G(n1, p1 - 1, n2, p2 + 1)
-            + G(n1 - 1, p1 + 1, n2 + 1, p2 - 1).times_unit(-6 * p2)
-            + G(n1 + 1, p1, n2 - 1, p2).times_unit(-6 * n2 - 6 * p2)
-            - G(n1, p1 - 1, n2 + 1, p2 - 1).times_unit(-6)
-            - G(n1 - 1, p1 + 1, n2 - 1, p2).times_unit(-6 - 6 * p2)
-        )
-        rhs = (e2c * G(n1, p1, n2, p2)).times_unit(-2 - 2 * n2 - 4 * p2)
-        rep.record(("second", n1, p1, n2, p2), lhs == rhs)
-    rep.record(
-        ("compatibility",),
-        e2c * g_coefficient(NVector.level_one(2, (1, 0)))
-        == e1c * g_coefficient(NVector.level_one(2, (0, 1))),
-    )
-    return rep
+    grid = [
+        NVector.from_rows(2, 2, ((n1, n2), (p1, p2)))
+        for n1, p1, n2, p2 in itertools.product(range(1, entry_max + 1), repeat=4)
+    ]
+    return _record_both_relations(CheckReport("sl3-level2-G"), grid)
 
 
 def check_sl2_levelk_G(level: int = 2, sigma_max: int = 5) -> CheckReport:
-    """The rank-1 level-k recursion on G in v-form:
-
-        v**(nk+1) G[.., n_{k-1}-1, nk+1] + v**(1-nk) G[.., n_{k-1}+1, nk-1]
-          - v**(nk-1) G[.., n_{k-1}-1, nk-1] = v**(1/2) (z + 1/z) G[n]
-    """
-    rep = CheckReport("sl2-levelk-G")
-    e1c = constrain(elementary(1, 2, RING_W), 1)
-    grid = _admissible_grids(1, level, sigma_max)
-    rep.notes["points"] = len(grid)
-    k = level
-    for n in grid:
-        nk = n.entry(1, k)
-        lhs = (
-            g_coefficient(n.shift((1, k - 1, -1), (1, k, +1))).times_unit(2 * (nk + 1))
-            + g_coefficient(n.shift((1, k - 1, +1), (1, k, -1))).times_unit(2 * (1 - nk))
-            - g_coefficient(n.shift((1, k - 1, -1), (1, k, -1))).times_unit(2 * (nk - 1))
-        )
-        rhs = (e1c * g_coefficient(n)).times_unit(1)
-        rep.record(n, lhs == rhs)
-    return rep
+    """The rank-1 level-k recursion on G in v-form, over the admissible grid."""
+    return _equation_report("sl2-levelk-G", _admissible_grids(1, level, sigma_max), "G")
 
 
 # -- eigenfunctions and limits ------------------------------------------------
 
 
-def _level1_grid(rank, sigma_max):
+def _level1_entries(rank, sigma_max):
+    """Level-1 occupation entries (n^(1), ..., n^(r)) with sigma(n) <= bound."""
     return [
-        NVector.level_one(rank, comp)
-        for comp in itertools.product(range(sigma_max + 1), repeat=rank)
+        comp for comp in itertools.product(range(sigma_max + 1), repeat=rank)
         if sum(comp) <= sigma_max
     ]
+
+
+def _level1_grid(rank, sigma_max):
+    return [NVector.level_one(rank, comp) for comp in _level1_entries(rank, sigma_max)]
 
 
 def check_eigen(rank: int, sigma_max: int = 4) -> CheckReport:
@@ -511,16 +416,6 @@ def _rectangle_product_at_q1(n: NVector) -> LaurentPoly:
     return out
 
 
-def _reordered_raising(n: NVector) -> LaurentPoly:
-    """The operator product with the within-level order reversed."""
-    f = LaurentPoly.one(RING_Q, n.rank + 1)
-    for i in range(1, n.level + 1):
-        for alpha in range(n.rank, 0, -1):
-            for _ in range(n.entry(alpha, i)):
-                f = apply_M(alpha, i, f, checked=True)
-    return f
-
-
 def check_limits(rank_max: int = 3, sigma_max: int = 3) -> CheckReport:
     """Structural limits of the characters: polynomiality in q**-1, the top
     component, the classical (q = 1) tensor factorization, within-level
@@ -541,7 +436,8 @@ def check_limits(rank_max: int = 3, sigma_max: int = 3) -> CheckReport:
             chi.unit_slice(0) == schur(top_component(n), n.rank + 1),
         )
         rep.record((n, "classical-limit"), chi.at_unit_one() == _rectangle_product_at_q1(n))
-        rep.record((n, "within-level-order"), _reordered_raising(n) == raising_product(n))
+        reordered = operator_product(n, apply_M, RING_Q, reverse=True)
+        rep.record((n, "within-level-order"), reordered == raising_product(n))
         rep.record((n, "two-paths"), char_from_g(n) == chi)
     return rep
 
@@ -611,11 +507,7 @@ def check_torus(
             words = [w for w in words if len(w) < word_len] + keep
             rep.notes["torus-words-sampled-r%d" % rank] = len(keep)
         for word in words:
-            prod = NcLaurent.one(rank)
-            for a, k in word:
-                prod = prod * table[(a, k)]
-            ev0 = evaluate(prod, "ev0")
-            rep.record(("polynomiality", rank, word), ev0.min_b_exponent() >= 0)
+            rep.record(("polynomiality", rank, word), check_polynomiality(rank, word, table))
 
         ones = NcLaurent.monomial(rank, (0,) * rank, (1,) * rank)
         for i in range(samples):
@@ -685,22 +577,26 @@ def check_whittaker(order: int = 20, toda_n: int = 6, classone_n: int = 4) -> Ch
         ("class-one", classone_n, order),
         class_one_combination(range(0, classone_n + 1), order),
     )
-    rep.record(("level1", 1, 10), check_level1_toda(1, [(n,) for n in range(0, 11)]))
-    grid = [c for c in itertools.product(range(6), repeat=2) if sum(c) <= 5]
-    rep.record(("level1", 2, 5), check_level1_toda(2, grid))
+    rep.record(("level1", 1, 10), check_level1_toda(1, _level1_entries(1, 10)))
+    rep.record(("level1", 2, 5), check_level1_toda(2, _level1_entries(2, 5)))
     return rep
 
 
 # -- suite registry -------------------------------------------------------------
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
 def run_suite(name: str, rank=None, bound=None, order=None):
-    """Run a named verification suite; returns a list of CheckReports."""
+    """Run a named verification suite; returns a list of CheckReports.  An
+    argument left as None takes the suite's default."""
     if name == "qsystem":
-        ranks = [rank] if rank else [2, 3]
-        return [check_dual_qsystem(r, degree_bound=bound or 6) for r in ranks]
+        ranks = [2, 3] if rank is None else [rank]
+        return [check_dual_qsystem(r, degree_bound=_given(bound, 6)) for r in ranks]
     if name == "diffeq":
-        sigma = bound or 5
+        sigma = _given(bound, 5)
         out = [check_level1_report(r, sigma) for r in (1, 2, 3)]
         out.append(check_sl3_level1_G(sigma))
         for r in (1, 2):
@@ -713,18 +609,18 @@ def run_suite(name: str, rank=None, bound=None, order=None):
         out.append(check_sl2_levelk_G(2, sigma))
         return out
     if name == "eigen":
-        ranks = [rank] if rank else [1, 2, 3]
-        return [check_eigen(r, bound or 4) for r in ranks]
+        ranks = [1, 2, 3] if rank is None else [rank]
+        return [check_eigen(r, _given(bound, 4)) for r in ranks]
     if name == "lemmas":
-        return [check_subset_identities(bound or 3)]
+        return [check_subset_identities(_given(bound, 3))]
     if name == "limits":
-        return [check_limits(rank or 3, bound or 3)]
+        return [check_limits(_given(rank, 3), _given(bound, 3))]
     if name == "torus":
-        return [check_torus(rank or 3)]
+        return [check_torus(_given(rank, 3))]
     if name == "macdonald":
-        return [check_macdonald(3, bound or 4), check_macdonald_commuting()]
+        return [check_macdonald(3, _given(bound, 4)), check_macdonald_commuting()]
     if name == "whittaker":
-        return [check_whittaker(order or 20)]
+        return [check_whittaker(_given(order, 20))]
     if name == "all":
         out = []
         for suite in (

@@ -20,17 +20,15 @@ so the identity is checked multiplied through by 1 - p**-2, which is not a
 zero divisor in the series ring.
 
 ``check_level1_toda`` verifies the level-1 difference equation for general
-rank on the exact constrained characters, with the convention that a shifted
-term whose occupation number would drop below zero carries a vanishing
-coefficient.
+rank on the exact constrained characters, with the terms of the level-k
+generator ``characters.difference_equation_terms`` at k = 1: a shifted term
+whose occupation would drop below zero carries a vanishing coefficient.
 """
 
 from __future__ import annotations
 
-from .characters import NVector, graded_character
-from .laurent import LaurentPoly, constrain
-from .rings import RING_Q
-from .symfun import elementary
+from .characters import NVector, difference_equation_holds, graded_character
+from .laurent import constrain
 
 
 class TruncatedSeries:
@@ -201,30 +199,9 @@ def check_level1_toda(rank: int, n_vectors) -> bool:
         sum_{a=0}^{r} chi[n - eps_a + eps_{a+1}]
           - sum_{a=1}^{r} q**(-n^(a)) chi[n - eps_a + eps_{a+1}]  =  e_1 chi[n]
 
-    with eps_0 = eps_{r+1} = 0; a term whose shifted occupation would be
-    negative comes with the vanishing coefficient 1 - q**0 and is dropped.
+    with eps_0 = eps_{r+1} = 0, generated by ``difference_equation_terms`` at
+    k = 1.  ``n_vectors`` holds the entries (n^(1), ..., n^(r)) of each point.
     """
-    e1 = constrain(elementary(1, rank + 1, RING_Q), rank)
-    for entries in n_vectors:
-        n = NVector.level_one(rank, tuple(entries))
-        chi = constrain(graded_character(n).poly, rank)
-        lhs = LaurentPoly.zero(RING_Q, rank)
-        for a in range(0, rank + 1):
-            shifted = n.shift((a, 1, -1), (a + 1, 1, +1))
-            if a == 0:
-                coeff_gate = None  # bare term, coefficient 1
-            else:
-                # coefficient 1 - q**(-n^(a))
-                coeff_gate = n.entry(a, 1)
-            if shifted is None:
-                if coeff_gate:
-                    return False  # a dropped term must carry a zero coefficient
-                continue
-            term = constrain(graded_character(shifted).poly, rank)
-            if coeff_gate is None:
-                lhs = lhs + term
-            else:
-                lhs = lhs + term - term.times_unit(-coeff_gate)
-        if lhs != e1 * chi:
-            return False
-    return True
+    return all(
+        difference_equation_holds(NVector.level_one(rank, tuple(n))) for n in n_vectors
+    )

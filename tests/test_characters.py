@@ -9,7 +9,10 @@ from qchar.characters import (
     NVector,
     char_from_g,
     char_q_exponent,
+    difference_equation_holds,
+    difference_equation_terms,
     g_coefficient,
+    g_form_terms,
     graded_character,
     multiplicities,
     top_component,
@@ -35,6 +38,18 @@ def test_nvector_validation():
     assert n.shift((1, 1, -1), (2, 2, -1)).sigma() == 0
     assert n.shift((1, 2, -1)) is None
     assert n.shift((0, 1, -1), (3, 1, -1)) == n  # boundary moves dropped
+    # no negative-index wrap-around: entries outside the matrix are errors,
+    # level-0 moves drop out, other out-of-range moves are errors
+    m = NVector.from_rows(1, 2, ((3, 5),))
+    for alpha, i in ((1, 0), (0, 1), (2, 1), (1, 3), (-1, 1)):
+        with pytest.raises(ValueError):
+            m.entry(alpha, i)
+    assert m.shift((1, 0, -1)) == m
+    assert m.shift((0, 0, 1), (2, 0, -1)) == m
+    for move in ((1, -1, -1), (1, 3, 1), (-1, 1, 1), (3, 1, 1)):
+        with pytest.raises(ValueError):
+            m.shift(move)
+    assert n.dual().rows == ((0, 1), (1, 0)) and n.dual().dual() == n
 
 
 def test_empty_product_is_one():
@@ -146,3 +161,105 @@ def test_g_unconstrained_conversion_is_clean():
     for n in [NVector.level_one(2, (1, 1)), NVector.from_rows(1, 2, ((1, 2),))]:
         lifted = g_raising_product(n).times_unit(g_to_char_w_exponent(n))
         w_to_q(lifted, n.rank)  # would raise on a stray half-power
+
+
+# -- the difference-equation generator -----------------------------------------
+
+
+def _wcoeff(*pairs):
+    out = {}
+    for e, c in pairs:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _normalised_g_form(n, norm, dual=False):
+    """The generated G-form terms with nonzero coefficients, keyed by the
+    shifted rows, every w-exponent moved by ``norm``."""
+    out = {}
+    for m, coeff in g_form_terms(n, difference_equation_terms(n, dual)):
+        if coeff:
+            assert m is not None, (n, coeff)
+            out[m.rows] = {e + norm: c for e, c in coeff.data.items()}
+    return out
+
+
+def _nonzero(expected):
+    return {rows: c for rows, c in expected.items() if c}
+
+
+def test_generated_g_form_matches_handwritten_recursions():
+    # the v-form recursions once written out by hand, each with right-hand
+    # side w**norm * e_1 G (or e_2 G); the generator's G-form has right-hand
+    # side e G, so its coefficients times w**norm must be these
+    for n, p in itertools.product(range(6), repeat=2):
+        nv = NVector.level_one(2, (n, p))
+        first = {
+            ((n + 1,), (p,)): _wcoeff((6, 1)),
+            ((n - 1,), (p + 1,)): _wcoeff((-6 * n, 1), (0, -1)),
+            ((n,), (p - 1,)): _wcoeff((-6 - 6 * n - 6 * p, 1), (-6 - 6 * n, -1)),
+        }
+        second = {
+            ((n,), (p + 1,)): _wcoeff((6, 1)),
+            ((n + 1,), (p - 1,)): _wcoeff((-6 * p, 1), (0, -1)),
+            ((n - 1,), (p,)): _wcoeff((-6 - 6 * n - 6 * p, 1), (-6 - 6 * p, -1)),
+        }
+        assert _normalised_g_form(nv, -4 * n - 2 * p - 2) == _nonzero(first), (n, p)
+        assert _normalised_g_form(nv, -2 * n - 4 * p - 2, dual=True) == _nonzero(second), (n, p)
+
+    for n1, p1, n2, p2 in itertools.product(range(1, 3), repeat=4):
+        nv = NVector.from_rows(2, 2, ((n1, n2), (p1, p2)))
+        first = {
+            ((n1 - 1, n2 + 1), (p1, p2)): {0: 1},
+            ((n1 + 1, n2 - 1), (p1 - 1, p2 + 1)): {-6 * n2: 1},
+            ((n1, n2), (p1 + 1, p2 - 1)): {-6 * n2 - 6 * p2: 1},
+            ((n1 - 1, n2 - 1), (p1, p2 + 1)): {-6: -1},
+            ((n1 + 1, n2), (p1 - 1, p2 - 1)): {-6 - 6 * n2: -1},
+        }
+        second = {
+            ((n1, n2), (p1 - 1, p2 + 1)): {0: 1},
+            ((n1 - 1, n2 + 1), (p1 + 1, p2 - 1)): {-6 * p2: 1},
+            ((n1 + 1, n2 - 1), (p1, p2)): {-6 * n2 - 6 * p2: 1},
+            ((n1, n2 + 1), (p1 - 1, p2 - 1)): {-6: -1},
+            ((n1 - 1, n2 - 1), (p1 + 1, p2)): {-6 - 6 * p2: -1},
+        }
+        assert _normalised_g_form(nv, -2 - 4 * n2 - 2 * p2) == first
+        assert _normalised_g_form(nv, -2 - 2 * n2 - 4 * p2, dual=True) == second
+
+    for k in (2, 3):
+        for rows in itertools.product(range(4), repeat=k):
+            if rows[-1] < 1 or rows[-2] < 1:
+                continue
+            nv = NVector.from_rows(1, k, (rows,))
+            nk = rows[-1]
+            expected = {
+                nv.shift((1, k - 1, -1), (1, k, 1)).rows: {2 * (nk + 1): 1},
+                nv.shift((1, k - 1, 1), (1, k, -1)).rows: {2 * (1 - nk): 1},
+                nv.shift((1, k - 1, -1), (1, k, -1)).rows: {2 * (nk - 1): -1},
+            }
+            assert _normalised_g_form(nv, 1) == expected, rows
+
+
+def test_level1_generator_merges_the_two_sums():
+    # at k = 1 the level-0 moves drop out and the sums merge into
+    # 1 - q**(-n^(a)); a negative shift carries the zero coefficient 1 - q**0
+    terms = difference_equation_terms(NVector.level_one(2, (0, 3)))
+    by_rows = {None if m is None else m.rows: c.data for m, c in terms}
+    assert by_rows == {((1,), (3,)): {0: 1}, None: {}, ((0,), (2,)): {0: 1, -3: -1}}
+    assert len(terms) == 3
+
+
+def test_rank3_g_form_and_dual_equations():
+    # coverage beyond the verify suite: rank 3, the G-form and both duals
+    for entries in itertools.product(range(4), repeat=3):
+        if sum(entries) > 3:
+            continue
+        n = NVector.level_one(3, entries)
+        assert difference_equation_holds(n, "G"), n
+        assert difference_equation_holds(n, "G", dual=True), n
+        assert difference_equation_holds(n, "chi", dual=True), n
+    n = NVector.from_rows(3, 2, ((1, 1),) * 3)  # the one admissible point at sigma = 6
+    assert difference_equation_holds(n, "G")
+    assert difference_equation_holds(n, "chi", dual=True)
+    with pytest.raises(ValueError):
+        difference_equation_holds(n, "bogus")

@@ -126,3 +126,53 @@ def test_verify_whittaker_stdout_pinned():
         '{"schema":1,"suite":"whittaker","passed":true,"reports":[{"name":"whittaker",'
         '"points":15,"passed":true,"failures":[],"notes":{"residual-order":10}}]}\n'
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--suite", "torus", "--rank", "-1"],
+        ["--suite", "eigen", "--rank", "0"],
+        ["--suite", "lemmas", "--bound", "-1"],
+        ["--suite", "whittaker", "--order", "-1"],
+    ],
+)
+def test_verify_out_of_range_arguments_exit_2(args):
+    # out-of-range values are usage errors, never a silent default or an
+    # empty grid that reads as a pass
+    out = run_cli(["verify", *args])
+    assert out.returncode == 2 and out.stdout == ""
+    assert "below the minimum" in out.stderr
+
+
+def test_verify_zero_bound_is_not_the_default():
+    # an explicit 0 is a value, not a request for the default
+    from qchar.verify import run_suite
+
+    assert [r.total for r in run_suite("eigen", rank=1, bound=0)] == [1]
+    assert [r.total for r in run_suite("eigen", rank=1)] == [5]
+
+
+def test_verify_diffeq_stdout_pinned():
+    out = run_cli(["verify", "--suite", "diffeq"])
+    assert out.returncode == 0
+    reports = [
+        ("diffeq-level1-r1", 1, 6),
+        ("diffeq-level1-r2", 1, 21),
+        ("diffeq-level1-r3", 1, 56),
+        ("sl3-level1-G", 43, None),
+        ("diffeq-r1-k2", 10, 10),
+        ("diffeq-r1-k3", 20, 20),
+        ("diffeq-r2-k2", 5, 5),
+        ("diffeq-r2-k3", 7, 7),
+        ("diffeq-r3-k2", 1, 1),
+        ("sl3-level2-G", 33, None),
+        ("sl2-levelk-G", 10, 10),
+    ]
+    body = ",".join(
+        '{"name":"%s","points":%d,"passed":true,"failures":[]%s}'
+        % (name, points, "" if notes is None else ',"notes":{"points":%d}' % notes)
+        for name, points, notes in reports
+    )
+    expected = '{"schema":1,"suite":"diffeq","passed":true,"reports":[%s]}\n' % body
+    assert out.stdout == expected

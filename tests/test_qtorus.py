@@ -12,7 +12,6 @@ from qchar.qtorus import (
     evaluate,
     nc_div_left,
     nc_div_right,
-    nc_mul,
     q_recursion,
 )
 from qchar.rings import NcNotDivisible
@@ -24,13 +23,13 @@ def gen(rank, alpha, k, power=1):
 
 def test_normal_ordering_twist():
     # Q_{1,1} Q_{1,0} = v^{-1} Q_{1,0} Q_{1,1} at rank 1
-    lhs = nc_mul(gen(1, 1, 1), gen(1, 1, 0))
-    rhs = nc_mul(gen(1, 1, 0), gen(1, 1, 1)).times_unit(-2)
+    lhs = gen(1, 1, 1) * gen(1, 1, 0)
+    rhs = (gen(1, 1, 0) * gen(1, 1, 1)).times_unit(-2)
     assert lhs == rhs
     # same level, different labels commute
-    assert nc_mul(gen(2, 1, 1), gen(2, 2, 1)) == nc_mul(gen(2, 2, 1), gen(2, 1, 1))
+    assert gen(2, 1, 1) * gen(2, 2, 1) == gen(2, 2, 1) * gen(2, 1, 1)
     f = gen(2, 1, 0) + gen(2, 2, 1).times_unit(3)
-    assert nc_mul(NcLaurent.one(2), f) == f
+    assert NcLaurent.one(2) * f == f
 
 
 def test_recursion_hand_value():
@@ -55,8 +54,8 @@ def test_evaluation_maps():
 
 def test_backward_recursion_consistency():
     table = q_recursion(1, 2, -1)
-    lhs = nc_mul(gen(1, 1, 1), table[(1, -1)])
-    rhs = (nc_mul(gen(1, 1, 0), gen(1, 1, 0)) - NcLaurent.one(1)).times_unit(-2)
+    lhs = gen(1, 1, 1) * table[(1, -1)]
+    rhs = (gen(1, 1, 0) * gen(1, 1, 0) - NcLaurent.one(1)).times_unit(-2)
     assert lhs == rhs
 
 
@@ -70,8 +69,8 @@ def test_defining_relation_across_table():
 
         for k in range(-1, 4):
             for a in range(1, rank + 1):
-                lhs = nc_mul(get(a, k + 1), get(a, k - 1)).times_unit(2 * cart.lam(a, a))
-                rhs = nc_mul(get(a, k), get(a, k)) - nc_mul(get(a + 1, k), get(a - 1, k))
+                lhs = (get(a, k + 1) * get(a, k - 1)).times_unit(2 * cart.lam(a, a))
+                rhs = get(a, k) * get(a, k) - get(a + 1, k) * get(a - 1, k)
                 assert lhs == rhs, (rank, a, k)
 
 
@@ -89,8 +88,8 @@ def test_division_roundtrip_and_failure():
         d = gen(rank, 1, 1) + gen(rank, 2, 0).times_unit(2)
         if x.is_zero():
             continue
-        assert nc_div_right(nc_mul(x, d), d) == x
-        assert nc_div_left(nc_mul(d, x), d) == x
+        assert nc_div_right(x * d, d) == x
+        assert nc_div_left(d * x, d) == x
     with pytest.raises(NcNotDivisible):
         nc_div_right(NcLaurent.one(2), gen(2, 1, 1) + NcLaurent.one(2))
 
@@ -116,7 +115,7 @@ def test_intertwining_of_evaluations():
                 a = tuple(rng.randint(-2, 2) for _ in range(rank))
                 b = tuple(rng.randint(-2, 2) for _ in range(rank))
                 f = f + NcLaurent.monomial(rank, a, b, rng.randint(-3, 3), rng.randint(-5, 5))
-            assert evaluate(nc_mul(ones, f), "ev") == nc_mul(ones, evaluate(f, "ev0"))
+            assert evaluate(ones * f, "ev") == ones * evaluate(f, "ev0")
 
 
 def test_commutation_window_on_computed_values():
@@ -133,8 +132,8 @@ def test_commutation_window_on_computed_values():
                 for kp in range(-2, 6):
                     if abs(k - kp) > abs(a - b) + 1 or (a, k) >= (b, kp):
                         continue
-                    lhs = nc_mul(get(a, k), get(b, kp))
-                    rhs = nc_mul(get(b, kp), get(a, k)).times_unit(
+                    lhs = get(a, k) * get(b, kp)
+                    rhs = (get(b, kp) * get(a, k)).times_unit(
                         2 * cart.lam(a, b) * (kp - k)
                     )
                     assert lhs == rhs, (a, b, k, kp)

@@ -6,11 +6,12 @@ import pytest
 
 from qchar.characters import NVector, g_coefficient, graded_character
 from qchar.laurent import LaurentPoly, constrain
-from qchar.rings import RING_Q, RING_W
+from qchar.rings import RING_Q, RING_W, Scalar
 from qchar.symfun import elementary
 from qchar.verify import (
     CheckReport,
     check_difference_equation,
+    check_level1_report,
     check_dual_qsystem,
     check_eigen,
     check_limits,
@@ -83,6 +84,39 @@ def test_difference_equation_negative_control():
     bad = lhs - constrain(graded_character(shifted).poly, 1).times_unit(correct + 1)
     assert good == e1 * chi
     assert bad != e1 * chi
+
+
+def test_generator_negative_control(monkeypatch):
+    # moving one q-exponent of one generated coefficient breaks every
+    # check that runs through the generator, in both forms and at level 1
+    import qchar.characters as characters
+
+    generate = characters.difference_equation_terms
+
+    def perturbed(n, dual=False):
+        terms = generate(n, dual)
+        idx = max(t for t, (_, c) in enumerate(terms) if c)
+        m, c = terms[idx]
+        data = dict(c.data)
+        top = max(data)
+        data[top + 1] = data.pop(top)
+        terms[idx] = (m, Scalar(c.ring, data))
+        return terms
+
+    monkeypatch.setattr(characters, "difference_equation_terms", perturbed)
+    for rep in (
+        check_sl2_levelk_G(2, 5),
+        check_difference_equation(1, 2, 5),
+        check_level1_report(2, 5),
+    ):
+        assert rep.total and len(rep.failures) == rep.total, rep.name
+    # the G-form relations name a failing point by its entries, level by level
+    level1, level2 = check_sl3_level1_G(1), check_sl3_level2_G(1)
+    assert [f["point"] for f in level1.failures[2:4]] == [
+        "('first', 0, 1)",
+        "('second', 0, 1)",
+    ]
+    assert level2.first_counterexample() == {"point": "('first', 1, 1, 1, 1)"}
 
 
 def test_qsystem_negative_control():
