@@ -13,10 +13,8 @@ from .characters import (
 )
 from .laurent import (
     LaurentPoly,
-    antisymmetrize,
     constrain,
     exact_div,
-    symmetrize,
     vandermonde,
     w_to_q,
 )
@@ -36,7 +34,7 @@ from .rings import (
     PoleAtZero,
     Scalar,
 )
-from .symfun import elementary, pieri_e, schur, schur_expand
+from .symfun import SchurPoly, elementary, pieri_e, schur, schur_expand
 from .whittaker import (
     TruncatedSeries,
     check_level1_toda,

@@ -12,7 +12,9 @@ with the level-1 factors applied first and the integer exponent
 
 The same product in the twisted operators, constrained to z_1...z_{r+1} = 1,
 gives the renormalized coefficients G_n; the two paths are related by an
-explicit power of v and cross-check each other.
+explicit power of v and cross-check each other.  Both chains, and the
+difference equations, run on Schur forms (``symfun.SchurPoly``); monomial
+expansions are views computed on demand.
 
 ``difference_equation_terms`` generates the level-k difference equation at
 every rank and level; ``difference_equation_holds`` checks it on chi or G.
@@ -21,18 +23,13 @@ every rank and level; ``difference_equation_holds`` checks it on chi or G.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cartan import CartanData
 from .laurent import LaurentPoly, constrain, w_to_q
 from .qdiff import apply_D, apply_M
 from .rings import RING_Q, RING_W, Scalar
-from .symfun import (
-    elementary,
-    normalize_partition,
-    partition_of_weight,
-    schur,
-    schur_expand,
-)
+from .symfun import SchurPoly, partition_of_weight
 
 
 @dataclass(frozen=True)
@@ -119,20 +116,30 @@ class NVector:
 
 @dataclass(frozen=True)
 class GradedCharacter:
-    """A graded character: the polynomial in q**-1 and z_1..z_{r+1}, its
-    Schur expansion, and which operator path produced it."""
+    """A graded character in q**-1 as a Schur form in z_1..z_{r+1}, which
+    operator path produced it, and two views of it: the Schur coefficients
+    and the monomial expansion."""
 
     n: NVector
-    poly: LaurentPoly
-    expansion: dict
+    form: SchurPoly
     source: str
+
+    @cached_property
+    def expansion(self) -> dict:
+        """{partition: Scalar}, the Schur coefficients."""
+        return self.form.expansion()
+
+    @cached_property
+    def poly(self) -> LaurentPoly:
+        """The character in the monomial basis."""
+        return self.form.monomials()
 
 
 _RAISING_CACHE: dict = {}
 _G_CACHE: dict = {}
 
 
-def raising_product(n: NVector) -> LaurentPoly:
+def raising_product(n: NVector) -> SchurPoly:
     """The bare operator product applied to 1 (Q-ring, r+1 variables,
     no prefactor); level-1 factors act first, higher levels after."""
     cached = _RAISING_CACHE.get(n)
@@ -141,14 +148,14 @@ def raising_product(n: NVector) -> LaurentPoly:
     return cached
 
 
-def operator_product(n: NVector, op, ring, reverse: bool = False) -> LaurentPoly:
+def operator_product(n: NVector, op, ring, reverse: bool = False) -> SchurPoly:
     """op(alpha, i) applied n_i^(alpha) times to 1: level 1 first, labels in
     increasing order within a level (decreasing with ``reverse``)."""
-    f = LaurentPoly.one(ring, n.rank + 1)
+    f = SchurPoly.one(ring, n.rank + 1)
     for i in range(1, n.level + 1):
         for alpha in range(n.rank, 0, -1) if reverse else range(1, n.rank + 1):
             for _ in range(n.entry(alpha, i)):
-                f = op(alpha, i, f, checked=True)
+                f = op(alpha, i, f)
     return f
 
 
@@ -167,29 +174,23 @@ def char_q_exponent(n: NVector) -> int:
 
 
 def graded_character(n: NVector) -> GradedCharacter:
-    """chi_n(q**-1, z) as an exact polynomial, with its Schur expansion.
+    """chi_n(q**-1, z) as an exact Schur form.
 
     The constructed value is checked against two structural facts: every
     q-exponent is nonpositive, and the q**0 part is the Schur function of the
     top component."""
-    poly = raising_product(n).times_unit(char_q_exponent(n))
-    if poly.unit_exponents() and max(poly.unit_exponents()) > 0:
+    form = raising_product(n).times_unit(char_q_exponent(n))
+    if form.unit_exponents() and max(form.unit_exponents()) > 0:
         raise ArithmeticError("character has a positive q-exponent")
-    top = top_component(n)
-    if poly.unit_slice(0) != schur(top, n.rank + 1):
+    if form.unit_slice(0) != SchurPoly.basis(top_component(n), n.rank + 1):
         raise ArithmeticError("q**0 part differs from the top component")
-    return GradedCharacter(n, poly, schur_expand(poly), "raising-q")
+    return GradedCharacter(n, form, "raising-q")
 
 
 def multiplicities(n: NVector) -> dict:
     """Schur coefficients of the character, keyed by the partition of the
     dominant weight (full columns removed)."""
-    out = {}
-    for lam, coeff in graded_character(n).expansion.items():
-        full = tuple(lam) + (0,) * (n.rank + 1 - len(lam))
-        reduced = normalize_partition(tuple(p - full[-1] for p in full))
-        out[reduced] = coeff
-    return out
+    return graded_character(n).form.constrained().expansion()
 
 
 def top_component(n: NVector):
@@ -197,19 +198,24 @@ def top_component(n: NVector):
     return partition_of_weight(n.top_weight())
 
 
-def g_raising_product(n: NVector) -> LaurentPoly:
+def g_raising_product(n: NVector) -> SchurPoly:
     """The twisted-operator product applied to 1 (W-ring, unconstrained)."""
     return operator_product(n, apply_D, RING_W)
 
 
-def g_coefficient(n: NVector) -> LaurentPoly:
-    """The renormalized coefficient G_n: the twisted product on 1, with
-    z_1...z_{r+1} = 1 imposed (W-ring, r variables)."""
+def g_schur_form(n: NVector) -> SchurPoly:
+    """G_n as a Schur form: the twisted product on 1 modulo
+    z_1...z_{r+1} = 1 (W-ring, r+1 variables, every lam_{r+1} = 0)."""
     cached = _G_CACHE.get(n)
     if cached is None:
-        cached = constrain(g_raising_product(n), n.rank)
-        _G_CACHE[n] = cached
+        cached = _G_CACHE[n] = g_raising_product(n).constrained()
     return cached
+
+
+def g_coefficient(n: NVector) -> LaurentPoly:
+    """The renormalized coefficient G_n: the twisted product on 1, with
+    z_1...z_{r+1} = 1 imposed (W-ring, r variables, monomial basis)."""
+    return constrain(g_schur_form(n).monomials(), n.rank)
 
 
 def g_to_char_w_exponent(n: NVector) -> int:
@@ -220,10 +226,10 @@ def g_to_char_w_exponent(n: NVector) -> int:
     return 2 * lin + _pairing(n, cart.lam)
 
 
-def char_from_g(n: NVector) -> LaurentPoly:
+def char_from_g(n: NVector) -> SchurPoly:
     """The character computed through the twisted-operator path: unconstrained
     product, prefactor, then conversion w -> q.  Equals
-    ``graded_character(n).poly`` exactly."""
+    ``graded_character(n).form`` exactly."""
     lifted = g_raising_product(n).times_unit(g_to_char_w_exponent(n))
     return w_to_q(lifted, n.rank)
 
@@ -274,21 +280,22 @@ def g_form_terms(n: NVector, terms) -> list:
     return out
 
 
-def _equation_value(m: NVector, form: str) -> LaurentPoly:
+def _equation_value(m: NVector, form: str) -> SchurPoly:
     if form == "G":
-        return g_coefficient(m)
-    return constrain(graded_character(m).poly, m.rank)
+        return g_schur_form(m)
+    return graded_character(m).form.constrained()
 
 
 def difference_equation_holds(n: NVector, form: str = "chi", dual: bool = False) -> bool:
     """Whether the difference equation holds at n, on constrained characters
-    in q (form "chi") or on the coefficients G_n in w (form "G")."""
+    in q (form "chi") or on the coefficients G_n in w (form "G"), both as
+    Schur forms modulo z_1...z_{r+1} = 1; e_1 (e_r) acts by the Pieri rule."""
     if form not in ("chi", "G"):
         raise ValueError("unknown equation form %r" % form)
     terms = difference_equation_terms(n, dual)
     if form == "G":
         terms = g_form_terms(n, terms)
-    lhs = LaurentPoly.zero(RING_W if form == "G" else RING_Q, n.rank)
+    lhs = SchurPoly.zero(RING_W if form == "G" else RING_Q, n.rank + 1)
     for m, coeff in terms:
         if coeff and m is None:
             return False
@@ -296,5 +303,5 @@ def difference_equation_holds(n: NVector, form: str = "chi", dual: bool = False)
             value = _equation_value(m, form)
             for e, c in coeff.data.items():
                 lhs = lhs + value.times_unit(e).times_scalar_raw(c)
-    e = elementary(n.rank if dual else 1, n.rank + 1, lhs.ring)
-    return lhs == constrain(e, n.rank) * _equation_value(n, form)
+    rhs = _equation_value(n, form).times_e(n.rank if dual else 1).constrained()
+    return lhs == rhs

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from math import factorial
+from functools import lru_cache
 
 from .rings import (
     RING_Q,
@@ -24,7 +24,6 @@ from .rings import (
     ExponentNotDivisible,
     NotDivisible,
     NotSymmetric,
-    QT_FIELD,
     Scalar,
     qt_int,
 )
@@ -52,21 +51,13 @@ def _sorted_sign(exps):
     return tuple(lst), sign
 
 
-def _perms_with_sign(n):
+@lru_cache(maxsize=None)
+def perms_with_sign(n):
     out = []
     for p in itertools.permutations(range(n)):
         inv = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
         out.append((p, -1 if inv % 2 else 1))
     return out
-
-
-_PERM_CACHE: dict = {}
-
-
-def perms_with_sign(n):
-    if n not in _PERM_CACHE:
-        _PERM_CACHE[n] = _perms_with_sign(n)
-    return _PERM_CACHE[n]
 
 
 class LaurentPoly:
@@ -142,9 +133,11 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return False
+        self._check_basis(other)
         return (
-            isinstance(other, LaurentPoly)
-            and self.ring == other.ring
+            self.ring == other.ring
             and self.nvars == other.nvars
             and self.coeffs == other.coeffs
         )
@@ -152,7 +145,14 @@ class LaurentPoly:
     __hash__ = None
 
     def _like(self, coeffs):
-        return LaurentPoly(self.ring, self.nvars, coeffs)
+        return type(self)(self.ring, self.nvars, coeffs)
+
+    def _check_basis(self, other):
+        """Subclasses key their terms by other bases (``symfun.SchurPoly``);
+        a value in one basis never meets a value in another."""
+        if type(other) is not type(self):
+            names = type(self).__name__, type(other).__name__
+            raise TypeError("%s and %s use different bases" % names)
 
     def _check_compatible(self, other):
         if (
@@ -161,6 +161,7 @@ class LaurentPoly:
             or other.nvars != self.nvars
         ):
             raise TypeError("incompatible polynomials: %r vs %r" % (self, other))
+        self._check_basis(other)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -259,7 +260,8 @@ class LaurentPoly:
         if s.ring != (RING_QT if self.ring == RING_QT else self.ring):
             raise TypeError("scalar ring mismatch")
         if self.ring == RING_QT:
-            return self._like(_trimmed({k: c * s.data for k, c in self.coeffs.items()}))
+            out = {k: c * s.data for k, c in self.coeffs.items()}
+            return self._like({k: c for k, c in out.items() if c})
         out = {}
         for k, c in self.coeffs.items():
             for j, cj in s.data.items():
@@ -319,24 +321,6 @@ class LaurentPoly:
 
     # -- symmetry ----------------------------------------------------------
 
-    def permute_z(self, perm):
-        """Apply z_i -> z_{perm[i]} (the variable substitution action)."""
-        zo = self.zoff
-        out = {}
-        for k, c in self.coeffs.items():
-            ez = k[zo:]
-            new = [0] * self.nvars
-            for i, e in enumerate(ez):
-                new[perm[i]] = e
-            kk = k[:zo] + tuple(new)
-            cur = out.get(kk)
-            nv = c if cur is None else cur + c
-            if nv:
-                out[kk] = nv
-            else:
-                out.pop(kk, None)
-        return self._like(out)
-
     def is_symmetric(self) -> bool:
         """True when invariant under all permutations of the z variables."""
         n = self.nvars
@@ -377,10 +361,6 @@ class LaurentPoly:
         if len(text) > 120:
             text = text[:117] + "..."
         return "LaurentPoly[%s,%d](%s)" % (self.ring, self.nvars, text)
-
-
-def _trimmed(d):
-    return {k: c for k, c in d.items() if c}
 
 
 # -- construction helpers ----------------------------------------------------
@@ -426,49 +406,7 @@ def alternant(ring, nvars, exps):
     return LaurentPoly(ring, nvars, out)
 
 
-# -- symmetrization ----------------------------------------------------------
-
-
-def divide_int(f: LaurentPoly, m: int) -> LaurentPoly:
-    """Divide every coefficient by the integer ``m`` exactly."""
-    if m == 0:
-        raise ZeroDivisionError("division by zero")
-    if f.ring == RING_QT:
-        inv = QT_FIELD.one / qt_int(m)
-        return f._like({k: c * inv for k, c in f.coeffs.items()})
-    out = {}
-    for k, c in f.coeffs.items():
-        q, r = divmod(c, m)
-        if r:
-            raise NotDivisible("coefficient %d is not divisible by %d" % (c, m))
-        out[k] = q
-    return f._like(out)
-
-
-def symmetrize(f: LaurentPoly) -> LaurentPoly:
-    """(1/N!) * sum over permutations of f; exact, error if N! does not divide."""
-    acc = LaurentPoly.zero(f.ring, f.nvars)
-    for perm, _ in perms_with_sign(f.nvars):
-        acc = acc + f.permute_z(perm)
-    return divide_int(acc, factorial(f.nvars))
-
-
-def antisymmetrize(f: LaurentPoly) -> LaurentPoly:
-    """(1/N!) * signed sum over permutations of f; exact, error if inexact."""
-    return divide_int(signed_orbit_sum(f), factorial(f.nvars))
-
-
-def signed_orbit_sum(f: LaurentPoly) -> LaurentPoly:
-    """N! times the antisymmetrization, expanded as a polynomial."""
-    buckets = signed_buckets(f)
-    out = LaurentPoly.zero(f.ring, f.nvars)
-    for zkey, payload in buckets.items():
-        alt = alternant(f.ring, f.nvars, zkey)
-        if f.ring == RING_QT:
-            out = out + alt._like(_trimmed({k: c * payload for k, c in alt.coeffs.items()}))
-        else:
-            out = out + alt.times_scalar(Scalar(f.ring, payload))
-    return out
+# -- signed orbits -----------------------------------------------------------
 
 
 def signed_buckets(f: LaurentPoly):
@@ -576,6 +514,8 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 def constrain(f: LaurentPoly, rank: int) -> LaurentPoly:
     """Impose z_1 * ... * z_{r+1} = 1 by substituting the last variable,
     z_{r+1} := (z_1 ... z_r)**(-1).  Result lives in ``rank`` variables."""
+    if type(f) is not LaurentPoly:
+        raise TypeError("constrain takes a polynomial in the monomial basis")
     if f.nvars != rank + 1:
         raise ValueError("expected a polynomial in %d variables" % (rank + 1))
     zo = f.zoff
@@ -594,7 +534,8 @@ def constrain(f: LaurentPoly, rank: int) -> LaurentPoly:
 
 
 def w_to_q(f: LaurentPoly, rank: int) -> LaurentPoly:
-    """Convert a W-ring polynomial to the Q-ring through w**(-2*(r+1)) = q.
+    """Convert a W-ring polynomial (either basis) to the Q-ring through
+    w**(-2*(r+1)) = q.
 
     Raises ``ExponentNotDivisible`` when some w-exponent is not a multiple of
     2*(r+1), i.e. the input is not a function of q alone."""
@@ -608,7 +549,7 @@ def w_to_q(f: LaurentPoly, rank: int) -> LaurentPoly:
                 "w-exponent %d is not a multiple of %d" % (k[0], m)
             )
         out[(-(k[0] // m),) + k[1:]] = c
-    return LaurentPoly(RING_Q, f.nvars, out)
+    return type(f)(RING_Q, f.nvars, out)
 
 
 def require_symmetric(f: LaurentPoly):

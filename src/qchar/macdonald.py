@@ -206,23 +206,3 @@ def lift_q_to_qt(f: LaurentPoly) -> LaurentPoly:
         cur = out.get(k[1:], QT_FIELD.zero)
         out[k[1:]] = cur + qt_int(c) * qt_q ** k[0]
     return LaurentPoly(RING_QT, f.nvars, {k: v for k, v in out.items() if v})
-
-
-def project_qt_to_q(f: LaurentPoly) -> LaurentPoly:
-    """Inverse of ``lift_q_to_qt``: coefficients must be integer Laurent
-    polynomials in q alone (monomial denominators in q are allowed)."""
-    out = {}
-    for key, c in f.coeffs.items():
-        dterms = _poly_terms(c.denom)
-        if len(dterms) != 1:
-            raise NotDivisible("coefficient %s is not Laurent in q" % (c,))
-        (dm, dv), = dterms.items()
-        if dm[1] != 0:
-            raise NotDivisible("coefficient %s involves t" % (c,))
-        num = {m: v for m, v in _poly_terms(c.numer).items()}
-        if any(m[1] != 0 for m in num):
-            raise NotDivisible("coefficient %s involves t" % (c,))
-        for m, v in num.items():
-            for qe, ival in _as_int_dict({m[0] - dm[0]: v / dv}).items():
-                out[(qe,) + key] = ival
-    return LaurentPoly(RING_Q, f.nvars, out)

@@ -11,11 +11,17 @@ Three families act in r+1 variables:
 * ``apply_macdonald_qt(alpha, f)`` -- the classical Macdonald operator with
   coefficients prod (t z_i - z_j)/(z_i - z_j), over QQ(q, t).
 
-Every rational subset sum is evaluated exactly by clearing the Vandermonde
-denominator, compressed into a single signed permutation orbit: with
-``I0 = {1..alpha}``, the Vandermonde-cleared summand for ``I0`` is
-antisymmetrized in canonical alternant form, and the quotient by the
-Vandermonde is read off Schur-function by Schur-function.
+``apply_M`` and ``apply_D`` act on Schur forms (``symfun.SchurPoly``) in
+closed form.  With x the first alpha variables and y the rest, restrict s_lam
+to the two blocks, s_lam(q x, y) = sum c^lam_{mu nu} q**|mu| s_mu(x) s_nu(y)
+(``symfun.branch``); clearing the Vandermonde turns each term into a
+bialternant, and the subset sum antisymmetrizes it, so
+
+    M_{alpha,n} s_lam = sum c^lam_{mu nu} q**|mu| s_{(mu + n, nu)},
+
+each s_{(mu + n, nu)} straightened to +-s_kappa or 0 (``symfun.straighten``).
+The Macdonald operator has no such form; its Vandermonde-cleared subset sum
+is one signed permutation orbit, read off Schur function by Schur function.
 """
 
 from __future__ import annotations
@@ -30,73 +36,20 @@ from .laurent import (
     require_symmetric,
     signed_buckets,
 )
-from .rings import (
-    RING_Q,
-    RING_QT,
-    RING_W,
-    NotDivisible,
-    qt_int,
-    qt_q,
-    qt_t,
-)
-from .symfun import _schur_zcoeffs, normalize_partition
-
-
-@lru_cache(maxsize=None)
-def _pair_delta(ring, nvars, alpha):
-    """delta_{I0} * delta_{J0} for I0 = first alpha variables."""
-    return delta_on(ring, nvars, range(alpha)) * delta_on(
-        ring, nvars, range(alpha, nvars)
-    )
+from .rings import RING_Q, RING_QT, RING_W, qt_int, qt_q, qt_t
+from .symfun import SchurPoly, _add_term, _schur_zcoeffs, branch, normalize_partition, straighten
 
 
 @lru_cache(maxsize=None)
 def _pair_delta_qt(nvars, alpha):
-    """delta_{I0} * delta_{J0} * prod_{i in I0, j in J0} (t z_i - z_j)."""
-    out = _pair_delta(RING_QT, nvars, alpha)
+    """delta_{I0} * delta_{J0} * prod_{i in I0, j in J0} (t z_i - z_j) for
+    I0 = the first alpha variables, J0 the rest."""
+    out = delta_on(RING_QT, nvars, range(alpha)) * delta_on(RING_QT, nvars, range(alpha, nvars))
     for i in range(alpha):
         for j in range(alpha, nvars):
             zi = LaurentPoly.variable(RING_QT, nvars, i)
             zj = LaurentPoly.variable(RING_QT, nvars, j)
             out = out * (zi.times_scalar_raw(qt_t) - zj)
-    return out
-
-
-def _unit_shift_gamma(ring, rank):
-    """Unit-exponent increment of the q-scaling of the first alpha variables."""
-    if ring == RING_Q:
-        return 1
-    if ring == RING_W:
-        return -2 * (rank + 1)
-    raise ValueError("unexpected ring %r" % ring)
-
-
-def _schur_reconstruct_folded(buckets, nvars, den):
-    """Rebuild sum_buckets payload * alternant(key) / Vandermonde / den for
-    the folded integer rings."""
-    out = {}
-    for zkey, payload in buckets.items():
-        lam = tuple(zkey[i] - (nvars - 1 - i) for i in range(nvars))
-        off = lam[-1]
-        core = normalize_partition(tuple(x - off for x in lam))
-        for ez, cs in _schur_zcoeffs(core, nvars).items():
-            if off:
-                zz = tuple(e + off for e in ez)
-            else:
-                zz = ez
-            for u, cu in payload.items():
-                kk = (u,) + zz
-                nv = out.get(kk, 0) + cu * cs
-                if nv:
-                    out[kk] = nv
-                else:
-                    del out[kk]
-    if den != 1:
-        for k, c in out.items():
-            q, r = divmod(c, den)
-            if r:
-                raise NotDivisible("orbit sum not divisible by %d" % den)
-            out[k] = q
     return out
 
 
@@ -122,64 +75,71 @@ def _schur_reconstruct_qt(buckets, nvars, den):
 QTONE = qt_int(1)
 
 
-def _orbit_apply_folded(f, alpha, power, du_subset, du_all):
-    """Shared orbit kernel for the integer rings.
-
-    ``du_subset``/``du_all`` give the unit-exponent shift per unit of
-    z-degree inside the subset / across all variables.
-    """
-    nvars = f.nvars
-    shifted = {}
-    for k, c in f.coeffs.items():
-        du = du_subset * sum(k[1 : 1 + alpha]) + du_all * sum(k[1:])
-        shifted[(k[0] + du,) + k[1:]] = c
-    t0 = _pair_delta(f.ring, nvars, alpha) * LaurentPoly(f.ring, nvars, shifted)
-    step = power + nvars - alpha
-    if step:
-        t0 = t0.times_z(tuple(step if i < alpha else 0 for i in range(nvars)))
-    den = factorial(alpha) * factorial(nvars - alpha)
-    return LaurentPoly(
-        f.ring, nvars, _schur_reconstruct_folded(signed_buckets(t0), nvars, den)
-    )
+@lru_cache(maxsize=None)
+def _image(lam, alpha, n):
+    """M_{alpha,n} s_lam with the q-power left open: {(|mu|, kappa): c}."""
+    out = {}
+    for mu, nu, c in branch(lam, alpha):
+        sign, kappa = straighten(tuple(x + n for x in mu) + nu)
+        if sign:
+            _add_term(out, (sum(mu), kappa), sign * c)
+    return tuple((dmu, kappa, c) for (dmu, kappa), c in out.items())
 
 
-def apply_M(alpha, n, f, *, rank=None, checked=False):
-    """Act with the subset raising operator of index ``alpha`` and power ``n``
-    on a symmetric polynomial ``f`` in r+1 variables (integer-ring
-    coefficients; the shift scales subset variables by q)."""
+def _schur_apply(f, alpha, n, du_subset, du_all, du_const=0):
+    """The subset operator on a Schur form.  The unit exponent of an image
+    term grows by ``du_subset`` per unit of |mu| (the q-scaling of the
+    subset) and by ``du_all`` per unit of |lam| (a dilation of every
+    variable), plus ``du_const``."""
+    out = {}
+    for key, c in f.coeffs.items():
+        lam = key[1:]
+        base = key[0] + du_all * sum(lam) + du_const
+        for dmu, kappa, b in _image(lam, alpha, n):
+            kk = (base + du_subset * dmu,) + kappa
+            nv = out.get(kk, 0) + b * c
+            if nv:
+                out[kk] = nv
+            else:
+                del out[kk]
+    return SchurPoly(f.ring, f.nvars, out)
+
+
+def _check_operand(f, alpha, rank):
+    if not isinstance(f, SchurPoly) or f.ring not in (RING_Q, RING_W):
+        raise TypeError("the raising operators act on W- or Q-ring Schur forms")
     r = f.nvars - 1 if rank is None else rank
     if f.nvars != r + 1:
         raise ValueError("operator rank does not match the variable count")
     if not 0 <= alpha <= r + 1:
         raise ValueError("alpha out of range [0, r+1]")
-    if not checked:
-        require_symmetric(f)
+    return r
+
+
+def apply_M(alpha, n, f, *, rank=None):
+    """Act with the subset raising operator of index ``alpha`` and power ``n``
+    on a Schur form ``f`` in r+1 variables (W- or Q-ring coefficients; the
+    shift scales subset variables by q, q = w**(-2(r+1)) in the W ring)."""
+    r = _check_operand(f, alpha, rank)
     if alpha == 0 or f.is_zero():
         return f
-    return _orbit_apply_folded(f, alpha, n, _unit_shift_gamma(f.ring, r), 0)
+    return _schur_apply(f, alpha, n, 1 if f.ring == RING_Q else -2 * (r + 1), 0)
 
 
-def apply_D(alpha, n, f, *, rank=None, checked=False):
-    """Act with the twisted raising operator (W-ring): subset variables are
-    scaled by q*v, the rest by v, and the result carries the prefactor
-    ``w**(-lam(a,a)*n - 2*sum_b lam(a,b))``."""
+def apply_D(alpha, n, f, *, rank=None):
+    """Act with the twisted raising operator on a W-ring Schur form: subset
+    variables are scaled by q*v**alpha, the rest by v**alpha, and the result
+    carries the prefactor ``w**(-lam(a,a)*n - 2*sum_b lam(a,b))``."""
     if f.ring != RING_W:
         raise ValueError("the twisted operator needs W-ring coefficients")
-    r = f.nvars - 1 if rank is None else rank
-    if f.nvars != r + 1:
-        raise ValueError("operator rank does not match the variable count")
-    if not 0 <= alpha <= r + 1:
-        raise ValueError("alpha out of range [0, r+1]")
-    if not checked:
-        require_symmetric(f)
+    r = _check_operand(f, alpha, rank)
     cart = CartanData(r)
     wshift = -cart.lam(alpha, alpha) * n - 2 * cart.lam_row_sum(alpha)
     if f.is_zero():
         return f
     if alpha == 0:
         return f.times_unit(wshift)
-    out = _orbit_apply_folded(f, alpha, n, -2 * (r + 1), 2 * alpha)
-    return out.times_unit(wshift)
+    return _schur_apply(f, alpha, n, -2 * (r + 1), 2 * alpha, wshift)
 
 
 def apply_macdonald_qt(alpha, f, *, checked=False):

@@ -84,21 +84,6 @@ class Scalar:
             return cls(ring, qt_int(n))
         return cls(ring, {0: n} if n else {})
 
-    @classmethod
-    def unit_power(cls, ring, exp: int, coeff: int = 1) -> "Scalar":
-        """coeff * u**exp in the given integer ring (u = w or q)."""
-        if ring == RING_QT:
-            raise ValueError("unit_power is only defined for the integer rings")
-        return cls(ring, {exp: coeff} if coeff else {})
-
-    @classmethod
-    def zero(cls, ring) -> "Scalar":
-        return cls.from_int(ring, 0)
-
-    @classmethod
-    def one(cls, ring) -> "Scalar":
-        return cls.from_int(ring, 1)
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same(self, other):

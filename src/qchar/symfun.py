@@ -1,13 +1,17 @@
-"""Schur and related symmetric functions, plus the Pieri rule.
+"""Schur and related symmetric functions, the Schur basis, and the
+two-block branching rule behind the raising operators.
 
 Partitions are plain tuples of weakly decreasing nonnegative integers with no
 trailing zeros (the empty partition is ``()``).  A partition of length at
 most r corresponds to the dominant sl(r+1) weight with labels
-``ell_a = lam_a - lam_{a+1}``.
+``ell_a = lam_a - lam_{a+1}``.  A ``SchurPoly`` keys its terms by weakly
+decreasing length-N integer vectors instead, so negative parts (powers of
+z_1...z_N) are allowed.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .laurent import (
@@ -16,7 +20,7 @@ from .laurent import (
     exact_div,
     vandermonde,
 )
-from .rings import RING_Q, RING_QT, NonzeroRemainder, NotSymmetric, Scalar
+from .rings import RING_Q, RING_QT, NonzeroRemainder, NotSymmetric, Scalar, qt_int
 
 
 Partition = tuple
@@ -53,17 +57,6 @@ def partitions_up_to(size: int, max_len: int):
         yield from partitions(s, max_len)
 
 
-def dominates(lam: Partition, mu: Partition) -> bool:
-    """True when lam >= mu in dominance order (equal sizes assumed)."""
-    tot_l = tot_m = 0
-    for i in range(max(len(lam), len(mu))):
-        tot_l += lam[i] if i < len(lam) else 0
-        tot_m += mu[i] if i < len(mu) else 0
-        if tot_l < tot_m:
-            return False
-    return tot_l == tot_m
-
-
 def weight_of(lam: Partition, rank: int):
     """The dominant-weight labels (ell_1, ..., ell_r) of a partition."""
     if len(lam) > rank + 1:
@@ -97,8 +90,6 @@ def _schur_zcoeffs(lam: Partition, nvars: int):
 
 def schur(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
     """The Schur polynomial s_lam(z_1..z_N) over the requested ring."""
-    from .rings import qt_int
-
     zc = _schur_zcoeffs(normalize_partition(lam), nvars)
     if ring == RING_QT:
         return LaurentPoly(ring, nvars, {k: qt_int(c) for k, c in zc.items()})
@@ -114,15 +105,11 @@ def elementary(m: int, nvars: int, ring=RING_Q) -> LaurentPoly:
 
 def monomial_sym(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
     """The monomial symmetric polynomial m_lam(z_1..z_N)."""
-    from itertools import permutations
-
-    from .rings import qt_int
-
     lam = normalize_partition(lam)
     if len(lam) > nvars:
         return LaurentPoly.zero(ring, nvars)
     full = tuple(lam) + (0,) * (nvars - len(lam))
-    orbit = set(permutations(full))
+    orbit = set(itertools.permutations(full))
     if ring == RING_QT:
         one = qt_int(1)
         return LaurentPoly(ring, nvars, {e: one for e in orbit})
@@ -192,3 +179,148 @@ def pieri_e(lam, m: int, nvars: int):
     if 0 <= m <= nvars:
         grow(0, m, list(full))
     return sorted(out, reverse=True)
+
+
+# -- the Schur basis -------------------------------------------------------------
+
+
+def straighten(v):
+    """The bialternant s_v = a_{v+delta} / a_delta of an integer vector v as
+    ``(sign, lam)``, s_v = sign * s_lam with lam weakly decreasing, or
+    ``(0, None)`` when s_v = 0, by s_{.., a, b, ..} = -s_{.., b-1, a+1, ..}
+    (Macdonald, I.3)."""
+    v = list(v)
+    sign, i = 1, 0
+    while i < len(v) - 1:
+        a, b = v[i], v[i + 1]
+        if a >= b:
+            i += 1
+        elif b == a + 1:
+            return 0, None
+        else:
+            v[i], v[i + 1] = b - 1, a + 1
+            sign, i = -sign, max(i - 1, 0)
+    return sign, tuple(v)
+
+
+def _lr_contents(lam, mu, letters):
+    """{nu: c^lam_{mu nu}} over nu with at most ``letters`` parts, counting
+    the Littlewood-Richardson tableaux of shape lam/mu (Macdonald, I.9): rows
+    weakly increase, columns strictly increase, and the word read right to
+    left, top to bottom, is a lattice word."""
+    out = {}
+
+    def fill(i, counts, above):
+        if i == len(lam):
+            out[counts] = out.get(counts, 0) + 1
+            return
+        lo, hi = mu[i], lam[i]
+        # row i holds letters <= i + 1, read largest first, so letter k > 1
+        # occurs at most counts[k-2] - counts[k-1] times
+        top = min(i + 1, letters)
+        caps = [hi - lo] + [counts[k - 1] - counts[k] for k in range(1, top)]
+        for m in itertools.product(*(range(min(c, hi - lo) + 1) for c in caps[:top])):
+            row = tuple(k + 1 for k, mk in enumerate(m) for _ in range(mk))
+            if len(row) == hi - lo and all(row[j - lo] > above[j] for j in range(lo, hi)):
+                grown = tuple(c + m[k] if k < top else c for k, c in enumerate(counts))
+                fill(i + 1, grown, (0,) * lo + row)
+
+    fill(0, (0,) * letters, (0,) * lam[0])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _branch_partition(lam, alpha):
+    out = []
+    for mu in itertools.product(*(range(p + 1) for p in lam[:alpha])):
+        if all(mu[i] >= mu[i + 1] for i in range(alpha - 1)):
+            padded = mu + (0,) * (len(lam) - alpha)
+            out += [(mu, nu, c) for nu, c in _lr_contents(lam, padded, len(lam) - alpha).items()]
+    return tuple(out)
+
+
+def branch(lam, alpha: int):
+    """The two-block expansion s_lam(x, y) = sum c^lam_{mu nu} s_mu(x) s_nu(y)
+    in N = len(lam) variables, x the first ``alpha`` and y the rest, as
+    (mu, nu, c) with len(mu) = alpha and len(nu) = N - alpha.  Negative parts
+    are allowed: the full column (z_1...z_N)**lam_N is factored out, and the
+    expansion of the partition left over is cached."""
+    lam = tuple(lam)
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or not 0 <= alpha <= len(lam):
+        raise ValueError("cannot branch %r at alpha = %d" % (lam, alpha))
+    off = lam[-1]
+    core = _branch_partition(tuple(x - off for x in lam), alpha)
+    if not off:
+        return core
+    return tuple((tuple(x + off for x in mu), tuple(x + off for x in nu), c) for mu, nu, c in core)
+
+
+def _add_term(out, key, c):
+    nv = out.get(key, 0) + c
+    if nv:
+        out[key] = nv
+    else:
+        del out[key]
+
+
+class SchurPoly(LaurentPoly):
+    """A symmetric Laurent polynomial in N variables over the W or Q ring,
+    in the Schur basis: ``{(j, lam_1, .., lam_N): c}`` is the sum of
+    c * u**j * s_lam over weakly decreasing integer vectors lam, negative
+    parts allowed (s_{lam + m} = (z_1...z_N)**m s_lam, so ``times_z`` takes
+    full columns only).  Addition, subtraction, ``times_unit`` and ``==`` are
+    the folded-key arithmetic of ``LaurentPoly``; a monomial-basis operand
+    raises TypeError."""
+
+    __slots__ = ()
+
+    @classmethod
+    def basis(cls, lam, nvars, ring=RING_Q):
+        """The basis element s_lam, lam padded with zeros to length N."""
+        lam = tuple(lam) + (0,) * (nvars - len(lam))
+        if len(lam) != nvars or any(lam[i] < lam[i + 1] for i in range(nvars - 1)):
+            raise ValueError("%r is not a weakly decreasing %d-vector" % (lam, nvars))
+        return cls(ring, nvars, {(0,) + lam: 1})
+
+    def __mul__(self, other):
+        if not isinstance(other, int):
+            raise TypeError("a Schur form multiplies by integers; use times_e for e_m")
+        return LaurentPoly.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+    def times_e(self, m: int):
+        """Multiply by the elementary symmetric polynomial e_m (Pieri rule)."""
+        out = {}
+        for key, c in self.coeffs.items():
+            off = key[-1]
+            for kappa in pieri_e(tuple(x - off for x in key[1:]), m, self.nvars):
+                kappa += (0,) * (self.nvars - len(kappa))
+                _add_term(out, (key[0],) + tuple(x + off for x in kappa), c)
+        return self._like(out)
+
+    def constrained(self):
+        """The value modulo z_1...z_N = 1: every s_lam becomes s_{lam - lam_N}."""
+        out = {}
+        for key, c in self.coeffs.items():
+            _add_term(out, (key[0],) + tuple(x - key[-1] for x in key[1:]), c)
+        return self._like(out)
+
+    def expansion(self) -> dict:
+        """{partition: Scalar}: the Schur coefficients (parts must be >= 0)."""
+        return {normalize_partition(lam): s for lam, s in self.z_terms().items()}
+
+    def monomials(self) -> LaurentPoly:
+        """The same value in the monomial basis."""
+        out = {}
+        for key, c in self.coeffs.items():
+            off = key[-1]
+            core = normalize_partition(tuple(x - off for x in key[1:]))
+            for ez, cs in _schur_zcoeffs(core, self.nvars).items():
+                _add_term(out, (key[0],) + tuple(e + off for e in ez), c * cs)
+        return LaurentPoly(self.ring, self.nvars, out)
+
+    def __repr__(self):
+        terms = sorted(self.z_terms().items(), reverse=True)
+        text = ", ".join("s%s: %s" % (lam, s.to_text()) for lam, s in terms)
+        return "SchurPoly[%s,%d](%s)" % (self.ring, self.nvars, text)

@@ -7,7 +7,9 @@ algebra are verified in N!-cleared form: both sides are multiplied by the
 Vandermonde determinant and by the symmetric product of all (z_x - q z_y),
 which turns them into polynomial statements, and the signed permutation
 orbits are compared in canonical alternant-bucket form.  Every difference
-equation check runs through ``characters.difference_equation_holds``.
+equation check runs through ``characters.difference_equation_holds``.  The
+operator, character and equation checks compare Schur forms; the classical
+limit and the Macdonald and Whittaker oracles compare monomial expansions.
 """
 
 from __future__ import annotations
@@ -22,18 +24,13 @@ from .characters import (
     NVector,
     char_from_g,
     difference_equation_holds,
-    g_coefficient,
+    g_schur_form,
     graded_character,
     operator_product,
     raising_product,
     top_component,
 )
-from .laurent import (
-    LaurentPoly,
-    constrain,
-    delta_on,
-    signed_buckets,
-)
+from .laurent import LaurentPoly, delta_on, signed_buckets
 from .macdonald import (
     lift_q_to_qt,
     macdonald_poly,
@@ -43,7 +40,7 @@ from .macdonald import (
 from .qdiff import apply_D, apply_M, apply_macdonald_qt
 from .qtorus import NcLaurent, check_polynomiality, evaluate, q_recursion
 from .rings import RING_Q, RING_QT, RING_W
-from .symfun import elementary, monomial_sym, partitions, partitions_up_to, schur
+from .symfun import SchurPoly, monomial_sym, partitions, partitions_up_to, schur
 from .whittaker import check_level1_toda, class_one_combination, toda_residual
 
 
@@ -165,10 +162,10 @@ def subset_square_identity_holds(a: int) -> bool:
     return bl == br
 
 
-def subset_moment_value(alpha: int, p: int, nvars: int) -> LaurentPoly:
-    """sum_{|I| = alpha} z_I**p a_I(z), evaluated exactly (the action of the
-    raising operator on the constant)."""
-    return apply_M(alpha, p, LaurentPoly.one(RING_Q, nvars), rank=nvars - 1)
+def subset_moment_value(alpha: int, p: int, nvars: int) -> SchurPoly:
+    """sum_{|I| = alpha} z_I**p a_I(z), evaluated exactly as a Schur form (the
+    action of the raising operator on the constant)."""
+    return apply_M(alpha, p, SchurPoly.one(RING_Q, nvars), rank=nvars - 1)
 
 
 def check_subset_identities(bound: int = 3, rank_max: int = 4) -> CheckReport:
@@ -186,8 +183,8 @@ def check_subset_identities(bound: int = 3, rank_max: int = 4) -> CheckReport:
         rep.record(("square", a), subset_square_identity_holds(a))
     for r in range(1, rank_max + 1):
         n = r + 1
-        one_q = LaurentPoly.one(RING_Q, n)
-        one_w = LaurentPoly.one(RING_W, n)
+        one_q = SchurPoly.one(RING_Q, n)
+        one_w = SchurPoly.one(RING_W, n)
         cart = CartanData(r)
         for alpha in range(1, r + 1):
             val = subset_moment_value(alpha, 0, n)
@@ -200,7 +197,7 @@ def check_subset_identities(bound: int = 3, rank_max: int = 4) -> CheckReport:
             rep.record(
                 ("boundary-zero-power", r, alpha),
                 apply_D(alpha, 0, one_w)
-                == LaurentPoly.unit_power(RING_W, n, -2 * cart.lam_row_sum(alpha)),
+                == SchurPoly.unit_power(RING_W, n, -2 * cart.lam_row_sum(alpha)),
             )
             for p in range(1, n - alpha + 1):
                 rep.record(
@@ -221,15 +218,15 @@ def check_dual_qsystem(
     forms=("M", "D"),
 ) -> CheckReport:
     """Commutation and recursion relations of the operator family, verified
-    on the monomial-symmetric basis up to the degree bound.  The relations
-    are linear in the test polynomial, so spanning the basis verifies them on
-    the whole space up to that degree."""
+    on the Schur basis s_lam, |lam| <= the degree bound.  The relations are
+    linear in the test polynomial, so spanning the basis verifies them on the
+    whole space up to that degree."""
     rep = CheckReport("qsystem")
     nvars = rank + 1
     cart = CartanData(rank)
     for form in forms:
         ring = RING_Q if form == "M" else RING_W
-        basis = [monomial_sym(lam, nvars, ring) for lam in partitions_up_to(degree_bound, nvars)]
+        basis = [SchurPoly.basis(lam, nvars, ring) for lam in partitions_up_to(degree_bound, nvars)]
         rep.notes["basis-%s" % form] = len(basis)
         op = apply_M if form == "M" else apply_D
         cache = {}
@@ -237,7 +234,7 @@ def check_dual_qsystem(
         def level1(alpha, n, idx, f):
             key = (form, alpha, n, idx)
             if key not in cache:
-                cache[key] = op(alpha, n, f, checked=True)
+                cache[key] = op(alpha, n, f)
             return cache[key]
 
         for alpha in range(1, rank + 1):
@@ -248,28 +245,21 @@ def check_dual_qsystem(
                     if alpha == beta and n == p:
                         continue
                     for idx, f in enumerate(basis):
-                        lhs = op(alpha, n, level1(beta, p, idx, f), checked=True)
-                        rhs = op(beta, p, level1(alpha, n, idx, f), checked=True)
-                        if form == "M":
-                            rhs = rhs.times_unit(min(alpha, beta) * (p - n))
-                        else:
-                            rhs = rhs.times_unit(-2 * cart.lam(alpha, beta) * (p - n))
+                        pair = min(alpha, beta) if form == "M" else -2 * cart.lam(alpha, beta)
+                        lhs = op(alpha, n, level1(beta, p, idx, f))
+                        rhs = op(beta, p, level1(alpha, n, idx, f)).times_unit(pair * (p - n))
                         rep.record((form, "commute", alpha, beta, n, p, idx), lhs == rhs)
         for alpha in range(1, rank + 1):
             for n in range(n_lo + 1, n_hi):
                 for idx, f in enumerate(basis):
+                    lhs = op(alpha, n + 1, level1(alpha, n - 1, idx, f))
+                    lower = op(alpha + 1, n, level1(alpha - 1, n, idx, f))
                     if form == "M":
-                        lhs = op(alpha, n + 1, level1(alpha, n - 1, idx, f), checked=True).times_unit(alpha)
-                        rhs = op(alpha, n, level1(alpha, n, idx, f), checked=True) - op(
-                            alpha + 1, n, level1(alpha - 1, n, idx, f), checked=True
-                        )
+                        lhs = lhs.times_unit(alpha)
                     else:
-                        lhs = op(alpha, n + 1, level1(alpha, n - 1, idx, f), checked=True).times_unit(
-                            -2 * cart.lam(alpha, alpha)
-                        )
-                        rhs = op(alpha, n, level1(alpha, n, idx, f), checked=True) - op(
-                            alpha + 1, n, level1(alpha - 1, n, idx, f), checked=True
-                        ).times_unit(-2 * (rank + 1))
+                        lhs = lhs.times_unit(-2 * cart.lam(alpha, alpha))
+                        lower = lower.times_unit(-2 * (rank + 1))
+                    rhs = op(alpha, n, level1(alpha, n, idx, f)) - lower
                     rep.record((form, "recursion", alpha, n, idx), lhs == rhs)
     return rep
 
@@ -350,9 +340,8 @@ def _record_both_relations(rep, grid):
         entries = tuple(x for level in zip(*n.rows) for x in level)
         rep.record(("first",) + entries, difference_equation_holds(n, "G"))
         rep.record(("second",) + entries, difference_equation_holds(n, "G", dual=True))
-    e1, e2 = (constrain(elementary(m, 3, RING_W), 2) for m in (1, 2))
-    g10, g01 = (g_coefficient(NVector.level_one(2, x)) for x in ((1, 0), (0, 1)))
-    rep.record(("compatibility",), e2 * g10 == e1 * g01)
+    g10, g01 = (g_schur_form(NVector.level_one(2, x)) for x in ((1, 0), (0, 1)))
+    rep.record(("compatibility",), g10.times_e(2).constrained() == g01.times_e(1).constrained())
     return rep
 
 
@@ -397,12 +386,10 @@ def check_eigen(rank: int, sigma_max: int = 4) -> CheckReport:
     eigenvalue q**(sum_b min(a,b) n^(b))."""
     rep = CheckReport("eigen-r%d" % rank)
     for n in _level1_grid(rank, sigma_max):
-        chi = graded_character(n).poly
+        chi = graded_character(n).form
         for alpha in range(1, rank + 1):
             ev = sum(min(alpha, b) * n.entry(b, 1) for b in range(1, rank + 1))
-            rep.record(
-                (n, alpha), apply_M(alpha, 0, chi, checked=True) == chi.times_unit(ev)
-            )
+            rep.record((n, alpha), apply_M(alpha, 0, chi) == chi.times_unit(ev))
     return rep
 
 
@@ -428,14 +415,18 @@ def check_limits(rank_max: int = 3, sigma_max: int = 3) -> CheckReport:
         grids += _admissible_grids(r, 2, min(sigma_max + 1, 4))
     rep.notes["points"] = len(grids)
     for n in grids:
-        chi = graded_character(n).poly
+        character = graded_character(n)
+        chi = character.form
         exps = chi.unit_exponents()
         rep.record((n, "poly-in-q-inverse"), max(exps) <= 0 if exps else True)
         rep.record(
             (n, "top-component"),
-            chi.unit_slice(0) == schur(top_component(n), n.rank + 1),
+            chi.unit_slice(0) == SchurPoly.basis(top_component(n), n.rank + 1),
         )
-        rep.record((n, "classical-limit"), chi.at_unit_one() == _rectangle_product_at_q1(n))
+        rep.record(
+            (n, "classical-limit"),
+            character.poly.at_unit_one() == _rectangle_product_at_q1(n),
+        )
         reordered = operator_product(n, apply_M, RING_Q, reverse=True)
         rep.record((n, "within-level-order"), reordered == raising_product(n))
         rep.record((n, "two-paths"), char_from_g(n) == chi)

@@ -7,7 +7,17 @@
   the same operators subset by subset and divide once by the Vandermonde.
   Unlike the sympy oracle this path shares ``LaurentPoly`` arithmetic with
   the package; it checks the signed-orbit compression and the Schur
-  read-off of ``qchar.qdiff``, not the kernel.
+  read-off, not the kernel.
+* ``orbit_apply_M``/``orbit_apply_D`` act on monomial polynomials by one
+  signed permutation orbit: the Vandermonde-cleared summand for the first
+  alpha variables is antisymmetrized in alternant form and divided by the
+  Vandermonde Schur function by Schur function.  ``qchar.qdiff`` acts on
+  Schur forms by branching instead; this is the cross-check on grids.
+* ``symmetrize``, ``antisymmetrize`` and ``signed_orbit_sum`` expand the
+  (signed) permutation orbit term by term, against ``signed_buckets``.
+* ``schur_form`` turns a symmetric Laurent polynomial into a Schur form at
+  the boundary of the tests; ``dominates`` and ``project_qt_to_q`` are the
+  dominance order and the inverse of ``macdonald.lift_q_to_qt``.
 * ``whittaker_series_sympy`` expands the rank-one Whittaker series with
   sympy ``series`` in u.
 """
@@ -15,12 +25,25 @@
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
+from math import factorial
 
 import sympy
 
 from qchar.cartan import CartanData
-from qchar.laurent import LaurentPoly, delta_on, exact_div, vandermonde
-from qchar.rings import RING_Q, RING_QT, RING_W, qt_q, qt_t
+from qchar.laurent import (
+    LaurentPoly,
+    alternant,
+    delta_on,
+    exact_div,
+    perms_with_sign,
+    require_symmetric,
+    signed_buckets,
+    vandermonde,
+)
+from qchar.macdonald import _as_int_dict, _poly_terms
+from qchar.rings import QT_FIELD, RING_Q, RING_QT, RING_W, NotDivisible, Scalar, qt_int, qt_q, qt_t
+from qchar.symfun import SchurPoly, _schur_zcoeffs, normalize_partition, schur_expand
 
 Q = sympy.Symbol("q")
 T = sympy.Symbol("t")
@@ -190,3 +213,175 @@ def whittaker_series_sympy(n, reflected, order):
         degs = powers.as_powers_dict()
         out[(int(degs.get(U, 0)), int(degs.get(S, 0)))] = int(coeff)
     return {k: c for k, c in out.items() if c}
+
+
+# -- the signed-orbit operator path ----------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _pair_delta(ring, nvars, alpha):
+    """delta_{I0} * delta_{J0} for I0 = first alpha variables."""
+    return delta_on(ring, nvars, range(alpha)) * delta_on(ring, nvars, range(alpha, nvars))
+
+
+def _unit_shift_gamma(ring, rank):
+    """Unit-exponent increment of the q-scaling of the first alpha variables."""
+    if ring == RING_Q:
+        return 1
+    if ring == RING_W:
+        return -2 * (rank + 1)
+    raise ValueError("unexpected ring %r" % ring)
+
+
+def _schur_reconstruct_folded(buckets, nvars, den):
+    """Rebuild sum_buckets payload * alternant(key) / Vandermonde / den for
+    the folded integer rings."""
+    out = {}
+    for zkey, payload in buckets.items():
+        lam = tuple(zkey[i] - (nvars - 1 - i) for i in range(nvars))
+        off = lam[-1]
+        core = normalize_partition(tuple(x - off for x in lam))
+        for ez, cs in _schur_zcoeffs(core, nvars).items():
+            zz = tuple(e + off for e in ez)
+            for u, cu in payload.items():
+                kk = (u,) + zz
+                nv = out.get(kk, 0) + cu * cs
+                if nv:
+                    out[kk] = nv
+                else:
+                    del out[kk]
+    for k, c in out.items():
+        q, r = divmod(c, den)
+        if r:
+            raise NotDivisible("orbit sum not divisible by %d" % den)
+        out[k] = q
+    return out
+
+
+def _orbit_apply_folded(f, alpha, power, du_subset, du_all):
+    """``du_subset``/``du_all`` give the unit-exponent shift per unit of
+    z-degree inside the subset / across all variables."""
+    require_symmetric(f)
+    nvars = f.nvars
+    shifted = {}
+    for k, c in f.coeffs.items():
+        du = du_subset * sum(k[1 : 1 + alpha]) + du_all * sum(k[1:])
+        shifted[(k[0] + du,) + k[1:]] = c
+    t0 = _pair_delta(f.ring, nvars, alpha) * LaurentPoly(f.ring, nvars, shifted)
+    step = power + nvars - alpha
+    t0 = t0.times_z(tuple(step if i < alpha else 0 for i in range(nvars)))
+    den = factorial(alpha) * factorial(nvars - alpha)
+    return LaurentPoly(f.ring, nvars, _schur_reconstruct_folded(signed_buckets(t0), nvars, den))
+
+
+def orbit_apply_M(alpha, n, f):
+    """``qdiff.apply_M`` on a monomial polynomial, by the signed orbit."""
+    if alpha == 0:
+        return f
+    return _orbit_apply_folded(f, alpha, n, _unit_shift_gamma(f.ring, f.nvars - 1), 0)
+
+
+def orbit_apply_D(alpha, n, f):
+    """``qdiff.apply_D`` on a monomial polynomial, prefactor included."""
+    r = f.nvars - 1
+    cart = CartanData(r)
+    out = f if alpha == 0 else _orbit_apply_folded(f, alpha, n, -2 * (r + 1), 2 * alpha)
+    return out.times_unit(-cart.lam(alpha, alpha) * n - 2 * cart.lam_row_sum(alpha))
+
+
+# -- helpers only the tests use -----------------------------------------------------
+
+
+def schur_form(f: LaurentPoly) -> SchurPoly:
+    """The Schur form of a symmetric Laurent polynomial (W or Q ring): the
+    power (z_1...z_N)**m at the least z-exponent m is factored out and the
+    rest peeled by ``schur_expand``."""
+    low = min((min(k[1:]) for k in f.coeffs), default=0)
+    out = {}
+    for lam, coeff in schur_expand(f.times_z((-low,) * f.nvars)).items():
+        full = tuple(x + low for x in lam) + (low,) * (f.nvars - len(lam))
+        for j, c in coeff.data.items():
+            out[(j,) + full] = c
+    return SchurPoly(f.ring, f.nvars, out)
+
+
+def dominates(lam, mu) -> bool:
+    """True when lam >= mu in dominance order (equal sizes assumed)."""
+    tot_l = tot_m = 0
+    for i in range(max(len(lam), len(mu))):
+        tot_l += lam[i] if i < len(lam) else 0
+        tot_m += mu[i] if i < len(mu) else 0
+        if tot_l < tot_m:
+            return False
+    return tot_l == tot_m
+
+
+def project_qt_to_q(f: LaurentPoly) -> LaurentPoly:
+    """Inverse of ``lift_q_to_qt``: coefficients must be integer Laurent
+    polynomials in q alone (monomial denominators in q are allowed)."""
+    out = {}
+    for key, c in f.coeffs.items():
+        dterms = _poly_terms(c.denom)
+        if len(dterms) != 1:
+            raise NotDivisible("coefficient %s is not Laurent in q" % (c,))
+        (dm, dv), = dterms.items()
+        if dm[1] != 0:
+            raise NotDivisible("coefficient %s involves t" % (c,))
+        num = {m: v for m, v in _poly_terms(c.numer).items()}
+        if any(m[1] != 0 for m in num):
+            raise NotDivisible("coefficient %s involves t" % (c,))
+        for m, v in num.items():
+            for qe, ival in _as_int_dict({m[0] - dm[0]: v / dv}).items():
+                out[(qe,) + key] = ival
+    return LaurentPoly(RING_Q, f.nvars, out)
+
+
+# -- (signed) permutation orbits, term by term ----------------------------------------
+
+
+def divide_int(f: LaurentPoly, m: int) -> LaurentPoly:
+    """Divide every coefficient by the integer ``m`` exactly."""
+    if m == 0:
+        raise ZeroDivisionError("division by zero")
+    if f.ring == RING_QT:
+        inv = QT_FIELD.one / qt_int(m)
+        return f._like({k: c * inv for k, c in f.coeffs.items()})
+    out = {}
+    for k, c in f.coeffs.items():
+        q, r = divmod(c, m)
+        if r:
+            raise NotDivisible("coefficient %d is not divisible by %d" % (c, m))
+        out[k] = q
+    return f._like(out)
+
+
+def symmetrize(f: LaurentPoly) -> LaurentPoly:
+    """(1/N!) * sum over permutations of f; exact, error if N! does not divide."""
+    zo = f.zoff
+    acc = LaurentPoly.zero(f.ring, f.nvars)
+    for perm, _ in perms_with_sign(f.nvars):
+        moved = {}
+        for k, c in f.coeffs.items():
+            new = [0] * f.nvars
+            for i, e in enumerate(k[zo:]):
+                new[perm[i]] = e
+            moved[k[:zo] + tuple(new)] = c
+        acc = acc + f._like(moved)
+    return divide_int(acc, factorial(f.nvars))
+
+
+def antisymmetrize(f: LaurentPoly) -> LaurentPoly:
+    """(1/N!) * signed sum over permutations of f; exact, error if inexact."""
+    return divide_int(signed_orbit_sum(f), factorial(f.nvars))
+
+
+def signed_orbit_sum(f: LaurentPoly) -> LaurentPoly:
+    """N! times the antisymmetrization, expanded as a polynomial."""
+    out = LaurentPoly.zero(f.ring, f.nvars)
+    for zkey, payload in signed_buckets(f).items():
+        alt = alternant(f.ring, f.nvars, zkey)
+        if f.ring == RING_QT:
+            out = out + alt._like({k: c * payload for k, c in alt.coeffs.items()})
+        else:
+            out = out + alt.times_scalar(Scalar(f.ring, payload))
+    return out

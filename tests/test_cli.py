@@ -1,5 +1,6 @@
 """Command-line interface tests: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -49,6 +50,37 @@ def test_formats():
     csv = run_cli(["char", "--rank", "1", "--level", "1", "--n", "2", "--format", "csv"])
     assert csv.stdout.splitlines()[0] == "partition,q_exponent,coefficient"
     assert '"(1,1)",-1,1' in csv.stdout
+
+
+@pytest.mark.parametrize(
+    "flag, digest",
+    [
+        ("1,2,2,1", "831535b6ffa0e60f89ccc553d1991ccf743265d45c9f5cb80ccf9dc33085008f"),
+        ("2,1,1,2", "c6ae041758696c71a37a40eaed47f5e480ef8edc84d84c3da3cd5c26e1967992"),
+    ],
+)
+def test_rank4_ladder_digests(flag, digest):
+    # SHA-256 of the JSON output as computed by the monomial (orbit) kernel
+    out = run_cli(["char", "--rank", "4", "--n", flag])
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
+def test_character_chain_builds_no_monomial_expansion(monkeypatch):
+    import qchar.characters as characters
+    import qchar.laurent as laurent
+    import qchar.symfun as symfun
+
+    n = cli.parse_n_flag("1,0,1;1,1,0", 3, 2)
+    expected = cli.character_payload(n)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the character chain expanded a Schur polynomial")
+
+    monkeypatch.setattr(characters, "_RAISING_CACHE", {})
+    monkeypatch.setattr(symfun, "_schur_zcoeffs", forbidden)
+    monkeypatch.setattr(laurent, "exact_div", forbidden)
+    assert cli.character_payload(n) == expected
 
 
 def test_weight_form_input():

@@ -4,15 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import antisymmetrize, divide_int, signed_orbit_sum, symmetrize
 from qchar.laurent import (
     LaurentPoly,
-    antisymmetrize,
     constrain,
-    divide_int,
     exact_div,
     signed_buckets,
-    signed_orbit_sum,
-    symmetrize,
     vandermonde,
     w_to_q,
 )

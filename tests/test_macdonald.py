@@ -3,13 +3,13 @@ degenerate limits."""
 
 import pytest
 
+from oracles import dominates, project_qt_to_q
 from qchar.characters import NVector, graded_character
 from qchar.laurent import LaurentPoly
 from qchar.macdonald import (
     eigenvalue_formula,
     lift_q_to_qt,
     macdonald_poly,
-    project_qt_to_q,
     qt_specialize_t0_qinv,
     qt_t_infinity_limit,
     qwhittaker_specialize,
@@ -24,7 +24,7 @@ from qchar.rings import (
     qt_q,
     qt_t,
 )
-from qchar.symfun import dominates, elementary, monomial_sym, partitions
+from qchar.symfun import elementary, monomial_sym, partitions
 
 
 def test_single_class_cases():

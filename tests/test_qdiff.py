@@ -1,6 +1,7 @@
-"""Difference operator tests: boundary actions, the orbit path against the
-literal subset sum, an independent symbolic oracle, and the operator
-algebra."""
+"""Difference operator tests: boundary actions, the Schur-basis action
+against the signed-orbit and literal subset-sum paths and an independent
+symbolic oracle, and the operator algebra.  Monomial inputs enter the Schur
+action through ``oracles.schur_form``."""
 
 import itertools
 
@@ -8,7 +9,10 @@ import pytest
 import sympy
 
 from oracles import (
+    orbit_apply_D,
+    orbit_apply_M,
     poly_to_sympy,
+    schur_form,
     subset_apply_D,
     subset_apply_M,
     subset_apply_macdonald_qt,
@@ -19,11 +23,11 @@ from qchar.cartan import CartanData
 from qchar.laurent import LaurentPoly
 from qchar.qdiff import apply_D, apply_M, apply_macdonald_qt
 from qchar.rings import RING_Q, RING_QT, RING_W, NotSymmetric, qt_int, qt_t
-from qchar.symfun import elementary, monomial_sym, partitions_up_to, schur
+from qchar.symfun import SchurPoly, elementary, monomial_sym, partitions_up_to, schur
 
 
 def one(ring, nvars):
-    return LaurentPoly.one(ring, nvars)
+    return SchurPoly.one(ring, nvars)
 
 
 def test_action_on_constant():
@@ -33,8 +37,8 @@ def test_action_on_constant():
             assert apply_M(alpha, 0, one(RING_Q, n)) == one(RING_Q, n)
             for p in range(1, n - alpha + 1):
                 assert apply_M(alpha, -p, one(RING_Q, n)).is_zero()
-    assert apply_M(1, 1, one(RING_Q, 3)) == elementary(1, 3)
-    assert apply_M(2, 1, one(RING_Q, 3)) == elementary(2, 3)
+    assert apply_M(1, 1, one(RING_Q, 3)).monomials() == elementary(1, 3)
+    assert apply_M(2, 1, one(RING_Q, 3)).monomials() == elementary(2, 3)
 
 
 def test_twisted_action_on_constant():
@@ -42,25 +46,32 @@ def test_twisted_action_on_constant():
         n = r + 1
         cart = CartanData(r)
         for alpha in range(1, r + 1):
-            expected = LaurentPoly.unit_power(RING_W, n, -2 * cart.lam_row_sum(alpha))
+            expected = SchurPoly.unit_power(RING_W, n, -2 * cart.lam_row_sum(alpha))
             assert apply_D(alpha, 0, one(RING_W, n)) == expected
             for p in range(1, n - alpha + 1):
                 assert apply_D(alpha, -p, one(RING_W, n)).is_zero()
 
 
 def test_boundary_indices():
-    f = elementary(2, 3)
+    f = schur_form(elementary(2, 3))
     assert apply_M(0, 5, f) == f
     g = apply_M(3, 1, f)  # multiply by z1 z2 z3 and scale all variables by q
     assert g == f.times_z((1, 1, 1)).times_unit(2)
+    assert g.monomials() == elementary(2, 3).times_z((1, 1, 1)).times_unit(2)
 
 
 def test_asymmetric_input_rejected():
+    # an asymmetric polynomial has no Schur form, and the operators take
+    # nothing else
     z1 = LaurentPoly.variable(RING_Q, 2, 0)
     with pytest.raises(NotSymmetric):
-        apply_M(1, 1, z1)
+        schur_form(z1)
     with pytest.raises(NotSymmetric):
-        apply_D(1, 1, LaurentPoly.variable(RING_W, 2, 0))
+        schur_form(LaurentPoly.variable(RING_W, 2, 0))
+    with pytest.raises(TypeError):
+        apply_M(1, 1, z1)
+    with pytest.raises(TypeError):
+        apply_D(1, 1, elementary(1, 2, RING_W))
 
 
 def test_orbit_and_subset_paths_agree():
@@ -70,8 +81,12 @@ def test_orbit_and_subset_paths_agree():
         fqt = monomial_sym(lam, 3, RING_QT)
         for alpha in (1, 2, 3):
             for n in (-1, 0, 1, 2):
-                assert apply_M(alpha, n, f) == subset_apply_M(alpha, n, f)
-                assert apply_D(alpha, n, fw) == subset_apply_D(alpha, n, fw)
+                expected = subset_apply_M(alpha, n, f)
+                assert orbit_apply_M(alpha, n, f) == expected
+                assert apply_M(alpha, n, schur_form(f)).monomials() == expected
+                expected = subset_apply_D(alpha, n, fw)
+                assert orbit_apply_D(alpha, n, fw) == expected
+                assert apply_D(alpha, n, schur_form(fw)).monomials() == expected
             assert apply_macdonald_qt(alpha, fqt) == subset_apply_macdonald_qt(alpha, fqt)
 
 
@@ -85,7 +100,7 @@ def test_against_symbolic_oracle():
         (2, -1, (1, 1), 3),
     ]:
         f = monomial_sym(lam, nvars)
-        ours = poly_to_sympy(apply_M(alpha, n, f))
+        ours = poly_to_sympy(apply_M(alpha, n, schur_form(f)).monomials())
         brute = subset_operator_bruteforce(alpha, n, f, kind="gamma")
         assert sympy_equal(ours, brute), (alpha, n, lam)
 
@@ -93,7 +108,7 @@ def test_against_symbolic_oracle():
 def test_twisted_against_symbolic_oracle():
     cart = CartanData(1)
     f = monomial_sym((1,), 2, RING_W)
-    ours = poly_to_sympy(apply_D(1, 1, f))
+    ours = poly_to_sympy(apply_D(1, 1, schur_form(f)).monomials())
     brute = subset_operator_bruteforce(1, 1, f, kind="twisted")
     w = sympy.Symbol("w")
     pref = w ** (-cart.lam(1, 1) * 1 - 2 * cart.lam_row_sum(1))
@@ -108,8 +123,8 @@ def test_twisted_vs_plain_dilation_identity():
     cart = CartanData(r)
 
     def dilate(f, power):
-        # z -> v z scales each monomial by v**degree = w**(2 degree)
-        return LaurentPoly(
+        # z -> v z scales s_lam by v**|lam| = w**(2 |lam|)
+        return SchurPoly(
             RING_W,
             nvars,
             {(k[0] + 2 * power * sum(k[1:]),) + k[1:]: c for k, c in f.coeffs.items()},
@@ -118,7 +133,7 @@ def test_twisted_vs_plain_dilation_identity():
     for alpha in (1, 2):
         for n in (0, 1, 2):
             for lam in [(), (1,), (2, 1)]:
-                fw = monomial_sym(lam, nvars, RING_W)
+                fw = schur_form(monomial_sym(lam, nvars, RING_W))
                 lhs = apply_D(alpha, n, fw)
                 rhs = apply_M(alpha, n, dilate(fw, alpha)).times_unit(
                     -cart.lam(alpha, alpha) * n - 2 * cart.lam_row_sum(alpha)
@@ -127,7 +142,7 @@ def test_twisted_vs_plain_dilation_identity():
 
 
 def test_macdonald_qt_values():
-    f = one(RING_QT, 3)
+    f = LaurentPoly.one(RING_QT, 3)
     out = apply_macdonald_qt(1, f)
     assert out == f.times_scalar_raw(qt_int(1) + qt_t + qt_t**2)
     brute = subset_operator_bruteforce(1, 0, monomial_sym((1,), 3, RING_QT), kind="qt")
@@ -157,32 +172,85 @@ def test_rescaled_t_limit_is_plain_operator():
             for key, c in g.coeffs.items():
                 for qe, iv in qt_t_infinity_limit(c, alpha * (3 - alpha)).items():
                     out[(qe,) + key] = iv
-            assert LaurentPoly(RING_Q, 3, out) == apply_M(alpha, 0, fq), (lam, alpha)
+            assert LaurentPoly(RING_Q, 3, out) == apply_M(alpha, 0, schur_form(fq)).monomials(), (
+                lam,
+                alpha,
+            )
 
 
 def test_symmetry_preserved():
-    f = schur((2, 1), 3)
+    f = schur_form(schur((2, 1), 3))
     for alpha in (1, 2):
-        assert apply_M(alpha, 1, f).is_symmetric()
+        assert apply_M(alpha, 1, f).monomials().is_symmetric()
 
 
 def test_dual_qsystem_relations_small():
     r = 2
     cart = CartanData(r)
-    fs = [monomial_sym(lam, r + 1) for lam in partitions_up_to(3, r + 1)]
+    fs = [schur_form(monomial_sym(lam, r + 1)) for lam in partitions_up_to(3, r + 1)]
     for (a, b) in itertools.product(range(1, r + 1), repeat=2):
         for n, p in itertools.product(range(-1, 3), repeat=2):
             if abs(p - n) > abs(b - a) + 1:
                 continue
             for f in fs:
-                lhs = apply_M(a, n, apply_M(b, p, f, checked=True), checked=True)
-                rhs = apply_M(b, p, apply_M(a, n, f, checked=True), checked=True)
+                lhs = apply_M(a, n, apply_M(b, p, f))
+                rhs = apply_M(b, p, apply_M(a, n, f))
                 assert lhs == rhs.times_unit(min(a, b) * (p - n))
     for a in (1, 2):
         for n in (0, 1):
             for f in fs:
-                lhs = apply_M(a, n + 1, apply_M(a, n - 1, f, checked=True), checked=True)
-                rhs = apply_M(a, n, apply_M(a, n, f, checked=True), checked=True) - apply_M(
-                    a + 1, n, apply_M(a - 1, n, f, checked=True), checked=True
-                )
+                lhs = apply_M(a, n + 1, apply_M(a, n - 1, f))
+                rhs = apply_M(a, n, apply_M(a, n, f)) - apply_M(a + 1, n, apply_M(a - 1, n, f))
                 assert lhs.times_unit(a) == rhs
+
+
+def _with_column(lam, nvars, column):
+    """s_lam times (z_1...z_N)**column, in both bases."""
+    full = tuple(lam) + (0,) * (nvars - len(lam))
+    mono = schur(lam, nvars).times_z((column,) * nvars)
+    return SchurPoly.basis(tuple(x + column for x in full), nvars), mono
+
+
+def _gate_inputs(r):
+    nvars = r + 1
+    inputs = [_with_column(lam, nvars, 0) for lam in partitions_up_to(6, nvars)]
+    inputs += [_with_column(lam, nvars, -c) for lam in partitions_up_to(3, nvars) for c in (1, 2)]
+    return inputs
+
+
+# (Schur action, orbit oracle, ring) for both operator families
+OPERATORS = [(apply_M, orbit_apply_M, RING_Q), (apply_D, orbit_apply_D, RING_W)]
+
+
+def _in_ring(f, ring):
+    return type(f)(ring, f.nvars, f.coeffs)
+
+
+def test_schur_action_matches_orbit_oracle():
+    # s_lam with |lam| <= 6, and s_lam (z_1...z_N)**-c with |lam| <= 3,
+    # under M and D for every alpha in [1, r+1] and n in [-1, 2]
+    for r in (2, 3):
+        for fs, fm in _gate_inputs(r):
+            for act, oracle, ring in OPERATORS:
+                fs_r, fm_r = _in_ring(fs, ring), _in_ring(fm, ring)
+                for alpha in range(1, r + 2):
+                    for n in range(-1, 3):
+                        got = act(alpha, n, fs_r)
+                        assert got.monomials() == oracle(alpha, n, fm_r), (r, fs, alpha, n)
+
+
+def test_chained_schur_action_matches_orbit_oracle():
+    # pairs of applications, Laurent intermediates included (n = -1 on a
+    # small input leaves negative parts)
+    for r in (2, 3):
+        nvars = r + 1
+        inputs = [_with_column(lam, nvars, 0) for lam in partitions_up_to(2, nvars)]
+        inputs.append(_with_column((1,), nvars, -1))
+        for fs, fm in inputs:
+            for act, oracle, ring in OPERATORS:
+                fs_r, fm_r = _in_ring(fs, ring), _in_ring(fm, ring)
+                for alpha, beta in itertools.product(range(1, r + 2), repeat=2):
+                    for n, p in ((-1, 2), (2, -1), (0, 1)):
+                        got = act(alpha, n, act(beta, p, fs_r))
+                        want = oracle(alpha, n, oracle(beta, p, fm_r))
+                        assert got.monomials() == want, (r, fs, alpha, n, beta, p)

@@ -1,13 +1,16 @@
-"""Schur functions, expansions and the Pieri rule against classical facts."""
+"""Schur functions, expansions, the Pieri rule, straightening and two-block
+branching against classical facts and their definitions."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchar.laurent import LaurentPoly
-from qchar.rings import RING_Q, NonzeroRemainder, NotSymmetric, Scalar
+from oracles import dominates, schur_form
+from qchar.laurent import LaurentPoly, _sorted_sign
+from qchar.rings import RING_Q, RING_W, NonzeroRemainder, NotSymmetric, Scalar
 from qchar.symfun import (
-    dominates,
+    SchurPoly,
+    branch,
     elementary,
     monomial_sym,
     partition_of_weight,
@@ -16,6 +19,7 @@ from qchar.symfun import (
     pieri_e,
     schur,
     schur_expand,
+    straighten,
     weight_of,
 )
 
@@ -114,3 +118,102 @@ def test_dominance():
     assert dominates((2, 1), (1, 1, 1))
     assert not dominates((2, 2), (3, 1))
     assert dominates((2, 2), (2, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-4, 6), min_size=1, max_size=5))
+def test_straighten_is_the_sorted_alternant(v):
+    # a_{v+delta} = sign * a_{lam+delta}: sort v + delta with its parity
+    nvars = len(v)
+    shifted = tuple(x + nvars - 1 - i for i, x in enumerate(v))
+    ordered, sign = _sorted_sign(shifted)
+    if sign:
+        lam = tuple(x - (nvars - 1 - i) for i, x in enumerate(ordered))
+        assert straighten(v) == (sign, lam)
+    else:
+        assert straighten(v) == (0, None)
+
+
+def _block_schur(vec, first, nvars):
+    """s_vec in the variables first, .., first + len(vec) - 1 of N."""
+    if not vec:
+        return LaurentPoly.one(RING_Q, nvars)
+    off = vec[-1]
+    core = schur(tuple(x - off for x in vec if x - off), len(vec)).times_z((off,) * len(vec))
+    pad = (0,) * (nvars - first - len(vec))
+    return LaurentPoly(
+        RING_Q, nvars, {k[:1] + (0,) * first + k[1:] + pad: c for k, c in core.coeffs.items()}
+    )
+
+
+@st.composite
+def _weakly_decreasing(draw):
+    nvars = draw(st.integers(2, 4))
+    low = draw(st.integers(-2, 1))
+    steps = draw(st.lists(st.integers(0, 2), min_size=nvars - 1, max_size=nvars - 1))
+    lam = [low]
+    for step in steps:
+        lam.insert(0, lam[0] + step)
+    return tuple(lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weakly_decreasing(), st.booleans())
+def test_branch_multiplies_out_to_the_schur_polynomial(lam, last):
+    # sum c s_mu(x) s_nu(y), multiplied out as monomials, is s_lam(x, y),
+    # for alpha = 1 and alpha = N - 1
+    nvars = len(lam)
+    alpha = nvars - 1 if last else 1
+    total = LaurentPoly.zero(RING_Q, nvars)
+    for mu, nu, c in branch(lam, alpha):
+        assert len(mu) == alpha and len(nu) == nvars - alpha and c > 0
+        total = total + _block_schur(mu, 0, nvars) * _block_schur(nu, alpha, nvars) * c
+    off = lam[-1]
+    expected = schur(tuple(x - off for x in lam if x - off), nvars).times_z((off,) * nvars)
+    assert total == expected
+
+
+def test_branch_examples_and_guards():
+    # s_21(x; y1, y2) = x^2 s_1(y) + x (s_2(y) + s_11(y)) + s_21(y)
+    assert sorted(branch((2, 1, 0), 1)) == [
+        ((0,), (2, 1), 1),
+        ((1,), (1, 1), 1),
+        ((1,), (2, 0), 1),
+        ((2,), (1, 0), 1),
+    ]
+    # c^{21}_{1,1}-type multiplicity 2: s_321 restricted to 3 + 3 variables
+    assert dict(((mu, nu), c) for mu, nu, c in branch((3, 2, 1, 0, 0, 0), 3))[
+        ((2, 1, 0), (2, 1, 0))
+    ] == 2
+    with pytest.raises(ValueError):
+        branch((1, 2), 1)
+    with pytest.raises(ValueError):
+        branch((1, 0), 3)
+
+
+def test_schur_form_views_and_guards():
+    # Laurent input round-trips through the Schur basis
+    f = schur((2, 1), 3).times_z((-1, -1, -1)) + schur((1,), 3).times_unit(2)
+    form = schur_form(f)
+    assert form == SchurPoly.basis((1, 0, -1), 3) + SchurPoly.basis((1,), 3).times_unit(2)
+    assert form.monomials() == f
+    assert form.constrained() == SchurPoly.basis((2, 1), 3) + SchurPoly.basis((1,), 3).times_unit(2)
+    s1, s2, s11 = (SchurPoly.basis(lam, 3) for lam in ((1,), (2,), (1, 1)))
+    assert s1.times_e(1) == s2 + s11
+    assert SchurPoly.basis((1, 1, -1), 3).times_e(2).monomials() == (
+        schur((2, 2), 3) * elementary(2, 3)
+    ).times_z((-1, -1, -1))
+    # a Schur form never meets a monomial-basis value
+    with pytest.raises(TypeError):
+        form + f
+    with pytest.raises(TypeError):
+        f - form
+    with pytest.raises(TypeError):
+        form == f
+    with pytest.raises(TypeError):
+        f == form
+    with pytest.raises(TypeError):
+        form * form
+    with pytest.raises(ValueError):
+        SchurPoly.basis((1, 2), 3)
+    assert schur_form(schur((1,), 2, RING_W)).ring == RING_W

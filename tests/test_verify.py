@@ -4,10 +4,11 @@ import itertools
 
 import pytest
 
+from oracles import schur_form
 from qchar.characters import NVector, g_coefficient, graded_character
 from qchar.laurent import LaurentPoly, constrain
 from qchar.rings import RING_Q, RING_W, Scalar
-from qchar.symfun import elementary
+from qchar.symfun import SchurPoly, elementary
 from qchar.verify import (
     CheckReport,
     check_difference_equation,
@@ -54,16 +55,16 @@ def test_square_identity():
 
 
 def test_moment_identity_and_window():
-    one = LaurentPoly.one(RING_Q, 4)
+    one = SchurPoly.one(RING_Q, 4)
     assert subset_moment_value(1, 0, 4) == one
     for p in (-1, -2, -3):
         assert subset_moment_value(1, p, 4).is_zero()
     # far enough outside the window the sum is nonzero (frozen from a direct
     # symbolic expansion of the rational subset sum)
-    assert subset_moment_value(1, -4, 4) == LaurentPoly.monomial(
+    assert subset_moment_value(1, -4, 4).monomials() == LaurentPoly.monomial(
         RING_Q, 4, (-1, -1, -1, -1), -1
     )
-    assert subset_moment_value(2, -4, 4) == LaurentPoly.monomial(
+    assert subset_moment_value(2, -4, 4).monomials() == LaurentPoly.monomial(
         RING_Q, 4, (-2, -2, -2, -2), 1
     )
 
@@ -124,12 +125,10 @@ def test_qsystem_negative_control():
     from qchar.qdiff import apply_M
     from qchar.symfun import monomial_sym
 
-    f = monomial_sym((1,), 3)
+    f = schur_form(monomial_sym((1,), 3))
     a, n = 1, 0
-    lhs = apply_M(a, n + 1, apply_M(a, n - 1, f, checked=True), checked=True)
-    rhs = apply_M(a, n, apply_M(a, n, f, checked=True), checked=True) - apply_M(
-        a + 1, n, apply_M(a - 1, n, f, checked=True), checked=True
-    )
+    lhs = apply_M(a, n + 1, apply_M(a, n - 1, f))
+    rhs = apply_M(a, n, apply_M(a, n, f)) - apply_M(a + 1, n, apply_M(a - 1, n, f))
     assert lhs.times_unit(a) == rhs
     assert lhs.times_unit(a + 1) != rhs
 
