@@ -27,6 +27,7 @@ from .rings import (
     RING_W,
     DegenerateEigenvalue,
     ExponentNotDivisible,
+    ExponentOverflow,
     NcNotDivisible,
     NonzeroRemainder,
     NotDivisible,

@@ -2,10 +2,24 @@
 
 A polynomial in ``z_1 .. z_N`` is a finite map from exponent vectors to
 nonzero coefficients.  For the integer rings (``RING_W``, ``RING_Q``) the
-scalar exponent is folded into slot 0 of the key, so the term
-``c * u**j * z1**e1 * ... * zN**eN`` is stored as ``{(j, e1, .., eN): c}``
-with ``c`` a Python integer.  For ``RING_QT`` the key is just the z-exponent
-vector and the coefficient is a sympy fraction-field element.
+scalar exponent comes first, so the term ``c * u**j * z1**e1 * ... * zN**eN``
+has the exponent vector ``(j, e1, .., eN)`` and a Python integer ``c``.  For
+``RING_QT`` the vector is just ``(e1, .., eN)`` and the coefficient a sympy
+fraction-field element.
+
+Packed keys.  The map is a dict keyed by one Python int per term (Monagan &
+Pearce, CASC 2007): entry i of the exponent vector, plus the bias 2**25,
+fills bits [27 i, 27 i + 27) of the key, so the unit slot is lowest, then
+z_1 .. z_N.  Packing is additive, ``pack(a) + offset(b) == pack(a + b)``, so
+multiplying two monomials is one integer addition.  Exponents must lie in
+[EXP_MIN, EXP_MAX] = [-2**25, 2**25 - 1]: products, shifts and constructors
+prove from the exponent bounds of their operands that the result fits, and
+raise ``ExponentOverflow`` otherwise instead of carrying into a neighbouring
+slot.  A valid key never sets the top bit of a slot, which exact division
+uses to see a negative quotient exponent in one mask test.  Only this module
+and ``qtorus`` read keys; everything else goes through ``terms()``,
+``from_terms()`` and the codec: ``pack``, ``unpack``, ``split_unit`` and
+``UNIT``.
 
 Everything here is exact; division raises ``NotDivisible`` rather than
 truncating.  Values are immutable by convention: no method mutates ``self``.
@@ -16,17 +30,121 @@ from __future__ import annotations
 import heapq
 import itertools
 from functools import lru_cache
+from operator import add, sub
 
 from .rings import (
+    QT_FIELD,
     RING_Q,
     RING_QT,
     RING_W,
     ExponentNotDivisible,
+    ExponentOverflow,
     NotDivisible,
     NotSymmetric,
     Scalar,
     qt_int,
 )
+
+# -- the key codec -------------------------------------------------------------
+
+# Python hashes an int modulo 2**61 - 1, which folds slot i onto bit
+# 27 i mod 61; for up to 9 slots those bits stay at least 6 apart, so keys
+# that differ by small exponent steps do not collide in a dict.
+SLOT_BITS = 27
+_BIAS = 1 << (SLOT_BITS - 2)
+_MASK = (1 << SLOT_BITS) - 1
+EXP_MIN, EXP_MAX = -_BIAS, _BIAS - 1
+
+
+def pack(exps) -> int:
+    """The key of an exponent vector; ``ExponentOverflow`` when an entry is
+    outside [EXP_MIN, EXP_MAX]."""
+    key = 0
+    for e in reversed(exps):
+        if not EXP_MIN <= e <= EXP_MAX:
+            raise ExponentOverflow("exponent %d outside [%d, %d]" % (e, EXP_MIN, EXP_MAX))
+        key = (key << SLOT_BITS) | (e + _BIAS)
+    return key
+
+
+def unpack(key: int, width: int) -> tuple:
+    """The exponent vector of length ``width`` packed in ``key``."""
+    return tuple([((key >> s) & _MASK) - _BIAS for s in _shifts(width)])
+
+
+@lru_cache(maxsize=None)
+def _shifts(width: int) -> tuple:
+    return tuple(SLOT_BITS * i for i in range(width))
+
+
+def offset(exps) -> int:
+    """What adding the vector ``exps`` adds to a key: ``pack(a) + offset(b)
+    == pack(a + b)`` whenever a + b is in range (trailing zeros may be left
+    off ``exps``)."""
+    return sum(e << (SLOT_BITS * i) for i, e in enumerate(exps))
+
+
+# adding j * UNIT to the key of an integer-ring term multiplies it by u**j
+UNIT = offset((1,))
+
+
+def split_unit(key: int):
+    """(j, zkey) for the key of (j, e_1, .., e_N): the unit exponent and the
+    key of (e_1, .., e_N); ``pack((0,) + e) + j * UNIT`` is the key again."""
+    return (key & _MASK) - _BIAS, key >> SLOT_BITS
+
+
+@lru_cache(maxsize=None)
+def zero_key(width: int) -> int:
+    """The key of the zero vector; ``k1 + k2 - zero_key`` multiplies monomials."""
+    return pack((0,) * width)
+
+
+@lru_cache(maxsize=None)
+def _guard(width: int) -> int:
+    """The top bit of every slot."""
+    return offset((1 << (SLOT_BITS - 1),) * width)
+
+
+def key_bounds(keys, width: int, slots=None):
+    """(lo, hi): the least and greatest entry of each slot over ``keys``
+    (of the listed ``slots`` only, when given)."""
+    lo, hi = [], []
+    for i in range(width) if slots is None else slots:
+        shift = SLOT_BITS * i
+        slot = [(k >> shift) & _MASK for k in keys]
+        lo.append(min(slot) - _BIAS)
+        hi.append(max(slot) - _BIAS)
+    return tuple(lo), tuple(hi)
+
+
+def require_fit(lo, hi):
+    """Raise ``ExponentOverflow`` unless every slot range [lo_i, hi_i] fits."""
+    if min(lo) < EXP_MIN or max(hi) > EXP_MAX:
+        raise ExponentOverflow(
+            "exponents would reach [%d, %d], outside [%d, %d]"
+            % (min(lo), max(hi), EXP_MIN, EXP_MAX)
+        )
+
+
+def box_sum(a, b):
+    """The exponent bounds of a product from those of its factors; exact,
+    since the coefficients form a domain, so extreme terms never cancel."""
+    lo = tuple(map(add, a[0], b[0]))
+    hi = tuple(map(add, a[1], b[1]))
+    require_fit(lo, hi)
+    return lo, hi
+
+
+def outside_box(local: int, top: int, width: int) -> bool:
+    """True unless every entry d_i of ``local`` lies in [0, top_i], where
+    ``local`` is the offset of a vector d with every |d_i| < 2**(SLOT_BITS-1)
+    (as is any difference of two valid keys) and ``top`` the offset of
+    upper limits in [0, 2**(SLOT_BITS-1)).  The lowest negative entry
+    borrows from the next slot and so sets its own top bit."""
+    guard = _guard(width)
+    rest = top - local
+    return local < 0 or local & guard or rest < 0 or rest & guard
 
 
 def _sorted_sign(exps):
@@ -60,22 +178,37 @@ def perms_with_sign(n):
     return out
 
 
+def _accumulate(out, key, c):
+    nv = out.get(key, 0) + c
+    if nv:
+        out[key] = nv
+    else:
+        del out[key]
+
+
 class LaurentPoly:
     """A sparse Laurent polynomial over one of the scalar rings."""
 
-    __slots__ = ("ring", "nvars", "coeffs")
+    __slots__ = ("ring", "nvars", "coeffs", "_box")
 
-    def __init__(self, ring, nvars, coeffs):
-        # Trusted constructor: ``coeffs`` must already be canonical
-        # (no zero values, correct key length).
+    def __init__(self, ring, nvars, coeffs, box=None):
+        # Trusted constructor: ``coeffs`` must already be canonical (no zero
+        # values, packed keys of the right width); ``box``, when given, is the
+        # exact (lo, hi) exponent bounds of the terms.
         self.ring = ring
         self.nvars = nvars
         self.coeffs = coeffs
+        self._box = box
 
     @property
     def zoff(self) -> int:
-        """Index of the first z-slot in exponent keys."""
+        """Index of the first z-entry in exponent vectors."""
         return 0 if self.ring == RING_QT else 1
+
+    @property
+    def width(self) -> int:
+        """Length of the exponent vectors."""
+        return self.nvars + self.zoff
 
     # -- constructors ------------------------------------------------------
 
@@ -87,13 +220,33 @@ class LaurentPoly:
     def from_int(cls, ring, nvars, n: int):
         if not n:
             return cls.zero(ring, nvars)
-        if ring == RING_QT:
-            return cls(ring, nvars, {(0,) * nvars: qt_int(n)})
-        return cls(ring, nvars, {(0,) * (nvars + 1): n})
+        width = nvars + (ring != RING_QT)
+        return cls(ring, nvars, {zero_key(width): qt_int(n) if ring == RING_QT else n})
 
     @classmethod
     def one(cls, ring, nvars):
         return cls.from_int(ring, nvars, 1)
+
+    @classmethod
+    def from_terms(cls, ring, nvars, terms):
+        """The polynomial with the given ``(exponent vector, coefficient)``
+        pairs (a mapping or an iterable); repeated vectors add up, zero
+        coefficients drop out, integers become field elements over QT."""
+        width = nvars + (ring != RING_QT)
+        out = {}
+        for exps, c in terms.items() if hasattr(terms, "items") else terms:
+            if len(exps) != width:
+                raise ValueError("exponent vector has wrong length")
+            if ring == RING_QT and isinstance(c, int):
+                c = qt_int(c)
+            key = pack(exps)
+            cur = out.get(key)
+            nv = c if cur is None else cur + c
+            if nv:
+                out[key] = nv
+            else:
+                out.pop(key, None)
+        return cls(ring, nvars, out)
 
     @classmethod
     def monomial(cls, ring, nvars, zexps, coeff=1, unit=0):
@@ -102,11 +255,8 @@ class LaurentPoly:
         if len(zexps) != nvars:
             raise ValueError("exponent vector has wrong length")
         if ring == RING_QT:
-            c = coeff if not isinstance(coeff, int) else qt_int(coeff)
-            return cls(ring, nvars, {zexps: c} if c else {})
-        if not coeff:
-            return cls.zero(ring, nvars)
-        return cls(ring, nvars, {(unit,) + zexps: coeff})
+            return cls.from_terms(ring, nvars, [(zexps, coeff)])
+        return cls.from_terms(ring, nvars, [((unit,) + zexps, coeff)])
 
     @classmethod
     def variable(cls, ring, nvars, i):
@@ -120,11 +270,36 @@ class LaurentPoly:
         """coeff * u**k as a constant polynomial (integer rings only)."""
         if ring == RING_QT:
             raise ValueError("QT ring has no distinguished unit variable")
-        if not coeff:
-            return cls.zero(ring, nvars)
-        return cls(ring, nvars, {(k,) + (0,) * nvars: coeff})
+        return cls.monomial(ring, nvars, (0,) * nvars, coeff, unit=k)
+
+    @classmethod
+    def sum(cls, ring, nvars, polys):
+        """The sum of ``polys``, accumulated in one dict."""
+        out = {}
+        for f in polys:
+            for k, c in f.coeffs.items():
+                cur = out.get(k)
+                nv = c if cur is None else cur + c
+                if nv:
+                    out[k] = nv
+                else:
+                    del out[k]
+        return cls(ring, nvars, out)
 
     # -- basic structure ---------------------------------------------------
+
+    def terms(self):
+        """Iterate over ``(exponent vector, coefficient)`` pairs."""
+        width = self.width
+        for k, c in self.coeffs.items():
+            yield unpack(k, width), c
+
+    def bounds(self):
+        """(lo, hi): the least and greatest exponent in each entry of the
+        exponent vectors, or None for zero."""
+        if self._box is None and self.coeffs:
+            self._box = key_bounds(self.coeffs, self.width)
+        return self._box
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -144,8 +319,15 @@ class LaurentPoly:
 
     __hash__ = None
 
-    def _like(self, coeffs):
-        return type(self)(self.ring, self.nvars, coeffs)
+    def _like(self, coeffs, box=None):
+        return type(self)(self.ring, self.nvars, coeffs, box)
+
+    def with_ring(self, ring):
+        """The same terms over the other integer ring (W <-> Q, unit
+        exponents kept as they are)."""
+        if RING_QT in (ring, self.ring):
+            raise ValueError("with_ring relabels the W and Q rings only")
+        return type(self)(ring, self.nvars, self.coeffs, self._box)
 
     def _check_basis(self, other):
         """Subclasses key their terms by other bases (``symfun.SchurPoly``);
@@ -174,11 +356,11 @@ class LaurentPoly:
             if nv:
                 out[k] = nv
             else:
-                out.pop(k, None)
+                del out[k]
         return self._like(out)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.coeffs.items()})
+        return self._like({k: -c for k, c in self.coeffs.items()}, self._box)
 
     def __sub__(self, other):
         self._check_compatible(other)
@@ -189,29 +371,31 @@ class LaurentPoly:
             if nv:
                 out[k] = nv
             else:
-                out.pop(k, None)
+                del out[k]
         return self._like(out)
 
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:
                 return self.zero(self.ring, self.nvars)
-            return self._like({k: c * other for k, c in self.coeffs.items()})
+            return self._like({k: c * other for k, c in self.coeffs.items()}, self._box)
         self._check_compatible(other)
+        if not self.coeffs or not other.coeffs:
+            return self.zero(self.ring, self.nvars)
+        box = box_sum(self.bounds(), other.bounds())
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
+        zero = zero_key(self.width)
+        inner = [(k - zero, c) for k, c in b.items()]
         out = {}
+        get = out.get
+        nil = QT_FIELD.zero if self.ring == RING_QT else 0
         for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = tuple(x + y for x, y in zip(k1, k2))
-                cur = out.get(k)
-                nv = c1 * c2 if cur is None else cur + c1 * c2
-                if nv:
-                    out[k] = nv
-                else:
-                    del out[k]
-        return self._like(out)
+            for k2, c2 in inner:
+                k = k1 + k2
+                out[k] = get(k, nil) + c1 * c2
+        return self._like({k: c for k, c in out.items() if c}, box)
 
     __rmul__ = __mul__
 
@@ -229,75 +413,81 @@ class LaurentPoly:
             n = base_needed
         return result
 
+    def _shifted(self, shift):
+        """Multiply by the monomial with exponent vector ``shift``."""
+        if not self.coeffs or not any(shift):
+            return self
+        box = self._box
+        if box is None:
+            # only the moved slots need checking
+            moved = [i for i, d in enumerate(shift) if d]
+            lo, hi = key_bounds(self.coeffs, self.width, moved)
+            require_fit(tuple(map(add, lo, (shift[i] for i in moved))),
+                        tuple(map(add, hi, (shift[i] for i in moved))))
+        else:
+            box = tuple(map(add, box[0], shift)), tuple(map(add, box[1], shift))
+            require_fit(*box)
+        d = offset(shift)
+        return self._like({k + d: c for k, c in self.coeffs.items()}, box)
+
     def times_unit(self, k: int):
-        """Multiply by u**k (shift the folded scalar exponent)."""
+        """Multiply by u**k (shift the scalar exponent)."""
         if self.ring == RING_QT:
             raise ValueError("QT ring has no distinguished unit variable")
-        if not k:
-            return self
-        return self._like({(key[0] + k,) + key[1:]: c for key, c in self.coeffs.items()})
+        return self._shifted((k,) + (0,) * self.nvars)
 
     def times_z(self, zshift):
         """Multiply by the monomial z**zshift."""
         zshift = tuple(zshift)
-        zo = self.zoff
-        if zo:
-            return self._like(
-                {key[:1] + tuple(a + b for a, b in zip(key[1:], zshift)): c
-                 for key, c in self.coeffs.items()}
-            )
-        return self._like(
-            {tuple(a + b for a, b in zip(key, zshift)): c for key, c in self.coeffs.items()}
-        )
+        if len(zshift) != self.nvars:
+            raise ValueError("exponent vector has wrong length")
+        return self._shifted((0,) * self.zoff + zshift)
 
     def times_scalar_raw(self, c):
         """Multiply by a raw coefficient (field element for QT, int otherwise)."""
         if not c:
             return self.zero(self.ring, self.nvars)
-        return self._like({k: v * c for k, v in self.coeffs.items()})
+        return self._like({k: v * c for k, v in self.coeffs.items()}, self._box)
 
     def times_scalar(self, s: Scalar):
-        if s.ring != (RING_QT if self.ring == RING_QT else self.ring):
+        if s.ring != self.ring:
             raise TypeError("scalar ring mismatch")
         if self.ring == RING_QT:
-            out = {k: c * s.data for k, c in self.coeffs.items()}
-            return self._like({k: c for k, c in out.items() if c})
+            return self.times_scalar_raw(s.data)
+        if not s.data or not self.coeffs:
+            return self.zero(self.ring, self.nvars)
+        rest = (0,) * self.nvars
+        box = box_sum(self.bounds(), ((min(s.data),) + rest, (max(s.data),) + rest))
         out = {}
-        for k, c in self.coeffs.items():
-            for j, cj in s.data.items():
-                kk = (k[0] + j,) + k[1:]
-                nv = out.get(kk, 0) + c * cj
-                if nv:
-                    out[kk] = nv
-                else:
-                    del out[kk]
-        return self._like(out)
+        for j, cj in s.data.items():
+            for k, c in self.coeffs.items():
+                _accumulate(out, k + j, c * cj)
+        return self._like(out, box)
 
     # -- views -------------------------------------------------------------
 
     def z_terms(self):
         """Group terms by z-exponent: a dict {z-tuple: Scalar}."""
-        out = {}
+        n = self.nvars
         if self.ring == RING_QT:
-            for k, c in self.coeffs.items():
-                out[k] = Scalar(RING_QT, c)
-            return out
+            return {unpack(k, n): Scalar(RING_QT, c) for k, c in self.coeffs.items()}
+        out = {}
         for k, c in self.coeffs.items():
-            out.setdefault(k[1:], {})[k[0]] = c
-        return {k: Scalar(self.ring, d) for k, d in out.items()}
+            out.setdefault(k >> SLOT_BITS, {})[(k & _MASK) - _BIAS] = c
+        return {unpack(z, n): Scalar(self.ring, d) for z, d in out.items()}
 
     def scalar_coeff(self, zexps) -> Scalar:
-        zexps = tuple(zexps)
+        zkey = pack(tuple(zexps))
         if self.ring == RING_QT:
-            c = self.coeffs.get(zexps)
+            c = self.coeffs.get(zkey)
             return Scalar(RING_QT, c if c is not None else qt_int(0))
-        d = {k[0]: c for k, c in self.coeffs.items() if k[1:] == zexps}
+        d = {(k & _MASK) - _BIAS: c for k, c in self.coeffs.items() if k >> SLOT_BITS == zkey}
         return Scalar(self.ring, d)
 
     def unit_exponents(self):
         if self.ring == RING_QT:
             raise ValueError("QT ring has no distinguished unit variable")
-        return {k[0] for k in self.coeffs}
+        return {(k & _MASK) - _BIAS for k in self.coeffs}
 
     def at_unit_one(self):
         """Set the scalar variable to 1 (integer rings); unit slot collapses to 0."""
@@ -305,33 +495,31 @@ class LaurentPoly:
             raise ValueError("QT ring has no distinguished unit variable")
         out = {}
         for k, c in self.coeffs.items():
-            kk = (0,) + k[1:]
-            nv = out.get(kk, 0) + c
-            if nv:
-                out[kk] = nv
-            else:
-                del out[kk]
+            _accumulate(out, k - (k & _MASK) + _BIAS, c)
         return self._like(out)
 
     def unit_slice(self, j: int):
         """Terms whose scalar exponent equals ``j``, with the unit reset to 0."""
         if self.ring == RING_QT:
             raise ValueError("QT ring has no distinguished unit variable")
-        return self._like({(0,) + k[1:]: c for k, c in self.coeffs.items() if k[0] == j})
+        if not EXP_MIN <= j <= EXP_MAX:
+            return self.zero(self.ring, self.nvars)
+        slot = j + _BIAS
+        return self._like({k - j: c for k, c in self.coeffs.items() if k & _MASK == slot})
 
     # -- symmetry ----------------------------------------------------------
 
     def is_symmetric(self) -> bool:
         """True when invariant under all permutations of the z variables."""
-        n = self.nvars
-        zo = self.zoff
-        for i in range(n - 1):
-            perm = list(range(n))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            for k, c in self.coeffs.items():
-                ez = list(k[zo:])
-                ez[i], ez[i + 1] = ez[i + 1], ez[i]
-                if self.coeffs.get(k[:zo] + tuple(ez)) != c:
+        coeffs = self.coeffs
+        for i in range(self.zoff, self.width - 1):
+            shift = SLOT_BITS * i
+            # swapping slots i and i+1 adds (b - a) * step to a key
+            step = (1 << shift) - (1 << (shift + SLOT_BITS))
+            for k, c in coeffs.items():
+                a = (k >> shift) & _MASK
+                b = (k >> (shift + SLOT_BITS)) & _MASK
+                if coeffs.get(k + (b - a) * step) != c:
                     return False
         return True
 
@@ -394,16 +582,14 @@ def alternant(ring, nvars, exps):
     exps = tuple(exps)
     if len(set(exps)) != len(exps):
         raise ValueError("alternant exponents must be distinct")
-    out = {}
-    zo = 0 if ring == RING_QT else 1
-    one = qt_int(1) if ring == RING_QT else 1
+    unit = () if ring == RING_QT else (0,)
+    terms = []
     for perm, sign in perms_with_sign(nvars):
         new = [0] * nvars
         for i, e in enumerate(exps):
             new[perm[i]] = e
-        key = ((0,) * zo) + tuple(new)
-        out[key] = one * sign if ring == RING_QT else sign
-    return LaurentPoly(ring, nvars, out)
+        terms.append((unit + tuple(new), sign))
+    return LaurentPoly.from_terms(ring, nvars, terms)
 
 
 # -- signed orbits -----------------------------------------------------------
@@ -416,13 +602,13 @@ def signed_buckets(f: LaurentPoly):
     ``sum_sigma sgn(sigma) sigma(f) = sum_key payload * alternant(key)``.
     Payloads are ``{unit-exponent: int}`` dicts for the integer rings and
     field elements for the QT ring.  Monomials with a repeated z-exponent
-    cancel and are dropped.
+    cancel and are dropped.  Each distinct z-part is sorted once.
     """
-    zo = f.zoff
+    n = f.nvars
     buckets: dict = {}
     if f.ring == RING_QT:
         for k, c in f.coeffs.items():
-            skey, sign = _sorted_sign(k)
+            skey, sign = _sorted_sign(unpack(k, n))
             if not sign:
                 continue
             cur = buckets.get(skey)
@@ -432,19 +618,23 @@ def signed_buckets(f: LaurentPoly):
             else:
                 del buckets[skey]
         return buckets
+    seen: dict = {}
     for k, c in f.coeffs.items():
-        skey, sign = _sorted_sign(k[1:])
-        if not sign:
-            continue
-        d = buckets.setdefault(skey, {})
-        nv = d.get(k[0], 0) + sign * c
-        if nv:
-            d[k[0]] = nv
-        else:
-            del d[k[0]]
-            if not d:
-                del buckets[skey]
-    return buckets
+        z = k >> SLOT_BITS
+        hit = seen.get(z)
+        if hit is None:
+            skey, sign = _sorted_sign(unpack(z, n))
+            hit = seen[z] = (buckets.setdefault(skey, {}) if sign else None, sign)
+        d, sign = hit
+        if sign:
+            j = (k & _MASK) - _BIAS
+            d[j] = d.get(j, 0) + sign * c
+    out = {}
+    for skey, d in buckets.items():
+        d = {j: c for j, c in d.items() if c}
+        if d:
+            out[skey] = d
+    return out
 
 
 # -- exact division ----------------------------------------------------------
@@ -452,37 +642,43 @@ def signed_buckets(f: LaurentPoly):
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """The exact quotient f / g; raises ``NotDivisible`` when g does not
-    divide f.  Greedy leading-term division in lexicographic order; since the
-    coefficient ring is a domain, the greedy quotient exists iff f is
-    divisible by g."""
+    divide f.  Greedy leading-term division in the order of the keys (a
+    lexicographic monomial order); since the coefficient ring is a domain,
+    the greedy quotient exists iff f is divisible by g, and its exponents
+    lie in the bounds of f minus those of g, which every quotient term is
+    checked against."""
     f._check_compatible(g)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
         return f
+    (flo, fhi), (glo, ghi) = f.bounds(), g.bounds()
+    qlo, qhi = tuple(map(sub, flo, glo)), tuple(map(sub, fhi, ghi))
+    if any(map(int.__gt__, qlo, qhi)):
+        raise NotDivisible("no exact quotient")
+    require_fit(qlo, qhi)
+    width = f.width
+    top = offset(tuple(map(sub, qhi, qlo)))
 
-    width = len(next(iter(g.coeffs)))
-    fmin = [min(k[i] for k in f.coeffs) for i in range(width)]
-    gmin = [min(k[i] for k in g.coeffs) for i in range(width)]
-    fs = {tuple(a - b for a, b in zip(k, fmin)): c for k, c in f.coeffs.items()}
-    gs = {tuple(a - b for a, b in zip(k, gmin)): c for k, c in g.coeffs.items()}
-
+    # local keys: exponents minus the least ones, each slot in [0, 2**17)
+    fbase, gbase = pack(flo), pack(glo)
+    work = {k - fbase: c for k, c in f.coeffs.items()}
+    gs = {k - gbase: c for k, c in g.coeffs.items()}
     glead = max(gs)
-    glc = gs[glead]
-    gtail = [(k, c) for k, c in gs.items() if k != glead]
+    glc = gs.pop(glead)
+    gtail = list(gs.items())
 
     is_qt = f.ring == RING_QT
-    work = dict(fs)
-    heap = [tuple(-x for x in k) for k in work]
+    heap = [-k for k in work]
     heapq.heapify(heap)
     quot = {}
     while work:
-        k = tuple(-x for x in heapq.heappop(heap))
+        k = -heapq.heappop(heap)
         c = work.pop(k, None)
         if c is None:
             continue
-        qk = tuple(a - b for a, b in zip(k, glead))
-        if any(x < 0 for x in qk):
+        qk = k - glead
+        if outside_box(qk, top, width):
             raise NotDivisible("no exact quotient")
         if is_qt:
             qc = c / glc
@@ -492,11 +688,11 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
                 raise NotDivisible("leading coefficient %r not divisible by %r" % (c, glc))
         quot[qk] = qc
         for gk, gc in gtail:
-            kk = tuple(a + b for a, b in zip(qk, gk))
+            kk = qk + gk
             cur = work.get(kk)
             if cur is None:
                 work[kk] = -qc * gc
-                heapq.heappush(heap, tuple(-x for x in kk))
+                heapq.heappush(heap, -kk)
             else:
                 nv = cur - qc * gc
                 if nv:
@@ -504,8 +700,8 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
                 else:
                     del work[kk]
 
-    shift = tuple(a - b for a, b in zip(fmin, gmin))
-    return f._like({tuple(a + b for a, b in zip(k, shift)): c for k, c in quot.items()})
+    qbase = pack(qlo)
+    return f._like({k + qbase: c for k, c in quot.items()}, (qlo, qhi))
 
 
 # -- ring maps ---------------------------------------------------------------
@@ -519,18 +715,11 @@ def constrain(f: LaurentPoly, rank: int) -> LaurentPoly:
     if f.nvars != rank + 1:
         raise ValueError("expected a polynomial in %d variables" % (rank + 1))
     zo = f.zoff
-    out = {}
-    for k, c in f.coeffs.items():
-        ez = k[zo:]
-        last = ez[-1]
-        kk = k[:zo] + tuple(e - last for e in ez[:-1])
-        cur = out.get(kk)
-        nv = c if cur is None else cur + c
-        if nv:
-            out[kk] = nv
-        else:
-            out.pop(kk, None)
-    return LaurentPoly(f.ring, rank, out)
+    return LaurentPoly.from_terms(
+        f.ring,
+        rank,
+        ((e[:zo] + tuple(x - e[-1] for x in e[zo:-1]), c) for e, c in f.terms()),
+    )
 
 
 def w_to_q(f: LaurentPoly, rank: int) -> LaurentPoly:
@@ -544,11 +733,12 @@ def w_to_q(f: LaurentPoly, rank: int) -> LaurentPoly:
     m = 2 * (rank + 1)
     out = {}
     for k, c in f.coeffs.items():
-        if k[0] % m:
+        j = (k & _MASK) - _BIAS
+        if j % m:
             raise ExponentNotDivisible(
-                "w-exponent %d is not a multiple of %d" % (k[0], m)
+                "w-exponent %d is not a multiple of %d" % (j, m)
             )
-        out[(-(k[0] // m),) + k[1:]] = c
+        out[k - j - j // m] = c
     return type(f)(RING_Q, f.nvars, out)
 
 

@@ -51,9 +51,9 @@ def eigenvalue_formula(lam, nvars):
 def _m_expand(f: LaurentPoly) -> dict:
     """Monomial-symmetric expansion of a symmetric QT polynomial."""
     out = {}
-    for key, c in f.coeffs.items():
-        if all(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-            out[normalize_partition(key)] = c
+    for exps, c in f.terms():
+        if all(exps[i] >= exps[i + 1] for i in range(len(exps) - 1)):
+            out[normalize_partition(exps)] = c
     return out
 
 
@@ -190,19 +190,26 @@ def qwhittaker_specialize(P: MacdonaldPoly) -> LaurentPoly:
 
     Returns a Q-ring polynomial in the same variables; for a Macdonald
     polynomial this is exactly a level-1 graded character."""
-    out = {}
-    for key, c in P.poly.coeffs.items():
-        for qe, ival in qt_specialize_t0_qinv(c).items():
-            out[(qe,) + key] = ival
-    return LaurentPoly(RING_Q, P.nvars, out)
+    return LaurentPoly.from_terms(
+        RING_Q,
+        P.nvars,
+        (
+            ((qe,) + exps, ival)
+            for exps, c in P.poly.terms()
+            for qe, ival in qt_specialize_t0_qinv(c).items()
+        ),
+    )
 
 
 def lift_q_to_qt(f: LaurentPoly) -> LaurentPoly:
     """Embed a Q-ring polynomial into the QT ring (t-free coefficients)."""
     if f.ring != RING_Q:
         raise ValueError("expected a Q-ring polynomial")
-    out = {}
-    for k, c in f.coeffs.items():
-        cur = out.get(k[1:], QT_FIELD.zero)
-        out[k[1:]] = cur + qt_int(c) * qt_q ** k[0]
-    return LaurentPoly(RING_QT, f.nvars, {k: v for k, v in out.items() if v})
+    return LaurentPoly.from_terms(
+        RING_QT,
+        f.nvars,
+        (
+            (z, sum((qt_int(c) * qt_q**j for j, c in s.data.items()), QT_FIELD.zero))
+            for z, s in f.z_terms().items()
+        ),
+    )

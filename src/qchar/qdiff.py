@@ -31,13 +31,19 @@ from math import factorial
 
 from .cartan import CartanData
 from .laurent import (
+    EXP_MAX,
+    EXP_MIN,
+    UNIT,
     LaurentPoly,
     delta_on,
+    pack,
     require_symmetric,
     signed_buckets,
+    split_unit,
+    unpack,
 )
-from .rings import RING_Q, RING_QT, RING_W, qt_int, qt_q, qt_t
-from .symfun import SchurPoly, _add_term, _schur_zcoeffs, branch, normalize_partition, straighten
+from .rings import QT_FIELD, RING_Q, RING_QT, RING_W, ExponentOverflow, qt_int, qt_q, qt_t
+from .symfun import SchurPoly, _schur_zcoeffs, branch, normalize_partition, straighten
 
 
 @lru_cache(maxsize=None)
@@ -54,36 +60,37 @@ def _pair_delta_qt(nvars, alpha):
 
 
 def _schur_reconstruct_qt(buckets, nvars, den):
+    inv = QT_FIELD.one / qt_int(den)
     out = {}
-    inv = QTONE / qt_int(den)
     for zkey, payload in buckets.items():
         lam = tuple(zkey[i] - (nvars - 1 - i) for i in range(nvars))
         off = lam[-1]
-        core = normalize_partition(tuple(x - off for x in lam))
         c0 = payload * inv
-        for ez, cs in _schur_zcoeffs(core, nvars).items():
-            zz = tuple(e + off for e in ez) if off else ez
-            cur = out.get(zz)
-            nv = c0 * cs if cur is None else cur + c0 * cs
-            if nv:
-                out[zz] = nv
-            else:
-                del out[zz]
-    return out
-
-
-QTONE = qt_int(1)
+        for e, cs in _schur_zcoeffs(normalize_partition(tuple(x - off for x in lam)), nvars).terms():
+            z = tuple(x + off for x in e[1:])
+            out[z] = out[z] + c0 * cs if z in out else c0 * cs
+    return LaurentPoly.from_terms(RING_QT, nvars, out)
 
 
 @lru_cache(maxsize=None)
-def _image(lam, alpha, n):
-    """M_{alpha,n} s_lam with the q-power left open: {(|mu|, kappa): c}."""
+def _image(zkey, nvars, alpha, n):
+    """M_{alpha,n} s_lam, zkey the key of lam, with the q-power left open:
+    (|lam|, least and greatest |mu|, ((|mu|, key of s_kappa, c), ...)), the
+    keys packed with unit exponent 0."""
+    lam = unpack(zkey, nvars)
     out = {}
     for mu, nu, c in branch(lam, alpha):
         sign, kappa = straighten(tuple(x + n for x in mu) + nu)
         if sign:
-            _add_term(out, (sum(mu), kappa), sign * c)
-    return tuple((dmu, kappa, c) for (dmu, kappa), c in out.items())
+            key = (sum(mu), kappa)
+            nv = out.get(key, 0) + sign * c
+            if nv:
+                out[key] = nv
+            else:
+                del out[key]
+    dmus = [dmu for dmu, _ in out] or [0]
+    terms = tuple((dmu, pack((0,) + kappa), c) for (dmu, kappa), c in out.items())
+    return sum(lam), min(dmus), max(dmus), terms
 
 
 def _schur_apply(f, alpha, n, du_subset, du_all, du_const=0):
@@ -92,17 +99,17 @@ def _schur_apply(f, alpha, n, du_subset, du_all, du_const=0):
     subset) and by ``du_all`` per unit of |lam| (a dilation of every
     variable), plus ``du_const``."""
     out = {}
+    get = out.get
     for key, c in f.coeffs.items():
-        lam = key[1:]
-        base = key[0] + du_all * sum(lam) + du_const
-        for dmu, kappa, b in _image(lam, alpha, n):
-            kk = (base + du_subset * dmu,) + kappa
-            nv = out.get(kk, 0) + b * c
-            if nv:
-                out[kk] = nv
-            else:
-                del out[kk]
-    return SchurPoly(f.ring, f.nvars, out)
+        j, zkey = split_unit(key)
+        size, lo, hi, image = _image(zkey, f.nvars, alpha, n)
+        base = j + du_all * size + du_const
+        if not EXP_MIN <= base + du_subset * lo <= EXP_MAX or not EXP_MIN <= base + du_subset * hi <= EXP_MAX:
+            raise ExponentOverflow("unit exponent outside [%d, %d]" % (EXP_MIN, EXP_MAX))
+        for dmu, kappa, b in image:
+            kk = kappa + (base + du_subset * dmu) * UNIT
+            out[kk] = get(kk, 0) + b * c
+    return SchurPoly(f.ring, f.nvars, {k: c for k, c in out.items() if c})
 
 
 def _check_operand(f, alpha, rank):
@@ -154,12 +161,10 @@ def apply_macdonald_qt(alpha, f, *, checked=False):
         require_symmetric(f)
     if alpha == 0 or f.is_zero():
         return f
-    shifted = {}
-    for k, c in f.coeffs.items():
-        s = sum(k[:alpha])
-        shifted[k] = c * qt_q**s if s else c
-    t0 = _pair_delta_qt(nvars, alpha) * LaurentPoly(RING_QT, nvars, shifted)
+    shifted = []
+    for e, c in f.terms():
+        s = sum(e[:alpha])
+        shifted.append((e, c * qt_q**s if s else c))
+    t0 = _pair_delta_qt(nvars, alpha) * LaurentPoly.from_terms(RING_QT, nvars, shifted)
     den = factorial(alpha) * factorial(nvars - alpha)
-    return LaurentPoly(
-        RING_QT, nvars, _schur_reconstruct_qt(signed_buckets(t0), nvars, den)
-    )
+    return _schur_reconstruct_qt(signed_buckets(t0), nvars, den)

@@ -8,8 +8,9 @@ Generators Q_{a,0}, Q_{a,1} (a in [1, r]) q-commute:
 and every Q_{a,k}, k in ZZ, is a Laurent polynomial in the initial cluster
 (the quantum cluster Laurent property).  Elements are stored normal ordered:
 all Q_{a,0} to the left of all Q_{b,1}, encoded as exponent pairs
-(a-vector, b-vector) with W-ring scalar coefficients.  Moving Q_{b,1}**m
-left past Q_{a,0}**l costs v**(-lam(a,b)*l*m).
+(a-vector, b-vector), packed into one int key by ``laurent.pack``, with
+W-ring scalar coefficients.  Moving Q_{b,1}**m left past Q_{a,0}**l costs
+v**(-lam(a,b)*l*m); the pairing -2 lam is built once per rank.
 
 The recursion
 
@@ -17,16 +18,31 @@ The recursion
     Q_{0,k} = Q_{r+1,k} = 1
 
 is solved forwards and backwards by exact one-sided division (greedy on the
-graded-lex leading monomial; torus monomials are units, so the greedy
-quotient exists whenever any quotient does).  Failure would falsify the
+leading key, a lexicographic monomial order, with every quotient exponent
+checked against the bounds an exact quotient must meet; leading terms
+multiply to leading terms, so the greedy quotient exists whenever any
+quotient does).  Failure would falsify the
 Laurent property and raises ``NcNotDivisible``.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
+from operator import mul, sub
 
 from .cartan import CartanData
+from .laurent import (
+    SLOT_BITS,
+    box_sum,
+    key_bounds,
+    offset,
+    outside_box,
+    pack,
+    require_fit,
+    unpack,
+    zero_key,
+)
 from .rings import RING_W, NcNotDivisible, Scalar
 
 
@@ -62,25 +78,67 @@ def _wdivexact(c1, c2):
     return {k + lo1 - lo2: v for k, v in quot.items()}
 
 
+@lru_cache(maxsize=None)
+def _twist_rows(rank):
+    """The rows of -2 lam: moving Q_{b,1}**b_j left past Q_{a,0}**a_i costs
+    w**(sum_i a_i t_i) with t = rows . b."""
+    return tuple(tuple(-2 * x for x in row) for row in CartanData(rank).matrix())
+
+
+@lru_cache(maxsize=1 << 14)
+def _twist_vector(rank, bkey):
+    """t = rows . b for the b-part key ``bkey`` (a key shifted right by the
+    a-slots)."""
+    b = unpack(bkey, rank)
+    return tuple(sum(map(mul, row, b)) for row in _twist_rows(rank))
+
+
+def _pair_twist(rank, left_key, right_key):
+    """The w-exponent of normal ordering left_key * right_key."""
+    t = _twist_vector(rank, left_key >> (SLOT_BITS * rank))
+    return sum(map(mul, unpack(right_key, rank), t))
+
+
 class NcLaurent:
-    """Normal-ordered element of the quantum torus; immutable by convention."""
+    """Normal-ordered element of the quantum torus; immutable by convention.
 
-    __slots__ = ("rank", "coeffs")
+    ``coeffs`` maps the packed key of the exponent vector (a_1..a_r,
+    b_1..b_r) (``laurent.pack``, same slots and range) to a {w-exponent: int}
+    coefficient; ``terms()`` and ``from_terms()`` use (a-tuple, b-tuple)."""
 
-    def __init__(self, rank, coeffs):
+    __slots__ = ("rank", "coeffs", "_box")
+
+    def __init__(self, rank, coeffs, box=None):
+        # Trusted constructor: canonical coefficients, exact ``box`` or None.
         self.rank = rank
-        self.coeffs = coeffs  # {(a-tuple, b-tuple): {w-exponent: int}}
+        self.coeffs = coeffs
+        self._box = box
 
     @classmethod
     def zero(cls, rank):
         return cls(rank, {})
 
     @classmethod
+    def from_terms(cls, rank, terms):
+        """The element with the given ((a-tuple, b-tuple), {w-exponent: int})
+        pairs (a mapping or an iterable); repeated monomials add up."""
+        out = {}
+        for (a, b), c in terms.items() if hasattr(terms, "items") else terms:
+            if len(a) != rank or len(b) != rank:
+                raise ValueError("exponent vectors need %d entries" % rank)
+            cur = out.setdefault(pack(tuple(a) + tuple(b)), {})
+            for e, x in c.items():
+                nv = cur.get(e, 0) + x
+                if nv:
+                    cur[e] = nv
+                else:
+                    cur.pop(e, None)
+        return cls(rank, {k: c for k, c in out.items() if c})
+
+    @classmethod
     def from_int(cls, rank, n, wexp=0):
-        if not n:
-            return cls.zero(rank)
         z = (0,) * rank
-        return cls(rank, {(z, z): {wexp: n}})
+        return cls.from_terms(rank, [((z, z), {wexp: n})])
 
     @classmethod
     def one(cls, rank):
@@ -88,9 +146,7 @@ class NcLaurent:
 
     @classmethod
     def monomial(cls, rank, a, b, wexp=0, coeff=1):
-        if not coeff:
-            return cls.zero(rank)
-        return cls(rank, {(tuple(a), tuple(b)): {wexp: coeff}})
+        return cls.from_terms(rank, [((a, b), {wexp: coeff})])
 
     @classmethod
     def generator(cls, rank, alpha, k, power=1):
@@ -103,6 +159,19 @@ class NcLaurent:
         e[alpha - 1] = power
         z = (0,) * rank
         return cls.monomial(rank, tuple(e) if k == 0 else z, tuple(e) if k == 1 else z)
+
+    def terms(self):
+        """Iterate over ((a-tuple, b-tuple), {w-exponent: int}) pairs."""
+        r = self.rank
+        for k, c in self.coeffs.items():
+            v = unpack(k, 2 * r)
+            yield (v[:r], v[r:]), c
+
+    def bounds(self):
+        """(lo, hi) of the exponent vectors (a, b), or None for zero."""
+        if self._box is None and self.coeffs:
+            self._box = key_bounds(self.coeffs, 2 * self.rank)
+        return self._box
 
     def is_zero(self):
         return not self.coeffs
@@ -137,6 +206,7 @@ class NcLaurent:
         return NcLaurent(
             self.rank,
             {k: {e: -x for e, x in c.items()} for k, c in self.coeffs.items()},
+            self._box,
         )
 
     def __sub__(self, other):
@@ -148,6 +218,7 @@ class NcLaurent:
         return NcLaurent(
             self.rank,
             {k: {e + wexp: x for e, x in c.items()} for k, c in self.coeffs.items()},
+            self._box,
         )
 
     def __mul__(self, other):
@@ -157,35 +228,32 @@ class NcLaurent:
             return NcLaurent(
                 self.rank,
                 {k: {e: x * other for e, x in c.items()} for k, c in self.coeffs.items()},
+                self._box,
             )
         r = self.rank
-        lam = CartanData(r).matrix()
+        if not self.coeffs or not other.coeffs:
+            return NcLaurent.zero(r)
+        box = box_sum(self.bounds(), other.bounds())
+        zero = zero_key(2 * r)
+        right = [(k - zero, unpack(k, r), list(c.items())) for k, c in other.coeffs.items()]
         out = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
-                twist = -2 * sum(
-                    a2[i] * lam[i][j] * b1[j]
-                    for i in range(r)
-                    if a2[i]
-                    for j in range(r)
-                    if b1[j]
-                )
-                key = (
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    tuple(x + y for x, y in zip(b1, b2)),
-                )
-                cur = out.setdefault(key, {})
-                for e1, x1 in c1.items():
-                    for e2, x2 in c2.items():
-                        e = e1 + e2 + twist
-                        nv = cur.get(e, 0) + x1 * x2
-                        if nv:
-                            cur[e] = nv
-                        else:
-                            del cur[e]
-                if not cur:
-                    del out[key]
-        return NcLaurent(self.rank, out)
+        get = out.get
+        for k1, c1 in self.coeffs.items():
+            t = _twist_vector(r, k1 >> (SLOT_BITS * r))
+            c1 = list(c1.items())
+            for k2, a2, c2 in right:
+                twist = sum(map(mul, a2, t))
+                key = k1 + k2
+                cur = get(key)
+                if cur is None:
+                    cur = out[key] = {}
+                for e1, x1 in c1:
+                    e1 += twist
+                    for e2, x2 in c2:
+                        e = e1 + e2
+                        cur[e] = cur.get(e, 0) + x1 * x2
+        out = {k: {e: x for e, x in c.items() if x} for k, c in out.items()}
+        return NcLaurent(r, {k: c for k, c in out.items() if c}, box)
 
     __rmul__ = __mul__
 
@@ -203,14 +271,14 @@ class NcLaurent:
         return result
 
     def min_b_exponent(self):
-        return min((min(b) for (_, b) in self.coeffs), default=0)
+        return min(self.bounds()[0][self.rank:]) if self.coeffs else 0
 
     def to_text(self):
         if not self.coeffs:
             return "0"
         bits = []
-        for (a, b) in sorted(self.coeffs, reverse=True):
-            c = Scalar(RING_W, self.coeffs[(a, b)]).to_text()
+        for (a, b), c in sorted(self.terms(), reverse=True):
+            c = Scalar(RING_W, c).to_text()
             mono = ["Q[%d,0]^%d" % (i + 1, e) for i, e in enumerate(a) if e]
             mono += ["Q[%d,1]^%d" % (i + 1, e) for i, e in enumerate(b) if e]
             mono = "*".join(mono)
@@ -221,84 +289,56 @@ class NcLaurent:
         return "NcLaurent(r=%d, %s)" % (self.rank, self.to_text())
 
 
-def _flat(key):
-    return key[0] + key[1]
-
-
-def _grade(flat):
-    return (sum(flat),) + flat
-
-
 def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
     """Exact quotient X with X*den = num (side='right') or den*X = num
-    (side='left')."""
+    (side='left').  An exact quotient has its exponents between the least
+    exponents of num less those of den and the greatest less the greatest;
+    the greedy descent checks every quotient term against these bounds, so
+    it stops after finitely many steps."""
     if den.is_zero():
         raise ZeroDivisionError("division by zero in the quantum torus")
-    if num.is_zero():
-        return NcLaurent.zero(num.rank)
     rank = num.rank
+    if num.is_zero():
+        return NcLaurent.zero(rank)
     width = 2 * rank
-    nmin = [min(_flat(k)[i] for k in num.coeffs) for i in range(width)]
-    dmin = [min(_flat(k)[i] for k in den.coeffs) for i in range(width)]
+    (nlo, nhi), (dlo, dhi) = num.bounds(), den.bounds()
+    qlo, qhi = tuple(map(sub, nlo, dlo)), tuple(map(sub, nhi, dhi))
+    if any(map(int.__gt__, qlo, qhi)):
+        raise NcNotDivisible("no exact quotient in the quantum torus")
+    require_fit(qlo, qhi)
+    top, base = offset(tuple(map(sub, qhi, qlo))), offset(qlo)
+    zero = zero_key(width)
 
-    # Normalize supports into the nonnegative cone.  For right division,
-    # X*den = num  <=>  (M num M') with den*M' shifted; the quotient of the
-    # shifted problem is M_left * X and lives in the cone, which makes the
-    # graded-lex descent a well-order.  Build the shifted problem by actual
-    # monomial multiplication so all unit twists stay exact.
-    m_d = [-x for x in dmin]
-    m_n = [a - b for a, b in zip(dmin, nmin)]
-    mono = lambda off: NcLaurent.monomial(rank, off[:rank], off[rank:])
-    if side == "right":
-        dd = den * mono(m_d)
-        nn = mono(m_n) * num * mono(m_d)
-    else:
-        dd = mono(m_d) * den
-        nn = mono(m_d) * num * mono(m_n)
+    dlead = max(den.coeffs)
+    dlc = den.coeffs[dlead]
 
-    lam = CartanData(rank).matrix()
-
-    def pair_twist(left_key, right_key):
-        (_, b1), (a2, _) = left_key, right_key
-        return -2 * sum(
-            a2[i] * lam[i][j] * b1[j]
-            for i in range(rank)
-            if a2[i]
-            for j in range(rank)
-            if b1[j]
-        )
-
-    dflat = {_flat(k): k for k in dd.coeffs}
-    dlead_flat = max(dflat, key=_grade)
-    dlead = dflat[dlead_flat]
-    dlc = dd.coeffs[dlead]
-
-    work = {k: dict(c) for k, c in nn.coeffs.items()}
-    heap = [tuple(-x for x in _grade(_flat(k))) for k in work]
+    work = {k: dict(c) for k, c in num.coeffs.items()}
+    heap = [-k for k in work]
     heapq.heapify(heap)
     quot = {}
     while work:
-        item = heapq.heappop(heap)
-        flat = tuple(-x for x in item[1:])
-        key = (flat[:rank], flat[rank:])
-        c = work.get(key)
+        k = -heapq.heappop(heap)
+        c = work.get(k)
         if c is None:
             continue
-        qflat = tuple(a - b for a, b in zip(flat, dlead_flat))
-        if any(x < 0 for x in qflat):
+        qloc = k - dlead
+        if outside_box(qloc - base, top, width):
             raise NcNotDivisible("no exact quotient in the quantum torus")
-        qkey = (qflat[:rank], qflat[rank:])
-        tw = pair_twist(qkey, dlead) if side == "right" else pair_twist(dlead, qkey)
+        qkey = qloc + zero
+        if side == "right":
+            tw = _pair_twist(rank, qkey, dlead)
+        else:
+            tw = _pair_twist(rank, dlead, qkey)
         qc = _wdivexact(c, {e + tw: x for e, x in dlc.items()})
         if qc is None:
             raise NcNotDivisible("scalar coefficient not divisible")
         quot[qkey] = qc
         term = NcLaurent(rank, {qkey: qc})
-        rest = (term * dd) if side == "right" else (dd * term)
+        rest = (term * den) if side == "right" else (den * term)
         # the leading term of ``rest`` equals the popped leading term of the
         # remainder by construction, so the subtraction cancels it
-        for k, cc in rest.coeffs.items():
-            cur = work.get(k)
+        for kk, cc in rest.coeffs.items():
+            cur = work.get(kk)
             fresh = cur is None
             if fresh:
                 cur = {}
@@ -309,24 +349,12 @@ def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
                 else:
                     del cur[e]
             if cur:
-                work[k] = cur
+                work[kk] = cur
                 if fresh:
-                    heapq.heappush(heap, tuple(-x for x in _grade(_flat(k))))
+                    heapq.heappush(heap, -kk)
             else:
-                work.pop(k, None)
-
-    shifted = NcLaurent(rank, quot)
-    # Undo the normalization by the exact inverse monomial:
-    # M(m)^{-1} = w**(-2 m_a.lam.m_b) M(-m).
-    corr = -2 * sum(
-        m_n[i] * lam[i][j] * m_n[rank + j]
-        for i in range(rank)
-        if m_n[i]
-        for j in range(rank)
-        if m_n[rank + j]
-    )
-    undo = mono([-x for x in m_n]).times_unit(corr)
-    return (undo * shifted) if side == "right" else (shifted * undo)
+                work.pop(kk, None)
+    return NcLaurent(rank, quot, (qlo, qhi))
 
 
 def nc_div_right(num: NcLaurent, den: NcLaurent) -> NcLaurent:
@@ -380,14 +408,13 @@ def evaluate(f: NcLaurent, mode: str = "ev") -> NcLaurent:
         raise ValueError("mode must be 'ev' or 'ev0'")
     rank = f.rank
     cart = CartanData(rank)
-    row = [cart.lam_row_sum(a) for a in range(1, rank + 1)]
-    zero_a = (0,) * rank
+    row = [-2 * cart.lam_row_sum(a) for a in range(1, rank + 1)]
+    a_slots = (1 << (SLOT_BITS * rank)) - 1
+    zero_a = zero_key(rank)
     out = {}
-    for (a, b), c in f.coeffs.items():
-        shift = 0
-        if mode == "ev0":
-            shift = -2 * sum(a[i] * row[i] for i in range(rank) if a[i])
-        key = (zero_a, b)
+    for k, c in f.coeffs.items():
+        shift = sum(map(mul, unpack(k, rank), row)) if mode == "ev0" else 0
+        key = k - (k & a_slots) + zero_a
         cur = out.setdefault(key, {})
         for e, x in c.items():
             nv = cur.get(e + shift, 0) + x
@@ -413,6 +440,6 @@ def check_polynomiality(rank: int, word, table=None) -> bool:
         gen = table[(alpha, k)] if not (alpha in (0, rank + 1)) else NcLaurent.one(rank)
         prod = prod * gen
     ev0 = evaluate(prod, "ev0")
-    if any(a != (0,) * rank for (a, _) in ev0.coeffs):
+    if any(any(a) for (a, _), _ in ev0.terms()):
         raise AssertionError("evaluation left a Q_{a,0} behind")
     return ev0.min_b_exponent() >= 0

@@ -36,6 +36,11 @@ class ExponentNotDivisible(ArithmeticError):
     function of q alone."""
 
 
+class ExponentOverflow(OverflowError):
+    """An exponent does not fit the slot of a packed key (see
+    ``laurent.EXP_MIN``/``EXP_MAX``); raised before any key is formed."""
+
+
 class NotSymmetric(ValueError):
     """Input polynomial is not symmetric under permutations of the z's."""
 

@@ -15,12 +15,16 @@ import itertools
 from functools import lru_cache
 
 from .laurent import (
+    UNIT,
     LaurentPoly,
     alternant,
     exact_div,
+    pack,
+    split_unit,
+    unpack,
     vandermonde,
 )
-from .rings import RING_Q, RING_QT, NonzeroRemainder, NotSymmetric, Scalar, qt_int
+from .rings import RING_Q, RING_QT, NonzeroRemainder, NotSymmetric, qt_int
 
 
 Partition = tuple
@@ -72,8 +76,8 @@ def partition_of_weight(ell) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _schur_zcoeffs(lam: Partition, nvars: int):
-    """Coefficient dict {z-exponents: int} of the Schur polynomial s_lam.
+def _schur_zcoeffs(lam: Partition, nvars: int) -> LaurentPoly:
+    """The Schur polynomial s_lam over the Q ring, cached per partition.
 
     Computed as the ratio of the alternant at lam + delta by the Vandermonde
     determinant; the division is exact.
@@ -83,17 +87,15 @@ def _schur_zcoeffs(lam: Partition, nvars: int):
         raise ValueError("partition longer than the variable count")
     full = tuple(lam) + (0,) * (nvars - len(lam))
     exps = tuple(full[i] + (nvars - 1 - i) for i in range(nvars))
-    num = alternant(RING_Q, nvars, exps)
-    s = exact_div(num, vandermonde(RING_Q, nvars))
-    return {k[1:]: c for k, c in s.coeffs.items()}
+    return exact_div(alternant(RING_Q, nvars, exps), vandermonde(RING_Q, nvars))
 
 
 def schur(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
     """The Schur polynomial s_lam(z_1..z_N) over the requested ring."""
-    zc = _schur_zcoeffs(normalize_partition(lam), nvars)
+    s = _schur_zcoeffs(normalize_partition(lam), nvars)
     if ring == RING_QT:
-        return LaurentPoly(ring, nvars, {k: qt_int(c) for k, c in zc.items()})
-    return LaurentPoly(ring, nvars, {(0,) + k: c for k, c in zc.items()})
+        return LaurentPoly.from_terms(ring, nvars, ((e[1:], c) for e, c in s.terms()))
+    return s.with_ring(ring)
 
 
 def elementary(m: int, nvars: int, ring=RING_Q) -> LaurentPoly:
@@ -109,11 +111,9 @@ def monomial_sym(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
     if len(lam) > nvars:
         return LaurentPoly.zero(ring, nvars)
     full = tuple(lam) + (0,) * (nvars - len(lam))
+    unit, one = ((), qt_int(1)) if ring == RING_QT else ((0,), 1)
     orbit = set(itertools.permutations(full))
-    if ring == RING_QT:
-        one = qt_int(1)
-        return LaurentPoly(ring, nvars, {e: one for e in orbit})
-    return LaurentPoly(ring, nvars, {(0,) + e: 1 for e in orbit})
+    return LaurentPoly.from_terms(ring, nvars, [(unit + e, one) for e in orbit])
 
 
 def schur_expand(f: LaurentPoly) -> dict:
@@ -125,32 +125,19 @@ def schur_expand(f: LaurentPoly) -> dict:
     if not f.is_symmetric():
         raise NotSymmetric("Schur expansion needs a symmetric polynomial")
     zo = f.zoff
-    for k in f.coeffs:
-        if any(e < 0 for e in k[zo:]):
-            raise NonzeroRemainder("input has negative exponents")
+    if f and min(f.bounds()[0][zo:]) < 0:
+        raise NonzeroRemainder("input has negative exponents")
 
     out = {}
-    work = dict(f.coeffs)
-    nvars = f.nvars
+    work = f
     while work:
-        lead = max(work, key=lambda k: k[zo:])
-        lam = lead[zo:]
+        groups = work.z_terms()
+        lam = max(groups)
         if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
             raise NonzeroRemainder("leading exponent %r is not a partition" % (lam,))
-        if zo:
-            coeff = Scalar(f.ring, {k[0]: c for k, c in work.items() if k[1:] == lam})
-        else:
-            coeff = Scalar(f.ring, work[lead])
         key = normalize_partition(lam)
-        out[key] = coeff
-        piece = schur(key, nvars, f.ring).times_scalar(coeff)
-        for k, c in piece.coeffs.items():
-            cur = work.get(k)
-            nv = -c if cur is None else cur - c
-            if nv:
-                work[k] = nv
-            else:
-                work.pop(k, None)
+        out[key] = groups[lam]
+        work = work - schur(key, f.nvars, f.ring).times_scalar(groups[lam])
     return out
 
 
@@ -255,22 +242,34 @@ def branch(lam, alpha: int):
     return tuple((tuple(x + off for x in mu), tuple(x + off for x in nu), c) for mu, nu, c in core)
 
 
-def _add_term(out, key, c):
-    nv = out.get(key, 0) + c
-    if nv:
-        out[key] = nv
-    else:
-        del out[key]
+@lru_cache(maxsize=None)
+def _pieri_keys(zkey, m, nvars):
+    """The keys (unit exponent 0) of the s_kappa in s_lam * e_m, zkey the
+    key of lam."""
+    lam = unpack(zkey, nvars)
+    off = lam[-1]
+    out = []
+    for kappa in pieri_e(tuple(x - off for x in lam), m, nvars):
+        kappa += (0,) * (nvars - len(kappa))
+        out.append(pack((0,) + tuple(x + off for x in kappa)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _constrained_keys(zkey, nvars):
+    lam = unpack(zkey, nvars)
+    return (pack((0,) + tuple(x - lam[-1] for x in lam)),)
 
 
 class SchurPoly(LaurentPoly):
     """A symmetric Laurent polynomial in N variables over the W or Q ring,
-    in the Schur basis: ``{(j, lam_1, .., lam_N): c}`` is the sum of
-    c * u**j * s_lam over weakly decreasing integer vectors lam, negative
-    parts allowed (s_{lam + m} = (z_1...z_N)**m s_lam, so ``times_z`` takes
-    full columns only).  Addition, subtraction, ``times_unit`` and ``==`` are
-    the folded-key arithmetic of ``LaurentPoly``; a monomial-basis operand
-    raises TypeError."""
+    in the Schur basis: a term c with exponent vector (j, lam_1, .., lam_N)
+    stands for c * u**j * s_lam, lam weakly decreasing, negative parts
+    allowed (s_{lam + m} = (z_1...z_N)**m s_lam, so ``times_z`` takes full
+    columns only).  Keys are packed as in ``LaurentPoly``, with the same
+    exponent range.  Addition, subtraction, ``times_unit`` and ``==`` are
+    the keyed arithmetic of ``LaurentPoly``; a monomial-basis operand raises
+    TypeError."""
 
     __slots__ = ()
 
@@ -280,7 +279,7 @@ class SchurPoly(LaurentPoly):
         lam = tuple(lam) + (0,) * (nvars - len(lam))
         if len(lam) != nvars or any(lam[i] < lam[i + 1] for i in range(nvars - 1)):
             raise ValueError("%r is not a weakly decreasing %d-vector" % (lam, nvars))
-        return cls(ring, nvars, {(0,) + lam: 1})
+        return cls.monomial(ring, nvars, lam)
 
     def __mul__(self, other):
         if not isinstance(other, int):
@@ -289,22 +288,24 @@ class SchurPoly(LaurentPoly):
 
     __rmul__ = __mul__
 
-    def times_e(self, m: int):
-        """Multiply by the elementary symmetric polynomial e_m (Pieri rule)."""
+    def _map_bases(self, image):
+        """Replace every s_lam by the sum of the basis elements whose keys
+        (unit exponent 0) ``image`` lists for the key of lam."""
         out = {}
         for key, c in self.coeffs.items():
-            off = key[-1]
-            for kappa in pieri_e(tuple(x - off for x in key[1:]), m, self.nvars):
-                kappa += (0,) * (self.nvars - len(kappa))
-                _add_term(out, (key[0],) + tuple(x + off for x in kappa), c)
-        return self._like(out)
+            j, zkey = split_unit(key)
+            for kk in image(zkey):
+                kk += j * UNIT
+                out[kk] = out.get(kk, 0) + c
+        return self._like({k: c for k, c in out.items() if c})
+
+    def times_e(self, m: int):
+        """Multiply by the elementary symmetric polynomial e_m (Pieri rule)."""
+        return self._map_bases(lambda zkey: _pieri_keys(zkey, m, self.nvars))
 
     def constrained(self):
         """The value modulo z_1...z_N = 1: every s_lam becomes s_{lam - lam_N}."""
-        out = {}
-        for key, c in self.coeffs.items():
-            _add_term(out, (key[0],) + tuple(x - key[-1] for x in key[1:]), c)
-        return self._like(out)
+        return self._map_bases(lambda zkey: _constrained_keys(zkey, self.nvars))
 
     def expansion(self) -> dict:
         """{partition: Scalar}: the Schur coefficients (parts must be >= 0)."""
@@ -312,13 +313,12 @@ class SchurPoly(LaurentPoly):
 
     def monomials(self) -> LaurentPoly:
         """The same value in the monomial basis."""
-        out = {}
-        for key, c in self.coeffs.items():
-            off = key[-1]
-            core = normalize_partition(tuple(x - off for x in key[1:]))
-            for ez, cs in _schur_zcoeffs(core, self.nvars).items():
-                _add_term(out, (key[0],) + tuple(e + off for e in ez), c * cs)
-        return LaurentPoly(self.ring, self.nvars, out)
+        parts = []
+        for lam, coeff in self.z_terms().items():
+            off = lam[-1]
+            core = _schur_zcoeffs(normalize_partition(tuple(x - off for x in lam)), self.nvars)
+            parts.append(core.with_ring(self.ring).times_z((off,) * self.nvars).times_scalar(coeff))
+        return LaurentPoly.sum(self.ring, self.nvars, parts)
 
     def __repr__(self):
         terms = sorted(self.z_terms().items(), reverse=True)

@@ -85,16 +85,12 @@ class CheckReport:
 
 def _qpair_product(nvars, excluded):
     """prod over ordered pairs x != y, (x, y) not excluded, of (z_x - q z_y)."""
+    z = [LaurentPoly.variable(RING_Q, nvars, i) for i in range(nvars)]
     out = LaurentPoly.one(RING_Q, nvars)
     for x in range(nvars):
         for y in range(nvars):
-            if x == y or (x, y) in excluded:
-                continue
-            zx = {(0,) + tuple(1 if i == x else 0 for i in range(nvars)): 1}
-            term = LaurentPoly(RING_Q, nvars, zx) - LaurentPoly.monomial(
-                RING_Q, nvars, tuple(1 if i == y else 0 for i in range(nvars)), 1, 1
-            )
-            out = out * term
+            if x != y and (x, y) not in excluded:
+                out = out * (z[x] - z[y].times_unit(1))
     return out
 
 
@@ -537,16 +533,19 @@ def check_macdonald(nvars_max: int = 3, weight_max: int = 4) -> CheckReport:
             for alpha in range(1, r + 1):
                 g = apply_macdonald_qt(alpha, lifted, checked=True)
                 shift = alpha * (nvars - alpha)
-                out = {}
-                ok = True
                 try:
-                    for key, c in g.coeffs.items():
-                        for qe, iv in qt_t_infinity_limit(c, shift).items():
-                            out[(qe,) + key] = iv
+                    lim = LaurentPoly.from_terms(
+                        RING_Q,
+                        nvars,
+                        [
+                            ((qe,) + exps, iv)
+                            for exps, c in g.terms()
+                            for qe, iv in qt_t_infinity_limit(c, shift).items()
+                        ],
+                    )
                 except ArithmeticError as exc:
                     rep.record(("degenerate-limit", r, n, alpha), False, exc)
                     continue
-                lim = LaurentPoly(RING_Q, nvars, out)
                 ev = sum(min(alpha, b) * n.entry(b, 1) for b in range(1, r + 1))
                 rep.record(("degenerate-limit", r, n, alpha), lim == chi.times_unit(ev))
     return rep
@@ -557,7 +556,7 @@ def check_whittaker(order: int = 20, toda_n: int = 6, classone_n: int = 4) -> Ch
     for n in range(1, toda_n + 1):
         for refl in (False, True):
             res = toda_residual(n, order, refl)
-            first_bad = min(res.coeffs) if res.coeffs else None
+            first_bad = res.lowest_order()
             rep.record(
                 ("toda-residual", n, "reflected" if refl else "plain"),
                 res.is_zero(),

@@ -100,6 +100,10 @@ class TruncatedSeries:
     def is_zero(self):
         return not self.coeffs
 
+    def lowest_order(self):
+        """The least u-exponent with a nonzero coefficient (None for zero)."""
+        return min((e for e, _ in self.coeffs), default=None)
+
     def __repr__(self):
         bits = ["%d s^%d u^%d" % (c, k, e) for (e, k), c in sorted(self.coeffs.items())]
         return "TruncatedSeries(%s + O(u^%d))" % (" + ".join(bits) or "0", self.order + 1)
@@ -174,7 +178,7 @@ def char_to_series(n: int, order: int) -> TruncatedSeries:
     """The rank-one level-1 character chi_n constrained to z = p, as a
     u-series (exact; polynomial, so truncation only forgets nothing)."""
     chi = constrain(graded_character(NVector.level_one(1, (n,))).poly, 1)
-    return TruncatedSeries(order, {(-qe, 2 * ze): c for (qe, ze), c in chi.coeffs.items()})
+    return TruncatedSeries(order, {(-qe, 2 * ze): c for (qe, ze), c in chi.terms()})
 
 
 def class_one_combination(n_values, order: int) -> bool:

@@ -20,6 +20,8 @@
   dominance order and the inverse of ``macdonald.lift_q_to_qt``.
 * ``whittaker_series_sympy`` expands the rank-one Whittaker series with
   sympy ``series`` in u.
+* ``ref_mul``, ``ref_times_z``, ``ref_signed_buckets``, ``ref_exact_div`` and
+  ``ref_nc_mul`` recode the packed-key kernels on plain exponent tuples.
 """
 
 from __future__ import annotations
@@ -73,14 +75,14 @@ def poly_to_sympy(f: LaurentPoly):
     z = zsyms(f.nvars)
     total = sympy.Integer(0)
     if f.ring == RING_QT:
-        for key, c in f.coeffs.items():
+        for key, c in f.terms():
             term = _pe_to_sympy(c.numer) / _pe_to_sympy(c.denom)
             for i, e in enumerate(key):
                 term *= z[i] ** e
             total += term
     else:
         unit = W if f.ring == RING_W else Q
-        for key, c in f.coeffs.items():
+        for key, c in f.terms():
             term = sympy.Integer(c) * unit ** key[0]
             for i, e in enumerate(key[1:]):
                 term *= z[i] ** e
@@ -152,11 +154,11 @@ def _subset_apply_folded(f, alpha, power, du_subset, du_all):
     step = power + nvars - alpha
     for subset, comp, sign in _subset_data(nvars, alpha):
         shifted = {}
-        for k, c in f.coeffs.items():
+        for k, c in f.terms():
             du = du_subset * sum(k[1 + i] for i in subset) + du_all * sum(k[1:])
             shifted[(k[0] + du,) + k[1:]] = sign * c
         part = delta_on(f.ring, nvars, subset) * delta_on(f.ring, nvars, comp)
-        part = part * LaurentPoly(f.ring, nvars, shifted)
+        part = part * LaurentPoly.from_terms(f.ring, nvars, shifted)
         if step:
             part = part.times_z(tuple(step if i in subset else 0 for i in range(nvars)))
         num = num + part
@@ -182,7 +184,7 @@ def subset_apply_macdonald_qt(alpha, f):
     num = LaurentPoly.zero(RING_QT, nvars)
     for subset, comp, sign in _subset_data(nvars, alpha):
         shifted = {}
-        for k, c in f.coeffs.items():
+        for k, c in f.terms():
             s = sum(k[i] for i in subset)
             shifted[k] = sign * (c * qt_q**s if s else c)
         part = delta_on(RING_QT, nvars, subset) * delta_on(RING_QT, nvars, comp)
@@ -191,7 +193,7 @@ def subset_apply_macdonald_qt(alpha, f):
                 zi = LaurentPoly.variable(RING_QT, nvars, i)
                 zj = LaurentPoly.variable(RING_QT, nvars, j)
                 part = part * (zi.times_scalar_raw(qt_t) - zj)
-        num = num + part * LaurentPoly(RING_QT, nvars, shifted)
+        num = num + part * LaurentPoly.from_terms(RING_QT, nvars, shifted)
     return exact_div(num, vandermonde(RING_QT, nvars))
 
 
@@ -233,7 +235,7 @@ def _unit_shift_gamma(ring, rank):
     raise ValueError("unexpected ring %r" % ring)
 
 
-def _schur_reconstruct_folded(buckets, nvars, den):
+def _schur_reconstruct_folded(buckets, ring, nvars, den):
     """Rebuild sum_buckets payload * alternant(key) / Vandermonde / den for
     the folded integer rings."""
     out = {}
@@ -241,8 +243,8 @@ def _schur_reconstruct_folded(buckets, nvars, den):
         lam = tuple(zkey[i] - (nvars - 1 - i) for i in range(nvars))
         off = lam[-1]
         core = normalize_partition(tuple(x - off for x in lam))
-        for ez, cs in _schur_zcoeffs(core, nvars).items():
-            zz = tuple(e + off for e in ez)
+        for ez, cs in _schur_zcoeffs(core, nvars).terms():
+            zz = tuple(e + off for e in ez[1:])
             for u, cu in payload.items():
                 kk = (u,) + zz
                 nv = out.get(kk, 0) + cu * cs
@@ -255,7 +257,7 @@ def _schur_reconstruct_folded(buckets, nvars, den):
         if r:
             raise NotDivisible("orbit sum not divisible by %d" % den)
         out[k] = q
-    return out
+    return LaurentPoly.from_terms(ring, nvars, out)
 
 
 def _orbit_apply_folded(f, alpha, power, du_subset, du_all):
@@ -264,14 +266,14 @@ def _orbit_apply_folded(f, alpha, power, du_subset, du_all):
     require_symmetric(f)
     nvars = f.nvars
     shifted = {}
-    for k, c in f.coeffs.items():
+    for k, c in f.terms():
         du = du_subset * sum(k[1 : 1 + alpha]) + du_all * sum(k[1:])
         shifted[(k[0] + du,) + k[1:]] = c
-    t0 = _pair_delta(f.ring, nvars, alpha) * LaurentPoly(f.ring, nvars, shifted)
+    t0 = _pair_delta(f.ring, nvars, alpha) * LaurentPoly.from_terms(f.ring, nvars, shifted)
     step = power + nvars - alpha
     t0 = t0.times_z(tuple(step if i < alpha else 0 for i in range(nvars)))
     den = factorial(alpha) * factorial(nvars - alpha)
-    return LaurentPoly(f.ring, nvars, _schur_reconstruct_folded(signed_buckets(t0), nvars, den))
+    return _schur_reconstruct_folded(signed_buckets(t0), f.ring, nvars, den)
 
 
 def orbit_apply_M(alpha, n, f):
@@ -296,13 +298,13 @@ def schur_form(f: LaurentPoly) -> SchurPoly:
     """The Schur form of a symmetric Laurent polynomial (W or Q ring): the
     power (z_1...z_N)**m at the least z-exponent m is factored out and the
     rest peeled by ``schur_expand``."""
-    low = min((min(k[1:]) for k in f.coeffs), default=0)
+    low = min((min(k[1:]) for k, _ in f.terms()), default=0)
     out = {}
     for lam, coeff in schur_expand(f.times_z((-low,) * f.nvars)).items():
         full = tuple(x + low for x in lam) + (low,) * (f.nvars - len(lam))
         for j, c in coeff.data.items():
             out[(j,) + full] = c
-    return SchurPoly(f.ring, f.nvars, out)
+    return SchurPoly.from_terms(f.ring, f.nvars, out)
 
 
 def dominates(lam, mu) -> bool:
@@ -320,7 +322,7 @@ def project_qt_to_q(f: LaurentPoly) -> LaurentPoly:
     """Inverse of ``lift_q_to_qt``: coefficients must be integer Laurent
     polynomials in q alone (monomial denominators in q are allowed)."""
     out = {}
-    for key, c in f.coeffs.items():
+    for key, c in f.terms():
         dterms = _poly_terms(c.denom)
         if len(dterms) != 1:
             raise NotDivisible("coefficient %s is not Laurent in q" % (c,))
@@ -333,7 +335,7 @@ def project_qt_to_q(f: LaurentPoly) -> LaurentPoly:
         for m, v in num.items():
             for qe, ival in _as_int_dict({m[0] - dm[0]: v / dv}).items():
                 out[(qe,) + key] = ival
-    return LaurentPoly(RING_Q, f.nvars, out)
+    return LaurentPoly.from_terms(RING_Q, f.nvars, out)
 
 
 # -- (signed) permutation orbits, term by term ----------------------------------------
@@ -361,12 +363,12 @@ def symmetrize(f: LaurentPoly) -> LaurentPoly:
     acc = LaurentPoly.zero(f.ring, f.nvars)
     for perm, _ in perms_with_sign(f.nvars):
         moved = {}
-        for k, c in f.coeffs.items():
+        for k, c in f.terms():
             new = [0] * f.nvars
             for i, e in enumerate(k[zo:]):
                 new[perm[i]] = e
             moved[k[:zo] + tuple(new)] = c
-        acc = acc + f._like(moved)
+        acc = acc + f.from_terms(f.ring, f.nvars, moved)
     return divide_int(acc, factorial(f.nvars))
 
 
@@ -381,7 +383,102 @@ def signed_orbit_sum(f: LaurentPoly) -> LaurentPoly:
     for zkey, payload in signed_buckets(f).items():
         alt = alternant(f.ring, f.nvars, zkey)
         if f.ring == RING_QT:
-            out = out + alt._like({k: c * payload for k, c in alt.coeffs.items()})
+            out = out + alt.times_scalar_raw(payload)
         else:
             out = out + alt.times_scalar(Scalar(f.ring, payload))
     return out
+
+
+# -- tuple-keyed reference kernels ---------------------------------------------------
+#
+# The packed kernels of ``qchar.laurent`` and ``qchar.qtorus``, recoded on
+# dicts keyed by plain exponent tuples (the ``terms()`` view): no packing, no
+# bounds, no key arithmetic.
+
+
+def ref_mul(a: dict, b: dict, zero=0) -> dict:
+    """Product of two {exponent tuple: coefficient} dicts."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            out[k] = out.get(k, zero) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_times_z(a: dict, zshift, zoff: int) -> dict:
+    """Multiply by z**zshift; the first ``zoff`` entries are not z-exponents."""
+    return {k[:zoff] + tuple(x + y for x, y in zip(k[zoff:], zshift)): c for k, c in a.items()}
+
+
+def ref_signed_buckets(a: dict, zoff: int) -> dict:
+    """``laurent.signed_buckets`` by sorting every term and counting
+    inversions for its sign."""
+    out = {}
+    for k, c in a.items():
+        z = k[zoff:]
+        if len(set(z)) < len(z):
+            continue
+        inversions = sum(1 for i in range(len(z)) for j in range(i + 1, len(z)) if z[i] < z[j])
+        skey = tuple(sorted(z, reverse=True))
+        c = -c if inversions % 2 else c
+        if zoff:
+            d = out.setdefault(skey, {})
+            d[k[0]] = d.get(k[0], 0) + c
+        else:
+            out[skey] = out[skey] + c if skey in out else c
+    if zoff:
+        out = {k: {j: c for j, c in d.items() if c} for k, d in out.items()}
+    return {k: d for k, d in out.items() if d}
+
+
+def ref_exact_div(f: dict, g: dict, field: bool) -> dict:
+    """f / g by leading-term division, leading terms the greatest tuples.
+    Quotient exponents are confined to min f - min g .. max f - max g, per
+    entry, so an inexact division raises ``NotDivisible`` after finitely many
+    steps."""
+    if not g:
+        raise ZeroDivisionError
+    width = len(next(iter(g)))
+    lo = [min(k[i] for k in f) - min(k[i] for k in g) for i in range(width)] if f else []
+    hi = [max(k[i] for k in f) - max(k[i] for k in g) for i in range(width)] if f else []
+    glead = max(g)
+    rem, quot = dict(f), {}
+    while rem:
+        lead = max(rem)
+        qk = tuple(x - y for x, y in zip(lead, glead))
+        if any(not lo[i] <= qk[i] <= hi[i] for i in range(width)):
+            raise NotDivisible("no exact quotient")
+        if field:
+            qc = rem[lead] / g[glead]
+        else:
+            qc, r = divmod(rem[lead], g[glead])
+            if r:
+                raise NotDivisible("coefficient not divisible")
+        quot[qk] = qc
+        for k, c in ref_mul({qk: qc}, g).items():
+            nv = rem.get(k, 0) - c
+            if nv:
+                rem[k] = nv
+            else:
+                rem.pop(k, None)
+    return quot
+
+
+def ref_nc_mul(rank: int, a: dict, b: dict) -> dict:
+    """Product of normal-ordered torus elements {(a-tuple, b-tuple): {w: int}}:
+    Q_{b,1}**b1 moved left past Q_{a,0}**a2 costs w**(-2 a2 . lam . b1)."""
+    cart = CartanData(rank)
+    out = {}
+    for (a1, b1), c1 in a.items():
+        for (a2, b2), c2 in b.items():
+            twist = -2 * sum(
+                a2[i] * cart.lam(i + 1, j + 1) * b1[j] for i in range(rank) for j in range(rank)
+            )
+            key = (tuple(x + y for x, y in zip(a1, a2)), tuple(x + y for x, y in zip(b1, b2)))
+            cur = out.setdefault(key, {})
+            for e1, x1 in c1.items():
+                for e2, x2 in c2.items():
+                    cur[e1 + e2 + twist] = cur.get(e1 + e2 + twist, 0) + x1 * x2
+    out = {k: {e: x for e, x in c.items() if x} for k, c in out.items()}
+    return {k: c for k, c in out.items() if c}

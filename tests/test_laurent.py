@@ -34,7 +34,7 @@ def small_polys(nvars=2, ring=RING_Q, max_terms=4):
     def build(terms):
         out = LaurentPoly.zero(ring, nvars)
         for key, c in terms:
-            out = out + LaurentPoly(ring, nvars, {tuple(key): c})
+            out = out + LaurentPoly.from_terms(ring, nvars, {tuple(key): c})
         return out
     return st.lists(term, min_size=0, max_size=max_terms).map(build)
 

@@ -1,0 +1,284 @@
+"""Packed exponent keys: the kernels of ``qchar.laurent`` and ``qchar.qtorus``
+against the tuple-keyed reference kernels of ``oracles``, with exponents at
+the edges of the key slots, and the overflow rule at the exact edge."""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    ref_exact_div,
+    ref_mul,
+    ref_nc_mul,
+    ref_signed_buckets,
+    ref_times_z,
+)
+from qchar.laurent import (
+    EXP_MAX,
+    EXP_MIN,
+    SLOT_BITS,
+    LaurentPoly,
+    exact_div,
+    offset,
+    outside_box,
+    signed_buckets,
+)
+from qchar.qdiff import apply_M
+from qchar.qtorus import NcLaurent, nc_div_left, nc_div_right
+from qchar.rings import (
+    QT_FIELD,
+    RING_Q,
+    RING_QT,
+    RING_W,
+    ExponentOverflow,
+    NotDivisible,
+    qt_int,
+    qt_q,
+    qt_t,
+)
+from qchar.symfun import SchurPoly
+
+RINGS = (RING_Q, RING_W, RING_QT)
+QT_COEFFS = (qt_int(1), qt_int(-2), qt_q, qt_t - qt_int(1), qt_int(3) / (qt_int(1) + qt_t))
+
+
+def exponents(scale=1):
+    """Small exponents, and exponents within 3 of the slot edges divided by
+    ``scale`` (so that products of ``scale`` factors stay in range)."""
+    return st.one_of(
+        st.integers(-3, 3),
+        st.integers(-(-EXP_MIN // scale), -(-EXP_MIN // scale) + 3),
+        st.integers(EXP_MAX // scale - 3, EXP_MAX // scale),
+    )
+
+
+@st.composite
+def term_dicts(draw, ring, nvars, scale=1, max_terms=4):
+    """{exponent tuple: coefficient} with the unit entry first off QT."""
+    width = nvars + (ring != RING_QT)
+    keys = draw(st.lists(st.tuples(*[exponents(scale)] * width), max_size=max_terms, unique=True))
+    if ring == RING_QT:
+        coeffs = st.sampled_from(QT_COEFFS)
+    else:
+        coeffs = st.integers(-5, 5).filter(bool)
+    return {k: draw(coeffs) for k in keys}
+
+
+def fits(terms):
+    return all(EXP_MIN <= e <= EXP_MAX for k in terms for e in k)
+
+
+def nil(ring):
+    return QT_FIELD.zero if ring == RING_QT else 0
+
+
+def view(f):
+    return dict(f.terms())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_outside_box_is_the_slotwise_test(width, data):
+    # entries of the difference within +-3 of 0, of the limit and of the
+    # slot range, where a borrow or a missing check would show
+    half = 1 << (SLOT_BITS - 1)
+    top = data.draw(st.lists(st.sampled_from([0, 1, 2, half - 2, half - 1]), min_size=width, max_size=width))
+    near = [st.integers(t - 3, t + 3) for t in top]
+    d = [data.draw(st.one_of(x, st.integers(-3, 3), st.integers(1 - half, 4 - half))) for x in near]
+    d = [max(1 - half, min(half - 1, x)) for x in d]
+    expected = not all(0 <= x <= t for x, t in zip(d, top))
+    assert bool(outside_box(offset(d), offset(top), width)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RINGS), st.integers(1, 3), st.data())
+def test_product_matches_reference_or_overflows(ring, nvars, data):
+    a = data.draw(term_dicts(ring, nvars))
+    b = data.draw(term_dicts(ring, nvars))
+    f, g = LaurentPoly.from_terms(ring, nvars, a), LaurentPoly.from_terms(ring, nvars, b)
+    assert view(f) == a
+    expected = ref_mul(a, b, nil(ring))
+    if fits(expected):
+        assert view(f * g) == expected
+    else:
+        with pytest.raises(ExponentOverflow):
+            f * g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RINGS), st.integers(1, 3), st.data())
+def test_shifts_match_reference_or_overflow(ring, nvars, data):
+    a = data.draw(term_dicts(ring, nvars))
+    f = LaurentPoly.from_terms(ring, nvars, a)
+    zshift = data.draw(st.tuples(*[exponents()] * nvars))
+    zoff = f.zoff
+    expected = ref_times_z(a, zshift, zoff)
+    if fits(expected):
+        assert view(f.times_z(zshift)) == expected
+    else:
+        with pytest.raises(ExponentOverflow):
+            f.times_z(zshift)
+    if ring != RING_QT:
+        j = data.draw(exponents())
+        expected = {(k[0] + j,) + k[1:]: c for k, c in a.items()}
+        if fits(expected):
+            assert view(f.times_unit(j)) == expected
+        else:
+            with pytest.raises(ExponentOverflow):
+                f.times_unit(j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RINGS), st.integers(1, 4), st.data())
+def test_signed_buckets_match_reference(ring, nvars, data):
+    a = data.draw(term_dicts(ring, nvars, max_terms=8))
+    # a permuted copy of each term, so that buckets collect and cancel
+    for k, c in list(a.items()):
+        zo = 0 if ring == RING_QT else 1
+        moved = k[:zo] + k[zo:][::-1]
+        a.setdefault(moved, c)
+    f = LaurentPoly.from_terms(ring, nvars, a)
+    assert signed_buckets(f) == ref_signed_buckets(view(f), f.zoff)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RINGS), st.integers(1, 3), st.data())
+def test_ring_axioms_near_the_edges(ring, nvars, data):
+    f, g, h = (LaurentPoly.from_terms(ring, nvars, data.draw(term_dicts(ring, nvars, scale=3, max_terms=3)))
+               for _ in range(3))
+    zero = LaurentPoly.zero(ring, nvars)
+    assert (f + g) * h == f * h + g * h
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+    assert f + (-f) == zero
+    assert f * LaurentPoly.one(ring, nvars) == f
+    if g:
+        assert exact_div(f * g, g) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RINGS), st.integers(1, 3), st.data())
+def test_exact_div_matches_reference(ring, nvars, data):
+    # small exponents: a non-divisible pair must raise, not overflow
+    small = st.tuples(*[st.integers(-2, 2)] * (nvars + (ring != RING_QT)))
+    coeffs = st.sampled_from(QT_COEFFS) if ring == RING_QT else st.integers(-4, 4).filter(bool)
+    f = data.draw(st.dictionaries(small, coeffs, max_size=5))
+    g = data.draw(st.dictionaries(small, coeffs, min_size=1, max_size=3))
+    pf, pg = LaurentPoly.from_terms(ring, nvars, f), LaurentPoly.from_terms(ring, nvars, g)
+    f, g = view(pf), view(pg)
+    try:
+        expected = ref_exact_div(f, g, ring == RING_QT)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            exact_div(pf, pg)
+    else:
+        assert view(exact_div(pf, pg)) == expected
+    assert exact_div(pf * pg, pg) == pf
+
+
+def nc_terms(rank, scale=1, max_terms=4):
+    vec = st.tuples(*[exponents(scale)] * rank)
+    coeff = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4).filter(bool), min_size=1, max_size=2)
+    return st.dictionaries(st.tuples(vec, vec), coeff, max_size=max_terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_torus_product_matches_reference_or_overflows(rank, data):
+    a, b = data.draw(nc_terms(rank)), data.draw(nc_terms(rank))
+    x, y = NcLaurent.from_terms(rank, a), NcLaurent.from_terms(rank, b)
+    assert dict(x.terms()) == a
+    expected = ref_nc_mul(rank, a, b)
+    if all(EXP_MIN <= e <= EXP_MAX for (u, v) in expected for e in u + v):
+        assert dict((x * y).terms()) == expected
+    else:
+        with pytest.raises(ExponentOverflow):
+            x * y
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_torus_division_round_trip_near_the_edges(rank, data):
+    x = NcLaurent.from_terms(rank, data.draw(nc_terms(rank, scale=3, max_terms=3)))
+    d = NcLaurent.from_terms(rank, data.draw(nc_terms(rank, scale=3, max_terms=2)))
+    assume(x and d)
+    assert nc_div_right(x * d, d) == x
+    assert nc_div_left(d * x, d) == x
+
+
+# -- the exact edge ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_laurent_edge_round_trips_and_one_past_raises(ring):
+    n = 2
+    unit = () if ring == RING_QT else (0,)
+    for edge in ((EXP_MAX, EXP_MIN), (EXP_MIN, EXP_MAX)):
+        f = LaurentPoly.monomial(ring, n, edge, 3)
+        assert [k for k, _ in f.terms()] == [unit + edge]
+    for e in (EXP_MAX + 1, EXP_MIN - 1):
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly.monomial(ring, n, (e, 0))
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly.from_terms(ring, n, {unit + (0, e): 1})
+    z1 = LaurentPoly.variable(ring, n, 0)
+    top = LaurentPoly.monomial(ring, n, (EXP_MAX - 1, 0))
+    assert [k for k, _ in (top * z1).terms()] == [unit + (EXP_MAX, 0)]
+    assert [k for k, _ in top.times_z((1, 0)).terms()] == [unit + (EXP_MAX, 0)]
+    with pytest.raises(ExponentOverflow):
+        top * z1 * z1
+    with pytest.raises(ExponentOverflow):
+        top.times_z((2, 0))
+    bottom = LaurentPoly.monomial(ring, n, (0, EXP_MIN))
+    with pytest.raises(ExponentOverflow):
+        bottom.times_z((0, -1))
+    # a sum whose extreme term cancelled fits again
+    near = (top * z1 + z1) - top * z1
+    assert near.times_z((EXP_MAX - 1, 0)) == LaurentPoly.monomial(ring, n, (EXP_MAX, 0))
+    if ring != RING_QT:
+        u = LaurentPoly.unit_power(ring, n, EXP_MAX)
+        assert [k for k, _ in u.terms()] == [(EXP_MAX, 0, 0)]
+        with pytest.raises(ExponentOverflow):
+            u.times_unit(1)
+        assert u.times_unit(EXP_MIN - EXP_MAX) == LaurentPoly.unit_power(ring, n, EXP_MIN)
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly.unit_power(ring, n, EXP_MIN).times_unit(-1)
+
+
+def test_exact_div_at_the_edge():
+    z = LaurentPoly.variable(RING_Q, 1, 0)
+    top = LaurentPoly.monomial(RING_Q, 1, (EXP_MAX,))
+    low = LaurentPoly.monomial(RING_Q, 1, (EXP_MIN,))
+    assert exact_div(top * (z + z * z).times_z((-2,)), z + z * z) == top.times_z((-2,))
+    with pytest.raises(ExponentOverflow):
+        exact_div(top, low)  # the quotient z**(EXP_MAX - EXP_MIN) does not fit
+    with pytest.raises(NotDivisible):
+        exact_div(top + z, top.times_z((-1,)) + z)
+
+
+def test_schur_keys_at_the_edge():
+    s = SchurPoly.basis((EXP_MAX, 0), 2, RING_Q)
+    assert [k for k, _ in s.terms()] == [(0, EXP_MAX, 0)]
+    with pytest.raises(ExponentOverflow):
+        SchurPoly.basis((EXP_MAX + 1, 0), 2, RING_Q)
+    with pytest.raises(ExponentOverflow):
+        s.times_e(1)
+    one = SchurPoly.one(RING_Q, 2)
+    assert apply_M(1, 0, one.times_unit(EXP_MAX - 1)) == one.times_unit(EXP_MAX - 1)
+    with pytest.raises(ExponentOverflow):
+        apply_M(1, 2, SchurPoly.basis((1, 1), 2).times_unit(EXP_MAX))
+    with pytest.raises(ExponentOverflow):
+        one.times_unit(EXP_MAX).times_unit(1)
+
+
+def test_torus_edge_round_trips_and_one_past_raises():
+    x = NcLaurent.monomial(1, (EXP_MAX,), (EXP_MIN,), wexp=5)
+    assert dict(x.terms()) == {((EXP_MAX,), (EXP_MIN,)): {5: 1}}
+    with pytest.raises(ExponentOverflow):
+        NcLaurent.monomial(1, (EXP_MAX + 1,), (0,))
+    with pytest.raises(ExponentOverflow):
+        x * NcLaurent.generator(1, 1, 0)
+    with pytest.raises(ExponentOverflow):
+        x * NcLaurent.monomial(1, (0,), (-1,))
+    back = x * NcLaurent.monomial(1, (-1,), (1,))
+    assert dict(back.terms()) == {((EXP_MAX - 1,), (EXP_MIN + 1,)): {5 + 2 * EXP_MIN: 1}}

@@ -141,8 +141,8 @@ def _block_schur(vec, first, nvars):
     off = vec[-1]
     core = schur(tuple(x - off for x in vec if x - off), len(vec)).times_z((off,) * len(vec))
     pad = (0,) * (nvars - first - len(vec))
-    return LaurentPoly(
-        RING_Q, nvars, {k[:1] + (0,) * first + k[1:] + pad: c for k, c in core.coeffs.items()}
+    return LaurentPoly.from_terms(
+        RING_Q, nvars, {k[:1] + (0,) * first + k[1:] + pad: c for k, c in core.terms()}
     )
 
 
