@@ -302,6 +302,6 @@ def difference_equation_holds(n: NVector, form: str = "chi", dual: bool = False)
         if coeff:
             value = _equation_value(m, form)
             for e, c in coeff.data.items():
-                lhs = lhs + value.times_unit(e).times_scalar_raw(c)
+                lhs = lhs + value.times_unit(e) * c
     rhs = _equation_value(n, form).times_e(n.rank if dual else 1).constrained()
     return lhs == rhs

@@ -1,25 +1,25 @@
 """Sparse multivariate Laurent polynomials with exact coefficients.
 
 A polynomial in ``z_1 .. z_N`` is a finite map from exponent vectors to
-nonzero coefficients.  For the integer rings (``RING_W``, ``RING_Q``) the
-scalar exponent comes first, so the term ``c * u**j * z1**e1 * ... * zN**eN``
-has the exponent vector ``(j, e1, .., eN)`` and a Python integer ``c``.  For
-``RING_QT`` the vector is just ``(e1, .., eN)`` and the coefficient a sympy
-fraction-field element.
+nonzero Python integers.  The exponents of the ring variables come first:
+for ``RING_W`` and ``RING_Q`` the term ``c * u**j * z1**e1 * ... * zN**eN``
+has the exponent vector ``(j, e1, .., eN)``, and for ``RING_QT`` the term
+``c * q**i * t**j * z**e`` has ``(i, j, e1, .., eN)``: one unit slot, or
+two (``zoff``).
 
 Packed keys.  The map is a dict keyed by one Python int per term (Monagan &
 Pearce, CASC 2007): entry i of the exponent vector, plus the bias 2**25,
-fills bits [27 i, 27 i + 27) of the key, so the unit slot is lowest, then
-z_1 .. z_N.  Packing is additive, ``pack(a) + offset(b) == pack(a + b)``, so
-multiplying two monomials is one integer addition.  Exponents must lie in
-[EXP_MIN, EXP_MAX] = [-2**25, 2**25 - 1]: products, shifts and constructors
-prove from the exponent bounds of their operands that the result fits, and
-raise ``ExponentOverflow`` otherwise instead of carrying into a neighbouring
-slot.  A valid key never sets the top bit of a slot, which exact division
+fills bits [27 i, 27 i + 27) of the key, so the unit slots are lowest,
+then z_1 .. z_N.  Packing is additive, ``pack(a) + offset(b) ==
+pack(a + b)``, so multiplying two monomials is one integer addition.
+Exponents must lie in [EXP_MIN, EXP_MAX] = [-2**25, 2**25 - 1]: products,
+shifts and constructors prove from the exponent bounds of their operands
+that the result fits, and raise ``ExponentOverflow`` otherwise instead of
+carrying into a neighbouring slot.  A valid key never sets the top bit of a slot, which exact division
 uses to see a negative quotient exponent in one mask test.  Only this module
 and ``qtorus`` read keys; everything else goes through ``terms()``,
-``from_terms()`` and the codec: ``pack``, ``unpack``, ``split_unit`` and
-``UNIT``.
+``from_terms()`` and the codec: ``pack``, ``unpack``, ``split_unit``,
+``UNIT`` and the unit offsets of ``signed_buckets``.
 
 Everything here is exact; division raises ``NotDivisible`` rather than
 truncating.  Values are immutable by convention: no method mutates ``self``.
@@ -33,7 +33,6 @@ from functools import lru_cache
 from operator import add, sub
 
 from .rings import (
-    QT_FIELD,
     RING_Q,
     RING_QT,
     RING_W,
@@ -42,7 +41,6 @@ from .rings import (
     NotDivisible,
     NotSymmetric,
     Scalar,
-    qt_int,
 )
 
 # -- the key codec -------------------------------------------------------------
@@ -178,6 +176,12 @@ def perms_with_sign(n):
     return out
 
 
+def unit_slots(ring) -> int:
+    """How many ring-variable exponents precede the z-exponents: 2 (q, t)
+    for ``RING_QT``, 1 for the W and Q rings."""
+    return 2 if ring == RING_QT else 1
+
+
 def _accumulate(out, key, c):
     nv = out.get(key, 0) + c
     if nv:
@@ -203,7 +207,7 @@ class LaurentPoly:
     @property
     def zoff(self) -> int:
         """Index of the first z-entry in exponent vectors."""
-        return 0 if self.ring == RING_QT else 1
+        return unit_slots(self.ring)
 
     @property
     def width(self) -> int:
@@ -220,8 +224,7 @@ class LaurentPoly:
     def from_int(cls, ring, nvars, n: int):
         if not n:
             return cls.zero(ring, nvars)
-        width = nvars + (ring != RING_QT)
-        return cls(ring, nvars, {zero_key(width): qt_int(n) if ring == RING_QT else n})
+        return cls(ring, nvars, {zero_key(nvars + unit_slots(ring)): n})
 
     @classmethod
     def one(cls, ring, nvars):
@@ -231,14 +234,12 @@ class LaurentPoly:
     def from_terms(cls, ring, nvars, terms):
         """The polynomial with the given ``(exponent vector, coefficient)``
         pairs (a mapping or an iterable); repeated vectors add up, zero
-        coefficients drop out, integers become field elements over QT."""
-        width = nvars + (ring != RING_QT)
+        coefficients drop out."""
+        width = nvars + unit_slots(ring)
         out = {}
         for exps, c in terms.items() if hasattr(terms, "items") else terms:
             if len(exps) != width:
                 raise ValueError("exponent vector has wrong length")
-            if ring == RING_QT and isinstance(c, int):
-                c = qt_int(c)
             key = pack(exps)
             cur = out.get(key)
             nv = c if cur is None else cur + c
@@ -250,13 +251,12 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, ring, nvars, zexps, coeff=1, unit=0):
-        """coeff * u**unit * z**zexps  (``unit`` ignored for the QT ring)."""
+        """coeff * u**unit * z**zexps, u = q over the QT ring."""
         zexps = tuple(zexps)
         if len(zexps) != nvars:
             raise ValueError("exponent vector has wrong length")
-        if ring == RING_QT:
-            return cls.from_terms(ring, nvars, [(zexps, coeff)])
-        return cls.from_terms(ring, nvars, [((unit,) + zexps, coeff)])
+        lead = (unit,) + (0,) * (unit_slots(ring) - 1)
+        return cls.from_terms(ring, nvars, [(lead + zexps, coeff)])
 
     @classmethod
     def variable(cls, ring, nvars, i):
@@ -267,9 +267,7 @@ class LaurentPoly:
 
     @classmethod
     def unit_power(cls, ring, nvars, k, coeff=1):
-        """coeff * u**k as a constant polynomial (integer rings only)."""
-        if ring == RING_QT:
-            raise ValueError("QT ring has no distinguished unit variable")
+        """coeff * u**k as a constant polynomial (u = q over QT)."""
         return cls.monomial(ring, nvars, (0,) * nvars, coeff, unit=k)
 
     @classmethod
@@ -323,11 +321,17 @@ class LaurentPoly:
         return type(self)(self.ring, self.nvars, coeffs, box)
 
     def with_ring(self, ring):
-        """The same terms over the other integer ring (W <-> Q, unit
-        exponents kept as they are)."""
-        if RING_QT in (ring, self.ring):
-            raise ValueError("with_ring relabels the W and Q rings only")
-        return type(self)(ring, self.nvars, self.coeffs, self._box)
+        """The same terms over another ring: W <-> Q keeps every unit
+        exponent as it is, and Q -> QT embeds each q-polynomial coefficient
+        with t-exponent 0."""
+        if RING_QT not in (ring, self.ring):
+            return type(self)(ring, self.nvars, self.coeffs, self._box)
+        if (self.ring, ring) != (RING_Q, RING_QT):
+            raise ValueError("with_ring cannot map the %s ring to %s" % (self.ring, ring))
+        # the q slot stays lowest; the z slots move up past a zero t slot
+        t0 = _BIAS << SLOT_BITS
+        coeffs = {(k & _MASK) + t0 + (k >> SLOT_BITS << 2 * SLOT_BITS): c for k, c in self.coeffs.items()}
+        return type(self)(ring, self.nvars, coeffs)
 
     def _check_basis(self, other):
         """Subclasses key their terms by other bases (``symfun.SchurPoly``);
@@ -390,11 +394,10 @@ class LaurentPoly:
         inner = [(k - zero, c) for k, c in b.items()]
         out = {}
         get = out.get
-        nil = QT_FIELD.zero if self.ring == RING_QT else 0
         for k1, c1 in a.items():
             for k2, c2 in inner:
                 k = k1 + k2
-                out[k] = get(k, nil) + c1 * c2
+                out[k] = get(k, 0) + c1 * c2
         return self._like({k: c for k, c in out.items() if c}, box)
 
     __rmul__ = __mul__
@@ -431,10 +434,8 @@ class LaurentPoly:
         return self._like({k + d: c for k, c in self.coeffs.items()}, box)
 
     def times_unit(self, k: int):
-        """Multiply by u**k (shift the scalar exponent)."""
-        if self.ring == RING_QT:
-            raise ValueError("QT ring has no distinguished unit variable")
-        return self._shifted((k,) + (0,) * self.nvars)
+        """Multiply by u**k (shift the first unit exponent; u = q over QT)."""
+        return self._shifted((k,) + (0,) * (self.width - 1))
 
     def times_z(self, zshift):
         """Multiply by the monomial z**zshift."""
@@ -443,17 +444,9 @@ class LaurentPoly:
             raise ValueError("exponent vector has wrong length")
         return self._shifted((0,) * self.zoff + zshift)
 
-    def times_scalar_raw(self, c):
-        """Multiply by a raw coefficient (field element for QT, int otherwise)."""
-        if not c:
-            return self.zero(self.ring, self.nvars)
-        return self._like({k: v * c for k, v in self.coeffs.items()}, self._box)
-
     def times_scalar(self, s: Scalar):
         if s.ring != self.ring:
             raise TypeError("scalar ring mismatch")
-        if self.ring == RING_QT:
-            return self.times_scalar_raw(s.data)
         if not s.data or not self.coeffs:
             return self.zero(self.ring, self.nvars)
         rest = (0,) * self.nvars
@@ -467,22 +460,15 @@ class LaurentPoly:
     # -- views -------------------------------------------------------------
 
     def z_terms(self):
-        """Group terms by z-exponent: a dict {z-tuple: Scalar}."""
+        """Group terms by z-exponent: a dict {z-tuple: Scalar} (W and Q
+        rings)."""
         n = self.nvars
         if self.ring == RING_QT:
-            return {unpack(k, n): Scalar(RING_QT, c) for k, c in self.coeffs.items()}
+            raise ValueError("QT coefficients have no Scalar view; use terms()")
         out = {}
         for k, c in self.coeffs.items():
             out.setdefault(k >> SLOT_BITS, {})[(k & _MASK) - _BIAS] = c
         return {unpack(z, n): Scalar(self.ring, d) for z, d in out.items()}
-
-    def scalar_coeff(self, zexps) -> Scalar:
-        zkey = pack(tuple(zexps))
-        if self.ring == RING_QT:
-            c = self.coeffs.get(zkey)
-            return Scalar(RING_QT, c if c is not None else qt_int(0))
-        d = {(k & _MASK) - _BIAS: c for k, c in self.coeffs.items() if k >> SLOT_BITS == zkey}
-        return Scalar(self.ring, d)
 
     def unit_exponents(self):
         if self.ring == RING_QT:
@@ -528,9 +514,17 @@ class LaurentPoly:
     def to_text(self) -> str:
         """Canonical text form: terms sorted lexicographically by z-exponent
         vector (descending), coefficients printed as integer polynomials in
-        the ring variable."""
+        the ring variable; over QT, the terms ``c*q^i*t^j*z1^e1...`` in
+        descending order of their exponent vectors."""
         if not self.coeffs:
             return "0"
+        if self.ring == RING_QT:
+            names = ("q", "t") + tuple("z%d" % (i + 1) for i in range(self.nvars))
+            bits = []
+            for exps, c in sorted(self.terms(), reverse=True):
+                mono = "*".join("%s^%d" % (x, e) for x, e in zip(names, exps) if e)
+                bits.append(str(c) if not mono else mono if c == 1 else "%d*%s" % (c, mono))
+            return " + ".join(bits).replace("+ -", "- ")
         groups = self.z_terms()
         bits = []
         for zex in sorted(groups, reverse=True):
@@ -582,7 +576,7 @@ def alternant(ring, nvars, exps):
     exps = tuple(exps)
     if len(set(exps)) != len(exps):
         raise ValueError("alternant exponents must be distinct")
-    unit = () if ring == RING_QT else (0,)
+    unit = (0,) * unit_slots(ring)
     terms = []
     for perm, sign in perms_with_sign(nvars):
         new = [0] * nvars
@@ -600,34 +594,26 @@ def signed_buckets(f: LaurentPoly):
 
     Returns ``{strictly-decreasing z-tuple: payload}`` such that
     ``sum_sigma sgn(sigma) sigma(f) = sum_key payload * alternant(key)``.
-    Payloads are ``{unit-exponent: int}`` dicts for the integer rings and
-    field elements for the QT ring.  Monomials with a repeated z-exponent
-    cancel and are dropped.  Each distinct z-part is sorted once.
+    Payloads are ``{unit offset: int}`` dicts, the unit offset being
+    ``offset`` of the ring-variable exponents: the unit exponent itself over
+    W and Q, ``offset((i, j))`` for q**i t**j over QT.  Monomials with a
+    repeated z-exponent cancel and are dropped.  Each distinct z-part is
+    sorted once.
     """
     n = f.nvars
+    shift = SLOT_BITS * f.zoff
+    low, base = (1 << shift) - 1, zero_key(f.zoff)
     buckets: dict = {}
-    if f.ring == RING_QT:
-        for k, c in f.coeffs.items():
-            skey, sign = _sorted_sign(unpack(k, n))
-            if not sign:
-                continue
-            cur = buckets.get(skey)
-            nv = sign * c if cur is None else cur + sign * c
-            if nv:
-                buckets[skey] = nv
-            else:
-                del buckets[skey]
-        return buckets
     seen: dict = {}
     for k, c in f.coeffs.items():
-        z = k >> SLOT_BITS
+        z = k >> shift
         hit = seen.get(z)
         if hit is None:
             skey, sign = _sorted_sign(unpack(z, n))
             hit = seen[z] = (buckets.setdefault(skey, {}) if sign else None, sign)
         d, sign = hit
         if sign:
-            j = (k & _MASK) - _BIAS
+            j = (k & low) - base
             d[j] = d.get(j, 0) + sign * c
     out = {}
     for skey, d in buckets.items():
@@ -668,7 +654,6 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     glc = gs.pop(glead)
     gtail = list(gs.items())
 
-    is_qt = f.ring == RING_QT
     heap = [-k for k in work]
     heapq.heapify(heap)
     quot = {}
@@ -680,12 +665,9 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         qk = k - glead
         if outside_box(qk, top, width):
             raise NotDivisible("no exact quotient")
-        if is_qt:
-            qc = c / glc
-        else:
-            qc, rem = divmod(c, glc)
-            if rem:
-                raise NotDivisible("leading coefficient %r not divisible by %r" % (c, glc))
+        qc, rem = divmod(c, glc)
+        if rem:
+            raise NotDivisible("leading coefficient %r not divisible by %r" % (c, glc))
         quot[qk] = qc
         for gk, gc in gtail:
             kk = qk + gk

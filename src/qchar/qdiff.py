@@ -9,7 +9,8 @@ Three families act in r+1 variables:
   variable scaled by v, subset variables by q besides) and the prefactor
   ``v**(-lam(a,a)*n/2 - sum_b lam(a,b))``, acting on W-ring coefficients;
 * ``apply_macdonald_qt(alpha, f)`` -- the classical Macdonald operator with
-  coefficients prod (t z_i - z_j)/(z_i - z_j), over QQ(q, t).
+  coefficients prod (t z_i - z_j)/(z_i - z_j), on integer polynomials in
+  q, t and the z's.
 
 ``apply_M`` and ``apply_D`` act on Schur forms (``symfun.SchurPoly``) in
 closed form.  With x the first alpha variables and y the rest, restrict s_lam
@@ -21,7 +22,8 @@ bialternant, and the subset sum antisymmetrizes it, so
 
 each s_{(mu + n, nu)} straightened to +-s_kappa or 0 (``symfun.straighten``).
 The Macdonald operator has no such form; its Vandermonde-cleared subset sum
-is one signed permutation orbit, read off Schur function by Schur function.
+is one signed permutation orbit, read off Schur function by Schur function
+and divided by alpha! (N - alpha)! exactly.
 """
 
 from __future__ import annotations
@@ -37,13 +39,14 @@ from .laurent import (
     LaurentPoly,
     delta_on,
     pack,
+    require_fit,
     require_symmetric,
     signed_buckets,
     split_unit,
     unpack,
 )
-from .rings import QT_FIELD, RING_Q, RING_QT, RING_W, ExponentOverflow, qt_int, qt_q, qt_t
-from .symfun import SchurPoly, _schur_zcoeffs, branch, normalize_partition, straighten
+from .rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
+from .symfun import SchurPoly, branch, schur, straighten
 
 
 @lru_cache(maxsize=None)
@@ -51,25 +54,39 @@ def _pair_delta_qt(nvars, alpha):
     """delta_{I0} * delta_{J0} * prod_{i in I0, j in J0} (t z_i - z_j) for
     I0 = the first alpha variables, J0 the rest."""
     out = delta_on(RING_QT, nvars, range(alpha)) * delta_on(RING_QT, nvars, range(alpha, nvars))
+    z = [LaurentPoly.variable(RING_QT, nvars, i) for i in range(nvars)]
+    t = LaurentPoly.from_terms(RING_QT, nvars, [((0, 1) + (0,) * nvars, 1)])
     for i in range(alpha):
         for j in range(alpha, nvars):
-            zi = LaurentPoly.variable(RING_QT, nvars, i)
-            zj = LaurentPoly.variable(RING_QT, nvars, j)
-            out = out * (zi.times_scalar_raw(qt_t) - zj)
+            out = out * (t * z[i] - z[j])
     return out
 
 
+@lru_cache(maxsize=None)
+def _schur_qt(zkey, nvars):
+    """s_lam over the QT ring, zkey the strictly decreasing lam + delta."""
+    lam = tuple(zkey[i] - (nvars - 1 - i) for i in range(nvars))
+    off = lam[-1]
+    return schur(tuple(x - off for x in lam), nvars, RING_QT).times_z((off,) * nvars)
+
+
 def _schur_reconstruct_qt(buckets, nvars, den):
-    inv = QT_FIELD.one / qt_int(den)
+    """The sum over buckets of payload * s_lam, lam + delta the bucket's
+    z-tuple, divided by ``den`` exactly."""
     out = {}
+    get = out.get
     for zkey, payload in buckets.items():
-        lam = tuple(zkey[i] - (nvars - 1 - i) for i in range(nvars))
-        off = lam[-1]
-        c0 = payload * inv
-        for e, cs in _schur_zcoeffs(normalize_partition(tuple(x - off for x in lam)), nvars).terms():
-            z = tuple(x + off for x in e[1:])
-            out[z] = out[z] + c0 * cs if z in out else c0 * cs
-    return LaurentPoly.from_terms(RING_QT, nvars, out)
+        for k, b in _schur_qt(zkey, nvars).coeffs.items():
+            for u, c in payload.items():
+                out[k + u] = get(k + u, 0) + c * b
+    quot = {}
+    for k, c in out.items():
+        q, rem = divmod(c, den)
+        if rem:
+            raise NotDivisible("orbit sum not divisible by %d" % den)
+        if q:
+            quot[k] = q
+    return LaurentPoly(RING_QT, nvars, quot)
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +168,7 @@ def apply_D(alpha, n, f, *, rank=None):
 
 def apply_macdonald_qt(alpha, f, *, checked=False):
     """Act with the classical Macdonald operator of index ``alpha`` on a
-    symmetric polynomial with QQ(q, t) coefficients."""
+    symmetric polynomial over the QT ring."""
     if f.ring != RING_QT:
         raise ValueError("Macdonald operator needs QT coefficients")
     nvars = f.nvars
@@ -161,10 +178,10 @@ def apply_macdonald_qt(alpha, f, *, checked=False):
         require_symmetric(f)
     if alpha == 0 or f.is_zero():
         return f
-    shifted = []
-    for e, c in f.terms():
-        s = sum(e[:alpha])
-        shifted.append((e, c * qt_q**s if s else c))
-    t0 = _pair_delta_qt(nvars, alpha) * LaurentPoly.from_terms(RING_QT, nvars, shifted)
+    # q**(z_1 + .. + z_alpha) on each term: a key addition
+    lo, hi = f.bounds()
+    require_fit((lo[0] + sum(lo[2 : 2 + alpha]),), (hi[0] + sum(hi[2 : 2 + alpha]),))
+    shifted = {k + sum(unpack(k, nvars + 2)[2 : 2 + alpha]) * UNIT: c for k, c in f.coeffs.items()}
+    t0 = _pair_delta_qt(nvars, alpha) * LaurentPoly(RING_QT, nvars, shifted)
     den = factorial(alpha) * factorial(nvars - alpha)
     return _schur_reconstruct_qt(signed_buckets(t0), nvars, den)

@@ -7,24 +7,22 @@ Three rings appear throughout the package:
   of ``v`` at an integer exponent.
 * ``RING_Q``  -- integer Laurent polynomials in ``q``.  The two variables are
   tied by ``q = v**-(r+1)``, i.e. ``q = w**(-2*(r+1))`` at rank ``r``.
-* ``RING_QT`` -- the exact rational function field QQ(q, t), realised with
-  sympy's sparse fraction field (gcd-reduced, canonical sign).
+* ``RING_QT`` -- integer Laurent polynomials in two variables ``q`` and
+  ``t``, the ring of the Macdonald operators once their denominators are
+  cleared (Macdonald, *Symmetric Functions and Hall Polynomials*, VI.8).
 
-``RING_W``/``RING_Q`` scalars are stored as plain ``{exponent: int}`` dicts.
-``QT_FIELD`` is the only sympy field in the package; the rank-one Whittaker
-series use the same integer trick as ``RING_W``, with s = p**(1/2).
+``RING_W``/``RING_Q`` scalars are stored as plain ``{exponent: int}`` dicts;
+a ``RING_QT`` coefficient lives in the two unit slots of a polynomial's
+exponent vectors and has no ``Scalar`` view.  Every coefficient is an
+integer: the package uses no fraction field.  The rank-one Whittaker series
+use the same integer trick as ``RING_W``, with s = p**(1/2).
 """
 
 from __future__ import annotations
 
-from sympy.polys.domains import QQ
-from sympy.polys.fields import field
-
 RING_W = "w"
 RING_Q = "q"
 RING_QT = "qt"
-
-QT_FIELD, qt_q, qt_t = field("q,t", QQ)
 
 
 class NotDivisible(ArithmeticError):
@@ -62,17 +60,9 @@ class PoleAtZero(ArithmeticError):
     """A coefficient has a pole at t = 0."""
 
 
-def qt_int(n: int):
-    """Embed an integer into QQ(q, t)."""
-    return QT_FIELD.one * n
-
-
 class Scalar:
     """A coefficient viewed on its own: a w- or q-Laurent polynomial over the
-    integers, or a reduced rational function of (q, t).
-
-    Values are canonical: integer variants never store zero coefficients, and
-    the QT variant inherits gcd-reduction from the field.
+    integers.  Values are canonical: zero coefficients are never stored.
     """
 
     __slots__ = ("ring", "data")
@@ -85,8 +75,6 @@ class Scalar:
 
     @classmethod
     def from_int(cls, ring, n: int) -> "Scalar":
-        if ring == RING_QT:
-            return cls(ring, qt_int(n))
         return cls(ring, {0: n} if n else {})
 
     # -- arithmetic --------------------------------------------------------
@@ -97,8 +85,6 @@ class Scalar:
 
     def __add__(self, other):
         self._require_same(other)
-        if self.ring == RING_QT:
-            return Scalar(self.ring, self.data + other.data)
         out = dict(self.data)
         for k, c in other.data.items():
             nv = out.get(k, 0) + c
@@ -109,8 +95,6 @@ class Scalar:
         return Scalar(self.ring, out)
 
     def __neg__(self):
-        if self.ring == RING_QT:
-            return Scalar(self.ring, -self.data)
         return Scalar(self.ring, {k: -c for k, c in self.data.items()})
 
     def __sub__(self, other):
@@ -120,8 +104,6 @@ class Scalar:
         if isinstance(other, int):
             other = Scalar.from_int(self.ring, other)
         self._require_same(other)
-        if self.ring == RING_QT:
-            return Scalar(self.ring, self.data * other.data)
         out = {}
         for k1, c1 in self.data.items():
             for k2, c2 in other.data.items():
@@ -143,8 +125,6 @@ class Scalar:
         )
 
     def __hash__(self):
-        if self.ring == RING_QT:
-            return hash((self.ring, self.data))
         return hash((self.ring, frozenset(self.data.items())))
 
     def is_zero(self) -> bool:
@@ -175,16 +155,12 @@ class Scalar:
         return Scalar(RING_Q, out)
 
     def at_unit_one(self) -> int:
-        """Evaluate the ring variable at 1 (integer rings only)."""
-        if self.ring == RING_QT:
-            raise ValueError("at_unit_one is only defined for the integer rings")
+        """Evaluate the ring variable at 1."""
         return sum(self.data.values())
 
     # -- presentation ------------------------------------------------------
 
     def to_text(self) -> str:
-        if self.ring == RING_QT:
-            return "(%s)" % self.data
         if not self.data:
             return "0"
         bits = []

@@ -24,7 +24,7 @@ from .laurent import (
     unpack,
     vandermonde,
 )
-from .rings import RING_Q, RING_QT, NonzeroRemainder, NotSymmetric, qt_int
+from .rings import RING_Q, NonzeroRemainder, NotSymmetric
 
 
 Partition = tuple
@@ -92,10 +92,7 @@ def _schur_zcoeffs(lam: Partition, nvars: int) -> LaurentPoly:
 
 def schur(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
     """The Schur polynomial s_lam(z_1..z_N) over the requested ring."""
-    s = _schur_zcoeffs(normalize_partition(lam), nvars)
-    if ring == RING_QT:
-        return LaurentPoly.from_terms(ring, nvars, ((e[1:], c) for e, c in s.terms()))
-    return s.with_ring(ring)
+    return _schur_zcoeffs(normalize_partition(lam), nvars).with_ring(ring)
 
 
 def elementary(m: int, nvars: int, ring=RING_Q) -> LaurentPoly:
@@ -111,9 +108,8 @@ def monomial_sym(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
     if len(lam) > nvars:
         return LaurentPoly.zero(ring, nvars)
     full = tuple(lam) + (0,) * (nvars - len(lam))
-    unit, one = ((), qt_int(1)) if ring == RING_QT else ((0,), 1)
     orbit = set(itertools.permutations(full))
-    return LaurentPoly.from_terms(ring, nvars, [(unit + e, one) for e in orbit])
+    return LaurentPoly.sum(ring, nvars, (LaurentPoly.monomial(ring, nvars, e) for e in orbit))
 
 
 def schur_expand(f: LaurentPoly) -> dict:

@@ -69,12 +69,12 @@ class CheckReport:
         return self.failures[0] if self.failures else None
 
     def to_json(self):
-        out = {
-            "name": self.name,
-            "points": self.total,
-            "passed": self.passed,
-            "failures": self.failures,
-        }
+        """The report as a JSON object; one that checked no point is marked
+        ``"vacuous": true``, so it never reads as a plain pass."""
+        out = {"name": self.name, "points": self.total, "passed": self.passed}
+        if not self.total:
+            out["vacuous"] = True
+        out["failures"] = self.failures
         if self.notes:
             out["notes"] = {k: self.notes[k] for k in sorted(self.notes)}
         return out
@@ -532,17 +532,8 @@ def check_macdonald(nvars_max: int = 3, weight_max: int = 4) -> CheckReport:
             lifted = lift_q_to_qt(chi)
             for alpha in range(1, r + 1):
                 g = apply_macdonald_qt(alpha, lifted, checked=True)
-                shift = alpha * (nvars - alpha)
                 try:
-                    lim = LaurentPoly.from_terms(
-                        RING_Q,
-                        nvars,
-                        [
-                            ((qe,) + exps, iv)
-                            for exps, c in g.terms()
-                            for qe, iv in qt_t_infinity_limit(c, shift).items()
-                        ],
-                    )
+                    lim = qt_t_infinity_limit(g, alpha * (nvars - alpha))
                 except ArithmeticError as exc:
                     rep.record(("degenerate-limit", r, n, alpha), False, exc)
                     continue

@@ -18,6 +18,12 @@
 * ``schur_form`` turns a symmetric Laurent polynomial into a Schur form at
   the boundary of the tests; ``dominates`` and ``project_qt_to_q`` are the
   dominance order and the inverse of ``macdonald.lift_q_to_qt``.
+* ``ref_apply_macdonald_qt``, ``ref_macdonald_poly`` and
+  ``ref_specialize_t0_qinv`` are the Macdonald path over the fraction field
+  ``QT_REF`` = Q(q, t) of sympy, as it ran before the package cleared its
+  denominators: the operator as one signed orbit on tuple-keyed dicts, the
+  triangular solve dividing by each eigenvalue gap, and the t = 0 limit of
+  a reduced fraction.
 * ``whittaker_series_sympy`` expands the rank-one Whittaker series with
   sympy ``series`` in u.
 * ``ref_mul``, ``ref_times_z``, ``ref_signed_buckets``, ``ref_exact_div`` and
@@ -31,6 +37,8 @@ from functools import lru_cache
 from math import factorial
 
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.fields import field
 
 from qchar.cartan import CartanData
 from qchar.laurent import (
@@ -43,9 +51,8 @@ from qchar.laurent import (
     signed_buckets,
     vandermonde,
 )
-from qchar.macdonald import _as_int_dict, _poly_terms
-from qchar.rings import QT_FIELD, RING_Q, RING_QT, RING_W, NotDivisible, Scalar, qt_int, qt_q, qt_t
-from qchar.symfun import SchurPoly, _schur_zcoeffs, normalize_partition, schur_expand
+from qchar.rings import RING_Q, RING_QT, RING_W, NotDivisible, PoleAtZero, Scalar
+from qchar.symfun import SchurPoly, _schur_zcoeffs, normalize_partition, partitions, schur_expand
 
 Q = sympy.Symbol("q")
 T = sympy.Symbol("t")
@@ -58,35 +65,14 @@ def zsyms(nvars):
     return sympy.symbols("z1:%d" % (nvars + 1))
 
 
-def _qq_rational(c):
-    from sympy.polys.domains import QQ
-
-    return sympy.Rational(int(QQ.numer(c)), int(QQ.denom(c)))
-
-
-def _pe_to_sympy(pe):
-    out = sympy.Integer(0)
-    for m, c in pe.terms():
-        out += _qq_rational(c) * Q ** m[0] * T ** m[1]
-    return out
-
-
 def poly_to_sympy(f: LaurentPoly):
-    z = zsyms(f.nvars)
+    symbols = {RING_W: (W,), RING_Q: (Q,), RING_QT: (Q, T)}[f.ring] + zsyms(f.nvars)
     total = sympy.Integer(0)
-    if f.ring == RING_QT:
-        for key, c in f.terms():
-            term = _pe_to_sympy(c.numer) / _pe_to_sympy(c.denom)
-            for i, e in enumerate(key):
-                term *= z[i] ** e
-            total += term
-    else:
-        unit = W if f.ring == RING_W else Q
-        for key, c in f.terms():
-            term = sympy.Integer(c) * unit ** key[0]
-            for i, e in enumerate(key[1:]):
-                term *= z[i] ** e
-            total += term
+    for key, c in f.terms():
+        term = sympy.Integer(c)
+        for x, e in zip(symbols, key):
+            term *= x**e
+        total += term
     return sympy.together(total)
 
 
@@ -182,17 +168,18 @@ def subset_apply_macdonald_qt(alpha, f):
     """``qdiff.apply_macdonald_qt`` by the literal subset sum."""
     nvars = f.nvars
     num = LaurentPoly.zero(RING_QT, nvars)
+    t = LaurentPoly.from_terms(RING_QT, nvars, {(0, 1) + (0,) * nvars: 1})
     for subset, comp, sign in _subset_data(nvars, alpha):
         shifted = {}
         for k, c in f.terms():
-            s = sum(k[i] for i in subset)
-            shifted[k] = sign * (c * qt_q**s if s else c)
+            s = sum(k[2 + i] for i in subset)
+            shifted[(k[0] + s,) + k[1:]] = sign * c
         part = delta_on(RING_QT, nvars, subset) * delta_on(RING_QT, nvars, comp)
         for i in subset:
             for j in comp:
                 zi = LaurentPoly.variable(RING_QT, nvars, i)
                 zj = LaurentPoly.variable(RING_QT, nvars, j)
-                part = part * (zi.times_scalar_raw(qt_t) - zj)
+                part = part * (t * zi - zj)
         num = num + part * LaurentPoly.from_terms(RING_QT, nvars, shifted)
     return exact_div(num, vandermonde(RING_QT, nvars))
 
@@ -319,23 +306,11 @@ def dominates(lam, mu) -> bool:
 
 
 def project_qt_to_q(f: LaurentPoly) -> LaurentPoly:
-    """Inverse of ``lift_q_to_qt``: coefficients must be integer Laurent
-    polynomials in q alone (monomial denominators in q are allowed)."""
-    out = {}
-    for key, c in f.terms():
-        dterms = _poly_terms(c.denom)
-        if len(dterms) != 1:
-            raise NotDivisible("coefficient %s is not Laurent in q" % (c,))
-        (dm, dv), = dterms.items()
-        if dm[1] != 0:
-            raise NotDivisible("coefficient %s involves t" % (c,))
-        num = {m: v for m, v in _poly_terms(c.numer).items()}
-        if any(m[1] != 0 for m in num):
-            raise NotDivisible("coefficient %s involves t" % (c,))
-        for m, v in num.items():
-            for qe, ival in _as_int_dict({m[0] - dm[0]: v / dv}).items():
-                out[(qe,) + key] = ival
-    return LaurentPoly.from_terms(RING_Q, f.nvars, out)
+    """Inverse of ``lift_q_to_qt``: no term may involve t."""
+    terms = list(f.terms())
+    if any(key[1] for key, _ in terms):
+        raise NotDivisible("polynomial involves t")
+    return LaurentPoly.from_terms(RING_Q, f.nvars, ((key[:1] + key[2:], c) for key, c in terms))
 
 
 # -- (signed) permutation orbits, term by term ----------------------------------------
@@ -345,9 +320,6 @@ def divide_int(f: LaurentPoly, m: int) -> LaurentPoly:
     """Divide every coefficient by the integer ``m`` exactly."""
     if m == 0:
         raise ZeroDivisionError("division by zero")
-    if f.ring == RING_QT:
-        inv = QT_FIELD.one / qt_int(m)
-        return f._like({k: c * inv for k, c in f.coeffs.items()})
     out = {}
     for k, c in f.coeffs.items():
         q, r = divmod(c, m)
@@ -378,14 +350,11 @@ def antisymmetrize(f: LaurentPoly) -> LaurentPoly:
 
 
 def signed_orbit_sum(f: LaurentPoly) -> LaurentPoly:
-    """N! times the antisymmetrization, expanded as a polynomial."""
+    """N! times the antisymmetrization, expanded as a polynomial (W and Q
+    rings)."""
     out = LaurentPoly.zero(f.ring, f.nvars)
     for zkey, payload in signed_buckets(f).items():
-        alt = alternant(f.ring, f.nvars, zkey)
-        if f.ring == RING_QT:
-            out = out + alt.times_scalar_raw(payload)
-        else:
-            out = out + alt.times_scalar(Scalar(f.ring, payload))
+        out = out + alternant(f.ring, f.nvars, zkey).times_scalar(Scalar(f.ring, payload))
     return out
 
 
@@ -413,7 +382,8 @@ def ref_times_z(a: dict, zshift, zoff: int) -> dict:
 
 def ref_signed_buckets(a: dict, zoff: int) -> dict:
     """``laurent.signed_buckets`` by sorting every term and counting
-    inversions for its sign."""
+    inversions for its sign; payloads are keyed by the tuple of the first
+    ``zoff`` exponents, or are single field elements when ``zoff`` is 0."""
     out = {}
     for k, c in a.items():
         z = k[zoff:]
@@ -424,7 +394,7 @@ def ref_signed_buckets(a: dict, zoff: int) -> dict:
         c = -c if inversions % 2 else c
         if zoff:
             d = out.setdefault(skey, {})
-            d[k[0]] = d.get(k[0], 0) + c
+            d[k[:zoff]] = d.get(k[:zoff], 0) + c
         else:
             out[skey] = out[skey] + c if skey in out else c
     if zoff:
@@ -432,7 +402,7 @@ def ref_signed_buckets(a: dict, zoff: int) -> dict:
     return {k: d for k, d in out.items() if d}
 
 
-def ref_exact_div(f: dict, g: dict, field: bool) -> dict:
+def ref_exact_div(f: dict, g: dict) -> dict:
     """f / g by leading-term division, leading terms the greatest tuples.
     Quotient exponents are confined to min f - min g .. max f - max g, per
     entry, so an inexact division raises ``NotDivisible`` after finitely many
@@ -449,12 +419,9 @@ def ref_exact_div(f: dict, g: dict, field: bool) -> dict:
         qk = tuple(x - y for x, y in zip(lead, glead))
         if any(not lo[i] <= qk[i] <= hi[i] for i in range(width)):
             raise NotDivisible("no exact quotient")
-        if field:
-            qc = rem[lead] / g[glead]
-        else:
-            qc, r = divmod(rem[lead], g[glead])
-            if r:
-                raise NotDivisible("coefficient not divisible")
+        qc, r = divmod(rem[lead], g[glead])
+        if r:
+            raise NotDivisible("coefficient not divisible")
         quot[qk] = qc
         for k, c in ref_mul({qk: qc}, g).items():
             nv = rem.get(k, 0) - c
@@ -482,3 +449,116 @@ def ref_nc_mul(rank: int, a: dict, b: dict) -> dict:
                     cur[e1 + e2 + twist] = cur.get(e1 + e2 + twist, 0) + x1 * x2
     out = {k: {e: x for e, x in c.items() if x} for k, c in out.items()}
     return {k: c for k, c in out.items() if c}
+
+
+# -- the Macdonald path over the fraction field Q(q, t) --------------------------------
+
+QT_REF, ref_q, ref_t = field("q,t", QQ)
+
+
+def qt_to_ref(f: LaurentPoly) -> dict:
+    """A QT polynomial as {z-tuple: element of QT_REF}."""
+    out = {}
+    for key, c in f.terms():
+        out[key[2:]] = out.get(key[2:], QT_REF.zero) + c * ref_q ** key[0] * ref_t ** key[1]
+    return {z: c for z, c in out.items() if c}
+
+
+def _ref_monomial_sym(mu, nvars):
+    full = tuple(mu) + (0,) * (nvars - len(mu))
+    return {e: QT_REF.one for e in set(itertools.permutations(full))}
+
+
+def ref_apply_macdonald_qt(alpha: int, f: dict, nvars: int) -> dict:
+    """The Macdonald operator on {z-tuple: QT_REF element}: the subset sum
+    cleared by Vandermonde, as one signed orbit of the first alpha
+    variables, read off Schur function by Schur function and divided by
+    alpha! (N - alpha)! in the field."""
+    one, zero = QT_REF.one, QT_REF.zero
+
+    def z(i):
+        return tuple(int(k == i) for k in range(nvars))
+
+    cleared = {(0,) * nvars: one}
+    for block in (range(alpha), range(alpha, nvars)):
+        for i, j in itertools.combinations(block, 2):
+            cleared = ref_mul(cleared, {z(i): one, z(j): -one}, zero)
+    for i in range(alpha):
+        for j in range(alpha, nvars):
+            cleared = ref_mul(cleared, {z(i): ref_t, z(j): -one}, zero)
+    shifted = {e: c * ref_q ** sum(e[:alpha]) for e, c in f.items()}
+    inv = one / (factorial(alpha) * factorial(nvars - alpha))
+    out = {}
+    for zkey, payload in ref_signed_buckets(ref_mul(cleared, shifted, zero), 0).items():
+        lam = tuple(zkey[i] - (nvars - 1 - i) for i in range(nvars))
+        off = lam[-1]
+        for e, cs in _schur_zcoeffs(normalize_partition(tuple(x - off for x in lam)), nvars).terms():
+            key = tuple(x + off for x in e[1:])
+            out[key] = out.get(key, zero) + payload * inv * cs
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_macdonald_poly(lam, nvars: int):
+    """(P_lam as {z-tuple: QT_REF element}, eigenvalue) by the triangular
+    solve in the field: c_mu = (sum_nu a_{mu nu} c_nu) / (eig - a_{mu mu})."""
+    lam = normalize_partition(lam)
+    basis = sorted(partitions(sum(lam), nvars), reverse=True)
+    columns = {}
+    for mu in basis:
+        image = ref_apply_macdonald_qt(1, _ref_monomial_sym(mu, nvars), nvars)
+        columns[mu] = {
+            normalize_partition(e): c for e, c in image.items() if list(e) == sorted(e, reverse=True)
+        }
+    eig = columns[lam].get(lam, QT_REF.zero)
+    coeffs = {lam: QT_REF.one}
+    for mu in basis:
+        if mu >= lam:
+            continue
+        acc = sum((columns[nu][mu] * c for nu, c in coeffs.items() if mu in columns[nu]), QT_REF.zero)
+        if acc:
+            coeffs[mu] = acc / (eig - columns[mu].get(mu, QT_REF.zero))
+    poly = {}
+    for mu, c in coeffs.items():
+        for e in _ref_monomial_sym(mu, nvars):
+            poly[e] = c
+    return poly, eig
+
+
+def _univariate_div(num: dict, den: dict) -> dict:
+    """Exact division of Laurent polynomials in one variable over QQ, given
+    as {exponent: QQ coefficient}; raises NotDivisible on a remainder."""
+    lo_n, lo_d = min(num), min(den)
+    work = {e - lo_n: c for e, c in num.items()}
+    d = {e - lo_d: c for e, c in den.items()}
+    dtop = max(d)
+    quot = {}
+    while work:
+        top = max(work)
+        if top < dtop:
+            raise NotDivisible("univariate remainder is nonzero")
+        qe, qc = top - dtop, work[top] / d[dtop]
+        quot[qe] = qc
+        for e, c in d.items():
+            nv = work.get(qe + e, QQ.zero) - qc * c
+            if nv:
+                work[qe + e] = nv
+            else:
+                work.pop(qe + e, None)
+    return {e + lo_n - lo_d: c for e, c in quot.items()}
+
+
+def ref_specialize_t0_qinv(c) -> dict:
+    """t = 0 then q -> q**-1 of a QT_REF element (a reduced fraction), as
+    {q-exponent: int}; ``PoleAtZero`` when the denominator vanishes at t = 0."""
+    num = {m[0]: v for m, v in c.numer.terms() if m[1] == 0}
+    den = {m[0]: v for m, v in c.denom.terms() if m[1] == 0}
+    if not den:
+        raise PoleAtZero("denominator vanishes at t = 0")
+    if not num:
+        return {}
+    out = {}
+    for e, v in _univariate_div({-e: v for e, v in num.items()}, {-e: v for e, v in den.items()}).items():
+        if QQ.denom(v) != 1:
+            raise NotDivisible("coefficient %s is not an integer" % (v,))
+        out[e] = int(QQ.numer(v))
+    return out

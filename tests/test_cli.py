@@ -208,3 +208,26 @@ def test_verify_diffeq_stdout_pinned():
     )
     expected = '{"schema":1,"suite":"diffeq","passed":true,"reports":[%s]}\n' % body
     assert out.stdout == expected
+
+
+def test_verify_vacuous_reports_are_marked():
+    # the rank-1/rank-2 level-k grids and the level-2 G grid are empty at
+    # bound 1: such a report checked nothing and must say so
+    out = run_cli(["verify", "--suite", "diffeq", "--bound", "1"])
+    assert out.returncode == 0
+    reports = json.loads(out.stdout)["reports"]
+    vacuous = [r["name"] for r in reports if r.get("vacuous")]
+    assert vacuous == ["diffeq-r1-k2", "diffeq-r1-k3", "diffeq-r2-k2", "diffeq-r2-k3", "sl2-levelk-G"]
+    assert all(r["points"] == 0 for r in reports if r["name"] in vacuous)
+    assert all("vacuous" not in r for r in reports if r["points"])
+    assert '"name":"diffeq-r1-k2","points":0,"passed":true,"vacuous":true,"failures":[]' in out.stdout
+
+
+def test_import_loads_no_sympy():
+    code = (
+        "import sys, qchar, qchar.cli, qchar.verify\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

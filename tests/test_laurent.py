@@ -176,4 +176,4 @@ def test_pow_and_unit_shift():
     z1, z2 = zvar(0, 2), zvar(1, 2)
     assert (z1 + z2) ** 0 == LaurentPoly.one(RING_Q, 2)
     assert (z1 + z2) ** 3 == (z1 + z2) * (z1 + z2) * (z1 + z2)
-    assert z1.times_unit(2).scalar_coeff((1, 0)) == Scalar(RING_Q, {2: 1})
+    assert dict(z1.times_unit(2).terms()) == {(2, 1, 0): 1}

@@ -1,9 +1,17 @@
-"""Macdonald oracle tests: triangular construction, duality, and both
-degenerate limits."""
+"""Macdonald oracle tests: the fraction-free triangular construction against
+the field solve of ``oracles``, duality, both degenerate limits, and
+negative controls."""
 
 import pytest
 
-from oracles import dominates, project_qt_to_q
+from oracles import (
+    dominates,
+    project_qt_to_q,
+    qt_to_ref,
+    ref_macdonald_poly,
+    ref_specialize_t0_qinv,
+)
+import qchar.macdonald as macdonald
 from qchar.characters import NVector, graded_character
 from qchar.laurent import LaurentPoly
 from qchar.macdonald import (
@@ -15,68 +23,84 @@ from qchar.macdonald import (
     qwhittaker_specialize,
 )
 from qchar.qdiff import apply_macdonald_qt
-from qchar.rings import (
-    QT_FIELD,
-    RING_Q,
-    RING_QT,
-    PoleAtZero,
-    qt_int,
-    qt_q,
-    qt_t,
-)
-from qchar.symfun import elementary, monomial_sym, partitions
+from qchar.rings import RING_Q, RING_QT, NotDivisible, PoleAtZero
+from qchar.symfun import elementary, partitions, partitions_up_to
+
+
+def qt_const(nvars, terms):
+    """The QT constant sum c q**i t**j over {(i, j): c}."""
+    return LaurentPoly.from_terms(RING_QT, nvars, {ij + (0,) * nvars: c for ij, c in terms.items()})
+
+
+def coeff_at(f, z):
+    """The coefficient of z**z in a QT polynomial, as a QT constant."""
+    return qt_const(f.nvars, {e[:2]: c for e, c in f.terms() if e[2:] == z})
 
 
 def test_single_class_cases():
-    assert macdonald_poly((1,), 3).poly == elementary(1, 3, RING_QT)
-    assert macdonald_poly((1, 1), 3).poly == elementary(2, 3, RING_QT)
-    assert macdonald_poly((), 2).poly == LaurentPoly.one(RING_QT, 2)
+    for lam, nvars, expected in [
+        ((1,), 3, elementary(1, 3, RING_QT)),
+        ((1, 1), 3, elementary(2, 3, RING_QT)),
+        ((), 2, LaurentPoly.one(RING_QT, 2)),
+    ]:
+        P = macdonald_poly(lam, nvars)
+        assert P.denominator == LaurentPoly.one(RING_QT, nvars)
+        assert P.numerator == expected
 
 
 def test_two_class_case_and_duality():
     P = macdonald_poly((2,), 2)
-    c = P.poly.scalar_coeff((1, 1)).data
-    # classical coefficient (1+q)(1-t)/(1-qt), eigen-validated in-module
-    assert c * (qt_int(1) - qt_q * qt_t) == (qt_int(1) + qt_q) * (qt_int(1) - qt_t)
+    c = coeff_at(P.numerator, (1, 1))
+    # the classical coefficient c / D = (1+q)(1-t)/(1-qt), eigen-validated in-module
+    lhs = c * qt_const(2, {(0, 0): 1, (1, 1): -1})
+    assert lhs == P.denominator * qt_const(2, {(0, 0): 1, (1, 0): 1, (0, 1): -1, (1, 1): -1})
 
-    def qt_invert(e):
-        def flip(pe):
-            out = QT_FIELD.zero
-            for m, v in pe.terms():
-                out = out + (QT_FIELD.one * v) * qt_q ** (-m[0]) * qt_t ** (-m[1])
-            return out
+    def invert(f):
+        return LaurentPoly.from_terms(RING_QT, 2, {(-e[0], -e[1]) + e[2:]: v for e, v in f.terms()})
 
-        return flip(e.numer) / flip(e.denom)
-
-    assert qt_invert(c) == c
+    # invariant under (q, t) -> (1/q, 1/t)
+    assert invert(c) * P.denominator == c * invert(P.denominator)
 
 
 def test_triangularity():
     P = macdonald_poly((2, 1), 3)
-    for key, _ in P.poly.terms():
-        mu = tuple(sorted(key, reverse=True))
-        mu = tuple(x for x in mu if x)
+    for key, _ in P.numerator.terms():
+        mu = tuple(x for x in sorted(key[2:], reverse=True) if x)
         assert dominates((2, 1), mu)
 
 
 def test_eigen_relation_second_operator():
     # the construction uses only the first operator; the second one must then
     # also act diagonally, with eigenvalue t**(-a(a-1)/2) e_a(q^lam_i t^(N-i))
-    # (the bare subset form carries no t-power normalization)
+    # (the bare subset form carries no t-power normalization); for lam = (2)
+    # the spectrum is q^2 t^2, t, 1, so e_2 / t = q^2 t^2 + q^2 t + 1
     P = macdonald_poly((2,), 3)
-    full = (2, 0, 0)
-    spectrum = [qt_q ** full[i] * qt_t ** (3 - 1 - i) for i in range(3)]
-    e2 = (
-        spectrum[0] * spectrum[1]
-        + spectrum[0] * spectrum[2]
-        + spectrum[1] * spectrum[2]
-    ) / qt_t
-    assert apply_macdonald_qt(2, P.poly) == P.poly.times_scalar_raw(e2)
+    e2 = qt_const(3, {(2, 2): 1, (2, 1): 1, (0, 0): 1})
+    assert apply_macdonald_qt(2, P.numerator) == P.numerator * e2
 
 
 def test_eigenvalue_formula():
-    assert eigenvalue_formula((), 2) == qt_t + qt_int(1)
-    assert eigenvalue_formula((3, 1), 2) == qt_q**3 * qt_t + qt_q
+    assert eigenvalue_formula((), 2) == qt_const(2, {(0, 1): 1, (0, 0): 1})
+    assert eigenvalue_formula((3, 1), 2) == qt_const(2, {(3, 1): 1, (1, 0): 1})
+
+
+def test_fraction_free_solve_matches_field_solve():
+    # C == D * P_ref coefficientwise, equal eigenvalues, equal t = 0 limits
+    for nvars in (1, 2, 3):
+        for lam in partitions_up_to(4, nvars):
+            P = macdonald_poly(lam, nvars)
+            ref, ref_eig = ref_macdonald_poly(lam, nvars)
+            (den,) = qt_to_ref(P.denominator).values()
+            numer = qt_to_ref(P.numerator)
+            assert numer.keys() == ref.keys(), (nvars, lam)
+            assert all(numer[z] == den * ref[z] for z in ref), (nvars, lam)
+            assert qt_to_ref(P.eigenvalue) == {(0,) * nvars: ref_eig}
+            expected = LaurentPoly.from_terms(
+                RING_Q,
+                nvars,
+                [((qe,) + z, v) for z, c in ref.items() for qe, v in ref_specialize_t0_qinv(c).items()],
+            )
+            assert qwhittaker_specialize(P) == expected, (nvars, lam)
 
 
 def test_whittaker_specialization_matches_characters():
@@ -95,14 +119,50 @@ def test_whittaker_specialization_matches_characters():
 
 
 def test_scalar_specialization_helpers():
-    c = (qt_int(1) + qt_q) * (qt_int(1) - qt_t) / (qt_int(1) - qt_q * qt_t)
-    assert qt_specialize_t0_qinv(c) == {0: 1, -1: 1}
+    one = qt_const(1, {(0, 0): 1})
+    # (1+q)(1-t)/(1-qt) -> 1 + q**-1
+    num = qt_const(1, {(0, 0): 1, (1, 0): 1, (0, 1): -1, (1, 1): -1})
+    den = qt_const(1, {(0, 0): 1, (1, 1): -1})
+    expected = LaurentPoly.from_terms(RING_Q, 1, {(0, 0): 1, (-1, 0): 1})
+    assert qt_specialize_t0_qinv(num, den) == expected
+    # a common factor t cancels: the limit reads the lowest t-orders
+    t = qt_const(1, {(0, 1): 1})
+    assert qt_specialize_t0_qinv(num * t, den * t) == expected
+    assert qt_specialize_t0_qinv(t, one).is_zero()
     with pytest.raises(PoleAtZero):
-        qt_specialize_t0_qinv(qt_int(1) / qt_t)
-    assert qt_t_infinity_limit(qt_t**2 * qt_q + qt_t, 2) == {1: 1}
-    assert qt_t_infinity_limit(qt_t, 2) == {}
+        qt_specialize_t0_qinv(qt_const(1, {(0, -1): 1}), one)
+    with pytest.raises(PoleAtZero):
+        qt_specialize_t0_qinv(num, den * t)
+    with pytest.raises(NotDivisible):
+        qt_specialize_t0_qinv(one, one * 2)
+    with pytest.raises(NotDivisible):
+        qt_specialize_t0_qinv(one, qt_const(1, {(0, 0): 1, (1, 0): 1}))
+
+    assert qt_t_infinity_limit(qt_const(1, {(1, 2): 1, (0, 1): 1}), 2) == LaurentPoly.from_terms(
+        RING_Q, 1, {(1, 0): 1}
+    )
+    assert qt_t_infinity_limit(t, 2).is_zero()
     with pytest.raises(ArithmeticError):
-        qt_t_infinity_limit(qt_t**3, 2)
+        qt_t_infinity_limit(qt_const(1, {(0, 3): 1}), 2)
+
+
+def test_shifted_gap_is_caught(monkeypatch):
+    # negative control: multiply the diagonal entry of every column but
+    # lam's by q, so each eigenvalue gap of the solve is off by one q-power;
+    # the integer eigen-check must then reject the result
+    lam = (2, 1)
+    true_expand = macdonald._m_expand
+
+    def shifted(f):
+        out = true_expand(f)
+        top = max(out)
+        if top != lam:
+            out[top] = out[top].times_unit(1)
+        return out
+
+    monkeypatch.setattr(macdonald, "_m_expand", shifted)
+    with pytest.raises(ArithmeticError, match="eigen-relation failed"):
+        macdonald_poly(lam, 3)
 
 
 def test_lift_and_project_roundtrip():
@@ -116,9 +176,5 @@ def test_degenerate_limit_eigenrelation():
     lifted = lift_q_to_qt(chi)
     for alpha in (1, 2):
         g = apply_macdonald_qt(alpha, lifted, checked=True)
-        out = {}
-        for key, c in g.terms():
-            for qe, iv in qt_t_infinity_limit(c, alpha * (3 - alpha)).items():
-                out[(qe,) + key] = iv
         ev = sum(min(alpha, b) for b in (1, 2))
-        assert LaurentPoly.from_terms(RING_Q, 3, out) == chi.times_unit(ev)
+        assert qt_t_infinity_limit(g, alpha * (3 - alpha)) == chi.times_unit(ev)

@@ -22,24 +22,14 @@ from qchar.laurent import (
     offset,
     outside_box,
     signed_buckets,
+    unit_slots,
 )
-from qchar.qdiff import apply_M
+from qchar.qdiff import apply_M, apply_macdonald_qt
 from qchar.qtorus import NcLaurent, nc_div_left, nc_div_right
-from qchar.rings import (
-    QT_FIELD,
-    RING_Q,
-    RING_QT,
-    RING_W,
-    ExponentOverflow,
-    NotDivisible,
-    qt_int,
-    qt_q,
-    qt_t,
-)
-from qchar.symfun import SchurPoly
+from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
+from qchar.symfun import SchurPoly, monomial_sym
 
 RINGS = (RING_Q, RING_W, RING_QT)
-QT_COEFFS = (qt_int(1), qt_int(-2), qt_q, qt_t - qt_int(1), qt_int(3) / (qt_int(1) + qt_t))
 
 
 def exponents(scale=1):
@@ -54,22 +44,15 @@ def exponents(scale=1):
 
 @st.composite
 def term_dicts(draw, ring, nvars, scale=1, max_terms=4):
-    """{exponent tuple: coefficient} with the unit entry first off QT."""
-    width = nvars + (ring != RING_QT)
+    """{exponent tuple: coefficient}, the unit entries (q and t over QT)
+    first."""
+    width = nvars + unit_slots(ring)
     keys = draw(st.lists(st.tuples(*[exponents(scale)] * width), max_size=max_terms, unique=True))
-    if ring == RING_QT:
-        coeffs = st.sampled_from(QT_COEFFS)
-    else:
-        coeffs = st.integers(-5, 5).filter(bool)
-    return {k: draw(coeffs) for k in keys}
+    return {k: draw(st.integers(-5, 5).filter(bool)) for k in keys}
 
 
 def fits(terms):
     return all(EXP_MIN <= e <= EXP_MAX for k in terms for e in k)
-
-
-def nil(ring):
-    return QT_FIELD.zero if ring == RING_QT else 0
 
 
 def view(f):
@@ -97,7 +80,7 @@ def test_product_matches_reference_or_overflows(ring, nvars, data):
     b = data.draw(term_dicts(ring, nvars))
     f, g = LaurentPoly.from_terms(ring, nvars, a), LaurentPoly.from_terms(ring, nvars, b)
     assert view(f) == a
-    expected = ref_mul(a, b, nil(ring))
+    expected = ref_mul(a, b)
     if fits(expected):
         assert view(f * g) == expected
     else:
@@ -118,14 +101,13 @@ def test_shifts_match_reference_or_overflow(ring, nvars, data):
     else:
         with pytest.raises(ExponentOverflow):
             f.times_z(zshift)
-    if ring != RING_QT:
-        j = data.draw(exponents())
-        expected = {(k[0] + j,) + k[1:]: c for k, c in a.items()}
-        if fits(expected):
-            assert view(f.times_unit(j)) == expected
-        else:
-            with pytest.raises(ExponentOverflow):
-                f.times_unit(j)
+    j = data.draw(exponents())
+    expected = {(k[0] + j,) + k[1:]: c for k, c in a.items()}
+    if fits(expected):
+        assert view(f.times_unit(j)) == expected
+    else:
+        with pytest.raises(ExponentOverflow):
+            f.times_unit(j)
 
 
 @settings(max_examples=150, deadline=None)
@@ -133,12 +115,13 @@ def test_shifts_match_reference_or_overflow(ring, nvars, data):
 def test_signed_buckets_match_reference(ring, nvars, data):
     a = data.draw(term_dicts(ring, nvars, max_terms=8))
     # a permuted copy of each term, so that buckets collect and cancel
+    zo = unit_slots(ring)
     for k, c in list(a.items()):
-        zo = 0 if ring == RING_QT else 1
-        moved = k[:zo] + k[zo:][::-1]
-        a.setdefault(moved, c)
+        a.setdefault(k[:zo] + k[zo:][::-1], c)
     f = LaurentPoly.from_terms(ring, nvars, a)
-    assert signed_buckets(f) == ref_signed_buckets(view(f), f.zoff)
+    expected = ref_signed_buckets(view(f), zo)
+    # payloads are keyed by the offset of the unit exponents
+    assert signed_buckets(f) == {z: {offset(u): c for u, c in d.items()} for z, d in expected.items()}
 
 
 @settings(max_examples=100, deadline=None)
@@ -160,14 +143,14 @@ def test_ring_axioms_near_the_edges(ring, nvars, data):
 @given(st.sampled_from(RINGS), st.integers(1, 3), st.data())
 def test_exact_div_matches_reference(ring, nvars, data):
     # small exponents: a non-divisible pair must raise, not overflow
-    small = st.tuples(*[st.integers(-2, 2)] * (nvars + (ring != RING_QT)))
-    coeffs = st.sampled_from(QT_COEFFS) if ring == RING_QT else st.integers(-4, 4).filter(bool)
+    small = st.tuples(*[st.integers(-2, 2)] * (nvars + unit_slots(ring)))
+    coeffs = st.integers(-4, 4).filter(bool)
     f = data.draw(st.dictionaries(small, coeffs, max_size=5))
     g = data.draw(st.dictionaries(small, coeffs, min_size=1, max_size=3))
     pf, pg = LaurentPoly.from_terms(ring, nvars, f), LaurentPoly.from_terms(ring, nvars, g)
     f, g = view(pf), view(pg)
     try:
-        expected = ref_exact_div(f, g, ring == RING_QT)
+        expected = ref_exact_div(f, g)
     except NotDivisible:
         with pytest.raises(NotDivisible):
             exact_div(pf, pg)
@@ -212,7 +195,7 @@ def test_torus_division_round_trip_near_the_edges(rank, data):
 @pytest.mark.parametrize("ring", RINGS)
 def test_laurent_edge_round_trips_and_one_past_raises(ring):
     n = 2
-    unit = () if ring == RING_QT else (0,)
+    unit = (0,) * unit_slots(ring)
     for edge in ((EXP_MAX, EXP_MIN), (EXP_MIN, EXP_MAX)):
         f = LaurentPoly.monomial(ring, n, edge, 3)
         assert [k for k, _ in f.terms()] == [unit + edge]
@@ -235,14 +218,62 @@ def test_laurent_edge_round_trips_and_one_past_raises(ring):
     # a sum whose extreme term cancelled fits again
     near = (top * z1 + z1) - top * z1
     assert near.times_z((EXP_MAX - 1, 0)) == LaurentPoly.monomial(ring, n, (EXP_MAX, 0))
-    if ring != RING_QT:
-        u = LaurentPoly.unit_power(ring, n, EXP_MAX)
-        assert [k for k, _ in u.terms()] == [(EXP_MAX, 0, 0)]
+    u = LaurentPoly.unit_power(ring, n, EXP_MAX)
+    assert [k for k, _ in u.terms()] == [(EXP_MAX,) + unit[1:] + (0, 0)]
+    with pytest.raises(ExponentOverflow):
+        u.times_unit(1)
+    assert u.times_unit(EXP_MIN - EXP_MAX) == LaurentPoly.unit_power(ring, n, EXP_MIN)
+    with pytest.raises(ExponentOverflow):
+        LaurentPoly.unit_power(ring, n, EXP_MIN).times_unit(-1)
+
+
+def test_qt_unit_slots_at_the_edge():
+    # q is the lowest slot and t the next; each overflows on its own
+    n = 2
+
+    def qt(q, t, z=(0, 0), c=1):
+        return LaurentPoly.from_terms(RING_QT, n, {(q, t) + z: c})
+
+    for slot in (0, 1):
+        top = [0, 0]
+        top[slot] = EXP_MAX
+        low = [0, 0]
+        low[slot] = EXP_MIN
+        step = [0, 0]
+        step[slot] = 1
+        f, g, s = qt(*top), qt(*low), qt(*step)
+        assert [k for k, _ in f.terms()] == [tuple(top) + (0, 0)]
         with pytest.raises(ExponentOverflow):
-            u.times_unit(1)
-        assert u.times_unit(EXP_MIN - EXP_MAX) == LaurentPoly.unit_power(ring, n, EXP_MIN)
+            f * s
         with pytest.raises(ExponentOverflow):
-            LaurentPoly.unit_power(ring, n, EXP_MIN).times_unit(-1)
+            g * qt(-step[0], -step[1])
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly.from_terms(RING_QT, n, {tuple(x + y for x, y in zip(top, step)) + (0, 0): 1})
+        assert (f * qt(-step[0], -step[1])) * s == f
+        # the other slot and the z's are untouched at the edge
+        assert [k for k, _ in (f * qt(1 - step[0], 1 - step[1], (1, 0))).terms()] == [
+            tuple(x + 1 - y for x, y in zip(top, step)) + (1, 0)
+        ]
+    # the q-shift of the Macdonald operator checks the q slot, also where
+    # an unchecked shift would carry into the t slot and leave a valid key
+    m1 = monomial_sym((1,), n, RING_QT)
+    assert apply_macdonald_qt(1, m1 * qt(EXP_MAX - 1, 0))
+    with pytest.raises(ExponentOverflow):
+        apply_macdonald_qt(1, m1 * qt(EXP_MAX, 0))
+    with pytest.raises(ExponentOverflow):
+        apply_macdonald_qt(3, monomial_sym((EXP_MAX - 2,) * 3, 3, RING_QT).times_unit(EXP_MAX))
+
+
+def test_qt_rational_coefficient_is_not_divisible():
+    # 3 / (1 + t), a coefficient of the former field, is no element of
+    # Z[q^+-1, t^+-1]: exact division says so, and clears once multiplied out
+    n = 2
+    three = LaurentPoly.from_terms(RING_QT, n, {(0, 0, 1, 0): 3})
+    one_t = LaurentPoly.from_terms(RING_QT, n, {(0, 0, 0, 0): 1, (0, 1, 0, 0): 1})
+    with pytest.raises(NotDivisible):
+        exact_div(three, one_t)
+    assert exact_div(three * one_t, one_t) == three
+    assert exact_div(three * one_t * one_t, one_t * one_t) == three
 
 
 def test_exact_div_at_the_edge():

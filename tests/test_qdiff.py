@@ -22,7 +22,8 @@ from oracles import (
 from qchar.cartan import CartanData
 from qchar.laurent import LaurentPoly
 from qchar.qdiff import apply_D, apply_M, apply_macdonald_qt
-from qchar.rings import RING_Q, RING_QT, RING_W, NotSymmetric, qt_int, qt_t
+from qchar.macdonald import qt_t_infinity_limit
+from qchar.rings import RING_Q, RING_QT, RING_W, NotDivisible, NotSymmetric
 from qchar.symfun import SchurPoly, elementary, monomial_sym, partitions_up_to, schur
 
 
@@ -144,10 +145,27 @@ def test_twisted_vs_plain_dilation_identity():
 def test_macdonald_qt_values():
     f = LaurentPoly.one(RING_QT, 3)
     out = apply_macdonald_qt(1, f)
-    assert out == f.times_scalar_raw(qt_int(1) + qt_t + qt_t**2)
-    brute = subset_operator_bruteforce(1, 0, monomial_sym((1,), 3, RING_QT), kind="qt")
-    ours = poly_to_sympy(apply_macdonald_qt(1, monomial_sym((1,), 3, RING_QT)))
-    assert sympy_equal(ours, brute)
+    assert out == LaurentPoly.from_terms(RING_QT, 3, {(0, j, 0, 0, 0): 1 for j in range(3)})
+
+
+def test_macdonald_qt_read_off_is_exact():
+    # the orbit sum of an asymmetric input, let through unchecked, is not
+    # divisible by alpha! (N - alpha)!: the read-off raises, never rounds
+    f = LaurentPoly.monomial(RING_QT, 3, (2, 1, 0))
+    with pytest.raises(NotDivisible):
+        apply_macdonald_qt(1, f, checked=True)
+    with pytest.raises(NotSymmetric):
+        apply_macdonald_qt(1, f)
+
+
+def test_macdonald_qt_against_symbolic_oracle():
+    # the integer operator against the subset sum in sympy's rational
+    # functions of q, t and the z's, no shared code
+    for lam in partitions_up_to(3, 3):
+        f = monomial_sym(lam, 3, RING_QT)
+        for alpha in (1, 2, 3):
+            ours = poly_to_sympy(apply_macdonald_qt(alpha, f))
+            assert sympy_equal(ours, subset_operator_bruteforce(alpha, 0, f, kind="qt")), (lam, alpha)
 
 
 def test_macdonald_qt_commuting_family():
@@ -161,21 +179,12 @@ def test_macdonald_qt_commuting_family():
 def test_rescaled_t_limit_is_plain_operator():
     # lim_{t->oo} t**(-a(N-a)) M_a^{q,t} agrees with the zero-power subset
     # operator on test inputs
-    from qchar.macdonald import qt_t_infinity_limit
-
     for lam in [(), (1,), (2,), (1, 1)]:
         fqt = monomial_sym(lam, 3, RING_QT)
         fq = monomial_sym(lam, 3)
         for alpha in (1, 2):
-            g = apply_macdonald_qt(alpha, fqt)
-            out = {}
-            for key, c in g.terms():
-                for qe, iv in qt_t_infinity_limit(c, alpha * (3 - alpha)).items():
-                    out[(qe,) + key] = iv
-            assert LaurentPoly.from_terms(RING_Q, 3, out) == apply_M(alpha, 0, schur_form(fq)).monomials(), (
-                lam,
-                alpha,
-            )
+            lim = qt_t_infinity_limit(apply_macdonald_qt(alpha, fqt), alpha * (3 - alpha))
+            assert lim == apply_M(alpha, 0, schur_form(fq)).monomials(), (lam, alpha)
 
 
 def test_symmetry_preserved():
