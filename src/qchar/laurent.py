@@ -145,7 +145,7 @@ def outside_box(local: int, top: int, width: int) -> bool:
     return local < 0 or local & guard or rest < 0 or rest & guard
 
 
-def _sorted_sign(exps):
+def sorted_sign(exps):
     """Sort a tuple into weakly decreasing order, tracking permutation parity.
 
     Returns ``(sorted_tuple, sign)``; the sign is 0 when an entry repeats.
@@ -609,7 +609,7 @@ def signed_buckets(f: LaurentPoly):
         z = k >> shift
         hit = seen.get(z)
         if hit is None:
-            skey, sign = _sorted_sign(unpack(z, n))
+            skey, sign = sorted_sign(unpack(z, n))
             hit = seen[z] = (buckets.setdefault(skey, {}) if sign else None, sign)
         d, sign = hit
         if sign:

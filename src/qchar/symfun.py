@@ -1,5 +1,6 @@
-"""Schur and related symmetric functions, the Schur basis, and the
-two-block branching rule behind the raising operators.
+"""Schur and related symmetric functions, the Schur basis, the two-block
+branching rule behind the raising operators, and the dual Cauchy expansion
+behind the subset-fraction lemmas.
 
 Partitions are plain tuples of weakly decreasing nonnegative integers with no
 trailing zeros (the empty partition is ``()``).  A partition of length at
@@ -236,6 +237,20 @@ def branch(lam, alpha: int):
     if not off:
         return core
     return tuple((tuple(x + off for x in mu), tuple(x + off for x in nu), c) for mu, nu, c in core)
+
+
+def dual_cauchy(a: int, b: int):
+    """The two-block expansion of prod_{i <= a, j <= b} (x_i - q y_j)
+    = sum_{lam in the a x b box} (-q)**|lam| s_{lam^c}(x) s_{lam'}(y), the
+    dual Cauchy identity (Macdonald, I.4.3') applied to (x_1...x_a)**b
+    prod (1 - q y_j / x_i); lam^c = (b - lam_a, .., b - lam_1) is the
+    complement in the box.  Yields (|lam|, lam^c, lam'), padded to lengths
+    a and b."""
+    for size in range(a * b + 1):
+        for lam in partitions(size, a, b):
+            full = lam + (0,) * (a - len(lam))
+            conj = tuple(sum(1 for x in lam if x > i) for i in range(b))
+            yield size, tuple(b - x for x in reversed(full)), conj
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,12 @@ first counterexample).  The subset-fraction identities behind the operator
 algebra are verified in N!-cleared form: both sides are multiplied by the
 Vandermonde determinant and by the symmetric product of all (z_x - q z_y),
 which turns them into polynomial statements, and the signed permutation
-orbits are compared in canonical alternant-bucket form.  Every difference
+orbits are compared in canonical alternant-bucket form.  The buckets are
+read off the two-block Schur form of the cleared factor (the cross product
+by the dual Cauchy identity, the within-block products by straightening),
+so no cleared product is ever expanded into monomials; the full expansion
+is the reference in the tests.  A failing lemma point names the first
+differing alternant with both payloads.  Every difference
 equation check runs through ``characters.difference_equation_holds``.  The
 operator, character and equation checks compare Schur forms; the classical
 limit and the Macdonald and Whittaker oracles compare monomial expansions.
@@ -18,6 +23,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import factorial
+from operator import add
 
 from .cartan import CartanData
 from .characters import (
@@ -30,7 +37,7 @@ from .characters import (
     raising_product,
     top_component,
 )
-from .laurent import LaurentPoly, delta_on, signed_buckets
+from .laurent import LaurentPoly, sorted_sign
 from .macdonald import (
     lift_q_to_qt,
     macdonald_poly,
@@ -40,7 +47,7 @@ from .macdonald import (
 from .qdiff import apply_D, apply_M, apply_macdonald_qt
 from .qtorus import NcLaurent, check_polynomiality, evaluate, q_recursion
 from .rings import RING_Q, RING_QT, RING_W
-from .symfun import SchurPoly, monomial_sym, partitions, partitions_up_to, schur
+from .symfun import SchurPoly, dual_cauchy, monomial_sym, partitions, partitions_up_to, schur
 from .whittaker import check_level1_toda, class_one_combination, toda_residual
 
 
@@ -81,35 +88,103 @@ class CheckReport:
 
 
 # -- subset-fraction identities ----------------------------------------------
+#
+# Both identities are stated on two blocks of variables, I (the first a) and
+# J (the last b), and cleared by the block Vandermonde Delta_I Delta_J and by
+# P = W_I W_J X, where W_m is the product of (z_x - q z_y) over the ordered
+# pairs x != y of one block and X the product over x in I, y in J (or over
+# x in J, y in I).  P is symmetric in each block, so Delta_I Delta_J P is a
+# sum of products a_x(z_I) a_y(z_J) of block alternants, and the signed
+# permutation orbit of a_x(z_I) a_y(z_J) z_I**s z_J**t is a!b! times the
+# alternant of (x + s, y + t).  The alternant buckets of each side are read
+# off that two-block form, which never depends on the power of z.
 
 
-def _qpair_product(nvars, excluded):
-    """prod over ordered pairs x != y, (x, y) not excluded, of (z_x - q z_y)."""
-    z = [LaurentPoly.variable(RING_Q, nvars, i) for i in range(nvars)]
-    out = LaurentPoly.one(RING_Q, nvars)
-    for x in range(nvars):
-        for y in range(nvars):
-            if x != y and (x, y) not in excluded:
-                out = out * (z[x] - z[y].times_unit(1))
-    return out
+@lru_cache(maxsize=8)
+def _pair_monomials(m: int):
+    """The terms (q-exponent, z-exponents, c) of W_m on m variables."""
+    z = [LaurentPoly.variable(RING_Q, m, i) for i in range(m)]
+    w = LaurentPoly.one(RING_Q, m)
+    for x, y in itertools.permutations(range(m), 2):
+        w = w * (z[x] - z[y].times_unit(1))
+    return tuple((e[0], e[1:], c) for e, c in w.terms())
 
 
-def _bucket_adjust(buckets, qshift, sign):
-    return {
-        key: {e + qshift: sign * c for e, c in payload.items()}
-        for key, payload in buckets.items()
-    }
+@lru_cache(maxsize=256)
+def _times_pairs(mu):
+    """a_{mu+delta} W_m on m = len(mu) variables as {(q-exponent, x): c},
+    x strictly decreasing: since W_m is symmetric, a_{mu+delta} W_m is the
+    sum over its terms c q**j z**beta of c q**j a_{mu+beta+delta}, and
+    a_v = sign * a_{sorted v}."""
+    m = len(mu)
+    lift = tuple(x + m - 1 - i for i, x in enumerate(mu))
+    out = {}
+    for j, beta, c in _pair_monomials(m):
+        x, sign = sorted_sign(tuple(map(add, lift, beta)))
+        if sign:
+            out[j, x] = out.get((j, x), 0) + sign * c
+    return {k: c for k, c in out.items() if c}
 
 
-@lru_cache(maxsize=None)
-def _swap_cores(a: int, b: int):
-    n = a + b
-    i0 = tuple(range(a))
-    j0 = tuple(range(a, n))
-    base = delta_on(RING_Q, n, i0) * delta_on(RING_Q, n, j0)
-    core1 = base * _qpair_product(n, frozenset((x, y) for x in j0 for y in i0))
-    core2 = base * _qpair_product(n, frozenset((x, y) for x in i0 for y in j0))
-    return core1, core2
+@lru_cache(maxsize=32)
+def _two_block_form(a: int, b: int, forward: bool):
+    """Delta_I Delta_J W_I W_J X as ((x, y, {q-exponent: c}), ...), the sum of
+    c q**j a_x(z_I) a_y(z_J); X is the cross product over x in I, y in J
+    when ``forward``, else over x in J, y in I, both by the dual Cauchy
+    identity."""
+    if forward:
+        cross = dual_cauchy(a, b)
+    else:
+        cross = ((size, left, right) for size, right, left in dual_cauchy(b, a))
+    acc = {}
+    for size, left, right in cross:
+        sign = -1 if size % 2 else 1
+        lows = _times_pairs(left).items()
+        for (j2, y), c2 in _times_pairs(right).items():
+            for (j1, x), c1 in lows:
+                d = acc.setdefault((x, y), {})
+                j = size + j1 + j2
+                d[j] = d.get(j, 0) + sign * c1 * c2
+    acc = {xy: {j: c for j, c in d.items() if c} for xy, d in acc.items()}
+    return tuple((x, y, d) for (x, y), d in acc.items() if d)
+
+
+def _alternant_buckets(a: int, b: int, forward: bool, parts):
+    """``signed_buckets`` of Delta_I Delta_J W_I W_J X times the sum of
+    scale * q**k z_I**s z_J**t over ``parts`` (s, t, k, scale), read off
+    the two-block form."""
+    fact = factorial(a) * factorial(b)
+    out = {}
+    for x, y, payload in _two_block_form(a, b, forward):
+        for s, t, k, scale in parts:
+            key, sign = sorted_sign(tuple([e + s for e in x] + [e + t for e in y]))
+            if sign:
+                d = out.setdefault(key, {})
+                unit = sign * scale * fact
+                for j, c in payload.items():
+                    d[j + k] = d.get(j + k, 0) + unit * c
+    out = {key: {j: c for j, c in d.items() if c} for key, d in out.items()}
+    return {key: d for key, d in out.items() if d}
+
+
+def _swap_sides(a: int, b: int, p: int):
+    """The alternant buckets of the two cleared orbit sums of the swap
+    identity, the second with its factor (-1)**(ab) q**(pa)."""
+    sign = -1 if (a * b) % 2 else 1
+    return (
+        _alternant_buckets(a, b, True, ((b, p + a, 0, 1),)),
+        _alternant_buckets(a, b, False, ((b, p + a, p * a, sign),)),
+    )
+
+
+def _square_sides(a: int):
+    """The alternant buckets of (a+1) x left and a x right of the square
+    identity, each cleared on its own blocks."""
+    left = ((a, a, 0, a + 1), (a + 1, a - 1, a, -(a + 1)))
+    return (
+        _alternant_buckets(a, a, True, left),
+        _alternant_buckets(a + 1, a - 1, True, ((a - 1, a + 1, 0, a),)),
+    )
 
 
 def subset_swap_identity_holds(a: int, b: int, p: int) -> bool:
@@ -120,15 +195,12 @@ def subset_swap_identity_holds(a: int, b: int, p: int) -> bool:
     vanishes (claimed for |p| <= b - a + 1).  Checked in cleared form: both
     orbit sums are compared as alternant buckets after multiplying by the
     Vandermonde and by the symmetric product of all (z_x - q z_y)."""
+    if a < 0 or b < 0:
+        raise ValueError("block sizes must be >= 0")
     if a == 0:
         return True
-    n = a + b
-    core1, core2 = _swap_cores(a, b)
-    zpow = tuple(b if x < a else p + a for x in range(n))
-    side1 = core1.times_z(zpow)
-    side2 = core2.times_z(zpow)
-    sign = -1 if (a * b) % 2 else 1
-    return signed_buckets(side1) == _bucket_adjust(signed_buckets(side2), p * a, sign)
+    lhs, rhs = _swap_sides(a, b, p)
+    return lhs == rhs
 
 
 def subset_square_identity_holds(a: int) -> bool:
@@ -141,21 +213,23 @@ def subset_square_identity_holds(a: int) -> bool:
     normalizations reduce to comparing (a+1) x left against a x right)."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    n = 2 * a
-    i0, j0 = tuple(range(a)), tuple(range(a, n))
-    base = delta_on(RING_Q, n, i0) * delta_on(RING_Q, n, j0)
-    top = base.times_z(tuple(a if x < a else a for x in range(n)))
-    low = base.times_z(tuple(a + 1 if x < a else a - 1 for x in range(n))).times_unit(a)
-    left = (top - low) * _qpair_product(n, {(x, y) for x in j0 for y in i0})
+    lhs, rhs = _square_sides(a)
+    return lhs == rhs
 
-    i2, j2 = tuple(range(a + 1)), tuple(range(a + 1, n))
-    base2 = delta_on(RING_Q, n, i2) * delta_on(RING_Q, n, j2)
-    base2 = base2.times_z(tuple(a - 1 if x <= a else a + 1 for x in range(n)))
-    right = base2 * _qpair_product(n, {(x, y) for x in j2 for y in i2})
 
-    bl = signed_buckets(left * (a + 1))
-    br = signed_buckets(right * a)
-    return bl == br
+def _first_difference(lhs, rhs, cap: int = 200) -> str:
+    """The first alternant key, in decreasing order, whose payloads differ
+    between two bucket dicts, with both payloads, cut to ``cap`` characters."""
+    for key in sorted(lhs.keys() | rhs.keys(), reverse=True):
+        if lhs.get(key) != rhs.get(key):
+            text = "alternant %s: lhs %s, rhs %s" % (
+                key, dict(sorted(lhs.get(key, {}).items())), dict(sorted(rhs.get(key, {}).items()))
+            )
+            return text if len(text) <= cap else text[: cap - 3] + "..."
+
+
+def _swap_window(a: int, b: int):
+    return range(-(b - a + 1), b - a + 2)
 
 
 def subset_moment_value(alpha: int, p: int, nvars: int) -> SchurPoly:
@@ -171,12 +245,12 @@ def check_subset_identities(bound: int = 3, rank_max: int = 4) -> CheckReport:
     rep = CheckReport("lemmas")
     for a in range(0, bound + 1):
         for b in range(max(a, 1), bound + 1):
-            for p in range(-(b - a + 1), b - a + 2):
-                rep.record(
-                    ("swap", a, b, p), subset_swap_identity_holds(a, b, p)
-                )
+            for p in _swap_window(a, b):
+                ok = subset_swap_identity_holds(a, b, p)
+                rep.record(("swap", a, b, p), ok, None if ok else _first_difference(*_swap_sides(a, b, p)))
     for a in range(1, bound + 1):
-        rep.record(("square", a), subset_square_identity_holds(a))
+        ok = subset_square_identity_holds(a)
+        rep.record(("square", a), ok, None if ok else _first_difference(*_square_sides(a)))
     for r in range(1, rank_max + 1):
         n = r + 1
         one_q = SchurPoly.one(RING_Q, n)

@@ -24,8 +24,12 @@
   denominators: the operator as one signed orbit on tuple-keyed dicts, the
   triangular solve dividing by each eigenvalue gap, and the t = 0 limit of
   a reduced fraction.
-* ``whittaker_series_sympy`` expands the rank-one Whittaker series with
-  sympy ``series`` in u.
+* ``whittaker_series_sympy`` expands the rank-one Whittaker series as
+  products of truncated geometric series in sympy's polynomial ring.
+* ``ref_swap_buckets`` and ``ref_square_buckets`` certify the
+  subset-fraction lemmas the way ``qchar.verify`` did before it read them
+  off the two-block Schur form: every cleared product expanded as a
+  monomial polynomial (10**4 to 10**5 terms) and bucketed term by term.
 * ``ref_mul``, ``ref_times_z``, ``ref_signed_buckets``, ``ref_exact_div`` and
   ``ref_nc_mul`` recode the packed-key kernels on plain exponent tuples.
 """
@@ -37,8 +41,9 @@ from functools import lru_cache
 from math import factorial
 
 import sympy
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import field
+from sympy.polys.rings import ring
 
 from qchar.cartan import CartanData
 from qchar.laurent import (
@@ -57,8 +62,6 @@ from qchar.symfun import SchurPoly, _schur_zcoeffs, normalize_partition, partiti
 Q = sympy.Symbol("q")
 T = sympy.Symbol("t")
 W = sympy.Symbol("w")
-S = sympy.Symbol("s")
-U = sympy.Symbol("u")
 
 
 def zsyms(nvars):
@@ -186,22 +189,89 @@ def subset_apply_macdonald_qt(alpha, f):
 
 def whittaker_series_sympy(n, reflected, order):
     """p**(n-1/2) sum_a u**(a(n+1)) / prod_{i<=a} (1-u**i)(1-p**(+-2) u**i)
-    with s = p**(1/2) (s -> 1/s when reflected), each summand expanded by
-    sympy ``series`` in u through u**order; ``{(u-exponent, s-exponent): int}``."""
-    s = 1 / S if reflected else S
-    total = sympy.Integer(0)
+    with s = p**(1/2) (s -> 1/s when reflected), through u**order, in
+    sympy's sparse polynomial ring ZZ[u, x] with x = p**(+-2): each factor
+    is its geometric series, truncated at u**order after each product;
+    ``{(u-exponent, s-exponent): int}``."""
+    R, u, x = ring("u,x", ZZ)
+    total = R.zero
     for a in range(order // (n + 1) + 1):
-        den = sympy.Integer(1)
+        term = u ** (a * (n + 1))
         for i in range(1, a + 1):
-            den *= (1 - U**i) * (1 - s**4 * U**i)
-        rest = order - a * (n + 1)
-        total += U ** (a * (n + 1)) * sympy.series(1 / sympy.expand(den), U, 0, rest + 1).removeO()
+            for base in (u**i, x * u**i):
+                geometric = sum((base**k for k in range(order // i + 1)), R.zero)
+                term = R({m: c for m, c in (term * geometric).items() if m[0] <= order})
+        total += term
+    sign = -1 if reflected else 1
     out = {}
-    for term in sympy.Add.make_args(sympy.expand(s ** (2 * n - 1) * total)):
-        coeff, powers = term.as_coeff_Mul()
-        degs = powers.as_powers_dict()
-        out[(int(degs.get(U, 0)), int(degs.get(S, 0)))] = int(coeff)
+    for (e, l), c in total.items():
+        key = (e, sign * (4 * l + 2 * n - 1))
+        out[key] = out.get(key, 0) + int(c)
     return {k: c for k, c in out.items() if c}
+
+
+# -- the subset-fraction lemmas by full expansion --------------------------------
+
+
+def qpair_product(nvars, excluded):
+    """prod over ordered pairs x != y, (x, y) not excluded, of (z_x - q z_y)."""
+    z = [LaurentPoly.variable(RING_Q, nvars, i) for i in range(nvars)]
+    out = LaurentPoly.one(RING_Q, nvars)
+    for x in range(nvars):
+        for y in range(nvars):
+            if x != y and (x, y) not in excluded:
+                out = out * (z[x] - z[y].times_unit(1))
+    return out
+
+
+def _bucket_adjust(buckets, qshift, sign):
+    return {
+        key: {e + qshift: sign * c for e, c in payload.items()}
+        for key, payload in buckets.items()
+    }
+
+
+@lru_cache(maxsize=8)
+def _swap_cores(a: int, b: int):
+    n = a + b
+    i0 = tuple(range(a))
+    j0 = tuple(range(a, n))
+    base = delta_on(RING_Q, n, i0) * delta_on(RING_Q, n, j0)
+    core1 = base * qpair_product(n, frozenset((x, y) for x in j0 for y in i0))
+    core2 = base * qpair_product(n, frozenset((x, y) for x in i0 for y in j0))
+    return core1, core2
+
+
+def ref_swap_buckets(a, b, p):
+    """The two sides of ``verify.subset_swap_identity_holds`` by expanding
+    each cleared core as a monomial polynomial and bucketing every term:
+    ``signed_buckets`` of the first, and of the second with its factor
+    (-1)**(ab) q**(pa)."""
+    n = a + b
+    core1, core2 = _swap_cores(a, b)
+    zpow = tuple(b if x < a else p + a for x in range(n))
+    sign = -1 if (a * b) % 2 else 1
+    return (
+        signed_buckets(core1.times_z(zpow)),
+        _bucket_adjust(signed_buckets(core2.times_z(zpow)), p * a, sign),
+    )
+
+
+def ref_square_buckets(a):
+    """The two sides of ``verify.subset_square_identity_holds`` by full
+    expansion: the buckets of (a+1) x left and of a x right."""
+    n = 2 * a
+    i0, j0 = tuple(range(a)), tuple(range(a, n))
+    base = delta_on(RING_Q, n, i0) * delta_on(RING_Q, n, j0)
+    top = base.times_z(tuple(a if x < a else a for x in range(n)))
+    low = base.times_z(tuple(a + 1 if x < a else a - 1 for x in range(n))).times_unit(a)
+    left = (top - low) * qpair_product(n, {(x, y) for x in j0 for y in i0})
+
+    i2, j2 = tuple(range(a + 1)), tuple(range(a + 1, n))
+    base2 = delta_on(RING_Q, n, i2) * delta_on(RING_Q, n, j2)
+    base2 = base2.times_z(tuple(a - 1 if x <= a else a + 1 for x in range(n)))
+    right = base2 * qpair_product(n, {(x, y) for x in j2 for y in i2})
+    return signed_buckets(left * (a + 1)), signed_buckets(right * a)
 
 
 # -- the signed-orbit operator path ----------------------------------------------

@@ -1,16 +1,20 @@
-"""Schur functions, expansions, the Pieri rule, straightening and two-block
-branching against classical facts and their definitions."""
+"""Schur functions, expansions, the Pieri rule, straightening, two-block
+branching and the dual Cauchy expansion against classical facts and their
+definitions."""
+
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dominates, schur_form
-from qchar.laurent import LaurentPoly, _sorted_sign
+from qchar.laurent import LaurentPoly, sorted_sign
 from qchar.rings import RING_Q, RING_W, NonzeroRemainder, NotSymmetric, Scalar
 from qchar.symfun import (
     SchurPoly,
     branch,
+    dual_cauchy,
     elementary,
     monomial_sym,
     partition_of_weight,
@@ -126,7 +130,7 @@ def test_straighten_is_the_sorted_alternant(v):
     # a_{v+delta} = sign * a_{lam+delta}: sort v + delta with its parity
     nvars = len(v)
     shifted = tuple(x + nvars - 1 - i for i, x in enumerate(v))
-    ordered, sign = _sorted_sign(shifted)
+    ordered, sign = sorted_sign(shifted)
     if sign:
         lam = tuple(x - (nvars - 1 - i) for i, x in enumerate(ordered))
         assert straighten(v) == (sign, lam)
@@ -144,6 +148,26 @@ def _block_schur(vec, first, nvars):
     return LaurentPoly.from_terms(
         RING_Q, nvars, {k[:1] + (0,) * first + k[1:] + pad: c for k, c in core.terms()}
     )
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 3), (2, 2), (3, 1), (2, 3)])
+def test_dual_cauchy_multiplies_out_to_the_cross_product(a, b):
+    # sum (-q)**|lam| s_{lam^c}(x) s_{lam'}(y) over the a x b box is the
+    # product of (x_i - q y_j), x the first a variables and y the last b
+    nvars = a + b
+    z = [LaurentPoly.variable(RING_Q, nvars, i) for i in range(nvars)]
+    expected = LaurentPoly.one(RING_Q, nvars)
+    for i in range(a):
+        for j in range(a, nvars):
+            expected = expected * (z[i] - z[j].times_unit(1))
+    terms = list(dual_cauchy(a, b))
+    assert len(terms) == comb(nvars, a)
+    total = LaurentPoly.zero(RING_Q, nvars)
+    for size, left, right in terms:
+        assert len(left) == a and len(right) == b
+        block = _block_schur(left, 0, nvars) * _block_schur(right, a, nvars)
+        total = total + block.times_unit(size) * (-1) ** size
+    assert total == expected
 
 
 @st.composite

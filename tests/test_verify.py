@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from oracles import schur_form
+import qchar.verify as verify
+from oracles import ref_square_buckets, ref_swap_buckets, schur_form
 from qchar.characters import NVector, g_coefficient, graded_character
 from qchar.laurent import LaurentPoly, constrain
 from qchar.rings import RING_Q, RING_W, Scalar
@@ -21,6 +22,7 @@ from qchar.verify import (
     check_sl2_levelk_G,
     check_sl3_level1_G,
     check_sl3_level2_G,
+    check_subset_identities,
     check_torus,
     check_whittaker,
     run_suite,
@@ -41,17 +43,53 @@ def test_report_bookkeeping():
 
 
 def test_swap_identity_window():
-    # inside the window the identity holds; just outside it generically fails
-    for (a, b) in [(1, 1), (1, 2), (2, 2), (2, 3)]:
+    # inside the window the identity holds; at the first p outside it fails
+    for (a, b) in [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (1, 4)]:
         for p in range(-(b - a + 1), b - a + 2):
             assert subset_swap_identity_holds(a, b, p), (a, b, p)
-    assert not subset_swap_identity_holds(1, 2, 3)
-    assert not subset_swap_identity_holds(1, 1, -2)
+        assert not subset_swap_identity_holds(a, b, b - a + 2), (a, b)
+        assert not subset_swap_identity_holds(a, b, -(b - a + 2)), (a, b)
 
 
 def test_square_identity():
     for a in (1, 2, 3):
         assert subset_square_identity_holds(a)
+
+
+def test_two_block_buckets_match_full_expansion():
+    # the buckets read off the two-block Schur form equal, key for key, those
+    # of the fully expanded cleared products, in the window and one step out
+    blocks = [(a, b) for b in (1, 2) for a in range(1, b + 1)] + [(1, 3), (2, 3), (1, 4)]
+    for a, b in blocks:
+        w = b - a + 2
+        for p in range(-w, w + 1):
+            assert verify._swap_sides(a, b, p) == ref_swap_buckets(a, b, p), (a, b, p)
+    for a in (1, 2):
+        assert verify._square_sides(a) == ref_square_buckets(a), a
+
+
+def test_swap_identity_rejects_negative_blocks():
+    assert subset_swap_identity_holds(0, 2, 0)
+    for a, b in [(-1, 2), (1, -1), (-2, -2)]:
+        with pytest.raises(ValueError):
+            subset_swap_identity_holds(a, b, 0)
+    with pytest.raises(ValueError):
+        subset_square_identity_holds(0)
+
+
+def test_lemma_failure_names_first_differing_alternant(monkeypatch):
+    # widen the swap window by one: exactly the new edge points fail, each
+    # with the first differing alternant key and both payloads
+    monkeypatch.setattr(verify, "_swap_window", lambda a, b: range(-(b - a + 2), b - a + 3))
+    rep = check_subset_identities(bound=2, rank_max=1)
+    edges = [(a, b, p) for a in range(3) for b in range(max(a, 1), 3) for p in (-(b - a + 2), b - a + 2)]
+    failed = [f["point"] for f in rep.failures]
+    assert failed == [str(("swap",) + e) for e in edges if e[0]]
+    one_two = rep.failures[failed.index("('swap', 1, 2, 3)")]
+    assert one_two["detail"] == "alternant (8, 5, 2): lhs {3: -2}, rhs {4: -2}"
+    assert all(f["detail"].startswith("alternant (") and len(f["detail"]) <= 200 for f in rep.failures)
+    long = verify._first_difference({(3, 1): {j: 7 for j in range(100)}}, {})
+    assert len(long) == 200 and long.endswith("...")
 
 
 def test_moment_identity_and_window():
