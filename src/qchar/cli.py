@@ -40,15 +40,13 @@ def _parse_weight_form(text: str, rank: int) -> list:
     ell = [0] * rank
     for term in text.replace("ω", "w").split("+"):
         term = term.strip()
-        if not term:
-            continue
-        mult = 1
-        if "*" in term:
-            head, term = term.split("*", 1)
-            mult = int(head.strip())
-        if not term.startswith("w"):
+        mult, name = term.split("*", 1) if "*" in term else ("1", term)
+        if not name.startswith("w"):
             raise argparse.ArgumentTypeError("bad weight term %r" % term)
-        idx = int(term[1:])
+        try:
+            mult, idx = int(mult), int(name[1:])
+        except ValueError:
+            raise argparse.ArgumentTypeError("bad weight term %r" % term)
         if not 1 <= idx <= rank:
             raise argparse.ArgumentTypeError("weight index %d out of range" % idx)
         ell[idx - 1] += mult

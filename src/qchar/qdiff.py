@@ -89,7 +89,7 @@ def _schur_reconstruct_qt(buckets, nvars, den):
     return LaurentPoly(RING_QT, nvars, quot)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 13)
 def _image(zkey, nvars, alpha, n):
     """M_{alpha,n} s_lam, zkey the key of lam, with the q-power left open:
     (|lam|, least and greatest |mu|, ((|mu|, key of s_kappa, c), ...)), the

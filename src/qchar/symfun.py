@@ -1,6 +1,7 @@
 """Schur and related symmetric functions, the Schur basis, the two-block
-branching rule behind the raising operators, and the dual Cauchy expansion
-behind the subset-fraction lemmas.
+branching rule behind the raising operators (Littlewood-Richardson
+fillings, pruned row by row), and the dual Cauchy expansion behind the
+subset-fraction lemmas.
 
 Partitions are plain tuples of weakly decreasing nonnegative integers with no
 trailing zeros (the empty partition is ``()``).  A partition of length at
@@ -187,50 +188,67 @@ def straighten(v):
     return sign, tuple(v)
 
 
-def _lr_contents(lam, mu, letters):
-    """{nu: c^lam_{mu nu}} over nu with at most ``letters`` parts, counting
-    the Littlewood-Richardson tableaux of shape lam/mu (Macdonald, I.9): rows
-    weakly increase, columns strictly increase, and the word read right to
-    left, top to bottom, is a lattice word."""
-    out = {}
-
-    def fill(i, counts, above):
-        if i == len(lam):
-            out[counts] = out.get(counts, 0) + 1
-            return
-        lo, hi = mu[i], lam[i]
-        # row i holds letters <= i + 1, read largest first, so letter k > 1
-        # occurs at most counts[k-2] - counts[k-1] times
-        top = min(i + 1, letters)
-        caps = [hi - lo] + [counts[k - 1] - counts[k] for k in range(1, top)]
-        for m in itertools.product(*(range(min(c, hi - lo) + 1) for c in caps[:top])):
-            row = tuple(k + 1 for k, mk in enumerate(m) for _ in range(mk))
-            if len(row) == hi - lo and all(row[j - lo] > above[j] for j in range(lo, hi)):
-                grown = tuple(c + m[k] if k < top else c for k, c in enumerate(counts))
-                fill(i + 1, grown, (0,) * lo + row)
-
-    fill(0, (0,) * letters, (0,) * lam[0])
-    return out
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _branch_partition(lam, alpha):
-    out = []
-    for mu in itertools.product(*(range(p + 1) for p in lam[:alpha])):
-        if all(mu[i] >= mu[i + 1] for i in range(alpha - 1)):
-            padded = mu + (0,) * (len(lam) - alpha)
-            out += [(mu, nu, c) for nu, c in _lr_contents(lam, padded, len(lam) - alpha).items()]
-    return tuple(out)
+    """branch() of a partition padded to N parts (the last one 0).  By
+    c^lam_{mu nu} = c^lam_{nu mu}, the block with m = min(alpha, N - alpha)
+    variables is the content of Littlewood-Richardson tableaux of shape
+    lam/inner (Macdonald, I.9): rows weakly increase, columns strictly
+    increase, and the word read right to left, top to bottom, is a lattice
+    word.  A column holds at most m letters, so lam_{i+m} <= inner_i <=
+    lam_i.  Each row is filled letter by letter: letter k runs only over
+    cells whose entry above is < k, at most counts[k-2] - counts[k-1]
+    times, so no filling is built and then rejected."""
+    n = len(lam)
+    m = min(alpha, n - alpha)
+    if not m:
+        return ((lam, (), 1),) if alpha else (((), lam, 1),)
+    b = n - m
+    out = {}
+    inner, counts = [0] * n, [0] * m
+
+    def row(i, bound):
+        # bound[k]: the first column of row i - 1 holding a letter > k
+        e = lam[i]
+        if not e:
+            pair = (tuple(counts), tuple(inner[:b]))
+            key = pair if m == alpha else pair[::-1]
+            out[key] = out.get(key, 0) + 1
+            return
+        top = min(i + 1, m)
+        caps = [e] + [counts[k - 1] - counts[k] for k in range(1, top)]
+        for s in range(lam[i + m] if i + m < n else 0, (min(e, bound[0]) if i < b else 0) + 1):
+            inner[i] = s
+            fill(i, 0, s, e, top, caps, bound, [])
+
+    def fill(i, k, p, e, top, caps, bound, starts):
+        # letter k + 1 from column p of row i; starts: where letters 1..k began
+        starts.append(p)
+        if k == top - 1:
+            if min(p + caps[k], bound[k]) >= e:
+                counts[k] += e - p
+                row(i + 1, starts + [e] * (m - top))
+                counts[k] -= e - p
+        else:
+            for r in range(min(caps[k], bound[k] - p, e - p) + 1):
+                counts[k] += r
+                fill(i, k + 1, p + r, e, top, caps, bound, starts)
+                counts[k] -= r
+        starts.pop()
+
+    row(0, [lam[0]] * m)
+    return tuple((mu, nu, c) for (mu, nu), c in out.items())
 
 
 def branch(lam, alpha: int):
     """The two-block expansion s_lam(x, y) = sum c^lam_{mu nu} s_mu(x) s_nu(y)
     in N = len(lam) variables, x the first ``alpha`` and y the rest, as
-    (mu, nu, c) with len(mu) = alpha and len(nu) = N - alpha.  Negative parts
-    are allowed: the full column (z_1...z_N)**lam_N is factored out, and the
-    expansion of the partition left over is cached."""
+    (mu, nu, c) with len(mu) = alpha and len(nu) = N - alpha, by pruned
+    Littlewood-Richardson fillings from the block with fewer variables.
+    Negative parts are allowed: the full column (z_1...z_N)**lam_N is
+    factored out, and the expansion of the partition left over is cached."""
     lam = tuple(lam)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or not 0 <= alpha <= len(lam):
+    if not lam or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or not 0 <= alpha <= len(lam):
         raise ValueError("cannot branch %r at alpha = %d" % (lam, alpha))
     off = lam[-1]
     core = _branch_partition(tuple(x - off for x in lam), alpha)

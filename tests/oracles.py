@@ -32,6 +32,10 @@
   monomial polynomial (10**4 to 10**5 terms) and bucketed term by term.
 * ``ref_mul``, ``ref_times_z``, ``ref_signed_buckets``, ``ref_exact_div`` and
   ``ref_nc_mul`` recode the packed-key kernels on plain exponent tuples.
+* ``ref_branch`` is the two-block branching rule as ``qchar.symfun`` ran it
+  before it pruned its fillings: every inner shape mu in the x-block, and
+  for each row the full product of letter counts, filtered afterwards by
+  row length and column strictness.
 """
 
 from __future__ import annotations
@@ -631,4 +635,49 @@ def ref_specialize_t0_qinv(c) -> dict:
         if QQ.denom(v) != 1:
             raise NotDivisible("coefficient %s is not an integer" % (v,))
         out[e] = int(QQ.numer(v))
+    return out
+
+
+# -- the two-block branching rule, unpruned ----------------------------------------
+
+
+def _ref_lr_contents(lam, mu, letters):
+    """{nu: c^lam_{mu nu}} over nu with at most ``letters`` parts, counting
+    the Littlewood-Richardson tableaux of shape lam/mu (Macdonald, I.9): rows
+    weakly increase, columns strictly increase, and the word read right to
+    left, top to bottom, is a lattice word."""
+    out = {}
+
+    def fill(i, counts, above):
+        if i == len(lam):
+            out[counts] = out.get(counts, 0) + 1
+            return
+        lo, hi = mu[i], lam[i]
+        # row i holds letters <= i + 1, read largest first, so letter k > 1
+        # occurs at most counts[k-2] - counts[k-1] times
+        top = min(i + 1, letters)
+        caps = [hi - lo] + [counts[k - 1] - counts[k] for k in range(1, top)]
+        for m in itertools.product(*(range(min(c, hi - lo) + 1) for c in caps[:top])):
+            row = tuple(k + 1 for k, mk in enumerate(m) for _ in range(mk))
+            if len(row) == hi - lo and all(row[j - lo] > above[j] for j in range(lo, hi)):
+                grown = tuple(c + m[k] if k < top else c for k, c in enumerate(counts))
+                fill(i + 1, grown, (0,) * lo + row)
+
+    fill(0, (0,) * letters, (0,) * lam[0])
+    return out
+
+
+def ref_branch(lam, alpha: int) -> list:
+    """(mu, nu, c) with s_lam(x, y) = sum c s_mu(x) s_nu(y), x the first
+    ``alpha`` of the len(lam) variables: every mu inside lam[:alpha] is
+    tried, and the full column (z_1...z_N)**lam_N is factored out first."""
+    lam = tuple(lam)
+    off = lam[-1]
+    core = tuple(x - off for x in lam)
+    out = []
+    for mu in itertools.product(*(range(p + 1) for p in core[:alpha])):
+        if all(mu[i] >= mu[i + 1] for i in range(alpha - 1)):
+            padded = mu + (0,) * (len(core) - alpha)
+            for nu, c in _ref_lr_contents(core, padded, len(core) - alpha).items():
+                out.append((tuple(x + off for x in mu), tuple(x + off for x in nu), c))
     return out

@@ -91,6 +91,11 @@ def test_weight_form_input():
     assert json.loads(scaled.stdout)["n"] == [[2], [0]]
     assert run_cli(["char", "--rank", "2", "--level", "2", "--n", "w1"]).returncode == 2
     assert run_cli(["char", "--rank", "2", "--level", "1", "--n", "w9"]).returncode == 2
+    # a weight term that is not an integer multiple of w<integer>, or empty,
+    # is a usage error, not a traceback or a term silently dropped
+    for bad in ("w1+wx", "a*w1", "w1+", "w1++w2"):
+        out = run_cli(["char", "--rank", "2", "--level", "1", "--n", bad])
+        assert out.returncode == 2 and out.stdout == "" and "Traceback" not in out.stderr
 
 
 def test_out_file(tmp_path):

@@ -19,6 +19,7 @@ from oracles import (
     subset_operator_bruteforce,
     sympy_equal,
 )
+from qchar import qdiff, symfun
 from qchar.cartan import CartanData
 from qchar.laurent import LaurentPoly
 from qchar.qdiff import apply_D, apply_M, apply_macdonald_qt
@@ -263,3 +264,11 @@ def test_chained_schur_action_matches_orbit_oracle():
                         got = act(alpha, n, act(beta, p, fs_r))
                         want = oracle(alpha, n, oracle(beta, p, fm_r))
                         assert got.monomials() == want, (r, fs, alpha, n, beta, p)
+
+
+def test_branch_and_image_caches_are_bounded():
+    # both caches hold at least the working set of a long raising chain
+    # (a few hundred branchings, about a thousand images) but not without end
+    for cached in (symfun._branch_partition, qdiff._image):
+        maxsize = cached.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize >= 4096

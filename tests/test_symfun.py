@@ -2,13 +2,14 @@
 branching and the dual Cauchy expansion against classical facts and their
 definitions."""
 
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dominates, schur_form
+from oracles import dominates, ref_branch, schur_form
 from qchar.laurent import LaurentPoly, sorted_sign
 from qchar.rings import RING_Q, RING_W, NonzeroRemainder, NotSymmetric, Scalar
 from qchar.symfun import (
@@ -182,12 +183,12 @@ def _weakly_decreasing(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_weakly_decreasing(), st.booleans())
-def test_branch_multiplies_out_to_the_schur_polynomial(lam, last):
+@given(_weakly_decreasing(), st.data())
+def test_branch_multiplies_out_to_the_schur_polynomial(lam, data):
     # sum c s_mu(x) s_nu(y), multiplied out as monomials, is s_lam(x, y),
-    # for alpha = 1 and alpha = N - 1
+    # for every alpha in [0, N]
     nvars = len(lam)
-    alpha = nvars - 1 if last else 1
+    alpha = data.draw(st.integers(0, nvars), label="alpha")
     total = LaurentPoly.zero(RING_Q, nvars)
     for mu, nu, c in branch(lam, alpha):
         assert len(mu) == alpha and len(nu) == nvars - alpha and c > 0
@@ -213,6 +214,28 @@ def test_branch_examples_and_guards():
         branch((1, 2), 1)
     with pytest.raises(ValueError):
         branch((1, 0), 3)
+    with pytest.raises(ValueError):
+        branch((), 0)
+
+
+def _branch_grid():
+    for nvars in range(1, 7):
+        for lam in partitions_up_to(8, nvars):
+            full = lam + (0,) * (nvars - len(lam))
+            for alpha in range(nvars + 1):
+                yield full, alpha
+                # the same shape with negative last parts
+                yield tuple(x - 1 - sum(lam) % 3 for x in full), alpha
+
+
+def test_branch_matches_the_unpruned_fillings_on_a_grid():
+    # every lam with N <= 6 and |lam| <= 8, and a shift of it with negative
+    # parts, at every alpha: the same (mu, nu, c) multiset as the oracle
+    cases = 0
+    for lam, alpha in _branch_grid():
+        assert Counter(branch(lam, alpha)) == Counter(ref_branch(lam, alpha)), (lam, alpha)
+        cases += 1
+    assert cases == 2 * 1330
 
 
 def test_schur_form_views_and_guards():
