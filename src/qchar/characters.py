@@ -23,7 +23,7 @@ every rank and level; ``difference_equation_holds`` checks it on chi or G.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .cartan import CartanData
 from .laurent import LaurentPoly, constrain, w_to_q
@@ -135,17 +135,16 @@ class GradedCharacter:
         return self.form.monomials()
 
 
-_RAISING_CACHE: dict = {}
-_G_CACHE: dict = {}
+# entries per character cache: char-ladder, verify-operators and
+# ``verify --suite all`` in one process use 269 raising products and 177 G forms
+_CHARACTER_CACHE = 1 << 10
 
 
+@lru_cache(maxsize=_CHARACTER_CACHE)
 def raising_product(n: NVector) -> SchurPoly:
     """The bare operator product applied to 1 (Q-ring, r+1 variables,
     no prefactor); level-1 factors act first, higher levels after."""
-    cached = _RAISING_CACHE.get(n)
-    if cached is None:
-        cached = _RAISING_CACHE[n] = operator_product(n, apply_M, RING_Q)
-    return cached
+    return operator_product(n, apply_M, RING_Q)
 
 
 def operator_product(n: NVector, op, ring, reverse: bool = False) -> SchurPoly:
@@ -203,13 +202,11 @@ def g_raising_product(n: NVector) -> SchurPoly:
     return operator_product(n, apply_D, RING_W)
 
 
+@lru_cache(maxsize=_CHARACTER_CACHE)
 def g_schur_form(n: NVector) -> SchurPoly:
     """G_n as a Schur form: the twisted product on 1 modulo
     z_1...z_{r+1} = 1 (W-ring, r+1 variables, every lam_{r+1} = 0)."""
-    cached = _G_CACHE.get(n)
-    if cached is None:
-        cached = _G_CACHE[n] = g_raising_product(n).constrained()
-    return cached
+    return g_raising_product(n).constrained()
 
 
 def g_coefficient(n: NVector) -> LaurentPoly:

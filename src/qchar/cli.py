@@ -143,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("char", help="compute one graded character")
-    pc.add_argument("--rank", type=int, required=True)
-    pc.add_argument("--level", type=int, default=1)
+    pc.add_argument("--rank", type=_int_at_least(1), required=True)
+    pc.add_argument("--level", type=_int_at_least(1), default=1)
     pc.add_argument("--n", required=True, help="level-major occupations, e.g. 1,0;0,1")
     pc.add_argument("--format", choices=("json", "csv", "text"), default="json")
     pc.add_argument("--out", default=None, help="output file (default stdout)")

@@ -21,6 +21,12 @@ and ``qtorus`` read keys; everything else goes through ``terms()``,
 ``from_terms()`` and the codec: ``pack``, ``unpack``, ``split_unit``,
 ``UNIT`` and the unit offsets of ``signed_buckets``.
 
+Subclasses keep the keys and change the basis or the product:
+``symfun.SchurPoly`` keys Schur functions, and ``qtorus.NcLaurent`` is a
+W-ring polynomial in the 2r torus exponents, the w-exponent in the unit
+slot, with a twisted product.  Their constructors take other arguments, so
+the methods here build zero and one through ``_like``.
+
 Everything here is exact; division raises ``NotDivisible`` rather than
 truncating.  Values are immutable by convention: no method mutates ``self``.
 """
@@ -381,11 +387,11 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:
-                return self.zero(self.ring, self.nvars)
+                return self._like({})
             return self._like({k: c * other for k, c in self.coeffs.items()}, self._box)
         self._check_compatible(other)
         if not self.coeffs or not other.coeffs:
-            return self.zero(self.ring, self.nvars)
+            return self._like({})
         box = box_sum(self.bounds(), other.bounds())
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
@@ -405,7 +411,7 @@ class LaurentPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers of polynomials are not defined")
-        result = self.one(self.ring, self.nvars)
+        result = self._like({zero_key(self.width): 1})
         base = self
         while n:
             if n & 1:
@@ -448,7 +454,7 @@ class LaurentPoly:
         if s.ring != self.ring:
             raise TypeError("scalar ring mismatch")
         if not s.data or not self.coeffs:
-            return self.zero(self.ring, self.nvars)
+            return self._like({})
         rest = (0,) * self.nvars
         box = box_sum(self.bounds(), ((min(s.data),) + rest, (max(s.data),) + rest))
         out = {}
@@ -489,7 +495,7 @@ class LaurentPoly:
         if self.ring == RING_QT:
             raise ValueError("QT ring has no distinguished unit variable")
         if not EXP_MIN <= j <= EXP_MAX:
-            return self.zero(self.ring, self.nvars)
+            return self._like({})
         slot = j + _BIAS
         return self._like({k - j: c for k, c in self.coeffs.items() if k & _MASK == slot})
 

@@ -7,10 +7,15 @@ Generators Q_{a,0}, Q_{a,1} (a in [1, r]) q-commute:
 
 and every Q_{a,k}, k in ZZ, is a Laurent polynomial in the initial cluster
 (the quantum cluster Laurent property).  Elements are stored normal ordered:
-all Q_{a,0} to the left of all Q_{b,1}, encoded as exponent pairs
-(a-vector, b-vector), packed into one int key by ``laurent.pack``, with
-W-ring scalar coefficients.  Moving Q_{b,1}**m left past Q_{a,0}**l costs
-v**(-lam(a,b)*l*m); the pairing -2 lam is built once per rank.
+all Q_{a,0} to the left of all Q_{b,1}.  ``NcLaurent`` is a W-ring
+``LaurentPoly`` in the 2r exponents (a_1..a_r, b_1..b_r): the w-exponent of
+a term sits in the unit slot of its packed key, so an element is one flat
+{key: int} map, and sums, ``==``, ``times_unit``, integer scaling and their
+range checks are the keyed arithmetic of ``LaurentPoly``.  Only the product
+is twisted: moving Q_{b,1}**m left past Q_{a,0}**l costs
+v**(-lam(a,b)*l*m); the pairing -2 lam is built once per rank.  The w
+slot has the range of every slot: a product raises ``ExponentOverflow``
+when a term it forms, twist included, has w outside [EXP_MIN, EXP_MAX].
 
 The recursion
 
@@ -18,67 +23,45 @@ The recursion
     Q_{0,k} = Q_{r+1,k} = 1
 
 is solved forwards and backwards by exact one-sided division (greedy on the
-leading key, a lexicographic monomial order, with every quotient exponent
-checked against the bounds an exact quotient must meet; leading terms
-multiply to leading terms, so the greedy quotient exists whenever any
-quotient does).  Failure would falsify the
-Laurent property and raises ``NcNotDivisible``.
+leading key, a lexicographic monomial order in which the position (a, b)
+decides and the w-exponent breaks ties; leading terms multiply to leading
+terms, so the greedy quotient exists whenever any quotient does).  Every
+quotient position is checked against the bounds an exact quotient must
+meet, and every w-exponent against a floor at its position, so the descent
+stops after finitely many steps.  Failure would falsify the Laurent property
+and raises ``NcNotDivisible``.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .cartan import CartanData
 from .laurent import (
+    EXP_MAX,
+    EXP_MIN,
     SLOT_BITS,
-    box_sum,
-    key_bounds,
+    LaurentPoly,
     offset,
     outside_box,
     pack,
     require_fit,
+    split_unit,
     unpack,
     zero_key,
 )
-from .rings import RING_W, NcNotDivisible, Scalar
+from .rings import RING_W, ExponentOverflow, NcNotDivisible, Scalar
+
+# the w-exponent of a key k is (k & _W_MASK) - _W_ZERO, in [0, _W_TOP] when
+# it fits its slot
+_W_MASK = (1 << SLOT_BITS) - 1
+_W_ZERO = zero_key(1)
+_W_TOP = EXP_MAX - EXP_MIN
 
 
-def _wdivexact(c1, c2):
-    """Exact division in ZZ[w**±1]; returns None when inexact."""
-    if not c2:
-        raise ZeroDivisionError
-    if not c1:
-        return {}
-    lo1, lo2 = min(c1), min(c2)
-    n = {k - lo1: v for k, v in c1.items()}
-    d = {k - lo2: v for k, v in c2.items()}
-    dtop = max(d)
-    dlc = d[dtop]
-    quot = {}
-    work = dict(n)
-    while work:
-        top = max(work)
-        qk = top - dtop
-        if qk < 0:
-            return None
-        qc, rem = divmod(work[top], dlc)
-        if rem:
-            return None
-        quot[qk] = qc
-        for k, v in d.items():
-            kk = qk + k
-            nv = work.get(kk, 0) - qc * v
-            if nv:
-                work[kk] = nv
-            else:
-                work.pop(kk, None)
-    return {k + lo1 - lo2: v for k, v in quot.items()}
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _twist_rows(rank):
     """The rows of -2 lam: moving Q_{b,1}**b_j left past Q_{a,0}**a_i costs
     w**(sum_i a_i t_i) with t = rows . b."""
@@ -87,62 +70,73 @@ def _twist_rows(rank):
 
 @lru_cache(maxsize=1 << 14)
 def _twist_vector(rank, bkey):
-    """t = rows . b for the b-part key ``bkey`` (a key shifted right by the
-    a-slots)."""
+    """t = rows . b for the b-part key ``bkey`` (a position key shifted right
+    by the a-slots)."""
     b = unpack(bkey, rank)
     return tuple(sum(map(mul, row, b)) for row in _twist_rows(rank))
 
 
-def _pair_twist(rank, left_key, right_key):
-    """The w-exponent of normal ordering left_key * right_key."""
-    t = _twist_vector(rank, left_key >> (SLOT_BITS * rank))
-    return sum(map(mul, unpack(right_key, rank), t))
+def _pair_twist(rank, left, right):
+    """The w-exponent of normal ordering left * right, for the keys of two
+    positions (a, b)."""
+    t = _twist_vector(rank, left >> (SLOT_BITS * rank))
+    return sum(map(mul, unpack(right, rank), t))
 
 
-class NcLaurent:
+class NcLaurent(LaurentPoly):
     """Normal-ordered element of the quantum torus; immutable by convention.
 
-    ``coeffs`` maps the packed key of the exponent vector (a_1..a_r,
-    b_1..b_r) (``laurent.pack``, same slots and range) to a {w-exponent: int}
-    coefficient; ``terms()`` and ``from_terms()`` use (a-tuple, b-tuple)."""
+    The term c * w**j * Q_{.,0}**a * Q_{.,1}**b has the exponent vector
+    (j, a_1..a_r, b_1..b_r) of a W-ring ``LaurentPoly`` in 2r variables.
+    The constructors take the rank, and ``terms()`` and ``from_terms()`` use
+    ((a-tuple, b-tuple), {w-exponent: int}) pairs.  A plain ``LaurentPoly``
+    operand raises TypeError."""
 
-    __slots__ = ("rank", "coeffs", "_box")
+    __slots__ = ("_groups",)
 
-    def __init__(self, rank, coeffs, box=None):
-        # Trusted constructor: canonical coefficients, exact ``box`` or None.
-        self.rank = rank
-        self.coeffs = coeffs
-        self._box = box
+    @property
+    def rank(self):
+        return self.nvars // 2
+
+    def _right_groups(self):
+        """The terms as a right factor, grouped by a-part: (a-vector, least
+        and greatest w, [(key less the zero key, coefficient)]) per group;
+        built once per element, which is often a right factor many times."""
+        try:
+            return self._groups
+        except AttributeError:
+            pass
+        r = self.rank
+        zero = zero_key(2 * r + 1)
+        a_part = (1 << (SLOT_BITS * r)) - 1
+        groups = {}
+        for k in self.coeffs:
+            groups.setdefault((k >> SLOT_BITS) & a_part, []).append(k)
+        self._groups = []
+        for akey, keys in groups.items():
+            ws = [k & _W_MASK for k in keys]
+            group = [(k - zero, self.coeffs[k]) for k in keys]
+            self._groups.append((unpack(akey, r), min(ws) - _W_ZERO, max(ws) - _W_ZERO, group))
+        return self._groups
 
     @classmethod
     def zero(cls, rank):
-        return cls(rank, {})
+        return cls(RING_W, 2 * rank, {})
 
     @classmethod
     def from_terms(cls, rank, terms):
         """The element with the given ((a-tuple, b-tuple), {w-exponent: int})
         pairs (a mapping or an iterable); repeated monomials add up."""
-        out = {}
+        flat = []
         for (a, b), c in terms.items() if hasattr(terms, "items") else terms:
             if len(a) != rank or len(b) != rank:
                 raise ValueError("exponent vectors need %d entries" % rank)
-            cur = out.setdefault(pack(tuple(a) + tuple(b)), {})
-            for e, x in c.items():
-                nv = cur.get(e, 0) + x
-                if nv:
-                    cur[e] = nv
-                else:
-                    cur.pop(e, None)
-        return cls(rank, {k: c for k, c in out.items() if c})
-
-    @classmethod
-    def from_int(cls, rank, n, wexp=0):
-        z = (0,) * rank
-        return cls.from_terms(rank, [((z, z), {wexp: n})])
+            flat += [((e, *a, *b), x) for e, x in c.items()]
+        return super().from_terms(RING_W, 2 * rank, flat)
 
     @classmethod
     def one(cls, rank):
-        return cls.from_int(rank, 1)
+        return cls.monomial(rank, (0,) * rank, (0,) * rank)
 
     @classmethod
     def monomial(cls, rank, a, b, wexp=0, coeff=1):
@@ -163,115 +157,42 @@ class NcLaurent:
     def terms(self):
         """Iterate over ((a-tuple, b-tuple), {w-exponent: int}) pairs."""
         r = self.rank
-        for k, c in self.coeffs.items():
-            v = unpack(k, 2 * r)
-            yield (v[:r], v[r:]), c
-
-    def bounds(self):
-        """(lo, hi) of the exponent vectors (a, b), or None for zero."""
-        if self._box is None and self.coeffs:
-            self._box = key_bounds(self.coeffs, 2 * self.rank)
-        return self._box
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NcLaurent)
-            and self.rank == other.rank
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def __add__(self, other):
-        out = {k: dict(v) for k, v in self.coeffs.items()}
-        for k, c in other.coeffs.items():
-            cur = out.setdefault(k, {})
-            for e, x in c.items():
-                nv = cur.get(e, 0) + x
-                if nv:
-                    cur[e] = nv
-                else:
-                    del cur[e]
-            if not cur:
-                del out[k]
-        return NcLaurent(self.rank, out)
-
-    def __neg__(self):
-        return NcLaurent(
-            self.rank,
-            {k: {e: -x for e, x in c.items()} for k, c in self.coeffs.items()},
-            self._box,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def times_unit(self, wexp):
-        if not wexp:
-            return self
-        return NcLaurent(
-            self.rank,
-            {k: {e + wexp: x for e, x in c.items()} for k, c in self.coeffs.items()},
-            self._box,
-        )
+        for v, s in self.z_terms().items():
+            yield (v[:r], v[r:]), s.data
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return NcLaurent.zero(self.rank)
-            return NcLaurent(
-                self.rank,
-                {k: {e: x * other for e, x in c.items()} for k, c in self.coeffs.items()},
-                self._box,
-            )
-        r = self.rank
+            return LaurentPoly.__mul__(self, other)
+        self._check_compatible(other)
         if not self.coeffs or not other.coeffs:
-            return NcLaurent.zero(r)
-        box = box_sum(self.bounds(), other.bounds())
-        zero = zero_key(2 * r)
-        right = [(k - zero, unpack(k, r), list(c.items())) for k, c in other.coeffs.items()]
+            return self._like({})
+        r = self.rank
+        (lo1, hi1), (lo2, hi2) = self.bounds(), other.bounds()
+        # the (a, b) slots add up; the twisted w slot is checked below, once
+        # per left term and right a-part, where the twist is computed
+        lo, hi = tuple(map(add, lo1[1:], lo2[1:])), tuple(map(add, hi1[1:], hi2[1:]))
+        require_fit(lo, hi)
+        right = other._right_groups()
+        b_shift = SLOT_BITS * (r + 1)
         out = {}
         get = out.get
         for k1, c1 in self.coeffs.items():
-            t = _twist_vector(r, k1 >> (SLOT_BITS * r))
-            c1 = list(c1.items())
-            for k2, a2, c2 in right:
+            w1 = k1 & _W_MASK
+            t = _twist_vector(r, k1 >> b_shift)
+            for a2, wlo, whi, group in right:
                 twist = sum(map(mul, a2, t))
-                key = k1 + k2
-                cur = get(key)
-                if cur is None:
-                    cur = out[key] = {}
-                for e1, x1 in c1:
-                    e1 += twist
-                    for e2, x2 in c2:
-                        e = e1 + e2
-                        cur[e] = cur.get(e, 0) + x1 * x2
-        out = {k: {e: x for e, x in c.items() if x} for k, c in out.items()}
-        return NcLaurent(r, {k: c for k, c in out.items() if c}, box)
+                if w1 + twist + wlo < 0 or w1 + twist + whi > _W_TOP:
+                    raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+                base = k1 + twist
+                for k2, c2 in group:
+                    k = base + k2
+                    out[k] = get(k, 0) + c1 * c2
+        # nonzero, since the torus is a domain
+        out = {k: c for k, c in out.items() if c}
+        ws = [k & _W_MASK for k in out]
+        return self._like(out, ((min(ws) - _W_ZERO, *lo), (max(ws) - _W_ZERO, *hi)))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers need explicit division")
-        result = NcLaurent.one(self.rank)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def min_b_exponent(self):
-        return min(self.bounds()[0][self.rank:]) if self.coeffs else 0
 
     def to_text(self):
         if not self.coeffs:
@@ -291,18 +212,22 @@ class NcLaurent:
 
 def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
     """Exact quotient X with X*den = num (side='right') or den*X = num
-    (side='left').  An exact quotient has its exponents between the least
-    exponents of num less those of den and the greatest less the greatest;
-    the greedy descent checks every quotient term against these bounds, so
-    it stops after finitely many steps."""
+    (side='left').  An exact quotient has its positions between the least
+    (a, b) exponents of num less those of den and the greatest less the
+    greatest.  At a position P, the w-coefficient of the remainder when P
+    is first reached is the quotient's w-coefficient times den's leading
+    block, so while the division is exact the remainder's leading w there
+    stays at least its least w then plus the w-spread of that block.  The
+    greedy descent checks both, so it stops after finitely many steps."""
+    num._check_compatible(den)
     if den.is_zero():
         raise ZeroDivisionError("division by zero in the quantum torus")
-    rank = num.rank
     if num.is_zero():
-        return NcLaurent.zero(rank)
+        return num
+    rank = num.rank
     width = 2 * rank
     (nlo, nhi), (dlo, dhi) = num.bounds(), den.bounds()
-    qlo, qhi = tuple(map(sub, nlo, dlo)), tuple(map(sub, nhi, dhi))
+    qlo, qhi = tuple(map(sub, nlo[1:], dlo[1:])), tuple(map(sub, nhi[1:], dhi[1:]))
     if any(map(int.__gt__, qlo, qhi)):
         raise NcNotDivisible("no exact quotient in the quantum torus")
     require_fit(qlo, qhi)
@@ -311,50 +236,58 @@ def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
 
     dlead = max(den.coeffs)
     dlc = den.coeffs[dlead]
+    dw, dpos = split_unit(dlead)
+    spread = dw - min(w for w, p in map(split_unit, den.coeffs) if p == dpos)
 
-    work = {k: dict(c) for k, c in num.coeffs.items()}
+    low = {}  # position -> least w-exponent seen there in the remainder
+
+    def note(key):
+        w, p = split_unit(key)
+        low[p] = min(low.get(p, w), w)
+
+    work = dict(num.coeffs)
+    for k in work:
+        note(k)
     heap = [-k for k in work]
     heapq.heapify(heap)
     quot = {}
+    pos = None
     while work:
         k = -heapq.heappop(heap)
         c = work.get(k)
         if c is None:
             continue
-        qloc = k - dlead
+        w, p = split_unit(k)
+        if p != pos:
+            # nothing lands at or above a position once it is reached
+            pos, floor = p, low[p] + spread
+        qloc = p - dpos
         if outside_box(qloc - base, top, width):
             raise NcNotDivisible("no exact quotient in the quantum torus")
-        qkey = qloc + zero
-        if side == "right":
-            tw = _pair_twist(rank, qkey, dlead)
-        else:
-            tw = _pair_twist(rank, dlead, qkey)
-        qc = _wdivexact(c, {e + tw: x for e, x in dlc.items()})
-        if qc is None:
+        if w < floor:
+            raise NcNotDivisible("w-coefficient not divisible")
+        qc, rem = divmod(c, dlc)
+        if rem:
             raise NcNotDivisible("scalar coefficient not divisible")
+        qpos = qloc + zero
+        twist = _pair_twist(rank, qpos, dpos) if side == "right" else _pair_twist(rank, dpos, qpos)
+        qkey = (qpos << SLOT_BITS) + pack((w - dw - twist,))
         quot[qkey] = qc
-        term = NcLaurent(rank, {qkey: qc})
+        term = num._like({qkey: qc})
         rest = (term * den) if side == "right" else (den * term)
         # the leading term of ``rest`` equals the popped leading term of the
         # remainder by construction, so the subtraction cancels it
         for kk, cc in rest.coeffs.items():
             cur = work.get(kk)
-            fresh = cur is None
-            if fresh:
-                cur = {}
-            for e, x in cc.items():
-                nv = cur.get(e, 0) - x
-                if nv:
-                    cur[e] = nv
-                else:
-                    del cur[e]
-            if cur:
-                work[kk] = cur
-                if fresh:
-                    heapq.heappush(heap, -kk)
+            if cur is None:
+                work[kk] = -cc
+                heapq.heappush(heap, -kk)
+                note(kk)
+            elif cur == cc:
+                del work[kk]
             else:
-                work.pop(kk, None)
-    return NcLaurent(rank, quot, (qlo, qhi))
+                work[kk] = cur - cc
+    return num._like(quot)
 
 
 def nc_div_right(num: NcLaurent, den: NcLaurent) -> NcLaurent:
@@ -409,22 +342,22 @@ def evaluate(f: NcLaurent, mode: str = "ev") -> NcLaurent:
     rank = f.rank
     cart = CartanData(rank)
     row = [-2 * cart.lam_row_sum(a) for a in range(1, rank + 1)]
-    a_slots = (1 << (SLOT_BITS * rank)) - 1
-    zero_a = zero_key(rank)
+    a_slots = ((1 << (SLOT_BITS * rank)) - 1) << SLOT_BITS
+    zero_a = zero_key(rank) << SLOT_BITS
+    shifts = {}  # a-part -> w-shift
     out = {}
     for k, c in f.coeffs.items():
-        shift = sum(map(mul, unpack(k, rank), row)) if mode == "ev0" else 0
-        key = k - (k & a_slots) + zero_a
-        cur = out.setdefault(key, {})
-        for e, x in c.items():
-            nv = cur.get(e + shift, 0) + x
-            if nv:
-                cur[e + shift] = nv
-            else:
-                del cur[e + shift]
-        if not cur:
-            del out[key]
-    return NcLaurent(rank, out)
+        a = k & a_slots
+        key = k - a + zero_a
+        if mode == "ev0":
+            shift = shifts.get(a)
+            if shift is None:
+                shift = shifts[a] = sum(map(mul, unpack(a >> SLOT_BITS, rank), row))
+            if not 0 <= (k & _W_MASK) + shift <= _W_TOP:
+                raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+            key += shift
+        out[key] = out.get(key, 0) + c
+    return f._like({k: c for k, c in out.items() if c})
 
 
 def check_polynomiality(rank: int, word, table=None) -> bool:
@@ -442,4 +375,4 @@ def check_polynomiality(rank: int, word, table=None) -> bool:
     ev0 = evaluate(prod, "ev0")
     if any(any(a) for (a, _), _ in ev0.terms()):
         raise AssertionError("evaluation left a Q_{a,0} behind")
-    return ev0.min_b_exponent() >= 0
+    return not ev0 or min(ev0.bounds()[0][rank + 1:]) >= 0

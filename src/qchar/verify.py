@@ -217,13 +217,15 @@ def subset_square_identity_holds(a: int) -> bool:
     return lhs == rhs
 
 
-def _first_difference(lhs, rhs, cap: int = 200) -> str:
-    """The first alternant key, in decreasing order, whose payloads differ
-    between two bucket dicts, with both payloads, cut to ``cap`` characters."""
+def _first_difference(lhs, rhs, label: str = "alternant", cap: int = 200) -> str:
+    """The first key, in decreasing order, whose payloads differ between two
+    dicts of {exponent: int} payloads (alternant buckets, or the
+    ``terms()`` of torus elements), named by ``label``, with both payloads,
+    cut to ``cap`` characters."""
     for key in sorted(lhs.keys() | rhs.keys(), reverse=True):
         if lhs.get(key) != rhs.get(key):
-            text = "alternant %s: lhs %s, rhs %s" % (
-                key, dict(sorted(lhs.get(key, {}).items())), dict(sorted(rhs.get(key, {}).items()))
+            text = "%s %s: lhs %s, rhs %s" % (
+                label, key, dict(sorted(lhs.get(key, {}).items())), dict(sorted(rhs.get(key, {}).items()))
             )
             return text if len(text) <= cap else text[: cap - 3] + "..."
 
@@ -527,9 +529,17 @@ def check_torus(
     """Laurent property of the Q-system solution (exact division never
     fails), the defining relation across the computed table, in-window
     commutations, polynomiality of evaluated words, and the evaluation-map
-    intertwining on random elements."""
+    intertwining on random elements.  A failing relation, window or
+    intertwining point names the first differing (a, b) monomial with both
+    w-coefficients."""
     rep = CheckReport("torus")
     rng = random.Random(seed)
+
+    def compare(point, lhs, rhs):
+        ok = lhs == rhs
+        detail = None if ok else _first_difference(dict(lhs.terms()), dict(rhs.terms()), "monomial")
+        rep.record(point, ok, detail)
+
     for rank in range(1, rank_max + 1):
         cart = CartanData(rank)
         try:
@@ -546,7 +556,7 @@ def check_torus(
             for a in range(1, rank + 1):
                 lhs = (get(a, k + 1) * get(a, k - 1)).times_unit(2 * cart.lam(a, a))
                 rhs = get(a, k) ** 2 - get(a + 1, k) * get(a - 1, k)
-                rep.record(("relation", rank, a, k), lhs == rhs)
+                compare(("relation", rank, a, k), lhs, rhs)
 
         for a, b in itertools.product(range(1, rank + 1), repeat=2):
             for k, kp in itertools.product(range(k_min, k_max + 1), repeat=2):
@@ -554,7 +564,7 @@ def check_torus(
                     continue
                 lhs = get(a, k) * get(b, kp)
                 rhs = (get(b, kp) * get(a, k)).times_unit(2 * cart.lam(a, b) * (kp - k))
-                rep.record(("window", rank, a, b, k, kp), lhs == rhs)
+                compare(("window", rank, a, b, k, kp), lhs, rhs)
 
         letters = [
             (a, k) for a in range(1, rank + 1) for k in range(1, word_k_max + 1)
@@ -573,9 +583,7 @@ def check_torus(
         ones = NcLaurent.monomial(rank, (0,) * rank, (1,) * rank)
         for i in range(samples):
             f = _random_torus_element(rank, rng)
-            lhs = evaluate(ones * f, "ev")
-            rhs = ones * evaluate(f, "ev0")
-            rep.record(("intertwine", rank, i), lhs == rhs)
+            compare(("intertwine", rank, i), evaluate(ones * f, "ev"), ones * evaluate(f, "ev0"))
     return rep
 
 

@@ -60,7 +60,7 @@ from qchar.laurent import (
     signed_buckets,
     vandermonde,
 )
-from qchar.rings import RING_Q, RING_QT, RING_W, NotDivisible, PoleAtZero, Scalar
+from qchar.rings import RING_Q, RING_QT, RING_W, NcNotDivisible, NotDivisible, PoleAtZero, Scalar
 from qchar.symfun import SchurPoly, _schur_zcoeffs, normalize_partition, partitions, schur_expand
 
 Q = sympy.Symbol("q")
@@ -523,6 +523,51 @@ def ref_nc_mul(rank: int, a: dict, b: dict) -> dict:
                     cur[e1 + e2 + twist] = cur.get(e1 + e2 + twist, 0) + x1 * x2
     out = {k: {e: x for e, x in c.items() if x} for k, c in out.items()}
     return {k: c for k, c in out.items() if c}
+
+
+def ref_nc_div(rank: int, num: dict, den: dict, side: str) -> dict:
+    """X with X*den = num (side 'right') or den*X = num (side 'left'), on
+    {(a-tuple, b-tuple): {w: int}} dicts, by greedy division on the
+    greatest (a, b) in tuple order: its w-coefficient is divided by the
+    twisted leading w-coefficient of den as a univariate Laurent polynomial
+    (``ref_exact_div`` on 1-tuples).  Quotient positions are confined as in
+    ``ref_exact_div``; no exact quotient raises ``NcNotDivisible``."""
+    if not den:
+        raise ZeroDivisionError
+    if not num:
+        return {}
+    nk, dk = [a + b for a, b in num], [a + b for a, b in den]
+    lo = [min(k[i] for k in nk) - min(k[i] for k in dk) for i in range(2 * rank)]
+    hi = [max(k[i] for k in nk) - max(k[i] for k in dk) for i in range(2 * rank)]
+    dlead = max(den)
+    rem, quot = {k: dict(c) for k, c in num.items()}, {}
+    while rem:
+        lead = max(rem)
+        q = tuple(tuple(x - y for x, y in zip(u, v)) for u, v in zip(lead, dlead))
+        if any(not lo[i] <= x <= hi[i] for i, x in enumerate(q[0] + q[1])):
+            raise NcNotDivisible("no exact quotient")
+        pair = ({q: {0: 1}}, {dlead: {0: 1}}) if side == "right" else ({dlead: {0: 1}}, {q: {0: 1}})
+        (twist,) = ref_nc_mul(rank, *pair)[lead]
+        try:
+            qc = ref_exact_div(
+                {(e,): c for e, c in rem[lead].items()},
+                {(e + twist,): c for e, c in den[dlead].items()},
+            )
+        except NotDivisible as exc:
+            raise NcNotDivisible("w-coefficient not divisible") from exc
+        quot[q] = {e: c for (e,), c in qc.items()}
+        prod = ref_nc_mul(rank, {q: quot[q]}, den) if side == "right" else ref_nc_mul(rank, den, {q: quot[q]})
+        for k, c in prod.items():
+            cur = rem.setdefault(k, {})
+            for e, x in c.items():
+                nv = cur.get(e, 0) - x
+                if nv:
+                    cur[e] = nv
+                else:
+                    cur.pop(e, None)
+            if not cur:
+                del rem[k]
+    return quot
 
 
 # -- the Macdonald path over the fraction field Q(q, t) --------------------------------

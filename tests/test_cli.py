@@ -77,7 +77,7 @@ def test_character_chain_builds_no_monomial_expansion(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the character chain expanded a Schur polynomial")
 
-    monkeypatch.setattr(characters, "_RAISING_CACHE", {})
+    characters.raising_product.cache_clear()
     monkeypatch.setattr(symfun, "_schur_zcoeffs", forbidden)
     monkeypatch.setattr(laurent, "exact_div", forbidden)
     assert cli.character_payload(n) == expected
@@ -110,6 +110,13 @@ def test_usage_errors_exit_2():
     assert run_cli(["char", "--rank", "2", "--level", "1", "--n", "1"]).returncode == 2
     assert run_cli(["verify", "--suite", "bogus"]).returncode == 2
     assert run_cli([]).returncode == 2
+    # --rank or --level below 1 is a usage error naming the minimum, not a
+    # complaint about the shape of --n
+    for flag in ("--rank", "--level"):
+        args = ["char", "--rank", "2", "--level", "1", "--n", "1,1"]
+        args[args.index(flag) + 1] = "0"
+        out = run_cli(args)
+        assert out.returncode == 2 and out.stdout == "" and "below the minimum 1" in out.stderr
 
 
 def test_verify_suite_exit_codes(monkeypatch, capsys):

@@ -25,7 +25,7 @@ from qchar.laurent import (
     unit_slots,
 )
 from qchar.qdiff import apply_M, apply_macdonald_qt
-from qchar.qtorus import NcLaurent, nc_div_left, nc_div_right
+from qchar.qtorus import NcLaurent, evaluate, nc_div_left, nc_div_right
 from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
 from qchar.symfun import SchurPoly, monomial_sym
 
@@ -172,7 +172,13 @@ def test_torus_product_matches_reference_or_overflows(rank, data):
     x, y = NcLaurent.from_terms(rank, a), NcLaurent.from_terms(rank, b)
     assert dict(x.terms()) == a
     expected = ref_nc_mul(rank, a, b)
-    if all(EXP_MIN <= e <= EXP_MAX for (u, v) in expected for e in u + v):
+    # every term the product forms, before like terms add up: the twisted w
+    # of a term that later cancels must fit as well
+    formed = [
+        ref_nc_mul(rank, {k1: {e1: 1}}, {k2: {e2: 1}})
+        for k1, c1 in a.items() for k2, c2 in b.items() for e1 in c1 for e2 in c2
+    ]
+    if all(EXP_MIN <= e <= EXP_MAX for t in formed for (u, v), w in t.items() for e in (*u, *v, *w)):
         assert dict((x * y).terms()) == expected
     else:
         with pytest.raises(ExponentOverflow):
@@ -180,13 +186,28 @@ def test_torus_product_matches_reference_or_overflows(rank, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2), st.data())
-def test_torus_division_round_trip_near_the_edges(rank, data):
-    x = NcLaurent.from_terms(rank, data.draw(nc_terms(rank, scale=3, max_terms=3)))
-    d = NcLaurent.from_terms(rank, data.draw(nc_terms(rank, scale=3, max_terms=2)))
+@given(st.integers(1, 2), st.booleans(), st.data())
+def test_torus_division_round_trip_near_the_edges(rank, edge_in_a, data):
+    # x has edge exponents in w and in one block, d is zero in the block the
+    # twist pairs with that one: an edge exponent times any other nonzero
+    # exponent twists w out of its slot at rank 2
+    edge, small, zero = exponents(3), st.integers(-1, 1), st.just(0)
+
+    def terms(a, b, w, max_terms):
+        vecs = st.tuples(st.tuples(*[a] * rank), st.tuples(*[b] * rank))
+        coeff = st.dictionaries(w, st.integers(-4, 4).filter(bool), min_size=1, max_size=2)
+        return st.dictionaries(vecs, coeff, max_size=max_terms)
+
+    x = data.draw(terms(edge, small, edge, 3) if edge_in_a else terms(small, edge, edge, 3))
+    d = data.draw(terms(small, zero, small, 2) if edge_in_a else terms(zero, small, small, 2))
+    x, d = NcLaurent.from_terms(rank, x), NcLaurent.from_terms(rank, d)
     assume(x and d)
-    assert nc_div_right(x * d, d) == x
-    assert nc_div_left(d * x, d) == x
+    try:
+        xd, dx = x * d, d * x
+    except ExponentOverflow:
+        assume(False)  # a twisted w-exponent of the product leaves its slot
+    assert nc_div_right(xd, d) == x
+    assert nc_div_left(dx, d) == x
 
 
 # -- the exact edge ----------------------------------------------------------------
@@ -311,5 +332,47 @@ def test_torus_edge_round_trips_and_one_past_raises():
         x * NcLaurent.generator(1, 1, 0)
     with pytest.raises(ExponentOverflow):
         x * NcLaurent.monomial(1, (0,), (-1,))
-    back = x * NcLaurent.monomial(1, (-1,), (1,))
-    assert dict(back.terms()) == {((EXP_MAX - 1,), (EXP_MIN + 1,)): {5 + 2 * EXP_MIN: 1}}
+    # moving Q_{1,1}**EXP_MIN past Q_{1,0}**-1 would give w**(5 + 2 EXP_MIN)
+    with pytest.raises(ExponentOverflow):
+        x * NcLaurent.monomial(1, (-1,), (1,))
+
+
+def test_torus_w_slot_at_the_edge():
+    top = NcLaurent.monomial(1, (0,), (0,), wexp=EXP_MAX)
+    assert dict(top.terms()) == {((0,), (0,)): {EXP_MAX: 1}}
+    with pytest.raises(ExponentOverflow):
+        top.times_unit(1)
+    with pytest.raises(ExponentOverflow):
+        NcLaurent.monomial(1, (0,), (0,), wexp=EXP_MIN - 1)
+    assert top.times_unit(EXP_MIN - EXP_MAX) == NcLaurent.monomial(1, (0,), (0,), wexp=EXP_MIN)
+    # Q_{1,1}**m Q_{1,0}**n = w**(-2mn) Q_{1,0}**n Q_{1,1}**m at rank 1
+    q10, q11 = NcLaurent.generator(1, 1, 0), NcLaurent.generator(1, 1, 1)
+    low = NcLaurent.monomial(1, (0,), (1,), wexp=EXP_MIN + 2)
+    assert dict((low * q10).terms()) == {((1,), (1,)): {EXP_MIN: 1}}
+    with pytest.raises(ExponentOverflow):
+        low.times_unit(-1) * q10
+    m = 1 << 12  # the twist alone reaches -2 m**2 = EXP_MIN
+    edge = NcLaurent.generator(1, 1, 1, m) * NcLaurent.generator(1, 1, 0, m)
+    assert dict(edge.terms()) == {((m,), (m,)): {EXP_MIN: 1}}
+    with pytest.raises(ExponentOverflow):
+        NcLaurent.generator(1, 1, 1, m + 1) * NcLaurent.generator(1, 1, 0, m)
+    # Q_{1,1}**-1 Q_{1,0} = w**2 Q_{1,0} Q_{1,1}**-1 pushes w up
+    high = NcLaurent.monomial(1, (0,), (-1,), wexp=EXP_MAX - 2)
+    assert dict((high * q10).terms()) == {((1,), (-1,)): {EXP_MAX: 1}}
+    with pytest.raises(ExponentOverflow):
+        high.times_unit(1) * q10
+    assert q11 * top == top * q11
+    # ev0 sets Q_{1,0} to w**-2 at rank 1
+    near = NcLaurent.monomial(1, (1,), (0,), wexp=EXP_MIN + 2)
+    assert evaluate(near, "ev0") == NcLaurent.monomial(1, (0,), (0,), wexp=EXP_MIN)
+    with pytest.raises(ExponentOverflow):
+        evaluate(near.times_unit(-1), "ev0")
+
+
+def test_torus_and_plain_polynomials_do_not_mix():
+    x, plain = NcLaurent.one(1), LaurentPoly.one(RING_W, 2)
+    for op in (lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f == g, lambda f, g: f * g):
+        with pytest.raises(TypeError):
+            op(x, plain)
+        with pytest.raises(TypeError):
+            op(plain, x)

@@ -19,7 +19,7 @@ from oracles import (
     subset_operator_bruteforce,
     sympy_equal,
 )
-from qchar import qdiff, symfun
+from qchar import characters, qdiff, qtorus, symfun
 from qchar.cartan import CartanData
 from qchar.laurent import LaurentPoly
 from qchar.qdiff import apply_D, apply_M, apply_macdonald_qt
@@ -272,3 +272,16 @@ def test_branch_and_image_caches_are_bounded():
     for cached in (symfun._branch_partition, qdiff._image):
         maxsize = cached.cache_parameters()["maxsize"]
         assert maxsize is not None and maxsize >= 4096
+
+
+def test_character_and_torus_caches_are_bounded():
+    # char-ladder, verify-operators and `verify --suite all` in one process
+    # use 269 raising products and 177 G forms; the twist rows are per rank
+    for cached, least in (
+        (characters.raising_product, 1024),
+        (characters.g_schur_form, 1024),
+        (qtorus._twist_rows, 16),
+        (qtorus._twist_vector, 1 << 14),
+    ):
+        maxsize = cached.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize >= least

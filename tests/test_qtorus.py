@@ -4,7 +4,10 @@ maps, and exact noncommutative division."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import ref_nc_div, ref_nc_mul
 from qchar.cartan import CartanData
 from qchar.qtorus import (
     NcLaurent,
@@ -91,6 +94,47 @@ def test_division_roundtrip_and_failure():
         assert nc_div_left(d * x, d) == x
     with pytest.raises(NcNotDivisible):
         nc_div_right(NcLaurent.one(2), gen(2, 1, 1) + NcLaurent.one(2))
+
+
+SIDES = {"left": nc_div_left, "right": nc_div_right}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.sampled_from(sorted(SIDES)), st.booleans(), st.data())
+def test_division_matches_reference(rank, side, exact, data):
+    # inexact pairs as drawn, exact ones multiplied out: the quotients agree,
+    # or both sides find none
+    vec = st.tuples(*[st.integers(-1, 1)] * rank)
+    coeff = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    num = data.draw(st.dictionaries(st.tuples(vec, vec), coeff, max_size=3))
+    den = data.draw(st.dictionaries(st.tuples(vec, vec), coeff, min_size=1, max_size=2))
+    if exact:
+        num = ref_nc_mul(rank, num, den) if side == "right" else ref_nc_mul(rank, den, num)
+    x, d = NcLaurent.from_terms(rank, num), NcLaurent.from_terms(rank, den)
+    try:
+        expected = ref_nc_div(rank, dict(x.terms()), dict(d.terms()), side)
+    except NcNotDivisible:
+        assert not exact
+        with pytest.raises(NcNotDivisible):
+            SIDES[side](x, d)
+    else:
+        assert dict(SIDES[side](x, d).terms()) == expected
+
+
+def test_division_controls():
+    def scalar(c):
+        return NcLaurent.from_terms(1, {((0,), (0,)): c})
+
+    # (1 + w) / (1 + w^2) has no quotient: the w-floor stops the descent
+    for side, divide in SIDES.items():
+        with pytest.raises(NcNotDivisible):
+            divide(scalar({0: 1, 1: 1}), scalar({0: 1, 2: 1}))
+        with pytest.raises(NcNotDivisible):
+            ref_nc_div(1, {((0,), (0,)): {0: 1, 1: 1}}, {((0,), (0,)): {0: 1, 2: 1}}, side)
+    s, c = gen(1, 1, 0) + gen(1, 1, 1), scalar({0: 1, 2: -1})
+    for side, divide in SIDES.items():
+        assert divide(c * s, s) == c
+        assert ref_nc_div(1, dict((c * s).terms()), dict(s.terms()), side) == dict(c.terms())
 
 
 def test_polynomiality_words():

@@ -6,6 +6,7 @@ import pytest
 
 import qchar.verify as verify
 from oracles import ref_square_buckets, ref_swap_buckets, schur_form
+from qchar.cartan import CartanData
 from qchar.characters import NVector, g_coefficient, graded_character
 from qchar.laurent import LaurentPoly, constrain
 from qchar.rings import RING_Q, RING_W, Scalar
@@ -207,3 +208,41 @@ def test_rank3_difference_equation_smallest_grid():
 def test_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("nonsense")
+
+
+def test_torus_failure_names_first_differing_monomial(monkeypatch):
+    # shift every lam(a, b) the check uses by one: exactly the relation points
+    # and the window points with k != k' fail, each with the first differing
+    # (a, b) monomial and both w-coefficients
+    class Shifted(CartanData):
+        def lam(self, a, b):
+            return super().lam(a, b) + 1
+
+    monkeypatch.setattr(verify, "CartanData", Shifted)
+    grid = dict(rank_max=2, k_min=-1, k_max=3, word_k_max=1, word_len=1, samples=3)
+    rep = check_torus(**grid)
+    ks = range(-1, 4)
+    expected = {str(("relation", r, a, k)) for r in (1, 2) for a in range(1, r + 1) for k in range(0, 3)}
+    expected |= {
+        str(("window", r, a, b, k, kp))
+        for r in (1, 2)
+        for a, b in itertools.product(range(1, r + 1), repeat=2)
+        for k, kp in itertools.product(ks, ks)
+        if k != kp and abs(k - kp) <= abs(a - b) + 1 and (a, k) < (b, kp)
+    }
+    failed = [f["point"] for f in rep.failures]
+    assert set(failed) == expected and len(failed) == len(expected)
+    first = rep.failures[0]
+    assert first == {
+        "point": "('relation', 1, 1, 0)",
+        "detail": "monomial ((2,), (0,)): lhs {2: 1}, rhs {0: 1}",
+    }
+    assert all(f["detail"].startswith("monomial ((") and len(f["detail"]) <= 200 for f in rep.failures)
+    monkeypatch.undo()
+
+    # an ev that also multiplies by w: every intertwining point fails
+    real = verify.evaluate
+    monkeypatch.setattr(verify, "evaluate", lambda f, mode="ev": real(f, mode).times_unit(1 if mode == "ev" else 0))
+    rep = check_torus(**grid)
+    assert [f["point"] for f in rep.failures] == [str(("intertwine", r, i)) for r in (1, 2) for i in range(3)]
+    assert all(f["detail"].startswith("monomial ((") for f in rep.failures)
