@@ -11,13 +11,7 @@ from .characters import (
     multiplicities,
     top_component,
 )
-from .laurent import (
-    LaurentPoly,
-    constrain,
-    exact_div,
-    vandermonde,
-    w_to_q,
-)
+from .laurent import LaurentPoly, constrain, w_to_q
 from .macdonald import MacdonaldPoly, macdonald_poly, qwhittaker_specialize
 from .qdiff import apply_D, apply_M, apply_macdonald_qt
 from .qtorus import NcLaurent, evaluate, q_recursion
@@ -35,7 +29,7 @@ from .rings import (
     PoleAtZero,
     Scalar,
 )
-from .symfun import SchurPoly, elementary, pieri_e, schur, schur_expand
+from .symfun import SchurPoly, elementary, pieri_e, schur
 from .whittaker import (
     TruncatedSeries,
     check_level1_toda,

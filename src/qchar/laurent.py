@@ -15,11 +15,12 @@ pack(a + b)``, so multiplying two monomials is one integer addition.
 Exponents must lie in [EXP_MIN, EXP_MAX] = [-2**25, 2**25 - 1]: products,
 shifts and constructors prove from the exponent bounds of their operands
 that the result fits, and raise ``ExponentOverflow`` otherwise instead of
-carrying into a neighbouring slot.  A valid key never sets the top bit of a slot, which exact division
-uses to see a negative quotient exponent in one mask test.  Only this module
-and ``qtorus`` read keys; everything else goes through ``terms()``,
-``from_terms()`` and the codec: ``pack``, ``unpack``, ``split_unit``,
-``UNIT`` and the unit offsets of ``signed_buckets``.
+carrying into a neighbouring slot.  A valid key never sets the top bit of
+a slot, which exact division uses to see a negative quotient exponent in
+one mask test.  Only this module and ``qtorus`` read keys; everything else
+goes through ``terms()``, ``from_terms()`` and the codec: ``pack``,
+``unpack``, ``split_unit``, ``UNIT`` and the unit offsets of
+``signed_buckets``.
 
 Subclasses keep the keys and change the basis or the product:
 ``symfun.SchurPoly`` keys Schur functions, and ``qtorus.NcLaurent`` is a
@@ -28,13 +29,15 @@ slot, with a twisted product.  Their constructors take other arguments, so
 the methods here build zero and one through ``_like``.
 
 Everything here is exact; division raises ``NotDivisible`` rather than
-truncating.  Values are immutable by convention: no method mutates ``self``.
+truncating.  Exact division has one caller, the t = 0 limit of Macdonald
+polynomials (a genuine quotient by a polynomial in q); Schur polynomials
+are built by branching (``symfun``), with no division.  Values are
+immutable by convention: no method mutates ``self``.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from functools import lru_cache
 from operator import add, sub
 
@@ -76,7 +79,7 @@ def unpack(key: int, width: int) -> tuple:
     return tuple([((key >> s) & _MASK) - _BIAS for s in _shifts(width)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _shifts(width: int) -> tuple:
     return tuple(SLOT_BITS * i for i in range(width))
 
@@ -98,13 +101,13 @@ def split_unit(key: int):
     return (key & _MASK) - _BIAS, key >> SLOT_BITS
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def zero_key(width: int) -> int:
     """The key of the zero vector; ``k1 + k2 - zero_key`` multiplies monomials."""
     return pack((0,) * width)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _guard(width: int) -> int:
     """The top bit of every slot."""
     return offset((1 << (SLOT_BITS - 1),) * width)
@@ -171,15 +174,6 @@ def sorted_sign(exps):
         if lst[i] == lst[i + 1]:
             return tuple(lst), 0
     return tuple(lst), sign
-
-
-@lru_cache(maxsize=None)
-def perms_with_sign(n):
-    out = []
-    for p in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-        out.append((p, -1 if inv % 2 else 1))
-    return out
 
 
 def unit_slots(ring) -> int:
@@ -554,11 +548,6 @@ class LaurentPoly:
 # -- construction helpers ----------------------------------------------------
 
 
-def vandermonde(ring, nvars):
-    """The Vandermonde product over all pairs i < j of (z_i - z_j)."""
-    return delta_on(ring, nvars, range(nvars))
-
-
 def delta_on(ring, nvars, indices):
     """Product of (z_i - z_j) over pairs i < j drawn from ``indices``
     (0-based variable indices, taken in increasing order)."""
@@ -571,25 +560,6 @@ def delta_on(ring, nvars, indices):
                 - LaurentPoly.variable(ring, nvars, idx[b])
             )
     return out
-
-
-def alternant(ring, nvars, exps):
-    """The alternating sum over permutations sigma of sgn(sigma) z**(sigma . exps).
-
-    ``exps`` must have pairwise distinct entries; the term ``z**exps`` itself
-    appears with coefficient +1.
-    """
-    exps = tuple(exps)
-    if len(set(exps)) != len(exps):
-        raise ValueError("alternant exponents must be distinct")
-    unit = (0,) * unit_slots(ring)
-    terms = []
-    for perm, sign in perms_with_sign(nvars):
-        new = [0] * nvars
-        for i, e in enumerate(exps):
-            new[perm[i]] = e
-        terms.append((unit + tuple(new), sign))
-    return LaurentPoly.from_terms(ring, nvars, terms)
 
 
 # -- signed orbits -----------------------------------------------------------

@@ -49,7 +49,7 @@ from .rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
 from .symfun import SchurPoly, branch, schur, straighten
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _pair_delta_qt(nvars, alpha):
     """delta_{I0} * delta_{J0} * prod_{i in I0, j in J0} (t z_i - z_j) for
     I0 = the first alpha variables, J0 the rest."""
@@ -62,7 +62,7 @@ def _pair_delta_qt(nvars, alpha):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _schur_qt(zkey, nvars):
     """s_lam over the QT ring, zkey the strictly decreasing lam + delta."""
     lam = tuple(zkey[i] - (nvars - 1 - i) for i in range(nvars))

@@ -373,6 +373,9 @@ def check_polynomiality(rank: int, word, table=None) -> bool:
         gen = table[(alpha, k)] if not (alpha in (0, rank + 1)) else NcLaurent.one(rank)
         prod = prod * gen
     ev0 = evaluate(prod, "ev0")
-    if any(any(a) for (a, _), _ in ev0.terms()):
+    if not ev0:
+        return True
+    lo, hi = ev0.bounds()
+    if any(lo[1 : rank + 1]) or any(hi[1 : rank + 1]):
         raise AssertionError("evaluation left a Q_{a,0} behind")
-    return not ev0 or min(ev0.bounds()[0][rank + 1:]) >= 0
+    return min(lo[rank + 1 :]) >= 0

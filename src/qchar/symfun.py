@@ -1,7 +1,7 @@
-"""Schur and related symmetric functions, the Schur basis, the two-block
-branching rule behind the raising operators (Littlewood-Richardson
-fillings, pruned row by row), and the dual Cauchy expansion behind the
-subset-fraction lemmas.
+"""Schur and related symmetric functions, the Schur basis and its monomial
+view (one-variable branching, no division), the two-block branching rule
+behind the raising operators (Littlewood-Richardson fillings, pruned row by
+row), and the dual Cauchy expansion behind the subset-fraction lemmas.
 
 Partitions are plain tuples of weakly decreasing nonnegative integers with no
 trailing zeros (the empty partition is ``()``).  A partition of length at
@@ -16,17 +16,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .laurent import (
-    UNIT,
-    LaurentPoly,
-    alternant,
-    exact_div,
-    pack,
-    split_unit,
-    unpack,
-    vandermonde,
-)
-from .rings import RING_Q, NonzeroRemainder, NotSymmetric
+from .laurent import SLOT_BITS, UNIT, LaurentPoly, pack, require_fit, split_unit, unpack
+from .rings import RING_Q
 
 
 Partition = tuple
@@ -77,19 +68,31 @@ def partition_of_weight(ell) -> Partition:
     return normalize_partition(tuple(sum(ell[a:]) for a in range(r)) + (0,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _schur_zcoeffs(lam: Partition, nvars: int) -> LaurentPoly:
-    """The Schur polynomial s_lam over the Q ring, cached per partition.
-
-    Computed as the ratio of the alternant at lam + delta by the Vandermonde
-    determinant; the division is exact.
+    """The Schur polynomial s_lam(z_1..z_N) over the Q ring, cached per
+    (partition, N), by branching on the last variable (Macdonald, I.5):
+    s_lam = sum of z_N**(|lam| - |mu|) s_mu(z_1..z_{N-1}) over the mu that
+    interlace lam, lam_{i+1} <= mu_i <= lam_i, so its terms are the
+    Gelfand-Tsetlin patterns of shape lam and nothing is divided.  z_N is
+    the top slot of a key, so each term of s_mu moves up by one addition.
+    Every exponent lies in [0, lam_1], so a part beyond EXP_MAX raises
+    ``ExponentOverflow`` before any pattern is enumerated.
     """
     lam = normalize_partition(lam)
     if len(lam) > nvars:
         raise ValueError("partition longer than the variable count")
-    full = tuple(lam) + (0,) * (nvars - len(lam))
-    exps = tuple(full[i] + (nvars - 1 - i) for i in range(nvars))
-    return exact_div(alternant(RING_Q, nvars, exps), vandermonde(RING_Q, nvars))
+    if not lam:
+        return LaurentPoly.one(RING_Q, nvars)
+    require_fit(lam, lam)
+    full = lam + (0,) * (nvars - len(lam))
+    size, top = sum(lam), SLOT_BITS * nvars
+    out = {}
+    for mu in itertools.product(*(range(full[i + 1], full[i] + 1) for i in range(nvars - 1))):
+        lift = pack((size - sum(mu),)) << top
+        for k, c in _schur_zcoeffs(normalize_partition(mu), nvars - 1).coeffs.items():
+            out[k + lift] = out.get(k + lift, 0) + c
+    return LaurentPoly(RING_Q, nvars, out)
 
 
 def schur(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
@@ -112,31 +115,6 @@ def monomial_sym(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
     full = tuple(lam) + (0,) * (nvars - len(lam))
     orbit = set(itertools.permutations(full))
     return LaurentPoly.sum(ring, nvars, (LaurentPoly.monomial(ring, nvars, e) for e in orbit))
-
-
-def schur_expand(f: LaurentPoly) -> dict:
-    """Expand a symmetric polynomial in the Schur basis.
-
-    Returns {partition: Scalar}.  Raises ``NotSymmetric`` for asymmetric
-    input and ``NonzeroRemainder`` when peeling gets stuck (negative
-    exponents, or a leading monomial that is not a partition)."""
-    if not f.is_symmetric():
-        raise NotSymmetric("Schur expansion needs a symmetric polynomial")
-    zo = f.zoff
-    if f and min(f.bounds()[0][zo:]) < 0:
-        raise NonzeroRemainder("input has negative exponents")
-
-    out = {}
-    work = f
-    while work:
-        groups = work.z_terms()
-        lam = max(groups)
-        if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-            raise NonzeroRemainder("leading exponent %r is not a partition" % (lam,))
-        key = normalize_partition(lam)
-        out[key] = groups[lam]
-        work = work - schur(key, f.nvars, f.ring).times_scalar(groups[lam])
-    return out
 
 
 def pieri_e(lam, m: int, nvars: int):
@@ -271,7 +249,7 @@ def dual_cauchy(a: int, b: int):
             yield size, tuple(b - x for x in reversed(full)), conj
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _pieri_keys(zkey, m, nvars):
     """The keys (unit exponent 0) of the s_kappa in s_lam * e_m, zkey the
     key of lam."""
@@ -284,7 +262,7 @@ def _pieri_keys(zkey, m, nvars):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _constrained_keys(zkey, nvars):
     lam = unpack(zkey, nvars)
     return (pack((0,) + tuple(x - lam[-1] for x in lam)),)

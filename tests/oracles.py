@@ -13,11 +13,16 @@
   alpha variables is antisymmetrized in alternant form and divided by the
   Vandermonde Schur function by Schur function.  ``qchar.qdiff`` acts on
   Schur forms by branching instead; this is the cross-check on grids.
+* ``ref_schur`` is the Schur polynomial as the alternant at lam + delta
+  divided by the Vandermonde determinant, the way ``qchar.symfun`` built it
+  before it branched on one variable at a time; ``schur_expand`` peels a
+  symmetric polynomial into Schur functions against it.
 * ``symmetrize``, ``antisymmetrize`` and ``signed_orbit_sum`` expand the
   (signed) permutation orbit term by term, against ``signed_buckets``.
 * ``schur_form`` turns a symmetric Laurent polynomial into a Schur form at
-  the boundary of the tests; ``dominates`` and ``project_qt_to_q`` are the
-  dominance order and the inverse of ``macdonald.lift_q_to_qt``.
+  the boundary of the tests (through ``schur_expand``); ``dominates`` and
+  ``project_qt_to_q`` are the dominance order and the inverse of
+  ``macdonald.lift_q_to_qt``.
 * ``ref_apply_macdonald_qt``, ``ref_macdonald_poly`` and
   ``ref_specialize_t0_qinv`` are the Macdonald path over the fraction field
   ``QT_REF`` = Q(q, t) of sympy, as it ran before the package cleared its
@@ -52,16 +57,24 @@ from sympy.polys.rings import ring
 from qchar.cartan import CartanData
 from qchar.laurent import (
     LaurentPoly,
-    alternant,
     delta_on,
     exact_div,
-    perms_with_sign,
     require_symmetric,
     signed_buckets,
-    vandermonde,
+    unit_slots,
 )
-from qchar.rings import RING_Q, RING_QT, RING_W, NcNotDivisible, NotDivisible, PoleAtZero, Scalar
-from qchar.symfun import SchurPoly, _schur_zcoeffs, normalize_partition, partitions, schur_expand
+from qchar.rings import (
+    RING_Q,
+    RING_QT,
+    RING_W,
+    NcNotDivisible,
+    NonzeroRemainder,
+    NotDivisible,
+    NotSymmetric,
+    PoleAtZero,
+    Scalar,
+)
+from qchar.symfun import SchurPoly, normalize_partition, partitions
 
 Q = sympy.Symbol("q")
 T = sympy.Symbol("t")
@@ -85,6 +98,77 @@ def poly_to_sympy(f: LaurentPoly):
 
 def sympy_equal(a, b) -> bool:
     return sympy.simplify(sympy.together(a - b)) == 0
+
+
+# -- Schur polynomials as alternant / Vandermonde ----------------------------------
+
+
+@lru_cache(maxsize=None)
+def perms_with_sign(n):
+    out = []
+    for p in itertools.permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+        out.append((p, -1 if inv % 2 else 1))
+    return out
+
+
+def vandermonde(ring, nvars):
+    """The Vandermonde product over all pairs i < j of (z_i - z_j)."""
+    return delta_on(ring, nvars, range(nvars))
+
+
+def alternant(ring, nvars, exps):
+    """The alternating sum over permutations sigma of sgn(sigma) z**(sigma . exps).
+
+    ``exps`` must have pairwise distinct entries; the term ``z**exps`` itself
+    appears with coefficient +1.
+    """
+    exps = tuple(exps)
+    if len(set(exps)) != len(exps):
+        raise ValueError("alternant exponents must be distinct")
+    unit = (0,) * unit_slots(ring)
+    terms = []
+    for perm, sign in perms_with_sign(nvars):
+        new = [0] * nvars
+        for i, e in enumerate(exps):
+            new[perm[i]] = e
+        terms.append((unit + tuple(new), sign))
+    return LaurentPoly.from_terms(ring, nvars, terms)
+
+
+@lru_cache(maxsize=None)
+def ref_schur(lam, nvars, ring=RING_Q) -> LaurentPoly:
+    """s_lam(z_1..z_N) as the alternant at lam + delta divided exactly by
+    the Vandermonde determinant."""
+    full = tuple(lam) + (0,) * (nvars - len(lam))
+    exps = tuple(full[i] + (nvars - 1 - i) for i in range(nvars))
+    return exact_div(alternant(ring, nvars, exps), vandermonde(ring, nvars))
+
+
+def schur_expand(f: LaurentPoly) -> dict:
+    """Expand a symmetric polynomial (W or Q ring) in the Schur basis by
+    peeling leading monomials against ``ref_schur``.
+
+    Returns {partition: Scalar}.  Raises ``NotSymmetric`` for asymmetric
+    input and ``NonzeroRemainder`` when peeling gets stuck (negative
+    exponents, or a leading monomial that is not a partition)."""
+    if not f.is_symmetric():
+        raise NotSymmetric("Schur expansion needs a symmetric polynomial")
+    zo = f.zoff
+    if f and min(f.bounds()[0][zo:]) < 0:
+        raise NonzeroRemainder("input has negative exponents")
+
+    out = {}
+    work = f
+    while work:
+        groups = work.z_terms()
+        lam = max(groups)
+        if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+            raise NonzeroRemainder("leading exponent %r is not a partition" % (lam,))
+        key = normalize_partition(lam)
+        out[key] = groups[lam]
+        work = work - ref_schur(key, f.nvars, f.ring).times_scalar(groups[lam])
+    return out
 
 
 def subset_operator_bruteforce(alpha, n, f: LaurentPoly, kind="gamma"):
@@ -304,7 +388,7 @@ def _schur_reconstruct_folded(buckets, ring, nvars, den):
         lam = tuple(zkey[i] - (nvars - 1 - i) for i in range(nvars))
         off = lam[-1]
         core = normalize_partition(tuple(x - off for x in lam))
-        for ez, cs in _schur_zcoeffs(core, nvars).terms():
+        for ez, cs in ref_schur(core, nvars).terms():
             zz = tuple(e + off for e in ez[1:])
             for u, cu in payload.items():
                 kk = (u,) + zz
@@ -611,7 +695,7 @@ def ref_apply_macdonald_qt(alpha: int, f: dict, nvars: int) -> dict:
     for zkey, payload in ref_signed_buckets(ref_mul(cleared, shifted, zero), 0).items():
         lam = tuple(zkey[i] - (nvars - 1 - i) for i in range(nvars))
         off = lam[-1]
-        for e, cs in _schur_zcoeffs(normalize_partition(tuple(x - off for x in lam)), nvars).terms():
+        for e, cs in ref_schur(normalize_partition(tuple(x - off for x in lam)), nvars).terms():
             key = tuple(x + off for x in e[1:])
             out[key] = out.get(key, zero) + payload * inv * cs
     return {k: c for k, c in out.items() if c}

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import antisymmetrize, divide_int, signed_orbit_sum, symmetrize
+from oracles import antisymmetrize, divide_int, signed_orbit_sum, symmetrize, vandermonde
 from qchar.laurent import (
     LaurentPoly,
     constrain,
     exact_div,
     signed_buckets,
-    vandermonde,
     w_to_q,
 )
 from qchar.rings import (

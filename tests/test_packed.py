@@ -27,7 +27,7 @@ from qchar.laurent import (
 from qchar.qdiff import apply_M, apply_macdonald_qt
 from qchar.qtorus import NcLaurent, evaluate, nc_div_left, nc_div_right
 from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
-from qchar.symfun import SchurPoly, monomial_sym
+from qchar.symfun import SchurPoly, monomial_sym, schur
 
 RINGS = (RING_Q, RING_W, RING_QT)
 
@@ -321,6 +321,19 @@ def test_schur_keys_at_the_edge():
         apply_M(1, 2, SchurPoly.basis((1, 1), 2).times_unit(EXP_MAX))
     with pytest.raises(ExponentOverflow):
         one.times_unit(EXP_MAX).times_unit(1)
+    # the monomial view by branching: every slot value is range-checked.
+    # (s_(EXP_MAX) in two variables would have 2**25 terms, so the edge in
+    # two variables is s_(EXP_MAX, EXP_MAX - 2) = (z1 z2)**(EXP_MAX - 2) h_2)
+    assert schur((EXP_MAX,), 1) == LaurentPoly.monomial(RING_Q, 1, (EXP_MAX,))
+    assert schur((EXP_MAX,), 1, RING_QT) == LaurentPoly.monomial(RING_QT, 1, (EXP_MAX,))
+    edge = schur((EXP_MAX, EXP_MAX - 2), 2)
+    assert sorted(k for k, _ in edge.terms()) == [
+        (0, EXP_MAX - 2, EXP_MAX), (0, EXP_MAX - 1, EXP_MAX - 1), (0, EXP_MAX, EXP_MAX - 2)
+    ]
+    assert SchurPoly.basis((EXP_MAX, EXP_MAX - 2), 2).monomials() == edge
+    for lam, nvars in (((EXP_MAX + 1,), 1), ((EXP_MAX + 1,), 2), ((EXP_MAX + 1, EXP_MAX - 1), 2)):
+        with pytest.raises(ExponentOverflow):
+            schur(lam, nvars)
 
 
 def test_torus_edge_round_trips_and_one_past_raises():
@@ -376,3 +389,19 @@ def test_torus_and_plain_polynomials_do_not_mix():
             op(x, plain)
         with pytest.raises(TypeError):
             op(plain, x)
+
+
+def test_every_cache_is_bounded():
+    import importlib
+    import pkgutil
+
+    import qchar
+
+    caches = {}
+    for info in pkgutil.iter_modules(qchar.__path__):
+        module = importlib.import_module("qchar." + info.name)
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                caches["%s.%s" % (info.name, name)] = obj.cache_parameters()["maxsize"]
+    assert {"symfun._schur_zcoeffs", "laurent.zero_key", "qdiff._schur_qt"} <= caches.keys()
+    assert [name for name, maxsize in caches.items() if maxsize is None] == []

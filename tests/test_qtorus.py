@@ -148,6 +148,25 @@ def test_polynomiality_words():
         check_polynomiality(1, [(1, 0)])
 
 
+def test_polynomiality_catches_a_left_q_a0(monkeypatch):
+    # negative control: with evaluation switched off, every word with a
+    # letter k >= 2 keeps its Q_{a,0} powers, and the check must say so;
+    # Q_{1,3} at rank 1 has Q_{1,0}-exponents -2 and 0 only
+    import qchar.qtorus as qtorus
+
+    real = qtorus.evaluate
+    monkeypatch.setattr(qtorus, "evaluate", lambda f, mode="ev": f)
+    assert check_polynomiality(2, [(1, 1), (2, 1)])
+    words = ((1, [(1, 2)]), (1, [(1, 3)]), (2, [(1, 2), (2, 3)]), (2, [(2, 2)]), (3, [(1, 1), (3, 2)]))
+    for rank, word in words:
+        with pytest.raises(AssertionError, match="Q_"):
+            check_polynomiality(rank, word)
+    # an evaluation that keeps a copy times Q_{1,0}: exponents 0 and 1
+    monkeypatch.setattr(qtorus, "evaluate", lambda f, mode="ev": real(f, mode) * (gen(1, 1, 0) + NcLaurent.one(1)))
+    with pytest.raises(AssertionError, match="Q_"):
+        check_polynomiality(1, [(1, 2)])
+
+
 def test_intertwining_of_evaluations():
     rng = random.Random(3)
     for rank in (1, 2):

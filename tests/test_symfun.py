@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dominates, ref_branch, schur_form
+from oracles import dominates, ref_branch, ref_schur, schur_expand, schur_form
 from qchar.laurent import LaurentPoly, sorted_sign
-from qchar.rings import RING_Q, RING_W, NonzeroRemainder, NotSymmetric, Scalar
+from qchar.rings import RING_Q, RING_QT, RING_W, NonzeroRemainder, NotSymmetric, Scalar
 from qchar.symfun import (
     SchurPoly,
+    _schur_zcoeffs,
     branch,
     dual_cauchy,
     elementary,
@@ -23,7 +24,6 @@ from qchar.symfun import (
     partitions_up_to,
     pieri_e,
     schur,
-    schur_expand,
     straighten,
     weight_of,
 )
@@ -38,6 +38,35 @@ def test_schur_small_values():
     s21 = schur((2, 1), 3)
     assert s21 == e1 * e2 - e3
     assert len(s21.coeffs) == 7  # 8 monomials, two collide at z1 z2 z3
+
+
+SCHUR_GRID = [(lam, nvars) for nvars in range(1, 7) for lam in partitions_up_to(8 if nvars < 6 else 6, nvars)]
+
+
+@pytest.mark.parametrize("ring", [RING_Q, RING_W, RING_QT])
+def test_branching_schur_matches_alternant_over_vandermonde(ring):
+    # every lam with N <= 5 and |lam| <= 8, and N = 6 with |lam| <= 6
+    for lam, nvars in SCHUR_GRID:
+        assert _schur_zcoeffs(lam, nvars).with_ring(ring) == ref_schur(lam, nvars, ring), (lam, nvars)
+
+
+@pytest.mark.parametrize("ring", [RING_Q, RING_W])
+def test_monomial_view_matches_alternant_over_vandermonde(ring):
+    # Schur forms with negative columns, a unit power and a coefficient,
+    # one basis element at a time and summed over each (N, |lam|); the
+    # view is defined on the W and Q rings only
+    for nvars in range(1, 7):
+        for size in range(9 if nvars < 6 else 7):
+            form = SchurPoly.zero(ring, nvars)
+            expected = LaurentPoly.zero(ring, nvars)
+            for i, lam in enumerate(partitions(size, nvars)):
+                cols, coeff = -1 - (i % 3), (-1) ** i * (i + 2)
+                full = tuple(lam) + (0,) * (nvars - len(lam))
+                term = SchurPoly.basis(tuple(x + cols for x in full), nvars, ring).times_unit(i - 2) * coeff
+                ref = ref_schur(lam, nvars, ring).times_z((cols,) * nvars).times_unit(i - 2) * coeff
+                assert term.monomials() == ref, (lam, nvars)
+                form, expected = form + term, expected + ref
+            assert form.monomials() == expected, (size, nvars)
 
 
 def test_elementary_bounds():

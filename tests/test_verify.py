@@ -200,6 +200,33 @@ def test_suite_reports_pass():
     assert check_whittaker(order=10, toda_n=3, classone_n=2).passed
 
 
+def test_eigen_and_limits_failures_name_first_differing_schur_coefficient(monkeypatch):
+    # an apply_M with one extra power of q: every eigen point fails, each with
+    # the first differing Schur coefficient and both sides
+    real = verify.apply_M
+    monkeypatch.setattr(verify, "apply_M", lambda alpha, n, f, **kw: real(alpha, n, f, **kw).times_unit(1))
+    rep = check_eigen(2, 2)
+    assert rep.total and len(rep.failures) == rep.total
+    assert all(f["detail"].startswith("schur (") and len(f["detail"]) <= 200 for f in rep.failures)
+    assert rep.failures[0] == {
+        "point": "(NVector(rank=2, level=1, rows=((0,), (0,))), 1)",
+        "detail": "schur (0, 0, 0): lhs {1: 1}, rhs {0: 1}",
+    }
+    monkeypatch.undo()
+
+    # perturbed top component, raising product and G path: exactly the
+    # three Schur-form limits fail at every point, each with a detail
+    monkeypatch.setattr(verify, "top_component", lambda n, real=verify.top_component: (sum(real(n)) + 1,))
+    for name in ("raising_product", "char_from_g"):
+        real_path = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda n, real_path=real_path: real_path(n).times_unit(-1))
+    rep = check_limits(1, 1)
+    kinds = {"top-component", "within-level-order", "two-paths"}
+    assert {f["point"].split(", ")[-1].strip("')") for f in rep.failures} == kinds
+    assert len(rep.failures) == 3 * rep.notes["points"]
+    assert all(f["detail"].startswith("schur (") and len(f["detail"]) <= 200 for f in rep.failures)
+
+
 def test_rank3_difference_equation_smallest_grid():
     rep = check_difference_equation(3, 2, 6)
     assert rep.passed and rep.notes["points"] == 1
