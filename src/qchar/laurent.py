@@ -405,16 +405,10 @@ class LaurentPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers of polynomials are not defined")
-        result = self._like({zero_key(self.width): 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        if n < 2:  # square and multiply down to the base: no product by one
+            return self if n else self._like({zero_key(self.width): 1})
+        half = self ** (n >> 1)
+        return half * half * self if n & 1 else half * half
 
     def _shifted(self, shift):
         """Multiply by the monomial with exponent vector ``shift``."""

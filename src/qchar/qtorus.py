@@ -13,9 +13,12 @@ a term sits in the unit slot of its packed key, so an element is one flat
 {key: int} map, and sums, ``==``, ``times_unit``, integer scaling and their
 range checks are the keyed arithmetic of ``LaurentPoly``.  Only the product
 is twisted: moving Q_{b,1}**m left past Q_{a,0}**l costs
-v**(-lam(a,b)*l*m); the pairing -2 lam is built once per rank.  The w
-slot has the range of every slot: a product raises ``ExponentOverflow``
-when a term it forms, twist included, has w outside [EXP_MIN, EXP_MAX].
+v**(-lam(a,b)*l*m).  It pairs the terms position by position, the twists
+read off tables per a-part and b-part; ``q_commutator`` forms
+f*g - w**c * g*f in the same single pass, skipping the position pairs
+whose two twists agree.  The w slot has the range of every slot: both
+raise ``ExponentOverflow`` when a term they form has w outside
+[EXP_MIN, EXP_MAX].
 
 The recursion
 
@@ -25,11 +28,12 @@ The recursion
 is solved forwards and backwards by exact one-sided division (greedy on the
 leading key, a lexicographic monomial order in which the position (a, b)
 decides and the w-exponent breaks ties; leading terms multiply to leading
-terms, so the greedy quotient exists whenever any quotient does).  Every
-quotient position is checked against the bounds an exact quotient must
-meet, and every w-exponent against a floor at its position, so the descent
-stops after finitely many steps.  Failure would falsify the Laurent property
-and raises ``NcNotDivisible``.
+terms, so the greedy quotient exists whenever any quotient does); each
+quotient term's multiple of the divisor is subtracted straight from the
+divisor's position groups.  Every quotient position is checked against the
+bounds an exact quotient must meet, and every w-exponent against a floor
+at its position, so the descent stops after finitely many steps.  Failure
+would falsify the Laurent property and raises ``NcNotDivisible``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .laurent import (
     EXP_MIN,
     SLOT_BITS,
     LaurentPoly,
+    key_bounds,
     offset,
     outside_box,
     pack,
@@ -76,13 +81,6 @@ def _twist_vector(rank, bkey):
     return tuple(sum(map(mul, row, b)) for row in _twist_rows(rank))
 
 
-def _pair_twist(rank, left, right):
-    """The w-exponent of normal ordering left * right, for the keys of two
-    positions (a, b)."""
-    t = _twist_vector(rank, left >> (SLOT_BITS * rank))
-    return sum(map(mul, unpack(right, rank), t))
-
-
 class NcLaurent(LaurentPoly):
     """Normal-ordered element of the quantum torus; immutable by convention.
 
@@ -92,32 +90,35 @@ class NcLaurent(LaurentPoly):
     ((a-tuple, b-tuple), {w-exponent: int}) pairs.  A plain ``LaurentPoly``
     operand raises TypeError."""
 
-    __slots__ = ("_groups",)
+    __slots__ = ("_positions",)
 
     @property
     def rank(self):
         return self.nvars // 2
 
-    def _right_groups(self):
-        """The terms as a right factor, grouped by a-part: (a-vector, least
-        and greatest w, [(key less the zero key, coefficient)]) per group;
-        built once per element, which is often a right factor many times."""
+    def _position_groups(self):
+        """(a-vectors, twist vectors of b-parts, positions): per position
+        (a, b), (a-vector index, twist vector index, least w, greatest w,
+        [(key less the zero key, coefficient)]); built once per element."""
         try:
-            return self._groups
+            return self._positions
         except AttributeError:
             pass
         r = self.rank
-        zero = zero_key(2 * r + 1)
-        a_part = (1 << (SLOT_BITS * r)) - 1
-        groups = {}
+        zero, a_part = zero_key(2 * r + 1), (1 << (SLOT_BITS * r)) - 1
+        groups, a_index, b_index = {}, {}, {}
         for k in self.coeffs:
-            groups.setdefault((k >> SLOT_BITS) & a_part, []).append(k)
-        self._groups = []
-        for akey, keys in groups.items():
+            groups.setdefault(k >> SLOT_BITS, []).append(k)
+        positions = []
+        for pos, keys in groups.items():
             ws = [k & _W_MASK for k in keys]
             group = [(k - zero, self.coeffs[k]) for k in keys]
-            self._groups.append((unpack(akey, r), min(ws) - _W_ZERO, max(ws) - _W_ZERO, group))
-        return self._groups
+            ia = a_index.setdefault(pos & a_part, len(a_index))
+            ib = b_index.setdefault(pos >> (SLOT_BITS * r), len(b_index))
+            positions.append((ia, ib, min(ws) - _W_ZERO, max(ws) - _W_ZERO, group))
+        tvecs = [_twist_vector(r, b) for b in b_index]
+        self._positions = [unpack(a, r) for a in a_index], tvecs, positions
+        return self._positions
 
     @classmethod
     def zero(cls, rank):
@@ -149,10 +150,8 @@ class NcLaurent(LaurentPoly):
             return cls.one(rank)
         if k not in (0, 1):
             raise ValueError("generators live at k = 0, 1")
-        e = [0] * rank
-        e[alpha - 1] = power
-        z = (0,) * rank
-        return cls.monomial(rank, tuple(e) if k == 0 else z, tuple(e) if k == 1 else z)
+        e, z = tuple(power if i == alpha - 1 else 0 for i in range(rank)), (0,) * rank
+        return cls.monomial(rank, *((e, z) if k == 0 else (z, e)))
 
     def terms(self):
         """Iterate over ((a-tuple, b-tuple), {w-exponent: int}) pairs."""
@@ -163,34 +162,7 @@ class NcLaurent(LaurentPoly):
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentPoly.__mul__(self, other)
-        self._check_compatible(other)
-        if not self.coeffs or not other.coeffs:
-            return self._like({})
-        r = self.rank
-        (lo1, hi1), (lo2, hi2) = self.bounds(), other.bounds()
-        # the (a, b) slots add up; the twisted w slot is checked below, once
-        # per left term and right a-part, where the twist is computed
-        lo, hi = tuple(map(add, lo1[1:], lo2[1:])), tuple(map(add, hi1[1:], hi2[1:]))
-        require_fit(lo, hi)
-        right = other._right_groups()
-        b_shift = SLOT_BITS * (r + 1)
-        out = {}
-        get = out.get
-        for k1, c1 in self.coeffs.items():
-            w1 = k1 & _W_MASK
-            t = _twist_vector(r, k1 >> b_shift)
-            for a2, wlo, whi, group in right:
-                twist = sum(map(mul, a2, t))
-                if w1 + twist + wlo < 0 or w1 + twist + whi > _W_TOP:
-                    raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
-                base = k1 + twist
-                for k2, c2 in group:
-                    k = base + k2
-                    out[k] = get(k, 0) + c1 * c2
-        # nonzero, since the torus is a domain
-        out = {k: c for k, c in out.items() if c}
-        ws = [k & _W_MASK for k in out]
-        return self._like(out, ((min(ws) - _W_ZERO, *lo), (max(ws) - _W_ZERO, *hi)))
+        return _twisted(self, other)
 
     __rmul__ = __mul__
 
@@ -208,6 +180,65 @@ class NcLaurent(LaurentPoly):
 
     def __repr__(self):
         return "NcLaurent(r=%d, %s)" % (self.rank, self.to_text())
+
+
+def _twisted(f: NcLaurent, g: NcLaurent, c=None) -> NcLaurent:
+    """f * g, or for an integer ``c`` f*g - w**c * g*f.  Positions P of f and
+    R of g add their term pairs at P + R, w raised by the twist of P before
+    R in f*g, by c plus that of R before P in w**c * g*f.  A commutator
+    skips the pairs whose raises agree and compares the sides at the end.
+    Raises ``ExponentOverflow`` when a term it forms has w out of range."""
+    f._check_compatible(g)
+    if not f.coeffs or not g.coeffs:
+        return f._like({})
+    (lo1, hi1), (lo2, hi2) = f.bounds(), g.bounds()
+    # the (a, b) slots add up; the twisted w slot is checked per pair
+    lo, hi = tuple(map(add, lo1[1:], lo2[1:])), tuple(map(add, hi1[1:], hi2[1:]))
+    require_fit(lo, hi)
+    avecs1, tvecs1, left = f._position_groups()
+    avecs2, tvecs2, right = g._position_groups()
+    twists = [[sum(map(mul, a, t)) for a in avecs2] for t in tvecs1]  # [ib1][ia2]
+    backs = None if c is None else [[sum(map(mul, a, t)) + c for t in tvecs2] for a in avecs1]
+    fore, aft, zero = {}, {}, zero_key(2 * f.rank + 1)
+    fget, aget = fore.get, aft.get
+    for ia1, ib1, wlo1, whi1, group1 in left:
+        row = twists[ib1]
+        brow = row if c is None else backs[ia1]  # [ib2]
+        safe = wlo1 + lo2[0] + min(min(row), min(brow)) >= EXP_MIN and whi1 + hi2[0] + max(max(row), max(brow)) <= EXP_MAX
+        for ia2, ib2, wlo2, whi2, group2 in right:
+            twist = row[ia2]
+            back = twist if c is None else brow[ib2]
+            if not safe and (min(twist, back) + wlo1 + wlo2 < EXP_MIN or max(twist, back) + whi1 + whi2 > EXP_MAX):
+                raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+            if c is None:
+                for k1, c1 in group1:
+                    k1 += zero + twist
+                    for k2, c2 in group2:
+                        k = k1 + k2
+                        fore[k] = fget(k, 0) + c1 * c2
+            elif twist != back:
+                for k1, c1 in group1:
+                    k1 += zero + twist
+                    for k2, c2 in group2:
+                        x, k = c1 * c2, k1 + k2
+                        fore[k] = fget(k, 0) + x
+                        k += back - twist
+                        aft[k] = aget(k, 0) + x
+    fore = {k: x for k, x in fore.items() if x}
+    if c is None:  # nonzero, since the torus is a domain
+        ws = [k & _W_MASK for k in fore]
+        return f._like(fore, ((min(ws) - _W_ZERO, *lo), (max(ws) - _W_ZERO, *hi)))
+    aft = {k: x for k, x in aft.items() if x}
+    if fore == aft:
+        return f._like({})
+    for k, x in aft.items():
+        fore[k] = fore.get(k, 0) - x
+    return f._like({k: x for k, x in fore.items() if x})
+
+
+def q_commutator(f: NcLaurent, g: NcLaurent, c: int) -> NcLaurent:
+    """f*g - w**c * g*f, exactly, in one pass."""
+    return _twisted(f, g, c)
 
 
 def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
@@ -238,6 +269,13 @@ def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
     dlc = den.coeffs[dlead]
     dw, dpos = split_unit(dlead)
     spread = dw - min(w for w, p in map(split_unit, den.coeffs) if p == dpos)
+    # q's twist against a term of den is u . v: u from q's b-part, v den's
+    # a-part on the right; u q's a-part, v from den's b-part on the left
+    b_shift = SLOT_BITS * rank
+    right = side == "right"
+    dvec = unpack(dpos, rank) if right else _twist_vector(rank, dpos >> b_shift)
+    avecs, tvecs, positions = den._position_groups()
+    groups = [(avecs[ia] if right else tvecs[ib], wlo, whi, group) for ia, ib, wlo, whi, group in positions]
 
     low = {}  # position -> least w-exponent seen there in the remainder
 
@@ -270,24 +308,30 @@ def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
         if rem:
             raise NcNotDivisible("scalar coefficient not divisible")
         qpos = qloc + zero
-        twist = _pair_twist(rank, qpos, dpos) if side == "right" else _pair_twist(rank, dpos, qpos)
-        qkey = (qpos << SLOT_BITS) + pack((w - dw - twist,))
+        u = _twist_vector(rank, qpos >> b_shift) if right else unpack(qpos, rank)
+        qkey = (qpos << SLOT_BITS) + pack((w - dw - sum(map(mul, u, dvec)),))
         quot[qkey] = qc
-        term = num._like({qkey: qc})
-        rest = (term * den) if side == "right" else (den * term)
-        # the leading term of ``rest`` equals the popped leading term of the
-        # remainder by construction, so the subtraction cancels it
-        for kk, cc in rest.coeffs.items():
-            cur = work.get(kk)
-            if cur is None:
-                work[kk] = -cc
-                heapq.heappush(heap, -kk)
-                note(kk)
-            elif cur == cc:
-                del work[kk]
-            else:
-                work[kk] = cur - cc
-    return num._like(quot)
+        # subtract qc * q * den (or qc * den * q), q the new monomial, from
+        # den's groups; its leading term cancels the popped one
+        wq = qkey & _W_MASK
+        for v, wlo, whi, group in groups:
+            twist = sum(map(mul, u, v))
+            if wq + twist + wlo < 0 or wq + twist + whi > _W_TOP:
+                raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+            at = qkey + twist
+            for k2, c2 in group:
+                kk, cc = at + k2, qc * c2
+                cur = work.get(kk)
+                if cur is None:
+                    work[kk] = -cc
+                    heapq.heappush(heap, -kk)
+                    note(kk)
+                elif cur == cc:
+                    del work[kk]
+                else:
+                    work[kk] = cur - cc
+    ws = [k & _W_MASK for k in quot]
+    return num._like(quot, ((min(ws) - _W_ZERO, *qlo), (max(ws) - _W_ZERO, *qhi)))
 
 
 def nc_div_right(num: NcLaurent, den: NcLaurent) -> NcLaurent:
@@ -300,6 +344,14 @@ def nc_div_left(num: NcLaurent, den: NcLaurent) -> NcLaurent:
     return _nc_div(num, den, "left")
 
 
+def relation_rhs(table: dict, rank: int, a: int, k: int) -> NcLaurent:
+    """Q_{a,k}**2 - Q_{a+1,k} Q_{a-1,k} from ``table``; the boundary values
+    Q_{0,k} = Q_{r+1,k} = 1 are left out, not multiplied in."""
+    side = [table[(b, k)] for b in (a + 1, a - 1) if 0 < b <= rank]
+    cross = side[0] * side[1] if len(side) == 2 else side[0] if side else NcLaurent.one(rank)
+    return table[(a, k)] ** 2 - cross
+
+
 def q_recursion(rank: int, k_max: int, k_min: int = 0) -> dict:
     """Solve the quantum Q-system for all Q_{a,k}, k_min <= k <= k_max, as
     normal-ordered Laurent polynomials in the initial cluster."""
@@ -310,24 +362,12 @@ def q_recursion(rank: int, k_max: int, k_min: int = 0) -> dict:
     for a in range(1, rank + 1):
         table[(a, 0)] = NcLaurent.generator(rank, a, 0)
         table[(a, 1)] = NcLaurent.generator(rank, a, 1)
-
-    def get(a, k):
-        if a == 0 or a == rank + 1:
-            return NcLaurent.one(rank)
-        return table[(a, k)]
-
-    for k in range(1, k_max):
+    # forwards Q_{a,k+1} = rhs / Q_{a,k-1}, backwards Q_{a,k-1} = Q_{a,k+1} \ rhs
+    steps = [(k, 1, nc_div_right) for k in range(1, k_max)] + [(k, -1, nc_div_left) for k in range(0, k_min, -1)]
+    for k, step, divide in steps:
         for a in range(1, rank + 1):
-            rhs = get(a, k) ** 2 - get(a + 1, k) * get(a - 1, k)
-            table[(a, k + 1)] = nc_div_right(
-                rhs.times_unit(-2 * cart.lam(a, a)), get(a, k - 1)
-            )
-    for k in range(0, k_min, -1):
-        for a in range(1, rank + 1):
-            rhs = get(a, k) ** 2 - get(a + 1, k) * get(a - 1, k)
-            table[(a, k - 1)] = nc_div_left(
-                rhs.times_unit(-2 * cart.lam(a, a)), get(a, k + 1)
-            )
+            rhs = relation_rhs(table, rank, a, k).times_unit(-2 * cart.lam(a, a))
+            table[(a, k + step)] = divide(rhs, table[(a, k - step)])
     return table
 
 
@@ -340,24 +380,51 @@ def evaluate(f: NcLaurent, mode: str = "ev") -> NcLaurent:
     if mode not in ("ev", "ev0"):
         raise ValueError("mode must be 'ev' or 'ev0'")
     rank = f.rank
-    cart = CartanData(rank)
-    row = [-2 * cart.lam_row_sum(a) for a in range(1, rank + 1)]
+    # -2 sum_b lam(a, b), the row sums of the (symmetric) twist rows
+    row = [sum(t) if mode == "ev0" else 0 for t in _twist_rows(rank)]
     a_slots = ((1 << (SLOT_BITS * rank)) - 1) << SLOT_BITS
     zero_a = zero_key(rank) << SLOT_BITS
-    shifts = {}  # a-part -> w-shift
-    out = {}
+    shifts, out = {}, {}  # a-part -> w-shift; the result
     for k, c in f.coeffs.items():
         a = k & a_slots
-        key = k - a + zero_a
-        if mode == "ev0":
-            shift = shifts.get(a)
-            if shift is None:
-                shift = shifts[a] = sum(map(mul, unpack(a >> SLOT_BITS, rank), row))
-            if not 0 <= (k & _W_MASK) + shift <= _W_TOP:
-                raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
-            key += shift
+        shift = shifts.get(a)
+        if shift is None:
+            shift = shifts[a] = sum(map(mul, unpack(a >> SLOT_BITS, rank), row))
+        if not 0 <= (k & _W_MASK) + shift <= _W_TOP:
+            raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+        key = k - a + zero_a + shift
         out[key] = out.get(key, 0) + c
     return f._like({k: c for k, c in out.items() if c})
+
+
+def word_product(rank: int, word, table: dict, prefixes=None) -> NcLaurent:
+    """The product of the Q_{alpha,k} (k >= 1) of ``word``, (alpha, k) letters
+    left to right; alpha 0 or r+1 gives 1.  With a dict ``prefixes`` of
+    products by word, a stored word[:-1] is reused and the word stored."""
+    word = tuple(word)
+    if any(k < 1 for _, k in word):
+        raise ValueError("polynomiality words use k >= 1 only")
+    prod = None if prefixes is None else prefixes.get(word[:-1])
+    for alpha, k in word if prod is None else word[-1:]:
+        if alpha not in (0, rank + 1):
+            prod = table[(alpha, k)] if prod is None else prod * table[(alpha, k)]
+    prod = NcLaurent.one(rank) if prod is None else prod
+    return prod if prefixes is None else prefixes.setdefault(word, prod)
+
+
+def ev0_negative_term(f: NcLaurent):
+    """The first term of ev0(f), in decreasing order, with a negative
+    Q_{b,1}-exponent, as (b-tuple, {w-exponent: int}); None when ev0(f) is
+    a polynomial in the Q_{b,1}.  Reads only the (a, b) slots; a Q_{a,0}
+    left behind raises AssertionError."""
+    ev0, r = evaluate(f, "ev0"), f.rank
+    if not ev0:
+        return None
+    lo, hi = key_bounds(ev0.coeffs, 2 * r + 1, range(1, 2 * r + 1))
+    if any(lo[:r]) or any(hi[:r]):
+        raise AssertionError("evaluation left a Q_{a,0} behind")
+    # b-tuples are distinct, so max never compares the w-coefficients
+    return max((b, c) for (_, b), c in ev0.terms() if min(b) < 0) if min(lo[r:]) < 0 else None
 
 
 def check_polynomiality(rank: int, word, table=None) -> bool:
@@ -366,16 +433,4 @@ def check_polynomiality(rank: int, word, table=None) -> bool:
     if table is None:
         kmax = max((k for _, k in word), default=1)
         table = q_recursion(rank, max(kmax, 1))
-    prod = NcLaurent.one(rank)
-    for alpha, k in word:
-        if k < 1:
-            raise ValueError("polynomiality words use k >= 1 only")
-        gen = table[(alpha, k)] if not (alpha in (0, rank + 1)) else NcLaurent.one(rank)
-        prod = prod * gen
-    ev0 = evaluate(prod, "ev0")
-    if not ev0:
-        return True
-    lo, hi = ev0.bounds()
-    if any(lo[1 : rank + 1]) or any(hi[1 : rank + 1]):
-        raise AssertionError("evaluation left a Q_{a,0} behind")
-    return min(lo[rank + 1 :]) >= 0
+    return ev0_negative_term(word_product(rank, word, table)) is None

@@ -16,7 +16,9 @@
 * ``ref_schur`` is the Schur polynomial as the alternant at lam + delta
   divided by the Vandermonde determinant, the way ``qchar.symfun`` built it
   before it branched on one variable at a time; ``schur_expand`` peels a
-  symmetric polynomial into Schur functions against it.
+  symmetric polynomial into Schur functions against it.  ``tableau_schur``
+  counts semistandard tableaux directly, a cheaper reference for five and
+  more variables.
 * ``symmetrize``, ``antisymmetrize`` and ``signed_orbit_sum`` expand the
   (signed) permutation orbit term by term, against ``signed_buckets``.
 * ``schur_form`` turns a symmetric Laurent polynomial into a Schur form at
@@ -143,6 +145,41 @@ def ref_schur(lam, nvars, ring=RING_Q) -> LaurentPoly:
     full = tuple(lam) + (0,) * (nvars - len(lam))
     exps = tuple(full[i] + (nvars - 1 - i) for i in range(nvars))
     return exact_div(alternant(ring, nvars, exps), vandermonde(ring, nvars))
+
+
+@lru_cache(maxsize=None)
+def _tableau_contents(lam, nvars) -> dict:
+    """{content: count} over the semistandard tableaux of shape ``lam`` with
+    entries in [0, nvars), filled row by row and left to right: rows weakly
+    increase, columns strictly increase, and an entry leaves room below it
+    for the rest of its column."""
+    rows = [x for x in lam if x]
+    heights = [sum(1 for x in rows if x > j) for j in range(rows[0])] if rows else []
+    counts = {}
+    content = [0] * nvars
+
+    def fill(i, j, above, row):
+        if i == len(rows):
+            key = tuple(content)
+            counts[key] = counts.get(key, 0) + 1
+        elif j == rows[i]:
+            fill(i + 1, 0, row, [])
+        else:
+            lo = max(row[-1] if row else 0, above[j] + 1 if i else 0)
+            for e in range(lo, nvars - (heights[j] - i) + 1):
+                content[e] += 1
+                fill(i, j + 1, above, row + [e])
+                content[e] -= 1
+
+    fill(0, 0, [], [])
+    return counts
+
+
+def tableau_schur(lam, nvars, ring=RING_Q) -> LaurentPoly:
+    """s_lam(z_1..z_N) as the sum of z**content over semistandard tableaux
+    of shape lam with entries at most N."""
+    unit = (0,) * unit_slots(ring)
+    return LaurentPoly.from_terms(ring, nvars, [(unit + k, c) for k, c in _tableau_contents(tuple(lam), nvars).items()])
 
 
 def schur_expand(f: LaurentPoly) -> dict:

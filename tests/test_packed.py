@@ -25,7 +25,7 @@ from qchar.laurent import (
     unit_slots,
 )
 from qchar.qdiff import apply_M, apply_macdonald_qt
-from qchar.qtorus import NcLaurent, evaluate, nc_div_left, nc_div_right
+from qchar.qtorus import NcLaurent, evaluate, nc_div_left, nc_div_right, q_commutator
 from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
 from qchar.symfun import SchurPoly, monomial_sym, schur
 
@@ -183,6 +183,49 @@ def test_torus_product_matches_reference_or_overflows(rank, data):
     else:
         with pytest.raises(ExponentOverflow):
             x * y
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_q_commutator_matches_reference_or_overflows(rank, data):
+    # f*g - w**c g*f against the reference products; it must raise exactly
+    # when a term of f*g or of w**c g*f, as formed, leaves its slot
+    a, b = data.draw(nc_terms(rank)), data.draw(nc_terms(rank))
+    c = data.draw(st.one_of(st.integers(-4, 4), exponents(2)))
+    x, y = NcLaurent.from_terms(rank, a), NcLaurent.from_terms(rank, b)
+    expected = ref_nc_mul(rank, a, b)
+    for key, coeff in ref_nc_mul(rank, b, a).items():
+        cur = expected.setdefault(key, {})
+        for e, v in coeff.items():
+            cur[e + c] = cur.get(e + c, 0) - v
+    expected = {k: {e: v for e, v in d.items() if v} for k, d in expected.items()}
+    expected = {k: d for k, d in expected.items() if d}
+    formed = [ref_nc_mul(rank, {k1: {e1: 1}}, {k2: {e2: 1}}) for k1, c1 in a.items() for k2, c2 in b.items() for e1 in c1 for e2 in c2]
+    formed += [
+        {k: {e + c: v for e, v in d.items()} for k, d in ref_nc_mul(rank, {k2: {e2: 1}}, {k1: {e1: 1}}).items()}
+        for k1, c1 in a.items() for k2, c2 in b.items() for e1 in c1 for e2 in c2
+    ]
+    if all(EXP_MIN <= e <= EXP_MAX for t in formed for (u, v), w in t.items() for e in (*u, *v, *w)):
+        assert dict(q_commutator(x, y, c).terms()) == expected
+    else:
+        with pytest.raises(ExponentOverflow):
+            q_commutator(x, y, c)
+
+
+def test_q_commutator_and_division_w_slot_at_the_edge():
+    # Q_{1,0} Q_{1,1} = w**2 Q_{1,1} Q_{1,0}: at the edge of the w slot only
+    # the side w**c * g*f leaves it, below with c = 0 and above with c = 1
+    q10, q11 = NcLaurent.generator(1, 1, 0), NcLaurent.generator(1, 1, 1)
+    low, high = q10.times_unit(EXP_MIN), q11.times_unit(EXP_MAX)
+    assert not q_commutator(low, q11, 2) and not q_commutator(high, q10, -2)
+    for f, g, c in ((low, q11, 0), (high, q10, 1)):
+        with pytest.raises(ExponentOverflow):
+            q_commutator(f, g, c)
+    # the first quotient term w**EXP_MIN times den forms w**(EXP_MIN - 3) Q_{1,0}
+    num, den = (q11 + q10).times_unit(EXP_MIN), q11 + q10.times_unit(-3)
+    for divide in (nc_div_left, nc_div_right):
+        with pytest.raises(ExponentOverflow):
+            divide(num, den)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,10 @@
 """Quantum torus tests: normal ordering, the recursion table, evaluation
 maps, and exact noncommutative division."""
 
+import itertools
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +12,20 @@ from hypothesis import strategies as st
 
 from oracles import ref_nc_div, ref_nc_mul
 from qchar.cartan import CartanData
+from qchar.laurent import LaurentPoly, key_bounds
 from qchar.qtorus import (
     NcLaurent,
     check_polynomiality,
+    ev0_negative_term,
     evaluate,
     nc_div_left,
     nc_div_right,
+    q_commutator,
     q_recursion,
+    relation_rhs,
+    word_product,
 )
-from qchar.rings import NcNotDivisible
+from qchar.rings import RING_W, NcNotDivisible
 
 
 def gen(rank, alpha, k, power=1):
@@ -199,3 +207,91 @@ def test_commutation_window_on_computed_values():
                         2 * cart.lam(a, b) * (kp - k)
                     )
                     assert lhs == rhs, (a, b, k, kp)
+
+
+def window_pairs(rank, table, k_min, k_max):
+    """(f, g, c) for every in-window pair Q_{a,k}, Q_{b,k'} with (a, k) < (b, k'):
+    f g = w**c g f."""
+    cart = CartanData(rank)
+    for a, b in itertools.product(range(1, rank + 1), repeat=2):
+        for k, kp in itertools.product(range(k_min, k_max + 1), repeat=2):
+            if abs(k - kp) <= abs(a - b) + 1 and (a, k) < (b, kp):
+                yield table[(a, k)], table[(b, kp)], 2 * cart.lam(a, b) * (kp - k)
+
+
+def test_q_commutator_matches_the_two_products_on_every_window_pair():
+    # zero exactly where the products agree; with c +- 1 the commutator is
+    # the nonzero difference of the products on every pair (a domain)
+    for rank in (1, 2, 3):
+        table = q_recursion(rank, 5, -2)
+        for f, g, c in window_pairs(rank, table, -2, 5):
+            fg, gf = f * g, g * f
+            assert not q_commutator(f, g, c) and fg == gf.times_unit(c)
+            for moved in (c - 1, c + 1):
+                comm = q_commutator(f, g, moved)
+                assert comm and comm == fg - gf.times_unit(moved)
+
+
+def scalar_poly(rank, c):
+    return NcLaurent.from_terms(rank, {((0,) * rank, (0,) * rank): c})
+
+
+def test_q_commutator_small_cases():
+    x, y = gen(1, 1, 0), gen(1, 1, 1)
+    assert not q_commutator(x, y, 2)  # Q_{1,0} Q_{1,1} = w**2 Q_{1,1} Q_{1,0}
+    assert q_commutator(x, y, 0) == x * y - y * x
+    assert not q_commutator(NcLaurent.zero(1), y, 5)
+    assert q_commutator(x + NcLaurent.one(1), NcLaurent.one(1), 1) == (x + NcLaurent.one(1)) * scalar_poly(1, {0: 1, 1: -1})
+
+
+def sorted_words(rank, k_max, length):
+    letters = [(a, k) for a in range(1, rank + 1) for k in range(1, k_max + 1)]
+    return [w for n in range(1, length + 1) for w in itertools.combinations_with_replacement(letters, n)]
+
+
+def test_prefix_shared_words_match_the_per_word_check():
+    # every sorted word of length <= 3 at ranks 1-3, in the order check_torus
+    # builds them: each prefix product equals the product from one, and its
+    # ev0 verdict equals check_polynomiality's
+    for rank in (1, 2, 3):
+        table = q_recursion(rank, 3)
+        prefixes = {}
+        for word in sorted_words(rank, 3, 3):
+            shared = word_product(rank, word, table, prefixes)
+            assert shared == reduce(mul, (table[x] for x in word), NcLaurent.one(rank)), word
+            assert shared.bounds() == key_bounds(shared.coeffs, shared.width)
+            assert ev0_negative_term(shared) is None
+            assert check_polynomiality(rank, word, table)
+        assert len(prefixes) == len(sorted_words(rank, 3, 3))
+
+
+def test_powers_equal_repeated_products():
+    f = NcLaurent.from_terms(2, {((1, 0), (0, -1)): {0: 2, 3: -1}, ((0, 0), (1, 1)): {1: 1}})
+    p = LaurentPoly.from_terms(RING_W, 2, {(1, 2, 0): 3, (0, -1, 1): -2, (0, 0, 0): 1})
+    for x, one in ((f, NcLaurent.one(2)), (p, LaurentPoly.one(RING_W, 2))):
+        for n in (0, 1, 2, 3, 5):
+            power = x**n
+            assert power == reduce(mul, [x] * n, one), n
+            assert power.bounds() == key_bounds(power.coeffs, power.width), n
+    with pytest.raises(ValueError):
+        f ** -1
+
+
+def test_rank3_table_round_trips_through_the_reference_product():
+    # every relation of the table through k in [-2, 5], in the tuple-keyed
+    # reference product: Q_{a,k+1} Q_{a,k-1} = w**(-2 lam) (Q_{a,k}**2 -
+    # Q_{a+1,k} Q_{a-1,k}); and both divisions of that product give the two
+    # factors back, with exact boxes
+    rank, cart = 3, CartanData(3)
+    table = q_recursion(rank, 5, -2)
+    terms = {key: dict(x.terms()) for key, x in table.items()}
+    for k in range(-1, 5):
+        for a in range(1, rank + 1):
+            prod = ref_nc_mul(rank, terms[(a, k + 1)], terms[(a, k - 1)])
+            rhs = relation_rhs(table, rank, a, k).times_unit(-2 * cart.lam(a, a))
+            assert prod == dict(rhs.terms()), (a, k)
+            num = NcLaurent.from_terms(rank, prod)
+            for quot, want in ((nc_div_right(num, table[(a, k - 1)]), table[(a, k + 1)]),
+                               (nc_div_left(num, table[(a, k + 1)]), table[(a, k - 1)])):
+                assert quot == want and quot.bounds() == key_bounds(quot.coeffs, quot.width), (a, k)
+

@@ -273,3 +273,36 @@ def test_torus_failure_names_first_differing_monomial(monkeypatch):
     rep = check_torus(**grid)
     assert [f["point"] for f in rep.failures] == [str(("intertwine", r, i)) for r in (1, 2) for i in range(3)]
     assert all(f["detail"].startswith("monomial ((") for f in rep.failures)
+
+
+def test_polynomiality_failure_names_first_negative_monomial(monkeypatch):
+    # an ev0 that also divides by Q_{1,1} on the right: exactly the words
+    # whose real ev0 has a term free of Q_{1,1} fail, each naming the
+    # greatest such Q_{b,1}-exponent, one lower in b_1, and its w-coefficient
+    import qchar.qtorus as qtorus
+
+    real = qtorus.evaluate
+
+    def lowered(f, mode="ev"):
+        return real(f, mode) * qtorus.NcLaurent.generator(f.rank, 1, 1, -1)
+
+    grid = dict(rank_max=2, k_min=-1, k_max=3, word_k_max=2, word_len=2, samples=0)
+    expected = []
+    for rank in (1, 2):
+        table = qtorus.q_recursion(rank, 3, -1)
+        letters = [(a, k) for a in range(1, rank + 1) for k in (1, 2)]
+        for word in [w for n in (1, 2) for w in itertools.combinations_with_replacement(letters, n)]:
+            ev0 = real(qtorus.word_product(rank, word, table), "ev0")
+            free = {b: c for (_, b), c in ev0.terms() if b[0] == 0}
+            if free:
+                b = max(free)
+                detail = "ev0 monomial Q_{b,1}**%s: w-coefficient %s" % ((-1, *b[1:]), dict(sorted(free[b].items())))
+                expected.append({"point": str(("polynomiality", rank, word)), "detail": detail})
+    monkeypatch.setattr(qtorus, "evaluate", lowered)
+    rep = check_torus(**grid)
+    assert expected and rep.failures == expected
+    # ev0(Q_{1,2}) = w**4 Q_{1,1}**2 - 1 at rank 1
+    assert rep.failures[0] == {
+        "point": str(("polynomiality", 1, ((1, 2),))),
+        "detail": "ev0 monomial Q_{b,1}**(-1,): w-coefficient {0: -1}",
+    }
