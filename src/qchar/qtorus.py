@@ -13,12 +13,17 @@ a term sits in the unit slot of its packed key, so an element is one flat
 {key: int} map, and sums, ``==``, ``times_unit``, integer scaling and their
 range checks are the keyed arithmetic of ``LaurentPoly``.  Only the product
 is twisted: moving Q_{b,1}**m left past Q_{a,0}**l costs
-v**(-lam(a,b)*l*m).  It pairs the terms position by position, the twists
-read off tables per a-part and b-part; ``q_commutator`` forms
-f*g - w**c * g*f in the same single pass, skipping the position pairs
-whose two twists agree.  The w slot has the range of every slot: both
-raise ``ExponentOverflow`` when a term they form has w outside
-[EXP_MIN, EXP_MAX].
+v**(-lam(a,b)*l*m), a twist that depends only on the left b-part and the
+right a-part, so the product runs over those pairs of groups.
+
+``q_commutator`` tests f*g = w**c * g*f exactly without forming terms:
+only position pairs whose twists differ contribute, and reading each
+position's w-polynomial at w = 2**s (Kronecker substitution), 2**s beyond
+every coefficient the difference can have, makes each target position one
+integer that is 0 iff all its coefficients are.  ``ev0_times`` forms
+ev0(img * x) from a word prefix's image, x's a-part moved left already
+evaluated.  The w slot has the range of every slot: products raise
+``ExponentOverflow`` when a term they form has w outside [EXP_MIN, EXP_MAX].
 
 The recursion
 
@@ -30,10 +35,11 @@ leading key, a lexicographic monomial order in which the position (a, b)
 decides and the w-exponent breaks ties; leading terms multiply to leading
 terms, so the greedy quotient exists whenever any quotient does); each
 quotient term's multiple of the divisor is subtracted straight from the
-divisor's position groups.  Every quotient position is checked against the
-bounds an exact quotient must meet, and every w-exponent against a floor
-at its position, so the descent stops after finitely many steps.  Failure
-would falsify the Laurent property and raises ``NcNotDivisible``.
+divisor's a-part groups (right division) or b-part groups (left).  Every
+quotient position is checked against the bounds an exact quotient must
+meet, and every w-exponent against a floor at its position, so the
+descent stops after finitely many steps.  Failure would falsify the
+Laurent property and raises ``NcNotDivisible``.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from .laurent import (
     EXP_MIN,
     SLOT_BITS,
     LaurentPoly,
-    key_bounds,
     offset,
     outside_box,
     pack,
@@ -90,7 +95,7 @@ class NcLaurent(LaurentPoly):
     ((a-tuple, b-tuple), {w-exponent: int}) pairs.  A plain ``LaurentPoly``
     operand raises TypeError."""
 
-    __slots__ = ("_positions",)
+    __slots__ = ("_positions", "_parts")
 
     @property
     def rank(self):
@@ -98,12 +103,11 @@ class NcLaurent(LaurentPoly):
 
     def _position_groups(self):
         """(a-vectors, twist vectors of b-parts, positions): per position
-        (a, b), (a-vector index, twist vector index, least w, greatest w,
-        [(key less the zero key, coefficient)]); built once per element."""
-        try:
+        (a, b), (a-vector index, twist vector index, position key, least w,
+        greatest w, [(key less the zero key, coefficient)], least such key,
+        which differs from each by w less the least w); built once."""
+        if hasattr(self, "_positions"):
             return self._positions
-        except AttributeError:
-            pass
         r = self.rank
         zero, a_part = zero_key(2 * r + 1), (1 << (SLOT_BITS * r)) - 1
         groups, a_index, b_index = {}, {}, {}
@@ -115,10 +119,34 @@ class NcLaurent(LaurentPoly):
             group = [(k - zero, self.coeffs[k]) for k in keys]
             ia = a_index.setdefault(pos & a_part, len(a_index))
             ib = b_index.setdefault(pos >> (SLOT_BITS * r), len(b_index))
-            positions.append((ia, ib, min(ws) - _W_ZERO, max(ws) - _W_ZERO, group))
+            positions.append((ia, ib, pos, min(ws) - _W_ZERO, max(ws) - _W_ZERO, group, min(keys) - zero))
         tvecs = [_twist_vector(r, b) for b in b_index]
         self._positions = [unpack(a, r) for a in a_index], tvecs, positions
         return self._positions
+
+    def _groups(self, part):
+        """[(vector, least w, greatest w, [(key less the zero key, coefficient)])]
+        by b-part (``part`` 'b', the vector its twist vector), by a-part ('a'),
+        or by a-part evaluated ('ev', 'ev0' as ``evaluate``); built once."""
+        if not hasattr(self, "_parts"):
+            self._parts = {}
+        if part in self._parts:
+            return self._parts[part]
+        r = self.rank
+        zero, a_bits = zero_key(self.width), ((1 << (SLOT_BITS * r)) - 1) << SLOT_BITS
+        split = {}
+        for k in self.coeffs:
+            split.setdefault(k >> (SLOT_BITS * (r + 1)) if part == "b" else k & a_bits, []).append(k)
+        # ev0: Q_{.,0}**a -> w**(a . row), row_a = -2 sum_b lam(a, b) = sum of twist row a
+        row = tuple(map(sum, _twist_rows(r))) if part == "ev0" else (0,) * r
+        groups = self._parts[part] = []
+        for g, keys in split.items():
+            vec = _twist_vector(r, g) if part == "b" else unpack(g >> SLOT_BITS, r)
+            shift = sum(map(mul, vec, row))
+            at = shift - zero - (g - (zero_key(r) << SLOT_BITS) if part in ("ev", "ev0") else 0)
+            ws = [(k & _W_MASK) - _W_ZERO for k in keys]
+            groups.append((vec, min(ws) + shift, max(ws) + shift, [(k + at, self.coeffs[k]) for k in keys]))
+        return groups
 
     @classmethod
     def zero(cls, rank):
@@ -162,7 +190,7 @@ class NcLaurent(LaurentPoly):
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentPoly.__mul__(self, other)
-        return _twisted(self, other)
+        return _grouped(self, other, "a")
 
     __rmul__ = __mul__
 
@@ -182,63 +210,95 @@ class NcLaurent(LaurentPoly):
         return "NcLaurent(r=%d, %s)" % (self.rank, self.to_text())
 
 
-def _twisted(f: NcLaurent, g: NcLaurent, c=None) -> NcLaurent:
-    """f * g, or for an integer ``c`` f*g - w**c * g*f.  Positions P of f and
-    R of g add their term pairs at P + R, w raised by the twist of P before
-    R in f*g, by c plus that of R before P in w**c * g*f.  A commutator
-    skips the pairs whose raises agree and compares the sides at the end.
+def _grouped(f: NcLaurent, g: NcLaurent, part: str) -> NcLaurent:
+    """f * g from f's b-part and g's a-part groups (``part`` 'a'), or ev0(f * g)
+    from g's evaluated ones ('ev0'): moving g's a-part left past f's b-part
+    raises w by their twist, one for all term pairs of the two groups.
     Raises ``ExponentOverflow`` when a term it forms has w out of range."""
     f._check_compatible(g)
     if not f.coeffs or not g.coeffs:
         return f._like({})
     (lo1, hi1), (lo2, hi2) = f.bounds(), g.bounds()
-    # the (a, b) slots add up; the twisted w slot is checked per pair
+    # the (a, b) slots add up; the twisted w slot is checked per group pair
     lo, hi = tuple(map(add, lo1[1:], lo2[1:])), tuple(map(add, hi1[1:], hi2[1:]))
     require_fit(lo, hi)
-    avecs1, tvecs1, left = f._position_groups()
-    avecs2, tvecs2, right = g._position_groups()
-    twists = [[sum(map(mul, a, t)) for a in avecs2] for t in tvecs1]  # [ib1][ia2]
-    backs = None if c is None else [[sum(map(mul, a, t)) + c for t in tvecs2] for a in avecs1]
-    fore, aft, zero = {}, {}, zero_key(2 * f.rank + 1)
-    fget, aget = fore.get, aft.get
-    for ia1, ib1, wlo1, whi1, group1 in left:
-        row = twists[ib1]
-        brow = row if c is None else backs[ia1]  # [ib2]
-        safe = wlo1 + lo2[0] + min(min(row), min(brow)) >= EXP_MIN and whi1 + hi2[0] + max(max(row), max(brow)) <= EXP_MAX
-        for ia2, ib2, wlo2, whi2, group2 in right:
-            twist = row[ia2]
-            back = twist if c is None else brow[ib2]
-            if not safe and (min(twist, back) + wlo1 + wlo2 < EXP_MIN or max(twist, back) + whi1 + whi2 > EXP_MAX):
+    out, zero = {}, zero_key(f.width)
+    get = out.get
+    for t, wlo1, whi1, group1 in f._groups("b"):
+        for a, wlo2, whi2, group2 in g._groups(part):
+            twist = sum(map(mul, a, t))
+            if twist + wlo1 + wlo2 < EXP_MIN or twist + whi1 + whi2 > EXP_MAX:
                 raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
-            if c is None:
-                for k1, c1 in group1:
-                    k1 += zero + twist
-                    for k2, c2 in group2:
-                        k = k1 + k2
-                        fore[k] = fget(k, 0) + c1 * c2
-            elif twist != back:
-                for k1, c1 in group1:
-                    k1 += zero + twist
-                    for k2, c2 in group2:
-                        x, k = c1 * c2, k1 + k2
-                        fore[k] = fget(k, 0) + x
-                        k += back - twist
-                        aft[k] = aget(k, 0) + x
-    fore = {k: x for k, x in fore.items() if x}
-    if c is None:  # nonzero, since the torus is a domain
-        ws = [k & _W_MASK for k in fore]
-        return f._like(fore, ((min(ws) - _W_ZERO, *lo), (max(ws) - _W_ZERO, *hi)))
-    aft = {k: x for k, x in aft.items() if x}
-    if fore == aft:
-        return f._like({})
-    for k, x in aft.items():
-        fore[k] = fore.get(k, 0) - x
-    return f._like({k: x for k, x in fore.items() if x})
+            for k1, c1 in group1:
+                k1 += zero + twist
+                for k2, c2 in group2:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+    out = {k: x for k, x in out.items() if x}
+    if part == "ev0":  # ev0 may cancel extreme terms
+        return f._like(out)
+    ws = [k & _W_MASK for k in out]  # nonzero, since the torus is a domain
+    return f._like(out, ((min(ws) - _W_ZERO, *lo), (max(ws) - _W_ZERO, *hi)))
 
 
 def q_commutator(f: NcLaurent, g: NcLaurent, c: int) -> NcLaurent:
-    """f*g - w**c * g*f, exactly, in one pass."""
-    return _twisted(f, g, c)
+    """f*g - w**c * g*f, exactly.  Positions P of f and R of g meet at P + R,
+    raised by the twist of P before R in f*g and by c plus that of R before
+    P in w**c * g*f; only the pairs whose raises differ contribute.
+
+    Zero test: read each position's w-polynomial at w = 2**s as one integer,
+    s = bit_length(|f|_1 |g|_1) + 2, |.|_1 the sum of absolute coefficients.
+    Each term pair lands on a coefficient of the difference at most once, so
+    every such coefficient is at most |f|_1 |g|_1 < 2**(s-2) in absolute
+    value; a base-2**s number with digits below 2**s in absolute value is 0
+    only when every digit is, so the commutator is zero iff each target
+    position's sum of shifted products is 0.  A nonzero commutator, or one
+    whose packed numbers would be wider than 64 bits per term of f and g
+    (edge w-exponents only), is formed term by term.  Raises
+    ``ExponentOverflow`` when a pair would form a term with w out of range."""
+    f._check_compatible(g)
+    if not f.coeffs or not g.coeffs:
+        return f._like({})
+    (lo1, hi1), (lo2, hi2) = f.bounds(), g.bounds()
+    require_fit(tuple(map(add, lo1[1:], lo2[1:])), tuple(map(add, hi1[1:], hi2[1:])))
+    avecs1, tvecs1, left = f._position_groups()
+    avecs2, tvecs2, right = g._position_groups()
+    twists = [[sum(map(mul, a, t)) for a in avecs2] for t in tvecs1]  # [ib1][ia2]
+    backs = [[sum(map(mul, a, t)) + c for t in tvecs2] for a in avecs1]  # [ia1][ib2]
+    pairs = []
+    for p1 in left:
+        row, brow, wlo1, whi1 = twists[p1[1]], backs[p1[0]], p1[3], p1[4]
+        safe = wlo1 + lo2[0] + min(min(row), min(brow)) >= EXP_MIN and whi1 + hi2[0] + max(max(row), max(brow)) <= EXP_MAX
+        for p2 in right:
+            twist, back = row[p2[0]], brow[p2[1]]
+            if not safe and (min(twist, back) + wlo1 + p2[3] < EXP_MIN or max(twist, back) + whi1 + p2[4] > EXP_MAX):
+                raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+            if twist != back:
+                pairs.append((p1, p2, twist, back))
+    if not pairs:
+        return f._like({})
+    s = (sum(map(abs, f.coeffs.values())) * sum(map(abs, g.coeffs.values()))).bit_length() + 2
+    raises = [x for table in (twists, backs) for row in table for x in row]
+    wbase = lo1[0] + lo2[0] + min(raises)
+    if s * (hi1[0] + hi2[0] + max(raises) - wbase + 1) <= 64 * (len(f.coeffs) + len(g.coeffs)):
+        pf, pg = ({p[2]: sum(x << s * (k - p[6]) for k, x in p[5]) for p in side} for side in (left, right))
+        acc = {}
+        for p1, p2, twist, back in pairs:
+            prod, at, target = pf[p1[2]] * pg[p2[2]], p1[3] + p2[3] - wbase, p1[2] + p2[2]
+            acc[target] = acc.get(target, 0) + (prod << s * (at + twist)) - (prod << s * (at + back))
+        if not any(acc.values()):
+            return f._like({})
+    out, zero = {}, zero_key(f.width)
+    get = out.get
+    for p1, p2, twist, back in pairs:
+        for k1, c1 in p1[5]:
+            k1 += zero + twist
+            for k2, c2 in p2[5]:
+                x, k = c1 * c2, k1 + k2
+                out[k] = get(k, 0) + x
+                k += back - twist
+                out[k] = get(k, 0) - x
+    return f._like({k: x for k, x in out.items() if x})
 
 
 def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
@@ -274,8 +334,7 @@ def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
     b_shift = SLOT_BITS * rank
     right = side == "right"
     dvec = unpack(dpos, rank) if right else _twist_vector(rank, dpos >> b_shift)
-    avecs, tvecs, positions = den._position_groups()
-    groups = [(avecs[ia] if right else tvecs[ib], wlo, whi, group) for ia, ib, wlo, whi, group in positions]
+    groups = den._groups("a" if right else "b")
 
     low = {}  # position -> least w-exponent seen there in the remainder
 
@@ -379,58 +438,56 @@ def evaluate(f: NcLaurent, mode: str = "ev") -> NcLaurent:
     """
     if mode not in ("ev", "ev0"):
         raise ValueError("mode must be 'ev' or 'ev0'")
-    rank = f.rank
-    # -2 sum_b lam(a, b), the row sums of the (symmetric) twist rows
-    row = [sum(t) if mode == "ev0" else 0 for t in _twist_rows(rank)]
-    a_slots = ((1 << (SLOT_BITS * rank)) - 1) << SLOT_BITS
-    zero_a = zero_key(rank) << SLOT_BITS
-    shifts, out = {}, {}  # a-part -> w-shift; the result
-    for k, c in f.coeffs.items():
-        a = k & a_slots
-        shift = shifts.get(a)
-        if shift is None:
-            shift = shifts[a] = sum(map(mul, unpack(a >> SLOT_BITS, rank), row))
-        if not 0 <= (k & _W_MASK) + shift <= _W_TOP:
+    zero, out = zero_key(f.width), {}
+    for _, wlo, whi, group in f._groups(mode):
+        if wlo < EXP_MIN or whi > EXP_MAX:
             raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
-        key = k - a + zero_a + shift
-        out[key] = out.get(key, 0) + c
+        for k, c in group:
+            out[k + zero] = out.get(k + zero, 0) + c
     return f._like({k: c for k, c in out.items() if c})
 
 
-def word_product(rank: int, word, table: dict, prefixes=None) -> NcLaurent:
-    """The product of the Q_{alpha,k} (k >= 1) of ``word``, (alpha, k) letters
-    left to right; alpha 0 or r+1 gives 1.  With a dict ``prefixes`` of
-    products by word, a stored word[:-1] is reused and the word stored."""
+def ev0_times(img: NcLaurent, x: NcLaurent) -> NcLaurent:
+    """ev0(img * x) for an ``img`` free of Q_{a,0}, which equals ev0(f * x)
+    for every f with ev0(f) = img: the Q_{a,0} of f stay leftmost in f * x.
+    x's a-part moves left already evaluated, raised by its twist past img's
+    b-part and by its ev0 row; no a-part key is formed.  Raises
+    ``ExponentOverflow`` when a term of the image has w out of range."""
+    return _grouped(img, x, "ev0")
+
+
+def ev0_image(rank: int, word, table: dict, images=None) -> NcLaurent:
+    """ev0 of the product of the Q_{alpha,k} (k >= 1) of ``word``, (alpha, k)
+    letters left to right (alpha 0 or r+1 gives 1), by one ``ev0_times``
+    step per letter.  With a dict ``images`` of images by word, a stored
+    word[:-1] is reused and the word stored."""
     word = tuple(word)
     if any(k < 1 for _, k in word):
         raise ValueError("polynomiality words use k >= 1 only")
-    prod = None if prefixes is None else prefixes.get(word[:-1])
-    for alpha, k in word if prod is None else word[-1:]:
+    img = (images or {}).get(word[:-1])
+    img, letters = (NcLaurent.one(rank), word) if img is None else (img, word[-1:])
+    for alpha, k in letters:
         if alpha not in (0, rank + 1):
-            prod = table[(alpha, k)] if prod is None else prod * table[(alpha, k)]
-    prod = NcLaurent.one(rank) if prod is None else prod
-    return prod if prefixes is None else prefixes.setdefault(word, prod)
+            img = ev0_times(img, table[(alpha, k)])
+    return img if images is None else images.setdefault(word, img)
 
 
-def ev0_negative_term(f: NcLaurent):
-    """The first term of ev0(f), in decreasing order, with a negative
-    Q_{b,1}-exponent, as (b-tuple, {w-exponent: int}); None when ev0(f) is
-    a polynomial in the Q_{b,1}.  Reads only the (a, b) slots; a Q_{a,0}
-    left behind raises AssertionError."""
-    ev0, r = evaluate(f, "ev0"), f.rank
-    if not ev0:
+def ev0_negative_term(img: NcLaurent):
+    """The first term of the ev0 image ``img``, in decreasing order, with a
+    negative Q_{b,1}-exponent, as (b-tuple, {w-exponent: int}); None when
+    it is a polynomial in the Q_{b,1}.  A Q_{a,0} left in ``img`` raises
+    AssertionError."""
+    if not img:
         return None
-    lo, hi = key_bounds(ev0.coeffs, 2 * r + 1, range(1, 2 * r + 1))
-    if any(lo[:r]) or any(hi[:r]):
+    (lo, hi), r = img.bounds(), img.rank
+    if any(lo[1:r + 1]) or any(hi[1:r + 1]):
         raise AssertionError("evaluation left a Q_{a,0} behind")
     # b-tuples are distinct, so max never compares the w-coefficients
-    return max((b, c) for (_, b), c in ev0.terms() if min(b) < 0) if min(lo[r:]) < 0 else None
+    return max((b, c) for (_, b), c in img.terms() if min(b) < 0) if min(lo[r + 1:]) < 0 else None
 
 
 def check_polynomiality(rank: int, word, table=None) -> bool:
     """ev0 of a product of Q_{a,k} with k >= 1 must be polynomial in the
     Q_{b,1}; ``word`` is a sequence of (alpha, k) letters."""
-    if table is None:
-        kmax = max((k for _, k in word), default=1)
-        table = q_recursion(rank, max(kmax, 1))
-    return ev0_negative_term(word_product(rank, word, table)) is None
+    table = table or q_recursion(rank, max([k for _, k in word] + [1]))
+    return ev0_negative_term(ev0_image(rank, word, table)) is None

@@ -46,7 +46,7 @@ from .macdonald import (
     qwhittaker_specialize,
 )
 from .qdiff import apply_D, apply_M, apply_macdonald_qt
-from .qtorus import NcLaurent, ev0_negative_term, evaluate, q_commutator, q_recursion, relation_rhs, word_product
+from .qtorus import NcLaurent, ev0_image, ev0_negative_term, evaluate, q_commutator, q_recursion, relation_rhs
 from .rings import RING_Q, RING_QT, RING_W
 from .symfun import SchurPoly, dual_cauchy, monomial_sym, partitions, partitions_up_to, schur
 from .whittaker import check_level1_toda, class_one_combination, toda_residual
@@ -307,7 +307,8 @@ def check_dual_qsystem(
     """Commutation and recursion relations of the operator family, verified
     on the Schur basis s_lam, |lam| <= the degree bound.  The relations are
     linear in the test polynomial, so spanning the basis verifies them on the
-    whole space up to that degree."""
+    whole space up to that degree.  A failing point names the first
+    differing Schur coefficient."""
     rep = CheckReport("qsystem")
     nvars = rank + 1
     cart = CartanData(rank)
@@ -335,7 +336,7 @@ def check_dual_qsystem(
                         pair = min(alpha, beta) if form == "M" else -2 * cart.lam(alpha, beta)
                         lhs = op(alpha, n, level1(beta, p, idx, f))
                         rhs = op(beta, p, level1(alpha, n, idx, f)).times_unit(pair * (p - n))
-                        rep.record((form, "commute", alpha, beta, n, p, idx), lhs == rhs)
+                        _record_schur(rep, (form, "commute", alpha, beta, n, p, idx), lhs, rhs)
         for alpha in range(1, rank + 1):
             for n in range(n_lo + 1, n_hi):
                 for idx, f in enumerate(basis):
@@ -347,7 +348,7 @@ def check_dual_qsystem(
                         lhs = lhs.times_unit(-2 * cart.lam(alpha, alpha))
                         lower = lower.times_unit(-2 * (rank + 1))
                     rhs = op(alpha, n, level1(alpha, n, idx, f)) - lower
-                    rep.record((form, "recursion", alpha, n, idx), lhs == rhs)
+                    _record_schur(rep, (form, "recursion", alpha, n, idx), lhs, rhs)
     return rep
 
 
@@ -544,6 +545,8 @@ def check_torus(
     intertwining point names the first differing (a, b) monomial with both
     w-coefficients, a failing word the first monomial of its ev0 with a
     negative Q_{b,1}-exponent, and its w-coefficient."""
+    if word_k_max > k_max:
+        raise ValueError("word_k_max %d exceeds k_max %d" % (word_k_max, k_max))
     rep = CheckReport("torus")
     rng = random.Random(seed)
 
@@ -584,10 +587,10 @@ def check_torus(
             keep = rng.sample(long_words, min(len(long_words), 120))
             words = [w for w in words if len(w) < word_len] + keep
             rep.notes["torus-words-sampled-r%d" % rank] = len(keep)
-        # every prefix of a sorted word is an earlier word: one product each
-        prefixes = {}
+        # every prefix of a sorted word is an earlier word: one ev0 step each
+        images = {}
         for word in words:
-            bad = ev0_negative_term(word_product(rank, word, table, prefixes))
+            bad = ev0_negative_term(ev0_image(rank, word, table, images))
             detail = bad and _cap("ev0 monomial Q_{b,1}**%s: w-coefficient %s" % (bad[0], dict(sorted(bad[1].items()))))
             rep.record(("polynomiality", rank, word), bad is None, detail)
 

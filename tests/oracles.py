@@ -65,6 +65,7 @@ from qchar.laurent import (
     signed_buckets,
     unit_slots,
 )
+from qchar.qtorus import NcLaurent
 from qchar.rings import (
     RING_Q,
     RING_QT,
@@ -644,6 +645,31 @@ def ref_nc_mul(rank: int, a: dict, b: dict) -> dict:
                     cur[e1 + e2 + twist] = cur.get(e1 + e2 + twist, 0) + x1 * x2
     out = {k: {e: x for e, x in c.items() if x} for k, c in out.items()}
     return {k: c for k, c in out.items() if c}
+
+
+def ref_ev0(rank: int, f: dict) -> dict:
+    """ev0 of {(a-tuple, b-tuple): {w: int}}: Q_{a,0} set to v**(-sum_b
+    lam(a, b)), which is w**(-2 sum_b lam(a, b)) (moving Q_{b,1} past Q_{a,0}
+    costs w**(-2 lam(a, b)))."""
+    cart = CartanData(rank)
+    out = {}
+    for (a, b), c in f.items():
+        shift = -2 * sum(a[i] * cart.lam(i + 1, j + 1) for i in range(rank) for j in range(rank))
+        cur = out.setdefault(((0,) * rank, b), {})
+        for e, x in c.items():
+            cur[e + shift] = cur.get(e + shift, 0) + x
+    out = {k: {e: x for e, x in c.items() if x} for k, c in out.items()}
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_ev0_word(rank: int, word, table: dict) -> dict:
+    """ref_ev0 of a word's full product: the letters' Q_{alpha,k} (alpha 0 or
+    r+1 gives 1) multiplied left to right."""
+    prod = NcLaurent.one(rank)
+    for alpha, k in word:
+        if alpha not in (0, rank + 1):
+            prod = prod * table[(alpha, k)]
+    return ref_ev0(rank, dict(prod.terms()))
 
 
 def ref_nc_div(rank: int, num: dict, den: dict, side: str) -> dict:

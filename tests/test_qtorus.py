@@ -6,26 +6,29 @@ import random
 from functools import reduce
 from operator import mul
 
+import qchar.qtorus as qtorus
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_nc_div, ref_nc_mul
+from oracles import ref_ev0_word, ref_nc_div, ref_nc_mul
 from qchar.cartan import CartanData
-from qchar.laurent import LaurentPoly, key_bounds
+from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, key_bounds
 from qchar.qtorus import (
     NcLaurent,
     check_polynomiality,
+    ev0_image,
     ev0_negative_term,
+    ev0_times,
     evaluate,
     nc_div_left,
     nc_div_right,
     q_commutator,
     q_recursion,
     relation_rhs,
-    word_product,
 )
-from qchar.rings import RING_W, NcNotDivisible
+from qchar.rings import RING_W, ExponentOverflow, NcNotDivisible
 
 
 def gen(rank, alpha, k, power=1):
@@ -157,20 +160,18 @@ def test_polynomiality_words():
 
 
 def test_polynomiality_catches_a_left_q_a0(monkeypatch):
-    # negative control: with evaluation switched off, every word with a
+    # negative control: with the ev0 step a plain product, every word with a
     # letter k >= 2 keeps its Q_{a,0} powers, and the check must say so;
     # Q_{1,3} at rank 1 has Q_{1,0}-exponents -2 and 0 only
-    import qchar.qtorus as qtorus
-
-    real = qtorus.evaluate
-    monkeypatch.setattr(qtorus, "evaluate", lambda f, mode="ev": f)
+    real = qtorus.ev0_times
+    monkeypatch.setattr(qtorus, "ev0_times", lambda img, x: img * x)
     assert check_polynomiality(2, [(1, 1), (2, 1)])
     words = ((1, [(1, 2)]), (1, [(1, 3)]), (2, [(1, 2), (2, 3)]), (2, [(2, 2)]), (3, [(1, 1), (3, 2)]))
     for rank, word in words:
         with pytest.raises(AssertionError, match="Q_"):
             check_polynomiality(rank, word)
-    # an evaluation that keeps a copy times Q_{1,0}: exponents 0 and 1
-    monkeypatch.setattr(qtorus, "evaluate", lambda f, mode="ev": real(f, mode) * (gen(1, 1, 0) + NcLaurent.one(1)))
+    # an ev0 step that keeps a copy times Q_{1,0}: exponents 0 and 1
+    monkeypatch.setattr(qtorus, "ev0_times", lambda img, x: real(img, x) * (gen(1, 1, 0) + NcLaurent.one(1)))
     with pytest.raises(AssertionError, match="Q_"):
         check_polynomiality(1, [(1, 2)])
 
@@ -220,16 +221,49 @@ def window_pairs(rank, table, k_min, k_max):
 
 
 def test_q_commutator_matches_the_two_products_on_every_window_pair():
-    # zero exactly where the products agree; with c +- 1 the commutator is
-    # the nonzero difference of the products on every pair (a domain)
+    # zero exactly where the products agree, in either order and with f
+    # scaled (a wider packing); with c +- 1 the commutator is the nonzero
+    # difference of the products on every pair (a domain), and the reversed
+    # one is -w**(-c) times it
     for rank in (1, 2, 3):
         table = q_recursion(rank, 5, -2)
         for f, g, c in window_pairs(rank, table, -2, 5):
             fg, gf = f * g, g * f
             assert not q_commutator(f, g, c) and fg == gf.times_unit(c)
+            assert not q_commutator(g, f, -c) and not q_commutator(f * 1000, g, c)
             for moved in (c - 1, c + 1):
                 comm = q_commutator(f, g, moved)
                 assert comm and comm == fg - gf.times_unit(moved)
+                assert q_commutator(g, f, -moved) == -comm.times_unit(-moved)
+
+
+def test_q_commutator_packing_is_wide_enough_near_2_to_the_40():
+    # [(w - 2**40) Q_{1,0}, Q_{1,1}] with c = 0 is (w - 2**40)(1 - w**-2)
+    # Q_{1,0} Q_{1,1}, nonzero; packed at w = 2**40, three bits below the
+    # width used, its only target position reads 0.  (Two bits below is still
+    # exact: every coefficient is at most |f|_1 |g|_1 < 2**41.)
+    f = NcLaurent.from_terms(1, {((1,), (0,)): {0: -(2**40), 1: 1}})
+    g = gen(1, 1, 1)
+    comm = q_commutator(f, g, 0)
+    assert comm and comm == f * g - g * f
+    assert dict(comm.terms()) == {((1,), (1,)): {-2: 2**40, -1: -1, 0: -(2**40), 1: 1}}
+    assert not q_commutator(f, g, 2) and f * g == (g * f).times_unit(2)
+
+
+def test_q_commutator_at_edge_exponents_takes_the_term_kernel():
+    # Q_{1,2} times w-exponents at both ends of the slot against Q_{1,3}, at
+    # rank 1: packing would need about 2**28 bits, so the term kernel forms
+    # the commutator.  At c = 2 it is zero although its position pairs'
+    # twists differ; otherwise it is the difference of the products
+    table = q_recursion(1, 3)
+    ends = NcLaurent.from_terms(1, {((0,), (0,)): {EXP_MIN + 100: 1, EXP_MAX - 100: -3}})
+    f, g = table[(1, 2)] * ends, table[(1, 3)]
+    assert not q_commutator(f, g, 2)
+    for c in (-5, 1, 3):
+        comm = q_commutator(f, g, c)
+        assert comm and comm == f * g - (g * f).times_unit(c), c
+    with pytest.raises(ExponentOverflow):
+        q_commutator(f, g, -200)
 
 
 def scalar_poly(rank, c):
@@ -249,20 +283,36 @@ def sorted_words(rank, k_max, length):
     return [w for n in range(1, length + 1) for w in itertools.combinations_with_replacement(letters, n)]
 
 
-def test_prefix_shared_words_match_the_per_word_check():
+def test_folded_ev0_images_match_the_full_products():
     # every sorted word of length <= 3 at ranks 1-3, in the order check_torus
-    # builds them: each prefix product equals the product from one, and its
-    # ev0 verdict equals check_polynomiality's
+    # builds them: each image, one ev0 step from its prefix's, equals the
+    # image folded from one and the tuple-keyed ev0 of the full product
     for rank in (1, 2, 3):
         table = q_recursion(rank, 3)
-        prefixes = {}
+        images = {}
         for word in sorted_words(rank, 3, 3):
-            shared = word_product(rank, word, table, prefixes)
-            assert shared == reduce(mul, (table[x] for x in word), NcLaurent.one(rank)), word
-            assert shared.bounds() == key_bounds(shared.coeffs, shared.width)
+            shared = ev0_image(rank, word, table, images)
+            assert shared == ev0_image(rank, word, table), word
+            assert dict(shared.terms()) == ref_ev0_word(rank, word, table), word
             assert ev0_negative_term(shared) is None
             assert check_polynomiality(rank, word, table)
-        assert len(prefixes) == len(sorted_words(rank, 3, 3))
+        assert len(images) == len(sorted_words(rank, 3, 3))
+
+
+def test_ev0_step_at_the_edge_of_the_w_slot():
+    # at rank 1, Q_{1,0}**a moved left past Q_{1,1} costs w**(-2a) and ev0
+    # adds w**(-2a): the step reaches either end of the slot exactly and
+    # raises one step beyond, as the product-then-evaluate oracle does
+    for a, w in ((1, EXP_MIN + 4), (-1, EXP_MAX - 4)):
+        x, step = NcLaurent.monomial(1, (a,), (0,)), 1 if a > 0 else -1
+        img = NcLaurent.monomial(1, (0,), (1,), w)
+        edge = ev0_times(img, x)
+        assert edge == evaluate(img * x, "ev0") == NcLaurent.monomial(1, (0,), (1,), w - 4 * a)
+        assert edge.bounds() == key_bounds(edge.coeffs, edge.width)
+        beyond = NcLaurent.monomial(1, (0,), (1,), w - step)
+        for route in (lambda: ev0_times(beyond, x), lambda: evaluate(beyond * x, "ev0")):
+            with pytest.raises(ExponentOverflow):
+                route()
 
 
 def test_powers_equal_repeated_products():

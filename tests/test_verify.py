@@ -5,12 +5,12 @@ import itertools
 import pytest
 
 import qchar.verify as verify
-from oracles import ref_square_buckets, ref_swap_buckets, schur_form
+from oracles import ref_ev0, ref_square_buckets, ref_swap_buckets, schur_form
 from qchar.cartan import CartanData
 from qchar.characters import NVector, g_coefficient, graded_character
 from qchar.laurent import LaurentPoly, constrain
 from qchar.rings import RING_Q, RING_W, Scalar
-from qchar.symfun import SchurPoly, elementary
+from qchar.symfun import SchurPoly, elementary, partitions_up_to
 from qchar.verify import (
     CheckReport,
     check_difference_equation,
@@ -276,33 +276,79 @@ def test_torus_failure_names_first_differing_monomial(monkeypatch):
 
 
 def test_polynomiality_failure_names_first_negative_monomial(monkeypatch):
-    # an ev0 that also divides by Q_{1,1} on the right: exactly the words
-    # whose real ev0 has a term free of Q_{1,1} fail, each naming the
-    # greatest such Q_{b,1}-exponent, one lower in b_1, and its w-coefficient
+    # an ev0 step that also divides by Q_{1,1} on the right: exactly the
+    # words whose lowered image, re-derived step by step through the oracle
+    # (full product, then ev0), has a negative Q_{b,1}-exponent fail, each
+    # naming the greatest such monomial and its w-coefficient
     import qchar.qtorus as qtorus
 
-    real = qtorus.evaluate
-
-    def lowered(f, mode="ev"):
-        return real(f, mode) * qtorus.NcLaurent.generator(f.rank, 1, 1, -1)
+    def lowered(img, x, step=qtorus.ev0_times):
+        return step(img, x) * qtorus.NcLaurent.generator(img.rank, 1, 1, -1)
 
     grid = dict(rank_max=2, k_min=-1, k_max=3, word_k_max=2, word_len=2, samples=0)
     expected = []
     for rank in (1, 2):
         table = qtorus.q_recursion(rank, 3, -1)
         letters = [(a, k) for a in range(1, rank + 1) for k in (1, 2)]
+        images = {(): qtorus.NcLaurent.one(rank)}
         for word in [w for n in (1, 2) for w in itertools.combinations_with_replacement(letters, n)]:
-            ev0 = real(qtorus.word_product(rank, word, table), "ev0")
-            free = {b: c for (_, b), c in ev0.terms() if b[0] == 0}
-            if free:
-                b = max(free)
-                detail = "ev0 monomial Q_{b,1}**%s: w-coefficient %s" % ((-1, *b[1:]), dict(sorted(free[b].items())))
+            image = ref_ev0(rank, dict((images[word[:-1]] * table[word[-1]]).terms()))
+            images[word] = qtorus.NcLaurent.from_terms(rank, image) * qtorus.NcLaurent.generator(rank, 1, 1, -1)
+            negative = {b: c for (_, b), c in images[word].terms() if min(b) < 0}
+            if negative:
+                b = max(negative)
+                detail = "ev0 monomial Q_{b,1}**%s: w-coefficient %s" % (b, dict(sorted(negative[b].items())))
                 expected.append({"point": str(("polynomiality", rank, word)), "detail": detail})
-    monkeypatch.setattr(qtorus, "evaluate", lowered)
+    monkeypatch.setattr(qtorus, "ev0_times", lowered)
     rep = check_torus(**grid)
     assert expected and rep.failures == expected
     # ev0(Q_{1,2}) = w**4 Q_{1,1}**2 - 1 at rank 1
     assert rep.failures[0] == {
         "point": str(("polynomiality", 1, ((1, 2),))),
         "detail": "ev0 monomial Q_{b,1}**(-1,): w-coefficient {0: -1}",
+    }
+
+
+def test_torus_rejects_words_beyond_the_table():
+    with pytest.raises(ValueError, match="word_k_max 3 exceeds k_max 2"):
+        check_torus(1, k_max=2)
+
+
+def test_qsystem_failure_names_first_differing_schur_coefficient(monkeypatch):
+    # shift every lam(a, b) the check uses by one: exactly the D-form points
+    # whose relation carries lam (recursion, and commutation with n != p)
+    # and whose two-operator side is nonzero fail, each naming the first
+    # differing Schur coefficient; the M form uses no lam
+    class Shifted(CartanData):
+        def lam(self, a, b):
+            return super().lam(a, b) + 1
+
+    from qchar.qdiff import apply_D
+
+    rank, bound = 2, 2
+    rep = check_dual_qsystem(rank, degree_bound=bound)
+    assert rep.passed
+    monkeypatch.setattr(verify, "CartanData", Shifted)
+    rep = check_dual_qsystem(rank, degree_bound=bound)
+    basis = [SchurPoly.basis(lam, rank + 1, RING_W) for lam in partitions_up_to(bound, rank + 1)]
+    expected = []  # in the check's order: D commutation points, then recursion
+    for alpha, beta in itertools.combinations_with_replacement(range(1, rank + 1), 2):
+        for n, p in itertools.product(range(-1, 3), repeat=2):
+            if n != p and abs(p - n) <= beta - alpha + 1:
+                expected += [
+                    str(("D", "commute", alpha, beta, n, p, idx))
+                    for idx, f in enumerate(basis)
+                    if apply_D(alpha, n, apply_D(beta, p, f))
+                ]
+    for alpha, n in itertools.product(range(1, rank + 1), (0, 1)):
+        expected += [
+            str(("D", "recursion", alpha, n, idx))
+            for idx, f in enumerate(basis)
+            if apply_D(alpha, n + 1, apply_D(alpha, n - 1, f))
+        ]
+    assert expected and [f["point"] for f in rep.failures] == expected
+    assert all(f["detail"].startswith("schur (") and len(f["detail"]) <= 200 for f in rep.failures)
+    assert rep.failures[0] == {
+        "point": "('D', 'commute', 1, 1, -1, 0, 1)",
+        "detail": "schur (0, 0, 0): lhs {-18: 1, -12: -1}, rhs {-20: 1, -14: -1}",
     }
