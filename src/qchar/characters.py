@@ -16,8 +16,13 @@ explicit power of v and cross-check each other.  Both chains, and the
 difference equations, run on Schur forms (``symfun.SchurPoly``); monomial
 expansions are views computed on demand.
 
+Each chain value is one raising step from the cached value of its prefix,
+the word of factors M_{a,i} less its last letter; the validated character
+and the equation values are cached per n as Schur forms.
+
 ``difference_equation_terms`` generates the level-k difference equation at
-every rank and level; ``difference_equation_holds`` checks it on chi or G.
+every rank and level; ``equation_sides`` checks it on chi or G as one
+residual, forming its two sides only when it fails.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import cached_property, lru_cache
 
 from .cartan import CartanData
 from .laurent import LaurentPoly, constrain, w_to_q
-from .qdiff import apply_D, apply_M
+from .qdiff import apply_D, apply_M, operator_sum
 from .rings import RING_Q, RING_W, Scalar
 from .symfun import SchurPoly, partition_of_weight
 
@@ -135,21 +140,40 @@ class GradedCharacter:
         return self.form.monomials()
 
 
-# entries per character cache: char-ladder, verify-operators and
-# ``verify --suite all`` in one process use 269 raising products and 177 G forms
+# entries per cache: char-ladder, verify-operators and ``verify --suite all``
+# in one process hold 532 chain prefixes (324 M, 208 D), 269 character forms,
+# 440 equation values and 177 G forms
 _CHARACTER_CACHE = 1 << 10
+_CHAINS = {}  # (ring, rank, word of factors (alpha, i)) -> chain value; oldest out first
 
 
-@lru_cache(maxsize=_CHARACTER_CACHE)
+def _chain(n: NVector, op, ring) -> SchurPoly:
+    """``operator_product(n, op, ring)`` as the last factor op(alpha, i)
+    applied to the product of the rest: find the longest cached prefix of
+    the word of factors, then step up, caching every prefix."""
+    word = tuple((a, i) for i in range(1, n.level + 1) for a, row in enumerate(n.rows, 1) for _ in range(row[i - 1]))
+    t = len(word)
+    while t and (ring, n.rank, word[:t]) not in _CHAINS:
+        t -= 1
+    f = _CHAINS[ring, n.rank, word[:t]] if t else SchurPoly.one(ring, n.rank + 1)
+    for k in range(t, len(word)):
+        f = op(*word[k], f)
+        if len(_CHAINS) >= _CHARACTER_CACHE:
+            del _CHAINS[next(iter(_CHAINS))]
+        _CHAINS[ring, n.rank, word[: k + 1]] = f
+    return f
+
+
 def raising_product(n: NVector) -> SchurPoly:
     """The bare operator product applied to 1 (Q-ring, r+1 variables,
     no prefactor); level-1 factors act first, higher levels after."""
-    return operator_product(n, apply_M, RING_Q)
+    return _chain(n, apply_M, RING_Q)
 
 
 def operator_product(n: NVector, op, ring, reverse: bool = False) -> SchurPoly:
-    """op(alpha, i) applied n_i^(alpha) times to 1: level 1 first, labels in
-    increasing order within a level (decreasing with ``reverse``)."""
+    """op(alpha, i) applied n_i^(alpha) times to 1, from scratch: level 1
+    first, labels in increasing order within a level (decreasing with
+    ``reverse``)."""
     f = SchurPoly.one(ring, n.rank + 1)
     for i in range(1, n.level + 1):
         for alpha in range(n.rank, 0, -1) if reverse else range(1, n.rank + 1):
@@ -172,7 +196,8 @@ def char_q_exponent(n: NVector) -> int:
     return -(diff // 2)
 
 
-def graded_character(n: NVector) -> GradedCharacter:
+@lru_cache(maxsize=_CHARACTER_CACHE)
+def character_form(n: NVector) -> SchurPoly:
     """chi_n(q**-1, z) as an exact Schur form.
 
     The constructed value is checked against two structural facts: every
@@ -183,13 +208,18 @@ def graded_character(n: NVector) -> GradedCharacter:
         raise ArithmeticError("character has a positive q-exponent")
     if form.unit_slice(0) != SchurPoly.basis(top_component(n), n.rank + 1):
         raise ArithmeticError("q**0 part differs from the top component")
-    return GradedCharacter(n, form, "raising-q")
+    return form
+
+
+def graded_character(n: NVector) -> GradedCharacter:
+    """chi_n with its views; the Schur form is cached, the views are not."""
+    return GradedCharacter(n, character_form(n), "raising-q")
 
 
 def multiplicities(n: NVector) -> dict:
     """Schur coefficients of the character, keyed by the partition of the
     dominant weight (full columns removed)."""
-    return graded_character(n).form.constrained().expansion()
+    return character_form(n).constrained().expansion()
 
 
 def top_component(n: NVector):
@@ -199,7 +229,7 @@ def top_component(n: NVector):
 
 def g_raising_product(n: NVector) -> SchurPoly:
     """The twisted-operator product applied to 1 (W-ring, unconstrained)."""
-    return operator_product(n, apply_D, RING_W)
+    return _chain(n, apply_D, RING_W)
 
 
 @lru_cache(maxsize=_CHARACTER_CACHE)
@@ -277,28 +307,35 @@ def g_form_terms(n: NVector, terms) -> list:
     return out
 
 
+@lru_cache(maxsize=_CHARACTER_CACHE)
 def _equation_value(m: NVector, form: str) -> SchurPoly:
-    if form == "G":
-        return g_schur_form(m)
-    return graded_character(m).form.constrained()
+    """G_m, or chi_m modulo z_1...z_{r+1} = 1."""
+    return g_schur_form(m) if form == "G" else character_form(m).constrained()
 
 
-def difference_equation_holds(n: NVector, form: str = "chi", dual: bool = False) -> bool:
-    """Whether the difference equation holds at n, on constrained characters
-    in q (form "chi") or on the coefficients G_n in w (form "G"), both as
-    Schur forms modulo z_1...z_{r+1} = 1; e_1 (e_r) acts by the Pieri rule."""
+def equation_sides(n: NVector, form: str = "chi", dual: bool = False):
+    """None when the difference equation holds at n, else its sides (lhs,
+    rhs), lhs None for a weighted term off the grid: constrained characters
+    in q (form "chi") or G_n in w (form "G") as Schur forms, e_1 (e_r) by
+    the Pieri rule.  Only a nonzero residual lhs - rhs forms the lhs."""
     if form not in ("chi", "G"):
         raise ValueError("unknown equation form %r" % form)
     terms = difference_equation_terms(n, dual)
     if form == "G":
         terms = g_form_terms(n, terms)
-    lhs = SchurPoly.zero(RING_W if form == "G" else RING_Q, n.rank + 1)
+    rhs = _equation_value(n, form).times_e(n.rank if dual else 1).constrained()
+    lhs = []
     for m, coeff in terms:
         if coeff and m is None:
-            return False
+            return None, rhs
         if coeff:
             value = _equation_value(m, form)
-            for e, c in coeff.data.items():
-                lhs = lhs + value.times_unit(e) * c
-    rhs = _equation_value(n, form).times_e(n.rank if dual else 1).constrained()
-    return lhs == rhs
+            lhs += [(None, 0, 0, value, e, c) for e, c in coeff.data.items()]
+    if not operator_sum(lhs + [(None, 0, 0, rhs, 0, -1)]):
+        return None
+    return operator_sum(lhs) if lhs else SchurPoly.zero(rhs.ring, rhs.nvars), rhs
+
+
+def difference_equation_holds(n: NVector, form: str = "chi", dual: bool = False) -> bool:
+    """Whether the difference equation holds at n (see ``equation_sides``)."""
+    return equation_sides(n, form, dual) is None

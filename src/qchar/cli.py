@@ -23,7 +23,7 @@ from .rings import (
     NotDivisible,
     NotSymmetric,
 )
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_FLAGS, run_suite
 
 INTERNAL_ERRORS = (
     NotDivisible,
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", default=None, help="output file (default stdout)")
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", choices=SUITE_NAMES, default="all")
+    pv.add_argument("--suite", choices=tuple(SUITE_FLAGS), default="all")
     pv.add_argument("--rank", type=_int_at_least(1), default=None)
     pv.add_argument("--bound", type=_int_at_least(0), default=None)
     pv.add_argument("--order", type=_int_at_least(0), default=None)
@@ -182,6 +182,9 @@ def main(argv=None) -> int:
         _emit(render_character(payload, args.format), args.out)
         return 0
 
+    for flag in ("rank", "bound", "order"):
+        if getattr(args, flag) is not None and flag not in SUITE_FLAGS[args.suite].split():
+            parser.error("--suite %s does not read --%s" % (args.suite, flag))
     try:
         reports = run_suite(args.suite, rank=args.rank, bound=args.bound, order=args.order)
     except INTERNAL_ERRORS as exc:

@@ -21,6 +21,10 @@ bialternant, and the subset sum antisymmetrizes it, so
     M_{alpha,n} s_lam = sum c^lam_{mu nu} q**|mu| s_{(mu + n, nu)},
 
 each s_{(mu + n, nu)} straightened to +-s_kappa or 0 (``symfun.straighten``).
+One kernel, ``operator_sum``, forms every such action: a signed sum of M, D
+and identity terms, each with its power of q (or w), in one dict.
+``apply_M`` and ``apply_D`` are its one-term calls, and an operator identity
+is one residual tested for zero, with no side formed.
 The Macdonald operator has no such form; its Vandermonde-cleared subset sum
 is one signed permutation orbit, read off Schur function by Schur function
 and divided by alpha! (N - alpha)! exactly.
@@ -31,7 +35,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .cartan import CartanData
 from .laurent import (
     EXP_MAX,
     EXP_MIN,
@@ -110,60 +113,69 @@ def _image(zkey, nvars, alpha, n):
     return sum(lam), min(dmus), max(dmus), terms
 
 
-def _schur_apply(f, alpha, n, du_subset, du_all, du_const=0):
-    """The subset operator on a Schur form.  The unit exponent of an image
-    term grows by ``du_subset`` per unit of |mu| (the q-scaling of the
-    subset) and by ``du_all`` per unit of |lam| (a dilation of every
-    variable), plus ``du_const``."""
+def operator_sum(terms, *, rank=None):
+    """The sum of coeff * u**shift * op(alpha, n, f) over the nonempty
+    sequence ``terms`` of (op, alpha, n, f, shift, coeff), in one dict: op
+    is "M", "D" (W ring only) or None, the identity (as is alpha = 0), and
+    every f a Schur form over one ring (W or Q, with unit u) in r+1
+    variables."""
+    ring, nvars = terms[0][3].ring, terms[0][3].nvars
+    r = nvars - 1 if rank is None else rank
+    if nvars != r + 1:
+        raise ValueError("operator rank does not match the variable count")
     out = {}
     get = out.get
-    for key, c in f.coeffs.items():
-        j, zkey = split_unit(key)
-        size, lo, hi, image = _image(zkey, f.nvars, alpha, n)
-        base = j + du_all * size + du_const
-        if not EXP_MIN <= base + du_subset * lo <= EXP_MAX or not EXP_MIN <= base + du_subset * hi <= EXP_MAX:
-            raise ExponentOverflow("unit exponent outside [%d, %d]" % (EXP_MIN, EXP_MAX))
-        for dmu, kappa, b in image:
-            kk = kappa + (base + du_subset * dmu) * UNIT
-            out[kk] = get(kk, 0) + b * c
-    return SchurPoly(f.ring, f.nvars, {k: c for k, c in out.items() if c})
-
-
-def _check_operand(f, alpha, rank):
-    if not isinstance(f, SchurPoly) or f.ring not in (RING_Q, RING_W):
-        raise TypeError("the raising operators act on W- or Q-ring Schur forms")
-    r = f.nvars - 1 if rank is None else rank
-    if f.nvars != r + 1:
-        raise ValueError("operator rank does not match the variable count")
-    if not 0 <= alpha <= r + 1:
-        raise ValueError("alpha out of range [0, r+1]")
-    return r
+    for op, alpha, n, f, shift, coeff in terms:
+        if not isinstance(f, SchurPoly) or ring not in (RING_Q, RING_W) or (f.ring, f.nvars) != (ring, nvars):
+            raise TypeError("the raising operators act on W- or Q-ring Schur forms of one ring and size")
+        if not 0 <= alpha <= r + 1:
+            raise ValueError("alpha out of range [0, r+1]")
+        # an image term's unit exponent grows by du_subset per unit of |mu|
+        # (q on the subset), du_all per unit of |lam| (a dilation), du_const
+        du_subset, du_all, du_const = (1 if ring == RING_Q else -2 * nvars), 0, shift
+        if op is None:
+            alpha = 0
+        elif op == "D":
+            if ring != RING_W:
+                raise ValueError("the twisted operator needs W-ring coefficients")
+            # the prefactor w**(-lam(a,a) n - 2 sum_b lam(a,b)), where
+            # lam(a,a) = a(r+1-a) and 2 sum_b lam(a,b) = (r+1) lam(a,a)
+            du_all, du_const = 2 * alpha, shift - alpha * (nvars - alpha) * (n + nvars)
+        elif op != "M":
+            raise ValueError("unknown operator %r" % (op,))
+        if alpha == 0 and f.coeffs:
+            if du_const:
+                lo, hi = f.bounds()
+                require_fit((lo[0] + du_const,), (hi[0] + du_const,))
+            d = du_const * UNIT
+            for key, c in f.coeffs.items():
+                out[key + d] = get(key + d, 0) + coeff * c
+            continue
+        for key, c in f.coeffs.items():
+            j, zkey = split_unit(key)
+            size, lo, hi, image = _image(zkey, nvars, alpha, n)
+            base = j + du_all * size + du_const
+            if not EXP_MIN <= base + du_subset * lo <= EXP_MAX or not EXP_MIN <= base + du_subset * hi <= EXP_MAX:
+                raise ExponentOverflow("unit exponent outside [%d, %d]" % (EXP_MIN, EXP_MAX))
+            c *= coeff
+            for dmu, kappa, b in image:
+                kk = kappa + (base + du_subset * dmu) * UNIT
+                out[kk] = get(kk, 0) + b * c
+    return SchurPoly(ring, nvars, {k: c for k, c in out.items() if c})
 
 
 def apply_M(alpha, n, f, *, rank=None):
     """Act with the subset raising operator of index ``alpha`` and power ``n``
     on a Schur form ``f`` in r+1 variables (W- or Q-ring coefficients; the
     shift scales subset variables by q, q = w**(-2(r+1)) in the W ring)."""
-    r = _check_operand(f, alpha, rank)
-    if alpha == 0 or f.is_zero():
-        return f
-    return _schur_apply(f, alpha, n, 1 if f.ring == RING_Q else -2 * (r + 1), 0)
+    return operator_sum((("M", alpha, n, f, 0, 1),), rank=rank)
 
 
 def apply_D(alpha, n, f, *, rank=None):
     """Act with the twisted raising operator on a W-ring Schur form: subset
     variables are scaled by q*v**alpha, the rest by v**alpha, and the result
     carries the prefactor ``w**(-lam(a,a)*n - 2*sum_b lam(a,b))``."""
-    if f.ring != RING_W:
-        raise ValueError("the twisted operator needs W-ring coefficients")
-    r = _check_operand(f, alpha, rank)
-    cart = CartanData(r)
-    wshift = -cart.lam(alpha, alpha) * n - 2 * cart.lam_row_sum(alpha)
-    if f.is_zero():
-        return f
-    if alpha == 0:
-        return f.times_unit(wshift)
-    return _schur_apply(f, alpha, n, -2 * (r + 1), 2 * alpha, wshift)
+    return operator_sum((("D", alpha, n, f, 0, 1),), rank=rank)
 
 
 def apply_macdonald_qt(alpha, f, *, checked=False):

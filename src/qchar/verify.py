@@ -10,12 +10,13 @@ orbits are compared in canonical alternant-bucket form.  The buckets are
 read off the two-block Schur form of the cleared factor (the cross product
 by the dual Cauchy identity, the within-block products by straightening),
 so no cleared product is ever expanded into monomials; the full expansion
-is the reference in the tests.  A failing lemma point names the first
-differing alternant with both payloads, and a failing eigen or Schur-form
-limits point the first differing Schur coefficient.  Every difference
-equation check runs through ``characters.difference_equation_holds``.  The
-operator, character and equation checks compare Schur forms; the classical
-limit and the Macdonald and Whittaker oracles compare monomial expansions.
+is the reference in the tests.  A qsystem, eigen or difference-equation
+point is one ``qdiff.operator_sum`` residual tested for zero, and only a
+failure forms its two sides.  A failing lemma point names the first
+differing alternant with both payloads, and a failing point of those or of
+the Schur-form limits the first differing Schur coefficient.  The operator,
+character and equation checks compare Schur forms; the classical limit and
+the Macdonald and Whittaker oracles compare monomial expansions.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .cartan import CartanData
 from .characters import (
     NVector,
     char_from_g,
-    difference_equation_holds,
+    equation_sides,
     g_schur_form,
     graded_character,
     operator_product,
@@ -45,7 +46,7 @@ from .macdonald import (
     qt_t_infinity_limit,
     qwhittaker_specialize,
 )
-from .qdiff import apply_D, apply_M, apply_macdonald_qt
+from .qdiff import apply_D, apply_M, apply_macdonald_qt, operator_sum
 from .qtorus import NcLaurent, ev0_image, ev0_negative_term, evaluate, q_commutator, q_recursion, relation_rhs
 from .rings import RING_Q, RING_QT, RING_W
 from .symfun import SchurPoly, dual_cauchy, monomial_sym, partitions, partitions_up_to, schur
@@ -245,6 +246,25 @@ def _record_schur(rep, point, lhs: SchurPoly, rhs: SchurPoly):
         rep.record(point, ok, _first_difference(*sides, "schur"))
 
 
+def _record_residual(rep, point, terms):
+    """Record whether the ``operator_sum`` of ``terms`` vanishes, forming no
+    side; a failure compares lhs = the first term with rhs = minus the rest."""
+    if operator_sum(terms):
+        _record_schur(rep, point, operator_sum(terms[:1]), -operator_sum(terms[1:]))
+    else:
+        rep.record(point, True)
+
+
+def _record_equation(rep, point, n, form="chi", dual=False):
+    sides = equation_sides(n, form, dual)
+    if not sides:
+        rep.record(point, True)
+    elif sides[0] is None:
+        rep.record(point, False, "a term off the grid has a nonzero coefficient")
+    else:
+        _record_schur(rep, point, *sides)
+
+
 def _swap_window(a: int, b: int):
     return range(-(b - a + 1), b - a + 2)
 
@@ -297,6 +317,41 @@ def check_subset_identities(bound: int = 3, rank_max: int = 4) -> CheckReport:
 # -- operator algebra ---------------------------------------------------------
 
 
+def _qsystem_residuals(rank: int, form: str, basis, n_lo: int, n_hi: int):
+    """(point, terms) for every commutation and recursion point: the
+    ``operator_sum`` of ``terms`` is lhs - rhs, the first term the lhs."""
+    cart = CartanData(rank)
+    op = apply_M if form == "M" else apply_D
+    cache = {}
+
+    def level1(alpha, n, idx, f):
+        key = (alpha, n, idx)
+        if key not in cache:
+            cache[key] = op(alpha, n, f)
+        return cache[key]
+
+    for alpha in range(1, rank + 1):
+        for beta in range(alpha, rank + 1):
+            pair = min(alpha, beta) if form == "M" else -2 * cart.lam(alpha, beta)
+            for n, p in itertools.product(range(n_lo, n_hi + 1), repeat=2):
+                if abs(p - n) > abs(beta - alpha) + 1 or (alpha == beta and n == p):
+                    continue
+                for idx, f in enumerate(basis):
+                    yield (form, "commute", alpha, beta, n, p, idx), [
+                        (form, alpha, n, level1(beta, p, idx, f), 0, 1),
+                        (form, beta, p, level1(alpha, n, idx, f), pair * (p - n), -1),
+                    ]
+    for alpha in range(1, rank + 1):
+        top, low = (alpha, 0) if form == "M" else (-2 * cart.lam(alpha, alpha), -2 * (rank + 1))
+        for n in range(n_lo + 1, n_hi):
+            for idx, f in enumerate(basis):
+                yield (form, "recursion", alpha, n, idx), [
+                    (form, alpha, n + 1, level1(alpha, n - 1, idx, f), top, 1),
+                    (form, alpha, n, level1(alpha, n, idx, f), 0, -1),
+                    (form, alpha + 1, n, level1(alpha - 1, n, idx, f), low, 1),
+                ]
+
+
 def check_dual_qsystem(
     rank: int,
     degree_bound: int = 6,
@@ -307,48 +362,15 @@ def check_dual_qsystem(
     """Commutation and recursion relations of the operator family, verified
     on the Schur basis s_lam, |lam| <= the degree bound.  The relations are
     linear in the test polynomial, so spanning the basis verifies them on the
-    whole space up to that degree.  A failing point names the first
-    differing Schur coefficient."""
+    whole space up to that degree.  Each point is one residual tested for
+    zero; a failing point names the first differing Schur coefficient."""
     rep = CheckReport("qsystem")
-    nvars = rank + 1
-    cart = CartanData(rank)
     for form in forms:
         ring = RING_Q if form == "M" else RING_W
-        basis = [SchurPoly.basis(lam, nvars, ring) for lam in partitions_up_to(degree_bound, nvars)]
+        basis = [SchurPoly.basis(lam, rank + 1, ring) for lam in partitions_up_to(degree_bound, rank + 1)]
         rep.notes["basis-%s" % form] = len(basis)
-        op = apply_M if form == "M" else apply_D
-        cache = {}
-
-        def level1(alpha, n, idx, f):
-            key = (form, alpha, n, idx)
-            if key not in cache:
-                cache[key] = op(alpha, n, f)
-            return cache[key]
-
-        for alpha in range(1, rank + 1):
-            for beta in range(alpha, rank + 1):
-                for n, p in itertools.product(range(n_lo, n_hi + 1), repeat=2):
-                    if abs(p - n) > abs(beta - alpha) + 1:
-                        continue
-                    if alpha == beta and n == p:
-                        continue
-                    for idx, f in enumerate(basis):
-                        pair = min(alpha, beta) if form == "M" else -2 * cart.lam(alpha, beta)
-                        lhs = op(alpha, n, level1(beta, p, idx, f))
-                        rhs = op(beta, p, level1(alpha, n, idx, f)).times_unit(pair * (p - n))
-                        _record_schur(rep, (form, "commute", alpha, beta, n, p, idx), lhs, rhs)
-        for alpha in range(1, rank + 1):
-            for n in range(n_lo + 1, n_hi):
-                for idx, f in enumerate(basis):
-                    lhs = op(alpha, n + 1, level1(alpha, n - 1, idx, f))
-                    lower = op(alpha + 1, n, level1(alpha - 1, n, idx, f))
-                    if form == "M":
-                        lhs = lhs.times_unit(alpha)
-                    else:
-                        lhs = lhs.times_unit(-2 * cart.lam(alpha, alpha))
-                        lower = lower.times_unit(-2 * (rank + 1))
-                    rhs = op(alpha, n, level1(alpha, n, idx, f)) - lower
-                    _record_schur(rep, (form, "recursion", alpha, n, idx), lhs, rhs)
+        for point, terms in _qsystem_residuals(rank, form, basis, n_lo, n_hi):
+            _record_residual(rep, point, terms)
     return rep
 
 
@@ -400,7 +422,7 @@ def _equation_report(name, grid, form="chi") -> CheckReport:
     rep = CheckReport(name)
     rep.notes["points"] = len(grid)
     for n in grid:
-        rep.record(n, difference_equation_holds(n, form))
+        _record_equation(rep, n, n, form)
     return rep
 
 
@@ -426,8 +448,8 @@ def _record_both_relations(rep, grid):
     (second relation, e_r), then the compatibility e_2 G_{1,0} = e_1 G_{0,1}."""
     for n in grid:
         entries = tuple(x for level in zip(*n.rows) for x in level)
-        rep.record(("first",) + entries, difference_equation_holds(n, "G"))
-        rep.record(("second",) + entries, difference_equation_holds(n, "G", dual=True))
+        _record_equation(rep, ("first",) + entries, n, "G")
+        _record_equation(rep, ("second",) + entries, n, "G", dual=True)
     g10, g01 = (g_schur_form(NVector.level_one(2, x)) for x in ((1, 0), (0, 1)))
     rep.record(("compatibility",), g10.times_e(2).constrained() == g01.times_e(1).constrained())
     return rep
@@ -477,7 +499,7 @@ def check_eigen(rank: int, sigma_max: int = 4) -> CheckReport:
         chi = graded_character(n).form
         for alpha in range(1, rank + 1):
             ev = sum(min(alpha, b) * n.entry(b, 1) for b in range(1, rank + 1))
-            _record_schur(rep, (n, alpha), apply_M(alpha, 0, chi), chi.times_unit(ev))
+            _record_residual(rep, (n, alpha), [("M", alpha, 0, chi, 0, 1), (None, 0, 0, chi, ev, -1)])
     return rep
 
 
@@ -715,14 +737,9 @@ def run_suite(name: str, rank=None, bound=None, order=None):
     raise ValueError("unknown suite %r" % name)
 
 
-SUITE_NAMES = (
-    "qsystem",
-    "diffeq",
-    "eigen",
-    "lemmas",
-    "limits",
-    "torus",
-    "macdonald",
-    "whittaker",
-    "all",
-)
+# the flags each suite reads; "all" reads every flag one of its suites reads
+SUITE_FLAGS = {
+    "qsystem": "rank bound", "diffeq": "bound", "eigen": "rank bound", "lemmas": "bound",
+    "limits": "rank bound", "torus": "rank", "macdonald": "bound", "whittaker": "order",
+    "all": "rank bound order",
+}

@@ -263,3 +263,99 @@ def test_rank3_g_form_and_dual_equations():
     assert difference_equation_holds(n, "chi", dual=True)
     with pytest.raises(ValueError):
         difference_equation_holds(n, "bogus")
+
+
+def _operator_grids():
+    """Every n of the diffeq, eigen and limits grids at their default scales
+    (ranks 1-3, levels 1-3), in the order the suites visit them."""
+    from qchar import verify
+
+    grid = [verify._level1_grid(r, 5) for r in (1, 2, 3)]
+    grid += [verify._admissible_grids(r, k, 5) for r in (1, 2) for k in (2, 3)]
+    grid.append(verify._admissible_grids(3, 2, 6))
+    grid.append([NVector.from_rows(2, 2, rows) for rows in itertools.product(itertools.product((1, 2), repeat=2), repeat=2)])
+    grid += [verify._admissible_grids(r, 2, 4) for r in (1, 2)]
+    return [n for part in grid for n in part]
+
+
+def test_prefix_chains_match_products_from_scratch():
+    # each chain value is one raising step from its cached prefix; from
+    # empty tables, every value on the grids equals the full product
+    from qchar import characters
+    from qchar.qdiff import apply_D, apply_M
+
+    characters._CHAINS.clear()
+    grid = _operator_grids()
+    assert {n.rank for n in grid} == {1, 2, 3} and {n.level for n in grid} == {1, 2, 3}
+    for n in grid:
+        assert characters.raising_product(n) == characters.operator_product(n, apply_M, RING_Q), n
+        assert characters.g_raising_product(n) == characters.operator_product(n, apply_D, RING_W), n
+    # a prefix is keyed by its word of factors (alpha, i), whatever the
+    # level of the matrix it came from
+    assert (RING_Q, 2, ((1, 1),)) in characters._CHAINS
+
+
+def test_long_chain_needs_no_recursion():
+    # the walk down to the cached prefix is a loop: a chain far longer than
+    # the remaining recursion depth still builds
+    import sys
+
+    from qchar import characters
+    from qchar.qdiff import apply_M
+
+    def depth():
+        frame, d = sys._getframe(), 0
+        while frame:
+            frame, d = frame.f_back, d + 1
+        return d
+
+    characters._CHAINS.clear()
+    n = NVector.level_one(1, (32,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth() + 24)
+    try:
+        chain = characters.raising_product(n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert chain == characters.operator_product(n, apply_M, RING_Q)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_equation_residual_matches_two_sided_sums(monkeypatch, perturbed):
+    # on every n with entries <= 1 (admissible or not), ranks 1-2, levels
+    # 1-3: the one-pass residual gives the verdict of the sum of shifted
+    # values against the Pieri side, and a failure returns those two sides
+    # (lhs None for a term off the grid); with one q-exponent moved in the
+    # generator, the failures are genuine
+    from qchar import characters
+
+    generate = characters.difference_equation_terms
+
+    def moved(n, dual=False):
+        terms = generate(n, dual)
+        m, c = terms[0]
+        return [(m, Scalar(c.ring, {e + 1: x for e, x in c.data.items()}))] + terms[1:]
+
+    if perturbed:
+        monkeypatch.setattr(characters, "difference_equation_terms", moved)
+    counts = {"holds": 0, "off-grid": 0, "sides": 0}
+    for r, k in itertools.product((1, 2), (1, 2, 3)):
+        for entries in itertools.product((0, 1), repeat=r * k):
+            n = NVector(r, k, tuple(entries[a * k : (a + 1) * k] for a in range(r)))
+            for form, dual in itertools.product(("chi", "G"), (False, True)):
+                terms = characters.difference_equation_terms(n, dual)
+                if form == "G":
+                    terms = g_form_terms(n, terms)
+                rhs = characters._equation_value(n, form).times_e(r if dual else 1).constrained()
+                if any(c and m is None for m, c in terms):
+                    lhs = None
+                else:
+                    lhs = SchurPoly.zero(rhs.ring, r + 1)
+                    for m, c in terms:
+                        for e, x in c.data.items():
+                            lhs = lhs + characters._equation_value(m, form).times_unit(e) * x
+                sides = characters.equation_sides(n, form, dual)
+                assert difference_equation_holds(n, form, dual) == (lhs == rhs) == (sides is None)
+                assert sides is None or sides == (lhs, rhs), (n, form, dual)
+                counts["holds" if sides is None else "off-grid" if lhs is None else "sides"] += 1
+    assert counts == ({"holds": 0, "off-grid": 336, "sides": 56} if perturbed else {"holds": 56, "off-grid": 336, "sides": 0})

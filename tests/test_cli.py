@@ -77,7 +77,9 @@ def test_character_chain_builds_no_monomial_expansion(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the character chain expanded a Schur polynomial")
 
-    characters.raising_product.cache_clear()
+    # rebuild the whole chain: no cached form and no cached prefix
+    characters.character_form.cache_clear()
+    characters._CHAINS.clear()
     monkeypatch.setattr(symfun, "_schur_zcoeffs", forbidden)
     monkeypatch.setattr(laurent, "exact_div", forbidden)
     assert cli.character_payload(n) == expected
@@ -109,6 +111,19 @@ def test_usage_errors_exit_2():
     assert run_cli(["char", "--rank", "2", "--level", "1", "--n", "oops"]).returncode == 2
     assert run_cli(["char", "--rank", "2", "--level", "1", "--n", "1"]).returncode == 2
     assert run_cli(["verify", "--suite", "bogus"]).returncode == 2
+    # a single suite given a flag it does not read names the flag; "all"
+    # takes every flag one of its suites reads
+    for args, flag in (
+        (["--suite", "lemmas", "--rank", "2", "--bound", "1"], "--rank"),
+        (["--suite", "torus", "--bound", "3", "--rank", "1"], "--bound"),
+        (["--suite", "whittaker", "--rank", "2", "--order", "2"], "--rank"),
+        (["--suite", "eigen", "--order", "5"], "--order"),
+        (["--suite", "diffeq", "--rank", "1"], "--rank"),
+        (["--suite", "macdonald", "--order", "1"], "--order"),
+    ):
+        out = run_cli(["verify", *args])
+        assert out.returncode == 2 and out.stdout == "", args
+        assert "--suite %s does not read %s" % (args[1], flag) in out.stderr, args
     assert run_cli([]).returncode == 2
     # --rank or --level below 1 is a usage error naming the minimum, not a
     # complaint about the shape of --n

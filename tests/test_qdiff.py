@@ -119,28 +119,29 @@ def test_twisted_against_symbolic_oracle():
 
 def test_twisted_vs_plain_dilation_identity():
     # the two operator families differ by a pre-dilation and a unit:
-    # apply_D(a, n, f) = w**(-lam(a,a) n - 2 sum lam(a,b)) apply_M(a, n, dilation**a f)
-    r = 2
-    nvars = r + 1
-    cart = CartanData(r)
+    # apply_D(a, n, f) = w**(-lam(a,a) n - 2 sum lam(a,b)) apply_M(a, n, dilation**a f),
+    # the prefactor read off the Cartan pairing at every rank and label
+    for r in (1, 2, 3, 4):
+        nvars = r + 1
+        cart = CartanData(r)
 
-    def dilate(f, power):
-        # z -> v z scales s_lam by v**|lam| = w**(2 |lam|)
-        return SchurPoly.from_terms(
-            RING_W,
-            nvars,
-            {(k[0] + 2 * power * sum(k[1:]),) + k[1:]: c for k, c in f.terms()},
-        )
+        def dilate(f, power):
+            # z -> v z scales s_lam by v**|lam| = w**(2 |lam|)
+            return SchurPoly.from_terms(
+                RING_W,
+                nvars,
+                {(k[0] + 2 * power * sum(k[1:]),) + k[1:]: c for k, c in f.terms()},
+            )
 
-    for alpha in (1, 2):
-        for n in (0, 1, 2):
-            for lam in [(), (1,), (2, 1)]:
-                fw = schur_form(monomial_sym(lam, nvars, RING_W))
-                lhs = apply_D(alpha, n, fw)
-                rhs = apply_M(alpha, n, dilate(fw, alpha)).times_unit(
-                    -cart.lam(alpha, alpha) * n - 2 * cart.lam_row_sum(alpha)
-                )
-                assert lhs == rhs, (alpha, n, lam)
+        for alpha in range(0, r + 2):
+            for n in (-1, 0, 1, 2):
+                for lam in [(), (1,), (2, 1)]:
+                    fw = schur_form(monomial_sym(lam, nvars, RING_W))
+                    lhs = apply_D(alpha, n, fw)
+                    rhs = apply_M(alpha, n, dilate(fw, alpha)).times_unit(
+                        -cart.lam(alpha, alpha) * n - 2 * cart.lam_row_sum(alpha)
+                    )
+                    assert lhs == rhs, (r, alpha, n, lam)
 
 
 def test_macdonald_qt_values():
@@ -276,12 +277,70 @@ def test_branch_and_image_caches_are_bounded():
 
 def test_character_and_torus_caches_are_bounded():
     # char-ladder, verify-operators and `verify --suite all` in one process
-    # use 269 raising products and 177 G forms; the twist rows are per rank
+    # hold 532 chain prefixes and at most 440 entries in any other character
+    # cache; the twist rows are per rank
+    assert characters._CHARACTER_CACHE >= 1024
     for cached, least in (
-        (characters.raising_product, 1024),
+        (characters.character_form, 1024),
+        (characters._equation_value, 1024),
         (characters.g_schur_form, 1024),
         (qtorus._twist_rows, 16),
         (qtorus._twist_vector, 1 << 14),
     ):
         maxsize = cached.cache_parameters()["maxsize"]
         assert maxsize is not None and maxsize >= least
+
+
+def test_chain_table_drops_its_oldest_entry(monkeypatch):
+    # the prefix table holds at most _CHARACTER_CACHE chain values
+    monkeypatch.setattr(characters, "_CHARACTER_CACHE", 3)
+    characters._CHAINS.clear()
+    n = characters.NVector.level_one(2, (2, 3))
+    assert characters.raising_product(n) == characters.operator_product(n, apply_M, RING_Q)
+    word = ((1, 1), (1, 1), (2, 1), (2, 1), (2, 1))
+    assert list(characters._CHAINS) == [(RING_Q, 2, word[:t]) for t in (3, 4, 5)]
+    characters._CHAINS.clear()
+
+
+def _two_sided(terms, split=1):
+    """lhs - rhs by the operators one at a time and SchurPoly arithmetic."""
+    side = []
+    for op, alpha, n, f, shift, coeff in terms:
+        value = f if op is None else {"M": apply_M, "D": apply_D}[op](alpha, n, f)
+        side.append(value.times_unit(shift) * coeff)
+    lhs = sum(side[1:split], side[0])
+    rhs = -sum(side[split + 1 :], side[split])
+    return lhs - rhs
+
+
+def test_residual_kernel_matches_two_sided_difference():
+    # every qsystem point (rank 2 degree 3, rank 3 degree 2, both forms):
+    # the one-dict residual is zero as recorded, and with the first term's
+    # shift moved by +-1 it is nonzero exactly when that term is, and still
+    # equals the two-sided difference
+    from qchar import verify
+
+    points = 0
+    for rank, degree in ((2, 3), (3, 2)):
+        for form, ring in (("M", RING_Q), ("D", RING_W)):
+            basis = [SchurPoly.basis(lam, rank + 1, ring) for lam in partitions_up_to(degree, rank + 1)]
+            for point, terms in verify._qsystem_residuals(rank, form, basis, -1, 2):
+                points += 1
+                assert not qdiff.operator_sum(terms) and not _two_sided(terms), point
+                first = bool(qdiff.operator_sum(terms[:1]))
+                for d in (-1, 1):
+                    op, alpha, n, f, shift, coeff = terms[0]
+                    moved = [(op, alpha, n, f, shift + d, coeff)] + terms[1:]
+                    residual = qdiff.operator_sum(moved)
+                    assert bool(residual) == first and residual == _two_sided(moved), (point, d)
+    assert points == 420 + 544  # the totals of check_dual_qsystem(2, 3) and (3, 2)
+
+
+def test_operator_sum_rejects_mixed_terms():
+    f, g = one(RING_Q, 3), one(RING_W, 3)
+    with pytest.raises(TypeError):
+        qdiff.operator_sum([("M", 1, 1, f, 0, 1), ("M", 1, 1, g, 0, 1)])
+    with pytest.raises(ValueError):
+        qdiff.operator_sum([("D", 1, 1, f, 0, 1)])
+    with pytest.raises(ValueError):
+        qdiff.operator_sum([("X", 1, 1, f, 0, 1)])

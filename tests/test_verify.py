@@ -144,11 +144,8 @@ def test_generator_negative_control(monkeypatch):
         return terms
 
     monkeypatch.setattr(characters, "difference_equation_terms", perturbed)
-    for rep in (
-        check_sl2_levelk_G(2, 5),
-        check_difference_equation(1, 2, 5),
-        check_level1_report(2, 5),
-    ):
+    checked = (check_sl2_levelk_G(2, 5), check_difference_equation(1, 2, 5))
+    for rep in checked + (check_level1_report(2, 5),):
         assert rep.total and len(rep.failures) == rep.total, rep.name
     # the G-form relations name a failing point by its entries, level by level
     level1, level2 = check_sl3_level1_G(1), check_sl3_level2_G(1)
@@ -156,7 +153,24 @@ def test_generator_negative_control(monkeypatch):
         "('first', 0, 1)",
         "('second', 0, 1)",
     ]
-    assert level2.first_counterexample() == {"point": "('first', 1, 1, 1, 1)"}
+    # every failing equation point names the first differing Schur
+    # coefficient of its two sides; the level-1 report is one point per grid
+    for rep in checked + (level1, level2):
+        assert all(f["detail"].startswith("schur (") and len(f["detail"]) <= 200 for f in rep.failures)
+    assert level2.first_counterexample() == {
+        "point": "('first', 1, 1, 1, 1)",
+        "detail": "schur (5, 2, 0): lhs {-60: 1, -48: 2, -42: 2, -36: 1}, rhs {-54: 1, -48: 2, -42: 2, -36: 1}",
+    }
+    assert checked[1].first_counterexample() == {
+        "point": "1;1",
+        "detail": "schur (2, 0): lhs {-1: 1, 1: 1}, rhs {-1: 1, 0: 1}",
+    }
+    # a weighted term off the grid has no value: every point fails, saying so
+    monkeypatch.setattr(characters, "difference_equation_terms", lambda n, dual=False: generate(n, dual) + [(None, Scalar(RING_Q, {0: 1}))])
+    rep = check_difference_equation(1, 2, 5)
+    assert rep.total and rep.failures == [
+        {"point": str(n), "detail": "a term off the grid has a nonzero coefficient"} for n in verify._admissible_grids(1, 2, 5)
+    ]
 
 
 def test_qsystem_negative_control():
@@ -201,10 +215,16 @@ def test_suite_reports_pass():
 
 
 def test_eigen_and_limits_failures_name_first_differing_schur_coefficient(monkeypatch):
-    # an apply_M with one extra power of q: every eigen point fails, each with
+    # an M operator with one extra power of q: every eigen point fails, each with
     # the first differing Schur coefficient and both sides
-    real = verify.apply_M
-    monkeypatch.setattr(verify, "apply_M", lambda alpha, n, f, **kw: real(alpha, n, f, **kw).times_unit(1))
+    # (the check runs through the kernel, so the extra power is put on its
+    # M terms)
+    real = verify.operator_sum
+
+    def raised(terms, **kw):
+        return real([(op, a, n, f, s + (op == "M"), c) for op, a, n, f, s, c in terms], **kw)
+
+    monkeypatch.setattr(verify, "operator_sum", raised)
     rep = check_eigen(2, 2)
     assert rep.total and len(rep.failures) == rep.total
     assert all(f["detail"].startswith("schur (") and len(f["detail"]) <= 200 for f in rep.failures)
