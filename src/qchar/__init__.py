@@ -23,7 +23,6 @@ from .rings import (
     ExponentNotDivisible,
     ExponentOverflow,
     NcNotDivisible,
-    NonzeroRemainder,
     NotDivisible,
     NotSymmetric,
     PoleAtZero,
@@ -33,7 +32,6 @@ from .symfun import SchurPoly, elementary, pieri_e, schur
 from .whittaker import (
     TruncatedSeries,
     check_level1_toda,
-    check_toda_eigen,
     class_one_combination,
     w_series,
 )

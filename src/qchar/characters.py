@@ -121,13 +121,11 @@ class NVector:
 
 @dataclass(frozen=True)
 class GradedCharacter:
-    """A graded character in q**-1 as a Schur form in z_1..z_{r+1}, which
-    operator path produced it, and two views of it: the Schur coefficients
-    and the monomial expansion."""
+    """A graded character in q**-1 as a Schur form in z_1..z_{r+1}, and two
+    views of it: the Schur coefficients and the monomial expansion."""
 
     n: NVector
     form: SchurPoly
-    source: str
 
     @cached_property
     def expansion(self) -> dict:
@@ -213,7 +211,7 @@ def character_form(n: NVector) -> SchurPoly:
 
 def graded_character(n: NVector) -> GradedCharacter:
     """chi_n with its views; the Schur form is cached, the views are not."""
-    return GradedCharacter(n, character_form(n), "raising-q")
+    return GradedCharacter(n, character_form(n))
 
 
 def multiplicities(n: NVector) -> dict:

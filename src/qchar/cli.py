@@ -6,7 +6,7 @@
 The occupation flag is level-major: ``--n 1,0;0,1`` means level 1 = (1, 0)
 and level 2 = (0, 1).  Output is a pure function of the flags (repeated runs
 are byte-identical).  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 internal identity violation.
+error (an unwritable --out path included), 3 internal identity violation.
 """
 
 from __future__ import annotations
@@ -16,23 +16,11 @@ import json
 import sys
 
 from .characters import NVector, graded_character
-from .rings import (
-    ExponentNotDivisible,
-    NcNotDivisible,
-    NonzeroRemainder,
-    NotDivisible,
-    NotSymmetric,
-)
+from .rings import NotSymmetric
 from .verify import SUITE_FLAGS, run_suite
 
-INTERNAL_ERRORS = (
-    NotDivisible,
-    NcNotDivisible,
-    ExponentNotDivisible,
-    NonzeroRemainder,
-    NotSymmetric,
-    ArithmeticError,
-)
+# Every exception class in ``rings`` but ``NotSymmetric`` is an ArithmeticError.
+INTERNAL_ERRORS = (ArithmeticError, NotSymmetric)
 
 
 def _parse_weight_form(text: str, rank: int) -> list:
@@ -158,12 +146,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out):
-    if out:
+def _emit(text: str, out) -> bool:
+    """Write to the file ``out``, or to stdout when it is None; False, with
+    one stderr line naming the path, when the file cannot be written."""
+    if not out:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write("qchar: cannot write --out %s: %s\n" % (out, exc.strerror or exc))
+        return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -179,8 +174,7 @@ def main(argv=None) -> int:
         except INTERNAL_ERRORS as exc:
             sys.stderr.write("internal identity violation: %s\n" % exc)
             return 3
-        _emit(render_character(payload, args.format), args.out)
-        return 0
+        return 0 if _emit(render_character(payload, args.format), args.out) else 2
 
     for flag in ("rank", "bound", "order"):
         if getattr(args, flag) is not None and flag not in SUITE_FLAGS[args.suite].split():
@@ -196,7 +190,8 @@ def main(argv=None) -> int:
         "passed": all(r.passed for r in reports),
         "reports": [r.to_json() for r in reports],
     }
-    _emit(json.dumps(payload, separators=(",", ":")) + "\n", args.out)
+    if not _emit(json.dumps(payload, separators=(",", ":")) + "\n", args.out):
+        return 2
     return 0 if payload["passed"] else 1
 
 

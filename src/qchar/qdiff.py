@@ -113,22 +113,19 @@ def _image(zkey, nvars, alpha, n):
     return sum(lam), min(dmus), max(dmus), terms
 
 
-def operator_sum(terms, *, rank=None):
+def operator_sum(terms):
     """The sum of coeff * u**shift * op(alpha, n, f) over the nonempty
     sequence ``terms`` of (op, alpha, n, f, shift, coeff), in one dict: op
     is "M", "D" (W ring only) or None, the identity (as is alpha = 0), and
     every f a Schur form over one ring (W or Q, with unit u) in r+1
     variables."""
     ring, nvars = terms[0][3].ring, terms[0][3].nvars
-    r = nvars - 1 if rank is None else rank
-    if nvars != r + 1:
-        raise ValueError("operator rank does not match the variable count")
     out = {}
     get = out.get
     for op, alpha, n, f, shift, coeff in terms:
         if not isinstance(f, SchurPoly) or ring not in (RING_Q, RING_W) or (f.ring, f.nvars) != (ring, nvars):
             raise TypeError("the raising operators act on W- or Q-ring Schur forms of one ring and size")
-        if not 0 <= alpha <= r + 1:
+        if not 0 <= alpha <= nvars:
             raise ValueError("alpha out of range [0, r+1]")
         # an image term's unit exponent grows by du_subset per unit of |mu|
         # (q on the subset), du_all per unit of |lam| (a dilation), du_const
@@ -164,18 +161,18 @@ def operator_sum(terms, *, rank=None):
     return SchurPoly(ring, nvars, {k: c for k, c in out.items() if c})
 
 
-def apply_M(alpha, n, f, *, rank=None):
+def apply_M(alpha, n, f):
     """Act with the subset raising operator of index ``alpha`` and power ``n``
     on a Schur form ``f`` in r+1 variables (W- or Q-ring coefficients; the
     shift scales subset variables by q, q = w**(-2(r+1)) in the W ring)."""
-    return operator_sum((("M", alpha, n, f, 0, 1),), rank=rank)
+    return operator_sum((("M", alpha, n, f, 0, 1),))
 
 
-def apply_D(alpha, n, f, *, rank=None):
+def apply_D(alpha, n, f):
     """Act with the twisted raising operator on a W-ring Schur form: subset
     variables are scaled by q*v**alpha, the rest by v**alpha, and the result
     carries the prefactor ``w**(-lam(a,a)*n - 2*sum_b lam(a,b))``."""
-    return operator_sum((("D", alpha, n, f, 0, 1),), rank=rank)
+    return operator_sum((("D", alpha, n, f, 0, 1),))
 
 
 def apply_macdonald_qt(alpha, f, *, checked=False):

@@ -484,10 +484,3 @@ def ev0_negative_term(img: NcLaurent):
         raise AssertionError("evaluation left a Q_{a,0} behind")
     # b-tuples are distinct, so max never compares the w-coefficients
     return max((b, c) for (_, b), c in img.terms() if min(b) < 0) if min(lo[r + 1:]) < 0 else None
-
-
-def check_polynomiality(rank: int, word, table=None) -> bool:
-    """ev0 of a product of Q_{a,k} with k >= 1 must be polynomial in the
-    Q_{b,1}; ``word`` is a sequence of (alpha, k) letters."""
-    table = table or q_recursion(rank, max([k for _, k in word] + [1]))
-    return ev0_negative_term(ev0_image(rank, word, table)) is None

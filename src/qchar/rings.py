@@ -43,10 +43,6 @@ class NotSymmetric(ValueError):
     """Input polynomial is not symmetric under permutations of the z's."""
 
 
-class NonzeroRemainder(ArithmeticError):
-    """Schur-expansion peeling left a nonzero remainder."""
-
-
 class NcNotDivisible(ArithmeticError):
     """Exact division failed in the quantum torus."""
 
@@ -61,8 +57,11 @@ class PoleAtZero(ArithmeticError):
 
 
 class Scalar:
-    """A coefficient viewed on its own: a w- or q-Laurent polynomial over the
-    integers.  Values are canonical: zero coefficients are never stored.
+    """A read-only view of one coefficient: a w- or q-Laurent polynomial over
+    the integers, as ``z_terms`` and ``expansion`` return it.  Values are
+    canonical: zero coefficients are never stored.  Arithmetic on
+    coefficients lives in ``LaurentPoly`` (its unit slot) and
+    ``laurent.w_to_q``.
     """
 
     __slots__ = ("ring", "data")
@@ -71,52 +70,6 @@ class Scalar:
         self.ring = ring
         self.data = data
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_int(cls, ring, n: int) -> "Scalar":
-        return cls(ring, {0: n} if n else {})
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _require_same(self, other):
-        if not isinstance(other, Scalar) or other.ring != self.ring:
-            raise TypeError("mixed scalar rings: %r vs %r" % (self, other))
-
-    def __add__(self, other):
-        self._require_same(other)
-        out = dict(self.data)
-        for k, c in other.data.items():
-            nv = out.get(k, 0) + c
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return Scalar(self.ring, out)
-
-    def __neg__(self):
-        return Scalar(self.ring, {k: -c for k, c in self.data.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = Scalar.from_int(self.ring, other)
-        self._require_same(other)
-        out = {}
-        for k1, c1 in self.data.items():
-            for k2, c2 in other.data.items():
-                k = k1 + k2
-                nv = out.get(k, 0) + c1 * c2
-                if nv:
-                    out[k] = nv
-                else:
-                    del out[k]
-        return Scalar(self.ring, out)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return (
             isinstance(other, Scalar)
@@ -124,39 +77,8 @@ class Scalar:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.data.items())))
-
-    def is_zero(self) -> bool:
-        return not self.data
-
     def __bool__(self):
         return bool(self.data)
-
-    # -- conversions -------------------------------------------------------
-
-    def w_to_q(self, rank: int) -> "Scalar":
-        """Rewrite a W-ring value through w**(-2*(r+1)) = q.
-
-        Every stored w-exponent must be divisible by 2*(r+1); otherwise the
-        value is not a function of q alone and ``ExponentNotDivisible`` is
-        raised.
-        """
-        if self.ring != RING_W:
-            raise ValueError("w_to_q expects a W-ring scalar")
-        m = 2 * (rank + 1)
-        out = {}
-        for k, c in self.data.items():
-            if k % m:
-                raise ExponentNotDivisible(
-                    "w-exponent %d is not a multiple of %d" % (k, m)
-                )
-            out[-(k // m)] = c
-        return Scalar(RING_Q, out)
-
-    def at_unit_one(self) -> int:
-        """Evaluate the ring variable at 1."""
-        return sum(self.data.values())
 
     # -- presentation ------------------------------------------------------
 

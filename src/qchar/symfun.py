@@ -54,16 +54,9 @@ def partitions_up_to(size: int, max_len: int):
         yield from partitions(s, max_len)
 
 
-def weight_of(lam: Partition, rank: int):
-    """The dominant-weight labels (ell_1, ..., ell_r) of a partition."""
-    if len(lam) > rank + 1:
-        raise ValueError("partition is too long for the rank")
-    lam = tuple(lam) + (0,) * (rank + 1 - len(lam))
-    return tuple(lam[a] - lam[a + 1] for a in range(rank))
-
-
 def partition_of_weight(ell) -> Partition:
-    """Inverse of ``weight_of`` with the last part pinned to zero."""
+    """The partition of the dominant weight (ell_1, ..., ell_r), with parts
+    lam_a - lam_{a+1} = ell_a and the last part pinned to zero."""
     r = len(ell)
     return normalize_partition(tuple(sum(ell[a:]) for a in range(r)) + (0,))
 

@@ -219,8 +219,8 @@ def subset_square_identity_holds(a: int) -> bool:
     return lhs == rhs
 
 
-def _cap(text: str, cap: int = 200) -> str:
-    return text if len(text) <= cap else text[: cap - 3] + "..."
+def _cap(text: str) -> str:
+    return text if len(text) <= 200 else text[:197] + "..."
 
 
 def _first_difference(lhs, rhs, label: str = "alternant") -> str:
@@ -272,7 +272,7 @@ def _swap_window(a: int, b: int):
 def subset_moment_value(alpha: int, p: int, nvars: int) -> SchurPoly:
     """sum_{|I| = alpha} z_I**p a_I(z), evaluated exactly as a Schur form (the
     action of the raising operator on the constant)."""
-    return apply_M(alpha, p, SchurPoly.one(RING_Q, nvars), rank=nvars - 1)
+    return apply_M(alpha, p, SchurPoly.one(RING_Q, nvars))
 
 
 def check_subset_identities(bound: int = 3, rank_max: int = 4) -> CheckReport:
@@ -357,7 +357,6 @@ def check_dual_qsystem(
     degree_bound: int = 6,
     n_lo: int = -1,
     n_hi: int = 2,
-    forms=("M", "D"),
 ) -> CheckReport:
     """Commutation and recursion relations of the operator family, verified
     on the Schur basis s_lam, |lam| <= the degree bound.  The relations are
@@ -365,7 +364,7 @@ def check_dual_qsystem(
     whole space up to that degree.  Each point is one residual tested for
     zero; a failing point names the first differing Schur coefficient."""
     rep = CheckReport("qsystem")
-    for form in forms:
+    for form in ("M", "D"):
         ring = RING_Q if form == "M" else RING_W
         basis = [SchurPoly.basis(lam, rank + 1, ring) for lam in partitions_up_to(degree_bound, rank + 1)]
         rep.notes["basis-%s" % form] = len(basis)

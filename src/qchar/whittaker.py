@@ -149,18 +149,6 @@ def toda_residual(n: int, order: int, reflected: bool) -> TruncatedSeries:
     return lhs - eigen * w_series(n, reflected, order)
 
 
-def check_toda_eigen(n_values, order: int) -> bool:
-    """Both fundamental series satisfy the three-term relation to the given
-    truncation order for every n >= 1 in ``n_values`` (n = 0 entries are
-    skipped; see ``toda_residual``)."""
-    return all(
-        toda_residual(n, order, refl).is_zero()
-        for n in n_values
-        if n >= 1
-        for refl in (False, True)
-    )
-
-
 def class_one_coefficient(order: int, reflected: bool) -> TruncatedSeries:
     """The combination coefficient times 1 - p**-2, with the infinite product
     truncated.  The coefficient is  p**(1/2) / ((1-p**-2) prod_{i>=1} (1-p**-2 u**i)),

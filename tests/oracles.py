@@ -43,6 +43,10 @@
   before it pruned its fillings: every inner shape mu in the x-block, and
   for each row the full product of letter counts, filtered afterwards by
   row length and column strictness.
+* ``weight_of`` (partition to dominant weight), ``check_toda_eigen`` (the
+  rank-one three-term relation over a range of n) and
+  ``check_polynomiality`` (ev0 of a word polynomial in the Q_{b,1}) are
+  cross-checks only the tests call.
 """
 
 from __future__ import annotations
@@ -65,19 +69,19 @@ from qchar.laurent import (
     signed_buckets,
     unit_slots,
 )
-from qchar.qtorus import NcLaurent
+from qchar.qtorus import NcLaurent, ev0_image, ev0_negative_term, q_recursion
 from qchar.rings import (
     RING_Q,
     RING_QT,
     RING_W,
     NcNotDivisible,
-    NonzeroRemainder,
     NotDivisible,
     NotSymmetric,
     PoleAtZero,
     Scalar,
 )
 from qchar.symfun import SchurPoly, normalize_partition, partitions
+from qchar.whittaker import toda_residual
 
 Q = sympy.Symbol("q")
 T = sympy.Symbol("t")
@@ -181,6 +185,10 @@ def tableau_schur(lam, nvars, ring=RING_Q) -> LaurentPoly:
     of shape lam with entries at most N."""
     unit = (0,) * unit_slots(ring)
     return LaurentPoly.from_terms(ring, nvars, [(unit + k, c) for k, c in _tableau_contents(tuple(lam), nvars).items()])
+
+
+class NonzeroRemainder(ArithmeticError):
+    """Schur-expansion peeling left a nonzero remainder."""
 
 
 def schur_expand(f: LaurentPoly) -> dict:
@@ -873,3 +881,31 @@ def ref_branch(lam, alpha: int) -> list:
             for nu, c in _ref_lr_contents(core, padded, len(core) - alpha).items():
                 out.append((tuple(x + off for x in mu), tuple(x + off for x in nu), c))
     return out
+
+
+def weight_of(lam, rank: int):
+    """The dominant-weight labels (ell_1, ..., ell_r) of a partition, the
+    inverse of ``symfun.partition_of_weight``."""
+    if len(lam) > rank + 1:
+        raise ValueError("partition is too long for the rank")
+    lam = tuple(lam) + (0,) * (rank + 1 - len(lam))
+    return tuple(lam[a] - lam[a + 1] for a in range(rank))
+
+
+def check_toda_eigen(n_values, order: int) -> bool:
+    """Both fundamental series satisfy the three-term relation to the given
+    truncation order for every n >= 1 in ``n_values`` (n = 0 entries are
+    skipped; see ``whittaker.toda_residual``)."""
+    return all(
+        toda_residual(n, order, refl).is_zero()
+        for n in n_values
+        if n >= 1
+        for refl in (False, True)
+    )
+
+
+def check_polynomiality(rank: int, word, table=None) -> bool:
+    """ev0 of a product of Q_{a,k} with k >= 1 must be polynomial in the
+    Q_{b,1}; ``word`` is a sequence of (alpha, k) letters."""
+    table = table or q_recursion(rank, max([k for _, k in word] + [1]))
+    return ev0_negative_term(ev0_image(rank, word, table)) is None

@@ -8,7 +8,15 @@ import sys
 import pytest
 
 import qchar.cli as cli
+import qchar.rings as rings
 from qchar.rings import NotDivisible
+from qchar.verify import SUITE_FLAGS
+
+# every exception class the package's rings module defines
+RING_ERRORS = sorted(
+    (c for c in vars(rings).values() if isinstance(c, type) and issubclass(c, Exception)),
+    key=lambda c: c.__name__,
+)
 
 
 def run_cli(args):
@@ -107,6 +115,41 @@ def test_out_file(tmp_path):
     assert json.loads(target.read_text())["rank"] == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["char", "--rank", "1", "--n", "1"],
+        ["verify", "--suite", "whittaker", "--order", "2"],
+    ],
+)
+def test_unwritable_out_path_exits_2(args, tmp_path):
+    # a path that cannot be written is a usage error: one stderr line naming
+    # it, no traceback, no output on stdout
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        out = run_cli([*args, "--out", str(target)])
+        assert out.returncode == 2 and out.stdout == "", out.stderr
+        assert out.stderr.splitlines() == [out.stderr.strip()]
+        assert str(target) in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_FLAGS))
+def test_every_listed_suite_flag_is_read(suite, capsys):
+    # two small values of a flag the suite lists give different reports, so
+    # no listed flag is ignored; the suite's other flags stay at the low value
+    low = {"rank": "1", "bound": "1", "order": "2"}
+    high = {"rank": "2", "bound": "2", "order": "3"}
+    flags = SUITE_FLAGS[suite].split()
+    for flag in flags:
+        outputs = []
+        for value in (low[flag], high[flag]):
+            argv = ["verify", "--suite", suite]
+            for other in flags:
+                argv += ["--" + other, value if other == flag else low[other]]
+            cli.main(argv)
+            outputs.append(json.loads(capsys.readouterr().out)["reports"])
+        assert outputs[0] != outputs[1], (suite, flag)
+
+
 def test_usage_errors_exit_2():
     assert run_cli(["char", "--rank", "2", "--level", "1", "--n", "oops"]).returncode == 2
     assert run_cli(["char", "--rank", "2", "--level", "1", "--n", "1"]).returncode == 2
@@ -152,12 +195,25 @@ def test_verify_suite_exit_codes(monkeypatch, capsys):
     rc = cli.main(["verify", "--suite", "eigen"])
     assert rc == 1
 
-    # an internal identity violation exits 3
+
+@pytest.mark.parametrize("error", RING_ERRORS, ids=lambda c: c.__name__)
+def test_verify_internal_error_exits_3(error, monkeypatch, capsys):
+    # an internal identity violation of any kind the package raises exits 3
     def broken_suite(name, rank=None, bound=None, order=None):
-        raise NotDivisible("forced")
+        raise error("forced")
 
     monkeypatch.setattr(cli, "run_suite", broken_suite)
     assert cli.main(["verify", "--suite", "eigen"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "internal identity violation: forced\n"
+
+
+def test_ring_errors_are_the_package_error_types():
+    # the parametrization above covers every error type, and only those
+    assert [c.__name__ for c in RING_ERRORS] == [
+        "DegenerateEigenvalue", "ExponentNotDivisible", "ExponentOverflow", "NcNotDivisible",
+        "NotDivisible", "NotSymmetric", "PoleAtZero",
+    ]
 
 
 def test_char_internal_error_exit_3(monkeypatch, capsys):

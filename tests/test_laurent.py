@@ -17,7 +17,6 @@ from qchar.rings import (
     RING_W,
     ExponentNotDivisible,
     NotDivisible,
-    Scalar,
 )
 
 
@@ -144,13 +143,6 @@ def test_w_to_q():
     assert w_to_q(three, 2) == LaurentPoly.from_int(RING_Q, 1, 3)
     with pytest.raises(ExponentNotDivisible):
         w_to_q(LaurentPoly.unit_power(RING_W, 1, -3), 2)
-
-
-def test_scalar_w_to_q():
-    s = Scalar(RING_W, {-6: 1, 0: 3})
-    assert s.w_to_q(2) == Scalar(RING_Q, {1: 1, 0: 3})
-    with pytest.raises(ExponentNotDivisible):
-        Scalar(RING_W, {-3: 1}).w_to_q(2)
 
 
 def test_divide_int():

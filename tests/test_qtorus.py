@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_ev0_word, ref_nc_div, ref_nc_mul
+from oracles import check_polynomiality, ref_ev0_word, ref_nc_div, ref_nc_mul
 from qchar.cartan import CartanData
 from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, key_bounds
 from qchar.qtorus import (
     NcLaurent,
-    check_polynomiality,
     ev0_image,
     ev0_negative_term,
     ev0_times,

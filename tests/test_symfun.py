@@ -9,9 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dominates, ref_branch, ref_schur, schur_expand, schur_form, tableau_schur
+from oracles import (
+    NonzeroRemainder,
+    dominates,
+    ref_branch,
+    ref_schur,
+    schur_expand,
+    schur_form,
+    tableau_schur,
+    weight_of,
+)
 from qchar.laurent import LaurentPoly, sorted_sign
-from qchar.rings import RING_Q, RING_QT, RING_W, NonzeroRemainder, NotSymmetric, Scalar
+from qchar.rings import RING_Q, RING_QT, RING_W, NotSymmetric, Scalar
 from qchar.symfun import (
     SchurPoly,
     _schur_zcoeffs,
@@ -25,7 +34,6 @@ from qchar.symfun import (
     pieri_e,
     schur,
     straighten,
-    weight_of,
 )
 
 

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import whittaker_series_sympy
+from oracles import check_toda_eigen, whittaker_series_sympy
 from qchar.whittaker import (
     TruncatedSeries,
     char_to_series,
     check_level1_toda,
-    check_toda_eigen,
     class_one_coefficient,
     class_one_combination,
     toda_residual,
