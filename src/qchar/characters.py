@@ -321,7 +321,7 @@ def equation_sides(n: NVector, form: str = "chi", dual: bool = False):
     terms = difference_equation_terms(n, dual)
     if form == "G":
         terms = g_form_terms(n, terms)
-    rhs = _equation_value(n, form).times_e(n.rank if dual else 1).constrained()
+    rhs = _equation_value(n, form).times_e_constrained(n.rank if dual else 1)
     lhs = []
     for m, coeff in terms:
         if coeff and m is None:

@@ -12,7 +12,9 @@ error (an unwritable --out path included), 3 internal identity violation.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .characters import NVector, graded_character
@@ -146,6 +148,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(out, reason) -> bool:
+    sys.stderr.write("qchar: cannot write --out %s: %s\n" % (out, reason))
+    return False
+
+
+def _out_writable(out) -> bool:
+    """Whether ``out`` (None for stdout) can be opened for writing, checked
+    before any work and creating no file: False, with the stderr line
+    ``_emit`` would write, for a directory or a path whose parent is not
+    an existing directory."""
+    if not out:
+        return True
+    if os.path.isdir(out):
+        return _cannot_write(out, os.strerror(errno.EISDIR))
+    if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        return _cannot_write(out, os.strerror(errno.ENOENT))
+    return True
+
+
 def _emit(text: str, out) -> bool:
     """Write to the file ``out``, or to stdout when it is None; False, with
     one stderr line naming the path, when the file cannot be written."""
@@ -156,14 +177,15 @@ def _emit(text: str, out) -> bool:
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        sys.stderr.write("qchar: cannot write --out %s: %s\n" % (out, exc.strerror or exc))
-        return False
+        return _cannot_write(out, exc.strerror or exc)
     return True
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not _out_writable(args.out):
+        return 2
     if args.command == "char":
         try:
             n = parse_n_flag(args.n, args.rank, args.level)

@@ -256,6 +256,13 @@ def _pieri_keys(zkey, m, nvars):
 
 
 @lru_cache(maxsize=1 << 12)
+def _pieri_constrained_keys(zkey, m, nvars):
+    """The keys of s_lam * e_m modulo z_1...z_N = 1: the Pieri rule, then
+    each s_kappa as s_{kappa - kappa_N}."""
+    return tuple(_constrained_keys(split_unit(k)[1], nvars)[0] for k in _pieri_keys(zkey, m, nvars))
+
+
+@lru_cache(maxsize=1 << 12)
 def _constrained_keys(zkey, nvars):
     lam = unpack(zkey, nvars)
     return (pack((0,) + tuple(x - lam[-1] for x in lam)),)
@@ -302,6 +309,10 @@ class SchurPoly(LaurentPoly):
     def times_e(self, m: int):
         """Multiply by the elementary symmetric polynomial e_m (Pieri rule)."""
         return self._map_bases(lambda zkey: _pieri_keys(zkey, m, self.nvars))
+
+    def times_e_constrained(self, m: int):
+        """``times_e(m).constrained()`` in one pass."""
+        return self._map_bases(lambda zkey: _pieri_constrained_keys(zkey, m, self.nvars))
 
     def constrained(self):
         """The value modulo z_1...z_N = 1: every s_lam becomes s_{lam - lam_N}."""

@@ -13,8 +13,10 @@ so no cleared product is ever expanded into monomials; the full expansion
 is the reference in the tests.  A qsystem, eigen or difference-equation
 point is one ``qdiff.operator_sum`` residual tested for zero, and only a
 failure forms its two sides.  A failing lemma point names the first
-differing alternant with both payloads, and a failing point of those or of
-the Schur-form limits the first differing Schur coefficient.  The operator,
+differing alternant with both payloads, a failing point of those or of
+the Schur-form limits the first differing Schur coefficient, a failing
+Macdonald point the first differing monomial, and a failing class-one
+point the first n and u-order where the two series differ.  The operator,
 character and equation checks compare Schur forms; the classical limit and
 the Macdonald and Whittaker oracles compare monomial expansions.
 """
@@ -50,7 +52,7 @@ from .qdiff import apply_D, apply_M, apply_macdonald_qt, operator_sum
 from .qtorus import NcLaurent, ev0_image, ev0_negative_term, evaluate, q_commutator, q_recursion, relation_rhs
 from .rings import RING_Q, RING_QT, RING_W
 from .symfun import SchurPoly, dual_cauchy, monomial_sym, partitions, partitions_up_to, schur
-from .whittaker import check_level1_toda, class_one_combination, toda_residual
+from .whittaker import check_level1_toda, class_one_combination, class_one_difference, toda_residual
 
 
 @dataclass
@@ -225,9 +227,9 @@ def _cap(text: str) -> str:
 
 def _first_difference(lhs, rhs, label: str = "alternant") -> str:
     """The first key, in decreasing order, whose payloads differ between two
-    dicts of {exponent: int} payloads (alternant buckets, or the
-    ``terms()`` of torus elements), named by ``label``, with both payloads,
-    cut to 200 characters."""
+    dicts of {exponent: int} payloads (alternant buckets, Schur or monomial
+    coefficients, or the ``terms()`` of torus elements), named by ``label``,
+    with both payloads, cut to 200 characters."""
     for key in sorted(lhs.keys() | rhs.keys(), reverse=True):
         if lhs.get(key) != rhs.get(key):
             return _cap("%s %s: lhs %s, rhs %s" % (
@@ -235,22 +237,27 @@ def _first_difference(lhs, rhs, label: str = "alternant") -> str:
             ))
 
 
-def _record_schur(rep, point, lhs: SchurPoly, rhs: SchurPoly):
-    """Record whether two Schur forms agree; a failure names the first
-    differing Schur coefficient with both sides."""
-    ok = lhs == rhs
-    if ok:
-        rep.record(point, ok)
-    else:
-        sides = ({lam: s.data for lam, s in f.z_terms().items()} for f in (lhs, rhs))
-        rep.record(point, ok, _first_difference(*sides, "schur"))
+def _record_equal(rep, point, lhs: LaurentPoly, rhs: LaurentPoly):
+    """Record whether two values agree; a failure names the first differing
+    Schur coefficient (Schur forms) or monomial with both sides, keyed by
+    the unit exponent (a (q, t) pair over the QT ring)."""
+    if lhs == rhs:
+        rep.record(point, True)
+        return
+    sides = []
+    for f in (lhs, rhs):
+        zoff, payloads = f.zoff, {}
+        for vec, c in f.terms():
+            payloads.setdefault(vec[zoff:], {})[vec[0] if zoff == 1 else vec[:zoff]] = c
+        sides.append(payloads)
+    rep.record(point, False, _first_difference(*sides, "schur" if isinstance(lhs, SchurPoly) else "monomial"))
 
 
 def _record_residual(rep, point, terms):
     """Record whether the ``operator_sum`` of ``terms`` vanishes, forming no
     side; a failure compares lhs = the first term with rhs = minus the rest."""
     if operator_sum(terms):
-        _record_schur(rep, point, operator_sum(terms[:1]), -operator_sum(terms[1:]))
+        _record_equal(rep, point, operator_sum(terms[:1]), -operator_sum(terms[1:]))
     else:
         rep.record(point, True)
 
@@ -262,7 +269,7 @@ def _record_equation(rep, point, n, form="chi", dual=False):
     elif sides[0] is None:
         rep.record(point, False, "a term off the grid has a nonzero coefficient")
     else:
-        _record_schur(rep, point, *sides)
+        _record_equal(rep, point, *sides)
 
 
 def _swap_window(a: int, b: int):
@@ -382,7 +389,7 @@ def check_macdonald_commuting(nvars: int = 3, degree_bound: int = 4) -> CheckRep
             for idx, f in enumerate(basis):
                 lhs = apply_macdonald_qt(a, apply_macdonald_qt(b, f, checked=True), checked=True)
                 rhs = apply_macdonald_qt(b, apply_macdonald_qt(a, f, checked=True), checked=True)
-                rep.record(("commute", a, b, idx), lhs == rhs)
+                _record_equal(rep, ("commute", a, b, idx), lhs, rhs)
     return rep
 
 
@@ -450,7 +457,7 @@ def _record_both_relations(rep, grid):
         _record_equation(rep, ("first",) + entries, n, "G")
         _record_equation(rep, ("second",) + entries, n, "G", dual=True)
     g10, g01 = (g_schur_form(NVector.level_one(2, x)) for x in ((1, 0), (0, 1)))
-    rep.record(("compatibility",), g10.times_e(2).constrained() == g01.times_e(1).constrained())
+    rep.record(("compatibility",), g10.times_e_constrained(2) == g01.times_e_constrained(1))
     return rep
 
 
@@ -529,14 +536,14 @@ def check_limits(rank_max: int = 3, sigma_max: int = 3) -> CheckReport:
         exps = chi.unit_exponents()
         rep.record((n, "poly-in-q-inverse"), max(exps) <= 0 if exps else True)
         top = SchurPoly.basis(top_component(n), n.rank + 1)
-        _record_schur(rep, (n, "top-component"), chi.unit_slice(0), top)
+        _record_equal(rep, (n, "top-component"), chi.unit_slice(0), top)
         rep.record(
             (n, "classical-limit"),
             character.poly.at_unit_one() == _rectangle_product_at_q1(n),
         )
         reordered = operator_product(n, apply_M, RING_Q, reverse=True)
-        _record_schur(rep, (n, "within-level-order"), reordered, raising_product(n))
-        _record_schur(rep, (n, "two-paths"), char_from_g(n), chi)
+        _record_equal(rep, (n, "within-level-order"), reordered, raising_product(n))
+        _record_equal(rep, (n, "two-paths"), char_from_g(n), chi)
     return rep
 
 
@@ -641,7 +648,7 @@ def check_macdonald(nvars_max: int = 3, weight_max: int = 4) -> CheckReport:
                 chi = graded_character(n).poly
                 if full[-1]:
                     chi = chi.times_z((full[-1],) * nvars)
-                rep.record(("whittaker", nvars, lam), w == chi)
+                _record_equal(rep, ("whittaker", nvars, lam), w, chi)
     for r in range(1, nvars_max):
         nvars = r + 1
         for n in _level1_grid(r, 2):
@@ -655,11 +662,13 @@ def check_macdonald(nvars_max: int = 3, weight_max: int = 4) -> CheckReport:
                     rep.record(("degenerate-limit", r, n, alpha), False, exc)
                     continue
                 ev = sum(min(alpha, b) * n.entry(b, 1) for b in range(1, r + 1))
-                rep.record(("degenerate-limit", r, n, alpha), lim == chi.times_unit(ev))
+                _record_equal(rep, ("degenerate-limit", r, n, alpha), lim, chi.times_unit(ev))
     return rep
 
 
 def check_whittaker(order: int = 20, toda_n: int = 6, classone_n: int = 4) -> CheckReport:
+    if order < 0:
+        raise ValueError("the truncation order must be >= 0, not %d" % order)
     rep = CheckReport("whittaker")
     for n in range(1, toda_n + 1):
         for refl in (False, True):
@@ -671,9 +680,12 @@ def check_whittaker(order: int = 20, toda_n: int = 6, classone_n: int = 4) -> Ch
                 None if first_bad is None else "first nonzero residual at order %d" % first_bad,
             )
     rep.notes["residual-order"] = order
+    ns = range(0, classone_n + 1)
+    ok = class_one_combination(ns, order)
     rep.record(
         ("class-one", classone_n, order),
-        class_one_combination(range(0, classone_n + 1), order),
+        ok,
+        None if ok else _cap("n %d, u**%d: combination %s, head*chi %s" % class_one_difference(ns, order)),
     )
     rep.record(("level1", 1, 10), check_level1_toda(1, _level1_entries(1, 10)))
     rep.record(("level1", 2, 5), check_level1_toda(2, _level1_entries(2, 5)))

@@ -19,6 +19,14 @@ degree cancel order by order.  The coefficients carry a 1/(1 - p**-2) head,
 so the identity is checked multiplied through by 1 - p**-2, which is not a
 zero divisor in the series ring.
 
+Each factor 1/(1 - s**a u**i) is applied as a division, and dividing by a
+binomial with constant term 1 is one pass in increasing u-order,
+out[e] = f[e] + s**a out[e-i].  The Pochhammer
+prefixes T_a = prod_{i<=a} 1/((1-u**i)(1-x u**i)), x = p**(+-2), do not
+depend on n, so they are built once per order, each from the last by two
+such divisions, and every W(n) is a shifted sum of them; the class-one
+products c W(n) are ``order`` divisions of the head times W(n).
+
 ``check_level1_toda`` verifies the level-1 difference equation for general
 rank on the exact constrained characters, with the terms of the level-k
 generator ``characters.difference_equation_terms`` at k = 1: a shifted term
@@ -26,6 +34,8 @@ whose occupation would drop below zero carries a vanishing coefficient.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .characters import NVector, difference_equation_holds, graded_character
 from .laurent import constrain
@@ -109,30 +119,63 @@ class TruncatedSeries:
         return "TruncatedSeries(%s + O(u^%d))" % (" + ".join(bits) or "0", self.order + 1)
 
 
-def _geometric(order, s_exp, step):
-    """1 / (1 - s**s_exp * u**step) to the given order."""
-    return TruncatedSeries(order, {(j * step, j * s_exp): 1 for j in range(order // step + 1)})
+def _check_order(order: int):
+    if order < 0:
+        raise ValueError("the truncation order must be >= 0, not %d" % order)
+
+
+def _divide(rows, s_exp: int, step: int):
+    """Divide the series ``rows`` (rows[e] = {s-exponent: int}, the u**e
+    coefficient) in place by 1 - s**s_exp u**step, in one pass of increasing
+    u-order: out[e] = f[e] + s**s_exp out[e - step].  Exact, because the
+    binomial's constant term is 1."""
+    for e in range(step, len(rows)):
+        row = rows[e]
+        for k, c in rows[e - step].items():
+            k += s_exp
+            v = row.get(k, 0) + c
+            if v:
+                row[k] = v
+            else:
+                del row[k]
+
+
+@lru_cache(maxsize=4)
+def _pochhammer_prefixes(order: int):
+    """T_a = prod_{i<=a} 1/((1-u**i)(1-x u**i)) for a = 0..order, x = s**4
+    (s**-4 in the reflected series, which only relabels x), each T_a from
+    T_{a-1} by two one-pass divisions.  W(n) shifts T_a by u**(a(n+1)) with
+    n >= 0, so T_a is kept through u**(order-a) only.  Rows of
+    (x-exponent, int) pairs, as immutable tuples."""
+    rows = [{0: 1}] + [{} for _ in range(order)]
+    out = []
+    for a in range(order + 1):
+        if a:
+            del rows[order - a + 1:]
+            _divide(rows, 0, a)
+            _divide(rows, 1, a)
+        out.append(tuple(tuple(row.items()) for row in rows))
+    return tuple(out)
 
 
 def w_series(n: int, reflected: bool, order: int) -> TruncatedSeries:
-    """The fundamental series at argument n >= 0, truncated at the order."""
+    """The fundamental series at argument n >= 0, truncated at the order:
+    the sum over a of s**pref u**(a(n+1)) T_a (see ``_pochhammer_prefixes``)."""
+    _check_order(order)
     if n < 0:
         raise ValueError("the series is only summable for n >= 0")
-    s4 = -4 if reflected else 4
-    pref = 1 - 2 * n if reflected else 2 * n - 1
-    total = TruncatedSeries.zero(order)
-    a = 0
-    while a * (n + 1) <= order:
+    sign = -1 if reflected else 1
+    pref, x = sign * (2 * n - 1), sign * 4
+    out = {}
+    for a, prefix in enumerate(_pochhammer_prefixes(order)):
         shift = a * (n + 1)
-        term = TruncatedSeries.one(order - shift)
-        for i in range(1, a + 1):
-            term = term * _geometric(term.order, 0, i)
-            term = term * _geometric(term.order, s4, i)
-        total = total + TruncatedSeries(
-            order, {(e + shift, k + pref): c for (e, k), c in term.coeffs.items()}
-        )
-        a += 1
-    return total
+        if shift > order:
+            break
+        for e, row in enumerate(prefix[: order - shift + 1], shift):
+            for l, c in row:
+                key = (e, pref + x * l)
+                out[key] = out.get(key, 0) + c
+    return TruncatedSeries(order, out)
 
 
 def toda_residual(n: int, order: int, reflected: bool) -> TruncatedSeries:
@@ -141,6 +184,7 @@ def toda_residual(n: int, order: int, reflected: bool) -> TruncatedSeries:
     the series at argument -1 is not u-adically summable, so the three-term
     relation has no content there (the n = 0 boundary is exactly the
     class-one condition, verified by ``class_one_combination``)."""
+    _check_order(order)
     if n < 1:
         raise ValueError("the three-term relation needs n >= 1")
     gate = TruncatedSeries(order, {(0, 0): 1, (n, 0): -1})
@@ -149,17 +193,28 @@ def toda_residual(n: int, order: int, reflected: bool) -> TruncatedSeries:
     return lhs - eigen * w_series(n, reflected, order)
 
 
+def _times_coefficient(series: TruncatedSeries, reflected: bool) -> TruncatedSeries:
+    """``class_one_coefficient(order, reflected) * series``, as ``order``
+    one-pass divisions of s * series (of -s**-5 * series when reflected) by
+    1 - s**-4 u**i (by 1 - s**4 u**i), i = 1..order."""
+    order = series.order
+    shift, sign, x = (-5, -1, 4) if reflected else (1, 1, -4)
+    rows = [{} for _ in range(order + 1)]
+    for (e, k), c in series.coeffs.items():
+        rows[e][k + shift] = sign * c
+    for i in range(1, order + 1):
+        _divide(rows, x, i)
+    return TruncatedSeries(order, {(e, k): c for e, row in enumerate(rows) for k, c in row.items()})
+
+
 def class_one_coefficient(order: int, reflected: bool) -> TruncatedSeries:
     """The combination coefficient times 1 - p**-2, with the infinite product
     truncated.  The coefficient is  p**(1/2) / ((1-p**-2) prod_{i>=1} (1-p**-2 u**i)),
     so this is  s / prod (1 - s**-4 u**i);  the reflected coefficient is
     p**(-1/2) / ((1-p**2) prod (1-p**2 u**i)), and (1-p**-2)/(1-p**2) = -p**-2
     makes this  -s**-5 / prod (1 - s**4 u**i)."""
-    s4 = 4 if reflected else -4
-    series = TruncatedSeries(order, {(0, -5): -1} if reflected else {(0, 1): 1})
-    for i in range(1, order + 1):
-        series = series * _geometric(order, s4, i)
-    return series
+    _check_order(order)
+    return _times_coefficient(TruncatedSeries.one(order), reflected)
 
 
 def char_to_series(n: int, order: int) -> TruncatedSeries:
@@ -169,19 +224,30 @@ def char_to_series(n: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, {(-qe, 2 * ze): c for (qe, ze), c in chi.terms()})
 
 
+def class_one_difference(n_values, order: int):
+    """None when the class-one combination reproduces every character of
+    ``n_values`` through the order, else (n, e, combination, head * chi_n)
+    for the first n that fails and the lowest u-order e where they differ,
+    the two u**e coefficients as {s-exponent: int}.  Both sides are
+    multiplied by 1 - p**-2 (see ``class_one_coefficient``)."""
+    _check_order(order)
+    head = TruncatedSeries(order, {(0, 0): 1, (0, -4): -1})
+    for n in n_values:
+        combo = _times_coefficient(w_series(n, False, order), False) + _times_coefficient(
+            w_series(n, True, order), True
+        )
+        target = head * char_to_series(n, order)
+        if combo != target:
+            e = (combo - target).lowest_order()
+            return n, e, *({k: c for (u, k), c in sorted(f.coeffs.items()) if u == e} for f in (combo, target))
+    return None
+
+
 def class_one_combination(n_values, order: int) -> bool:
     """The class-one combination of the two fundamental series reproduces the
     exact character for every n: all coefficients beyond the polynomial
-    degree cancel up to the truncation order.  Both sides are multiplied by
-    1 - p**-2 (see ``class_one_coefficient``)."""
-    c_plus = class_one_coefficient(order, False)
-    c_minus = class_one_coefficient(order, True)
-    head = TruncatedSeries(order, {(0, 0): 1, (0, -4): -1})
-    for n in n_values:
-        combo = c_plus * w_series(n, False, order) + c_minus * w_series(n, True, order)
-        if combo != head * char_to_series(n, order):
-            return False
-    return True
+    degree cancel up to the truncation order."""
+    return class_one_difference(n_values, order) is None
 
 
 def check_level1_toda(rank: int, n_vectors) -> bool:

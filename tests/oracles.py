@@ -33,6 +33,11 @@
   a reduced fraction.
 * ``whittaker_series_sympy`` expands the rank-one Whittaker series as
   products of truncated geometric series in sympy's polynomial ring.
+  ``ref_w_series`` and ``ref_class_one_coefficient`` are the series and the
+  class-one coefficient as ``qchar.whittaker`` built them before it divided
+  by each binomial in one pass: every factor 1/(1 - s**a u**i) a truncated
+  geometric series, multiplied in by a full ``TruncatedSeries``
+  convolution, and every W(n) rebuilt from scratch.
 * ``ref_swap_buckets`` and ``ref_square_buckets`` certify the
   subset-fraction lemmas the way ``qchar.verify`` did before it read them
   off the two-block Schur form: every cleared product expanded as a
@@ -81,7 +86,7 @@ from qchar.rings import (
     Scalar,
 )
 from qchar.symfun import SchurPoly, normalize_partition, partitions
-from qchar.whittaker import toda_residual
+from qchar.whittaker import TruncatedSeries, toda_residual
 
 Q = sympy.Symbol("q")
 T = sympy.Symbol("t")
@@ -342,6 +347,41 @@ def whittaker_series_sympy(n, reflected, order):
         key = (e, sign * (4 * l + 2 * n - 1))
         out[key] = out.get(key, 0) + int(c)
     return {k: c for k, c in out.items() if c}
+
+
+def _geometric(order, s_exp, step):
+    """1 / (1 - s**s_exp * u**step) to the given order."""
+    return TruncatedSeries(order, {(j * step, j * s_exp): 1 for j in range(order // step + 1)})
+
+
+def ref_w_series(n, reflected, order):
+    """The fundamental series at argument n >= 0 (``whittaker.w_series``),
+    each Pochhammer prefix rebuilt by convolutions for every a."""
+    s4 = -4 if reflected else 4
+    pref = 1 - 2 * n if reflected else 2 * n - 1
+    total = TruncatedSeries.zero(order)
+    a = 0
+    while a * (n + 1) <= order:
+        shift = a * (n + 1)
+        term = TruncatedSeries.one(order - shift)
+        for i in range(1, a + 1):
+            term = term * _geometric(term.order, 0, i)
+            term = term * _geometric(term.order, s4, i)
+        total = total + TruncatedSeries(
+            order, {(e + shift, k + pref): c for (e, k), c in term.coeffs.items()}
+        )
+        a += 1
+    return total
+
+
+def ref_class_one_coefficient(order, reflected):
+    """``whittaker.class_one_coefficient`` as the product of ``order``
+    truncated geometric series."""
+    s4 = 4 if reflected else -4
+    series = TruncatedSeries(order, {(0, -5): -1} if reflected else {(0, 1): 1})
+    for i in range(1, order + 1):
+        series = series * _geometric(order, s4, i)
+    return series
 
 
 # -- the subset-fraction lemmas by full expansion --------------------------------

@@ -314,3 +314,29 @@ def test_import_loads_no_sympy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "all"], ["char", "--rank", "1", "--n", "1"]])
+def test_unwritable_out_path_exits_2_before_any_work(command, monkeypatch, tmp_path, capsys):
+    # the --out path is checked before the run: a run that would fail (here
+    # with an internal error, exit 3) never starts, and no file is created
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    monkeypatch.setattr(cli, "character_payload", never)
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        assert cli.main([*command, "--out", str(target)]) == 2
+        err = capsys.readouterr()
+        reason = "Is a directory" if target == tmp_path else "No such file or directory"
+        assert err.out == "" and err.err == "qchar: cannot write --out %s: %s\n" % (target, reason)
+    assert list(tmp_path.iterdir()) == []
+
+    # a writable path still runs, and an exit-3 run creates no file
+    def violation(*args, **kwargs):
+        raise NotDivisible("boom")
+
+    monkeypatch.setattr(cli, "run_suite", violation)
+    monkeypatch.setattr(cli, "character_payload", violation)
+    assert cli.main([*command, "--out", str(tmp_path / "x.json")]) == 3
+    assert list(tmp_path.iterdir()) == []

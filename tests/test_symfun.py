@@ -314,3 +314,16 @@ def test_schur_form_views_and_guards():
     with pytest.raises(ValueError):
         SchurPoly.basis((1, 2), 3)
     assert schur_form(schur((1,), 2, RING_W)).ring == RING_W
+
+
+def test_pieri_into_constrained_basis_matches_two_passes():
+    # every lam up to size 6, one and two terms of it with unit and column
+    # shifts, over both rings: one pass equals Pieri then the constraint
+    for rank in (1, 2, 3):
+        nvars = rank + 1
+        for lam in partitions_up_to(6, nvars):
+            for ring in (RING_Q, RING_W):
+                s = SchurPoly.basis(lam, nvars, ring)
+                for f in (s, s.times_unit(3) - 5 * s.times_z((-2,) * nvars)):
+                    for m in range(1, rank + 1):
+                        assert f.times_e_constrained(m) == f.times_e(m).constrained(), (lam, m, ring)

@@ -372,3 +372,42 @@ def test_qsystem_failure_names_first_differing_schur_coefficient(monkeypatch):
         "point": "('D', 'commute', 1, 1, -1, 0, 1)",
         "detail": "schur (0, 0, 0): lhs {-18: 1, -12: -1}, rhs {-20: 1, -14: -1}",
     }
+
+
+def test_macdonald_failures_name_first_differing_monomial(monkeypatch):
+    # a q-Whittaker specialization that also multiplies by q: every
+    # whittaker point fails, each naming its first differing monomial
+    real = verify.qwhittaker_specialize
+    monkeypatch.setattr(verify, "qwhittaker_specialize", lambda P: real(P).times_unit(1))
+    rep = check_macdonald(3, 2)
+    whittaker = [f for f in rep.failures if f["point"].startswith("('whittaker'")]
+    assert len(whittaker) == len(rep.failures) == 8
+    assert rep.failures[0] == {"point": "('whittaker', 2, ())", "detail": "monomial (0, 0): lhs {1: 1}, rhs {0: 1}"}
+    monkeypatch.undo()
+
+    # a t -> oo limit that also multiplies by z_1...z_N: every
+    # degenerate-limit point fails
+    real_limit = verify.qt_t_infinity_limit
+    monkeypatch.setattr(verify, "qt_t_infinity_limit", lambda g, d: real_limit(g, d).times_z((1,) * g.nvars))
+    rep = check_macdonald(3, 2)
+    assert len(rep.failures) == 15 and all(f["point"].startswith("('degenerate-limit'") for f in rep.failures)
+    assert rep.failures[0]["detail"] == "monomial (1, 1): lhs {0: 1}, rhs {}"
+    assert all(f["detail"].startswith("monomial (") and len(f["detail"]) <= 200 for f in rep.failures)
+    monkeypatch.undo()
+
+    # M_1 that also adds the constant 1 no longer commutes with M_2: the
+    # constant monomial differs, its payload keyed by (q, t) exponents
+    real_op = verify.apply_macdonald_qt
+
+    def shifted(alpha, f, checked=False):
+        out = real_op(alpha, f, checked=checked)
+        return out + LaurentPoly.one(f.ring, f.nvars) if alpha == 1 else out
+
+    monkeypatch.setattr(verify, "apply_macdonald_qt", shifted)
+    rep = check_macdonald_commuting(3, 2)
+    assert rep.total == len(rep.failures) == 4
+    assert rep.failures[1] == {
+        "point": "('commute', 1, 2, 1)",
+        "detail": "monomial (0, 0, 0): lhs {(0, 0): 1}, rhs {(0, 0): 1, (0, 1): 1, (0, 2): 1}",
+    }
+    assert all(f["detail"].startswith("monomial (0, 0, 0): lhs {(") and len(f["detail"]) <= 200 for f in rep.failures)
