@@ -29,11 +29,6 @@ from .rings import (
     Scalar,
 )
 from .symfun import SchurPoly, elementary, pieri_e, schur
-from .whittaker import (
-    TruncatedSeries,
-    check_level1_toda,
-    class_one_combination,
-    w_series,
-)
+from .whittaker import TruncatedSeries, class_one_combination, w_series
 
 __version__ = "0.1.0"

@@ -22,7 +22,8 @@ and the equation values are cached per n as Schur forms.
 
 ``difference_equation_terms`` generates the level-k difference equation at
 every rank and level; ``equation_sides`` checks it on chi or G as one
-residual, forming its two sides only when it fails.
+residual, forming its two sides only when it fails.  Every equation report
+of ``verify`` goes through ``equation_sides``.
 """
 
 from __future__ import annotations
@@ -332,8 +333,3 @@ def equation_sides(n: NVector, form: str = "chi", dual: bool = False):
     if not operator_sum(lhs + [(None, 0, 0, rhs, 0, -1)]):
         return None
     return operator_sum(lhs) if lhs else SchurPoly.zero(rhs.ring, rhs.nvars), rhs
-
-
-def difference_equation_holds(n: NVector, form: str = "chi", dual: bool = False) -> bool:
-    """Whether the difference equation holds at n (see ``equation_sides``)."""
-    return equation_sides(n, form, dual) is None

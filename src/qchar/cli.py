@@ -17,7 +17,8 @@ import json
 import os
 import sys
 
-from .characters import NVector, graded_character
+from .characters import NVector, char_q_exponent, graded_character, top_component
+from .laurent import EXP_MAX
 from .rings import NotSymmetric
 from .verify import SUITE_FLAGS, run_suite
 
@@ -191,6 +192,10 @@ def main(argv=None) -> int:
             n = parse_n_flag(args.n, args.rank, args.level)
         except argparse.ArgumentTypeError as exc:
             parser.error(str(exc))  # exits with code 2
+        # the raising product carries the top component at q**(-X(n))
+        widest = max((-char_q_exponent(n),) + top_component(n)[:1])
+        if widest > EXP_MAX:
+            parser.error("--n %s needs the exponent %d, beyond EXP_MAX = %d" % (args.n, widest, EXP_MAX))
         try:
             payload = character_payload(n)
         except INTERNAL_ERRORS as exc:

@@ -290,7 +290,7 @@ class SchurPoly(LaurentPoly):
 
     def __mul__(self, other):
         if not isinstance(other, int):
-            raise TypeError("a Schur form multiplies by integers; use times_e for e_m")
+            raise TypeError("a Schur form multiplies by integers; use times_e_constrained for e_m")
         return LaurentPoly.__mul__(self, other)
 
     __rmul__ = __mul__
@@ -306,12 +306,9 @@ class SchurPoly(LaurentPoly):
                 out[kk] = out.get(kk, 0) + c
         return self._like({k: c for k, c in out.items() if c})
 
-    def times_e(self, m: int):
-        """Multiply by the elementary symmetric polynomial e_m (Pieri rule)."""
-        return self._map_bases(lambda zkey: _pieri_keys(zkey, m, self.nvars))
-
     def times_e_constrained(self, m: int):
-        """``times_e(m).constrained()`` in one pass."""
+        """The product with the elementary symmetric polynomial e_m (Pieri
+        rule) modulo z_1...z_N = 1, in one pass."""
         return self._map_bases(lambda zkey: _pieri_constrained_keys(zkey, m, self.nvars))
 
     def constrained(self):

@@ -12,13 +12,18 @@ by the dual Cauchy identity, the within-block products by straightening),
 so no cleared product is ever expanded into monomials; the full expansion
 is the reference in the tests.  A qsystem, eigen or difference-equation
 point is one ``qdiff.operator_sum`` residual tested for zero, and only a
-failure forms its two sides.  A failing lemma point names the first
-differing alternant with both payloads, a failing point of those or of
-the Schur-form limits the first differing Schur coefficient, a failing
-Macdonald point the first differing monomial, and a failing class-one
-point the first n and u-order where the two series differ.  The operator,
-character and equation checks compare Schur forms; the classical limit and
-the Macdonald and Whittaker oracles compare monomial expansions.
+failure forms its two sides.  Every difference-equation report is built
+by ``_equation_report`` from its grid and relation rows; the level-1
+report is that report collapsed to one point per grid.  A failing lemma
+point names the first differing alternant with both payloads, a failing
+point of those, of the Schur-form limits or a moment, boundary or
+compatibility point the first differing Schur coefficient, a failing
+level-1 point its first failing n and that coefficient, a failing
+Macdonald or classical-limit point the first differing monomial, and a
+failing class-one point the first n and u-order where the two series
+differ.  The operator, character and equation checks compare Schur forms;
+the classical limit and the Macdonald and Whittaker oracles compare
+monomial expansions.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .qdiff import apply_D, apply_M, apply_macdonald_qt, operator_sum
 from .qtorus import NcLaurent, ev0_image, ev0_negative_term, evaluate, q_commutator, q_recursion, relation_rhs
 from .rings import RING_Q, RING_QT, RING_W
 from .symfun import SchurPoly, dual_cauchy, monomial_sym, partitions, partitions_up_to, schur
-from .whittaker import check_level1_toda, class_one_combination, class_one_difference, toda_residual
+from .whittaker import class_one_combination, class_one_difference, toda_residual
 
 
 @dataclass
@@ -75,9 +80,6 @@ class CheckReport:
             if detail is not None:
                 entry["detail"] = str(detail)
             self.failures.append(entry)
-
-    def first_counterexample(self):
-        return self.failures[0] if self.failures else None
 
     def to_json(self):
         """The report as a JSON object; one that checked no point is marked
@@ -262,16 +264,6 @@ def _record_residual(rep, point, terms):
         rep.record(point, True)
 
 
-def _record_equation(rep, point, n, form="chi", dual=False):
-    sides = equation_sides(n, form, dual)
-    if not sides:
-        rep.record(point, True)
-    elif sides[0] is None:
-        rep.record(point, False, "a term off the grid has a nonzero coefficient")
-    else:
-        _record_equal(rep, point, *sides)
-
-
 def _swap_window(a: int, b: int):
     return range(-(b - a + 1), b - a + 2)
 
@@ -297,27 +289,17 @@ def check_subset_identities(bound: int = 3, rank_max: int = 4) -> CheckReport:
         rep.record(("square", a), ok, None if ok else _first_difference(*_square_sides(a)))
     for r in range(1, rank_max + 1):
         n = r + 1
-        one_q = SchurPoly.one(RING_Q, n)
-        one_w = SchurPoly.one(RING_W, n)
+        one_q, zero_q = SchurPoly.one(RING_Q, n), SchurPoly.zero(RING_Q, n)
+        one_w, zero_w = SchurPoly.one(RING_W, n), SchurPoly.zero(RING_W, n)
         cart = CartanData(r)
         for alpha in range(1, r + 1):
-            val = subset_moment_value(alpha, 0, n)
-            rep.record(("moment", r, alpha, 0), val == one_q)
+            _record_equal(rep, ("moment", r, alpha, 0), subset_moment_value(alpha, 0, n), one_q)
             for p in range(-(n - alpha), 0):
-                rep.record(
-                    ("moment", r, alpha, p),
-                    subset_moment_value(alpha, p, n).is_zero(),
-                )
-            rep.record(
-                ("boundary-zero-power", r, alpha),
-                apply_D(alpha, 0, one_w)
-                == SchurPoly.unit_power(RING_W, n, -2 * cart.lam_row_sum(alpha)),
-            )
+                _record_equal(rep, ("moment", r, alpha, p), subset_moment_value(alpha, p, n), zero_q)
+            power = SchurPoly.unit_power(RING_W, n, -2 * cart.lam_row_sum(alpha))
+            _record_equal(rep, ("boundary-zero-power", r, alpha), apply_D(alpha, 0, one_w), power)
             for p in range(1, n - alpha + 1):
-                rep.record(
-                    ("boundary-vanishing", r, alpha, p),
-                    apply_D(alpha, -p, one_w).is_zero(),
-                )
+                _record_equal(rep, ("boundary-vanishing", r, alpha, p), apply_D(alpha, -p, one_w), zero_w)
     return rep
 
 
@@ -424,11 +406,35 @@ def _admissible_grids(rank, level, sigma_max):
     return out
 
 
-def _equation_report(name, grid, form="chi") -> CheckReport:
+# relation rows (label, form, dual) of ``_equation_report``
+_CHI = ((None, "chi", False),)
+_G_PAIR = (("first", "G", False), ("second", "G", True))
+
+
+def _equation_report(name, grid, relations) -> CheckReport:
+    """The difference equation (``characters.equation_sides``) at every n of
+    the grid, once per relation row (label, form, dual): label None names the
+    point n, any other label the point (label, entries of n level by level).
+    A failing point names the first differing Schur coefficient of its two
+    sides.  The report of the two G-form relations ends with their
+    compatibility e_2 G_{1,0} = e_1 G_{0,1}; any other notes its grid size."""
     rep = CheckReport(name)
-    rep.notes["points"] = len(grid)
     for n in grid:
-        _record_equation(rep, n, n, form)
+        entries = tuple(x for level in zip(*n.rows) for x in level)
+        for label, form, dual in relations:
+            point = n if label is None else (label,) + entries
+            sides = equation_sides(n, form, dual)
+            if not sides:
+                rep.record(point, True)
+            elif sides[0] is None:
+                rep.record(point, False, "a term off the grid has a nonzero coefficient")
+            else:
+                _record_equal(rep, point, *sides)
+    if relations == _G_PAIR:
+        g10, g01 = (g_schur_form(NVector.level_one(2, x)) for x in ((1, 0), (0, 1)))
+        _record_equal(rep, ("compatibility",), g10.times_e_constrained(2), g01.times_e_constrained(1))
+    else:
+        rep.notes["points"] = len(grid)
     return rep
 
 
@@ -436,65 +442,46 @@ def check_difference_equation(rank: int, level: int, sigma_max: int = 5) -> Chec
     """The level-k (k >= 2) difference equation on exact constrained
     characters, over every admissible grid point with sigma(n) <= bound."""
     if level < 2:
-        raise ValueError("the level-1 equation is covered by check_level1_toda")
-    grid = _admissible_grids(rank, level, sigma_max)
-    return _equation_report("diffeq-r%d-k%d" % (rank, level), grid)
+        raise ValueError("the level-1 equation is covered by check_level1_report")
+    return _equation_report("diffeq-r%d-k%d" % (rank, level), _admissible_grids(rank, level, sigma_max), _CHI)
 
 
 def check_level1_report(rank: int, sigma_max: int) -> CheckReport:
-    rep = CheckReport("diffeq-level1-r%d" % rank)
-    grid = _level1_entries(rank, sigma_max)
-    rep.notes["points"] = len(grid)
-    rep.record(("level1", rank, sigma_max), check_level1_toda(rank, grid))
-    return rep
-
-
-def _record_both_relations(rep, grid):
-    """The G-form equation at every point (first relation, e_1) and its dual
-    (second relation, e_r), then the compatibility e_2 G_{1,0} = e_1 G_{0,1}."""
-    for n in grid:
-        entries = tuple(x for level in zip(*n.rows) for x in level)
-        _record_equation(rep, ("first",) + entries, n, "G")
-        _record_equation(rep, ("second",) + entries, n, "G", dual=True)
-    g10, g01 = (g_schur_form(NVector.level_one(2, x)) for x in ((1, 0), (0, 1)))
-    rep.record(("compatibility",), g10.times_e_constrained(2) == g01.times_e_constrained(1))
+    """The level-1 equation over ``_level1_grid`` as one point (level1, rank,
+    bound); a failure names the first failing n and its Schur difference."""
+    full = _equation_report("diffeq-level1-r%d" % rank, _level1_grid(rank, sigma_max), _CHI)
+    rep = CheckReport(full.name, notes=full.notes)
+    detail = None if full.passed else _cap("n %(point)s: %(detail)s" % full.failures[0])
+    rep.record(("level1", rank, sigma_max), full.passed, detail)
     return rep
 
 
 def check_sl3_level1_G(sigma_max: int = 5) -> CheckReport:
     """The two rank-2 level-1 three-term recursions on the renormalized
     coefficients G_{n,p} (both conserved-quantity insertions), in v-form."""
-    return _record_both_relations(CheckReport("sl3-level1-G"), _level1_grid(2, sigma_max))
+    return _equation_report("sl3-level1-G", _level1_grid(2, sigma_max), _G_PAIR)
 
 
 def check_sl3_level2_G(entry_max: int = 2) -> CheckReport:
     """Both rank-2 level-2 recursions on G (the two conserved-quantity
     insertions), for all admissible occupation entries in [1, entry_max]."""
-    grid = [
-        NVector.from_rows(2, 2, ((n1, n2), (p1, p2)))
-        for n1, p1, n2, p2 in itertools.product(range(1, entry_max + 1), repeat=4)
-    ]
-    return _record_both_relations(CheckReport("sl3-level2-G"), grid)
+    quads = itertools.product(range(1, entry_max + 1), repeat=4)
+    grid = [NVector.from_rows(2, 2, ((n1, n2), (p1, p2))) for n1, p1, n2, p2 in quads]
+    return _equation_report("sl3-level2-G", grid, _G_PAIR)
 
 
 def check_sl2_levelk_G(level: int = 2, sigma_max: int = 5) -> CheckReport:
     """The rank-1 level-k recursion on G in v-form, over the admissible grid."""
-    return _equation_report("sl2-levelk-G", _admissible_grids(1, level, sigma_max), "G")
+    return _equation_report("sl2-levelk-G", _admissible_grids(1, level, sigma_max), ((None, "G", False),))
 
 
 # -- eigenfunctions and limits ------------------------------------------------
 
 
-def _level1_entries(rank, sigma_max):
-    """Level-1 occupation entries (n^(1), ..., n^(r)) with sigma(n) <= bound."""
-    return [
-        comp for comp in itertools.product(range(sigma_max + 1), repeat=rank)
-        if sum(comp) <= sigma_max
-    ]
-
-
 def _level1_grid(rank, sigma_max):
-    return [NVector.level_one(rank, comp) for comp in _level1_entries(rank, sigma_max)]
+    """Level-1 occupation vectors (n^(1), ..., n^(r)) with sigma(n) <= bound."""
+    comps = itertools.product(range(sigma_max + 1), repeat=rank)
+    return [NVector.level_one(rank, comp) for comp in comps if sum(comp) <= sigma_max]
 
 
 def check_eigen(rank: int, sigma_max: int = 4) -> CheckReport:
@@ -533,14 +520,11 @@ def check_limits(rank_max: int = 3, sigma_max: int = 3) -> CheckReport:
     for n in grids:
         character = graded_character(n)
         chi = character.form
-        exps = chi.unit_exponents()
-        rep.record((n, "poly-in-q-inverse"), max(exps) <= 0 if exps else True)
+        top_q = max(chi.unit_exponents(), default=0)
+        rep.record((n, "poly-in-q-inverse"), top_q <= 0, "largest q-exponent %d" % top_q)
         top = SchurPoly.basis(top_component(n), n.rank + 1)
         _record_equal(rep, (n, "top-component"), chi.unit_slice(0), top)
-        rep.record(
-            (n, "classical-limit"),
-            character.poly.at_unit_one() == _rectangle_product_at_q1(n),
-        )
+        _record_equal(rep, (n, "classical-limit"), character.poly.at_unit_one(), _rectangle_product_at_q1(n))
         reordered = operator_product(n, apply_M, RING_Q, reverse=True)
         _record_equal(rep, (n, "within-level-order"), reordered, raising_product(n))
         _record_equal(rep, (n, "two-paths"), char_from_g(n), chi)
@@ -687,8 +671,10 @@ def check_whittaker(order: int = 20, toda_n: int = 6, classone_n: int = 4) -> Ch
         ok,
         None if ok else _cap("n %d, u**%d: combination %s, head*chi %s" % class_one_difference(ns, order)),
     )
-    rep.record(("level1", 1, 10), check_level1_toda(1, _level1_entries(1, 10)))
-    rep.record(("level1", 2, 5), check_level1_toda(2, _level1_entries(2, 5)))
+    for rank, sigma in ((1, 10), (2, 5)):
+        level1 = check_level1_report(rank, sigma)
+        rep.total += level1.total
+        rep.failures += level1.failures
     return rep
 
 

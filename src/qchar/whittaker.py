@@ -25,19 +25,16 @@ out[e] = f[e] + s**a out[e-i].  The Pochhammer
 prefixes T_a = prod_{i<=a} 1/((1-u**i)(1-x u**i)), x = p**(+-2), do not
 depend on n, so they are built once per order, each from the last by two
 such divisions, and every W(n) is a shifted sum of them; the class-one
-products c W(n) are ``order`` divisions of the head times W(n).
-
-``check_level1_toda`` verifies the level-1 difference equation for general
-rank on the exact constrained characters, with the terms of the level-k
-generator ``characters.difference_equation_terms`` at k = 1: a shifted term
-whose occupation would drop below zero carries a vanishing coefficient.
+products c W(n) are ``order`` divisions of the head times W(n).  The
+general-rank level-1 equation is checked on the characters themselves by
+``verify.check_level1_report``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .characters import NVector, difference_equation_holds, graded_character
+from .characters import NVector, graded_character
 from .laurent import constrain
 
 
@@ -248,18 +245,3 @@ def class_one_combination(n_values, order: int) -> bool:
     exact character for every n: all coefficients beyond the polynomial
     degree cancel up to the truncation order."""
     return class_one_difference(n_values, order) is None
-
-
-def check_level1_toda(rank: int, n_vectors) -> bool:
-    """The level-1 difference equation for general rank, on exact constrained
-    characters:
-
-        sum_{a=0}^{r} chi[n - eps_a + eps_{a+1}]
-          - sum_{a=1}^{r} q**(-n^(a)) chi[n - eps_a + eps_{a+1}]  =  e_1 chi[n]
-
-    with eps_0 = eps_{r+1} = 0, generated by ``difference_equation_terms`` at
-    k = 1.  ``n_vectors`` holds the entries (n^(1), ..., n^(r)) of each point.
-    """
-    return all(
-        difference_equation_holds(NVector.level_one(rank, tuple(n))) for n in n_vectors
-    )

@@ -22,7 +22,9 @@
 * ``symmetrize``, ``antisymmetrize`` and ``signed_orbit_sum`` expand the
   (signed) permutation orbit term by term, against ``signed_buckets``.
 * ``schur_form`` turns a symmetric Laurent polynomial into a Schur form at
-  the boundary of the tests (through ``schur_expand``); ``dominates`` and
+  the boundary of the tests (through ``schur_expand``); ``times_e`` is the
+  Pieri product with e_m before the constraint z_1...z_N = 1, the reference
+  for ``SchurPoly.times_e_constrained``; ``dominates`` and
   ``project_qt_to_q`` are the dominance order and the inverse of
   ``macdonald.lift_q_to_qt``.
 * ``ref_apply_macdonald_qt``, ``ref_macdonald_poly`` and
@@ -85,7 +87,7 @@ from qchar.rings import (
     PoleAtZero,
     Scalar,
 )
-from qchar.symfun import SchurPoly, normalize_partition, partitions
+from qchar.symfun import SchurPoly, _pieri_keys, normalize_partition, partitions
 from qchar.whittaker import TruncatedSeries, toda_residual
 
 Q = sympy.Symbol("q")
@@ -536,6 +538,12 @@ def schur_form(f: LaurentPoly) -> SchurPoly:
         for j, c in coeff.data.items():
             out[(j,) + full] = c
     return SchurPoly.from_terms(f.ring, f.nvars, out)
+
+
+def times_e(f: SchurPoly, m: int) -> SchurPoly:
+    """f times the elementary symmetric polynomial e_m by the Pieri rule,
+    with no constraint: the two-pass reference for ``times_e_constrained``."""
+    return f._map_bases(lambda zkey: _pieri_keys(zkey, m, f.nvars))
 
 
 def dominates(lam, mu) -> bool:

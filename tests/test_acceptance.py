@@ -4,7 +4,6 @@ Each test runs one criterion at its stated scale, with exact (tolerance
 zero) comparisons, asserts its runtime budget, and prints one PASS/FAIL
 line (visible with ``pytest -s``)."""
 
-import itertools
 import time
 from contextlib import contextmanager
 
@@ -17,13 +16,13 @@ from qchar.verify import (
     check_difference_equation,
     check_dual_qsystem,
     check_eigen,
+    check_level1_report,
     check_limits,
     check_macdonald,
     check_sl3_level2_G,
     check_torus,
     check_whittaker,
 )
-from qchar.whittaker import check_level1_toda
 
 
 @contextmanager
@@ -80,7 +79,7 @@ def test_criterion_02_rank1_recursion():
 def test_criterion_03_rank2_level2_relations():
     with criterion(3, "both rank-2 level-2 G relations + compatibility", 30):
         rep = check_sl3_level2_G(2)
-        assert rep.passed, rep.first_counterexample()
+        assert rep.passed, rep.failures[:1]
         assert rep.total == 33  # 16 points x 2 relations + compatibility
 
 
@@ -88,7 +87,7 @@ def test_criterion_04_dual_qsystem():
     with criterion(4, "dual Q-system, both forms, degree <= 6, r = 2 and 3", 120):
         for r in (2, 3):
             rep = check_dual_qsystem(r, degree_bound=6, n_lo=-1, n_hi=2)
-            assert rep.passed, (r, rep.first_counterexample())
+            assert rep.passed, (r, rep.failures[:1])
 
 
 def test_criterion_05_difference_equations():
@@ -96,7 +95,7 @@ def test_criterion_05_difference_equations():
         for r in (1, 2, 3):
             for k in (2, 3):
                 rep = check_difference_equation(r, k, 5)
-                assert rep.passed, (r, k, rep.first_counterexample())
+                assert rep.passed, (r, k, rep.failures[:1])
                 if r == 3:
                     # admissibility needs sigma >= 6 at rank 3: grid is empty
                     assert rep.notes["points"] == 0
@@ -106,36 +105,36 @@ def test_criterion_06_eigenfunctions():
     with criterion(6, "degenerate-operator eigenrelations, r <= 3, sigma <= 4", 60):
         for r in (1, 2, 3):
             rep = check_eigen(r, 4)
-            assert rep.passed, (r, rep.first_counterexample())
+            assert rep.passed, (r, rep.failures[:1])
 
 
 def test_criterion_07_macdonald_oracle():
     with criterion(7, "independent Macdonald path equals characters, |lam| <= 4, N <= 3", 120):
         rep = check_macdonald(nvars_max=3, weight_max=4)
-        assert rep.passed, rep.first_counterexample()
+        assert rep.passed, rep.failures[:1]
 
 
 def test_criterion_08_subset_identities():
     with criterion(8, "subset-fraction identities, a <= b <= 3; moments r <= 4", 60):
         rep = check_subset_identities(bound=3, rank_max=4)
-        assert rep.passed, rep.first_counterexample()
+        assert rep.passed, rep.failures[:1]
 
 
 def test_criterion_09_whittaker_series():
     with criterion(9, "Toda relation to order 20, n <= 6; class-one to order 20, n <= 4", 30):
         rep = check_whittaker(order=20, toda_n=6, classone_n=4)
-        assert rep.passed, rep.first_counterexample()
+        assert rep.passed, rep.failures[:1]
 
 
 def test_criterion_10_torus():
     with criterion(10, "torus: Laurent table k in [-2,6] r <= 3, windows, words, intertwining", 120):
         rep = check_torus(rank_max=3, k_min=-2, k_max=6, word_len=4)
-        assert rep.passed, rep.first_counterexample()
+        assert rep.passed, rep.failures[:1]
 
 
 def test_criterion_11_property_suite():
     with criterion(11, "q-structure, limits, order independence, two-path consistency", 120):
         rep = check_limits(rank_max=3, sigma_max=3)
-        assert rep.passed, rep.first_counterexample()
-        grid2 = [c for c in itertools.product(range(6), repeat=2) if sum(c) <= 5]
-        assert check_level1_toda(2, grid2)
+        assert rep.passed, rep.failures[:1]
+        rep = check_level1_report(2, 5)
+        assert rep.passed and rep.notes["points"] == 21, rep.failures[:1]

@@ -1,0 +1,27 @@
+"""The benchmark's contract with the package, checked in the tier-1 suite:
+every verify call of the three verify workloads returns the reports, point
+counts and verdicts the benchmark gates on, and every check the benchmark
+traces exists.  ``perfbench/`` is only read."""
+
+import os
+import sys
+
+import pytest
+
+import qchar.verify as verify
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("workload", ["verify-operators", "verify-kernels", "verify-series"])
+def test_verify_workload_calls_pass_their_gates(workload):
+    for fn, args, kwargs, expected in workloads.verify_calls(workload, 1):
+        result = getattr(verify, fn)(*args, **kwargs)
+        assert workloads.gate_verify(result, expected) == (0, None), (fn, args, kwargs)
+
+
+def test_traced_checks_exist():
+    assert [name for name in tracing.CHECKS if not callable(getattr(verify, name, None))] == []

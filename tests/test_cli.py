@@ -340,3 +340,35 @@ def test_unwritable_out_path_exits_2_before_any_work(command, monkeypatch, tmp_p
     monkeypatch.setattr(cli, "character_payload", violation)
     assert cli.main([*command, "--out", str(tmp_path / "x.json")]) == 3
     assert list(tmp_path.iterdir()) == []
+
+
+def test_char_beyond_the_exponent_range_exits_2_before_any_work(monkeypatch, capsys):
+    # the raising product carries the top component at q**(-X(n)), so -X(n)
+    # and the first part of the top component must both fit under EXP_MAX;
+    # the chain raises here, so a case that passes the check reaches it at once
+    import qchar.characters as characters
+
+    class ChainStarted(Exception):
+        pass
+
+    def chain(*args):
+        raise ChainStarted
+
+    def outcome(rank, n, level=1):
+        characters.character_form.cache_clear()
+        try:
+            cli.main(["char", "--rank", str(rank), "--level", str(level), "--n", n])
+        except ChainStarted:
+            return "ran"
+        except SystemExit as exc:
+            err = capsys.readouterr().err
+            return exc.code if "beyond EXP_MAX" in err else err
+        return "returned"
+
+    monkeypatch.setattr(characters, "_chain", chain)
+    # rank 1: -X(n) = n(n-1)/2, which is 33,550,336 at n = 8192
+    assert [outcome(1, n) for n in ("8193", "40000000", "8192")] == [2, 2, "ran"]
+    # each bound on its own, with the range cut to 4: at n = 4, -X(n) = 6;
+    # one KR module at level 5 has X = 0 and top component (5)
+    monkeypatch.setattr(cli, "EXP_MAX", 4)
+    assert [outcome(1, "3"), outcome(1, "4"), outcome(1, "0;0;0;1", 4), outcome(1, "0;0;0;0;1", 5)] == ["ran", 2, "ran", 2]

@@ -7,7 +7,7 @@ import pytest
 import qchar.verify as verify
 from oracles import ref_ev0, ref_square_buckets, ref_swap_buckets, schur_form
 from qchar.cartan import CartanData
-from qchar.characters import NVector, g_coefficient, graded_character
+from qchar.characters import GradedCharacter, NVector, character_form, g_coefficient, graded_character
 from qchar.laurent import LaurentPoly, constrain
 from qchar.rings import RING_Q, RING_W, Scalar
 from qchar.symfun import SchurPoly, elementary, partitions_up_to
@@ -38,7 +38,7 @@ def test_report_bookkeeping():
     rep.record("a", True)
     rep.record("b", False, "broke")
     assert not rep.passed and rep.total == 2
-    assert rep.first_counterexample() == {"point": "b", "detail": "broke"}
+    assert rep.failures[:1] == [{"point": "b", "detail": "broke"}]
     data = rep.to_json()
     assert data["points"] == 2 and data["failures"]
 
@@ -145,8 +145,16 @@ def test_generator_negative_control(monkeypatch):
 
     monkeypatch.setattr(characters, "difference_equation_terms", perturbed)
     checked = (check_sl2_levelk_G(2, 5), check_difference_equation(1, 2, 5))
-    for rep in checked + (check_level1_report(2, 5),):
+    level1 = check_level1_report(2, 5)
+    for rep in checked + (level1,):
         assert rep.total and len(rep.failures) == rep.total, rep.name
+    # the level-1 report is one point per grid, naming its first failing n
+    assert level1.failures == [
+        {"point": "('level1', 2, 5)", "detail": "n 0,0: schur (1, 0, 0): lhs {1: 1}, rhs {0: 1}"}
+    ]
+    whittaker = check_whittaker(order=2, toda_n=1, classone_n=0)
+    assert [f["point"] for f in whittaker.failures] == ["('level1', 1, 10)", "('level1', 2, 5)"]
+    assert whittaker.failures[1] == level1.failures[0]
     # the G-form relations name a failing point by its entries, level by level
     level1, level2 = check_sl3_level1_G(1), check_sl3_level2_G(1)
     assert [f["point"] for f in level1.failures[2:4]] == [
@@ -154,17 +162,17 @@ def test_generator_negative_control(monkeypatch):
         "('second', 0, 1)",
     ]
     # every failing equation point names the first differing Schur
-    # coefficient of its two sides; the level-1 report is one point per grid
+    # coefficient of its two sides
     for rep in checked + (level1, level2):
         assert all(f["detail"].startswith("schur (") and len(f["detail"]) <= 200 for f in rep.failures)
-    assert level2.first_counterexample() == {
+    assert level2.failures[:1] == [{
         "point": "('first', 1, 1, 1, 1)",
         "detail": "schur (5, 2, 0): lhs {-60: 1, -48: 2, -42: 2, -36: 1}, rhs {-54: 1, -48: 2, -42: 2, -36: 1}",
-    }
-    assert checked[1].first_counterexample() == {
+    }]
+    assert checked[1].failures[:1] == [{
         "point": "1;1",
         "detail": "schur (2, 0): lhs {-1: 1, 1: 1}, rhs {-1: 1, 0: 1}",
-    }
+    }]
     # a weighted term off the grid has no value: every point fails, saying so
     monkeypatch.setattr(characters, "difference_equation_terms", lambda n, dual=False: generate(n, dual) + [(None, Scalar(RING_Q, {0: 1}))])
     rep = check_difference_equation(1, 2, 5)
@@ -245,6 +253,40 @@ def test_eigen_and_limits_failures_name_first_differing_schur_coefficient(monkey
     assert {f["point"].split(", ")[-1].strip("')") for f in rep.failures} == kinds
     assert len(rep.failures) == 3 * rep.notes["points"]
     assert all(f["detail"].startswith("schur (") and len(f["detail"]) <= 200 for f in rep.failures)
+
+
+def test_boolean_points_name_their_first_difference(monkeypatch):
+    # a D operator that also adds its input, a moment value that also adds
+    # 1 and a q = 1 product that also carries q: exactly the boundary, moment
+    # and classical-limit points fail, each naming its first difference
+    real_D, real_moment, real_rectangle = verify.apply_D, verify.subset_moment_value, verify._rectangle_product_at_q1
+    monkeypatch.setattr(verify, "apply_D", lambda alpha, n, f: real_D(alpha, n, f) + f)
+    monkeypatch.setattr(verify, "subset_moment_value", lambda a, p, n: real_moment(a, p, n) + SchurPoly.one(RING_Q, n))
+    monkeypatch.setattr(verify, "_rectangle_product_at_q1", lambda n: real_rectangle(n).times_unit(1))
+    lemmas = check_subset_identities(bound=1, rank_max=2)
+    kinds = [f["point"].split(",")[0] for f in lemmas.failures]
+    assert set(kinds) == {"('moment'", "('boundary-zero-power'", "('boundary-vanishing'"}
+    assert len(kinds) == 14 and lemmas.total == 14 + 9  # the 8 swap points and the square pass
+    assert lemmas.failures[:2] == [
+        {"point": "('moment', 1, 1, 0)", "detail": "schur (0, 0): lhs {0: 2}, rhs {0: 1}"},
+        {"point": "('moment', 1, 1, -1)", "detail": "schur (0, 0): lhs {0: 1}, rhs {}"},
+    ]
+    limits = check_limits(1, 1)
+    assert [f["point"] for f in limits.failures] == [str((n, "classical-limit")) for n in verify._level1_grid(1, 1)] + [
+        str((n, "classical-limit")) for n in verify._admissible_grids(1, 2, 2)
+    ]
+    assert limits.failures[1]["detail"] == "monomial (1, 0): lhs {0: 1}, rhs {1: 1}"
+    # G_{1,0} with one more power of w breaks the compatibility of the two
+    # G relations, and nothing else
+    real_g = verify.g_schur_form
+    monkeypatch.setattr(verify, "g_schur_form", lambda n: real_g(n).times_unit(n.entry(1, 1)))
+    assert check_sl3_level1_G(1).failures == [{"point": "('compatibility',)", "detail": "schur (2, 1, 0): lhs {-7: 1}, rhs {-8: 1}"}]
+    for rep in (lemmas, limits):
+        assert all(f["detail"].startswith(("schur (", "monomial (")) and len(f["detail"]) <= 200 for f in rep.failures)
+    # a character with a positive q-exponent names the largest one
+    monkeypatch.setattr(verify, "graded_character", lambda n: GradedCharacter(n, character_form(n).times_unit(2)))
+    positive = [f for f in check_limits(1, 1).failures if "poly-in-q-inverse" in f["point"]]
+    assert len(positive) == limits.notes["points"] and all(f["detail"] == "largest q-exponent 2" for f in positive)
 
 
 def test_rank3_difference_equation_smallest_grid():

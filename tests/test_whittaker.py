@@ -3,17 +3,15 @@ series ring axioms, the three-term relation, the class-one combination, and
 the general-rank level-1 equation.  Series coefficients are integer Laurent
 polynomials in s = p**(1/2), keyed (u-exponent, s-exponent)."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import check_toda_eigen, whittaker_series_sympy
+from qchar.verify import check_level1_report
 from qchar.whittaker import (
     TruncatedSeries,
     char_to_series,
-    check_level1_toda,
     class_one_coefficient,
     class_one_combination,
     toda_residual,
@@ -114,8 +112,8 @@ def test_class_one_negative_control(monkeypatch):
 
 
 def test_level1_difference_equation():
-    assert check_level1_toda(1, [(n,) for n in range(0, 11)])
-    grid2 = [c for c in itertools.product(range(6), repeat=2) if sum(c) <= 5]
-    assert check_level1_toda(2, grid2)
-    grid3 = [c for c in itertools.product(range(4), repeat=3) if sum(c) <= 3]
-    assert check_level1_toda(3, grid3)
+    # the general-rank level-1 equation on the n with sigma(n) <= bound:
+    # 11, 21 and 20 points, each report collapsed to one point
+    for rank, sigma, points in ((1, 10, 11), (2, 5, 21), (3, 3, 20)):
+        rep = check_level1_report(rank, sigma)
+        assert rep.passed and rep.total == 1 and rep.notes["points"] == points, rep.failures[:1]
