@@ -16,11 +16,11 @@ Exponents must lie in [EXP_MIN, EXP_MAX] = [-2**25, 2**25 - 1]: products,
 shifts and constructors prove from the exponent bounds of their operands
 that the result fits, and raise ``ExponentOverflow`` otherwise instead of
 carrying into a neighbouring slot.  A valid key never sets the top bit of
-a slot, which exact division uses to see a negative quotient exponent in
-one mask test.  Only this module and ``qtorus`` read keys; everything else
-goes through ``terms()``, ``from_terms()`` and the codec: ``pack``,
-``unpack``, ``split_unit``, ``UNIT`` and the unit offsets of
-``signed_buckets``.
+a slot, which the torus division ``qtorus._nc_div`` uses to see a negative
+quotient exponent in one mask test.  Only this module and ``qtorus`` read
+keys; everything else goes through ``terms()``, ``from_terms()`` and the
+codec: ``pack``, ``unpack``, ``split_unit``, ``UNIT`` and the unit offsets
+of ``signed_buckets``.
 
 Subclasses keep the keys and change the basis or the product:
 ``symfun.SchurPoly`` keys Schur functions, and ``qtorus.NcLaurent`` is a
@@ -28,18 +28,16 @@ W-ring polynomial in the 2r torus exponents, the w-exponent in the unit
 slot, with a twisted product.  Their constructors take other arguments, so
 the methods here build zero and one through ``_like``.
 
-Everything here is exact; division raises ``NotDivisible`` rather than
-truncating.  Exact division has one caller, the t = 0 limit of Macdonald
-polynomials (a genuine quotient by a polynomial in q); Schur polynomials
-are built by branching (``symfun``), with no division.  Values are
+Everything here is exact.  The one division is ``divide_binomial``, by
+1 - x u**i in one pass, for the Whittaker series and the t = 0 Macdonald
+limit; Schur polynomials are built by branching (``symfun``).  Values are
 immutable by convention: no method mutates ``self``.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
-from operator import add, sub
+from operator import add
 
 from .rings import (
     RING_Q,
@@ -47,7 +45,6 @@ from .rings import (
     RING_W,
     ExponentNotDivisible,
     ExponentOverflow,
-    NotDivisible,
     NotSymmetric,
     Scalar,
 )
@@ -593,67 +590,24 @@ def signed_buckets(f: LaurentPoly):
     return out
 
 
-# -- exact division ----------------------------------------------------------
+# -- binomial division -------------------------------------------------------
 
 
-def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """The exact quotient f / g; raises ``NotDivisible`` when g does not
-    divide f.  Greedy leading-term division in the order of the keys (a
-    lexicographic monomial order); since the coefficient ring is a domain,
-    the greedy quotient exists iff f is divisible by g, and its exponents
-    lie in the bounds of f minus those of g, which every quotient term is
-    checked against."""
-    f._check_compatible(g)
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return f
-    (flo, fhi), (glo, ghi) = f.bounds(), g.bounds()
-    qlo, qhi = tuple(map(sub, flo, glo)), tuple(map(sub, fhi, ghi))
-    if any(map(int.__gt__, qlo, qhi)):
-        raise NotDivisible("no exact quotient")
-    require_fit(qlo, qhi)
-    width = f.width
-    top = offset(tuple(map(sub, qhi, qlo)))
-
-    # local keys: exponents minus the least ones, each slot in [0, 2**17)
-    fbase, gbase = pack(flo), pack(glo)
-    work = {k - fbase: c for k, c in f.coeffs.items()}
-    gs = {k - gbase: c for k, c in g.coeffs.items()}
-    glead = max(gs)
-    glc = gs.pop(glead)
-    gtail = list(gs.items())
-
-    heap = [-k for k in work]
-    heapq.heapify(heap)
-    quot = {}
-    while work:
-        k = -heapq.heappop(heap)
-        c = work.pop(k, None)
-        if c is None:
-            continue
-        qk = k - glead
-        if outside_box(qk, top, width):
-            raise NotDivisible("no exact quotient")
-        qc, rem = divmod(c, glc)
-        if rem:
-            raise NotDivisible("leading coefficient %r not divisible by %r" % (c, glc))
-        quot[qk] = qc
-        for gk, gc in gtail:
-            kk = qk + gk
-            cur = work.get(kk)
-            if cur is None:
-                work[kk] = -qc * gc
-                heapq.heappush(heap, -kk)
+def divide_binomial(rows, shift: int, step: int):
+    """Divide the series ``rows`` (rows[e] = {key: int}, the u**e coefficient)
+    in place by 1 - x u**step, x the monomial that adds ``shift`` to a key, in
+    one pass of increasing u-order: out[e] = f[e] + x out[e - step].  Exact,
+    because the binomial's constant term is 1; a polynomial is a multiple of
+    the binomial iff the top ``step`` rows of its quotient series are empty."""
+    for e in range(step, len(rows)):
+        row = rows[e]
+        for k, c in rows[e - step].items():
+            k += shift
+            v = row.get(k, 0) + c
+            if v:
+                row[k] = v
             else:
-                nv = cur - qc * gc
-                if nv:
-                    work[kk] = nv
-                else:
-                    del work[kk]
-
-    qbase = pack(qlo)
-    return f._like({k + qbase: c for k, c in quot.items()}, (qlo, qhi))
+                del row[k]
 
 
 # -- ring maps ---------------------------------------------------------------

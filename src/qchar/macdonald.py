@@ -11,16 +11,17 @@ Functions and Hall Polynomials*, VI.8), and verifies the eigen-relation
 
 over the integers before returning.  This path never touches the
 raising-operator machinery, so its t = 0, q -> q**-1 specialization is a
-genuine cross-check of the level-1 characters.
+genuine cross-check of the level-1 characters; the t = 0 limit peels the
+binomials 1 - q**i of D by one-pass divisions (``qt_specialize_t0_qinv``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, exact_div
+from .laurent import SLOT_BITS, LaurentPoly, divide_binomial, pack, split_unit
 from .qdiff import apply_macdonald_qt
-from .rings import RING_Q, RING_QT, DegenerateEigenvalue, PoleAtZero
+from .rings import RING_Q, RING_QT, DegenerateEigenvalue, NotDivisible, PoleAtZero
 from .symfun import monomial_sym, normalize_partition, partitions
 
 
@@ -65,7 +66,7 @@ def macdonald_poly(lam, nvars: int) -> MacdonaldPoly:
         raise ValueError("partition has more parts than variables")
     basis = sorted(partitions(sum(lam), nvars), reverse=True)
     monos = {mu: monomial_sym(mu, nvars, RING_QT) for mu in basis}
-    columns = {mu: _m_expand(apply_macdonald_qt(1, monos[mu], checked=True)) for mu in basis}
+    columns = {mu: _m_expand(apply_macdonald_qt(1, monos[mu])) for mu in basis}
 
     zero = LaurentPoly.zero(RING_QT, nvars)
     eig = columns[lam].get(lam, zero)
@@ -93,7 +94,7 @@ def macdonald_poly(lam, nvars: int) -> MacdonaldPoly:
     poly = LaurentPoly.sum(RING_QT, nvars, (monos[mu] * c for mu, c in numer.items()))
     if eig != eigenvalue_formula(lam, nvars):
         raise ArithmeticError("triangular eigenvalue disagrees with the formula")
-    if apply_macdonald_qt(1, poly, checked=True) != poly * eig:
+    if apply_macdonald_qt(1, poly) != poly * eig:
         raise ArithmeticError("eigen-relation failed for %r" % (lam,))
     return MacdonaldPoly(lam, nvars, poly, den, eig)
 
@@ -109,26 +110,70 @@ def _t_slice(f: LaurentPoly, j: int) -> LaurentPoly:
     )
 
 
+def _q_rows(f: LaurentPoly):
+    """(base, rows) for a nonzero Q-ring polynomial: rows[e] = {z-key: int}
+    is its coefficient of q**(base + e)."""
+    (base, *_), (top, *_) = f.bounds()
+    rows = [{} for _ in range(top - base + 1)]
+    for k, c in f.coeffs.items():
+        i, z = split_unit(k)
+        rows[i - base][z] = c
+    return base, rows
+
+
+def _divides(rows, i: int) -> bool:
+    """Divide the rows of a polynomial in q by 1 - q**i in place; True, with
+    the quotient left in ``rows``, when the binomial divides it."""
+    divide_binomial(rows, 0, i)
+    top = max(len(rows) - i, 0)
+    if any(rows[top:]):
+        return False
+    del rows[top:]
+    return True
+
+
 def qt_specialize_t0_qinv(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """t = 0, then q -> q**-1, of num / den for a QT polynomial ``num`` and a
     nonzero QT constant ``den``; a Q-ring polynomial.
 
     The limit is the quotient of the two coefficients at the lowest t-order
     of ``den``.  Raises ``PoleAtZero`` when some coefficient of ``num`` has a
-    lower t-order, and ``NotDivisible`` when the quotient is not an integer
-    Laurent polynomial in q."""
+    lower t-order, ``NotDivisible`` when the quotient is not an integer
+    Laurent polynomial in q, and ``ExponentOverflow`` when it leaves the
+    exponent range.  ``den``'s slice sheds its factors 1 - q**i one by one,
+    ``num``'s is divided by each in one pass, and what is left, c q**m, must
+    divide it coefficientwise.  That is exact for Macdonald denominators:
+    each eigenvalue gap sum_i (q**lam_i - q**mu_i) t**(N-i) has a binomial
+    q**lam_j - q**mu_j as its lowest t-term, and the lowest slice of a
+    product is the product of the lowest slices, so ``den``'s slice is
+    c q**m prod_k (1 - q**d_k).  Its next term after c q**m is
+    -c #{k: d_k = d} q**(m + d) for the least d_k = d, so the factor is read
+    off that term; trying 1 - q**i for any i that divides would take 1 - q
+    out of 1 - q**2 and strand 1 + q.  Any other factor, such as 1 + q,
+    raises ``NotDivisible`` even when ``num`` is a multiple of it; no
+    Macdonald denominator has one."""
     if not den:
         raise ZeroDivisionError("zero denominator")
     lo, hi = den.bounds()
     if any(lo[2:]) or any(hi[2:]):
         raise ValueError("the denominator must not depend on the z's")
-    if not num:
-        return LaurentPoly.zero(RING_Q, num.nvars)
     order = lo[1]
-    if num.bounds()[0][1] < order:
+    if num and num.bounds()[0][1] < order:
         raise PoleAtZero("numerator has a lower t-order than the denominator")
-    quot = exact_div(_t_slice(num, order), _t_slice(den, order))
-    return LaurentPoly.from_terms(RING_Q, num.nvars, (((-e[0],) + e[1:], c) for e, c in quot.terms()))
+    num = _t_slice(num, order)
+    if not num:
+        return num
+    (nbase, nrows), (dbase, drows) = _q_rows(num), _q_rows(_t_slice(den, order))
+    while len(drows) > 1:
+        i = next(e for e in range(1, len(drows)) if drows[e])
+        if not (_divides(drows, i) and _divides(nrows, i)):
+            raise NotDivisible("no exact quotient by the binomial 1 - q**%d" % i)
+    (c,) = drows[0].values()
+    if any(x % c for row in nrows for x in row.values()):
+        raise NotDivisible("a coefficient is not divisible by %d" % c)
+    return num._like(
+        {(z << SLOT_BITS) + pack((dbase - nbase - e,)): x // c for e, row in enumerate(nrows) for z, x in row.items()}
+    )
 
 
 def qt_t_infinity_limit(f: LaurentPoly, shift: int) -> LaurentPoly:

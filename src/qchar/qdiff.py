@@ -175,7 +175,7 @@ def apply_D(alpha, n, f):
     return operator_sum((("D", alpha, n, f, 0, 1),))
 
 
-def apply_macdonald_qt(alpha, f, *, checked=False):
+def apply_macdonald_qt(alpha, f):
     """Act with the classical Macdonald operator of index ``alpha`` on a
     symmetric polynomial over the QT ring."""
     if f.ring != RING_QT:
@@ -183,8 +183,7 @@ def apply_macdonald_qt(alpha, f, *, checked=False):
     nvars = f.nvars
     if not 0 <= alpha <= nvars:
         raise ValueError("alpha out of range [0, N]")
-    if not checked:
-        require_symmetric(f)
+    require_symmetric(f)
     if alpha == 0 or f.is_zero():
         return f
     # q**(z_1 + .. + z_alpha) on each term: a key addition

@@ -20,8 +20,8 @@ so the identity is checked multiplied through by 1 - p**-2, which is not a
 zero divisor in the series ring.
 
 Each factor 1/(1 - s**a u**i) is applied as a division, and dividing by a
-binomial with constant term 1 is one pass in increasing u-order,
-out[e] = f[e] + s**a out[e-i].  The Pochhammer
+binomial with constant term 1 is one pass in increasing u-order
+(``laurent.divide_binomial`` on rows {s-exponent: int}).  The Pochhammer
 prefixes T_a = prod_{i<=a} 1/((1-u**i)(1-x u**i)), x = p**(+-2), do not
 depend on n, so they are built once per order, each from the last by two
 such divisions, and every W(n) is a shifted sum of them; the class-one
@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .characters import NVector, graded_character
-from .laurent import constrain
+from .laurent import constrain, divide_binomial
 
 
 class TruncatedSeries:
@@ -121,22 +121,6 @@ def _check_order(order: int):
         raise ValueError("the truncation order must be >= 0, not %d" % order)
 
 
-def _divide(rows, s_exp: int, step: int):
-    """Divide the series ``rows`` (rows[e] = {s-exponent: int}, the u**e
-    coefficient) in place by 1 - s**s_exp u**step, in one pass of increasing
-    u-order: out[e] = f[e] + s**s_exp out[e - step].  Exact, because the
-    binomial's constant term is 1."""
-    for e in range(step, len(rows)):
-        row = rows[e]
-        for k, c in rows[e - step].items():
-            k += s_exp
-            v = row.get(k, 0) + c
-            if v:
-                row[k] = v
-            else:
-                del row[k]
-
-
 @lru_cache(maxsize=4)
 def _pochhammer_prefixes(order: int):
     """T_a = prod_{i<=a} 1/((1-u**i)(1-x u**i)) for a = 0..order, x = s**4
@@ -149,8 +133,8 @@ def _pochhammer_prefixes(order: int):
     for a in range(order + 1):
         if a:
             del rows[order - a + 1:]
-            _divide(rows, 0, a)
-            _divide(rows, 1, a)
+            divide_binomial(rows, 0, a)
+            divide_binomial(rows, 1, a)
         out.append(tuple(tuple(row.items()) for row in rows))
     return tuple(out)
 
@@ -200,7 +184,7 @@ def _times_coefficient(series: TruncatedSeries, reflected: bool) -> TruncatedSer
     for (e, k), c in series.coeffs.items():
         rows[e][k + shift] = sign * c
     for i in range(1, order + 1):
-        _divide(rows, x, i)
+        divide_binomial(rows, x, i)
     return TruncatedSeries(order, {(e, k): c for e, row in enumerate(rows) for k, c in row.items()})
 
 

@@ -45,7 +45,9 @@
   off the two-block Schur form: every cleared product expanded as a
   monomial polynomial (10**4 to 10**5 terms) and bucketed term by term.
 * ``ref_mul``, ``ref_times_z``, ``ref_signed_buckets``, ``ref_exact_div`` and
-  ``ref_nc_mul`` recode the packed-key kernels on plain exponent tuples.
+  ``ref_nc_mul`` recode the packed-key kernels on plain exponent tuples;
+  ``ref_div`` runs ``ref_exact_div`` on two ``LaurentPoly`` values (the
+  Vandermonde quotients above).
 * ``ref_branch`` is the two-block branching rule as ``qchar.symfun`` ran it
   before it pruned its fillings: every inner shape mu in the x-block, and
   for each row the full product of letter counts, filtered afterwards by
@@ -71,7 +73,6 @@ from qchar.cartan import CartanData
 from qchar.laurent import (
     LaurentPoly,
     delta_on,
-    exact_div,
     require_symmetric,
     signed_buckets,
     unit_slots,
@@ -156,7 +157,7 @@ def ref_schur(lam, nvars, ring=RING_Q) -> LaurentPoly:
     the Vandermonde determinant."""
     full = tuple(lam) + (0,) * (nvars - len(lam))
     exps = tuple(full[i] + (nvars - 1 - i) for i in range(nvars))
-    return exact_div(alternant(ring, nvars, exps), vandermonde(ring, nvars))
+    return ref_div(alternant(ring, nvars, exps), vandermonde(ring, nvars))
 
 
 @lru_cache(maxsize=None)
@@ -292,7 +293,7 @@ def _subset_apply_folded(f, alpha, power, du_subset, du_all):
         if step:
             part = part.times_z(tuple(step if i in subset else 0 for i in range(nvars)))
         num = num + part
-    return exact_div(num, vandermonde(f.ring, nvars))
+    return ref_div(num, vandermonde(f.ring, nvars))
 
 
 def subset_apply_M(alpha, n, f):
@@ -325,7 +326,7 @@ def subset_apply_macdonald_qt(alpha, f):
                 zj = LaurentPoly.variable(RING_QT, nvars, j)
                 part = part * (t * zi - zj)
         num = num + part * LaurentPoly.from_terms(RING_QT, nvars, shifted)
-    return exact_div(num, vandermonde(RING_QT, nvars))
+    return ref_div(num, vandermonde(RING_QT, nvars))
 
 
 def whittaker_series_sympy(n, reflected, order):
@@ -682,6 +683,11 @@ def ref_exact_div(f: dict, g: dict) -> dict:
             else:
                 rem.pop(k, None)
     return quot
+
+
+def ref_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """``ref_exact_div`` on the ``terms()`` views of two polynomials."""
+    return LaurentPoly.from_terms(f.ring, f.nvars, ref_exact_div(dict(f.terms()), dict(g.terms())))
 
 
 def ref_nc_mul(rank: int, a: dict, b: dict) -> dict:

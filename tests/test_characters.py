@@ -18,7 +18,7 @@ from qchar.characters import (
     multiplicities,
     top_component,
 )
-from qchar.laurent import LaurentPoly, constrain, exact_div
+from qchar.laurent import LaurentPoly, constrain
 from qchar.rings import RING_Q, RING_W, Scalar
 from qchar.symfun import SchurPoly, elementary, schur
 

@@ -76,20 +76,22 @@ def test_rank4_ladder_digests(flag, digest):
 
 def test_character_chain_builds_no_monomial_expansion(monkeypatch):
     import qchar.characters as characters
-    import qchar.laurent as laurent
     import qchar.symfun as symfun
 
     n = cli.parse_n_flag("1,0,1;1,1,0", 3, 2)
     expected = cli.character_payload(n)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the character chain expanded a Schur polynomial")
+        raise AssertionError("the character chain expanded a Schur polynomial or divided")
 
     # rebuild the whole chain: no cached form and no cached prefix
     characters.character_form.cache_clear()
     characters._CHAINS.clear()
     monkeypatch.setattr(symfun, "_schur_zcoeffs", forbidden)
-    monkeypatch.setattr(laurent, "exact_div", forbidden)
+    # the one division helper, in every module that binds it
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "qchar"]:
+        if hasattr(mod, "divide_binomial"):
+            monkeypatch.setattr(mod, "divide_binomial", forbidden)
     assert cli.character_payload(n) == expected
 
 

@@ -8,12 +8,13 @@ from oracles import (
     dominates,
     project_qt_to_q,
     qt_to_ref,
+    ref_exact_div,
     ref_macdonald_poly,
     ref_specialize_t0_qinv,
 )
 import qchar.macdonald as macdonald
 from qchar.characters import NVector, graded_character
-from qchar.laurent import LaurentPoly
+from qchar.laurent import EXP_MIN, LaurentPoly
 from qchar.macdonald import (
     eigenvalue_formula,
     lift_q_to_qt,
@@ -23,7 +24,7 @@ from qchar.macdonald import (
     qwhittaker_specialize,
 )
 from qchar.qdiff import apply_macdonald_qt
-from qchar.rings import RING_Q, RING_QT, NotDivisible, PoleAtZero
+from qchar.rings import RING_Q, RING_QT, ExponentOverflow, NotDivisible, PoleAtZero
 from qchar.symfun import elementary, partitions, partitions_up_to
 
 
@@ -146,6 +147,63 @@ def test_scalar_specialization_helpers():
         qt_t_infinity_limit(qt_const(1, {(0, 3): 1}), 2)
 
 
+def lowest_slice(f, order):
+    """The t**order terms of a QT polynomial as {(q, z..): c}."""
+    return {e[:1] + e[2:]: c for e, c in f.terms() if e[1] == order}
+
+
+def test_t0_limit_matches_oracle_quotient_of_lowest_slices():
+    # the binomial peel against the greedy quotient of the two lowest
+    # t-slices, on every lam with N = 2, |lam| <= 6; N = 3, |lam| <= 5; and
+    # N = 4, |lam| <= 4
+    cases = [(nvars, lam) for nvars, size in ((2, 6), (3, 5), (4, 4)) for lam in partitions_up_to(size, nvars)]
+    assert len(cases) == 44
+    peeled = 0
+    for nvars, lam in cases:
+        P = macdonald_poly(lam, nvars)
+        order = P.denominator.bounds()[0][1]
+        dslice = lowest_slice(P.denominator, order)
+        quot = ref_exact_div(lowest_slice(P.numerator, order), dslice)
+        expected = LaurentPoly.from_terms(RING_Q, nvars, {(-e[0],) + e[1:]: c for e, c in quot.items()})
+        assert qt_specialize_t0_qinv(P.numerator, P.denominator) == expected, (nvars, lam)
+        peeled += len(dslice) > 1
+    # the other 18 denominators are 1: each such lam is a column plus full
+    # columns, so P_lam is e_k times a power of z_1 ... z_N
+    assert peeled == 26
+
+
+def test_t0_limit_peel_edges():
+    def qpoly(terms, j=0):
+        return qt_const(2, {(i, j): c for i, c in terms.items()})
+
+    one = qpoly({0: 1})
+    # q**EXP_MIN flips to q**(EXP_MAX + 1): no key holds it
+    with pytest.raises(ExponentOverflow):
+        qt_specialize_t0_qinv(qpoly({EXP_MIN: 1}), one)
+    # a slice -q**2 (1 - q)**3 (1 - q**2), with a t-term above it that the
+    # limit never reads: the sign and the q-shift come through
+    b1, b2 = qpoly({0: 1, 1: -1}), qpoly({0: 1, 2: -1})
+    den = qpoly({2: -1}) * b1 ** 3 * b2 + qpoly({0: 5}, j=1)
+    quot = LaurentPoly.from_terms(RING_QT, 2, {(-1, 0, 1, 0): 3, (4, 0, 0, -1): -2, (0, 0, 0, 0): 1})
+    expected = LaurentPoly.from_terms(RING_Q, 2, {(1, 1, 0): 3, (-4, 0, -1): -2, (0, 0, 0): 1})
+    assert qt_specialize_t0_qinv(quot * den, den) == expected
+    # 1 - q**2 is peeled whole, never as 1 - q with 1 + q left over
+    assert qt_specialize_t0_qinv(b2, b2) == LaurentPoly.one(RING_Q, 2)
+    # (1 - q) / (1 - q**2) = 1 / (1 + q): the numerator is no multiple of
+    # the peeled factor
+    with pytest.raises(NotDivisible):
+        qt_specialize_t0_qinv(b1, b2)
+    with pytest.raises(NotDivisible):
+        qt_specialize_t0_qinv(quot * den + one, den)
+    # a factor 1 + q is no binomial 1 - q**i: refused even when it divides
+    with pytest.raises(NotDivisible):
+        qt_specialize_t0_qinv(qpoly({0: 1, 1: 1}), qpoly({0: 1, 1: 1}))
+    # a scalar denominator divides exactly or not at all
+    assert qt_specialize_t0_qinv(one * 2, one * 2) == LaurentPoly.one(RING_Q, 2)
+    with pytest.raises(NotDivisible):
+        qt_specialize_t0_qinv(one, one * 2)
+
+
 def test_shifted_gap_is_caught(monkeypatch):
     # negative control: multiply the diagonal entry of every column but
     # lam's by q, so each eigenvalue gap of the solve is off by one q-power;
@@ -175,6 +233,6 @@ def test_degenerate_limit_eigenrelation():
     chi = graded_character(n).poly
     lifted = lift_q_to_qt(chi)
     for alpha in (1, 2):
-        g = apply_macdonald_qt(alpha, lifted, checked=True)
+        g = apply_macdonald_qt(alpha, lifted)
         ev = sum(min(alpha, b) for b in (1, 2))
         assert qt_t_infinity_limit(g, alpha * (3 - alpha)) == chi.times_unit(ev)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    ref_exact_div,
+    ref_div,
     ref_mul,
     ref_nc_mul,
     ref_signed_buckets,
@@ -18,7 +18,6 @@ from qchar.laurent import (
     EXP_MIN,
     SLOT_BITS,
     LaurentPoly,
-    exact_div,
     offset,
     outside_box,
     signed_buckets,
@@ -26,7 +25,7 @@ from qchar.laurent import (
 )
 from qchar.qdiff import apply_M, apply_macdonald_qt
 from qchar.qtorus import NcLaurent, evaluate, nc_div_left, nc_div_right, q_commutator
-from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
+from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow
 from qchar.symfun import SchurPoly, monomial_sym, schur
 
 RINGS = (RING_Q, RING_W, RING_QT)
@@ -136,27 +135,7 @@ def test_ring_axioms_near_the_edges(ring, nvars, data):
     assert f + (-f) == zero
     assert f * LaurentPoly.one(ring, nvars) == f
     if g:
-        assert exact_div(f * g, g) == f
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(RINGS), st.integers(1, 3), st.data())
-def test_exact_div_matches_reference(ring, nvars, data):
-    # small exponents: a non-divisible pair must raise, not overflow
-    small = st.tuples(*[st.integers(-2, 2)] * (nvars + unit_slots(ring)))
-    coeffs = st.integers(-4, 4).filter(bool)
-    f = data.draw(st.dictionaries(small, coeffs, max_size=5))
-    g = data.draw(st.dictionaries(small, coeffs, min_size=1, max_size=3))
-    pf, pg = LaurentPoly.from_terms(ring, nvars, f), LaurentPoly.from_terms(ring, nvars, g)
-    f, g = view(pf), view(pg)
-    try:
-        expected = ref_exact_div(f, g)
-    except NotDivisible:
-        with pytest.raises(NotDivisible):
-            exact_div(pf, pg)
-    else:
-        assert view(exact_div(pf, pg)) == expected
-    assert exact_div(pf * pg, pg) == pf
+        assert ref_div(f * g, g) == f
 
 
 def nc_terms(rank, scale=1, max_terms=4):
@@ -326,29 +305,6 @@ def test_qt_unit_slots_at_the_edge():
         apply_macdonald_qt(1, m1 * qt(EXP_MAX, 0))
     with pytest.raises(ExponentOverflow):
         apply_macdonald_qt(3, monomial_sym((EXP_MAX - 2,) * 3, 3, RING_QT).times_unit(EXP_MAX))
-
-
-def test_qt_rational_coefficient_is_not_divisible():
-    # 3 / (1 + t), a coefficient of the former field, is no element of
-    # Z[q^+-1, t^+-1]: exact division says so, and clears once multiplied out
-    n = 2
-    three = LaurentPoly.from_terms(RING_QT, n, {(0, 0, 1, 0): 3})
-    one_t = LaurentPoly.from_terms(RING_QT, n, {(0, 0, 0, 0): 1, (0, 1, 0, 0): 1})
-    with pytest.raises(NotDivisible):
-        exact_div(three, one_t)
-    assert exact_div(three * one_t, one_t) == three
-    assert exact_div(three * one_t * one_t, one_t * one_t) == three
-
-
-def test_exact_div_at_the_edge():
-    z = LaurentPoly.variable(RING_Q, 1, 0)
-    top = LaurentPoly.monomial(RING_Q, 1, (EXP_MAX,))
-    low = LaurentPoly.monomial(RING_Q, 1, (EXP_MIN,))
-    assert exact_div(top * (z + z * z).times_z((-2,)), z + z * z) == top.times_z((-2,))
-    with pytest.raises(ExponentOverflow):
-        exact_div(top, low)  # the quotient z**(EXP_MAX - EXP_MIN) does not fit
-    with pytest.raises(NotDivisible):
-        exact_div(top + z, top.times_z((-1,)) + z)
 
 
 def test_schur_keys_at_the_edge():

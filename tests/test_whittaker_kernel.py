@@ -55,12 +55,12 @@ def test_class_one_products_match_oracle_product():
 def test_division_one_step_off_fails_the_grid(monkeypatch, fresh_prefixes):
     # dividing by 1 - x u**3 for 1 - x u**2 changes T_2 at u**2, so W(0)
     # from u**4 on
-    real = wh._divide
+    real = wh.divide_binomial
 
-    def off_by_one(rows, s_exp, step):
-        real(rows, s_exp, step + 1 if (s_exp, step) == (1, 2) else step)
+    def off_by_one(rows, shift, step):
+        real(rows, shift, step + 1 if (shift, step) == (1, 2) else step)
 
-    monkeypatch.setattr(wh, "_divide", off_by_one)
+    monkeypatch.setattr(wh, "divide_binomial", off_by_one)
     assert not _series_grid_matches()
     assert w_series(0, False, 3) == ref_w_series(0, False, 3)
     assert w_series(0, False, 4) != ref_w_series(0, False, 4)
