@@ -3,7 +3,6 @@ operators, with a full identity-verification suite."""
 
 from .cartan import CartanData
 from .characters import (
-    GradedCharacter,
     NVector,
     char_from_g,
     g_coefficient,
@@ -26,7 +25,6 @@ from .rings import (
     NotDivisible,
     NotSymmetric,
     PoleAtZero,
-    Scalar,
 )
 from .symfun import SchurPoly, elementary, pieri_e, schur
 from .whittaker import TruncatedSeries, class_one_combination, w_series

@@ -29,12 +29,12 @@ of ``verify`` goes through ``equation_sides``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .cartan import CartanData
 from .laurent import LaurentPoly, constrain, w_to_q
 from .qdiff import apply_D, apply_M, operator_sum
-from .rings import RING_Q, RING_W, Scalar
+from .rings import RING_Q, RING_W
 from .symfun import SchurPoly, partition_of_weight
 
 
@@ -120,28 +120,9 @@ class NVector:
         )
 
 
-@dataclass(frozen=True)
-class GradedCharacter:
-    """A graded character in q**-1 as a Schur form in z_1..z_{r+1}, and two
-    views of it: the Schur coefficients and the monomial expansion."""
-
-    n: NVector
-    form: SchurPoly
-
-    @cached_property
-    def expansion(self) -> dict:
-        """{partition: Scalar}, the Schur coefficients."""
-        return self.form.expansion()
-
-    @cached_property
-    def poly(self) -> LaurentPoly:
-        """The character in the monomial basis."""
-        return self.form.monomials()
-
-
 # entries per cache: char-ladder, verify-operators and ``verify --suite all``
-# in one process hold 532 chain prefixes (324 M, 208 D), 269 character forms,
-# 440 equation values and 177 G forms
+# in one process hold 532 chain prefixes (324 M, 208 D), 269 character forms
+# and 440 equation values
 _CHARACTER_CACHE = 1 << 10
 _CHAINS = {}  # (ring, rank, word of factors (alpha, i)) -> chain value; oldest out first
 
@@ -196,8 +177,9 @@ def char_q_exponent(n: NVector) -> int:
 
 
 @lru_cache(maxsize=_CHARACTER_CACHE)
-def character_form(n: NVector) -> SchurPoly:
-    """chi_n(q**-1, z) as an exact Schur form.
+def graded_character(n: NVector) -> SchurPoly:
+    """chi_n(q**-1, z) as an exact Schur form in z_1..z_{r+1}, cached per n;
+    ``expansion()`` and ``monomials()`` are its two views.
 
     The constructed value is checked against two structural facts: every
     q-exponent is nonpositive, and the q**0 part is the Schur function of the
@@ -210,15 +192,10 @@ def character_form(n: NVector) -> SchurPoly:
     return form
 
 
-def graded_character(n: NVector) -> GradedCharacter:
-    """chi_n with its views; the Schur form is cached, the views are not."""
-    return GradedCharacter(n, character_form(n))
-
-
 def multiplicities(n: NVector) -> dict:
     """Schur coefficients of the character, keyed by the partition of the
     dominant weight (full columns removed)."""
-    return character_form(n).constrained().expansion()
+    return graded_character(n).constrained().expansion()
 
 
 def top_component(n: NVector):
@@ -231,7 +208,6 @@ def g_raising_product(n: NVector) -> SchurPoly:
     return _chain(n, apply_D, RING_W)
 
 
-@lru_cache(maxsize=_CHARACTER_CACHE)
 def g_schur_form(n: NVector) -> SchurPoly:
     """G_n as a Schur form: the twisted product on 1 modulo
     z_1...z_{r+1} = 1 (W-ring, r+1 variables, every lam_{r+1} = 0)."""
@@ -255,7 +231,7 @@ def g_to_char_w_exponent(n: NVector) -> int:
 def char_from_g(n: NVector) -> SchurPoly:
     """The character computed through the twisted-operator path: unconstrained
     product, prefactor, then conversion w -> q.  Equals
-    ``graded_character(n).form`` exactly."""
+    ``graded_character(n)`` exactly."""
     lifted = g_raising_product(n).times_unit(g_to_char_w_exponent(n))
     return w_to_q(lifted, n.rank)
 
@@ -270,11 +246,11 @@ def difference_equation_terms(n: NVector, dual: bool = False) -> list:
           - sum_{a=1}^{r} q**(k-1 - sum_i i n_i^(a))
                 chi[n + e(a-1,k-1) - e(a,k-1) + e(a+1,k) - e(a,k)]  =  e_1 chi[n],
 
-    as (shifted NVector or None, q-coefficient Scalar) pairs, one per distinct
-    shift.  Moves at label 0 or r+1 and at level 0 drop out, so at k = 1 the
-    sums merge into the level-1 coefficients 1 - q**(-n^(a)).  A negative
-    shift (None) must carry a zero coefficient.  ``dual`` relabels
-    a -> r+1-a, which puts e_r on the right-hand side."""
+    as (shifted NVector or None, q-coefficient {exponent: int}) pairs, one
+    per distinct shift.  Moves at label 0 or r+1 and at level 0 drop out, so
+    at k = 1 the sums merge into the level-1 coefficients 1 - q**(-n^(a)).
+    A negative shift (None) must carry a zero coefficient.  ``dual``
+    relabels a -> r+1-a, which puts e_r on the right-hand side."""
     if dual:
         return [(m and m.dual(), c) for m, c in difference_equation_terms(n.dual())]
     r, k = n.rank, n.level
@@ -289,7 +265,7 @@ def difference_equation_terms(n: NVector, dual: bool = False) -> list:
             coeff = merged.setdefault(n._moved(moves), (moves, {}))[1]
             coeff[qexp] = coeff.get(qexp, 0) + sign
     return [
-        (n.shift(*moves), Scalar(RING_Q, {e: c for e, c in coeff.items() if c}))
+        (n.shift(*moves), {e: c for e, c in coeff.items() if c})
         for moves, coeff in merged.values()
     ]
 
@@ -302,14 +278,14 @@ def g_form_terms(n: NVector, terms) -> list:
     out = []
     for m, coeff in terms:
         shift = 0 if m is None else g_to_char_w_exponent(m) - base
-        out.append((m, Scalar(RING_W, {scale * e + shift: c for e, c in coeff.data.items()})))
+        out.append((m, {scale * e + shift: c for e, c in coeff.items()}))
     return out
 
 
 @lru_cache(maxsize=_CHARACTER_CACHE)
 def _equation_value(m: NVector, form: str) -> SchurPoly:
     """G_m, or chi_m modulo z_1...z_{r+1} = 1."""
-    return g_schur_form(m) if form == "G" else character_form(m).constrained()
+    return g_schur_form(m) if form == "G" else graded_character(m).constrained()
 
 
 def equation_sides(n: NVector, form: str = "chi", dual: bool = False):
@@ -329,7 +305,7 @@ def equation_sides(n: NVector, form: str = "chi", dual: bool = False):
             return None, rhs
         if coeff:
             value = _equation_value(m, form)
-            lhs += [(None, 0, 0, value, e, c) for e, c in coeff.data.items()]
+            lhs += [(None, 0, 0, value, e, c) for e, c in coeff.items()]
     if not operator_sum(lhs + [(None, 0, 0, rhs, 0, -1)]):
         return None
     return operator_sum(lhs) if lhs else SchurPoly.zero(rhs.ring, rhs.nvars), rhs

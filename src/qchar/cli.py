@@ -38,6 +38,8 @@ def _parse_weight_form(text: str, rank: int) -> list:
             mult, idx = int(mult), int(name[1:])
         except ValueError:
             raise argparse.ArgumentTypeError("bad weight term %r" % term)
+        if mult < 0:
+            raise argparse.ArgumentTypeError("bad weight term %r" % term)
         if not 1 <= idx <= rank:
             raise argparse.ArgumentTypeError("weight index %d out of range" % idx)
         ell[idx - 1] += mult
@@ -70,11 +72,10 @@ def _partition_key(lam, rank):
 
 def character_payload(n: NVector) -> dict:
     """JSON-ready data: Schur coefficients as [q-exponent, integer] pairs."""
-    gc = graded_character(n)
+    expansion = graded_character(n).expansion()
     char = {}
-    for lam in sorted(gc.expansion, reverse=True):
-        coeff = gc.expansion[lam]
-        pairs = [[e, c] for e, c in sorted(coeff.data.items(), reverse=True)]
+    for lam in sorted(expansion, reverse=True):
+        pairs = [[e, c] for e, c in sorted(expansion[lam].items(), reverse=True)]
         char[_partition_key(lam, n.rank)] = pairs
     return {
         "schema": 1,

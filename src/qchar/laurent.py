@@ -17,10 +17,15 @@ shifts and constructors prove from the exponent bounds of their operands
 that the result fits, and raise ``ExponentOverflow`` otherwise instead of
 carrying into a neighbouring slot.  A valid key never sets the top bit of
 a slot, which the torus division ``qtorus._nc_div`` uses to see a negative
-quotient exponent in one mask test.  Only this module and ``qtorus`` read
-keys; everything else goes through ``terms()``, ``from_terms()`` and the
-codec: ``pack``, ``unpack``, ``split_unit``, ``UNIT`` and the unit offsets
-of ``signed_buckets``.
+quotient exponent in one mask test.  This module and ``qtorus`` mask key
+slots themselves; the other modules use ``terms()``, ``from_terms()`` and
+the codec: ``pack``, ``unpack``, ``split_unit``, ``offset`` and ``UNIT``,
+shifts by multiples of ``SLOT_BITS`` (``symfun._schur_zcoeffs`` puts z_N on
+top, ``macdonald.qt_specialize_t0_qinv`` lifts z-keys past the unit slot),
+range checks against ``EXP_MIN``/``EXP_MAX`` (``qdiff.operator_sum``,
+``cli``) and the unit offsets of ``signed_buckets`` (``qdiff``).  A
+one-variable coefficient read off on its own is an ``{exponent: int}`` dict,
+printed by ``coefficient_text``.
 
 Subclasses keep the keys and change the basis or the product:
 ``symfun.SchurPoly`` keys Schur functions, and ``qtorus.NcLaurent`` is a
@@ -46,7 +51,6 @@ from .rings import (
     ExponentNotDivisible,
     ExponentOverflow,
     NotSymmetric,
-    Scalar,
 )
 
 # -- the key codec -------------------------------------------------------------
@@ -435,31 +439,18 @@ class LaurentPoly:
             raise ValueError("exponent vector has wrong length")
         return self._shifted((0,) * self.zoff + zshift)
 
-    def times_scalar(self, s: Scalar):
-        if s.ring != self.ring:
-            raise TypeError("scalar ring mismatch")
-        if not s.data or not self.coeffs:
-            return self._like({})
-        rest = (0,) * self.nvars
-        box = box_sum(self.bounds(), ((min(s.data),) + rest, (max(s.data),) + rest))
-        out = {}
-        for j, cj in s.data.items():
-            for k, c in self.coeffs.items():
-                _accumulate(out, k + j, c * cj)
-        return self._like(out, box)
-
     # -- views -------------------------------------------------------------
 
     def z_terms(self):
-        """Group terms by z-exponent: a dict {z-tuple: Scalar} (W and Q
-        rings)."""
+        """Group terms by z-exponent: a dict {z-tuple: {unit exponent: int}}
+        (W and Q rings)."""
         n = self.nvars
         if self.ring == RING_QT:
-            raise ValueError("QT coefficients have no Scalar view; use terms()")
+            raise ValueError("QT coefficients have no one-variable view; use terms()")
         out = {}
         for k, c in self.coeffs.items():
             out.setdefault(k >> SLOT_BITS, {})[(k & _MASK) - _BIAS] = c
-        return {unpack(z, n): Scalar(self.ring, d) for z, d in out.items()}
+        return {unpack(z, n): d for z, d in out.items()}
 
     def unit_exponents(self):
         if self.ring == RING_QT:
@@ -519,7 +510,7 @@ class LaurentPoly:
         groups = self.z_terms()
         bits = []
         for zex in sorted(groups, reverse=True):
-            coeff = groups[zex].to_text()
+            coeff = coefficient_text(self.ring, groups[zex])
             zpart = "*".join(
                 "z%d^%d" % (i + 1, e) for i, e in enumerate(zex) if e
             )
@@ -534,6 +525,24 @@ class LaurentPoly:
         if len(text) > 120:
             text = text[:117] + "..."
         return "LaurentPoly[%s,%d](%s)" % (self.ring, self.nvars, text)
+
+
+def coefficient_text(var, data) -> str:
+    """The text of a one-variable coefficient {exponent: int} in ``var``:
+    terms by descending exponent, e.g. ``(q^2 - 3*q^-1)``, parenthesized
+    when there are several."""
+    if not data:
+        return "0"
+    bits = []
+    for exp in sorted(data, reverse=True):
+        c = data[exp]
+        if exp == 0:
+            bits.append(str(c))
+            continue
+        mono = "%s^%d" % (var, exp)
+        bits.append(mono if c == 1 else "-" + mono if c == -1 else "%d*%s" % (c, mono))
+    text = " + ".join(bits).replace("+ -", "- ")
+    return "(%s)" % text if len(bits) > 1 else text
 
 
 # -- construction helpers ----------------------------------------------------

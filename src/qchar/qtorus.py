@@ -54,6 +54,7 @@ from .laurent import (
     EXP_MIN,
     SLOT_BITS,
     LaurentPoly,
+    coefficient_text,
     offset,
     outside_box,
     pack,
@@ -62,7 +63,7 @@ from .laurent import (
     unpack,
     zero_key,
 )
-from .rings import RING_W, ExponentOverflow, NcNotDivisible, Scalar
+from .rings import RING_W, ExponentOverflow, NcNotDivisible
 
 # the w-exponent of a key k is (k & _W_MASK) - _W_ZERO, in [0, _W_TOP] when
 # it fits its slot
@@ -185,7 +186,7 @@ class NcLaurent(LaurentPoly):
         """Iterate over ((a-tuple, b-tuple), {w-exponent: int}) pairs."""
         r = self.rank
         for v, s in self.z_terms().items():
-            yield (v[:r], v[r:]), s.data
+            yield (v[:r], v[r:]), s
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -199,7 +200,7 @@ class NcLaurent(LaurentPoly):
             return "0"
         bits = []
         for (a, b), c in sorted(self.terms(), reverse=True):
-            c = Scalar(RING_W, c).to_text()
+            c = coefficient_text(RING_W, c)
             mono = ["Q[%d,0]^%d" % (i + 1, e) for i, e in enumerate(a) if e]
             mono += ["Q[%d,1]^%d" % (i + 1, e) for i, e in enumerate(b) if e]
             mono = "*".join(mono)

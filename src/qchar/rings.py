@@ -11,11 +11,13 @@ Three rings appear throughout the package:
   ``t``, the ring of the Macdonald operators once their denominators are
   cleared (Macdonald, *Symmetric Functions and Hall Polynomials*, VI.8).
 
-``RING_W``/``RING_Q`` scalars are stored as plain ``{exponent: int}`` dicts;
-a ``RING_QT`` coefficient lives in the two unit slots of a polynomial's
-exponent vectors and has no ``Scalar`` view.  Every coefficient is an
-integer: the package uses no fraction field.  The rank-one Whittaker series
-use the same integer trick as ``RING_W``, with s = p**(1/2).
+A coefficient lives in the unit slots of a polynomial's exponent vectors.
+Read off on its own (``z_terms``, ``expansion``, the difference-equation
+terms), a ``RING_W``/``RING_Q`` coefficient is a plain ``{exponent: int}``
+dict with no zero values; a ``RING_QT`` one is read through ``terms()``.
+Every coefficient is an integer: the package uses no fraction field.  The
+rank-one Whittaker series use the same integer trick as ``RING_W``, with
+s = p**(1/2).
 """
 
 from __future__ import annotations
@@ -54,55 +56,3 @@ class DegenerateEigenvalue(ArithmeticError):
 
 class PoleAtZero(ArithmeticError):
     """A coefficient has a pole at t = 0."""
-
-
-class Scalar:
-    """A read-only view of one coefficient: a w- or q-Laurent polynomial over
-    the integers, as ``z_terms`` and ``expansion`` return it.  Values are
-    canonical: zero coefficients are never stored.  Arithmetic on
-    coefficients lives in ``LaurentPoly`` (its unit slot) and
-    ``laurent.w_to_q``.
-    """
-
-    __slots__ = ("ring", "data")
-
-    def __init__(self, ring, data):
-        self.ring = ring
-        self.data = data
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Scalar)
-            and self.ring == other.ring
-            and self.data == other.data
-        )
-
-    def __bool__(self):
-        return bool(self.data)
-
-    # -- presentation ------------------------------------------------------
-
-    def to_text(self) -> str:
-        if not self.data:
-            return "0"
-        bits = []
-        for exp in sorted(self.data, reverse=True):
-            c = self.data[exp]
-            if exp == 0:
-                term = str(c)
-            else:
-                mono = "%s^%d" % (self.ring, exp)
-                if c == 1:
-                    term = mono
-                elif c == -1:
-                    term = "-" + mono
-                else:
-                    term = "%d*%s" % (c, mono)
-            bits.append(term)
-        text = " + ".join(bits).replace("+ -", "- ")
-        if len(bits) > 1:
-            return "(%s)" % text
-        return text
-
-    def __repr__(self):
-        return "Scalar[%s](%s)" % (self.ring, self.to_text())

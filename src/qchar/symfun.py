@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .laurent import SLOT_BITS, UNIT, LaurentPoly, pack, require_fit, split_unit, unpack
+from .laurent import SLOT_BITS, UNIT, LaurentPoly, coefficient_text, offset, pack, require_fit, split_unit, unpack
 from .rings import RING_Q
 
 
@@ -242,7 +242,6 @@ def dual_cauchy(a: int, b: int):
             yield size, tuple(b - x for x in reversed(full)), conj
 
 
-@lru_cache(maxsize=1 << 12)
 def _pieri_keys(zkey, m, nvars):
     """The keys (unit exponent 0) of the s_kappa in s_lam * e_m, zkey the
     key of lam."""
@@ -316,19 +315,23 @@ class SchurPoly(LaurentPoly):
         return self._map_bases(lambda zkey: _constrained_keys(zkey, self.nvars))
 
     def expansion(self) -> dict:
-        """{partition: Scalar}: the Schur coefficients (parts must be >= 0)."""
-        return {normalize_partition(lam): s for lam, s in self.z_terms().items()}
+        """{partition: {unit exponent: int}}: the Schur coefficients (parts >= 0)."""
+        return {normalize_partition(lam): d for lam, d in self.z_terms().items()}
 
     def monomials(self) -> LaurentPoly:
-        """The same value in the monomial basis."""
-        parts = []
+        """The same value in the monomial basis, in one pass: each term
+        c u**j s_lam adds c times the cached s_{lam - lam_N} moved by u**j
+        and (z_1...z_N)**lam_N, so every exponent stays in [lam_N, lam_1]."""
+        n, out = self.nvars, {}
         for lam, coeff in self.z_terms().items():
-            off = lam[-1]
-            core = _schur_zcoeffs(normalize_partition(tuple(x - off for x in lam)), self.nvars)
-            parts.append(core.with_ring(self.ring).times_z((off,) * self.nvars).times_scalar(coeff))
-        return LaurentPoly.sum(self.ring, self.nvars, parts)
+            core = _schur_zcoeffs(normalize_partition(tuple(e - lam[-1] for e in lam)), n).coeffs
+            for j, c in coeff.items():
+                d = offset((j,) + (lam[-1],) * n)
+                for k, x in core.items():
+                    out[k + d] = out.get(k + d, 0) + c * x
+        return LaurentPoly(self.ring, n, {k: c for k, c in out.items() if c})
 
     def __repr__(self):
         terms = sorted(self.z_terms().items(), reverse=True)
-        text = ", ".join("s%s: %s" % (lam, s.to_text()) for lam, s in terms)
+        text = ", ".join("s%s: %s" % (lam, coefficient_text(self.ring, s)) for lam, s in terms)
         return "SchurPoly[%s,%d](%s)" % (self.ring, self.nvars, text)

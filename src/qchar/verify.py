@@ -489,7 +489,7 @@ def check_eigen(rank: int, sigma_max: int = 4) -> CheckReport:
     eigenvalue q**(sum_b min(a,b) n^(b))."""
     rep = CheckReport("eigen-r%d" % rank)
     for n in _level1_grid(rank, sigma_max):
-        chi = graded_character(n).form
+        chi = graded_character(n)
         for alpha in range(1, rank + 1):
             ev = sum(min(alpha, b) * n.entry(b, 1) for b in range(1, rank + 1))
             _record_residual(rep, (n, alpha), [("M", alpha, 0, chi, 0, 1), (None, 0, 0, chi, ev, -1)])
@@ -518,13 +518,12 @@ def check_limits(rank_max: int = 3, sigma_max: int = 3) -> CheckReport:
         grids += _admissible_grids(r, 2, min(sigma_max + 1, 4))
     rep.notes["points"] = len(grids)
     for n in grids:
-        character = graded_character(n)
-        chi = character.form
+        chi = graded_character(n)
         top_q = max(chi.unit_exponents(), default=0)
         rep.record((n, "poly-in-q-inverse"), top_q <= 0, "largest q-exponent %d" % top_q)
         top = SchurPoly.basis(top_component(n), n.rank + 1)
         _record_equal(rep, (n, "top-component"), chi.unit_slice(0), top)
-        _record_equal(rep, (n, "classical-limit"), character.poly.at_unit_one(), _rectangle_product_at_q1(n))
+        _record_equal(rep, (n, "classical-limit"), chi.monomials().at_unit_one(), _rectangle_product_at_q1(n))
         reordered = operator_product(n, apply_M, RING_Q, reverse=True)
         _record_equal(rep, (n, "within-level-order"), reordered, raising_product(n))
         _record_equal(rep, (n, "two-paths"), char_from_g(n), chi)
@@ -629,14 +628,14 @@ def check_macdonald(nvars_max: int = 3, weight_max: int = 4) -> CheckReport:
                 w = qwhittaker_specialize(P)
                 full = tuple(lam) + (0,) * (nvars - len(lam))
                 n = NVector.level_one(r, tuple(full[a] - full[a + 1] for a in range(r)))
-                chi = graded_character(n).poly
+                chi = graded_character(n).monomials()
                 if full[-1]:
                     chi = chi.times_z((full[-1],) * nvars)
                 _record_equal(rep, ("whittaker", nvars, lam), w, chi)
     for r in range(1, nvars_max):
         nvars = r + 1
         for n in _level1_grid(r, 2):
-            chi = graded_character(n).poly
+            chi = graded_character(n).monomials()
             lifted = lift_q_to_qt(chi)
             for alpha in range(1, r + 1):
                 g = apply_macdonald_qt(alpha, lifted)
@@ -679,62 +678,43 @@ def check_whittaker(order: int = 20, toda_n: int = 6, classone_n: int = 4) -> Ch
 # -- suite registry -------------------------------------------------------------
 
 
-def _given(value, default):
-    return default if value is None else value
+def _diffeq_suite(bound):
+    out = [check_level1_report(r, bound) for r in (1, 2, 3)] + [check_sl3_level1_G(bound)]
+    out += [check_difference_equation(r, k, bound) for r in (1, 2) for k in (2, 3)]
+    # the rank-3 admissibility floor is sigma = 6; use the smallest
+    # nonempty grid there
+    out.append(check_difference_equation(3, 2, max(bound, 6)))
+    return out + [check_sl3_level2_G(2), check_sl2_levelk_G(2, bound)]
+
+
+# name -> (the flags the suite reads, with their defaults; its reports from
+# them), in the order ``--suite all`` runs the suites.  A rank of None runs
+# the suite's default ranks.
+_SUITES = {
+    "lemmas": ({"bound": 3}, lambda bound: [check_subset_identities(bound)]),
+    "torus": ({"rank": 3}, lambda rank: [check_torus(rank)]),
+    "whittaker": ({"order": 20}, lambda order: [check_whittaker(order)]),
+    "macdonald": ({"bound": 4}, lambda bound: [check_macdonald(3, bound), check_macdonald_commuting()]),
+    "eigen": ({"rank": None, "bound": 4}, lambda rank, bound: [check_eigen(r, bound) for r in ((1, 2, 3) if rank is None else (rank,))]),
+    "diffeq": ({"bound": 5}, _diffeq_suite),
+    "limits": ({"rank": 3, "bound": 3}, lambda rank, bound: [check_limits(rank, bound)]),
+    "qsystem": ({"rank": None, "bound": 6}, lambda rank, bound: [check_dual_qsystem(r, bound) for r in ((2, 3) if rank is None else (rank,))]),
+}
 
 
 def run_suite(name: str, rank=None, bound=None, order=None):
-    """Run a named verification suite; returns a list of CheckReports.  An
-    argument left as None takes the suite's default."""
-    if name == "qsystem":
-        ranks = [2, 3] if rank is None else [rank]
-        return [check_dual_qsystem(r, degree_bound=_given(bound, 6)) for r in ranks]
-    if name == "diffeq":
-        sigma = _given(bound, 5)
-        out = [check_level1_report(r, sigma) for r in (1, 2, 3)]
-        out.append(check_sl3_level1_G(sigma))
-        for r in (1, 2):
-            for k in (2, 3):
-                out.append(check_difference_equation(r, k, sigma))
-        # the rank-3 admissibility floor is sigma = 6; use the smallest
-        # nonempty grid there
-        out.append(check_difference_equation(3, 2, max(sigma, 6)))
-        out.append(check_sl3_level2_G(2))
-        out.append(check_sl2_levelk_G(2, sigma))
-        return out
-    if name == "eigen":
-        ranks = [1, 2, 3] if rank is None else [rank]
-        return [check_eigen(r, _given(bound, 4)) for r in ranks]
-    if name == "lemmas":
-        return [check_subset_identities(_given(bound, 3))]
-    if name == "limits":
-        return [check_limits(_given(rank, 3), _given(bound, 3))]
-    if name == "torus":
-        return [check_torus(_given(rank, 3))]
-    if name == "macdonald":
-        return [check_macdonald(3, _given(bound, 4)), check_macdonald_commuting()]
-    if name == "whittaker":
-        return [check_whittaker(_given(order, 20))]
+    """Run a named verification suite, or every suite for "all"; returns a
+    list of CheckReports.  An argument left as None takes the suite's
+    default."""
     if name == "all":
-        out = []
-        for suite in (
-            "lemmas",
-            "torus",
-            "whittaker",
-            "macdonald",
-            "eigen",
-            "diffeq",
-            "limits",
-            "qsystem",
-        ):
-            out.extend(run_suite(suite, rank=rank, bound=bound, order=order))
-        return out
-    raise ValueError("unknown suite %r" % name)
+        return [rep for suite in _SUITES for rep in run_suite(suite, rank, bound, order)]
+    if name not in _SUITES:
+        raise ValueError("unknown suite %r" % name)
+    defaults, reports = _SUITES[name]
+    given = {"rank": rank, "bound": bound, "order": order}
+    return reports(**{flag: value if given[flag] is None else given[flag] for flag, value in defaults.items()})
 
 
 # the flags each suite reads; "all" reads every flag one of its suites reads
-SUITE_FLAGS = {
-    "qsystem": "rank bound", "diffeq": "bound", "eigen": "rank bound", "lemmas": "bound",
-    "limits": "rank bound", "torus": "rank", "macdonald": "bound", "whittaker": "order",
-    "all": "rank bound order",
-}
+SUITE_FLAGS = {name: " ".join(defaults) for name, (defaults, _) in _SUITES.items()}
+SUITE_FLAGS["all"] = " ".join(f for f in ("rank", "bound", "order") if any(f in d for d, _ in _SUITES.values()))

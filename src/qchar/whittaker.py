@@ -201,7 +201,7 @@ def class_one_coefficient(order: int, reflected: bool) -> TruncatedSeries:
 def char_to_series(n: int, order: int) -> TruncatedSeries:
     """The rank-one level-1 character chi_n constrained to z = p, as a
     u-series (exact; polynomial, so truncation only forgets nothing)."""
-    chi = constrain(graded_character(NVector.level_one(1, (n,))).poly, 1)
+    chi = constrain(graded_character(NVector.level_one(1, (n,))).monomials(), 1)
     return TruncatedSeries(order, {(-qe, 2 * ze): c for (qe, ze), c in chi.terms()})
 
 

@@ -86,7 +86,6 @@ from qchar.rings import (
     NotDivisible,
     NotSymmetric,
     PoleAtZero,
-    Scalar,
 )
 from qchar.symfun import SchurPoly, _pieri_keys, normalize_partition, partitions
 from qchar.whittaker import TruncatedSeries, toda_residual
@@ -195,6 +194,12 @@ def tableau_schur(lam, nvars, ring=RING_Q) -> LaurentPoly:
     return LaurentPoly.from_terms(ring, nvars, [(unit + k, c) for k, c in _tableau_contents(tuple(lam), nvars).items()])
 
 
+def constant(ring, nvars, coeff) -> LaurentPoly:
+    """The constant polynomial of a one-variable coefficient {j: c} (W and
+    Q rings): the sum of c u**j."""
+    return LaurentPoly.from_terms(ring, nvars, {(j,) + (0,) * nvars: c for j, c in coeff.items()})
+
+
 class NonzeroRemainder(ArithmeticError):
     """Schur-expansion peeling left a nonzero remainder."""
 
@@ -203,7 +208,7 @@ def schur_expand(f: LaurentPoly) -> dict:
     """Expand a symmetric polynomial (W or Q ring) in the Schur basis by
     peeling leading monomials against ``ref_schur``.
 
-    Returns {partition: Scalar}.  Raises ``NotSymmetric`` for asymmetric
+    Returns {partition: {unit exponent: int}}.  Raises ``NotSymmetric`` for asymmetric
     input and ``NonzeroRemainder`` when peeling gets stuck (negative
     exponents, or a leading monomial that is not a partition)."""
     if not f.is_symmetric():
@@ -221,7 +226,7 @@ def schur_expand(f: LaurentPoly) -> dict:
             raise NonzeroRemainder("leading exponent %r is not a partition" % (lam,))
         key = normalize_partition(lam)
         out[key] = groups[lam]
-        work = work - ref_schur(key, f.nvars, f.ring).times_scalar(groups[lam])
+        work = work - ref_schur(key, f.nvars, f.ring) * constant(f.ring, f.nvars, groups[lam])
     return out
 
 
@@ -536,7 +541,7 @@ def schur_form(f: LaurentPoly) -> SchurPoly:
     out = {}
     for lam, coeff in schur_expand(f.times_z((-low,) * f.nvars)).items():
         full = tuple(x + low for x in lam) + (low,) * (f.nvars - len(lam))
-        for j, c in coeff.data.items():
+        for j, c in coeff.items():
             out[(j,) + full] = c
     return SchurPoly.from_terms(f.ring, f.nvars, out)
 
@@ -607,7 +612,7 @@ def signed_orbit_sum(f: LaurentPoly) -> LaurentPoly:
     rings)."""
     out = LaurentPoly.zero(f.ring, f.nvars)
     for zkey, payload in signed_buckets(f).items():
-        out = out + alternant(f.ring, f.nvars, zkey).times_scalar(Scalar(f.ring, payload))
+        out = out + alternant(f.ring, f.nvars, zkey) * constant(f.ring, f.nvars, payload)
     return out
 
 

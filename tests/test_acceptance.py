@@ -61,7 +61,7 @@ def test_criterion_02_rank1_recursion():
         zpz = constrain(elementary(1, 2, RING_Q), 1)
 
         def chi(n):
-            return constrain(graded_character(NVector.level_one(1, (n,))).poly, 1)
+            return constrain(graded_character(NVector.level_one(1, (n,))).monomials(), 1)
 
         # the recursion holds on the built characters...
         for n in range(0, 10):

@@ -85,7 +85,7 @@ def test_character_chain_builds_no_monomial_expansion(monkeypatch):
         raise AssertionError("the character chain expanded a Schur polynomial or divided")
 
     # rebuild the whole chain: no cached form and no cached prefix
-    characters.character_form.cache_clear()
+    characters.graded_character.cache_clear()
     characters._CHAINS.clear()
     monkeypatch.setattr(symfun, "_schur_zcoeffs", forbidden)
     # the one division helper, in every module that binds it
@@ -103,10 +103,11 @@ def test_weight_form_input():
     assert json.loads(scaled.stdout)["n"] == [[2], [0]]
     assert run_cli(["char", "--rank", "2", "--level", "2", "--n", "w1"]).returncode == 2
     assert run_cli(["char", "--rank", "2", "--level", "1", "--n", "w9"]).returncode == 2
-    # a weight term that is not an integer multiple of w<integer>, or empty,
-    # is a usage error, not a traceback or a term silently dropped
-    for bad in ("w1+wx", "a*w1", "w1+", "w1++w2"):
-        out = run_cli(["char", "--rank", "2", "--level", "1", "--n", bad])
+    # a weight term that is not a nonnegative integer multiple of w<integer>,
+    # or empty, is a usage error, not a traceback, a term silently dropped or
+    # a weight subtracted; --n= keeps a leading "-" from reading as a flag
+    for bad in ("w1+wx", "a*w1", "w1+", "w1++w2", "w1+-1*w1+w2", "-1*w1+2*w1"):
+        out = run_cli(["char", "--rank", "2", "--level", "1", "--n=" + bad])
         assert out.returncode == 2 and out.stdout == "" and "Traceback" not in out.stderr
 
 
@@ -357,7 +358,7 @@ def test_char_beyond_the_exponent_range_exits_2_before_any_work(monkeypatch, cap
         raise ChainStarted
 
     def outcome(rank, n, level=1):
-        characters.character_form.cache_clear()
+        characters.graded_character.cache_clear()
         try:
             cli.main(["char", "--rank", str(rank), "--level", str(level), "--n", n])
         except ChainStarted:

@@ -282,9 +282,8 @@ def test_character_and_torus_caches_are_bounded():
     # cache; the twist rows are per rank
     assert characters._CHARACTER_CACHE >= 1024
     for cached, least in (
-        (characters.character_form, 1024),
+        (characters.graded_character, 1024),
         (characters._equation_value, 1024),
-        (characters.g_schur_form, 1024),
         (qtorus._twist_rows, 16),
         (qtorus._twist_vector, 1 << 14),
     ):

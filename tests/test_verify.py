@@ -7,9 +7,9 @@ import pytest
 import qchar.verify as verify
 from oracles import ref_ev0, ref_square_buckets, ref_swap_buckets, schur_form
 from qchar.cartan import CartanData
-from qchar.characters import GradedCharacter, NVector, character_form, g_coefficient, graded_character
+from qchar.characters import NVector, g_coefficient, graded_character
 from qchar.laurent import LaurentPoly, constrain
-from qchar.rings import RING_Q, RING_W, Scalar
+from qchar.rings import RING_Q, RING_W
 from qchar.symfun import SchurPoly, elementary, partitions_up_to
 from qchar.verify import (
     CheckReport,
@@ -113,15 +113,15 @@ def test_difference_equation_negative_control():
     rank, k = 1, 2
     n = NVector.from_rows(1, 2, ((1, 1),))
     e1 = constrain(elementary(1, 2, RING_Q), 1)
-    chi = constrain(graded_character(n).poly, 1)
+    chi = constrain(graded_character(n).monomials(), 1)
     lhs = LaurentPoly.zero(RING_Q, 1)
     for alpha in (1, 2):
         shifted = n.shift((alpha - 1, k - 1, +1), (alpha, k - 1, -1), (alpha, k, +1), (alpha - 1, k, -1))
-        lhs = lhs + constrain(graded_character(shifted).poly, 1)
+        lhs = lhs + constrain(graded_character(shifted).monomials(), 1)
     shifted = n.shift((0, k - 1, +1), (1, k - 1, -1), (2, k, +1), (1, k, -1))
     correct = k - 1 - sum(i * n.entry(1, i) for i in (1, 2))
-    good = lhs - constrain(graded_character(shifted).poly, 1).times_unit(correct)
-    bad = lhs - constrain(graded_character(shifted).poly, 1).times_unit(correct + 1)
+    good = lhs - constrain(graded_character(shifted).monomials(), 1).times_unit(correct)
+    bad = lhs - constrain(graded_character(shifted).monomials(), 1).times_unit(correct + 1)
     assert good == e1 * chi
     assert bad != e1 * chi
 
@@ -137,10 +137,10 @@ def test_generator_negative_control(monkeypatch):
         terms = generate(n, dual)
         idx = max(t for t, (_, c) in enumerate(terms) if c)
         m, c = terms[idx]
-        data = dict(c.data)
+        data = dict(c)
         top = max(data)
         data[top + 1] = data.pop(top)
-        terms[idx] = (m, Scalar(c.ring, data))
+        terms[idx] = (m, data)
         return terms
 
     monkeypatch.setattr(characters, "difference_equation_terms", perturbed)
@@ -174,7 +174,7 @@ def test_generator_negative_control(monkeypatch):
         "detail": "schur (2, 0): lhs {-1: 1, 1: 1}, rhs {-1: 1, 0: 1}",
     }]
     # a weighted term off the grid has no value: every point fails, saying so
-    monkeypatch.setattr(characters, "difference_equation_terms", lambda n, dual=False: generate(n, dual) + [(None, Scalar(RING_Q, {0: 1}))])
+    monkeypatch.setattr(characters, "difference_equation_terms", lambda n, dual=False: generate(n, dual) + [(None, {0: 1})])
     rep = check_difference_equation(1, 2, 5)
     assert rep.total and rep.failures == [
         {"point": str(n), "detail": "a term off the grid has a nonzero coefficient"} for n in verify._admissible_grids(1, 2, 5)
@@ -284,7 +284,7 @@ def test_boolean_points_name_their_first_difference(monkeypatch):
     for rep in (lemmas, limits):
         assert all(f["detail"].startswith(("schur (", "monomial (")) and len(f["detail"]) <= 200 for f in rep.failures)
     # a character with a positive q-exponent names the largest one
-    monkeypatch.setattr(verify, "graded_character", lambda n: GradedCharacter(n, character_form(n).times_unit(2)))
+    monkeypatch.setattr(verify, "graded_character", lambda n: graded_character(n).times_unit(2))
     positive = [f for f in check_limits(1, 1).failures if "poly-in-q-inverse" in f["point"]]
     assert len(positive) == limits.notes["points"] and all(f["detail"] == "largest q-exponent 2" for f in positive)
 
