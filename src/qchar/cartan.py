@@ -7,16 +7,16 @@ which is the convention used by the boundary difference operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class CartanData:
-    rank: int
+class CartanData(FrozenRecord):
+    __slots__ = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int):
+        if rank < 1:
             raise ValueError("rank must be >= 1")
+        self._set(rank)
 
     def lam(self, a: int, b: int) -> int:
         """Pairing entry; defined for labels in [0, r+1] (zero on the boundary)."""

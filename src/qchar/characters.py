@@ -28,34 +28,32 @@ of ``verify`` goes through ``equation_sides``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cartan import CartanData
 from .laurent import LaurentPoly, constrain, w_to_q
 from .qdiff import apply_D, apply_M, operator_sum
+from .records import FrozenRecord
 from .rings import RING_Q, RING_W
 from .symfun import SchurPoly, partition_of_weight
 
 
-@dataclass(frozen=True)
-class NVector:
-    """Occupation numbers n_i^(a), a in [1, r], i in [1, k]."""
+class NVector(FrozenRecord):
+    """Occupation numbers n_i^(a), a in [1, r], i in [1, k]: rows[a-1][i-1]."""
 
-    rank: int
-    level: int
-    rows: tuple  # rows[a-1][i-1]
+    __slots__ = ("rank", "level", "rows")
 
-    def __post_init__(self):
-        if self.rank < 1 or self.level < 1:
+    def __init__(self, rank: int, level: int, rows: tuple):
+        if rank < 1 or level < 1:
             raise ValueError("rank and level must be >= 1")
-        if len(self.rows) != self.rank:
-            raise ValueError("expected %d rows" % self.rank)
-        for row in self.rows:
-            if len(row) != self.level:
-                raise ValueError("every row needs %d entries" % self.level)
+        if len(rows) != rank:
+            raise ValueError("expected %d rows" % rank)
+        for row in rows:
+            if len(row) != level:
+                raise ValueError("every row needs %d entries" % level)
             if any((not isinstance(x, int)) or x < 0 for x in row):
                 raise ValueError("entries must be nonnegative integers")
+        self._set(rank, level, rows)
 
     @classmethod
     def from_rows(cls, rank, level, rows):

@@ -17,24 +17,22 @@ binomials 1 - q**i of D by one-pass divisions (``qt_specialize_t0_qinv``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .laurent import SLOT_BITS, LaurentPoly, divide_binomial, pack, split_unit
 from .qdiff import apply_macdonald_qt
+from .records import FrozenRecord
 from .rings import RING_Q, RING_QT, DegenerateEigenvalue, NotDivisible, PoleAtZero
 from .symfun import monomial_sym, normalize_partition, partitions
 
 
-@dataclass(frozen=True)
-class MacdonaldPoly:
+class MacdonaldPoly(FrozenRecord):
     """P_lam = numerator / denominator, monic on m_lam; the denominator and
-    the eigenvalue are QT constants (no z-dependence)."""
+    the eigenvalue (sum_i q**lam_i t**(N-i)) are QT constants (no
+    z-dependence)."""
 
-    lam: tuple
-    nvars: int
-    numerator: LaurentPoly
-    denominator: LaurentPoly
-    eigenvalue: LaurentPoly  # sum_i q**lam_i t**(N-i)
+    __slots__ = ("lam", "nvars", "numerator", "denominator", "eigenvalue")
+
+    def __init__(self, lam: tuple, nvars: int, numerator: LaurentPoly, denominator: LaurentPoly, eigenvalue: LaurentPoly):
+        self._set(lam, nvars, numerator, denominator, eigenvalue)
 
 
 def _constant(nvars, terms):

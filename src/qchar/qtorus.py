@@ -16,14 +16,21 @@ is twisted: moving Q_{b,1}**m left past Q_{a,0}**l costs
 v**(-lam(a,b)*l*m), a twist that depends only on the left b-part and the
 right a-part, so the product runs over those pairs of groups.
 
-``q_commutator`` tests f*g = w**c * g*f exactly without forming terms:
-only position pairs whose twists differ contribute, and reading each
-position's w-polynomial at w = 2**s (Kronecker substitution), 2**s beyond
-every coefficient the difference can have, makes each target position one
-integer that is 0 iff all its coefficients are.  ``ev0_times`` forms
-ev0(img * x) from a word prefix's image, x's a-part moved left already
-evaluated.  The w slot has the range of every slot: products raise
-``ExponentOverflow`` when a term they form has w outside [EXP_MIN, EXP_MAX].
+Two checks read each position's w-polynomial at w = 2**s as one integer
+(Kronecker substitution), s derived from a bound on the coefficients (the
+sum of absolute coefficients of the factors), never fixed; an element
+builds its packed positions once per width (``NcLaurent._packed``, a
+bounded memo).  ``q_commutator`` tests f*g = w**c * g*f exactly without
+forming terms: only position pairs whose twists differ contribute, and at
+2**s beyond every coefficient the difference can have, each target
+position is one integer that is 0 iff all its coefficients are.  The ev0
+images of polynomiality words stay packed (``PackedImage``): one
+``ev0_times`` step multiplies the image's positions by the letter's, one
+integer product per pair, x's a-part moved left already evaluated;
+polynomiality is then a mask test on the position keys, and an image is
+unpacked only to name a failing monomial.  The w slot has the range of
+every slot: products and steps raise ``ExponentOverflow`` when a term they
+form has w outside [EXP_MIN, EXP_MAX].
 
 The recursion
 
@@ -70,6 +77,9 @@ from .rings import RING_W, ExponentOverflow, NcNotDivisible
 _W_MASK = (1 << SLOT_BITS) - 1
 _W_ZERO = zero_key(1)
 _W_TOP = EXP_MAX - EXP_MIN
+# how many widths an element keeps packed positions for (NcLaurent._packed);
+# with 8, check_torus(3) builds no packing twice
+_PACKS_KEPT = 8
 
 
 @lru_cache(maxsize=16)
@@ -96,17 +106,18 @@ class NcLaurent(LaurentPoly):
     ((a-tuple, b-tuple), {w-exponent: int}) pairs.  A plain ``LaurentPoly``
     operand raises TypeError."""
 
-    __slots__ = ("_positions", "_parts")
+    __slots__ = ("_positions", "_parts", "_packs", "_rows")
 
     @property
     def rank(self):
         return self.nvars // 2
 
     def _position_groups(self):
-        """(a-vectors, twist vectors of b-parts, positions): per position
-        (a, b), (a-vector index, twist vector index, position key, least w,
-        greatest w, [(key less the zero key, coefficient)], least such key,
-        which differs from each by w less the least w); built once."""
+        """(a-vectors, twist vectors of b-parts, positions, |self|_1): per
+        position (a, b), (a-vector index, twist vector index, position key,
+        least w, greatest w, [(key less the zero key, coefficient)], least
+        such key, which differs from each by w less the least w); |self|_1
+        is the sum of the absolute coefficients.  Built once."""
         if hasattr(self, "_positions"):
             return self._positions
         r = self.rank
@@ -122,8 +133,40 @@ class NcLaurent(LaurentPoly):
             ib = b_index.setdefault(pos >> (SLOT_BITS * r), len(b_index))
             positions.append((ia, ib, pos, min(ws) - _W_ZERO, max(ws) - _W_ZERO, group, min(keys) - zero))
         tvecs = [_twist_vector(r, b) for b in b_index]
-        self._positions = [unpack(a, r) for a in a_index], tvecs, positions
+        l1 = sum(map(abs, self.coeffs.values()))
+        self._positions = [unpack(a, r) for a in a_index], tvecs, positions, l1
         return self._positions
+
+    def _packed(self, s):
+        """Each position's w-polynomial read at w = 2**s from its least w, in
+        ``_position_groups`` order.  A bounded memo: the packings of the
+        last _PACKS_KEPT widths asked for are kept, the oldest dropped (a
+        tuple of (width, packing) pairs, replaced in one assignment)."""
+        packs = getattr(self, "_packs", ())
+        for width, packed in packs:
+            if width == s:
+                return packed
+        packed = [sum(x << s * (k - p[6]) for k, x in p[5]) for p in self._position_groups()[2]]
+        self._packs = packs[1 - _PACKS_KEPT:] + ((s, packed),)
+        return packed
+
+    def _ev0_rows(self):
+        """The positions grouped by a-part, for ``ev0_times``: per a-part,
+        (a-vector, its ev0 raise, least w, greatest w, [(index in
+        ``_position_groups``, what the b-part adds to a position key,
+        least w, greatest w)]); the a-part's ev0 raise is a . row, row_a =
+        -2 sum_b lam(a, b) = the sum of twist row a.  Built once."""
+        if not hasattr(self, "_rows"):
+            r = self.rank
+            avecs, _, positions, _ = self._position_groups()
+            row, b_zero = tuple(map(sum, _twist_rows(r))), zero_key(2 * r) - zero_key(r)
+            members = [[] for _ in avecs]
+            for i, (ia, _, pos, wlo, whi, _, _) in enumerate(positions):
+                members[ia].append((i, (pos >> (SLOT_BITS * r) << (SLOT_BITS * r)) - b_zero, wlo, whi))
+            self._rows = [
+                (a, sum(map(mul, a, row)), min(m[2] for m in ms), max(m[3] for m in ms), ms) for a, ms in zip(avecs, members)
+            ]
+        return self._rows
 
     def _groups(self, part):
         """[(vector, least w, greatest w, [(key less the zero key, coefficient)])]
@@ -189,9 +232,33 @@ class NcLaurent(LaurentPoly):
             yield (v[:r], v[r:]), s
 
     def __mul__(self, other):
+        """Moving other's a-part left past self's b-part raises w by their
+        twist, one for all term pairs of the two groups.  Raises
+        ``ExponentOverflow`` when a term it forms has w out of range."""
         if isinstance(other, int):
             return LaurentPoly.__mul__(self, other)
-        return _grouped(self, other, "a")
+        self._check_compatible(other)
+        if not self.coeffs or not other.coeffs:
+            return self._like({})
+        (lo1, hi1), (lo2, hi2) = self.bounds(), other.bounds()
+        # the (a, b) slots add up; the twisted w slot is checked per group pair
+        lo, hi = tuple(map(add, lo1[1:], lo2[1:])), tuple(map(add, hi1[1:], hi2[1:]))
+        require_fit(lo, hi)
+        out, zero = {}, zero_key(self.width)
+        get = out.get
+        for t, wlo1, whi1, group1 in self._groups("b"):
+            for a, wlo2, whi2, group2 in other._groups("a"):
+                twist = sum(map(mul, a, t))
+                if twist + wlo1 + wlo2 < EXP_MIN or twist + whi1 + whi2 > EXP_MAX:
+                    raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+                for k1, c1 in group1:
+                    k1 += zero + twist
+                    for k2, c2 in group2:
+                        k = k1 + k2
+                        out[k] = get(k, 0) + c1 * c2
+        out = {k: x for k, x in out.items() if x}
+        ws = [k & _W_MASK for k in out]  # nonzero, since the torus is a domain
+        return self._like(out, ((min(ws) - _W_ZERO, *lo), (max(ws) - _W_ZERO, *hi)))
 
     __rmul__ = __mul__
 
@@ -211,37 +278,6 @@ class NcLaurent(LaurentPoly):
         return "NcLaurent(r=%d, %s)" % (self.rank, self.to_text())
 
 
-def _grouped(f: NcLaurent, g: NcLaurent, part: str) -> NcLaurent:
-    """f * g from f's b-part and g's a-part groups (``part`` 'a'), or ev0(f * g)
-    from g's evaluated ones ('ev0'): moving g's a-part left past f's b-part
-    raises w by their twist, one for all term pairs of the two groups.
-    Raises ``ExponentOverflow`` when a term it forms has w out of range."""
-    f._check_compatible(g)
-    if not f.coeffs or not g.coeffs:
-        return f._like({})
-    (lo1, hi1), (lo2, hi2) = f.bounds(), g.bounds()
-    # the (a, b) slots add up; the twisted w slot is checked per group pair
-    lo, hi = tuple(map(add, lo1[1:], lo2[1:])), tuple(map(add, hi1[1:], hi2[1:]))
-    require_fit(lo, hi)
-    out, zero = {}, zero_key(f.width)
-    get = out.get
-    for t, wlo1, whi1, group1 in f._groups("b"):
-        for a, wlo2, whi2, group2 in g._groups(part):
-            twist = sum(map(mul, a, t))
-            if twist + wlo1 + wlo2 < EXP_MIN or twist + whi1 + whi2 > EXP_MAX:
-                raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
-            for k1, c1 in group1:
-                k1 += zero + twist
-                for k2, c2 in group2:
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-    out = {k: x for k, x in out.items() if x}
-    if part == "ev0":  # ev0 may cancel extreme terms
-        return f._like(out)
-    ws = [k & _W_MASK for k in out]  # nonzero, since the torus is a domain
-    return f._like(out, ((min(ws) - _W_ZERO, *lo), (max(ws) - _W_ZERO, *hi)))
-
-
 def q_commutator(f: NcLaurent, g: NcLaurent, c: int) -> NcLaurent:
     """f*g - w**c * g*f, exactly.  Positions P of f and R of g meet at P + R,
     raised by the twist of P before R in f*g and by c plus that of R before
@@ -253,53 +289,102 @@ def q_commutator(f: NcLaurent, g: NcLaurent, c: int) -> NcLaurent:
     every such coefficient is at most |f|_1 |g|_1 < 2**(s-2) in absolute
     value; a base-2**s number with digits below 2**s in absolute value is 0
     only when every digit is, so the commutator is zero iff each target
-    position's sum of shifted products is 0.  A nonzero commutator, or one
-    whose packed numbers would be wider than 64 bits per term of f and g
-    (edge w-exponents only), is formed term by term.  Raises
-    ``ExponentOverflow`` when a pair would form a term with w out of range."""
+    position's sum of shifted products is 0.  The packed positions of each
+    element are built once per width (``NcLaurent._packed``), and one pass
+    over the position pairs checks their w-ranges and sums their products
+    (``_packed_sums``).  A nonzero commutator, or one whose packed numbers
+    would be wider than 64 bits per term of f and g (edge w-exponents
+    only), is formed term by term (``_commutator_terms``).  Raises
+    ``ExponentOverflow`` when a pair would form a term with w out of
+    range."""
     f._check_compatible(g)
     if not f.coeffs or not g.coeffs:
         return f._like({})
     (lo1, hi1), (lo2, hi2) = f.bounds(), g.bounds()
     require_fit(tuple(map(add, lo1[1:], lo2[1:])), tuple(map(add, hi1[1:], hi2[1:])))
-    avecs1, tvecs1, left = f._position_groups()
-    avecs2, tvecs2, right = g._position_groups()
+    avecs1, tvecs1, left, l1f = f._position_groups()
+    avecs2, tvecs2, right, l1g = g._position_groups()
     twists = [[sum(map(mul, a, t)) for a in avecs2] for t in tvecs1]  # [ib1][ia2]
     backs = [[sum(map(mul, a, t)) + c for t in tvecs2] for a in avecs1]  # [ia1][ib2]
-    pairs = []
-    for p1 in left:
-        row, brow, wlo1, whi1 = twists[p1[1]], backs[p1[0]], p1[3], p1[4]
-        safe = wlo1 + lo2[0] + min(min(row), min(brow)) >= EXP_MIN and whi1 + hi2[0] + max(max(row), max(brow)) <= EXP_MAX
-        for p2 in right:
-            twist, back = row[p2[0]], brow[p2[1]]
-            if not safe and (min(twist, back) + wlo1 + p2[3] < EXP_MIN or max(twist, back) + whi1 + p2[4] > EXP_MAX):
-                raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
-            if twist != back:
-                pairs.append((p1, p2, twist, back))
-    if not pairs:
-        return f._like({})
-    s = (sum(map(abs, f.coeffs.values())) * sum(map(abs, g.coeffs.values()))).bit_length() + 2
     raises = [x for table in (twists, backs) for row in table for x in row]
-    wbase = lo1[0] + lo2[0] + min(raises)
-    if s * (hi1[0] + hi2[0] + max(raises) - wbase + 1) <= 64 * (len(f.coeffs) + len(g.coeffs)):
-        pf, pg = ({p[2]: sum(x << s * (k - p[6]) for k, x in p[5]) for p in side} for side in (left, right))
-        acc = {}
-        for p1, p2, twist, back in pairs:
-            prod, at, target = pf[p1[2]] * pg[p2[2]], p1[3] + p2[3] - wbase, p1[2] + p2[2]
-            acc[target] = acc.get(target, 0) + (prod << s * (at + twist)) - (prod << s * (at + back))
-        if not any(acc.values()):
+    s = (l1f * l1g).bit_length() + 2
+    if s * (hi1[0] + hi2[0] + max(raises) - lo1[0] - lo2[0] - min(raises) + 1) <= 64 * (len(f.coeffs) + len(g.coeffs)):
+        sums = _packed_sums(s, zip(left, f._packed(s)), zip(right, g._packed(s)), twists, backs, lo2[0], hi2[0])
+        if not any(x for _, x in sums.values()):
             return f._like({})
+    return _commutator_terms(f, left, right, twists, backs, lo2[0], hi2[0])
+
+
+def _packed_sums(s, left, right, twists, backs, wlo2, whi2):
+    """{target position: [least w, n]} for ``q_commutator``: n the target's
+    w-polynomial of f*g - w**c g*f read at w = 2**s from that w, summed
+    over the pairs of (position, packed integer) of f (``left``) and of g
+    (``right``) whose raises differ, each target from the least w it has
+    met; the w-ranges are checked on the way."""
+    acc = {}
+    get = acc.get
+    right = [(ia, ib, pos, wlo, whi, n) for (ia, ib, pos, wlo, whi, _, _), n in right]
+    for (ia1, ib1, pos1, wlo1, whi1, _, _), n1 in left:
+        row, brow = twists[ib1], backs[ia1]
+        safe = _pairs_fit(row, brow, wlo1, whi1, wlo2, whi2)
+        for ia2, ib2, pos2, wlo, whi, n2 in right:
+            twist, back = row[ia2], brow[ib2]
+            if not safe:
+                _check_pair(twist, back, wlo1 + wlo, whi1 + whi)
+            if twist != back:
+                prod, target = n1 * n2, pos1 + pos2
+                if twist < back:
+                    lo, diff = wlo1 + wlo + twist, prod - (prod << s * (back - twist))
+                else:
+                    lo, diff = wlo1 + wlo + back, (prod << s * (twist - back)) - prod
+                cur = get(target)
+                if cur is None:
+                    acc[target] = [lo, diff]
+                elif lo >= cur[0]:
+                    cur[1] += diff << s * (lo - cur[0])
+                else:
+                    cur[1] = (cur[1] << s * (cur[0] - lo)) + diff
+                    cur[0] = lo
+    return acc
+
+
+def _commutator_terms(f, left, right, twists, backs, wlo2, whi2):
+    """The commutator of ``q_commutator`` formed term by term from the
+    position groups of f (``left``) and g (``right``), with the same
+    w-range checks."""
     out, zero = {}, zero_key(f.width)
     get = out.get
-    for p1, p2, twist, back in pairs:
-        for k1, c1 in p1[5]:
-            k1 += zero + twist
-            for k2, c2 in p2[5]:
-                x, k = c1 * c2, k1 + k2
-                out[k] = get(k, 0) + x
-                k += back - twist
-                out[k] = get(k, 0) - x
+    for ia1, ib1, _, wlo1, whi1, group1, _ in left:
+        row, brow = twists[ib1], backs[ia1]
+        safe = _pairs_fit(row, brow, wlo1, whi1, wlo2, whi2)
+        for ia2, ib2, _, wlo, whi, group2, _ in right:
+            twist, back = row[ia2], brow[ib2]
+            if not safe:
+                _check_pair(twist, back, wlo1 + wlo, whi1 + whi)
+            if twist == back:
+                continue
+            for k1, c1 in group1:
+                k1 += zero + twist
+                for k2, c2 in group2:
+                    x, k = c1 * c2, k1 + k2
+                    out[k] = get(k, 0) + x
+                    k += back - twist
+                    out[k] = get(k, 0) - x
     return f._like({k: x for k, x in out.items() if x})
+
+
+def _pairs_fit(row, brow, wlo1, whi1, wlo2, whi2):
+    """Whether every pair of a left position (its raises ``row`` and
+    ``brow``, its w-range) with a right one of w in [wlo2, whi2] keeps w in
+    range, so no pair of the row needs its own check."""
+    return wlo1 + wlo2 + min(min(row), min(brow)) >= EXP_MIN and whi1 + whi2 + max(max(row), max(brow)) <= EXP_MAX
+
+
+def _check_pair(twist, back, wlo, whi):
+    """Raise unless both raises keep the w-range [wlo, whi] of a position
+    pair's term products in range."""
+    if min(twist, back) + wlo < EXP_MIN or max(twist, back) + whi > EXP_MAX:
+        raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
 
 
 def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
@@ -448,16 +533,120 @@ def evaluate(f: NcLaurent, mode: str = "ev") -> NcLaurent:
     return f._like({k: c for k, c in out.items() if c})
 
 
-def ev0_times(img: NcLaurent, x: NcLaurent) -> NcLaurent:
-    """ev0(img * x) for an ``img`` free of Q_{a,0}, which equals ev0(f * x)
-    for every f with ev0(f) = img: the Q_{a,0} of f stay leftmost in f * x.
-    x's a-part moves left already evaluated, raised by its twist past img's
-    b-part and by its ev0 row; no a-part key is formed.  Raises
-    ``ExponentOverflow`` when a term of the image has w out of range."""
-    return _grouped(img, x, "ev0")
+def _digits(n: int, s: int):
+    """[(i, c)]: the nonzero digits c of n in balanced base 2**s, i the place
+    (n = sum c * 2**(s*i), every |c| < 2**(s-1))."""
+    out, i, mask, half = [], 0, (1 << s) - 1, 1 << (s - 1)
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= mask + 1
+        if c:
+            out.append((i, c))
+        n = (n - c) >> s
+        i += 1
+    return out
 
 
-def ev0_image(rank: int, word, table: dict, images=None) -> NcLaurent:
+class PackedImage:
+    """An ev0 image with each position's w-polynomial packed into one integer.
+
+    ``packing`` is (width, groups): groups maps a position key (a and b
+    slots, as in ``NcLaurent``; the a-part is zero in a true ev0 image) to
+    (least w, greatest w, n), n the w-polynomial read at w = 2**width from
+    its least w.  Every coefficient is at most ``bound`` in absolute value,
+    and bound < 2**(width-1), so the balanced base-2**width digits of n are
+    the coefficients.  ``widen`` replaces the packing by a wider one in one
+    assignment: the representation changes, never the value."""
+
+    __slots__ = ("rank", "bound", "packing")
+
+    def __init__(self, rank, bound, width, groups):
+        self.rank, self.bound, self.packing = rank, bound, (width, groups)
+
+    @classmethod
+    def of(cls, f: NcLaurent):
+        """f packed position by position at the least width its |f|_1 allows;
+        a Q_{a,0} in f stays in its position key."""
+        _, _, positions, l1 = f._position_groups()
+        s = l1.bit_length() + 1
+        return cls(f.rank, l1, s, {p[2]: (p[3], p[4], n) for p, n in zip(positions, f._packed(s))})
+
+    def nc(self) -> NcLaurent:
+        """The image as an ``NcLaurent``."""
+        s, groups = self.packing
+        out = {}
+        for pos, (wlo, _, n) in groups.items():
+            for i, c in _digits(n, s):
+                out[(pos << SLOT_BITS) + pack((wlo + i,))] = c
+        return NcLaurent(RING_W, 2 * self.rank, out)
+
+    def widen(self, width):
+        """Repack at a width above the current one; returns the new packing,
+        which a caller uses rather than reading ``packing`` again."""
+        s, groups = self.packing
+        repacked = {pos: (wlo, whi, sum(c << width * i for i, c in _digits(n, s))) for pos, (wlo, whi, n) in groups.items()}
+        self.packing = width, repacked
+        return width, repacked
+
+
+def ev0_times(img: PackedImage, x: NcLaurent) -> PackedImage:
+    """ev0(f * x) from the image ``img`` = ev0(f) (the Q_{a,0} of f stay
+    leftmost in f * x): x's a-part moves left already evaluated, raised by
+    its twist past each position of img and by its ev0 row, and each
+    (position of img, position of x) pair costs one product of packed
+    integers.  The result's coefficients are at most img.bound * |x|_1, so
+    the step runs at width bit_length(img.bound * |x|_1) + 1, or img's
+    width if that is wider; an img narrower than that is first widened to
+    the larger of that width and twice its own, so a chain of steps, or a
+    stored prefix image extended by many letters, repacks each image at
+    most a few times.  Raises ``ExponentOverflow`` when a term of the image
+    would have w, or a b-exponent, out of range."""
+    if not isinstance(x, NcLaurent) or x.rank != img.rank:
+        raise TypeError("incompatible operands: %r vs %r" % (img, x))
+    rank = img.rank
+    s, groups = img.packing
+    if not groups or not x.coeffs:
+        return PackedImage(rank, 0, s, {})
+    bound = img.bound * x._position_groups()[3]
+    if bound.bit_length() + 1 > s:
+        s, groups = img.widen(max(bound.bit_length() + 1, 2 * s))
+    rows, packed = x._ev0_rows(), x._packed(s)
+    # the top bit of every slot: a valid key never sets one
+    guard, b_shift = offset((1 << (SLOT_BITS - 1),) * (2 * rank)), SLOT_BITS * rank
+    acc = {}
+    for pos, (wlo1, whi1, n1) in groups.items():
+        t = _twist_vector(rank, pos >> b_shift)
+        for a, up, wlo2, whi2, members in rows:
+            up += sum(map(mul, a, t))
+            if up + wlo1 + wlo2 < EXP_MIN or up + whi1 + whi2 > EXP_MAX:
+                raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+            up += wlo1
+            for i, b, wlo, _ in members:
+                target, lo, prod = pos + b, up + wlo, n1 * packed[i]
+                if target & guard:  # a b-slot left its range
+                    raise ExponentOverflow("exponents would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+                cur = acc.get(target)
+                if cur is None:
+                    acc[target] = [lo, prod]
+                elif lo >= cur[0]:
+                    cur[1] += prod << s * (lo - cur[0])
+                else:
+                    cur[1] = (cur[1] << s * (cur[0] - lo)) + prod
+                    cur[0] = lo
+    # the least place of n's lowest nonzero digit holds its trailing zero
+    # bits; the greatest place is bit_length // s, as every digit is below
+    # 2**(s-1) in absolute value
+    out = {}
+    for target, (lo, n) in acc.items():
+        if n:
+            low = ((n & -n).bit_length() - 1) // s
+            n >>= s * low
+            out[target] = (lo + low, lo + low + abs(n).bit_length() // s, n)
+    return PackedImage(rank, bound, s, out)
+
+
+def ev0_image(rank: int, word, table: dict, images=None) -> PackedImage:
     """ev0 of the product of the Q_{alpha,k} (k >= 1) of ``word``, (alpha, k)
     letters left to right (alpha 0 or r+1 gives 1), by one ``ev0_times``
     step per letter.  With a dict ``images`` of images by word, a stored
@@ -466,22 +655,31 @@ def ev0_image(rank: int, word, table: dict, images=None) -> NcLaurent:
     if any(k < 1 for _, k in word):
         raise ValueError("polynomiality words use k >= 1 only")
     img = (images or {}).get(word[:-1])
-    img, letters = (NcLaurent.one(rank), word) if img is None else (img, word[-1:])
+    img, letters = (PackedImage.of(NcLaurent.one(rank)), word) if img is None else (img, word[-1:])
     for alpha, k in letters:
         if alpha not in (0, rank + 1):
             img = ev0_times(img, table[(alpha, k)])
     return img if images is None else images.setdefault(word, img)
 
 
-def ev0_negative_term(img: NcLaurent):
+def ev0_negative_term(img: PackedImage):
     """The first term of the ev0 image ``img``, in decreasing order, with a
     negative Q_{b,1}-exponent, as (b-tuple, {w-exponent: int}); None when
-    it is a polynomial in the Q_{b,1}.  A Q_{a,0} left in ``img`` raises
-    AssertionError."""
-    if not img:
+    it is a polynomial in the Q_{b,1}.  One mask test per position: the
+    a-slots must hold zero and the b-slots their sign bit (a biased slot is
+    at least the bias iff its exponent is nonnegative).  A Q_{a,0} left in
+    ``img`` raises AssertionError."""
+    r, (s, groups) = img.rank, img.packing
+    b_shift = SLOT_BITS * r
+    a_mask = (1 << b_shift) - 1
+    signs = offset((0,) * r + (-EXP_MIN,) * r)
+    mask, want = a_mask | signs, zero_key(r) | signs
+    bad = [pos for pos in groups if pos & mask != want]
+    if not bad:
         return None
-    (lo, hi), r = img.bounds(), img.rank
-    if any(lo[1:r + 1]) or any(hi[1:r + 1]):
+    if any(pos & a_mask != zero_key(r) for pos in bad):
         raise AssertionError("evaluation left a Q_{a,0} behind")
     # b-tuples are distinct, so max never compares the w-coefficients
-    return max((b, c) for (_, b), c in img.terms() if min(b) < 0) if min(lo[r + 1:]) < 0 else None
+    b, pos = max((unpack(pos >> b_shift, r), pos) for pos in bad)
+    wlo, _, n = groups[pos]
+    return b, {wlo + i: c for i, c in _digits(n, s)}

@@ -17,7 +17,7 @@ import itertools
 from functools import lru_cache
 
 from .laurent import SLOT_BITS, UNIT, LaurentPoly, coefficient_text, offset, pack, require_fit, split_unit, unpack
-from .rings import RING_Q
+from .rings import RING_Q, RING_W
 
 
 Partition = tuple
@@ -267,6 +267,12 @@ def _constrained_keys(zkey, nvars):
     return (pack((0,) + tuple(x - lam[-1] for x in lam)),)
 
 
+def _require_schur_ring(ring):
+    """A Schur form has one unit slot: its keys misread under the QT ring."""
+    if ring not in (RING_W, RING_Q):
+        raise ValueError("a Schur form lives over the W or Q ring, not %r" % (ring,))
+
+
 class SchurPoly(LaurentPoly):
     """A symmetric Laurent polynomial in N variables over the W or Q ring,
     in the Schur basis: a term c with exponent vector (j, lam_1, .., lam_N)
@@ -281,11 +287,18 @@ class SchurPoly(LaurentPoly):
 
     @classmethod
     def basis(cls, lam, nvars, ring=RING_Q):
-        """The basis element s_lam, lam padded with zeros to length N."""
+        """The basis element s_lam, lam padded with zeros to length N, over
+        the W or Q ring (any other raises ValueError)."""
+        _require_schur_ring(ring)
         lam = tuple(lam) + (0,) * (nvars - len(lam))
         if len(lam) != nvars or any(lam[i] < lam[i + 1] for i in range(nvars - 1)):
             raise ValueError("%r is not a weakly decreasing %d-vector" % (lam, nvars))
         return cls.monomial(ring, nvars, lam)
+
+    def with_ring(self, ring):
+        """The same terms over the W or Q ring (any other raises ValueError)."""
+        _require_schur_ring(ring)
+        return LaurentPoly.with_ring(self, ring)
 
     def __mul__(self, other):
         if not isinstance(other, int):

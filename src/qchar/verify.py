@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 from operator import add
@@ -55,19 +54,21 @@ from .macdonald import (
 )
 from .qdiff import apply_D, apply_M, apply_macdonald_qt, operator_sum
 from .qtorus import NcLaurent, ev0_image, ev0_negative_term, evaluate, q_commutator, q_recursion, relation_rhs
+from .records import Record
 from .rings import RING_Q, RING_QT, RING_W
 from .symfun import SchurPoly, dual_cauchy, monomial_sym, partitions, partitions_up_to, schur
 from .whittaker import class_one_combination, class_one_difference, toda_residual
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one named check over a parameter grid."""
 
-    name: str
-    total: int = 0
-    failures: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+    __slots__ = ("name", "total", "failures", "notes")
+
+    def __init__(self, name: str, total: int = 0, failures=None, notes=None):
+        self.name, self.total = name, total
+        self.failures = [] if failures is None else failures
+        self.notes = {} if notes is None else notes
 
     @property
     def passed(self) -> bool:

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from oracles import times_e
+from qchar.cartan import CartanData
 from qchar.characters import (
     NVector,
     char_from_g,
@@ -22,6 +23,7 @@ from qchar.laurent import LaurentPoly, constrain
 from qchar.qtorus import NcLaurent
 from qchar.rings import RING_Q, RING_W
 from qchar.symfun import SchurPoly, elementary, schur
+from qchar.verify import CheckReport
 
 
 def wpow(k, nvars=2):
@@ -52,6 +54,32 @@ def test_nvector_validation():
         with pytest.raises(ValueError):
             m.shift(move)
     assert n.dual().rows == ((0, 1), (1, 0)) and n.dual().dual() == n
+
+
+def test_records_keep_value_semantics():
+    # repr, equality by class and fields, hashing and immutability, as the
+    # dataclasses they replace had them
+    n = NVector.from_rows(2, 2, ((1, 0), (2, 1)))
+    assert repr(n) == "NVector(rank=2, level=2, rows=((1, 0), (2, 1)))" and str(n) == "1,2;0,1"
+    assert repr(CartanData(3)) == "CartanData(rank=3)"
+    assert n == NVector(2, 2, ((1, 0), (2, 1))) and hash(n) == hash(NVector(2, 2, ((1, 0), (2, 1))))
+    assert n != (2, 2, ((1, 0), (2, 1))) and (2, 2, ((1, 0), (2, 1))) != n and n != n.dual()
+    assert CartanData(2) == CartanData(2) != CartanData(3) and len({CartanData(2), CartanData(2)}) == 1
+    assert CartanData(1) != NVector.level_one(1, (1,)) and CartanData(1) != (1,)
+    for record, field in ((n, "rows"), (CartanData(2), "rank")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+    report = CheckReport("demo", total=1)
+    report.record("p", False, "d")
+    assert repr(report) == "CheckReport(name='demo', total=2, failures=[{'point': 'p', 'detail': 'd'}], notes={})"
+    assert report == CheckReport("demo", 2, [{"point": "p", "detail": "d"}]) != CheckReport("demo", 2)
+    assert CheckReport("a").failures is not CheckReport("a").failures
+    with pytest.raises(TypeError):
+        hash(report)
 
 
 def test_empty_product_is_one():

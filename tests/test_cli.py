@@ -246,6 +246,15 @@ def test_verify_whittaker_stdout_pinned():
     )
 
 
+def test_verify_torus_stdout_pinned():
+    out = run_cli(["verify", "--suite", "torus"])
+    assert out.returncode == 0
+    assert out.stdout == (
+        '{"schema":1,"suite":"torus","passed":true,"reports":[{"name":"torus",'
+        '"points":903,"passed":true,"failures":[],"notes":{"torus-words-sampled-r3":120}}]}\n'
+    )
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -310,13 +319,18 @@ def test_verify_vacuous_reports_are_marked():
 
 
 def test_import_loads_no_sympy():
+    # nor dataclasses or inspect (about 20 ms of cold start), unless a bare
+    # interpreter loads them already
     code = (
-        "import sys, qchar, qchar.cli, qchar.verify\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import qchar, qchar.cli, qchar.verify\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("command", [["verify", "--suite", "all"], ["char", "--rank", "1", "--n", "1"]])

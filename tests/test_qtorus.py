@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from oracles import check_polynomiality, ref_ev0_word, ref_nc_div, ref_nc_mul
 from qchar.cartan import CartanData
-from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, key_bounds
+from qchar.laurent import EXP_MAX, EXP_MIN, SLOT_BITS, LaurentPoly, key_bounds, pack, split_unit, zero_key
 from qchar.qtorus import (
     NcLaurent,
+    PackedImage,
     ev0_image,
     ev0_negative_term,
     ev0_times,
@@ -159,18 +160,20 @@ def test_polynomiality_words():
 
 
 def test_polynomiality_catches_a_left_q_a0(monkeypatch):
-    # negative control: with the ev0 step a plain product, every word with a
-    # letter k >= 2 keeps its Q_{a,0} powers, and the check must say so;
-    # Q_{1,3} at rank 1 has Q_{1,0}-exponents -2 and 0 only
+    # negative control: with the ev0 step a plain product (packed again,
+    # position keys and all), every word with a letter k >= 2 keeps its
+    # Q_{a,0} powers, and the mask test must say so; Q_{1,3} at rank 1 has
+    # Q_{1,0}-exponents -2 and 0 only
     real = qtorus.ev0_times
-    monkeypatch.setattr(qtorus, "ev0_times", lambda img, x: img * x)
+    monkeypatch.setattr(qtorus, "ev0_times", lambda img, x: PackedImage.of(img.nc() * x))
     assert check_polynomiality(2, [(1, 1), (2, 1)])
     words = ((1, [(1, 2)]), (1, [(1, 3)]), (2, [(1, 2), (2, 3)]), (2, [(2, 2)]), (3, [(1, 1), (3, 2)]))
     for rank, word in words:
         with pytest.raises(AssertionError, match="Q_"):
             check_polynomiality(rank, word)
     # an ev0 step that keeps a copy times Q_{1,0}: exponents 0 and 1
-    monkeypatch.setattr(qtorus, "ev0_times", lambda img, x: real(img, x) * (gen(1, 1, 0) + NcLaurent.one(1)))
+    copy = gen(1, 1, 0) + NcLaurent.one(1)
+    monkeypatch.setattr(qtorus, "ev0_times", lambda img, x: PackedImage.of(real(img, x).nc() * copy))
     with pytest.raises(AssertionError, match="Q_"):
         check_polynomiality(1, [(1, 2)])
 
@@ -236,6 +239,32 @@ def test_q_commutator_matches_the_two_products_on_every_window_pair():
                 assert q_commutator(g, f, -moved) == -comm.times_unit(-moved)
 
 
+def test_q_commutator_packed_sums_are_the_commutator(monkeypatch):
+    # the packed sums behind the zero test, read back digit by digit, are
+    # exactly the commutator's terms: for every window pair at ranks 1-3
+    # with c moved by one (nonzero, formed by the term kernel), and empty
+    # digits where it is zero
+    seen = []
+    real = qtorus._packed_sums
+    monkeypatch.setattr(qtorus, "_packed_sums", lambda s, *args: seen.append((s, real(s, *args))) or seen[-1][1])
+    for rank in (1, 2, 3):
+        table = q_recursion(rank, 5, -2)
+        for f, g, c in window_pairs(rank, table, -2, 5):
+            for moved in (c, c + 1):
+                seen.clear()
+                comm = q_commutator(f, g, moved)
+                if not seen:  # packing declined: the term kernel alone
+                    continue
+                s, sums = seen[0]
+                # a target is the sum of two position keys: one zero key too many
+                read = {
+                    (target - zero_key(2 * rank) << SLOT_BITS) + pack((lo + i,)): x
+                    for target, (lo, n) in sums.items()
+                    for i, x in qtorus._digits(n, s)
+                }
+                assert read == comm.coeffs and bool(comm) == (moved != c), (rank, moved)
+
+
 def test_q_commutator_packing_is_wide_enough_near_2_to_the_40():
     # [(w - 2**40) Q_{1,0}, Q_{1,1}] with c = 0 is (w - 2**40)(1 - w**-2)
     # Q_{1,0} Q_{1,1}, nonzero; packed at w = 2**40, three bits below the
@@ -283,19 +312,79 @@ def sorted_words(rank, k_max, length):
 
 
 def test_folded_ev0_images_match_the_full_products():
-    # every sorted word of length <= 3 at ranks 1-3, in the order check_torus
-    # builds them: each image, one ev0 step from its prefix's, equals the
-    # image folded from one and the tuple-keyed ev0 of the full product
+    # every sorted word of length <= 4 at ranks 1-3 (957 words), in the
+    # order check_torus builds them: each packed image, one ev0 step from
+    # its prefix's, unpacks to the image folded from one and to ev0 of the
+    # full product, with each position's least and greatest w; at length
+    # <= 3 also to the tuple-keyed oracle
+    count = 0
     for rank in (1, 2, 3):
         table = q_recursion(rank, 3)
-        images = {}
-        for word in sorted_words(rank, 3, 3):
+        images, products = {}, {(): NcLaurent.one(rank)}
+        for word in sorted_words(rank, 3, 4):
+            products[word] = products[word[:-1]] * table[word[-1]]
             shared = ev0_image(rank, word, table, images)
-            assert shared == ev0_image(rank, word, table), word
-            assert dict(shared.terms()) == ref_ev0_word(rank, word, table), word
+            image = shared.nc()
+            assert image == ev0_image(rank, word, table).nc() == evaluate(products[word], "ev0"), word
+            for pos, (wlo, whi, _) in shared.packing[1].items():
+                ws = [w for w, p in map(split_unit, image.coeffs) if p == pos]
+                assert (wlo, whi) == (min(ws), max(ws)), word
+            if len(word) <= 3:
+                assert dict(image.terms()) == ref_ev0_word(rank, word, table), word
             assert ev0_negative_term(shared) is None
             assert check_polynomiality(rank, word, table)
-        assert len(images) == len(sorted_words(rank, 3, 3))
+            count += 1
+        assert len(images) == len(sorted_words(rank, 3, 4))
+    assert count == 957
+
+
+def test_ev0_step_width_at_the_coefficient_bound():
+    # c * Q_{1,1} packs at width bit_length(|c|) + 1 and times a monomial
+    # steps at that width: |c| = 2**m - 1 sits at the bound just below a
+    # wider width, 2**m just past it, and both come back exactly.  One bit
+    # narrower, a positive coefficient at the bound is read back wrong: the
+    # width is as narrow as it can be
+    x = gen(1, 1, 1)
+    for m in (1, 2, 7, 40):
+        for c in (2**m - 1, 2**m, -(2**m - 1), -(2**m)):
+            img = PackedImage.of(NcLaurent.monomial(1, (0,), (1,), 3, c))
+            step = ev0_times(img, x)
+            s, groups = step.packing
+            assert s == img.packing[0] == abs(c).bit_length() + 1 and step.bound == abs(c)
+            assert step.nc() == NcLaurent.monomial(1, (0,), (2,), 3, c)
+            ((_, (_, _, n)),) = groups.items()
+            assert qtorus._digits(n, s) == [(0, c)]
+            if c > 1:
+                assert qtorus._digits(n, s - 1) != [(0, c)]
+    # two coefficients at the bound in one w-polynomial, and a step that
+    # must widen the image: every digit comes back
+    f = NcLaurent.from_terms(1, {((0,), (1,)): {0: 2**20, 1: -(2**20)}})
+    y = NcLaurent.from_terms(1, {((0,), (1,)): {0: 1, 5: 1}})
+    step = ev0_times(PackedImage.of(f), y)
+    assert step.packing[0] > PackedImage.of(f).packing[0] and step.nc() == evaluate(f * y, "ev0")
+
+
+def test_ev0_step_checks_every_b_slot():
+    # a b-exponent pushed one past either end of its slot raises, at the
+    # end itself it does not, as the product-then-evaluate route
+    for b, step in ((EXP_MAX - 1, 1), (EXP_MIN + 1, -1)):
+        x = NcLaurent.monomial(2, (0, 0), (0, step))
+        img = PackedImage.of(NcLaurent.monomial(2, (0, 0), (5, b)))
+        assert ev0_times(img, x).nc() == evaluate(img.nc() * x, "ev0")
+        beyond = PackedImage.of(NcLaurent.monomial(2, (0, 0), (5, b + step)))
+        for route in (lambda: ev0_times(beyond, x), lambda: evaluate(beyond.nc() * x, "ev0")):
+            with pytest.raises(ExponentOverflow):
+                route()
+    with pytest.raises(TypeError):
+        ev0_times(PackedImage.of(NcLaurent.one(1)), NcLaurent.one(2))
+
+
+def test_packed_positions_memo_is_bounded():
+    f = q_recursion(2, 4)[(1, 4)]
+    widths = range(3, 3 + 2 * qtorus._PACKS_KEPT)
+    for s in widths:
+        assert f._packed(s) == [sum(c << s * (k - p[6]) for k, c in p[5]) for p in f._position_groups()[2]]
+    assert [width for width, _ in f._packs] == list(widths)[-qtorus._PACKS_KEPT:]
 
 
 def test_ev0_step_at_the_edge_of_the_w_slot():
@@ -305,11 +394,11 @@ def test_ev0_step_at_the_edge_of_the_w_slot():
     for a, w in ((1, EXP_MIN + 4), (-1, EXP_MAX - 4)):
         x, step = NcLaurent.monomial(1, (a,), (0,)), 1 if a > 0 else -1
         img = NcLaurent.monomial(1, (0,), (1,), w)
-        edge = ev0_times(img, x)
-        assert edge == evaluate(img * x, "ev0") == NcLaurent.monomial(1, (0,), (1,), w - 4 * a)
-        assert edge.bounds() == key_bounds(edge.coeffs, edge.width)
+        edge = ev0_times(PackedImage.of(img), x)
+        assert edge.nc() == evaluate(img * x, "ev0") == NcLaurent.monomial(1, (0,), (1,), w - 4 * a)
+        assert edge.packing[1] == {pack((0, 1)): (w - 4 * a, w - 4 * a, 1)}
         beyond = NcLaurent.monomial(1, (0,), (1,), w - step)
-        for route in (lambda: ev0_times(beyond, x), lambda: evaluate(beyond * x, "ev0")):
+        for route in (lambda: ev0_times(PackedImage.of(beyond), x), lambda: evaluate(beyond * x, "ev0")):
             with pytest.raises(ExponentOverflow):
                 route()
 

@@ -317,6 +317,18 @@ def test_schur_form_views_and_guards():
     assert schur_form(schur((1,), 2, RING_W)).ring == RING_W
 
 
+def test_schur_form_rejects_the_qt_ring():
+    # the QT ring has two unit slots, so a Schur key would misread its q
+    # and t exponents: both ways in raise, and W <-> Q still converts
+    with pytest.raises(ValueError, match="W or Q ring"):
+        SchurPoly.basis((2, 1), 2, RING_QT)
+    form = SchurPoly.basis((2, 1), 2) + SchurPoly.basis((1,), 2).times_unit(3)
+    with pytest.raises(ValueError, match="W or Q ring"):
+        form.with_ring(RING_QT)
+    assert form.with_ring(RING_W).with_ring(RING_Q) == form
+    assert form.with_ring(RING_W).ring == RING_W and type(form.with_ring(RING_W)) is SchurPoly
+
+
 def test_pieri_into_constrained_basis_matches_two_passes():
     # every lam up to size 6, one and two terms of it with unit and column
     # shifts, over both rings: one pass equals Pieri then the constraint

@@ -345,7 +345,7 @@ def test_polynomiality_failure_names_first_negative_monomial(monkeypatch):
     import qchar.qtorus as qtorus
 
     def lowered(img, x, step=qtorus.ev0_times):
-        return step(img, x) * qtorus.NcLaurent.generator(img.rank, 1, 1, -1)
+        return qtorus.PackedImage.of(step(img, x).nc() * qtorus.NcLaurent.generator(img.rank, 1, 1, -1))
 
     grid = dict(rank_max=2, k_min=-1, k_max=3, word_k_max=2, word_len=2, samples=0)
     expected = []
