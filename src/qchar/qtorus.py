@@ -14,7 +14,9 @@ a term sits in the unit slot of its packed key, so an element is one flat
 range checks are the keyed arithmetic of ``LaurentPoly``.  Only the product
 is twisted: moving Q_{b,1}**m left past Q_{a,0}**l costs
 v**(-lam(a,b)*l*m), a twist that depends only on the left b-part and the
-right a-part, so the product runs over those pairs of groups.
+right a-part.  Every kernel here reads one view of an element, its terms
+grouped by position (a, b) (``NcLaurent._position_groups``), and the
+product runs over position pairs, each twist a table lookup.
 
 Two checks read each position's w-polynomial at w = 2**s as one integer
 (Kronecker substitution), s derived from a bound on the coefficients (the
@@ -42,18 +44,18 @@ leading key, a lexicographic monomial order in which the position (a, b)
 decides and the w-exponent breaks ties; leading terms multiply to leading
 terms, so the greedy quotient exists whenever any quotient does); each
 quotient term's multiple of the divisor is subtracted straight from the
-divisor's a-part groups (right division) or b-part groups (left).  Every
-quotient position is checked against the bounds an exact quotient must
-meet, and every w-exponent against a floor at its position, so the
-descent stops after finitely many steps.  Failure would falsify the
-Laurent property and raises ``NcNotDivisible``.
+divisor's positions, twisted by their a-vectors (right division) or
+b-parts (left).  Every quotient position is checked against the bounds an
+exact quotient must meet, and every w-exponent against a floor at its
+position, so the descent stops after finitely many steps.  Failure would
+falsify the Laurent property and raises ``NcNotDivisible``.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .cartan import CartanData
 from .laurent import (
@@ -61,6 +63,7 @@ from .laurent import (
     EXP_MIN,
     SLOT_BITS,
     LaurentPoly,
+    _guard,
     coefficient_text,
     offset,
     outside_box,
@@ -72,11 +75,9 @@ from .laurent import (
 )
 from .rings import RING_W, ExponentOverflow, NcNotDivisible
 
-# the w-exponent of a key k is (k & _W_MASK) - _W_ZERO, in [0, _W_TOP] when
-# it fits its slot
+# the w-exponent of a key k is (k & _W_MASK) - _W_ZERO
 _W_MASK = (1 << SLOT_BITS) - 1
 _W_ZERO = zero_key(1)
-_W_TOP = EXP_MAX - EXP_MIN
 # how many widths an element keeps packed positions for (NcLaurent._packed);
 # with 8, check_torus(3) builds no packing twice
 _PACKS_KEPT = 8
@@ -106,18 +107,20 @@ class NcLaurent(LaurentPoly):
     ((a-tuple, b-tuple), {w-exponent: int}) pairs.  A plain ``LaurentPoly``
     operand raises TypeError."""
 
-    __slots__ = ("_positions", "_parts", "_packs", "_rows")
+    __slots__ = ("_positions", "_packs")
 
     @property
     def rank(self):
         return self.nvars // 2
 
     def _position_groups(self):
-        """(a-vectors, twist vectors of b-parts, positions, |self|_1): per
-        position (a, b), (a-vector index, twist vector index, position key,
-        least w, greatest w, [(key less the zero key, coefficient)], least
-        such key, which differs from each by w less the least w); |self|_1
-        is the sum of the absolute coefficients.  Built once."""
+        """The one grouped view of the terms, built once: (avecs, tvecs,
+        positions, |self|_1), the distinct a-vectors, the twist vectors of the
+        distinct b-parts, and per position (a, b) the tuple (ia, ib, pos, wlo,
+        whi, group, low): indexes into avecs and tvecs, the position key (a
+        term key shifted past the w slot), the least and greatest w, [(key
+        less the zero key, coefficient)], and the least such key, which
+        differs from each by w less wlo; |self|_1 sums |coefficients|."""
         if hasattr(self, "_positions"):
             return self._positions
         r = self.rank
@@ -127,11 +130,11 @@ class NcLaurent(LaurentPoly):
             groups.setdefault(k >> SLOT_BITS, []).append(k)
         positions = []
         for pos, keys in groups.items():
-            ws = [k & _W_MASK for k in keys]
+            lo, hi = min(keys), max(keys)  # the keys of a position differ in w only
             group = [(k - zero, self.coeffs[k]) for k in keys]
             ia = a_index.setdefault(pos & a_part, len(a_index))
             ib = b_index.setdefault(pos >> (SLOT_BITS * r), len(b_index))
-            positions.append((ia, ib, pos, min(ws) - _W_ZERO, max(ws) - _W_ZERO, group, min(keys) - zero))
+            positions.append((ia, ib, pos, (lo & _W_MASK) - _W_ZERO, (hi & _W_MASK) - _W_ZERO, group, lo - zero))
         tvecs = [_twist_vector(r, b) for b in b_index]
         l1 = sum(map(abs, self.coeffs.values()))
         self._positions = [unpack(a, r) for a in a_index], tvecs, positions, l1
@@ -149,48 +152,6 @@ class NcLaurent(LaurentPoly):
         packed = [sum(x << s * (k - p[6]) for k, x in p[5]) for p in self._position_groups()[2]]
         self._packs = packs[1 - _PACKS_KEPT:] + ((s, packed),)
         return packed
-
-    def _ev0_rows(self):
-        """The positions grouped by a-part, for ``ev0_times``: per a-part,
-        (a-vector, its ev0 raise, least w, greatest w, [(index in
-        ``_position_groups``, what the b-part adds to a position key,
-        least w, greatest w)]); the a-part's ev0 raise is a . row, row_a =
-        -2 sum_b lam(a, b) = the sum of twist row a.  Built once."""
-        if not hasattr(self, "_rows"):
-            r = self.rank
-            avecs, _, positions, _ = self._position_groups()
-            row, b_zero = tuple(map(sum, _twist_rows(r))), zero_key(2 * r) - zero_key(r)
-            members = [[] for _ in avecs]
-            for i, (ia, _, pos, wlo, whi, _, _) in enumerate(positions):
-                members[ia].append((i, (pos >> (SLOT_BITS * r) << (SLOT_BITS * r)) - b_zero, wlo, whi))
-            self._rows = [
-                (a, sum(map(mul, a, row)), min(m[2] for m in ms), max(m[3] for m in ms), ms) for a, ms in zip(avecs, members)
-            ]
-        return self._rows
-
-    def _groups(self, part):
-        """[(vector, least w, greatest w, [(key less the zero key, coefficient)])]
-        by b-part (``part`` 'b', the vector its twist vector), by a-part ('a'),
-        or by a-part evaluated ('ev', 'ev0' as ``evaluate``); built once."""
-        if not hasattr(self, "_parts"):
-            self._parts = {}
-        if part in self._parts:
-            return self._parts[part]
-        r = self.rank
-        zero, a_bits = zero_key(self.width), ((1 << (SLOT_BITS * r)) - 1) << SLOT_BITS
-        split = {}
-        for k in self.coeffs:
-            split.setdefault(k >> (SLOT_BITS * (r + 1)) if part == "b" else k & a_bits, []).append(k)
-        # ev0: Q_{.,0}**a -> w**(a . row), row_a = -2 sum_b lam(a, b) = sum of twist row a
-        row = tuple(map(sum, _twist_rows(r))) if part == "ev0" else (0,) * r
-        groups = self._parts[part] = []
-        for g, keys in split.items():
-            vec = _twist_vector(r, g) if part == "b" else unpack(g >> SLOT_BITS, r)
-            shift = sum(map(mul, vec, row))
-            at = shift - zero - (g - (zero_key(r) << SLOT_BITS) if part in ("ev", "ev0") else 0)
-            ws = [(k & _W_MASK) - _W_ZERO for k in keys]
-            groups.append((vec, min(ws) + shift, max(ws) + shift, [(k + at, self.coeffs[k]) for k in keys]))
-        return groups
 
     @classmethod
     def zero(cls, rank):
@@ -220,8 +181,8 @@ class NcLaurent(LaurentPoly):
         """Q_{alpha,k}**power for k in {0, 1}; alpha 0 or r+1 gives 1."""
         if alpha == 0 or alpha == rank + 1:
             return cls.one(rank)
-        if k not in (0, 1):
-            raise ValueError("generators live at k = 0, 1")
+        if k not in (0, 1) or not 0 < alpha <= rank:
+            raise ValueError("generators are Q_{alpha,k} with alpha in [0, %d] and k = 0, 1" % (rank + 1))
         e, z = tuple(power if i == alpha - 1 else 0 for i in range(rank)), (0,) * rank
         return cls.monomial(rank, *((e, z) if k == 0 else (z, e)))
 
@@ -233,7 +194,7 @@ class NcLaurent(LaurentPoly):
 
     def __mul__(self, other):
         """Moving other's a-part left past self's b-part raises w by their
-        twist, one for all term pairs of the two groups.  Raises
+        twist, one for all term pairs of two positions.  Raises
         ``ExponentOverflow`` when a term it forms has w out of range."""
         if isinstance(other, int):
             return LaurentPoly.__mul__(self, other)
@@ -241,14 +202,18 @@ class NcLaurent(LaurentPoly):
         if not self.coeffs or not other.coeffs:
             return self._like({})
         (lo1, hi1), (lo2, hi2) = self.bounds(), other.bounds()
-        # the (a, b) slots add up; the twisted w slot is checked per group pair
+        # the (a, b) slots add up; the twisted w slot is checked per position pair
         lo, hi = tuple(map(add, lo1[1:], lo2[1:])), tuple(map(add, hi1[1:], hi2[1:]))
         require_fit(lo, hi)
+        _, tvecs, left, _ = self._position_groups()
+        avecs, _, right, _ = other._position_groups()
+        twists = [[sum(map(mul, a, t)) for a in avecs] for t in tvecs]  # [ib1][ia2]
         out, zero = {}, zero_key(self.width)
         get = out.get
-        for t, wlo1, whi1, group1 in self._groups("b"):
-            for a, wlo2, whi2, group2 in other._groups("a"):
-                twist = sum(map(mul, a, t))
+        for _, ib1, _, wlo1, whi1, group1, _ in left:
+            row = twists[ib1]
+            for ia2, _, _, wlo2, whi2, group2, _ in right:
+                twist = row[ia2]
                 if twist + wlo1 + wlo2 < EXP_MIN or twist + whi1 + whi2 > EXP_MAX:
                     raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
                 for k1, c1 in group1:
@@ -395,7 +360,9 @@ def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
     is first reached is the quotient's w-coefficient times den's leading
     block, so while the division is exact the remainder's leading w there
     stays at least its least w then plus the w-spread of that block.  The
-    greedy descent checks both, so it stops after finitely many steps."""
+    greedy descent checks both, so it stops after finitely many steps.
+    A quotient term's twists against den's distinct a-vectors (right) or
+    twist vectors (left) are computed once, then read per den position."""
     num._check_compatible(den)
     if den.is_zero():
         raise ZeroDivisionError("division by zero in the quantum torus")
@@ -411,16 +378,14 @@ def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
     top, base = offset(tuple(map(sub, qhi, qlo))), offset(qlo)
     zero = zero_key(width)
 
-    dlead = max(den.coeffs)
-    dlc = den.coeffs[dlead]
-    dw, dpos = split_unit(dlead)
-    spread = dw - min(w for w, p in map(split_unit, den.coeffs) if p == dpos)
-    # q's twist against a term of den is u . v: u from q's b-part, v den's
-    # a-part on the right; u q's a-part, v from den's b-part on the left
-    b_shift = SLOT_BITS * rank
+    # q's twist against a position of den is u . v: u from q's b-part, v
+    # den's a-vector on the right; u q's a-part, v den's twist vector on the left
     right = side == "right"
-    dvec = unpack(dpos, rank) if right else _twist_vector(rank, dpos >> b_shift)
-    groups = den._groups("a" if right else "b")
+    avecs, tvecs, positions, _ = den._position_groups()
+    ia, ib, dpos, dwlo, dw, _, _ = max(positions, key=itemgetter(2))
+    vecs, dvec = (avecs, avecs[ia]) if right else (tvecs, tvecs[ib])
+    dlc, spread = den.coeffs[(dpos << SLOT_BITS) + dw + _W_ZERO], dw - dwlo
+    groups = [(p[0] if right else p[1], p[3], p[4], p[5]) for p in positions]
 
     low = {}  # position -> least w-exponent seen there in the remainder
 
@@ -453,15 +418,16 @@ def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
         if rem:
             raise NcNotDivisible("scalar coefficient not divisible")
         qpos = qloc + zero
-        u = _twist_vector(rank, qpos >> b_shift) if right else unpack(qpos, rank)
-        qkey = (qpos << SLOT_BITS) + pack((w - dw - sum(map(mul, u, dvec)),))
+        u = _twist_vector(rank, qpos >> SLOT_BITS * rank) if right else unpack(qpos, rank)
+        wq = w - dw - sum(map(mul, u, dvec))
+        qkey = (qpos << SLOT_BITS) + pack((wq,))
         quot[qkey] = qc
         # subtract qc * q * den (or qc * den * q), q the new monomial, from
-        # den's groups; its leading term cancels the popped one
-        wq = qkey & _W_MASK
-        for v, wlo, whi, group in groups:
-            twist = sum(map(mul, u, v))
-            if wq + twist + wlo < 0 or wq + twist + whi > _W_TOP:
+        # den's positions; its leading term cancels the popped one
+        twists = [sum(map(mul, u, v)) for v in vecs]
+        for i, wlo, whi, group in groups:
+            twist = twists[i]
+            if wq + twist + wlo < EXP_MIN or wq + twist + whi > EXP_MAX:
                 raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
             at = qkey + twist
             for k2, c2 in group:
@@ -503,10 +469,7 @@ def q_recursion(rank: int, k_max: int, k_min: int = 0) -> dict:
     if not (k_min <= 0 and k_max >= 1):
         raise ValueError("need k_min <= 0 <= 1 <= k_max")
     cart = CartanData(rank)
-    table = {}
-    for a in range(1, rank + 1):
-        table[(a, 0)] = NcLaurent.generator(rank, a, 0)
-        table[(a, 1)] = NcLaurent.generator(rank, a, 1)
+    table = {(a, k): NcLaurent.generator(rank, a, k) for a in range(1, rank + 1) for k in (0, 1)}
     # forwards Q_{a,k+1} = rhs / Q_{a,k-1}, backwards Q_{a,k-1} = Q_{a,k+1} \ rhs
     steps = [(k, 1, nc_div_right) for k in range(1, k_max)] + [(k, -1, nc_div_left) for k in range(0, k_min, -1)]
     for k, step, divide in steps:
@@ -524,12 +487,18 @@ def evaluate(f: NcLaurent, mode: str = "ev") -> NcLaurent:
     """
     if mode not in ("ev", "ev0"):
         raise ValueError("mode must be 'ev' or 'ev0'")
-    zero, out = zero_key(f.width), {}
-    for _, wlo, whi, group in f._groups(mode):
-        if wlo < EXP_MIN or whi > EXP_MAX:
-            raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+    avecs, _, positions, _ = f._position_groups()
+    # ev0: Q_{.,0}**a -> w**(a . row), row_a = -2 sum_b lam(a, b) = sum of twist row a
+    row = tuple(map(sum, _twist_rows(f.rank))) if mode == "ev0" else (0,) * f.rank
+    raises = [sum(map(mul, a, row)) for a in avecs]
+    # a position's terms move by its raise in the w slot and lose its a-vector
+    moves = [zero_key(f.width) + up - offset((0, *a)) for a, up in zip(avecs, raises)]
+    out = {}
+    for ia, _, _, wlo, whi, group, _ in positions:
+        _check_pair(raises[ia], raises[ia], wlo, whi)
+        at = moves[ia]
         for k, c in group:
-            out[k + zero] = out.get(k + zero, 0) + c
+            out[k + at] = out.get(k + at, 0) + c
     return f._like({k: c for k, c in out.items() if c})
 
 
@@ -608,32 +577,34 @@ def ev0_times(img: PackedImage, x: NcLaurent) -> PackedImage:
     s, groups = img.packing
     if not groups or not x.coeffs:
         return PackedImage(rank, 0, s, {})
-    bound = img.bound * x._position_groups()[3]
+    avecs, _, positions, l1 = x._position_groups()
+    bound = img.bound * l1
     if bound.bit_length() + 1 > s:
         s, groups = img.widen(max(bound.bit_length() + 1, 2 * s))
-    rows, packed = x._ev0_rows(), x._packed(s)
     # the top bit of every slot: a valid key never sets one
-    guard, b_shift = offset((1 << (SLOT_BITS - 1),) * (2 * rank)), SLOT_BITS * rank
+    guard, b_shift = _guard(2 * rank), SLOT_BITS * rank
+    # x's b-part adds to an image position key; x's a-part moves left past
+    # the position's Q_{b,1}**b, raising w by a . rows . b, and evaluates to
+    # w**(a . rows . (1, .., 1)) (``evaluate``): a . t, t the twist vector of b + 1
+    ones, b_zero = offset((1,) * rank), zero_key(2 * rank) - zero_key(rank)
+    right = [(p[0], (p[2] >> b_shift << b_shift) - b_zero, p[3], p[4] - p[3], n) for p, n in zip(positions, x._packed(s))]
     acc = {}
     for pos, (wlo1, whi1, n1) in groups.items():
-        t = _twist_vector(rank, pos >> b_shift)
-        for a, up, wlo2, whi2, members in rows:
-            up += sum(map(mul, a, t))
-            if up + wlo1 + wlo2 < EXP_MIN or up + whi1 + whi2 > EXP_MAX:
-                raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
-            up += wlo1
-            for i, b, wlo, _ in members:
-                target, lo, prod = pos + b, up + wlo, n1 * packed[i]
-                if target & guard:  # a b-slot left its range
-                    raise ExponentOverflow("exponents would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
-                cur = acc.get(target)
-                if cur is None:
-                    acc[target] = [lo, prod]
-                elif lo >= cur[0]:
-                    cur[1] += prod << s * (lo - cur[0])
-                else:
-                    cur[1] = (cur[1] << s * (cur[0] - lo)) + prod
-                    cur[0] = lo
+        t, span1 = _twist_vector(rank, (pos >> b_shift) + ones), whi1 - wlo1
+        lows = [wlo1 + sum(map(mul, a, t)) for a in avecs]  # the least w per a-vector of x
+        for ia, b, wlo, span, n2 in right:
+            target, lo, prod = pos + b, lows[ia] + wlo, n1 * n2
+            # a b-slot, or w, left its range
+            if target & guard or lo < EXP_MIN or lo + span1 + span > EXP_MAX:
+                raise ExponentOverflow("exponents would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+            cur = acc.get(target)
+            if cur is None:
+                acc[target] = [lo, prod]
+            elif lo >= cur[0]:
+                cur[1] += prod << s * (lo - cur[0])
+            else:
+                cur[1] = (cur[1] << s * (cur[0] - lo)) + prod
+                cur[0] = lo
     # the least place of n's lowest nonzero digit holds its trailing zero
     # bits; the greatest place is bit_length // s, as every digit is below
     # 2**(s-1) in absolute value
@@ -650,10 +621,12 @@ def ev0_image(rank: int, word, table: dict, images=None) -> PackedImage:
     """ev0 of the product of the Q_{alpha,k} (k >= 1) of ``word``, (alpha, k)
     letters left to right (alpha 0 or r+1 gives 1), by one ``ev0_times``
     step per letter.  With a dict ``images`` of images by word, a stored
-    word[:-1] is reused and the word stored."""
+    word[:-1] is reused and the word stored.  A letter with k < 1 or not in
+    ``table`` raises ValueError."""
     word = tuple(word)
-    if any(k < 1 for _, k in word):
-        raise ValueError("polynomiality words use k >= 1 only")
+    bad = [(alpha, k) for alpha, k in word if k < 1 or (alpha not in (0, rank + 1) and (alpha, k) not in table)]
+    if bad:
+        raise ValueError("letter %r: polynomiality words use k >= 1 and letters of the table" % (bad[0],))
     img = (images or {}).get(word[:-1])
     img, letters = (PackedImage.of(NcLaurent.one(rank)), word) if img is None else (img, word[-1:])
     for alpha, k in letters:

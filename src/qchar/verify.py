@@ -557,6 +557,8 @@ def check_torus(
     intertwining point names the first differing (a, b) monomial with both
     w-coefficients, a failing word the first monomial of its ev0 with a
     negative Q_{b,1}-exponent, and its w-coefficient."""
+    if not k_min <= 0 < 1 <= k_max:
+        raise ValueError("need k_min <= 0 < 1 <= k_max, got k_min %d, k_max %d" % (k_min, k_max))
     if word_k_max > k_max:
         raise ValueError("word_k_max %d exceeds k_max %d" % (word_k_max, k_max))
     rep = CheckReport("torus")
@@ -571,7 +573,7 @@ def check_torus(
         cart = CartanData(rank)
         try:
             table = q_recursion(rank, k_max, k_min)
-        except Exception as exc:  # noqa: BLE001 - reported, not raised
+        except ArithmeticError as exc:  # NcNotDivisible, ExponentOverflow: reported, not raised
             rep.record(("recursion", rank), False, exc)
             continue
         rep.record(("recursion", rank), True)

@@ -714,19 +714,25 @@ def ref_nc_mul(rank: int, a: dict, b: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def ref_ev0(rank: int, f: dict) -> dict:
-    """ev0 of {(a-tuple, b-tuple): {w: int}}: Q_{a,0} set to v**(-sum_b
-    lam(a, b)), which is w**(-2 sum_b lam(a, b)) (moving Q_{b,1} past Q_{a,0}
-    costs w**(-2 lam(a, b)))."""
+def ref_ev(rank: int, f: dict, ev0=False) -> dict:
+    """ev of {(a-tuple, b-tuple): {w: int}}: every Q_{a,0} set to 1; with
+    ``ev0``, Q_{a,0} set to v**(-sum_b lam(a, b)) instead, which is
+    w**(-2 sum_b lam(a, b)) (moving Q_{b,1} past Q_{a,0} costs
+    w**(-2 lam(a, b)))."""
     cart = CartanData(rank)
     out = {}
     for (a, b), c in f.items():
-        shift = -2 * sum(a[i] * cart.lam(i + 1, j + 1) for i in range(rank) for j in range(rank))
+        shift = -2 * sum(a[i] * cart.lam(i + 1, j + 1) for i in range(rank) for j in range(rank)) if ev0 else 0
         cur = out.setdefault(((0,) * rank, b), {})
         for e, x in c.items():
             cur[e + shift] = cur.get(e + shift, 0) + x
     out = {k: {e: x for e, x in c.items() if x} for k, c in out.items()}
     return {k: c for k, c in out.items() if c}
+
+
+def ref_ev0(rank: int, f: dict) -> dict:
+    """``ref_ev`` with Q_{a,0} set to v**(-sum_b lam(a, b))."""
+    return ref_ev(rank, f, ev0=True)
 
 
 def ref_ev0_word(rank: int, word, table: dict) -> dict:

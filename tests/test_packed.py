@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     ref_div,
+    ref_ev,
+    ref_ev0,
     ref_mul,
     ref_nc_mul,
     ref_signed_buckets,
@@ -162,6 +164,27 @@ def test_torus_product_matches_reference_or_overflows(rank, data):
     else:
         with pytest.raises(ExponentOverflow):
             x * y
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(["ev", "ev0"]), st.data())
+def test_evaluation_matches_reference_or_overflows(rank, mode, data):
+    # the reference that ev0_times is tested against, against the tuple
+    # oracle: it must raise exactly when a term it forms, before like terms
+    # add up, has w outside its slot (ev never moves w).  Every w is moved
+    # by j, so that terms sit at the edges of the w slot as well
+    a, j = data.draw(nc_terms(rank)), data.draw(st.one_of(st.just(0), exponents()))
+    a = {k: {e + j: v for e, v in c.items()} for k, c in a.items()}
+    assume(all(EXP_MIN <= e <= EXP_MAX for c in a.values() for e in c))
+    x = NcLaurent.from_terms(rank, a)
+    ref = ref_ev0 if mode == "ev0" else ref_ev
+    formed = [ref(rank, {k: {e: 1}}) for k, c in a.items() for e in c]
+    if all(EXP_MIN <= w <= EXP_MAX for t in formed for d in t.values() for w in d):
+        assert dict(evaluate(x, mode).terms()) == ref(rank, a)
+    else:
+        assert mode == "ev0"
+        with pytest.raises(ExponentOverflow):
+            evaluate(x, mode)
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,6 +3,7 @@ maps, and exact noncommutative division."""
 
 import itertools
 import random
+import re
 from functools import reduce
 from operator import mul
 
@@ -44,6 +45,24 @@ def test_normal_ordering_twist():
     assert gen(2, 1, 1) * gen(2, 2, 1) == gen(2, 2, 1) * gen(2, 1, 1)
     f = gen(2, 1, 0) + gen(2, 2, 1).times_unit(3)
     assert NcLaurent.one(2) * f == f
+
+
+def test_generator_rejects_alpha_outside_the_diagram():
+    assert gen(2, 0, 0) == gen(2, 3, 1) == NcLaurent.one(2)
+    for alpha, k in ((5, 0), (-1, 1), (4, 0)):
+        with pytest.raises(ValueError, match=re.escape("alpha in [0, 3]")):
+            gen(2, alpha, k)
+    with pytest.raises(ValueError):
+        gen(2, 1, 2)
+
+
+def test_ev0_image_names_a_letter_outside_the_table():
+    table = q_recursion(2, 3)
+    for letter in ((4, 1), (1, 4), (-1, 2)):
+        with pytest.raises(ValueError, match=re.escape(str(letter))):
+            ev0_image(2, [(1, 1), letter], table)
+    # the boundary letters alpha = 0, r+1 stand for 1 at any k >= 1
+    assert ev0_image(2, [(0, 7), (1, 1), (3, 9)], table).nc() == ev0_image(2, [(1, 1)], table).nc()
 
 
 def test_recursion_hand_value():

@@ -9,7 +9,7 @@ from oracles import ref_ev0, ref_square_buckets, ref_swap_buckets, schur_form
 from qchar.cartan import CartanData
 from qchar.characters import NVector, g_coefficient, graded_character
 from qchar.laurent import LaurentPoly, constrain
-from qchar.rings import RING_Q, RING_W
+from qchar.rings import RING_Q, RING_W, ExponentOverflow, NcNotDivisible
 from qchar.symfun import SchurPoly, elementary, partitions_up_to
 from qchar.verify import (
     CheckReport,
@@ -374,6 +374,33 @@ def test_polynomiality_failure_names_first_negative_monomial(monkeypatch):
 def test_torus_rejects_words_beyond_the_table():
     with pytest.raises(ValueError, match="word_k_max 3 exceeds k_max 2"):
         check_torus(1, k_max=2)
+
+
+def test_torus_rejects_a_table_range_without_k_0_and_1(monkeypatch):
+    # a usage error, raised before any work, not two failing recursion points
+    calls = []
+    monkeypatch.setattr(verify, "q_recursion", lambda *args: calls.append(args))
+    for kwargs in ({"k_max": 0, "word_k_max": 0}, {"k_min": 1}, {"k_min": -1, "k_max": 0, "word_k_max": 0}):
+        with pytest.raises(ValueError, match="k_min <= 0 < 1 <= k_max"):
+            check_torus(2, **kwargs)
+    assert calls == []
+
+
+def test_torus_reports_a_failed_division_and_raises_anything_else(monkeypatch):
+    # a division that fails or overflows is a failed point; any other
+    # exception is a fault of the program and propagates
+    for exc in (NcNotDivisible("no exact quotient"), ExponentOverflow("w out of range"), KeyError("bug")):
+
+        def q_recursion(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(verify, "q_recursion", q_recursion)
+        if isinstance(exc, ArithmeticError):
+            rep = check_torus(1, k_max=2, word_k_max=1)
+            assert rep.failures == [{"point": str(("recursion", 1)), "detail": str(exc)}]
+        else:
+            with pytest.raises(KeyError):
+                check_torus(1, k_max=2, word_k_max=1)
 
 
 def test_qsystem_failure_names_first_differing_schur_coefficient(monkeypatch):
