@@ -14,9 +14,13 @@ Three families act in r+1 variables:
 
 ``apply_M`` and ``apply_D`` act on Schur forms (``symfun.SchurPoly``) in
 closed form.  With x the first alpha variables and y the rest, restrict s_lam
-to the two blocks, s_lam(q x, y) = sum c^lam_{mu nu} q**|mu| s_mu(x) s_nu(y)
-(``symfun.branch``); clearing the Vandermonde turns each term into a
-bialternant, and the subset sum antisymmetrizes it, so
+to the two blocks, s_lam(q x, y) = sum c^lam_{mu nu} q**|mu| s_mu(x) s_nu(y).
+When one block is a single variable (alpha = 1 or r), c^lam_{mu nu} is 1
+exactly when the other block's part interlaces lam (Macdonald, I.5), and the
+terms are read off those interlacing vectors; any other block takes the
+Littlewood-Richardson fillings of ``symfun.branch``.  Clearing the
+Vandermonde turns each term into a bialternant, and the subset sum
+antisymmetrizes it, so
 
     M_{alpha,n} s_lam = sum c^lam_{mu nu} q**|mu| s_{(mu + n, nu)},
 
@@ -32,6 +36,7 @@ and divided by alpha! (N - alpha)! exactly.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from math import factorial
 
@@ -96,13 +101,32 @@ def _schur_reconstruct_qt(buckets, nvars, den):
 def _image(zkey, nvars, alpha, n):
     """M_{alpha,n} s_lam, zkey the key of lam, with the q-power left open:
     (|lam|, least and greatest |mu|, ((|mu|, key of s_kappa, c), ...)), the
-    keys packed with unit exponent 0."""
+    keys packed with unit exponent 0.  A block of one variable (alpha = 1
+    or N - 1) has c^lam_{mu nu} = 1 exactly when the other block's rho
+    interlaces lam, lam_{i+1} <= rho_i <= lam_i (Macdonald, I.5), the one
+    variable taking k = |lam| - |rho|: its terms s_{(k + n, rho)} or
+    s_{(rho + n, k)} come from those rho with no filling built.  Any other
+    block takes the Littlewood-Richardson fillings of ``symfun.branch``."""
     lam = unpack(zkey, nvars)
+    size = sum(lam)
+    if min(alpha, nvars - alpha) != 1:
+        parts = ((sum(mu), tuple(x + n for x in mu) + nu, c) for mu, nu, c in branch(lam, alpha))
+    elif any(lam[i] < lam[i + 1] for i in range(nvars - 1)):
+        raise ValueError("cannot branch %r at alpha = %d" % (lam, alpha))
+    else:
+        # at alpha = N - 1 rho is enumerated as rho + n, so |lam| - |rho| = lift - sum
+        shift = 0 if alpha == 1 else n
+        rhos = itertools.product(*(range(lam[i + 1] + shift, lam[i] + shift + 1) for i in range(nvars - 1)))
+        lift = size + (nvars - 1) * shift
+        if alpha == 1:
+            parts = ((k, (k + n,) + rho, 1) for rho in rhos for k in (lift - sum(rho),))
+        else:
+            parts = ((size - k, rho + (k,), 1) for rho in rhos for k in (lift - sum(rho),))
     out = {}
-    for mu, nu, c in branch(lam, alpha):
-        sign, kappa = straighten(tuple(x + n for x in mu) + nu)
+    for dmu, v, c in parts:
+        sign, kappa = straighten(v)
         if sign:
-            key = (sum(mu), kappa)
+            key = (dmu, kappa)
             nv = out.get(key, 0) + sign * c
             if nv:
                 out[key] = nv
@@ -110,7 +134,7 @@ def _image(zkey, nvars, alpha, n):
                 del out[key]
     dmus = [dmu for dmu, _ in out] or [0]
     terms = tuple((dmu, pack((0,) + kappa), c) for (dmu, kappa), c in out.items())
-    return sum(lam), min(dmus), max(dmus), terms
+    return size, min(dmus), max(dmus), terms
 
 
 def operator_sum(terms):

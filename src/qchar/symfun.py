@@ -1,7 +1,8 @@
 """Schur and related symmetric functions, the Schur basis and its monomial
 view (one-variable branching, no division), the two-block branching rule
-behind the raising operators (Littlewood-Richardson fillings, pruned row by
-row), and the dual Cauchy expansion behind the subset-fraction lemmas.
+behind the raising operators whose blocks both have two or more variables
+(Littlewood-Richardson fillings, pruned row by row), and the dual Cauchy
+expansion behind the subset-fraction lemmas.
 
 Partitions are plain tuples of weakly decreasing nonnegative integers with no
 trailing zeros (the empty partition is ``()``).  A partition of length at
@@ -169,7 +170,9 @@ def _branch_partition(lam, alpha):
     word.  A column holds at most m letters, so lam_{i+m} <= inner_i <=
     lam_i.  Each row is filled letter by letter: letter k runs only over
     cells whose entry above is < k, at most counts[k-2] - counts[k-1]
-    times, so no filling is built and then rejected."""
+    times, so no filling is built and then rejected.  ``qdiff._image``
+    calls it through ``branch`` only for m >= 2: a block of one variable is
+    read off the interlacing vectors there, as in ``_schur_zcoeffs``."""
     n = len(lam)
     m = min(alpha, n - alpha)
     if not m:

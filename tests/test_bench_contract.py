@@ -1,19 +1,29 @@
 """The benchmark's contract with the package, checked in the tier-1 suite:
-every verify call of the three verify workloads returns the reports, point
-counts and verdicts the benchmark gates on, and every check the benchmark
-traces exists.  ``perfbench/`` is only read."""
+every char-ladder case renders the JSON whose digest the benchmark records
+and passes its dimension identity, every verify call of the three verify
+workloads returns the reports, point counts and verdicts the benchmark
+gates on, and every check the benchmark traces exists.  ``perfbench/`` is
+only read."""
 
 import os
 import sys
 
 import pytest
 
+import qchar.cli as cli
 import qchar.verify as verify
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("case", sorted(workloads.LADDER))
+def test_ladder_case_passes_its_gate(case):
+    rank, level, flag = case
+    text = cli.render_character(cli.character_payload(cli.parse_n_flag(flag, rank, level)), "json")
+    assert workloads.gate_character(case, text) == (0, None)
 
 
 @pytest.mark.parametrize("workload", ["verify-operators", "verify-kernels", "verify-series"])

@@ -389,3 +389,54 @@ def test_char_beyond_the_exponent_range_exits_2_before_any_work(monkeypatch, cap
     # one KR module at level 5 has X = 0 and top component (5)
     monkeypatch.setattr(cli, "EXP_MAX", 4)
     assert [outcome(1, "3"), outcome(1, "4"), outcome(1, "0;0;0;1", 4), outcome(1, "0;0;0;0;1", 5)] == ["ran", 2, "ran", 2]
+
+
+def _usage_error(argv, capsys):
+    """The stderr of ``qchar argv``, which must exit 2 with no stdout."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "", argv
+    return out.err
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "١", "+1"])
+def test_integer_flags_take_ascii_digits_only(spelling, monkeypatch, capsys):
+    # int() also reads digit separators, a plus sign and non-ASCII digits;
+    # each flag takes ASCII digits with an optional "-" only, and any other
+    # spelling is a usage error before any work
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    monkeypatch.setattr(cli, "character_payload", never)
+    for argv in (
+        ["char", "--rank", "2", "--n", "%s,1" % spelling],
+        ["char", "--rank", "2", "--n", "1,1;%s,0" % spelling, "--level", "2"],
+        ["char", "--rank", "2", "--n", "%s*w1+w2" % spelling],
+        ["char", "--rank", "2", "--n", "w%s" % spelling],
+        ["char", "--rank", spelling, "--n", "1,1"],
+        ["char", "--rank", "2", "--level", spelling, "--n", "1,1"],
+        ["verify", "--suite", "eigen", "--rank", spelling],
+        ["verify", "--suite", "eigen", "--bound", spelling],
+        ["verify", "--suite", "whittaker", "--order", spelling],
+    ):
+        _usage_error(argv, capsys)
+    # whitespace around an entry is still allowed
+    assert cli.parse_n_flag(" 2 , 1 ; 0,3", 2, 2).rows == ((2, 0), (1, 3))
+    assert cli.parse_n_flag("2*w1 + w2 ", 2, 1).rows == ((2,), (1,))
+
+
+def test_verify_order_is_capped_before_any_work(monkeypatch, capsys):
+    # the Whittaker check's cost grows as order**3, so an order past the
+    # documented cap is a usage error before the run, not hours of work
+    def suite(name, rank=None, bound=None, order=None):
+        assert order <= cli.MAX_ORDER
+        return []
+
+    monkeypatch.setattr(cli, "run_suite", suite)
+    for order in (cli.MAX_ORDER + 1, 100000000):
+        err = _usage_error(["verify", "--suite", "whittaker", "--order", str(order)], capsys)
+        assert "above the maximum %d" % cli.MAX_ORDER in err
+    assert cli.main(["verify", "--suite", "whittaker", "--order", str(cli.MAX_ORDER)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True

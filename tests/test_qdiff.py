@@ -4,6 +4,7 @@ symbolic oracle, and the operator algebra.  Monomial inputs enter the Schur
 action through ``oracles.schur_form``."""
 
 import itertools
+from collections import Counter
 
 import pytest
 import sympy
@@ -12,6 +13,7 @@ from oracles import (
     orbit_apply_D,
     orbit_apply_M,
     poly_to_sympy,
+    ref_branch,
     schur_form,
     subset_apply_D,
     subset_apply_M,
@@ -21,10 +23,10 @@ from oracles import (
 )
 from qchar import characters, qdiff, qtorus, symfun
 from qchar.cartan import CartanData
-from qchar.laurent import LaurentPoly
+from qchar.laurent import EXP_MAX, LaurentPoly, pack
 from qchar.qdiff import apply_D, apply_M, apply_macdonald_qt
 from qchar.macdonald import qt_t_infinity_limit
-from qchar.rings import RING_Q, RING_QT, RING_W, NotDivisible, NotSymmetric
+from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible, NotSymmetric
 from qchar.symfun import SchurPoly, elementary, monomial_sym, partitions_up_to, schur
 
 
@@ -274,6 +276,56 @@ def test_branch_and_image_caches_are_bounded():
     for cached in (symfun._branch_partition, qdiff._image):
         maxsize = cached.cache_parameters()["maxsize"]
         assert maxsize is not None and maxsize >= 4096
+
+
+def _image_by_fillings(lam, alpha, n, fillings):
+    """The terms of ``qdiff._image`` from the (mu, nu, c) of a two-block
+    expansion, each s_{(mu + n, nu)} straightened."""
+    out = Counter()
+    for mu, nu, c in fillings(lam, alpha):
+        sign, kappa = symfun.straighten(tuple(x + n for x in mu) + nu)
+        if sign:
+            out[sum(mu), pack((0,) + kappa)] += sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def test_one_variable_images_match_the_fillings_on_a_grid():
+    # alpha = 1 and N - 1 take the interlacing path: the same terms as the
+    # pruned and the unpruned fillings, for lam with zero and negative last
+    # parts, and the same size and |mu| range
+    cases = 0
+    for nvars in range(2, 6):
+        for part in partitions_up_to(4, nvars):
+            full = part + (0,) * (nvars - len(part))
+            for lam in (full, tuple(x - 2 for x in full)):
+                for alpha in {1, nvars - 1}:
+                    for n in range(4):
+                        size, lo, hi, terms = qdiff._image(pack(lam), nvars, alpha, n)
+                        got = {(dmu, key): c for dmu, key, c in terms}
+                        assert len(got) == len(terms) and size == sum(lam), (lam, alpha, n)
+                        assert got == _image_by_fillings(lam, alpha, n, symfun.branch), (lam, alpha, n)
+                        assert got == _image_by_fillings(lam, alpha, n, ref_branch), (lam, alpha, n)
+                        dmus = [dmu for dmu, _ in got] or [0]
+                        assert (lo, hi) == (min(dmus), max(dmus)), (lam, alpha, n)
+                        cases += 1
+    # partitions of at most 4 in N = 2..5 parts: 9, 11, 12, 12
+    assert cases == 4 * 2 * (9 + 2 * (11 + 12 + 12))
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_one_variable_image_guards(alpha):
+    # a key that is not weakly decreasing raises as branch() does, before
+    # any rho is enumerated, never an empty image
+    with pytest.raises(ValueError):
+        qdiff._image(pack((0, 1, 0)), 3, alpha, 0)
+    bad = SchurPoly(RING_Q, 3, {pack((0, 0, 1, 0)): 1})
+    with pytest.raises(ValueError):
+        apply_M(alpha, 1, bad)
+    # a kappa part one past EXP_MAX raises, never wraps into another slot
+    top = pack((EXP_MAX, EXP_MAX - 1, EXP_MAX - 2))
+    assert qdiff._image(top, 3, alpha, 0)[3]
+    with pytest.raises(ExponentOverflow):
+        qdiff._image(top, 3, alpha, 1)
 
 
 def test_character_and_torus_caches_are_bounded():
