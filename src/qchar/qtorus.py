@@ -14,9 +14,10 @@ a term sits in the unit slot of its packed key, so an element is one flat
 range checks are the keyed arithmetic of ``LaurentPoly``.  Only the product
 is twisted: moving Q_{b,1}**m left past Q_{a,0}**l costs
 v**(-lam(a,b)*l*m), a twist that depends only on the left b-part and the
-right a-part.  Every kernel here reads one view of an element, its terms
-grouped by position (a, b) (``NcLaurent._position_groups``), and the
-product runs over position pairs, each twist a table lookup.
+right a-part.  The product, commutator, division and ev0 steps read one
+view of an element, its terms grouped by position (a, b)
+(``NcLaurent._position_groups``), and run over position pairs, each twist
+a table lookup; ``evaluate`` makes one pass over the keys.
 
 Two checks read each position's w-polynomial at w = 2**s as one integer
 (Kronecker substitution), s derived from a bound on the coefficients (the
@@ -25,7 +26,9 @@ builds its packed positions once per width (``NcLaurent._packed``, a
 bounded memo).  ``q_commutator`` tests f*g = w**c * g*f exactly without
 forming terms: only position pairs whose twists differ contribute, and at
 2**s beyond every coefficient the difference can have, each target
-position is one integer that is 0 iff all its coefficients are.  The ev0
+position is one integer that is 0 iff all its coefficients are; a nonzero
+commutator, or one at the edge of the w slot, is formed by the twisted
+product (``_twisted``, w**c * f*g).  The ev0
 images of polynomiality words stay packed (``PackedImage``): one
 ``ev0_times`` step multiplies the image's positions by the letter's, one
 integer product per pair, x's a-part moved left already evaluated;
@@ -193,37 +196,10 @@ class NcLaurent(LaurentPoly):
             yield (v[:r], v[r:]), s
 
     def __mul__(self, other):
-        """Moving other's a-part left past self's b-part raises w by their
-        twist, one for all term pairs of two positions.  Raises
-        ``ExponentOverflow`` when a term it forms has w out of range."""
+        """The twisted product (``_twisted`` with c = 0)."""
         if isinstance(other, int):
             return LaurentPoly.__mul__(self, other)
-        self._check_compatible(other)
-        if not self.coeffs or not other.coeffs:
-            return self._like({})
-        (lo1, hi1), (lo2, hi2) = self.bounds(), other.bounds()
-        # the (a, b) slots add up; the twisted w slot is checked per position pair
-        lo, hi = tuple(map(add, lo1[1:], lo2[1:])), tuple(map(add, hi1[1:], hi2[1:]))
-        require_fit(lo, hi)
-        _, tvecs, left, _ = self._position_groups()
-        avecs, _, right, _ = other._position_groups()
-        twists = [[sum(map(mul, a, t)) for a in avecs] for t in tvecs]  # [ib1][ia2]
-        out, zero = {}, zero_key(self.width)
-        get = out.get
-        for _, ib1, _, wlo1, whi1, group1, _ in left:
-            row = twists[ib1]
-            for ia2, _, _, wlo2, whi2, group2, _ in right:
-                twist = row[ia2]
-                if twist + wlo1 + wlo2 < EXP_MIN or twist + whi1 + whi2 > EXP_MAX:
-                    raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
-                for k1, c1 in group1:
-                    k1 += zero + twist
-                    for k2, c2 in group2:
-                        k = k1 + k2
-                        out[k] = get(k, 0) + c1 * c2
-        out = {k: x for k, x in out.items() if x}
-        ws = [k & _W_MASK for k in out]  # nonzero, since the torus is a domain
-        return self._like(out, ((min(ws) - _W_ZERO, *lo), (max(ws) - _W_ZERO, *hi)))
+        return _twisted(self, other, 0)
 
     __rmul__ = __mul__
 
@@ -243,6 +219,38 @@ class NcLaurent(LaurentPoly):
         return "NcLaurent(r=%d, %s)" % (self.rank, self.to_text())
 
 
+def _twisted(f: NcLaurent, g: NcLaurent, c: int) -> NcLaurent:
+    """w**c * f*g.  Moving g's a-part left past f's b-part raises w by their
+    twist, one for all term pairs of two positions, and c raises every term.
+    Raises ``ExponentOverflow`` when a term it forms has w out of range."""
+    f._check_compatible(g)
+    if not f.coeffs or not g.coeffs:
+        return f._like({})
+    (lo1, hi1), (lo2, hi2) = f.bounds(), g.bounds()
+    # the (a, b) slots add up; the twisted w slot is checked per position pair
+    lo, hi = tuple(map(add, lo1[1:], lo2[1:])), tuple(map(add, hi1[1:], hi2[1:]))
+    require_fit(lo, hi)
+    _, tvecs, left, _ = f._position_groups()
+    avecs, _, right, _ = g._position_groups()
+    twists = [[sum(map(mul, a, t)) + c for a in avecs] for t in tvecs]  # [ib1][ia2]
+    out, zero = {}, zero_key(f.width)
+    get = out.get
+    for _, ib1, _, wlo1, whi1, group1, _ in left:
+        row = twists[ib1]
+        for ia2, _, _, wlo2, whi2, group2, _ in right:
+            twist = row[ia2]
+            if twist + wlo1 + wlo2 < EXP_MIN or twist + whi1 + whi2 > EXP_MAX:
+                raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+            for k1, c1 in group1:
+                k1 += zero + twist
+                for k2, c2 in group2:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+    out = {k: x for k, x in out.items() if x}
+    ws = [k & _W_MASK for k in out]  # nonzero, since the torus is a domain
+    return f._like(out, ((min(ws) - _W_ZERO, *lo), (max(ws) - _W_ZERO, *hi)))
+
+
 def q_commutator(f: NcLaurent, g: NcLaurent, c: int) -> NcLaurent:
     """f*g - w**c * g*f, exactly.  Positions P of f and R of g meet at P + R,
     raised by the twist of P before R in f*g and by c plus that of R before
@@ -254,14 +262,15 @@ def q_commutator(f: NcLaurent, g: NcLaurent, c: int) -> NcLaurent:
     every such coefficient is at most |f|_1 |g|_1 < 2**(s-2) in absolute
     value; a base-2**s number with digits below 2**s in absolute value is 0
     only when every digit is, so the commutator is zero iff each target
-    position's sum of shifted products is 0.  The packed positions of each
-    element are built once per width (``NcLaurent._packed``), and one pass
-    over the position pairs checks their w-ranges and sums their products
-    (``_packed_sums``).  A nonzero commutator, or one whose packed numbers
-    would be wider than 64 bits per term of f and g (edge w-exponents
-    only), is formed term by term (``_commutator_terms``).  Raises
-    ``ExponentOverflow`` when a pair would form a term with w out of
-    range."""
+    position's sum of shifted products is 0 (``_packed_sums``, over the
+    packed positions each element builds once per width).  The test runs
+    behind one gate: every term either product forms has w in [wlo, whi],
+    the w-ranges of f and g plus the least and greatest raise, and that
+    range must fit the slot (so no pair needs a check) and pack in at most
+    64 bits per term of f and g.  A nonzero commutator, or one the gate
+    declines (edge w only), is the difference of the twisted products
+    (``_twisted``), which raises ``ExponentOverflow`` exactly when a term
+    it forms has w out of range."""
     f._check_compatible(g)
     if not f.coeffs or not g.coeffs:
         return f._like({})
@@ -273,83 +282,33 @@ def q_commutator(f: NcLaurent, g: NcLaurent, c: int) -> NcLaurent:
     backs = [[sum(map(mul, a, t)) + c for t in tvecs2] for a in avecs1]  # [ia1][ib2]
     raises = [x for table in (twists, backs) for row in table for x in row]
     s = (l1f * l1g).bit_length() + 2
-    if s * (hi1[0] + hi2[0] + max(raises) - lo1[0] - lo2[0] - min(raises) + 1) <= 64 * (len(f.coeffs) + len(g.coeffs)):
-        sums = _packed_sums(s, zip(left, f._packed(s)), zip(right, g._packed(s)), twists, backs, lo2[0], hi2[0])
+    wlo, whi = lo1[0] + lo2[0] + min(raises), hi1[0] + hi2[0] + max(raises)
+    if EXP_MIN <= wlo and whi <= EXP_MAX and s * (whi - wlo + 1) <= 64 * (len(f.coeffs) + len(g.coeffs)):
+        sums = _packed_sums(s, zip(left, f._packed(s)), zip(right, g._packed(s)), twists, backs)
         if not any(x for _, x in sums.values()):
             return f._like({})
-    return _commutator_terms(f, left, right, twists, backs, lo2[0], hi2[0])
+    return _twisted(f, g, 0) - _twisted(g, f, c)
 
 
-def _packed_sums(s, left, right, twists, backs, wlo2, whi2):
+def _packed_sums(s, left, right, twists, backs):
     """{target position: [least w, n]} for ``q_commutator``: n the target's
     w-polynomial of f*g - w**c g*f read at w = 2**s from that w, summed
     over the pairs of (position, packed integer) of f (``left``) and of g
     (``right``) whose raises differ, each target from the least w it has
-    met; the w-ranges are checked on the way."""
+    met."""
     acc = {}
-    get = acc.get
-    right = [(ia, ib, pos, wlo, whi, n) for (ia, ib, pos, wlo, whi, _, _), n in right]
-    for (ia1, ib1, pos1, wlo1, whi1, _, _), n1 in left:
+    right = [(ia, ib, pos, wlo, n) for (ia, ib, pos, wlo, _, _, _), n in right]
+    for (ia1, ib1, pos1, wlo1, _, _, _), n1 in left:
         row, brow = twists[ib1], backs[ia1]
-        safe = _pairs_fit(row, brow, wlo1, whi1, wlo2, whi2)
-        for ia2, ib2, pos2, wlo, whi, n2 in right:
+        for ia2, ib2, pos2, wlo, n2 in right:
             twist, back = row[ia2], brow[ib2]
-            if not safe:
-                _check_pair(twist, back, wlo1 + wlo, whi1 + whi)
             if twist != back:
-                prod, target = n1 * n2, pos1 + pos2
+                prod = n1 * n2
                 if twist < back:
-                    lo, diff = wlo1 + wlo + twist, prod - (prod << s * (back - twist))
+                    _add_from(acc, pos1 + pos2, wlo1 + wlo + twist, prod - (prod << s * (back - twist)), s)
                 else:
-                    lo, diff = wlo1 + wlo + back, (prod << s * (twist - back)) - prod
-                cur = get(target)
-                if cur is None:
-                    acc[target] = [lo, diff]
-                elif lo >= cur[0]:
-                    cur[1] += diff << s * (lo - cur[0])
-                else:
-                    cur[1] = (cur[1] << s * (cur[0] - lo)) + diff
-                    cur[0] = lo
+                    _add_from(acc, pos1 + pos2, wlo1 + wlo + back, (prod << s * (twist - back)) - prod, s)
     return acc
-
-
-def _commutator_terms(f, left, right, twists, backs, wlo2, whi2):
-    """The commutator of ``q_commutator`` formed term by term from the
-    position groups of f (``left``) and g (``right``), with the same
-    w-range checks."""
-    out, zero = {}, zero_key(f.width)
-    get = out.get
-    for ia1, ib1, _, wlo1, whi1, group1, _ in left:
-        row, brow = twists[ib1], backs[ia1]
-        safe = _pairs_fit(row, brow, wlo1, whi1, wlo2, whi2)
-        for ia2, ib2, _, wlo, whi, group2, _ in right:
-            twist, back = row[ia2], brow[ib2]
-            if not safe:
-                _check_pair(twist, back, wlo1 + wlo, whi1 + whi)
-            if twist == back:
-                continue
-            for k1, c1 in group1:
-                k1 += zero + twist
-                for k2, c2 in group2:
-                    x, k = c1 * c2, k1 + k2
-                    out[k] = get(k, 0) + x
-                    k += back - twist
-                    out[k] = get(k, 0) - x
-    return f._like({k: x for k, x in out.items() if x})
-
-
-def _pairs_fit(row, brow, wlo1, whi1, wlo2, whi2):
-    """Whether every pair of a left position (its raises ``row`` and
-    ``brow``, its w-range) with a right one of w in [wlo2, whi2] keeps w in
-    range, so no pair of the row needs its own check."""
-    return wlo1 + wlo2 + min(min(row), min(brow)) >= EXP_MIN and whi1 + whi2 + max(max(row), max(brow)) <= EXP_MAX
-
-
-def _check_pair(twist, back, wlo, whi):
-    """Raise unless both raises keep the w-range [wlo, whi] of a position
-    pair's term products in range."""
-    if min(twist, back) + wlo < EXP_MIN or max(twist, back) + whi > EXP_MAX:
-        raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
 
 
 def _nc_div(num: NcLaurent, den: NcLaurent, side: str) -> NcLaurent:
@@ -484,22 +443,39 @@ def evaluate(f: NcLaurent, mode: str = "ev") -> NcLaurent:
 
     mode='ev'  sets every Q_{a,0} to 1;
     mode='ev0' sets Q_{a,0} to v**(-sum_b lam(a,b)).
-    """
+    Raises ``ExponentOverflow`` when a term would have w out of range."""
     if mode not in ("ev", "ev0"):
         raise ValueError("mode must be 'ev' or 'ev0'")
-    avecs, _, positions, _ = f._position_groups()
+    r = f.rank
     # ev0: Q_{.,0}**a -> w**(a . row), row_a = -2 sum_b lam(a, b) = sum of twist row a
-    row = tuple(map(sum, _twist_rows(f.rank))) if mode == "ev0" else (0,) * f.rank
-    raises = [sum(map(mul, a, row)) for a in avecs]
-    # a position's terms move by its raise in the w slot and lose its a-vector
-    moves = [zero_key(f.width) + up - offset((0, *a)) for a, up in zip(avecs, raises)]
-    out = {}
-    for ia, _, _, wlo, whi, group, _ in positions:
-        _check_pair(raises[ia], raises[ia], wlo, whi)
-        at = moves[ia]
-        for k, c in group:
-            out[k + at] = out.get(k + at, 0) + c
+    row = tuple(map(sum, _twist_rows(r))) if mode == "ev0" else (0,) * r
+    a_slots = ((1 << SLOT_BITS * r) - 1) << SLOT_BITS
+    # per a-part: its w raise, and the key move that adds it and clears the a-slots
+    moves, out = {}, {}
+    for k, c in f.coeffs.items():
+        a = k & a_slots
+        if a not in moves:
+            avec = unpack(a >> SLOT_BITS, r)
+            up = sum(map(mul, avec, row))
+            moves[a] = up, up - offset((0, *avec))
+        up, move = moves[a]
+        if not EXP_MIN <= (k & _W_MASK) - _W_ZERO + up <= EXP_MAX:
+            raise ExponentOverflow("a w-exponent would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+        out[k + move] = out.get(k + move, 0) + c
     return f._like({k: c for k, c in out.items() if c})
+
+
+def _add_from(acc, target, lo, n, s):
+    """Add n, a w-polynomial read at w = 2**s from w**lo, to acc[target] =
+    [least w, the sum read from that w], rebasing the sum when lo is lower."""
+    cur = acc.get(target)
+    if cur is None:
+        acc[target] = [lo, n]
+    elif lo >= cur[0]:
+        cur[1] += n << s * (lo - cur[0])
+    else:
+        cur[1] = (cur[1] << s * (cur[0] - lo)) + n
+        cur[0] = lo
 
 
 def _digits(n: int, s: int):
@@ -597,14 +573,7 @@ def ev0_times(img: PackedImage, x: NcLaurent) -> PackedImage:
             # a b-slot, or w, left its range
             if target & guard or lo < EXP_MIN or lo + span1 + span > EXP_MAX:
                 raise ExponentOverflow("exponents would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
-            cur = acc.get(target)
-            if cur is None:
-                acc[target] = [lo, prod]
-            elif lo >= cur[0]:
-                cur[1] += prod << s * (lo - cur[0])
-            else:
-                cur[1] = (cur[1] << s * (cur[0] - lo)) + prod
-                cur[0] = lo
+            _add_from(acc, target, lo, prod, s)
     # the least place of n's lowest nonzero digit holds its trailing zero
     # bits; the greatest place is bit_length // s, as every digit is below
     # 2**(s-1) in absolute value

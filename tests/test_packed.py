@@ -26,7 +26,7 @@ from qchar.laurent import (
     unit_slots,
 )
 from qchar.qdiff import apply_M, apply_macdonald_qt
-from qchar.qtorus import NcLaurent, evaluate, nc_div_left, nc_div_right, q_commutator
+from qchar.qtorus import NcLaurent, _twisted, evaluate, nc_div_left, nc_div_right, q_commutator
 from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow
 from qchar.symfun import SchurPoly, monomial_sym, schur
 
@@ -149,7 +149,10 @@ def nc_terms(rank, scale=1, max_terms=4):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3), st.data())
 def test_torus_product_matches_reference_or_overflows(rank, data):
+    # x*y, and w**c x*y (``_twisted``) for a drawn c, against the reference
+    # product shifted by c
     a, b = data.draw(nc_terms(rank)), data.draw(nc_terms(rank))
+    c = data.draw(st.one_of(st.integers(-4, 4), exponents(2)))
     x, y = NcLaurent.from_terms(rank, a), NcLaurent.from_terms(rank, b)
     assert dict(x.terms()) == a
     expected = ref_nc_mul(rank, a, b)
@@ -159,11 +162,14 @@ def test_torus_product_matches_reference_or_overflows(rank, data):
         ref_nc_mul(rank, {k1: {e1: 1}}, {k2: {e2: 1}})
         for k1, c1 in a.items() for k2, c2 in b.items() for e1 in c1 for e2 in c2
     ]
-    if all(EXP_MIN <= e <= EXP_MAX for t in formed for (u, v), w in t.items() for e in (*u, *v, *w)):
-        assert dict((x * y).terms()) == expected
-    else:
-        with pytest.raises(ExponentOverflow):
-            x * y
+    ab_fit = all(EXP_MIN <= e <= EXP_MAX for t in formed for u, v in t for e in (*u, *v))
+    ws = [e for t in formed for w in t.values() for e in w]
+    for shift, product in ((0, lambda: x * y), (c, lambda: _twisted(x, y, c))):
+        if ab_fit and all(EXP_MIN <= e + shift <= EXP_MAX for e in ws):
+            assert dict(product().terms()) == {k: {e + shift: v for e, v in d.items()} for k, d in expected.items()}
+        else:
+            with pytest.raises(ExponentOverflow):
+                product()
 
 
 @settings(max_examples=150, deadline=None)

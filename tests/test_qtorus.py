@@ -245,7 +245,9 @@ def test_q_commutator_matches_the_two_products_on_every_window_pair():
     # zero exactly where the products agree, in either order and with f
     # scaled (a wider packing); with c +- 1 the commutator is the nonzero
     # difference of the products on every pair (a domain), and the reversed
-    # one is -w**(-c) times it
+    # one is -w**(-c) times it.  At rank 4, k in [-2, 4] (228 pairs; most
+    # of their position pairs have differing twists): zero at c, and the
+    # difference of the products at c + 1
     for rank in (1, 2, 3):
         table = q_recursion(rank, 5, -2)
         for f, g, c in window_pairs(rank, table, -2, 5):
@@ -256,24 +258,34 @@ def test_q_commutator_matches_the_two_products_on_every_window_pair():
                 comm = q_commutator(f, g, moved)
                 assert comm and comm == fg - gf.times_unit(moved)
                 assert q_commutator(g, f, -moved) == -comm.times_unit(-moved)
+    pairs = list(window_pairs(4, q_recursion(4, 4, -2), -2, 4))
+    assert len(pairs) == 228
+    for f, g, c in pairs:
+        assert not q_commutator(f, g, c)
+        comm = q_commutator(f, g, c + 1)
+        assert comm and comm == f * g - (g * f).times_unit(c + 1)
 
 
 def test_q_commutator_packed_sums_are_the_commutator(monkeypatch):
-    # the packed sums behind the zero test, read back digit by digit, are
-    # exactly the commutator's terms: for every window pair at ranks 1-3
-    # with c moved by one (nonzero, formed by the term kernel), and empty
-    # digits where it is zero
+    # every window pair at ranks 1-3 passes the gate, and the packed sums
+    # behind the zero test, read back digit by digit, are exactly the
+    # commutator's terms: with c moved by one (nonzero, formed by the
+    # twisted products), and empty digits where it is zero
     seen = []
     real = qtorus._packed_sums
-    monkeypatch.setattr(qtorus, "_packed_sums", lambda s, *args: seen.append((s, real(s, *args))) or seen[-1][1])
+
+    def spy(s, left, right, twists, backs):
+        seen.append((s, real(s, left, right, twists, backs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(qtorus, "_packed_sums", spy)
     for rank in (1, 2, 3):
         table = q_recursion(rank, 5, -2)
         for f, g, c in window_pairs(rank, table, -2, 5):
             for moved in (c, c + 1):
                 seen.clear()
                 comm = q_commutator(f, g, moved)
-                if not seen:  # packing declined: the term kernel alone
-                    continue
+                assert len(seen) == 1, (rank, moved)
                 s, sums = seen[0]
                 # a target is the sum of two position keys: one zero key too many
                 read = {
@@ -297,11 +309,12 @@ def test_q_commutator_packing_is_wide_enough_near_2_to_the_40():
     assert not q_commutator(f, g, 2) and f * g == (g * f).times_unit(2)
 
 
-def test_q_commutator_at_edge_exponents_takes_the_term_kernel():
+def test_q_commutator_at_edge_exponents_takes_the_product_route():
     # Q_{1,2} times w-exponents at both ends of the slot against Q_{1,3}, at
-    # rank 1: packing would need about 2**28 bits, so the term kernel forms
-    # the commutator.  At c = 2 it is zero although its position pairs'
-    # twists differ; otherwise it is the difference of the products
+    # rank 1: packing would need about 2**28 bits, so the gate declines and
+    # the twisted products form the commutator.  At c = 2 it is zero
+    # although its position pairs' twists differ; otherwise it is the
+    # difference of the products
     table = q_recursion(1, 3)
     ends = NcLaurent.from_terms(1, {((0,), (0,)): {EXP_MIN + 100: 1, EXP_MAX - 100: -3}})
     f, g = table[(1, 2)] * ends, table[(1, 3)]
@@ -311,6 +324,33 @@ def test_q_commutator_at_edge_exponents_takes_the_term_kernel():
         assert comm and comm == f * g - (g * f).times_unit(c), c
     with pytest.raises(ExponentOverflow):
         q_commutator(f, g, -200)
+
+
+def test_q_commutator_gate_declines_where_every_formed_term_fits(monkeypatch):
+    # the gate's w-range is f's and g's plus the least and greatest raise,
+    # which here come from different position pairs: a w at one edge of the
+    # slot sits at raise 0 and the raise of 2 (or -2) on a w far from it,
+    # so the gate declines although every term either product forms fits.
+    # The products give the commutator, zero against Q_{1,0} Q_{1,1} (which
+    # commutes with every term of f) and nonzero against Q_{1,1}; c moved
+    # towards that edge forms a term outside the slot.  So does a zero
+    # commutator whose products leave the slot, which the width rule alone
+    # would let the packed test pass
+    monkeypatch.setattr(qtorus, "_packed_sums", lambda *args: pytest.fail("the gate should decline"))
+    x, y = gen(1, 1, 0), gen(1, 1, 1)
+    high = NcLaurent.from_terms(1, {((0,), (0,)): {EXP_MAX: 1}, ((-1,), (-1,)): {EXP_MIN + 10: 1}})
+    low = NcLaurent.from_terms(1, {((0,), (0,)): {EXP_MIN: 1}, ((1,), (1,)): {EXP_MAX - 10: 1}})
+    for f, out in ((high, 1), (low, -1)):
+        assert not q_commutator(f, x * y, 0) and f * (x * y) == (x * y) * f
+        comm = q_commutator(f, y, 0)
+        assert comm and comm == f * y - (y * f).times_unit(0)
+        for g in (y, x * y):
+            with pytest.raises(ExponentOverflow):
+                q_commutator(f, g, out)
+    assert dict(q_commutator(high, y, 0).terms()) == {((-1,), (0,)): {EXP_MIN + 10: 1, EXP_MIN + 12: -1}}
+    top = NcLaurent.from_terms(1, {((0,), (0,)): {EXP_MAX: 1}, ((-1,), (-1,)): {EXP_MAX: 1}})
+    with pytest.raises(ExponentOverflow):
+        q_commutator(top, x * y, 0)
 
 
 def scalar_poly(rank, c):
