@@ -17,8 +17,10 @@ difference equations, run on Schur forms (``symfun.SchurPoly``); monomial
 expansions are views computed on demand.
 
 Each chain value is one raising step from the cached value of its prefix,
-the word of factors M_{a,i} less its last letter; the validated character
-and the equation values are cached per n as Schur forms.
+the word of factors M_{a,i} less its last letter, and is kept packed: each
+Schur coefficient one integer (``qdiff.packed_step``).  The character is
+checked on that value (``packed_character``, which ``qchar char`` prints),
+then cached per n as a Schur form, as are the equation values.
 
 ``difference_equation_terms`` generates the level-k difference equation at
 every rank and level; ``equation_sides`` checks it on chi or G as one
@@ -32,7 +34,7 @@ from functools import lru_cache
 
 from .cartan import CartanData
 from .laurent import LaurentPoly, constrain, w_to_q
-from .qdiff import apply_D, apply_M, operator_sum
+from .qdiff import PackedSchur, operator_sum, packed_step
 from .records import FrozenRecord
 from .rings import RING_Q, RING_W
 from .symfun import SchurPoly, partition_of_weight
@@ -122,20 +124,20 @@ class NVector(FrozenRecord):
 # in one process hold 532 chain prefixes (324 M, 208 D), 269 character forms
 # and 440 equation values
 _CHARACTER_CACHE = 1 << 10
-_CHAINS = {}  # (ring, rank, word of factors (alpha, i)) -> chain value; oldest out first
+_CHAINS = {}  # (ring, rank, word of factors (alpha, i)) -> packed chain value; oldest out first
 
 
-def _chain(n: NVector, op, ring) -> SchurPoly:
-    """``operator_product(n, op, ring)`` as the last factor op(alpha, i)
-    applied to the product of the rest: find the longest cached prefix of
-    the word of factors, then step up, caching every prefix."""
+def _chain(n: NVector, op, ring) -> PackedSchur:
+    """``operator_product(n, op, ring)``, op "M" or "D", packed: find the
+    longest cached prefix of the word of factors, then step up by
+    ``packed_step``, caching every prefix."""
     word = tuple((a, i) for i in range(1, n.level + 1) for a, row in enumerate(n.rows, 1) for _ in range(row[i - 1]))
     t = len(word)
     while t and (ring, n.rank, word[:t]) not in _CHAINS:
         t -= 1
-    f = _CHAINS[ring, n.rank, word[:t]] if t else SchurPoly.one(ring, n.rank + 1)
+    f = _CHAINS[ring, n.rank, word[:t]] if t else PackedSchur.one(ring, n.rank + 1)
     for k in range(t, len(word)):
-        f = op(*word[k], f)
+        f = packed_step(op, *word[k], f)
         if len(_CHAINS) >= _CHARACTER_CACHE:
             del _CHAINS[next(iter(_CHAINS))]
         _CHAINS[ring, n.rank, word[: k + 1]] = f
@@ -145,7 +147,7 @@ def _chain(n: NVector, op, ring) -> SchurPoly:
 def raising_product(n: NVector) -> SchurPoly:
     """The bare operator product applied to 1 (Q-ring, r+1 variables,
     no prefactor); level-1 factors act first, higher levels after."""
-    return _chain(n, apply_M, RING_Q)
+    return _chain(n, "M", RING_Q).schur()
 
 
 def operator_product(n: NVector, op, ring, reverse: bool = False) -> SchurPoly:
@@ -174,20 +176,27 @@ def char_q_exponent(n: NVector) -> int:
     return -(diff // 2)
 
 
-@lru_cache(maxsize=_CHARACTER_CACHE)
-def graded_character(n: NVector) -> SchurPoly:
-    """chi_n(q**-1, z) as an exact Schur form in z_1..z_{r+1}, cached per n;
-    ``expansion()`` and ``monomials()`` are its two views.
-
-    The constructed value is checked against two structural facts: every
-    q-exponent is nonpositive, and the q**0 part is the Schur function of the
-    top component."""
-    form = raising_product(n).times_unit(char_q_exponent(n))
-    if form.unit_exponents() and max(form.unit_exponents()) > 0:
+def packed_character(n: NVector) -> PackedSchur:
+    """chi_n(q**-1, z) packed: the raising product times q**X(n), checked
+    on its top digits.  Every q-exponent is nonpositive, and the q**0 part
+    is the top component's Schur function: the top digits sit at q**0, 1 at
+    the top component and nowhere else."""
+    form = _chain(n, "M", RING_Q).times_unit(char_q_exponent(n))
+    place, leads = form.top_digits()
+    if place is not None and form.offset + place > 0:
         raise ArithmeticError("character has a positive q-exponent")
-    if form.unit_slice(0) != SchurPoly.basis(top_component(n), n.rank + 1):
+    top = SchurPoly.basis(top_component(n), n.rank + 1).coeffs
+    if place is None or form.offset + place < 0 or leads != dict.fromkeys(top, 1):
         raise ArithmeticError("q**0 part differs from the top component")
     return form
+
+
+@lru_cache(maxsize=_CHARACTER_CACHE)
+def graded_character(n: NVector) -> SchurPoly:
+    """chi_n(q**-1, z) as an exact Schur form in z_1..z_{r+1}, cached per n:
+    the checked ``packed_character`` unpacked; ``expansion()`` and
+    ``monomials()`` are its two views."""
+    return packed_character(n).schur()
 
 
 def multiplicities(n: NVector) -> dict:
@@ -203,13 +212,13 @@ def top_component(n: NVector):
 
 def g_raising_product(n: NVector) -> SchurPoly:
     """The twisted-operator product applied to 1 (W-ring, unconstrained)."""
-    return _chain(n, apply_D, RING_W)
+    return _chain(n, "D", RING_W).schur()
 
 
 def g_schur_form(n: NVector) -> SchurPoly:
     """G_n as a Schur form: the twisted product on 1 modulo
     z_1...z_{r+1} = 1 (W-ring, r+1 variables, every lam_{r+1} = 0)."""
-    return g_raising_product(n).constrained()
+    return _chain(n, "D", RING_W).constrained().schur()
 
 
 def g_coefficient(n: NVector) -> LaurentPoly:
@@ -230,7 +239,7 @@ def char_from_g(n: NVector) -> SchurPoly:
     """The character computed through the twisted-operator path: unconstrained
     product, prefactor, then conversion w -> q.  Equals
     ``graded_character(n)`` exactly."""
-    lifted = g_raising_product(n).times_unit(g_to_char_w_exponent(n))
+    lifted = _chain(n, "D", RING_W).times_unit(g_to_char_w_exponent(n)).schur()
     return w_to_q(lifted, n.rank)
 
 
@@ -283,7 +292,7 @@ def g_form_terms(n: NVector, terms) -> list:
 @lru_cache(maxsize=_CHARACTER_CACHE)
 def _equation_value(m: NVector, form: str) -> SchurPoly:
     """G_m, or chi_m modulo z_1...z_{r+1} = 1."""
-    return g_schur_form(m) if form == "G" else graded_character(m).constrained()
+    return g_schur_form(m) if form == "G" else packed_character(m).constrained().schur()
 
 
 def equation_sides(n: NVector, form: str = "chi", dual: bool = False):

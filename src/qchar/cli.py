@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .characters import NVector, char_q_exponent, graded_character, top_component
+from .characters import NVector, char_q_exponent, packed_character, top_component
 from .laurent import EXP_MAX
 from .rings import NotSymmetric
 from .verify import SUITE_FLAGS, run_suite
@@ -85,12 +85,12 @@ def _partition_key(lam, rank):
 
 
 def character_payload(n: NVector) -> dict:
-    """JSON-ready data: Schur coefficients as [q-exponent, integer] pairs."""
-    expansion = graded_character(n).expansion()
+    """JSON-ready data: Schur coefficients as [q-exponent, integer] pairs,
+    read straight off the checked ``packed_character``."""
+    rows = packed_character(n).coefficients()
     char = {}
-    for lam in sorted(expansion, reverse=True):
-        pairs = [[e, c] for e, c in sorted(expansion[lam].items(), reverse=True)]
-        char[_partition_key(lam, n.rank)] = pairs
+    for lam in sorted(rows, reverse=True):
+        char[_partition_key(lam, n.rank)] = [[e, c] for e, c in reversed(rows[lam])]
     return {
         "schema": 1,
         "rank": n.rank,

@@ -25,7 +25,12 @@ top, ``macdonald.qt_specialize_t0_qinv`` lifts z-keys past the unit slot),
 range checks against ``EXP_MIN``/``EXP_MAX`` (``qdiff.operator_sum``,
 ``cli``) and the unit offsets of ``signed_buckets`` (``qdiff``).  A
 one-variable coefficient read off on its own is an ``{exponent: int}`` dict,
-printed by ``coefficient_text``.
+printed by ``coefficient_text``.  The Kronecker codec packs such a
+polynomial with coefficients at most a bound into one integer, its value at
+x = 2**s (Harvey, J. Symb. Comp. 2009), s derived from the bound and never
+fixed: ``kron_width``, ``kron_digits`` (balanced digits), ``kron_add``
+(rebase-and-add from the least exponent) and ``kron_widen``; the torus's
+packed positions and the raising chains (``qdiff.PackedSchur``) use it.
 
 Subclasses keep the keys and change the basis or the product:
 ``symfun.SchurPoly`` keys Schur functions, and ``qtorus.NcLaurent`` is a
@@ -175,6 +180,50 @@ def sorted_sign(exps):
         if lst[i] == lst[i + 1]:
             return tuple(lst), 0
     return tuple(lst), sign
+
+
+# -- the Kronecker codec -------------------------------------------------------
+# sum c_i x**i read at x = 2**s: with every |c_i| <= bound < 2**(s-1), the
+# balanced base-2**s digits of the integer are the c_i
+
+
+def kron_width(bound: int) -> int:
+    """The least width s whose balanced digits hold every |c| <= bound."""
+    return bound.bit_length() + 1
+
+
+def kron_digits(n: int, s: int):
+    """[(i, c)]: the nonzero digits c of n in balanced base 2**s, i the place
+    (n = sum c * 2**(s*i), every |c| < 2**(s-1))."""
+    out, i, mask, half = [], 0, (1 << s) - 1, 1 << (s - 1)
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= mask + 1
+        if c:
+            out.append((i, c))
+        n = (n - c) >> s
+        i += 1
+    return out
+
+
+def kron_widen(n: int, s: int, width: int) -> int:
+    """n, packed at width s, repacked at ``width``: the same digits."""
+    return sum(c << width * i for i, c in kron_digits(n, s))
+
+
+def kron_add(acc, target, lo, n, s):
+    """Add n, a polynomial read at x = 2**s from x**lo, to acc[target] =
+    [least exponent, the sum read from it], rebasing the sum when lo is
+    lower."""
+    cur = acc.get(target)
+    if cur is None:
+        acc[target] = [lo, n]
+    elif lo >= cur[0]:
+        cur[1] += n << s * (lo - cur[0])
+    else:
+        cur[1] = (cur[1] << s * (cur[0] - lo)) + n
+        cur[0] = lo
 
 
 def unit_slots(ring) -> int:

@@ -28,7 +28,9 @@ each s_{(mu + n, nu)} straightened to +-s_kappa or 0 (``symfun.straighten``).
 One kernel, ``operator_sum``, forms every such action: a signed sum of M, D
 and identity terms, each with its power of q (or w), in one dict.
 ``apply_M`` and ``apply_D`` are its one-term calls, and an operator identity
-is one residual tested for zero, with no side formed.
+is one residual tested for zero, with no side formed.  A raising chain
+steps a ``PackedSchur`` instead, each Schur coefficient one integer
+(``packed_step``).  Both read the images of s_lam modulo full columns.
 The Macdonald operator has no such form; its Vandermonde-cleared subset sum
 is one signed permutation orbit, read off Schur function by Schur function
 and divided by alpha! (N - alpha)! exactly.
@@ -36,25 +38,31 @@ and divided by alpha! (N - alpha)! exactly.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import factorial
 
 from .laurent import (
     EXP_MAX,
     EXP_MIN,
+    SLOT_BITS,
     UNIT,
     LaurentPoly,
     delta_on,
+    kron_add,
+    kron_digits,
+    kron_widen,
+    kron_width,
+    offset,
     pack,
     require_fit,
     require_symmetric,
     signed_buckets,
     split_unit,
     unpack,
+    zero_key,
 )
 from .rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
-from .symfun import SchurPoly, branch, schur, straighten
+from .symfun import SchurPoly, branch, interlacing, schur, straighten
 
 
 @lru_cache(maxsize=16)
@@ -100,13 +108,14 @@ def _schur_reconstruct_qt(buckets, nvars, den):
 @lru_cache(maxsize=1 << 13)
 def _image(zkey, nvars, alpha, n):
     """M_{alpha,n} s_lam, zkey the key of lam, with the q-power left open:
-    (|lam|, least and greatest |mu|, ((|mu|, key of s_kappa, c), ...)), the
-    keys packed with unit exponent 0.  A block of one variable (alpha = 1
-    or N - 1) has c^lam_{mu nu} = 1 exactly when the other block's rho
-    interlaces lam, lam_{i+1} <= rho_i <= lam_i (Macdonald, I.5), the one
-    variable taking k = |lam| - |rho|: its terms s_{(k + n, rho)} or
-    s_{(rho + n, k)} come from those rho with no filling built.  Any other
-    block takes the Littlewood-Richardson fillings of ``symfun.branch``."""
+    (|lam|, least and greatest |mu|, ((|mu|, key of s_kappa, c), ...), least
+    and greatest part of a kappa), the keys packed with unit exponent 0.  A
+    block of one variable (alpha = 1 or N - 1) has c^lam_{mu nu} = 1 exactly
+    when the other block's rho interlaces lam, lam_{i+1} <= rho_i <= lam_i
+    (Macdonald, I.5), the one variable taking k = |lam| - |rho|: its terms
+    s_{(k + n, rho)} or s_{(rho + n, k)} come from those rho with no filling
+    built (``symfun.interlacing``, capped).  Any other block takes the
+    Littlewood-Richardson fillings of ``symfun.branch``."""
     lam = unpack(zkey, nvars)
     size = sum(lam)
     if min(alpha, nvars - alpha) != 1:
@@ -116,7 +125,7 @@ def _image(zkey, nvars, alpha, n):
     else:
         # at alpha = N - 1 rho is enumerated as rho + n, so |lam| - |rho| = lift - sum
         shift = 0 if alpha == 1 else n
-        rhos = itertools.product(*(range(lam[i + 1] + shift, lam[i] + shift + 1) for i in range(nvars - 1)))
+        rhos = interlacing(lam, shift)
         lift = size + (nvars - 1) * shift
         if alpha == 1:
             parts = ((k, (k + n,) + rho, 1) for rho in rhos for k in (lift - sum(rho),))
@@ -132,9 +141,48 @@ def _image(zkey, nvars, alpha, n):
                 out[key] = nv
             else:
                 del out[key]
-    dmus = [dmu for dmu, _ in out] or [0]
     terms = tuple((dmu, pack((0,) + kappa), c) for (dmu, kappa), c in out.items())
-    return size, min(dmus), max(dmus), terms
+    dmus, firsts, lasts = zip(*((dmu, kappa[0], kappa[-1]) for dmu, kappa in out)) if out else ((0,),) * 3
+    return size, min(dmus), max(dmus), terms, min(lasts), max(firsts)
+
+
+@lru_cache(maxsize=16)
+def _column(nvars):
+    """The offset of one full column z_1...z_N in a key with its unit slot."""
+    return offset((0,) + (1,) * nvars)
+
+
+@lru_cache(maxsize=1 << 14)
+def _column_image(zkey, nvars, alpha, n):
+    """(lam_N, lam_N full columns as the offset of a key with its unit slot,
+    ``_image`` of lam - lam_N), zkey the key of lam: images are built
+    modulo full columns, each kappa, |mu| and |lam| moving by lam_N,
+    alpha lam_N and N lam_N.  ``ExponentOverflow`` when a kappa part would
+    leave the slot."""
+    top = (zkey >> SLOT_BITS * (nvars - 1)) + EXP_MIN
+    move = top * _column(nvars)
+    image = _image(zkey - (move >> SLOT_BITS), nvars, alpha, n)
+    if image[4] + top < EXP_MIN or image[5] + top > EXP_MAX:
+        raise ExponentOverflow("a part of s_kappa would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+    return top, move, image
+
+
+def _unit_rates(op, alpha, n, ring, nvars):
+    """(alpha, du_subset, du_all, du_const): an image term's unit exponent
+    grows by du_subset per unit of |mu| (q on the subset), du_all per unit
+    of |lam| (a dilation) and by du_const; op None is the identity."""
+    if not 0 <= alpha <= nvars:
+        raise ValueError("alpha out of range [0, r+1]")
+    if op not in (None, "M", "D"):
+        raise ValueError("unknown operator %r" % (op,))
+    du_subset = 1 if ring == RING_Q else -2 * nvars
+    if op != "D":
+        return (alpha if op else 0), du_subset, 0, 0
+    if ring != RING_W:
+        raise ValueError("the twisted operator needs W-ring coefficients")
+    # the prefactor w**(-lam(a,a) n - 2 sum_b lam(a,b)), where
+    # lam(a,a) = a(r+1-a) and 2 sum_b lam(a,b) = (r+1) lam(a,a)
+    return alpha, du_subset, 2 * alpha, -alpha * (nvars - alpha) * (n + nvars)
 
 
 def operator_sum(terms):
@@ -149,21 +197,8 @@ def operator_sum(terms):
     for op, alpha, n, f, shift, coeff in terms:
         if not isinstance(f, SchurPoly) or ring not in (RING_Q, RING_W) or (f.ring, f.nvars) != (ring, nvars):
             raise TypeError("the raising operators act on W- or Q-ring Schur forms of one ring and size")
-        if not 0 <= alpha <= nvars:
-            raise ValueError("alpha out of range [0, r+1]")
-        # an image term's unit exponent grows by du_subset per unit of |mu|
-        # (q on the subset), du_all per unit of |lam| (a dilation), du_const
-        du_subset, du_all, du_const = (1 if ring == RING_Q else -2 * nvars), 0, shift
-        if op is None:
-            alpha = 0
-        elif op == "D":
-            if ring != RING_W:
-                raise ValueError("the twisted operator needs W-ring coefficients")
-            # the prefactor w**(-lam(a,a) n - 2 sum_b lam(a,b)), where
-            # lam(a,a) = a(r+1-a) and 2 sum_b lam(a,b) = (r+1) lam(a,a)
-            du_all, du_const = 2 * alpha, shift - alpha * (nvars - alpha) * (n + nvars)
-        elif op != "M":
-            raise ValueError("unknown operator %r" % (op,))
+        alpha, du_subset, du_all, du_const = _unit_rates(op, alpha, n, ring, nvars)
+        du_const, step = du_const + shift, du_subset * UNIT
         if alpha == 0 and f.coeffs:
             if du_const:
                 lo, hi = f.bounds()
@@ -174,13 +209,15 @@ def operator_sum(terms):
             continue
         for key, c in f.coeffs.items():
             j, zkey = split_unit(key)
-            size, lo, hi, image = _image(zkey, nvars, alpha, n)
-            base = j + du_all * size + du_const
+            top, move, (size, lo, hi, image, _, _) = _column_image(zkey, nvars, alpha, n)
+            base = j + du_all * (size + nvars * top) + du_const + du_subset * alpha * top
             if not EXP_MIN <= base + du_subset * lo <= EXP_MAX or not EXP_MIN <= base + du_subset * hi <= EXP_MAX:
                 raise ExponentOverflow("unit exponent outside [%d, %d]" % (EXP_MIN, EXP_MAX))
+            # one offset per source: its unit exponent and lam_N full columns
+            base = base * UNIT + move
             c *= coeff
             for dmu, kappa, b in image:
-                kk = kappa + (base + du_subset * dmu) * UNIT
+                kk = kappa + base + step * dmu
                 out[kk] = get(kk, 0) + b * c
     return SchurPoly(ring, nvars, {k: c for k, c in out.items() if c})
 
@@ -197,6 +234,95 @@ def apply_D(alpha, n, f):
     variables are scaled by q*v**alpha, the rest by v**alpha, and the result
     carries the prefactor ``w**(-lam(a,a)*n - 2*sum_b lam(a,b))``."""
     return operator_sum((("D", alpha, n, f, 0, 1),))
+
+
+class PackedSchur:
+    """A Schur form with each s_lam's coefficient one integer, as a raising
+    chain keeps it (``laurent``'s Kronecker codec): ``terms`` maps the key
+    of s_lam (unit exponent 0) to (bound, lo, n), n = sum_d c_d
+    2**(width*(d - lo)) with c_d the coefficient of u**(offset + step*d) and
+    every |c_d| <= bound < 2**(width-1).  The step is 1 over Q and -2N over
+    W (q = w**(-2N)), so a W form has one |lam| and its w-exponents in one
+    class mod 2N, as every D-chain value does."""
+
+    __slots__ = ("ring", "nvars", "width", "offset", "terms")
+
+    def __init__(self, ring, nvars, width, offset, terms):
+        self.ring, self.nvars, self.width, self.offset, self.terms = ring, nvars, width, offset, terms
+
+    @classmethod
+    def one(cls, ring, nvars):
+        return cls(ring, nvars, kron_width(1), 0, {zero_key(nvars + 1): (1, 0, 1)})
+
+    def times_unit(self, k):
+        return PackedSchur(self.ring, self.nvars, self.width, self.offset + k, self.terms)
+
+    def constrained(self):
+        """The value modulo z_1...z_N = 1: each s_lam becomes s_{lam - lam_N},
+        one integer still, as no two lam of one |lam| meet (every chain value
+        has one |lam|); ValueError when two do."""
+        column = _column(self.nvars)
+        terms = {key - ((key >> SLOT_BITS * self.nvars) + EXP_MIN) * column: v for key, v in self.terms.items()}
+        if len(terms) < len(self.terms):
+            raise ValueError("two s_lam of the form meet modulo z_1...z_N = 1")
+        return PackedSchur(self.ring, self.nvars, self.width, self.offset, terms)
+
+    def top_digits(self):
+        """(the greatest place d of a nonzero digit, {key of s_lam: its digit
+        at d}), read off each integer: its top place is lo + bit_length //
+        width, and the digits below the top are less than half a unit of it."""
+        s = self.width
+        places = {key: lo + abs(n).bit_length() // s for key, (_, lo, n) in self.terms.items()}
+        top = max(places.values(), default=None)
+        return top, {key: (n + (1 << s * (top - lo) >> 1)) >> s * (top - lo) for key, (_, lo, n) in self.terms.items() if places[key] == top}
+
+    def _decoded(self):
+        """(step, [(key of s_lam, unit exponent at place lo, its digits)]);
+        ``ExponentOverflow`` when an exponent leaves the unit slot."""
+        step, s = 1 if self.ring == RING_Q else -2 * self.nvars, self.width
+        rows = [(key, self.offset + step * lo, kron_digits(n, s)) for key, (_, lo, n) in self.terms.items()]
+        ends = [e + step * ds[i][0] for _, e, ds in rows for i in (0, -1)]
+        require_fit((min(ends, default=0),), (max(ends, default=0),))
+        return step, rows
+
+    def coefficients(self):
+        """{lam: [(unit exponent, c), ...] by increasing place}, lam the N
+        parts of each s_lam."""
+        step, rows = self._decoded()
+        return {unpack(key, self.nvars + 1)[1:]: [(e + step * d, c) for d, c in ds] for key, e, ds in rows}
+
+    def schur(self) -> SchurPoly:
+        step, rows = self._decoded()
+        return SchurPoly(self.ring, self.nvars, {key + (e + step * d) * UNIT: c for key, e, ds in rows for d, c in ds})
+
+
+def packed_step(op, alpha, n, f: PackedSchur) -> PackedSchur:
+    """op(alpha, n) f, op "M" or "D": each image term (|mu|, s_kappa, b) of
+    s_lam adds n_lam * b, |mu| places up, to kappa's integer (``kron_add``),
+    one shift-and-add whatever the q-length.  kappa's bound is the sum of
+    bound_lam * |b| over the terms landing on it; when the largest needs a
+    wider width, the sources are first repacked at the larger of that width
+    and twice the current one."""
+    ring, nvars = f.ring, f.nvars
+    alpha, du_subset, du_all, du_const = _unit_rates(op, alpha, n, ring, nvars)
+    sources, bounds = [], {}
+    for key, (bound, lo, value) in f.terms.items():
+        top, move, (size, _, _, image, _, _) = _column_image(key >> SLOT_BITS, nvars, alpha, n)
+        sources.append((move, lo + alpha * top, value, image))
+        for _, kappa, b in image:
+            kappa += move
+            bounds[kappa] = bounds.get(kappa, 0) + bound * abs(b)
+    s, need = f.width, kron_width(max(bounds.values(), default=0))
+    if need > s:
+        s, width = max(need, 2 * s), s
+        sources = [(move, lo, kron_widen(value, width, s), image) for move, lo, value, image in sources]
+    acc = {}
+    for move, lo, value, image in sources:
+        for dmu, kappa, b in image:
+            kron_add(acc, kappa + move, lo + dmu, value * b, s)
+    # every lam has one size, so the dilation moves every term alike
+    offset = f.offset + du_const + (du_all * (size + nvars * top) if f.terms else 0)
+    return PackedSchur(ring, nvars, s, offset, {k: (bounds[k], lo, v) for k, (lo, v) in acc.items() if v})
 
 
 def apply_macdonald_qt(alpha, f):

@@ -20,8 +20,8 @@ view of an element, its terms grouped by position (a, b)
 a table lookup; ``evaluate`` makes one pass over the keys.
 
 Two checks read each position's w-polynomial at w = 2**s as one integer
-(Kronecker substitution), s derived from a bound on the coefficients (the
-sum of absolute coefficients of the factors), never fixed; an element
+(``laurent``'s Kronecker codec), s derived from a bound on the coefficients
+(the sum of absolute coefficients of the factors), never fixed; an element
 builds its packed positions once per width (``NcLaurent._packed``, a
 bounded memo).  ``q_commutator`` tests f*g = w**c * g*f exactly without
 forming terms: only position pairs whose twists differ contribute, and at
@@ -68,6 +68,10 @@ from .laurent import (
     LaurentPoly,
     _guard,
     coefficient_text,
+    kron_add,
+    kron_digits,
+    kron_widen,
+    kron_width,
     offset,
     outside_box,
     pack,
@@ -305,9 +309,9 @@ def _packed_sums(s, left, right, twists, backs):
             if twist != back:
                 prod = n1 * n2
                 if twist < back:
-                    _add_from(acc, pos1 + pos2, wlo1 + wlo + twist, prod - (prod << s * (back - twist)), s)
+                    kron_add(acc, pos1 + pos2, wlo1 + wlo + twist, prod - (prod << s * (back - twist)), s)
                 else:
-                    _add_from(acc, pos1 + pos2, wlo1 + wlo + back, (prod << s * (twist - back)) - prod, s)
+                    kron_add(acc, pos1 + pos2, wlo1 + wlo + back, (prod << s * (twist - back)) - prod, s)
     return acc
 
 
@@ -465,34 +469,6 @@ def evaluate(f: NcLaurent, mode: str = "ev") -> NcLaurent:
     return f._like({k: c for k, c in out.items() if c})
 
 
-def _add_from(acc, target, lo, n, s):
-    """Add n, a w-polynomial read at w = 2**s from w**lo, to acc[target] =
-    [least w, the sum read from that w], rebasing the sum when lo is lower."""
-    cur = acc.get(target)
-    if cur is None:
-        acc[target] = [lo, n]
-    elif lo >= cur[0]:
-        cur[1] += n << s * (lo - cur[0])
-    else:
-        cur[1] = (cur[1] << s * (cur[0] - lo)) + n
-        cur[0] = lo
-
-
-def _digits(n: int, s: int):
-    """[(i, c)]: the nonzero digits c of n in balanced base 2**s, i the place
-    (n = sum c * 2**(s*i), every |c| < 2**(s-1))."""
-    out, i, mask, half = [], 0, (1 << s) - 1, 1 << (s - 1)
-    while n:
-        c = n & mask
-        if c >= half:
-            c -= mask + 1
-        if c:
-            out.append((i, c))
-        n = (n - c) >> s
-        i += 1
-    return out
-
-
 class PackedImage:
     """An ev0 image with each position's w-polynomial packed into one integer.
 
@@ -514,7 +490,7 @@ class PackedImage:
         """f packed position by position at the least width its |f|_1 allows;
         a Q_{a,0} in f stays in its position key."""
         _, _, positions, l1 = f._position_groups()
-        s = l1.bit_length() + 1
+        s = kron_width(l1)
         return cls(f.rank, l1, s, {p[2]: (p[3], p[4], n) for p, n in zip(positions, f._packed(s))})
 
     def nc(self) -> NcLaurent:
@@ -522,7 +498,7 @@ class PackedImage:
         s, groups = self.packing
         out = {}
         for pos, (wlo, _, n) in groups.items():
-            for i, c in _digits(n, s):
+            for i, c in kron_digits(n, s):
                 out[(pos << SLOT_BITS) + pack((wlo + i,))] = c
         return NcLaurent(RING_W, 2 * self.rank, out)
 
@@ -530,7 +506,7 @@ class PackedImage:
         """Repack at a width above the current one; returns the new packing,
         which a caller uses rather than reading ``packing`` again."""
         s, groups = self.packing
-        repacked = {pos: (wlo, whi, sum(c << width * i for i, c in _digits(n, s))) for pos, (wlo, whi, n) in groups.items()}
+        repacked = {pos: (wlo, whi, kron_widen(n, s, width)) for pos, (wlo, whi, n) in groups.items()}
         self.packing = width, repacked
         return width, repacked
 
@@ -555,8 +531,8 @@ def ev0_times(img: PackedImage, x: NcLaurent) -> PackedImage:
         return PackedImage(rank, 0, s, {})
     avecs, _, positions, l1 = x._position_groups()
     bound = img.bound * l1
-    if bound.bit_length() + 1 > s:
-        s, groups = img.widen(max(bound.bit_length() + 1, 2 * s))
+    if kron_width(bound) > s:
+        s, groups = img.widen(max(kron_width(bound), 2 * s))
     # the top bit of every slot: a valid key never sets one
     guard, b_shift = _guard(2 * rank), SLOT_BITS * rank
     # x's b-part adds to an image position key; x's a-part moves left past
@@ -573,7 +549,7 @@ def ev0_times(img: PackedImage, x: NcLaurent) -> PackedImage:
             # a b-slot, or w, left its range
             if target & guard or lo < EXP_MIN or lo + span1 + span > EXP_MAX:
                 raise ExponentOverflow("exponents would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
-            _add_from(acc, target, lo, prod, s)
+            kron_add(acc, target, lo, prod, s)
     # the least place of n's lowest nonzero digit holds its trailing zero
     # bits; the greatest place is bit_length // s, as every digit is below
     # 2**(s-1) in absolute value
@@ -624,4 +600,4 @@ def ev0_negative_term(img: PackedImage):
     # b-tuples are distinct, so max never compares the w-coefficients
     b, pos = max((unpack(pos >> b_shift, r), pos) for pos in bad)
     wlo, _, n = groups[pos]
-    return b, {wlo + i: c for i, c in _digits(n, s)}
+    return b, {wlo + i: c for i, c in kron_digits(n, s)}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import prod
 
 from .laurent import SLOT_BITS, UNIT, LaurentPoly, coefficient_text, offset, pack, require_fit, split_unit, unpack
 from .rings import RING_Q, RING_W
@@ -62,6 +63,21 @@ def partition_of_weight(ell) -> Partition:
     return normalize_partition(tuple(sum(ell[a:]) for a in range(r)) + (0,))
 
 
+# the most interlacing vectors one call enumerates (rank 1, n = 60 meets 61)
+INTERLACING_CAP = 1 << 22
+
+
+def interlacing(lam, shift=0):
+    """An iterator over the rho with lam_{i+1} <= rho_i - shift <= lam_i,
+    lam weakly decreasing; ValueError when there are more than
+    INTERLACING_CAP, which is decided before any range is enumerated."""
+    ranges = [range(lam[i + 1] + shift, lam[i] + shift + 1) for i in range(len(lam) - 1)]
+    count = prod(map(len, ranges))
+    if count > INTERLACING_CAP:
+        raise ValueError("%r has %d interlacing vectors, above the cap %d" % (lam, count, INTERLACING_CAP))
+    return itertools.product(*ranges)
+
+
 @lru_cache(maxsize=1 << 10)
 def _schur_zcoeffs(lam: Partition, nvars: int) -> LaurentPoly:
     """The Schur polynomial s_lam(z_1..z_N) over the Q ring, cached per
@@ -71,7 +87,8 @@ def _schur_zcoeffs(lam: Partition, nvars: int) -> LaurentPoly:
     Gelfand-Tsetlin patterns of shape lam and nothing is divided.  z_N is
     the top slot of a key, so each term of s_mu moves up by one addition.
     Every exponent lies in [0, lam_1], so a part beyond EXP_MAX raises
-    ``ExponentOverflow`` before any pattern is enumerated.
+    ``ExponentOverflow``, and more than INTERLACING_CAP mu raise ValueError,
+    before any pattern is enumerated.
     """
     lam = normalize_partition(lam)
     if len(lam) > nvars:
@@ -82,7 +99,7 @@ def _schur_zcoeffs(lam: Partition, nvars: int) -> LaurentPoly:
     full = lam + (0,) * (nvars - len(lam))
     size, top = sum(lam), SLOT_BITS * nvars
     out = {}
-    for mu in itertools.product(*(range(full[i + 1], full[i] + 1) for i in range(nvars - 1))):
+    for mu in interlacing(full):
         lift = pack((size - sum(mu),)) << top
         for k, c in _schur_zcoeffs(normalize_partition(mu), nvars - 1).coeffs.items():
             out[k + lift] = out.get(k + lift, 0) + c
@@ -147,8 +164,8 @@ def straighten(v):
     ``(0, None)`` when s_v = 0, by s_{.., a, b, ..} = -s_{.., b-1, a+1, ..}
     (Macdonald, I.3)."""
     v = list(v)
-    sign, i = 1, 0
-    while i < len(v) - 1:
+    sign, i, last = 1, 0, len(v) - 1
+    while i < last:
         a, b = v[i], v[i + 1]
         if a >= b:
             i += 1

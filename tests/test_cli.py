@@ -74,6 +74,56 @@ def test_rank4_ladder_digests(flag, digest):
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "rank, flag, digest",
+    [
+        (1, "40", "6c8cc54da0667d1e2259e21d0daab3b0938edcfb4feae2e57d67e6ec14582435"),
+        (2, "12,12", "e38f30d64edd9e67b37e87bb57a4c4d90ebd98c059b8e3e9a6768e7f33ed8a20"),
+    ],
+)
+def test_frontier_digests_past_32_bit_widths(rank, flag, digest):
+    # SHA-256 of the JSON output as computed by the dict chain; the packed
+    # chain derives widths past 32 bits for both (53 and 43 bits needed)
+    import qchar.characters as characters
+
+    out = run_cli(["char", "--rank", str(rank), "--n", flag])
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+    n = cli.parse_n_flag(flag, rank, 1)
+    assert characters._chain(n, "M", characters.RING_Q).width > 32
+
+
+@pytest.mark.parametrize("fault", ["raised", "lowered", "extra q**0 term"])
+def test_char_checks_read_the_packed_chain_value(fault, monkeypatch, capsys):
+    # the two structural checks run on the packed value both views come
+    # from: a chain raised by q (a positive q-exponent), lowered by q (no
+    # q**0 part) or with a second s_lam at q**0 fails graded_character and
+    # exits 3 from the CLI
+    import qchar.characters as characters
+    from qchar.laurent import pack
+    from qchar.qdiff import PackedSchur
+
+    real = characters._chain
+
+    def faulty(n, op, ring):
+        f = real(n, op, ring)
+        if fault != "extra q**0 term":
+            return f.times_unit(1 if fault == "raised" else -1)
+        place = -characters.char_q_exponent(n) - f.offset
+        return PackedSchur(f.ring, f.nvars, f.width, f.offset, {**f.terms, pack((0, 3, 0, 0)): (1, place, 1)})
+
+    monkeypatch.setattr(characters, "_chain", faulty)
+    message = "positive q-exponent" if fault == "raised" else "part differs from the top component"
+    characters.graded_character.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=message):
+            characters.graded_character(cli.parse_n_flag("1,1", 2, 1))
+        assert cli.main(["char", "--rank", "2", "--n", "1,1"]) == 3
+        assert message in capsys.readouterr().err
+    finally:
+        characters.graded_character.cache_clear()
+
+
 def test_character_chain_builds_no_monomial_expansion(monkeypatch):
     import qchar.characters as characters
     import qchar.symfun as symfun
@@ -223,7 +273,7 @@ def test_char_internal_error_exit_3(monkeypatch, capsys):
     def broken(n):
         raise NotDivisible("forced")
 
-    monkeypatch.setattr(cli, "graded_character", broken)
+    monkeypatch.setattr(cli, "packed_character", broken)
     monkeypatch.setattr(
         cli, "character_payload", lambda n: (_ for _ in ()).throw(NotDivisible("forced"))
     )

@@ -23,7 +23,7 @@ from oracles import (
 )
 from qchar import characters, qdiff, qtorus, symfun
 from qchar.cartan import CartanData
-from qchar.laurent import EXP_MAX, LaurentPoly, pack
+from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, pack, unpack
 from qchar.qdiff import apply_D, apply_M, apply_macdonald_qt
 from qchar.macdonald import qt_t_infinity_limit
 from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible, NotSymmetric
@@ -300,8 +300,10 @@ def test_one_variable_images_match_the_fillings_on_a_grid():
             for lam in (full, tuple(x - 2 for x in full)):
                 for alpha in {1, nvars - 1}:
                     for n in range(4):
-                        size, lo, hi, terms = qdiff._image(pack(lam), nvars, alpha, n)
+                        size, lo, hi, terms, least, most = qdiff._image(pack(lam), nvars, alpha, n)
                         got = {(dmu, key): c for dmu, key, c in terms}
+                        kappas = [unpack(key, nvars + 1)[1:] for _, key in got] or [(0,)]
+                        assert (least, most) == (min(k[-1] for k in kappas), max(k[0] for k in kappas))
                         assert len(got) == len(terms) and size == sum(lam), (lam, alpha, n)
                         assert got == _image_by_fillings(lam, alpha, n, symfun.branch), (lam, alpha, n)
                         assert got == _image_by_fillings(lam, alpha, n, ref_branch), (lam, alpha, n)
@@ -396,3 +398,169 @@ def test_operator_sum_rejects_mixed_terms():
         qdiff.operator_sum([("D", 1, 1, f, 0, 1)])
     with pytest.raises(ValueError):
         qdiff.operator_sum([("X", 1, 1, f, 0, 1)])
+
+
+# -- raising chains on packed Schur coefficients --------------------------------
+
+
+def _pack(f):
+    """The Schur form f as a ``qdiff.PackedSchur`` at the least width its
+    coefficients allow: places d from the least exponent over Q, from the
+    greatest over W; ValueError when f is no form a packed chain can hold."""
+    from qchar.laurent import kron_width, split_unit
+
+    step = 1 if f.ring == RING_Q else -2 * f.nvars
+    exps = [split_unit(k)[0] for k in f.coeffs]
+    off = min(exps) if step > 0 else max(exps)
+    if any((j - off) % step for j in exps) or step < 0 and len({sum(unpack(k, f.nvars + 1)[1:]) for k in f.coeffs}) > 1:
+        raise ValueError("a packed W form needs one |lam| and one class of exponents mod %d" % -step)
+    rows = {}
+    for key, c in f.coeffs.items():
+        j = split_unit(key)[0]
+        rows.setdefault(key - j, {})[(j - off) // step] = c
+    s = kron_width(max(map(abs, f.coeffs.values())))
+    terms = {}
+    for key, row in rows.items():
+        lo = min(row)
+        terms[key] = max(map(abs, row.values())), lo, sum(c << s * (d - lo) for d, c in row.items())
+    return qdiff.PackedSchur(f.ring, f.nvars, s, off, terms)
+
+
+def _random_chain_form(rng, ring, nvars):
+    """A random signed Schur form a packed chain can hold: over W one |lam|
+    and one class of w-exponents mod 2N (as D-chain values have), over Q
+    any sizes; a last part of -1 on some terms."""
+    step = 1 if ring == RING_Q else -2 * nvars
+    size, off = rng.randrange(5), rng.randrange(-6, 7)
+    out = {}
+    for _ in range(rng.randrange(1, 6)):
+        if ring == RING_Q:
+            size = rng.randrange(5)
+        lam = rng.choice([p for p in partitions_up_to(size, nvars) if sum(p) == size])
+        cols = 0 if ring == RING_W else rng.choice((0, 0, 1, -1))
+        full = tuple(x + cols for x in lam + (0,) * (nvars - len(lam)))
+        for d in rng.sample(range(6), rng.randrange(1, 4)):
+            c = rng.choice((-1, 1)) * rng.randrange(1, 60)
+            key = pack((off + step * d,) + full)
+            out[key] = out.get(key, 0) + c
+    return SchurPoly(ring, nvars, {k: c for k, c in out.items() if c})
+
+
+def test_packed_step_matches_the_operators_term_for_term():
+    # random signed forms on ranks 1-4, M over Q and D over W, every alpha
+    # and n in [-1, 3]: the packed step, unpacked, is apply_M / apply_D
+    import random
+
+    rng = random.Random(7)
+    cases = 0
+    for nvars in range(2, 6):
+        for ring, op, apply in ((RING_Q, "M", apply_M), (RING_W, "D", apply_D)):
+            for _ in range(4):
+                f = _random_chain_form(rng, ring, nvars)
+                packed = _pack(f)
+                assert packed.schur() == f
+                for alpha in range(nvars + 1):
+                    for n in range(-1, 4):
+                        got = qdiff.packed_step(op, alpha, n, packed).schur()
+                        assert got.coeffs == apply(alpha, n, f).coeffs, (ring, nvars, alpha, n)
+                        cases += 1
+    assert cases == 2 * 4 * 5 * (3 + 4 + 5 + 6)
+
+
+def test_packed_width_at_the_coefficient_bound():
+    # coefficients +-(2**(s-1) - 1) round-trip at the derived width s; a
+    # bound of exactly 2**(s-1) takes one bit more
+    from qchar.laurent import kron_digits, kron_width
+
+    for s in (2, 3, 8, 31, 32, 33, 64, 65):
+        edge = 2 ** (s - 1) - 1
+        assert kron_width(edge) == s and kron_width(edge + 1) == s + 1
+        f = SchurPoly(RING_Q, 2, {pack((d, 1, 0)): (-1) ** d * edge for d in range(5)})
+        packed = _pack(f)
+        assert packed.width == s and packed.schur() == f
+        ((_, (_, _, n)),) = packed.terms.items()
+        assert kron_digits(n, s) == [(d, (-1) ** d * edge) for d in range(5)]
+        assert _pack(f + SchurPoly.basis((1, 0), 2)).width == s + 1
+
+
+def test_packed_form_unpacks_only_inside_the_unit_slot():
+    # each exponent a packed form unpacks to is range-checked, the least and
+    # the greatest of a two-term coefficient alike: at EXP_MAX and EXP_MIN
+    # it unpacks, one past raises
+    for ring, nvars in ((RING_Q, 2), (RING_W, 3)):
+        f = SchurPoly.basis((1,), nvars, ring)
+        step = 1 if ring == RING_Q else -2 * nvars
+        for edge, past in ((EXP_MAX, 1), (EXP_MIN, -1)):
+            g = f.times_unit(edge) + f.times_unit(edge - past * 3 * abs(step))
+            packed = _pack(g)
+            assert packed.schur() == g
+            for view in ("schur", "coefficients"):
+                with pytest.raises(ExponentOverflow):
+                    getattr(packed.times_unit(past), view)()
+
+
+def test_packed_constrained_is_the_schur_view_constrained():
+    # on chain values (one |lam| each) the packed value modulo
+    # z_1...z_N = 1 unpacks to the unpacked value's constrained view; two
+    # s_lam that would meet there are refused
+    characters._CHAINS.clear()
+    for rank, rows in ((1, (3,)), (2, (1, 2)), (3, (1, 0, 1))):
+        n = characters.NVector.level_one(rank, rows)
+        for op, ring in (("M", RING_Q), ("D", RING_W)):
+            value = characters._chain(n, op, ring)
+            assert value.constrained().schur() == value.schur().constrained(), (n, op)
+    meet = SchurPoly.basis((1, 0), 2) + SchurPoly.basis((2, 1), 2)
+    with pytest.raises(ValueError):
+        _pack(meet).constrained()
+
+
+def test_packed_step_one_bit_under_the_derived_width_misreads(monkeypatch):
+    # M_{1,1} sends c q s_(2,0) and c q s_(1,1) both to 2c q**2 s_(2,1); with
+    # c = 2**m - 1 the sources pack at m + 1 bits and the step derives m + 2.
+    # Stepping at one bit under (every width one bit narrower than derived)
+    # reads a wrong character; at the derived width it is exact
+    for m in (1, 5, 40):
+        c = 2**m - 1
+        f = SchurPoly(RING_Q, 3, {pack((1, 2, 0, 0)): c, pack((1, 1, 1, 0)): c})
+        packed = _pack(f)
+        step = qdiff.packed_step("M", 1, 1, packed)
+        assert (packed.width, step.width) == (m + 1, max(m + 2, 2 * m + 2))
+        assert step.schur() == apply_M(1, 1, f)
+        with monkeypatch.context() as patch:
+            patch.setattr(qdiff, "kron_width", lambda bound: bound.bit_length())
+            assert qdiff.packed_step("M", 1, 1, packed).schur() != apply_M(1, 1, f)
+
+
+def test_images_are_cached_modulo_full_columns():
+    # s_{lam + c} for full columns c reads the image of lam: one cached
+    # image, each kappa moved by c and |mu| by alpha c
+    qdiff._image.cache_clear()
+    qdiff._column_image.cache_clear()
+    for c in (-2, 0, 3):
+        lam = SchurPoly.basis((3 + c, 1 + c, c), 3)
+        for alpha in (1, 2):
+            assert apply_M(alpha, 2, lam) == apply_M(alpha, 2, SchurPoly.basis((3, 1, 0), 3)).times_z((c,) * 3).times_unit(alpha * c)
+    assert qdiff._image.cache_info().currsize == 2
+    # a kappa part moved past the slot raises; at the edge it does not
+    edge = SchurPoly.basis((EXP_MAX,) * 3, 3)
+    assert apply_M(1, 0, edge) == edge.times_unit(EXP_MAX)
+    with pytest.raises(ExponentOverflow):
+        apply_M(1, 1, edge)
+    with pytest.raises(ExponentOverflow):
+        qdiff.packed_step("M", 1, 1, _pack(edge))
+
+
+def test_image_enumeration_is_bounded_before_it_starts():
+    # s_(2**25 - 1, 0, 0) under M_1 would enumerate 2**25 interlacing
+    # vectors: it raises at once, as does its monomial view
+    wide = pack((2**25 - 1, 0, 0))
+    with pytest.raises(ValueError, match="above the cap"):
+        qdiff._image(wide, 3, 1, 1)
+    with pytest.raises(ValueError, match="above the cap"):
+        apply_M(1, 1, SchurPoly(RING_Q, 3, {pack((0, 2**25 - 1, 0, 0)): 1}))
+    with pytest.raises(ValueError, match="above the cap"):
+        symfun._schur_zcoeffs((2**25 - 1,), 3)
+    cap = symfun.INTERLACING_CAP
+    assert sum(1 for _ in itertools.islice(symfun.interlacing((cap - 1, 0)), 3)) == 3
+    with pytest.raises(ValueError):
+        symfun.interlacing((cap, 0))

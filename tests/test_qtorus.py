@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import check_polynomiality, ref_ev0_word, ref_nc_div, ref_nc_mul
 from qchar.cartan import CartanData
-from qchar.laurent import EXP_MAX, EXP_MIN, SLOT_BITS, LaurentPoly, key_bounds, pack, split_unit, zero_key
+from qchar.laurent import EXP_MAX, EXP_MIN, SLOT_BITS, LaurentPoly, key_bounds, kron_digits, pack, split_unit, zero_key
 from qchar.qtorus import (
     NcLaurent,
     PackedImage,
@@ -291,7 +291,7 @@ def test_q_commutator_packed_sums_are_the_commutator(monkeypatch):
                 read = {
                     (target - zero_key(2 * rank) << SLOT_BITS) + pack((lo + i,)): x
                     for target, (lo, n) in sums.items()
-                    for i, x in qtorus._digits(n, s)
+                    for i, x in kron_digits(n, s)
                 }
                 assert read == comm.coeffs and bool(comm) == (moved != c), (rank, moved)
 
@@ -412,9 +412,9 @@ def test_ev0_step_width_at_the_coefficient_bound():
             assert s == img.packing[0] == abs(c).bit_length() + 1 and step.bound == abs(c)
             assert step.nc() == NcLaurent.monomial(1, (0,), (2,), 3, c)
             ((_, (_, _, n)),) = groups.items()
-            assert qtorus._digits(n, s) == [(0, c)]
+            assert kron_digits(n, s) == [(0, c)]
             if c > 1:
-                assert qtorus._digits(n, s - 1) != [(0, c)]
+                assert kron_digits(n, s - 1) != [(0, c)]
     # two coefficients at the bound in one w-polynomial, and a step that
     # must widen the image: every digit comes back
     f = NcLaurent.from_terms(1, {((0,), (1,)): {0: 2**20, 1: -(2**20)}})
