@@ -210,11 +210,6 @@ def top_component(n: NVector):
     return partition_of_weight(n.top_weight())
 
 
-def g_raising_product(n: NVector) -> SchurPoly:
-    """The twisted-operator product applied to 1 (W-ring, unconstrained)."""
-    return _chain(n, "D", RING_W).schur()
-
-
 def g_schur_form(n: NVector) -> SchurPoly:
     """G_n as a Schur form: the twisted product on 1 modulo
     z_1...z_{r+1} = 1 (W-ring, r+1 variables, every lam_{r+1} = 0)."""

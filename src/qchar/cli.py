@@ -28,6 +28,9 @@ INTERNAL_ERRORS = (ArithmeticError, NotSymmetric)
 # The Whittaker check's time grows as order**3 (1.2 s at order 80, 3.9 s at
 # 120 on a 2-CPU box), and its series are exact at any order: a cap.
 MAX_ORDER = 100
+# Each suite's largest --rank and --bound, below where its run passes about
+# 30 s (timed in the README); "all" takes the least cap of its suites.
+SUITE_CAPS = {"rank": {"torus": 4, "eigen": 6, "limits": 5, "qsystem": 6}, "bound": {"lemmas": 4, "macdonald": 11, "eigen": 6, "diffeq": 10, "limits": 6, "qsystem": 10}}
 
 
 def _integer(text: str) -> int:
@@ -221,8 +224,11 @@ def main(argv=None) -> int:
         return 0 if _emit(render_character(payload, args.format), args.out) else 2
 
     for flag in ("rank", "bound", "order"):
-        if getattr(args, flag) is not None and flag not in SUITE_FLAGS[args.suite].split():
+        value, caps = getattr(args, flag), [c for s, c in SUITE_CAPS.get(flag, {}).items() if args.suite in (s, "all")]
+        if value is not None and flag not in SUITE_FLAGS[args.suite].split():
             parser.error("--suite %s does not read --%s" % (args.suite, flag))
+        if value is not None and value > min(caps, default=value):
+            parser.error("--%s %d is above the maximum %d of --suite %s" % (flag, value, min(caps), args.suite))
     try:
         reports = run_suite(args.suite, rank=args.rank, bound=args.bound, order=args.order)
     except INTERNAL_ERRORS as exc:

@@ -29,8 +29,11 @@ printed by ``coefficient_text``.  The Kronecker codec packs such a
 polynomial with coefficients at most a bound into one integer, its value at
 x = 2**s (Harvey, J. Symb. Comp. 2009), s derived from the bound and never
 fixed: ``kron_width``, ``kron_digits`` (balanced digits), ``kron_add``
-(rebase-and-add from the least exponent) and ``kron_widen``; the torus's
-packed positions and the raising chains (``qdiff.PackedSchur``) use it.
+(rebase-and-add from the least exponent) and ``Packed``, rows of such
+integers at one width with the widening rule (``hold``) and the least-digit
+normalization (``summed``).  The torus commutator packs positions with the
+codec; the raising chains (``qdiff.PackedSchur``) and the torus's ev0
+images (``qtorus.PackedImage``) are ``Packed`` values.
 
 Subclasses keep the keys and change the basis or the product:
 ``symfun.SchurPoly`` keys Schur functions, and ``qtorus.NcLaurent`` is a
@@ -41,7 +44,8 @@ the methods here build zero and one through ``_like``.
 Everything here is exact.  The one division is ``divide_binomial``, by
 1 - x u**i in one pass, for the Whittaker series and the t = 0 Macdonald
 limit; Schur polynomials are built by branching (``symfun``).  Values are
-immutable by convention: no method mutates ``self``.
+immutable by convention: no method mutates ``self``, but for
+``Packed.hold``, which changes the representation, never the value.
 """
 
 from __future__ import annotations
@@ -194,7 +198,10 @@ def kron_width(bound: int) -> int:
 
 def kron_digits(n: int, s: int):
     """[(i, c)]: the nonzero digits c of n in balanced base 2**s, i the place
-    (n = sum c * 2**(s*i), every |c| < 2**(s-1))."""
+    (n = sum c * 2**(s*i), every |c| < 2**(s-1)); ValueError for s < 2 and
+    n != 0, where the walk would never advance."""
+    if s < 2 and n:
+        raise ValueError("balanced digits need a width of at least 2 bits, not %d" % s)
     out, i, mask, half = [], 0, (1 << s) - 1, 1 << (s - 1)
     while n:
         c = n & mask
@@ -205,11 +212,6 @@ def kron_digits(n: int, s: int):
         n = (n - c) >> s
         i += 1
     return out
-
-
-def kron_widen(n: int, s: int, width: int) -> int:
-    """n, packed at width s, repacked at ``width``: the same digits."""
-    return sum(c << width * i for i, c in kron_digits(n, s))
 
 
 def kron_add(acc, target, lo, n, s):
@@ -224,6 +226,48 @@ def kron_add(acc, target, lo, n, s):
     else:
         cur[1] = (cur[1] << s * (cur[0] - lo)) + n
         cur[0] = lo
+
+
+class Packed:
+    """Rows of one-variable polynomials at one width: ``packing`` is (width,
+    rows), rows mapping a key to (bound, lo, n), n = sum_d c_d 2**(width*(d -
+    lo)) with every |c_d| <= bound < 2**(width-1) and c_lo != 0; the top place
+    lo + bit_length(|n|) // width is never stored.  ``hold`` replaces
+    ``packing`` in one assignment, so a reader that takes it once reads one
+    width.  Subclasses say what the keys and places stand for."""
+
+    __slots__ = ("packing",)
+
+    def __init__(self, width, rows):
+        self.packing = width, rows
+
+    @staticmethod
+    def summed(acc, s, bounds):
+        """Rows at width s from a ``kron_add`` accumulator, bounds[key] each
+        row's bound: zero rows dropped, lo moved up past zero low digits."""
+        rows, mask = {}, (1 << s) - 1
+        for key, (lo, n) in acc.items():
+            if n & mask:
+                rows[key] = bounds[key], lo, n
+            elif n:
+                low = ((n & -n).bit_length() - 1) // s
+                rows[key] = bounds[key], lo + low, n >> s * low
+        return rows
+
+    def hold(self, bound):
+        """The packing at a width whose digits hold every |c| <= bound; a narrower
+        one is first repacked at max(kron_width(bound), 2 * width), stored back."""
+        s, rows = self.packing
+        if kron_width(bound) > s:
+            width = max(kron_width(bound), 2 * s)
+            self.packing = width, {key: (b, lo, sum(c << width * i for i, c in kron_digits(n, s))) for key, (b, lo, n) in rows.items()}
+        return self.packing
+
+    def digits(self, key):
+        """[(place, c)]: the nonzero digits of row ``key``, by increasing place."""
+        s, rows = self.packing
+        _, lo, n = rows[key]
+        return [(lo + i, c) for i, c in kron_digits(n, s)]
 
 
 def unit_slots(ring) -> int:

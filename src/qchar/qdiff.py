@@ -29,8 +29,9 @@ One kernel, ``operator_sum``, forms every such action: a signed sum of M, D
 and identity terms, each with its power of q (or w), in one dict.
 ``apply_M`` and ``apply_D`` are its one-term calls, and an operator identity
 is one residual tested for zero, with no side formed.  A raising chain
-steps a ``PackedSchur`` instead, each Schur coefficient one integer
-(``packed_step``).  Both read the images of s_lam modulo full columns.
+steps a ``PackedSchur`` instead, a ``laurent.Packed`` with one row per
+Schur coefficient (``packed_step``).  Both read the images of s_lam modulo
+full columns.
 The Macdonald operator has no such form; its Vandermonde-cleared subset sum
 is one signed permutation orbit, read off Schur function by Schur function
 and divided by alpha! (N - alpha)! exactly.
@@ -47,12 +48,10 @@ from .laurent import (
     SLOT_BITS,
     UNIT,
     LaurentPoly,
+    Packed,
     delta_on,
     kron_add,
-    kron_digits,
-    kron_widen,
     kron_width,
-    offset,
     pack,
     require_fit,
     require_symmetric,
@@ -62,7 +61,7 @@ from .laurent import (
     zero_key,
 )
 from .rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
-from .symfun import SchurPoly, branch, interlacing, schur, straighten
+from .symfun import SchurPoly, branch, column_split, interlacing, schur, straighten
 
 
 @lru_cache(maxsize=16)
@@ -146,25 +145,18 @@ def _image(zkey, nvars, alpha, n):
     return size, min(dmus), max(dmus), terms, min(lasts), max(firsts)
 
 
-@lru_cache(maxsize=16)
-def _column(nvars):
-    """The offset of one full column z_1...z_N in a key with its unit slot."""
-    return offset((0,) + (1,) * nvars)
-
-
 @lru_cache(maxsize=1 << 14)
-def _column_image(zkey, nvars, alpha, n):
-    """(lam_N, lam_N full columns as the offset of a key with its unit slot,
-    ``_image`` of lam - lam_N), zkey the key of lam: images are built
-    modulo full columns, each kappa, |mu| and |lam| moving by lam_N,
-    alpha lam_N and N lam_N.  ``ExponentOverflow`` when a kappa part would
-    leave the slot."""
-    top = (zkey >> SLOT_BITS * (nvars - 1)) + EXP_MIN
-    move = top * _column(nvars)
-    image = _image(zkey - (move >> SLOT_BITS), nvars, alpha, n)
+def _column_image(key, nvars, alpha, n):
+    """(lam_N, lam_N full columns as a key offset, ``_image`` of lam -
+    lam_N), key the key of s_lam with unit exponent 0: images are built
+    modulo full columns (``symfun.column_split``), each kappa, |mu| and
+    |lam| moving by lam_N, alpha lam_N and N lam_N.  ``ExponentOverflow``
+    when a kappa part would leave the slot."""
+    top, core = column_split(key, nvars)
+    image = _image(core >> SLOT_BITS, nvars, alpha, n)
     if image[4] + top < EXP_MIN or image[5] + top > EXP_MAX:
         raise ExponentOverflow("a part of s_kappa would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
-    return top, move, image
+    return top, key - core, image
 
 
 def _unit_rates(op, alpha, n, ring, nvars):
@@ -208,8 +200,8 @@ def operator_sum(terms):
                 out[key + d] = get(key + d, 0) + coeff * c
             continue
         for key, c in f.coeffs.items():
-            j, zkey = split_unit(key)
-            top, move, (size, lo, hi, image, _, _) = _column_image(zkey, nvars, alpha, n)
+            j = split_unit(key)[0]
+            top, move, (size, lo, hi, image, _, _) = _column_image(key - j * UNIT, nvars, alpha, n)
             base = j + du_all * (size + nvars * top) + du_const + du_subset * alpha * top
             if not EXP_MIN <= base + du_subset * lo <= EXP_MAX or not EXP_MIN <= base + du_subset * hi <= EXP_MAX:
                 raise ExponentOverflow("unit exponent outside [%d, %d]" % (EXP_MIN, EXP_MAX))
@@ -236,93 +228,88 @@ def apply_D(alpha, n, f):
     return operator_sum((("D", alpha, n, f, 0, 1),))
 
 
-class PackedSchur:
-    """A Schur form with each s_lam's coefficient one integer, as a raising
-    chain keeps it (``laurent``'s Kronecker codec): ``terms`` maps the key
-    of s_lam (unit exponent 0) to (bound, lo, n), n = sum_d c_d
-    2**(width*(d - lo)) with c_d the coefficient of u**(offset + step*d) and
-    every |c_d| <= bound < 2**(width-1).  The step is 1 over Q and -2N over
-    W (q = w**(-2N)), so a W form has one |lam| and its w-exponents in one
-    class mod 2N, as every D-chain value does."""
+class PackedSchur(Packed):
+    """A Schur form with each s_lam's coefficient one ``laurent.Packed``
+    row, as a raising chain keeps it: rows are keyed by the key of s_lam
+    (unit exponent 0), and digit d is the coefficient of u**(offset +
+    step*d).  The step is 1 over Q and -2N over W (q = w**(-2N)), so a W
+    form has one |lam| and its w-exponents in one class mod 2N, as every
+    D-chain value does."""
 
-    __slots__ = ("ring", "nvars", "width", "offset", "terms")
+    __slots__ = ("ring", "nvars", "offset")
 
-    def __init__(self, ring, nvars, width, offset, terms):
-        self.ring, self.nvars, self.width, self.offset, self.terms = ring, nvars, width, offset, terms
+    def __init__(self, ring, nvars, offset, width, rows):
+        super().__init__(width, rows)
+        self.ring, self.nvars, self.offset = ring, nvars, offset
 
     @classmethod
     def one(cls, ring, nvars):
-        return cls(ring, nvars, kron_width(1), 0, {zero_key(nvars + 1): (1, 0, 1)})
+        return cls(ring, nvars, 0, kron_width(1), {zero_key(nvars + 1): (1, 0, 1)})
 
     def times_unit(self, k):
-        return PackedSchur(self.ring, self.nvars, self.width, self.offset + k, self.terms)
+        return PackedSchur(self.ring, self.nvars, self.offset + k, *self.packing)
 
     def constrained(self):
         """The value modulo z_1...z_N = 1: each s_lam becomes s_{lam - lam_N},
         one integer still, as no two lam of one |lam| meet (every chain value
         has one |lam|); ValueError when two do."""
-        column = _column(self.nvars)
-        terms = {key - ((key >> SLOT_BITS * self.nvars) + EXP_MIN) * column: v for key, v in self.terms.items()}
-        if len(terms) < len(self.terms):
+        s, rows = self.packing
+        moved = {column_split(key, self.nvars)[1]: row for key, row in rows.items()}
+        if len(moved) < len(rows):
             raise ValueError("two s_lam of the form meet modulo z_1...z_N = 1")
-        return PackedSchur(self.ring, self.nvars, self.width, self.offset, terms)
+        return PackedSchur(self.ring, self.nvars, self.offset, s, moved)
 
     def top_digits(self):
         """(the greatest place d of a nonzero digit, {key of s_lam: its digit
         at d}), read off each integer: its top place is lo + bit_length //
         width, and the digits below the top are less than half a unit of it."""
-        s = self.width
-        places = {key: lo + abs(n).bit_length() // s for key, (_, lo, n) in self.terms.items()}
+        s, rows = self.packing
+        places = {key: lo + abs(n).bit_length() // s for key, (_, lo, n) in rows.items()}
         top = max(places.values(), default=None)
-        return top, {key: (n + (1 << s * (top - lo) >> 1)) >> s * (top - lo) for key, (_, lo, n) in self.terms.items() if places[key] == top}
+        return top, {key: (n + (1 << s * (top - lo) >> 1)) >> s * (top - lo) for key, (_, lo, n) in rows.items() if places[key] == top}
 
     def _decoded(self):
-        """(step, [(key of s_lam, unit exponent at place lo, its digits)]);
+        """[(key of s_lam, [(unit exponent, c), ...] by increasing place)];
         ``ExponentOverflow`` when an exponent leaves the unit slot."""
-        step, s = 1 if self.ring == RING_Q else -2 * self.nvars, self.width
-        rows = [(key, self.offset + step * lo, kron_digits(n, s)) for key, (_, lo, n) in self.terms.items()]
-        ends = [e + step * ds[i][0] for _, e, ds in rows for i in (0, -1)]
+        step = 1 if self.ring == RING_Q else -2 * self.nvars
+        rows = [(key, [(self.offset + step * d, c) for d, c in self.digits(key)]) for key in self.packing[1]]
+        ends = [ds[i][0] for _, ds in rows for i in (0, -1)]
         require_fit((min(ends, default=0),), (max(ends, default=0),))
-        return step, rows
+        return rows
 
     def coefficients(self):
         """{lam: [(unit exponent, c), ...] by increasing place}, lam the N
         parts of each s_lam."""
-        step, rows = self._decoded()
-        return {unpack(key, self.nvars + 1)[1:]: [(e + step * d, c) for d, c in ds] for key, e, ds in rows}
+        return {unpack(key, self.nvars + 1)[1:]: ds for key, ds in self._decoded()}
 
     def schur(self) -> SchurPoly:
-        step, rows = self._decoded()
-        return SchurPoly(self.ring, self.nvars, {key + (e + step * d) * UNIT: c for key, e, ds in rows for d, c in ds})
+        return SchurPoly(self.ring, self.nvars, {key + e * UNIT: c for key, ds in self._decoded() for e, c in ds})
 
 
 def packed_step(op, alpha, n, f: PackedSchur) -> PackedSchur:
     """op(alpha, n) f, op "M" or "D": each image term (|mu|, s_kappa, b) of
     s_lam adds n_lam * b, |mu| places up, to kappa's integer (``kron_add``),
     one shift-and-add whatever the q-length.  kappa's bound is the sum of
-    bound_lam * |b| over the terms landing on it; when the largest needs a
-    wider width, the sources are first repacked at the larger of that width
-    and twice the current one."""
+    bound_lam * |b| over the terms landing on it, and f is held at a width
+    for the largest (``Packed.hold``)."""
     ring, nvars = f.ring, f.nvars
     alpha, du_subset, du_all, du_const = _unit_rates(op, alpha, n, ring, nvars)
     sources, bounds = [], {}
-    for key, (bound, lo, value) in f.terms.items():
-        top, move, (size, _, _, image, _, _) = _column_image(key >> SLOT_BITS, nvars, alpha, n)
-        sources.append((move, lo + alpha * top, value, image))
+    for key, (bound, _, _) in f.packing[1].items():
+        top, move, (size, _, _, image, _, _) = _column_image(key, nvars, alpha, n)
+        sources.append((move, alpha * top, image))
         for _, kappa, b in image:
             kappa += move
             bounds[kappa] = bounds.get(kappa, 0) + bound * abs(b)
-    s, need = f.width, kron_width(max(bounds.values(), default=0))
-    if need > s:
-        s, width = max(need, 2 * s), s
-        sources = [(move, lo, kron_widen(value, width, s), image) for move, lo, value, image in sources]
+    s, rows = f.hold(max(bounds.values(), default=0))
     acc = {}
-    for move, lo, value, image in sources:
+    for (move, up, image), (_, lo, value) in zip(sources, rows.values()):
+        lo += up
         for dmu, kappa, b in image:
             kron_add(acc, kappa + move, lo + dmu, value * b, s)
     # every lam has one size, so the dilation moves every term alike
-    offset = f.offset + du_const + (du_all * (size + nvars * top) if f.terms else 0)
-    return PackedSchur(ring, nvars, s, offset, {k: (bounds[k], lo, v) for k, (lo, v) in acc.items() if v})
+    offset = f.offset + du_const + (du_all * (size + nvars * top) if rows else 0)
+    return PackedSchur(ring, nvars, offset, s, Packed.summed(acc, s, bounds))
 
 
 def apply_macdonald_qt(alpha, f):

@@ -28,8 +28,8 @@ forming terms: only position pairs whose twists differ contribute, and at
 2**s beyond every coefficient the difference can have, each target
 position is one integer that is 0 iff all its coefficients are; a nonzero
 commutator, or one at the edge of the w slot, is formed by the twisted
-product (``_twisted``, w**c * f*g).  The ev0
-images of polynomiality words stay packed (``PackedImage``): one
+product (``_twisted``, w**c * f*g).  The ev0 images of polynomiality
+words stay packed (``PackedImage``, a ``laurent.Packed`` by position): one
 ``ev0_times`` step multiplies the image's positions by the letter's, one
 integer product per pair, x's a-part moved left already evaluated;
 polynomiality is then a mask test on the position keys, and an image is
@@ -66,11 +66,10 @@ from .laurent import (
     EXP_MIN,
     SLOT_BITS,
     LaurentPoly,
+    Packed,
     _guard,
     coefficient_text,
     kron_add,
-    kron_digits,
-    kron_widen,
     kron_width,
     offset,
     outside_box,
@@ -469,21 +468,16 @@ def evaluate(f: NcLaurent, mode: str = "ev") -> NcLaurent:
     return f._like({k: c for k, c in out.items() if c})
 
 
-class PackedImage:
-    """An ev0 image with each position's w-polynomial packed into one integer.
+class PackedImage(Packed):
+    """An ev0 image as ``laurent.Packed`` rows: each is keyed by a position
+    (a and b slots, as in ``NcLaurent``; the a-part is zero in a true ev0
+    image), and its digit d is the coefficient of w**d."""
 
-    ``packing`` is (width, groups): groups maps a position key (a and b
-    slots, as in ``NcLaurent``; the a-part is zero in a true ev0 image) to
-    (least w, greatest w, n), n the w-polynomial read at w = 2**width from
-    its least w.  Every coefficient is at most ``bound`` in absolute value,
-    and bound < 2**(width-1), so the balanced base-2**width digits of n are
-    the coefficients.  ``widen`` replaces the packing by a wider one in one
-    assignment: the representation changes, never the value."""
+    __slots__ = ("rank",)
 
-    __slots__ = ("rank", "bound", "packing")
-
-    def __init__(self, rank, bound, width, groups):
-        self.rank, self.bound, self.packing = rank, bound, (width, groups)
+    def __init__(self, rank, width, rows):
+        super().__init__(width, rows)
+        self.rank = rank
 
     @classmethod
     def of(cls, f: NcLaurent):
@@ -491,24 +485,12 @@ class PackedImage:
         a Q_{a,0} in f stays in its position key."""
         _, _, positions, l1 = f._position_groups()
         s = kron_width(l1)
-        return cls(f.rank, l1, s, {p[2]: (p[3], p[4], n) for p, n in zip(positions, f._packed(s))})
+        return cls(f.rank, s, {p[2]: (l1, p[3], n) for p, n in zip(positions, f._packed(s))})
 
     def nc(self) -> NcLaurent:
         """The image as an ``NcLaurent``."""
-        s, groups = self.packing
-        out = {}
-        for pos, (wlo, _, n) in groups.items():
-            for i, c in kron_digits(n, s):
-                out[(pos << SLOT_BITS) + pack((wlo + i,))] = c
+        out = {(pos << SLOT_BITS) + pack((w,)): c for pos in self.packing[1] for w, c in self.digits(pos)}
         return NcLaurent(RING_W, 2 * self.rank, out)
-
-    def widen(self, width):
-        """Repack at a width above the current one; returns the new packing,
-        which a caller uses rather than reading ``packing`` again."""
-        s, groups = self.packing
-        repacked = {pos: (wlo, whi, kron_widen(n, s, width)) for pos, (wlo, whi, n) in groups.items()}
-        self.packing = width, repacked
-        return width, repacked
 
 
 def ev0_times(img: PackedImage, x: NcLaurent) -> PackedImage:
@@ -516,23 +498,18 @@ def ev0_times(img: PackedImage, x: NcLaurent) -> PackedImage:
     leftmost in f * x): x's a-part moves left already evaluated, raised by
     its twist past each position of img and by its ev0 row, and each
     (position of img, position of x) pair costs one product of packed
-    integers.  The result's coefficients are at most img.bound * |x|_1, so
-    the step runs at width bit_length(img.bound * |x|_1) + 1, or img's
-    width if that is wider; an img narrower than that is first widened to
-    the larger of that width and twice its own, so a chain of steps, or a
-    stored prefix image extended by many letters, repacks each image at
-    most a few times.  Raises ``ExponentOverflow`` when a term of the image
-    would have w, or a b-exponent, out of range."""
+    integers.  Every coefficient of the result is at most B |x|_1, B the
+    largest bound of img's rows, and img is held at a width for that
+    (``Packed.hold``).  Raises ``ExponentOverflow`` when a term of the
+    image would have w, or a b-exponent, out of range."""
     if not isinstance(x, NcLaurent) or x.rank != img.rank:
         raise TypeError("incompatible operands: %r vs %r" % (img, x))
     rank = img.rank
-    s, groups = img.packing
-    if not groups or not x.coeffs:
-        return PackedImage(rank, 0, s, {})
+    if not img.packing[1] or not x.coeffs:
+        return PackedImage(rank, img.packing[0], {})
     avecs, _, positions, l1 = x._position_groups()
-    bound = img.bound * l1
-    if kron_width(bound) > s:
-        s, groups = img.widen(max(kron_width(bound), 2 * s))
+    bound = max(b for b, _, _ in img.packing[1].values()) * l1
+    s, rows = img.hold(bound)
     # the top bit of every slot: a valid key never sets one
     guard, b_shift = _guard(2 * rank), SLOT_BITS * rank
     # x's b-part adds to an image position key; x's a-part moves left past
@@ -541,8 +518,8 @@ def ev0_times(img: PackedImage, x: NcLaurent) -> PackedImage:
     ones, b_zero = offset((1,) * rank), zero_key(2 * rank) - zero_key(rank)
     right = [(p[0], (p[2] >> b_shift << b_shift) - b_zero, p[3], p[4] - p[3], n) for p, n in zip(positions, x._packed(s))]
     acc = {}
-    for pos, (wlo1, whi1, n1) in groups.items():
-        t, span1 = _twist_vector(rank, (pos >> b_shift) + ones), whi1 - wlo1
+    for pos, (_, wlo1, n1) in rows.items():
+        t, span1 = _twist_vector(rank, (pos >> b_shift) + ones), abs(n1).bit_length() // s
         lows = [wlo1 + sum(map(mul, a, t)) for a in avecs]  # the least w per a-vector of x
         for ia, b, wlo, span, n2 in right:
             target, lo, prod = pos + b, lows[ia] + wlo, n1 * n2
@@ -550,16 +527,7 @@ def ev0_times(img: PackedImage, x: NcLaurent) -> PackedImage:
             if target & guard or lo < EXP_MIN or lo + span1 + span > EXP_MAX:
                 raise ExponentOverflow("exponents would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
             kron_add(acc, target, lo, prod, s)
-    # the least place of n's lowest nonzero digit holds its trailing zero
-    # bits; the greatest place is bit_length // s, as every digit is below
-    # 2**(s-1) in absolute value
-    out = {}
-    for target, (lo, n) in acc.items():
-        if n:
-            low = ((n & -n).bit_length() - 1) // s
-            n >>= s * low
-            out[target] = (lo + low, lo + low + abs(n).bit_length() // s, n)
-    return PackedImage(rank, bound, s, out)
+    return PackedImage(rank, s, Packed.summed(acc, s, dict.fromkeys(acc, bound)))
 
 
 def ev0_image(rank: int, word, table: dict, images=None) -> PackedImage:
@@ -587,7 +555,7 @@ def ev0_negative_term(img: PackedImage):
     a-slots must hold zero and the b-slots their sign bit (a biased slot is
     at least the bias iff its exponent is nonnegative).  A Q_{a,0} left in
     ``img`` raises AssertionError."""
-    r, (s, groups) = img.rank, img.packing
+    r, groups = img.rank, img.packing[1]
     b_shift = SLOT_BITS * r
     a_mask = (1 << b_shift) - 1
     signs = offset((0,) * r + (-EXP_MIN,) * r)
@@ -599,5 +567,4 @@ def ev0_negative_term(img: PackedImage):
         raise AssertionError("evaluation left a Q_{a,0} behind")
     # b-tuples are distinct, so max never compares the w-coefficients
     b, pos = max((unpack(pos >> b_shift, r), pos) for pos in bad)
-    wlo, _, n = groups[pos]
-    return b, {wlo + i: c for i, c in kron_digits(n, s)}
+    return b, dict(img.digits(pos))

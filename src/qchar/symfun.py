@@ -18,8 +18,8 @@ import itertools
 from functools import lru_cache
 from math import prod
 
-from .laurent import SLOT_BITS, UNIT, LaurentPoly, coefficient_text, offset, pack, require_fit, split_unit, unpack
-from .rings import RING_Q, RING_W
+from .laurent import EXP_MAX, EXP_MIN, SLOT_BITS, UNIT, LaurentPoly, coefficient_text, offset, pack, require_fit, split_unit, unpack
+from .rings import RING_Q, RING_W, ExponentOverflow
 
 
 Partition = tuple
@@ -262,10 +262,25 @@ def dual_cauchy(a: int, b: int):
             yield size, tuple(b - x for x in reversed(full)), conj
 
 
-def _pieri_keys(zkey, m, nvars):
-    """The keys (unit exponent 0) of the s_kappa in s_lam * e_m, zkey the
-    key of lam."""
-    lam = unpack(zkey, nvars)
+@lru_cache(maxsize=16)
+def _column(nvars):
+    """The offset of one full column z_1...z_N in a key with its unit slot."""
+    return offset((0,) + (1,) * nvars)
+
+
+def column_split(key, nvars):
+    """(lam_N, key of s_{lam - lam_N}) for the key of s_lam, unit slot kept, by
+    key arithmetic; ``ExponentOverflow`` when lam_1 - lam_N leaves the slot."""
+    top = (key >> SLOT_BITS * nvars) + EXP_MIN
+    if top < 0 and split_unit(key >> SLOT_BITS)[0] - top > EXP_MAX:
+        raise ExponentOverflow("a part of s_{lam - lam_N} would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+    return top, key - top * _column(nvars)
+
+
+def _pieri_keys(key, m, nvars):
+    """The keys (unit exponent 0) of the s_kappa in s_lam * e_m, key the
+    key of s_lam with unit exponent 0."""
+    lam = unpack(key >> SLOT_BITS, nvars)
     off = lam[-1]
     out = []
     for kappa in pieri_e(tuple(x - off for x in lam), m, nvars):
@@ -275,16 +290,10 @@ def _pieri_keys(zkey, m, nvars):
 
 
 @lru_cache(maxsize=1 << 12)
-def _pieri_constrained_keys(zkey, m, nvars):
+def _pieri_constrained_keys(key, m, nvars):
     """The keys of s_lam * e_m modulo z_1...z_N = 1: the Pieri rule, then
     each s_kappa as s_{kappa - kappa_N}."""
-    return tuple(_constrained_keys(split_unit(k)[1], nvars)[0] for k in _pieri_keys(zkey, m, nvars))
-
-
-@lru_cache(maxsize=1 << 12)
-def _constrained_keys(zkey, nvars):
-    lam = unpack(zkey, nvars)
-    return (pack((0,) + tuple(x - lam[-1] for x in lam)),)
+    return tuple(column_split(k, nvars)[1] for k in _pieri_keys(key, m, nvars))
 
 
 def _require_schur_ring(ring):
@@ -329,23 +338,23 @@ class SchurPoly(LaurentPoly):
 
     def _map_bases(self, image):
         """Replace every s_lam by the sum of the basis elements whose keys
-        (unit exponent 0) ``image`` lists for the key of lam."""
+        ``image`` lists for the key of s_lam, all with unit exponent 0."""
         out = {}
         for key, c in self.coeffs.items():
-            j, zkey = split_unit(key)
-            for kk in image(zkey):
-                kk += j * UNIT
+            j = split_unit(key)[0] * UNIT
+            for kk in image(key - j):
+                kk += j
                 out[kk] = out.get(kk, 0) + c
         return self._like({k: c for k, c in out.items() if c})
 
     def times_e_constrained(self, m: int):
         """The product with the elementary symmetric polynomial e_m (Pieri
         rule) modulo z_1...z_N = 1, in one pass."""
-        return self._map_bases(lambda zkey: _pieri_constrained_keys(zkey, m, self.nvars))
+        return self._map_bases(lambda key: _pieri_constrained_keys(key, m, self.nvars))
 
     def constrained(self):
         """The value modulo z_1...z_N = 1: every s_lam becomes s_{lam - lam_N}."""
-        return self._map_bases(lambda zkey: _constrained_keys(zkey, self.nvars))
+        return self._map_bases(lambda key: column_split(key, self.nvars)[1:])
 
     def expansion(self) -> dict:
         """{partition: {unit exponent: int}}: the Schur coefficients (parts >= 0)."""

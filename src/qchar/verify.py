@@ -481,8 +481,10 @@ def check_sl2_levelk_G(level: int = 2, sigma_max: int = 5) -> CheckReport:
 
 def _level1_grid(rank, sigma_max):
     """Level-1 occupation vectors (n^(1), ..., n^(r)) with sigma(n) <= bound."""
-    comps = itertools.product(range(sigma_max + 1), repeat=rank)
-    return [NVector.level_one(rank, comp) for comp in comps if sum(comp) <= sigma_max]
+    comps = [()]
+    for _ in range(rank):
+        comps = [c + (x,) for c in comps for x in range(sigma_max + 1 - sum(c))]
+    return [NVector.level_one(rank, comp) for comp in comps]
 
 
 def check_eigen(rank: int, sigma_max: int = 4) -> CheckReport:

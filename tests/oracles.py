@@ -549,7 +549,7 @@ def schur_form(f: LaurentPoly) -> SchurPoly:
 def times_e(f: SchurPoly, m: int) -> SchurPoly:
     """f times the elementary symmetric polynomial e_m by the Pieri rule,
     with no constraint: the two-pass reference for ``times_e_constrained``."""
-    return f._map_bases(lambda zkey: _pieri_keys(zkey, m, f.nvars))
+    return f._map_bases(lambda key: _pieri_keys(key, m, f.nvars))
 
 
 def dominates(lam, mu) -> bool:

@@ -202,11 +202,11 @@ def test_within_level_order_irrelevant():
 def test_g_unconstrained_conversion_is_clean():
     # every w-exponent of the lifted product is a multiple of 2(r+1), i.e.
     # the assembled prefactor times the twisted product is a function of q
-    from qchar.characters import g_raising_product, g_to_char_w_exponent
+    from qchar.characters import _chain, g_to_char_w_exponent
     from qchar.laurent import w_to_q
 
     for n in [NVector.level_one(2, (1, 1)), NVector.from_rows(1, 2, ((1, 2),))]:
-        lifted = g_raising_product(n).times_unit(g_to_char_w_exponent(n))
+        lifted = _chain(n, "D", RING_W).schur().times_unit(g_to_char_w_exponent(n))
         w_to_q(lifted, n.rank)  # would raise on a stray half-power
 
 
@@ -336,7 +336,7 @@ def test_prefix_chains_match_products_from_scratch():
     assert {n.rank for n in grid} == {1, 2, 3} and {n.level for n in grid} == {1, 2, 3}
     for n in grid:
         assert characters.raising_product(n) == characters.operator_product(n, apply_M, RING_Q), n
-        assert characters.g_raising_product(n) == characters.operator_product(n, apply_D, RING_W), n
+        assert characters._chain(n, "D", RING_W).schur() == characters.operator_product(n, apply_D, RING_W), n
     # a prefix is keyed by its word of factors (alpha, i), whatever the
     # level of the matrix it came from
     assert (RING_Q, 2, ((1, 1),)) in characters._CHAINS
@@ -365,6 +365,23 @@ def test_long_chain_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert chain == characters.operator_product(n, apply_M, RING_Q)
+
+
+def test_a_cached_prefix_is_repacked_once(monkeypatch):
+    # n = (4) at rank 1 sits at width 4, and the two words that extend it,
+    # n = (5) and the level-2 ((4, 1)), each need a wider one: the first
+    # step holds the cached prefix at width 8 in place, and the second
+    # reads it there, so its rows are repacked once between them
+    from qchar import characters, laurent
+
+    characters._CHAINS.clear()
+    prefix = characters._chain(NVector.level_one(1, (4,)), "M", RING_Q)
+    assert prefix.packing[0] == 4
+    widths, digits = [], laurent.kron_digits
+    monkeypatch.setattr(laurent, "kron_digits", lambda n, s: widths.append(s) or digits(n, s))
+    for n in (NVector.level_one(1, (5,)), NVector.from_rows(1, 2, ((4, 1),))):
+        assert characters._chain(n, "M", RING_Q).packing[0] == 8
+    assert prefix.packing[0] == 8 and widths == [4] * len(prefix.packing[1])
 
 
 @pytest.mark.parametrize("perturbed", [False, True])

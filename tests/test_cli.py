@@ -90,7 +90,7 @@ def test_frontier_digests_past_32_bit_widths(rank, flag, digest):
     assert out.returncode == 0
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
     n = cli.parse_n_flag(flag, rank, 1)
-    assert characters._chain(n, "M", characters.RING_Q).width > 32
+    assert characters._chain(n, "M", characters.RING_Q).packing[0] > 32
 
 
 @pytest.mark.parametrize("fault", ["raised", "lowered", "extra q**0 term"])
@@ -109,8 +109,8 @@ def test_char_checks_read_the_packed_chain_value(fault, monkeypatch, capsys):
         f = real(n, op, ring)
         if fault != "extra q**0 term":
             return f.times_unit(1 if fault == "raised" else -1)
-        place = -characters.char_q_exponent(n) - f.offset
-        return PackedSchur(f.ring, f.nvars, f.width, f.offset, {**f.terms, pack((0, 3, 0, 0)): (1, place, 1)})
+        place, (s, rows) = -characters.char_q_exponent(n) - f.offset, f.packing
+        return PackedSchur(f.ring, f.nvars, f.offset, s, {**rows, pack((0, 3, 0, 0)): (1, place, 1)})
 
     monkeypatch.setattr(characters, "_chain", faulty)
     message = "positive q-exponent" if fault == "raised" else "part differs from the top component"
@@ -490,3 +490,21 @@ def test_verify_order_is_capped_before_any_work(monkeypatch, capsys):
         assert "above the maximum %d" % cli.MAX_ORDER in err
     assert cli.main(["verify", "--suite", "whittaker", "--order", str(cli.MAX_ORDER)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_verify_rank_and_bound_are_capped_before_any_work(monkeypatch, capsys):
+    # every suite that reads --rank or --bound has a documented cap for it;
+    # one past the cap is a usage error before the run (eigen at rank 20
+    # would not reach its first point), the cap itself runs, and "all"
+    # takes the least cap of its suites
+    runs = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, **flags: runs.append((name, flags)) or [])
+    for flag, caps in cli.SUITE_CAPS.items():
+        assert set(caps) == {suite for suite, flags in SUITE_FLAGS.items() if flag in flags.split()} - {"all"}
+        for suite, cap in [*caps.items(), ("all", min(caps.values()))]:
+            err = _usage_error(["verify", "--suite", suite, "--" + flag, str(cap + 1)], capsys)
+            assert "--%s %d is above the maximum %d of --suite %s" % (flag, cap + 1, cap, suite) in err
+            assert cli.main(["verify", "--suite", suite, "--" + flag, str(cap)]) == 0
+            assert json.loads(capsys.readouterr().out)["passed"]
+            assert runs.pop() == (suite, {"rank": None, "bound": None, "order": None, flag: cap}) and not runs
+    assert "above the maximum 6 of --suite eigen" in _usage_error(["verify", "--suite", "eigen", "--rank", "20"], capsys)

@@ -168,3 +168,56 @@ def test_pow_and_unit_shift():
     assert (z1 + z2) ** 0 == LaurentPoly.one(RING_Q, 2)
     assert (z1 + z2) ** 3 == (z1 + z2) * (z1 + z2) * (z1 + z2)
     assert dict(z1.times_unit(2).terms()) == {(2, 1, 0): 1}
+
+
+# -- the Kronecker codec and its packed rows -----------------------------------
+
+
+def test_balanced_digits_need_two_bits():
+    # at s = 1 the walk would never advance (n stays 1, each step appending
+    # a digit -1), so it refuses; zero has no digits at any width
+    from qchar.laurent import kron_digits
+
+    for n in (1, -1, 5):
+        with pytest.raises(ValueError):
+            kron_digits(n, 1)
+        with pytest.raises(ValueError):
+            kron_digits(n, 0)
+    assert kron_digits(0, 1) == [] and kron_digits(1, 2) == [(0, 1)]
+
+
+def test_packed_rows_hold_and_sum_on_a_grid():
+    # random signed rows at their derived width keep every digit when held
+    # at each wider width, at max(need, 2 * width); a bound the width holds
+    # repacks nothing.  summed drops the rows that cancel and puts lo at the
+    # least nonzero digit
+    import random
+
+    from qchar.laurent import Packed, kron_add, kron_width
+
+    rng = random.Random(11)
+    for bound in (1, 2, 3, 7, 8, 1000, 2**31 - 1, 2**31, 2**40 + 5):
+        s = kron_width(bound)
+        want = {}
+        for key in range(5):
+            places = rng.sample(range(-4, 9), rng.randint(1, 6))
+            want[key] = sorted((d, rng.choice((-1, 1)) * rng.randint(1, bound)) for d in places)
+        rows = {key: (bound, ds[0][0], sum(c << s * (d - ds[0][0]) for d, c in ds)) for key, ds in want.items()}
+        packed = Packed(s, rows)
+        assert packed.hold(bound) == (s, rows) and packed.packing[1] is rows
+        for need in (s + 1, 5 * s, 5 * s + 1):
+            width = max(need, 2 * packed.packing[0])
+            assert packed.hold(2 ** (need - 2)) == packed.packing and packed.packing[0] == width
+            assert {key: packed.digits(key) for key in want} == want, (bound, width)
+        s, acc, cancel = packed.packing[0], {}, {}
+        for key, ds in want.items():
+            for d, c in ds:
+                kron_add(acc, key, d, c, s)
+            low = ds[: rng.randint(0, len(ds))]
+            for d, c in low:
+                kron_add(acc, key, d, -c, s)
+            cancel[key] = ds[len(low):]
+        summed = Packed(s, Packed.summed(acc, s, dict.fromkeys(acc, bound)))
+        assert set(summed.packing[1]) == {key for key, ds in cancel.items() if ds}
+        for key, (b, lo, _) in summed.packing[1].items():
+            assert b == bound and lo == cancel[key][0][0] and summed.digits(key) == cancel[key]

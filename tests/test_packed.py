@@ -349,6 +349,17 @@ def test_schur_keys_at_the_edge():
         apply_M(1, 2, SchurPoly.basis((1, 1), 2).times_unit(EXP_MAX))
     with pytest.raises(ExponentOverflow):
         one.times_unit(EXP_MAX).times_unit(1)
+    # taking lam_N full columns off s_lam (``symfun.column_split``) moves
+    # lam_1 up by -lam_N: at EXP_MAX it fits, one past it raises in every
+    # view that takes columns off, the packed chain value's included
+    from qchar.qdiff import PackedSchur
+
+    assert SchurPoly.basis((EXP_MAX - 1, -1), 2).constrained() == SchurPoly.basis((EXP_MAX, 0), 2)
+    wide = SchurPoly.basis((EXP_MAX, -1), 2)
+    packed = PackedSchur(RING_Q, 2, 0, 2, {key: (1, 0, 1) for key in wide.coeffs})
+    for view in (wide.constrained, lambda: wide.times_e_constrained(0), lambda: apply_M(1, 0, wide), packed.constrained):
+        with pytest.raises(ExponentOverflow):
+            view()
     # the monomial view by branching: every slot value is range-checked.
     # (s_(EXP_MAX) in two variables would have 2**25 terms, so the edge in
     # two variables is s_(EXP_MAX, EXP_MAX - 2) = (z1 z2)**(EXP_MAX - 2) h_2)

@@ -423,7 +423,7 @@ def _pack(f):
     for key, row in rows.items():
         lo = min(row)
         terms[key] = max(map(abs, row.values())), lo, sum(c << s * (d - lo) for d, c in row.items())
-    return qdiff.PackedSchur(f.ring, f.nvars, s, off, terms)
+    return qdiff.PackedSchur(f.ring, f.nvars, off, s, terms)
 
 
 def _random_chain_form(rng, ring, nvars):
@@ -477,10 +477,10 @@ def test_packed_width_at_the_coefficient_bound():
         assert kron_width(edge) == s and kron_width(edge + 1) == s + 1
         f = SchurPoly(RING_Q, 2, {pack((d, 1, 0)): (-1) ** d * edge for d in range(5)})
         packed = _pack(f)
-        assert packed.width == s and packed.schur() == f
-        ((_, (_, _, n)),) = packed.terms.items()
+        assert packed.packing[0] == s and packed.schur() == f
+        ((_, (_, _, n)),) = packed.packing[1].items()
         assert kron_digits(n, s) == [(d, (-1) ** d * edge) for d in range(5)]
-        assert _pack(f + SchurPoly.basis((1, 0), 2)).width == s + 1
+        assert _pack(f + SchurPoly.basis((1, 0), 2)).packing[0] == s + 1
 
 
 def test_packed_form_unpacks_only_inside_the_unit_slot():
@@ -517,18 +517,23 @@ def test_packed_constrained_is_the_schur_view_constrained():
 def test_packed_step_one_bit_under_the_derived_width_misreads(monkeypatch):
     # M_{1,1} sends c q s_(2,0) and c q s_(1,1) both to 2c q**2 s_(2,1); with
     # c = 2**m - 1 the sources pack at m + 1 bits and the step derives m + 2.
-    # Stepping at one bit under (every width one bit narrower than derived)
-    # reads a wrong character; at the derived width it is exact
+    # Stepping at one bit under (the width rule of ``Packed.hold`` one bit
+    # narrower than derived) reads a wrong character; at the derived width
+    # it is exact.  The step holds its source at the wider width in place,
+    # so the control steps a second copy, packed before the patch
+    from qchar import laurent
+
     for m in (1, 5, 40):
         c = 2**m - 1
         f = SchurPoly(RING_Q, 3, {pack((1, 2, 0, 0)): c, pack((1, 1, 1, 0)): c})
-        packed = _pack(f)
+        packed, narrow = _pack(f), _pack(f)
+        assert packed.packing[0] == m + 1
         step = qdiff.packed_step("M", 1, 1, packed)
-        assert (packed.width, step.width) == (m + 1, max(m + 2, 2 * m + 2))
+        assert step.packing[0] == packed.packing[0] == max(m + 2, 2 * m + 2)
         assert step.schur() == apply_M(1, 1, f)
         with monkeypatch.context() as patch:
-            patch.setattr(qdiff, "kron_width", lambda bound: bound.bit_length())
-            assert qdiff.packed_step("M", 1, 1, packed).schur() != apply_M(1, 1, f)
+            patch.setattr(laurent, "kron_width", lambda bound: bound.bit_length())
+            assert qdiff.packed_step("M", 1, 1, narrow).schur() != apply_M(1, 1, f)
 
 
 def test_images_are_cached_modulo_full_columns():

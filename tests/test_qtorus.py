@@ -385,9 +385,10 @@ def test_folded_ev0_images_match_the_full_products():
             shared = ev0_image(rank, word, table, images)
             image = shared.nc()
             assert image == ev0_image(rank, word, table).nc() == evaluate(products[word], "ev0"), word
-            for pos, (wlo, whi, _) in shared.packing[1].items():
+            s, rows = shared.packing
+            for pos, (_, wlo, n) in rows.items():
                 ws = [w for w, p in map(split_unit, image.coeffs) if p == pos]
-                assert (wlo, whi) == (min(ws), max(ws)), word
+                assert (wlo, wlo + abs(n).bit_length() // s) == (min(ws), max(ws)), word
             if len(word) <= 3:
                 assert dict(image.terms()) == ref_ev0_word(rank, word, table), word
             assert ev0_negative_term(shared) is None
@@ -395,6 +396,22 @@ def test_folded_ev0_images_match_the_full_products():
             count += 1
         assert len(images) == len(sorted_words(rank, 3, 4))
     assert count == 957
+
+
+def test_a_stored_prefix_image_is_repacked_once(monkeypatch):
+    # at rank 1 the image of Q_{1,3} sits at width 4, and times Q_{1,2} or
+    # Q_{1,3} each needs a wider one: the first step holds the stored
+    # prefix image at width 8 in place, and the second reads it there
+    import qchar.laurent as laurent
+
+    table, images = q_recursion(1, 4), {}
+    prefix = ev0_image(1, [(1, 3)], table, images)
+    assert prefix.packing[0] == 4
+    widths, digits = [], laurent.kron_digits
+    monkeypatch.setattr(laurent, "kron_digits", lambda n, s: widths.append(s) or digits(n, s))
+    for letter in ((1, 2), (1, 3)):
+        assert ev0_image(1, [(1, 3), letter], table, images).packing[0] == 8
+    assert prefix.packing[0] == 8 and widths == [4] * len(prefix.packing[1])
 
 
 def test_ev0_step_width_at_the_coefficient_bound():
@@ -409,9 +426,9 @@ def test_ev0_step_width_at_the_coefficient_bound():
             img = PackedImage.of(NcLaurent.monomial(1, (0,), (1,), 3, c))
             step = ev0_times(img, x)
             s, groups = step.packing
-            assert s == img.packing[0] == abs(c).bit_length() + 1 and step.bound == abs(c)
+            ((_, (bound, _, n)),) = groups.items()
+            assert s == img.packing[0] == abs(c).bit_length() + 1 and bound == abs(c)
             assert step.nc() == NcLaurent.monomial(1, (0,), (2,), 3, c)
-            ((_, (_, _, n)),) = groups.items()
             assert kron_digits(n, s) == [(0, c)]
             if c > 1:
                 assert kron_digits(n, s - 1) != [(0, c)]
@@ -455,7 +472,7 @@ def test_ev0_step_at_the_edge_of_the_w_slot():
         img = NcLaurent.monomial(1, (0,), (1,), w)
         edge = ev0_times(PackedImage.of(img), x)
         assert edge.nc() == evaluate(img * x, "ev0") == NcLaurent.monomial(1, (0,), (1,), w - 4 * a)
-        assert edge.packing[1] == {pack((0, 1)): (w - 4 * a, w - 4 * a, 1)}
+        assert edge.packing[1] == {pack((0, 1)): (1, w - 4 * a, 1)}
         beyond = NcLaurent.monomial(1, (0,), (1,), w - step)
         for route in (lambda: ev0_times(PackedImage.of(beyond), x), lambda: evaluate(beyond * x, "ev0")):
             with pytest.raises(ExponentOverflow):
