@@ -26,7 +26,7 @@ from .rings import (
     NotSymmetric,
     PoleAtZero,
 )
-from .symfun import SchurPoly, elementary, pieri_e, schur
+from .symfun import SchurPoly, elementary, schur
 from .whittaker import TruncatedSeries, class_one_combination, w_series
 
 __version__ = "0.1.0"

@@ -53,8 +53,8 @@ class NVector(FrozenRecord):
         for row in rows:
             if len(row) != level:
                 raise ValueError("every row needs %d entries" % level)
-            if any((not isinstance(x, int)) or x < 0 for x in row):
-                raise ValueError("entries must be nonnegative integers")
+            if any(type(x) is not int or x < 0 for x in row):
+                raise ValueError("entries must be nonnegative integers (a bool is not one)")
         self._set(rank, level, rows)
 
     @classmethod

@@ -1,8 +1,9 @@
-"""Schur and related symmetric functions, the Schur basis and its monomial
-view (one-variable branching, no division), the two-block branching rule
-behind the raising operators whose blocks both have two or more variables
-(Littlewood-Richardson fillings, pruned row by row), and the dual Cauchy
-expansion behind the subset-fraction lemmas.
+"""Schur and related symmetric functions, the Schur basis, its monomial view
+(one-variable branching, no division) and its one product with a symmetric
+polynomial (``SchurPoly.times``, by straightening), the two-block branching
+rule behind the raising operators whose blocks both have two or more
+variables (Littlewood-Richardson fillings, pruned row by row), and the dual
+Cauchy expansion behind the subset-fraction lemmas.
 
 Partitions are plain tuples of weakly decreasing nonnegative integers with no
 trailing zeros (the empty partition is ``()``).  A partition of length at
@@ -17,8 +18,10 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import prod
+from operator import add
 
-from .laurent import EXP_MAX, EXP_MIN, SLOT_BITS, UNIT, LaurentPoly, coefficient_text, offset, pack, require_fit, split_unit, unpack
+from .laurent import EXP_MAX, EXP_MIN, SLOT_BITS, UNIT, LaurentPoly, box_sum, coefficient_text, offset, pack
+from .laurent import require_fit, require_symmetric, split_unit, unpack
 from .rings import RING_Q, RING_W, ExponentOverflow
 
 
@@ -115,7 +118,7 @@ def elementary(m: int, nvars: int, ring=RING_Q) -> LaurentPoly:
     """The elementary symmetric polynomial e_m; e_0 = 1, e_m = 0 for m > N."""
     if m < 0 or m > nvars:
         return LaurentPoly.zero(ring, nvars)
-    return schur((1,) * m, nvars, ring) if m else LaurentPoly.one(ring, nvars)
+    return schur((1,) * m, nvars, ring)
 
 
 def monomial_sym(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
@@ -126,33 +129,6 @@ def monomial_sym(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
     full = tuple(lam) + (0,) * (nvars - len(lam))
     orbit = set(itertools.permutations(full))
     return LaurentPoly.sum(ring, nvars, (LaurentPoly.monomial(ring, nvars, e) for e in orbit))
-
-
-def pieri_e(lam, m: int, nvars: int):
-    """Partitions mu with s_lam * e_m = sum of s_mu in N variables: add m
-    boxes, at most one per row, keeping at most N rows."""
-    lam = normalize_partition(lam)
-    if len(lam) > nvars:
-        raise ValueError("partition longer than the variable count")
-    full = list(lam) + [0] * (nvars - len(lam))
-    out = []
-
-    def grow(row, remaining, current):
-        if remaining == 0:
-            out.append(normalize_partition(tuple(current)))
-            return
-        if row >= nvars or remaining > nvars - row:
-            return
-        # add one box in this row, against the (possibly grown) row above
-        if row == 0 or current[row] + 1 <= current[row - 1]:
-            current[row] += 1
-            grow(row + 1, remaining - 1, current)
-            current[row] -= 1
-        grow(row + 1, remaining, current)
-
-    if 0 <= m <= nvars:
-        grow(0, m, list(full))
-    return sorted(out, reverse=True)
 
 
 # -- the Schur basis -------------------------------------------------------------
@@ -277,23 +253,12 @@ def column_split(key, nvars):
     return top, key - top * _column(nvars)
 
 
-def _pieri_keys(key, m, nvars):
-    """The keys (unit exponent 0) of the s_kappa in s_lam * e_m, key the
-    key of s_lam with unit exponent 0."""
-    lam = unpack(key >> SLOT_BITS, nvars)
-    off = lam[-1]
-    out = []
-    for kappa in pieri_e(tuple(x - off for x in lam), m, nvars):
-        kappa += (0,) * (nvars - len(kappa))
-        out.append(pack((0,) + tuple(x + off for x in kappa)))
-    return tuple(out)
-
-
 @lru_cache(maxsize=1 << 12)
 def _pieri_constrained_keys(key, m, nvars):
-    """The keys of s_lam * e_m modulo z_1...z_N = 1: the Pieri rule, then
-    each s_kappa as s_{kappa - kappa_N}."""
-    return tuple(column_split(k, nvars)[1] for k in _pieri_keys(key, m, nvars))
+    """The keys of s_lam * e_m modulo z_1...z_N = 1, key that of s_lam at unit
+    exponent 0: each s_kappa of ``SchurPoly.times`` as s_{kappa - kappa_N}."""
+    product = SchurPoly.basis(unpack(key >> SLOT_BITS, nvars), nvars).times(elementary(m, nvars))
+    return tuple(column_split(k, nvars)[1] for k in product.coeffs)
 
 
 def _require_schur_ring(ring):
@@ -309,8 +274,8 @@ class SchurPoly(LaurentPoly):
     allowed (s_{lam + m} = (z_1...z_N)**m s_lam, so ``times_z`` takes full
     columns only).  Keys are packed as in ``LaurentPoly``, with the same
     exponent range.  Addition, subtraction, ``times_unit`` and ``==`` are
-    the keyed arithmetic of ``LaurentPoly``; a monomial-basis operand raises
-    TypeError."""
+    the keyed arithmetic of ``LaurentPoly``, where a monomial-basis operand
+    raises TypeError; ``times`` multiplies by a symmetric one."""
 
     __slots__ = ()
 
@@ -331,10 +296,36 @@ class SchurPoly(LaurentPoly):
 
     def __mul__(self, other):
         if not isinstance(other, int):
-            raise TypeError("a Schur form multiplies by integers; use times_e_constrained for e_m")
+            raise TypeError("a Schur form multiplies by integers; use times for a symmetric monomial-basis polynomial")
         return LaurentPoly.__mul__(self, other)
 
     __rmul__ = __mul__
+
+    def times(self, f):
+        """The product with a symmetric monomial-basis f of the same ring and
+        N: s_lam f = sum of f_beta s_{lam+beta}, straightened once per pair
+        of z-parts, as a_{lam+delta} f = sum of f_beta a_{lam+beta+delta}
+        (Macdonald, I.3).  TypeError for any other operand, ``NotSymmetric``
+        for a non-symmetric f, ``ExponentOverflow`` from the exponent bounds
+        (exact, as in a product) before any key is formed."""
+        if type(f) is not LaurentPoly or (f.ring, f.nvars) != (self.ring, self.nvars):
+            raise TypeError("times takes a monomial-basis polynomial over %s in %d variables" % (self.ring, self.nvars))
+        require_symmetric(f)
+        if not self.coeffs or not f.coeffs:
+            return self._like({})
+        box_sum(self.bounds(), f.bounds())
+        out = {}
+        right = f.z_terms().items()
+        for lam, left in self.z_terms().items():
+            for beta, units in right:
+                sign, kappa = straighten(map(add, lam, beta))
+                if sign:
+                    base = pack((0,) + kappa)
+                    for j, c in left.items():
+                        for i, d in units.items():
+                            k = base + (i + j) * UNIT
+                            out[k] = out.get(k, 0) + sign * c * d
+        return self._like({k: c for k, c in out.items() if c})
 
     def _map_bases(self, image):
         """Replace every s_lam by the sum of the basis elements whose keys

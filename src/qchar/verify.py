@@ -8,7 +8,8 @@ Vandermonde determinant and by the symmetric product of all (z_x - q z_y),
 which turns them into polynomial statements, and the signed permutation
 orbits are compared in canonical alternant-bucket form.  The buckets are
 read off the two-block Schur form of the cleared factor (the cross product
-by the dual Cauchy identity, the within-block products by straightening),
+by the dual Cauchy identity, the within-block products by the one product
+rule ``SchurPoly.times``, as are the Pieri sides and the classical limit),
 so no cleared product is ever expanded into monomials; the full expansion
 is the reference in the tests.  A qsystem, eigen or difference-equation
 point is one ``qdiff.operator_sum`` residual tested for zero, and only a
@@ -16,14 +17,13 @@ failure forms its two sides.  Every difference-equation report is built
 by ``_equation_report`` from its grid and relation rows; the level-1
 report is that report collapsed to one point per grid.  A failing lemma
 point names the first differing alternant with both payloads, a failing
-point of those, of the Schur-form limits or a moment, boundary or
-compatibility point the first differing Schur coefficient, a failing
-level-1 point its first failing n and that coefficient, a failing
-Macdonald or classical-limit point the first differing monomial, and a
-failing class-one point the first n and u-order where the two series
-differ.  The operator, character and equation checks compare Schur forms;
-the classical limit and the Macdonald and Whittaker oracles compare
-monomial expansions.
+point of those, of the limits (the classical limit included) or a moment,
+boundary or compatibility point the first differing Schur coefficient, a
+failing level-1 point its first failing n and that coefficient, a failing
+Macdonald point the first differing monomial, and a failing class-one
+point the first n and u-order where the two series differ.  The operator,
+character, equation and limit checks compare Schur forms; the Macdonald
+and Whittaker oracles compare monomial expansions.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from math import factorial
-from operator import add
+from math import factorial, prod
 
 from .cartan import CartanData
 from .characters import (
@@ -108,29 +107,19 @@ class CheckReport(Record):
 
 
 @lru_cache(maxsize=8)
-def _pair_monomials(m: int):
-    """The terms (q-exponent, z-exponents, c) of W_m on m variables."""
+def _pair_monomials(m: int) -> LaurentPoly:
+    """W_m on m variables, in the monomial basis."""
     z = [LaurentPoly.variable(RING_Q, m, i) for i in range(m)]
-    w = LaurentPoly.one(RING_Q, m)
-    for x, y in itertools.permutations(range(m), 2):
-        w = w * (z[x] - z[y].times_unit(1))
-    return tuple((e[0], e[1:], c) for e, c in w.terms())
+    return prod((z[x] - z[y].times_unit(1) for x, y in itertools.permutations(range(m), 2)), start=LaurentPoly.one(RING_Q, m))
 
 
 @lru_cache(maxsize=256)
 def _times_pairs(mu):
-    """a_{mu+delta} W_m on m = len(mu) variables as {(q-exponent, x): c},
-    x strictly decreasing: since W_m is symmetric, a_{mu+delta} W_m is the
-    sum over its terms c q**j z**beta of c q**j a_{mu+beta+delta}, and
-    a_v = sign * a_{sorted v}."""
+    """a_{mu+delta} W_m = a_delta s_mu W_m on m = len(mu) variables as
+    {(q-exponent, x): c}, each s_kappa of the product read as x = kappa + delta."""
     m = len(mu)
-    lift = tuple(x + m - 1 - i for i, x in enumerate(mu))
-    out = {}
-    for j, beta, c in _pair_monomials(m):
-        x, sign = sorted_sign(tuple(map(add, lift, beta)))
-        if sign:
-            out[j, x] = out.get((j, x), 0) + sign * c
-    return {k: c for k, c in out.items() if c}
+    product = SchurPoly.basis(mu, m).times(_pair_monomials(m))
+    return {(e[0], tuple(x + m - 1 - i for i, x in enumerate(e[1:]))): c for e, c in product.terms()}
 
 
 @lru_cache(maxsize=32)
@@ -499,13 +488,12 @@ def check_eigen(rank: int, sigma_max: int = 4) -> CheckReport:
     return rep
 
 
-def _rectangle_product_at_q1(n: NVector) -> LaurentPoly:
-    out = LaurentPoly.one(RING_Q, n.rank + 1)
-    for a in range(1, n.rank + 1):
-        for i in range(1, n.level + 1):
-            s = schur((i,) * a, n.rank + 1)
-            for _ in range(n.entry(a, i)):
-                out = out * s
+def _rectangle_product(n: NVector) -> SchurPoly:
+    """The product of the rectangles' Schur functions, the character at q = 1."""
+    out = SchurPoly.one(RING_Q, n.rank + 1)
+    for a, i, count in n.cells():
+        for _ in range(count):
+            out = out.times(schur((i,) * a, n.rank + 1))
     return out
 
 
@@ -526,7 +514,7 @@ def check_limits(rank_max: int = 3, sigma_max: int = 3) -> CheckReport:
         rep.record((n, "poly-in-q-inverse"), top_q <= 0, "largest q-exponent %d" % top_q)
         top = SchurPoly.basis(top_component(n), n.rank + 1)
         _record_equal(rep, (n, "top-component"), chi.unit_slice(0), top)
-        _record_equal(rep, (n, "classical-limit"), chi.monomials().at_unit_one(), _rectangle_product_at_q1(n))
+        _record_equal(rep, (n, "classical-limit"), chi.at_unit_one(), _rectangle_product(n))
         reordered = operator_product(n, apply_M, RING_Q, reverse=True)
         _record_equal(rep, (n, "within-level-order"), reordered, raising_product(n))
         _record_equal(rep, (n, "two-paths"), char_from_g(n), chi)

@@ -22,9 +22,10 @@
 * ``symmetrize``, ``antisymmetrize`` and ``signed_orbit_sum`` expand the
   (signed) permutation orbit term by term, against ``signed_buckets``.
 * ``schur_form`` turns a symmetric Laurent polynomial into a Schur form at
-  the boundary of the tests (through ``schur_expand``); ``times_e`` is the
-  Pieri product with e_m before the constraint z_1...z_N = 1, the reference
-  for ``SchurPoly.times_e_constrained``; ``dominates`` and
+  the boundary of the tests (through ``schur_expand``); ``pieri_e`` is the
+  Pieri rule by vertical strips, and ``times_e`` the Pieri product with e_m
+  before the constraint z_1...z_N = 1, the reference for
+  ``SchurPoly.times`` with e_m and ``times_e_constrained``; ``dominates`` and
   ``project_qt_to_q`` are the dominance order and the inverse of
   ``macdonald.lift_q_to_qt``.
 * ``ref_apply_macdonald_qt``, ``ref_macdonald_poly`` and
@@ -87,7 +88,7 @@ from qchar.rings import (
     NotSymmetric,
     PoleAtZero,
 )
-from qchar.symfun import SchurPoly, _pieri_keys, normalize_partition, partitions
+from qchar.symfun import SchurPoly, normalize_partition, partitions
 from qchar.whittaker import TruncatedSeries, toda_residual
 
 Q = sympy.Symbol("q")
@@ -546,10 +547,46 @@ def schur_form(f: LaurentPoly) -> SchurPoly:
     return SchurPoly.from_terms(f.ring, f.nvars, out)
 
 
+def pieri_e(lam, m: int, nvars: int):
+    """Partitions mu with s_lam * e_m = sum of s_mu in N variables, by the
+    vertical strips: add m boxes, at most one per row, keeping at most N
+    rows.  ``qchar.symfun`` read the Pieri rule this way before
+    ``SchurPoly.times`` straightened s_{lam + beta} over the terms of e_m."""
+    lam = normalize_partition(lam)
+    if len(lam) > nvars:
+        raise ValueError("partition longer than the variable count")
+    out = []
+
+    def grow(row, remaining, current):
+        if remaining == 0:
+            out.append(normalize_partition(tuple(current)))
+            return
+        if row >= nvars or remaining > nvars - row:
+            return
+        # add one box in this row, against the (possibly grown) row above
+        if row == 0 or current[row] + 1 <= current[row - 1]:
+            current[row] += 1
+            grow(row + 1, remaining - 1, current)
+            current[row] -= 1
+        grow(row + 1, remaining, current)
+
+    if 0 <= m <= nvars:
+        grow(0, m, list(lam) + [0] * (nvars - len(lam)))
+    return sorted(out, reverse=True)
+
+
 def times_e(f: SchurPoly, m: int) -> SchurPoly:
-    """f times the elementary symmetric polynomial e_m by the Pieri rule,
-    with no constraint: the two-pass reference for ``times_e_constrained``."""
-    return f._map_bases(lambda key: _pieri_keys(key, m, f.nvars))
+    """f times the elementary symmetric polynomial e_m by ``pieri_e``, with
+    no constraint, full columns of each s_lam kept: the reference for
+    ``SchurPoly.times`` with e_m and for ``times_e_constrained``."""
+    n, out = f.nvars, {}
+    for vec, c in f.terms():
+        j, lam = vec[0], vec[1:]
+        for kappa in pieri_e(tuple(x - lam[-1] for x in lam), m, n):
+            kappa += (0,) * (n - len(kappa))
+            key = (j,) + tuple(x + lam[-1] for x in kappa)
+            out[key] = out.get(key, 0) + c
+    return SchurPoly.from_terms(f.ring, n, out)
 
 
 def dominates(lam, mu) -> bool:

@@ -35,6 +35,13 @@ def test_nvector_validation():
         NVector.from_rows(2, 1, ((1,),))  # wrong row count
     with pytest.raises(ValueError):
         NVector.from_rows(1, 1, ((-1,),))
+    # a bool is an int subclass, equal and hash-equal to 0 or 1; it is no entry
+    for entries in ((True, False), (1, False), (0, True)):
+        with pytest.raises(ValueError, match="a bool is not one"):
+            NVector.level_one(2, entries)
+    with pytest.raises(ValueError):
+        NVector.from_rows(1, 2, ((1, 2.0),))
+    assert str(NVector.level_one(2, (1, 0))) == "1,0"
     n = NVector.from_levels(2, 2, [[1, 0], [0, 1]])
     assert n.rows == ((1, 0), (0, 1))
     assert n.entry(1, 1) == 1 and n.entry(2, 2) == 1

@@ -296,6 +296,20 @@ def test_verify_whittaker_stdout_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--suite", "all"], "c1517ecb174b96968447025048b74f60fa8d3b36b3836989fb3983d8c81ec338"),
+        (["--suite", "limits", "--rank", "5", "--bound", "4"], "d8bda32da16e992349f0f98a3084fa41005cbb66ca08ed385dfbf084bdfd4d23"),
+    ],
+)
+def test_verify_stdout_digests(args, digest):
+    # every report's point count, verdict and notes, byte for byte
+    out = run_cli(["verify", *args])
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
 def test_verify_torus_stdout_pinned():
     out = run_cli(["verify", "--suite", "torus"])
     assert out.returncode == 0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     NonzeroRemainder,
     dominates,
+    pieri_e,
     ref_branch,
     ref_schur,
     schur_expand,
@@ -20,8 +21,8 @@ from oracles import (
     times_e,
     weight_of,
 )
-from qchar.laurent import LaurentPoly, sorted_sign
-from qchar.rings import RING_Q, RING_QT, RING_W, NotSymmetric
+from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, sorted_sign
+from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotSymmetric
 from qchar.symfun import (
     SchurPoly,
     _schur_zcoeffs,
@@ -32,7 +33,6 @@ from qchar.symfun import (
     partition_of_weight,
     partitions,
     partitions_up_to,
-    pieri_e,
     schur,
     straighten,
 )
@@ -131,16 +131,23 @@ def test_littlewood_richardson_positivity():
             assert set(coeff) == {0} and coeff[0] > 0
 
 
+def pieri_sum(lam, m, nvars):
+    """The sum of s_mu over the vertical-strip reference ``pieri_e``."""
+    return SchurPoly.sum(RING_Q, nvars, (SchurPoly.basis(mu, nvars) for mu in pieri_e(lam, m, nvars)))
+
+
 def test_pieri_rule_cases():
-    assert pieri_e((), 2, 3) == [(1, 1)]
-    assert pieri_e((1,), 1, 3) == [(2,), (1, 1)]
-    assert pieri_e((1, 1), 1, 2) == [(2, 1)]
-    assert pieri_e((2, 1), 0, 3) == [(2, 1)]
-    assert pieri_e((1,), 4, 3) == []
+    cases = [(((), 2, 3), [(1, 1)]), (((1,), 1, 3), [(2,), (1, 1)]), (((1, 1), 1, 2), [(2, 1)]),
+             (((2, 1), 0, 3), [(2, 1)]), (((1,), 4, 3), [])]
+    for (lam, m, nvars), mus in cases:
+        assert pieri_e(lam, m, nvars) == mus
+        # the product rule straightens s_{lam + beta}: every coefficient is 1
+        product = SchurPoly.basis(lam, nvars).times(elementary(m, nvars))
+        assert product == pieri_sum(lam, m, nvars) and set(product.coeffs.values()) <= {1}
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([lam for lam in partitions_up_to(4, 3)]), st.integers(0, 3))
+@given(st.sampled_from([lam for lam in partitions_up_to(4, 3)]), st.integers(0, 4))
 def test_pieri_matches_polynomial_product(lam, m):
     nvars = 3
     lhs = schur(lam, nvars) * elementary(m, nvars)
@@ -148,6 +155,7 @@ def test_pieri_matches_polynomial_product(lam, m):
     for mu in pieri_e(lam, m, nvars):
         rhs = rhs + schur(mu, nvars)
     assert lhs == rhs
+    assert SchurPoly.basis(lam, nvars).times(elementary(m, nvars)) == pieri_sum(lam, m, nvars)
 
 
 def test_monomial_symmetric():
@@ -340,3 +348,57 @@ def test_pieri_into_constrained_basis_matches_two_passes():
                 for f in (s, s.times_unit(3) - 5 * s.times_z((-2,) * nvars)):
                     for m in range(1, rank + 1):
                         assert f.times_e_constrained(m) == times_e(f, m).constrained(), (lam, m, ring)
+
+
+def test_times_matches_the_monomial_product():
+    # s_lam f = sum of f_beta s_{lam + beta}, straightened, against the
+    # product of the monomial expansions peeled back into Schur functions:
+    # ranks 1-3, both rings, q-coefficients and negative full columns on
+    # either side
+    for rank in (1, 2, 3):
+        n = rank + 1
+        column = (-1,) * n
+        factors = [
+            elementary(1, n),
+            schur((2, 1), n).times_unit(2) - elementary(n, n) * 3,
+            schur((1,), n).times_z(column) + schur((2,), n).times_unit(-1),
+        ]
+        for ring in (RING_Q, RING_W):
+            for lam in partitions_up_to(3 if rank < 3 else 2, n):
+                s = SchurPoly.basis(lam, n, ring)
+                for f in (s, s.times_unit(3) - 5 * s.times_z((-2,) * n)):
+                    for g in factors:
+                        g = g.with_ring(ring)
+                        assert f.times(g) == schur_form(f.monomials() * g), (lam, ring, g)
+        assert SchurPoly.basis((1,), n).times(LaurentPoly.zero(RING_Q, n)) == SchurPoly.zero(RING_Q, n)
+        assert SchurPoly.zero(RING_Q, n).times(elementary(1, n)) == SchurPoly.zero(RING_Q, n)
+
+
+def test_times_rejects_bad_operands():
+    s = SchurPoly.basis((1,), 2)
+    z1, z2 = (LaurentPoly.variable(RING_Q, 2, i) for i in (0, 1))
+    with pytest.raises(NotSymmetric):
+        s.times(z1 + z2 * 2)
+    for other in (SchurPoly.basis((1,), 2), elementary(1, 2, RING_W), elementary(1, 3), elementary(1, 2, RING_QT), 2):
+        with pytest.raises(TypeError):
+            s.times(other)
+    with pytest.raises(TypeError, match="use times"):
+        s * elementary(1, 2)
+
+
+def test_times_keeps_the_unit_slot():
+    # a unit exponent j + i one step past either end raises before any key
+    # is formed; at the ends it fits
+    s = SchurPoly.basis((1,), 2)
+    e1 = elementary(1, 2)
+    for j, i in ((EXP_MAX - 3, 3), (EXP_MIN + 3, -3)):
+        assert s.times_unit(j).times(e1.times_unit(i)) == s.times(e1).times_unit(j + i)
+    for j, i in ((EXP_MAX - 3, 4), (EXP_MIN + 3, -4)):
+        with pytest.raises(ExponentOverflow):
+            s.times_unit(j).times(e1.times_unit(i))
+    # one unit term that overflows is enough, whatever the others do
+    with pytest.raises(ExponentOverflow):
+        (s + s.times_unit(EXP_MAX)).times(e1 + e1.times_unit(1))
+    # a part of kappa past EXP_MAX raises too
+    with pytest.raises(ExponentOverflow):
+        SchurPoly.basis((EXP_MAX, 0), 2).times(e1)

@@ -259,10 +259,10 @@ def test_boolean_points_name_their_first_difference(monkeypatch):
     # a D operator that also adds its input, a moment value that also adds
     # 1 and a q = 1 product that also carries q: exactly the boundary, moment
     # and classical-limit points fail, each naming its first difference
-    real_D, real_moment, real_rectangle = verify.apply_D, verify.subset_moment_value, verify._rectangle_product_at_q1
+    real_D, real_moment, real_rectangle = verify.apply_D, verify.subset_moment_value, verify._rectangle_product
     monkeypatch.setattr(verify, "apply_D", lambda alpha, n, f: real_D(alpha, n, f) + f)
     monkeypatch.setattr(verify, "subset_moment_value", lambda a, p, n: real_moment(a, p, n) + SchurPoly.one(RING_Q, n))
-    monkeypatch.setattr(verify, "_rectangle_product_at_q1", lambda n: real_rectangle(n).times_unit(1))
+    monkeypatch.setattr(verify, "_rectangle_product", lambda n: real_rectangle(n).times_unit(1))
     lemmas = check_subset_identities(bound=1, rank_max=2)
     kinds = [f["point"].split(",")[0] for f in lemmas.failures]
     assert set(kinds) == {"('moment'", "('boundary-zero-power'", "('boundary-vanishing'"}
@@ -275,7 +275,7 @@ def test_boolean_points_name_their_first_difference(monkeypatch):
     assert [f["point"] for f in limits.failures] == [str((n, "classical-limit")) for n in verify._level1_grid(1, 1)] + [
         str((n, "classical-limit")) for n in verify._admissible_grids(1, 2, 2)
     ]
-    assert limits.failures[1]["detail"] == "monomial (1, 0): lhs {0: 1}, rhs {1: 1}"
+    assert limits.failures[1]["detail"] == "schur (1, 0): lhs {0: 1}, rhs {1: 1}"
     # G_{1,0} with one more power of w breaks the compatibility of the two
     # G relations, and nothing else
     real_g = verify.g_schur_form
