@@ -19,13 +19,18 @@ carrying into a neighbouring slot.  A valid key never sets the top bit of
 a slot, which the torus division ``qtorus._nc_div`` uses to see a negative
 quotient exponent in one mask test.  This module and ``qtorus`` mask key
 slots themselves; the other modules use ``terms()``, ``from_terms()`` and
-the codec: ``pack``, ``unpack``, ``split_unit``, ``offset`` and ``UNIT``,
-shifts by multiples of ``SLOT_BITS`` (``symfun._schur_zcoeffs`` puts z_N on
-top, ``macdonald.qt_specialize_t0_qinv`` lifts z-keys past the unit slot),
-range checks against ``EXP_MIN``/``EXP_MAX`` (``qdiff.operator_sum``,
-``cli``) and the unit offsets of ``signed_buckets`` (``qdiff``).  A
-one-variable coefficient read off on its own is an ``{exponent: int}`` dict,
-printed by ``coefficient_text``.  The Kronecker codec packs such a
+the codec: ``pack``, ``unpack``, ``split_unit``, ``offset``, ``zero_key``
+and ``UNIT``, shifts by multiples of ``SLOT_BITS`` (``symfun._schur_zcoeffs``
+puts z_N on top, ``macdonald.qt_specialize_t0_qinv`` lifts z-keys past the
+unit slot), range checks against ``EXP_MIN``/``EXP_MAX``
+(``qdiff.operator_sum``, ``cli``) and the unit offsets of
+``signed_buckets`` (``qdiff``).  No value is keyed by alternant exponents:
+``straighten`` (a_{v+delta} = +-a_{lam+delta} or 0) reads an alternant as
+a Schur function, in ``signed_buckets``, ``SchurPoly.times``, the operator
+images and the lemma sides.
+
+A one-variable coefficient read off on its own is an ``{exponent: int}``
+dict, printed by ``coefficient_text``.  The Kronecker codec packs such a
 polynomial with coefficients at most a bound into one integer, its value at
 x = 2**s (Harvey, J. Symb. Comp. 2009), s derived from the bound and never
 fixed: ``kron_width``, ``kron_digits`` (balanced digits), ``kron_add``
@@ -51,7 +56,7 @@ immutable by convention: no method mutates ``self``, but for
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 from .rings import (
     RING_Q,
@@ -164,26 +169,23 @@ def outside_box(local: int, top: int, width: int) -> bool:
     return local < 0 or local & guard or rest < 0 or rest & guard
 
 
-def sorted_sign(exps):
-    """Sort a tuple into weakly decreasing order, tracking permutation parity.
-
-    Returns ``(sorted_tuple, sign)``; the sign is 0 when an entry repeats.
-    """
-    lst = list(exps)
-    n = len(lst)
-    sign = 1
-    for i in range(1, n):
-        x = lst[i]
-        j = i - 1
-        while j >= 0 and lst[j] < x:
-            lst[j + 1] = lst[j]
-            j -= 1
-            sign = -sign
-        lst[j + 1] = x
-    for i in range(n - 1):
-        if lst[i] == lst[i + 1]:
-            return tuple(lst), 0
-    return tuple(lst), sign
+def straighten(v):
+    """The bialternant s_v = a_{v+delta} / a_delta of an integer vector v as
+    ``(sign, lam)``, s_v = sign * s_lam with lam weakly decreasing, or
+    ``(0, None)`` when s_v = 0, by s_{.., a, b, ..} = -s_{.., b-1, a+1, ..}
+    (Macdonald, I.3): the one sort-with-sign rule."""
+    v = list(v)
+    sign, i, last = 1, 0, len(v) - 1
+    while i < last:
+        a, b = v[i], v[i + 1]
+        if a >= b:
+            i += 1
+        elif b == a + 1:
+            return 0, None
+        else:
+            v[i], v[i + 1] = b - 1, a + 1
+            sign, i = -sign, max(i - 1, 0)
+    return sign, tuple(v)
 
 
 # -- the Kronecker codec -------------------------------------------------------
@@ -537,13 +539,10 @@ class LaurentPoly:
     def z_terms(self):
         """Group terms by z-exponent: a dict {z-tuple: {unit exponent: int}}
         (W and Q rings)."""
-        n = self.nvars
         if self.ring == RING_QT:
             raise ValueError("QT coefficients have no one-variable view; use terms()")
-        out = {}
-        for k, c in self.coeffs.items():
-            out.setdefault(k >> SLOT_BITS, {})[(k & _MASK) - _BIAS] = c
-        return {unpack(z, n): d for z, d in out.items()}
+        n = self.nvars
+        return {unpack(z, n): d for z, d in _z_parts(self).items()}
 
     def unit_exponents(self):
         if self.ring == RING_QT:
@@ -572,17 +571,7 @@ class LaurentPoly:
 
     def is_symmetric(self) -> bool:
         """True when invariant under all permutations of the z variables."""
-        coeffs = self.coeffs
-        for i in range(self.zoff, self.width - 1):
-            shift = SLOT_BITS * i
-            # swapping slots i and i+1 adds (b - a) * step to a key
-            step = (1 << shift) - (1 << (shift + SLOT_BITS))
-            for k, c in coeffs.items():
-                a = (k >> shift) & _MASK
-                b = (k >> (shift + SLOT_BITS)) & _MASK
-                if coeffs.get(k + (b - a) * step) != c:
-                    return False
-        return True
+        return _swap_closed(_z_parts(self), self.nvars)
 
     # -- presentation ------------------------------------------------------
 
@@ -659,37 +648,28 @@ def delta_on(ring, nvars, indices):
 
 
 def signed_buckets(f: LaurentPoly):
-    """Canonical form of the signed permutation-orbit sum of ``f``.
+    """The signed permutation-orbit sum of ``f`` in the Schur basis.
 
-    Returns ``{strictly-decreasing z-tuple: payload}`` such that
-    ``sum_sigma sgn(sigma) sigma(f) = sum_key payload * alternant(key)``.
-    Payloads are ``{unit offset: int}`` dicts, the unit offset being
-    ``offset`` of the ring-variable exponents: the unit exponent itself over
-    W and Q, ``offset((i, j))`` for q**i t**j over QT.  Monomials with a
-    repeated z-exponent cancel and are dropped.  Each distinct z-part is
-    sorted once.
+    Returns ``{lam: payload}``, lam weakly decreasing (negative parts
+    allowed), such that ``sum_sigma sgn(sigma) sigma(f) = a_delta * sum_lam
+    payload * s_lam``: a z-part e is the alternant a_e, and ``straighten(e -
+    delta)`` reads it as +-a_{lam+delta} or 0.  Payloads are ``{unit offset:
+    int}`` dicts, the unit offset being ``offset`` of the ring-variable
+    exponents: the unit exponent itself over W and Q, ``offset((i, j))``
+    for q**i t**j over QT.  Monomials with a repeated z-exponent cancel and
+    are dropped.  Each distinct z-part is straightened once.
     """
     n = f.nvars
-    shift = SLOT_BITS * f.zoff
-    low, base = (1 << shift) - 1, zero_key(f.zoff)
-    buckets: dict = {}
-    seen: dict = {}
-    for k, c in f.coeffs.items():
-        z = k >> shift
-        hit = seen.get(z)
-        if hit is None:
-            skey, sign = sorted_sign(unpack(z, n))
-            hit = seen[z] = (buckets.setdefault(skey, {}) if sign else None, sign)
-        d, sign = hit
+    delta = range(n - 1, -1, -1)
+    out: dict = {}
+    for z, d in _z_parts(f).items():
+        sign, lam = straighten(map(sub, unpack(z, n), delta))
         if sign:
-            j = (k & low) - base
-            d[j] = d.get(j, 0) + sign * c
-    out = {}
-    for skey, d in buckets.items():
-        d = {j: c for j, c in d.items() if c}
-        if d:
-            out[skey] = d
-    return out
+            acc = out.setdefault(lam, {})
+            for u, c in d.items():
+                acc[u] = acc.get(u, 0) + sign * c
+    out = {lam: {u: c for u, c in d.items() if c} for lam, d in out.items()}
+    return {lam: d for lam, d in out.items() if d}
 
 
 # -- binomial division -------------------------------------------------------
@@ -750,6 +730,38 @@ def w_to_q(f: LaurentPoly, rank: int) -> LaurentPoly:
     return type(f)(RING_Q, f.nvars, out)
 
 
+def _z_parts(f: LaurentPoly):
+    """{key of a z-part: {unit offset: int}}: the terms of f grouped by their
+    z-exponents, unit offsets as in ``signed_buckets``."""
+    shift = SLOT_BITS * f.zoff
+    low, base = (1 << shift) - 1, zero_key(f.zoff)
+    out = {}
+    for k, c in f.coeffs.items():
+        out.setdefault(k >> shift, {})[(k & low) - base] = c
+    return out
+
+
+def _swap_closed(parts, nvars) -> bool:
+    """True when every adjacent swap of z-exponents maps each z-part of
+    ``parts`` to one with the same payload: the symmetry check, one dict
+    lookup per z-part and transposition, not per term."""
+    for i in range(nvars - 1):
+        shift = SLOT_BITS * i
+        # swapping slots i and i+1 adds (b - a) * step to a key
+        step = (1 << shift) - (1 << (shift + SLOT_BITS))
+        for z, d in parts.items():
+            a = (z >> shift) & _MASK
+            b = (z >> (shift + SLOT_BITS)) & _MASK
+            if parts.get(z + (b - a) * step) != d:
+                return False
+    return True
+
+
 def require_symmetric(f: LaurentPoly):
-    if not f.is_symmetric():
+    """The terms of f grouped by z-part, as ``{key of the z-part: {unit
+    offset: int}}``; ``NotSymmetric`` unless f is symmetric in the z
+    variables."""
+    parts = _z_parts(f)
+    if not _swap_closed(parts, f.nvars):
         raise NotSymmetric("polynomial is not symmetric in the z variables")
+    return parts

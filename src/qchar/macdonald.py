@@ -191,9 +191,3 @@ def qwhittaker_specialize(P: MacdonaldPoly) -> LaurentPoly:
     polynomial this is exactly a level-1 graded character."""
     return qt_specialize_t0_qinv(P.numerator, P.denominator)
 
-
-def lift_q_to_qt(f: LaurentPoly) -> LaurentPoly:
-    """Embed a Q-ring polynomial into the QT ring (t-free coefficients)."""
-    if f.ring != RING_Q:
-        raise ValueError("expected a Q-ring polynomial")
-    return f.with_ring(RING_QT)

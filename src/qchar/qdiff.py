@@ -24,7 +24,7 @@ antisymmetrizes it, so
 
     M_{alpha,n} s_lam = sum c^lam_{mu nu} q**|mu| s_{(mu + n, nu)},
 
-each s_{(mu + n, nu)} straightened to +-s_kappa or 0 (``symfun.straighten``).
+each s_{(mu + n, nu)} straightened to +-s_kappa or 0 (``laurent.straighten``).
 One kernel, ``operator_sum``, forms every such action: a signed sum of M, D
 and identity terms, each with its power of q (or w), in one dict.
 ``apply_M`` and ``apply_D`` are its one-term calls, and an operator identity
@@ -57,11 +57,12 @@ from .laurent import (
     require_symmetric,
     signed_buckets,
     split_unit,
+    straighten,
     unpack,
     zero_key,
 )
 from .rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
-from .symfun import SchurPoly, branch, column_split, interlacing, schur, straighten
+from .symfun import SchurPoly, branch, column_split, interlacing, schur
 
 
 @lru_cache(maxsize=16)
@@ -78,20 +79,19 @@ def _pair_delta_qt(nvars, alpha):
 
 
 @lru_cache(maxsize=256)
-def _schur_qt(zkey, nvars):
-    """s_lam over the QT ring, zkey the strictly decreasing lam + delta."""
-    lam = tuple(zkey[i] - (nvars - 1 - i) for i in range(nvars))
+def _schur_qt(lam, nvars):
+    """s_lam over the QT ring, lam weakly decreasing (negative parts allowed)."""
     off = lam[-1]
     return schur(tuple(x - off for x in lam), nvars, RING_QT).times_z((off,) * nvars)
 
 
 def _schur_reconstruct_qt(buckets, nvars, den):
-    """The sum over buckets of payload * s_lam, lam + delta the bucket's
-    z-tuple, divided by ``den`` exactly."""
+    """The sum over the ``signed_buckets`` of payload * s_lam, divided by
+    ``den`` exactly."""
     out = {}
     get = out.get
-    for zkey, payload in buckets.items():
-        for k, b in _schur_qt(zkey, nvars).coeffs.items():
+    for lam, payload in buckets.items():
+        for k, b in _schur_qt(lam, nvars).coeffs.items():
             for u, c in payload.items():
                 out[k + u] = get(k + u, 0) + c * b
     quot = {}

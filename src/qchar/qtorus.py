@@ -487,11 +487,6 @@ class PackedImage(Packed):
         s = kron_width(l1)
         return cls(f.rank, s, {p[2]: (l1, p[3], n) for p, n in zip(positions, f._packed(s))})
 
-    def nc(self) -> NcLaurent:
-        """The image as an ``NcLaurent``."""
-        out = {(pos << SLOT_BITS) + pack((w,)): c for pos in self.packing[1] for w, c in self.digits(pos)}
-        return NcLaurent(RING_W, 2 * self.rank, out)
-
 
 def ev0_times(img: PackedImage, x: NcLaurent) -> PackedImage:
     """ev0(f * x) from the image ``img`` = ev0(f) (the Q_{a,0} of f stay

@@ -21,7 +21,7 @@ from math import prod
 from operator import add
 
 from .laurent import EXP_MAX, EXP_MIN, SLOT_BITS, UNIT, LaurentPoly, box_sum, coefficient_text, offset, pack
-from .laurent import require_fit, require_symmetric, split_unit, unpack
+from .laurent import require_fit, require_symmetric, split_unit, straighten, unpack
 from .rings import RING_Q, RING_W, ExponentOverflow
 
 
@@ -132,25 +132,6 @@ def monomial_sym(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
 
 
 # -- the Schur basis -------------------------------------------------------------
-
-
-def straighten(v):
-    """The bialternant s_v = a_{v+delta} / a_delta of an integer vector v as
-    ``(sign, lam)``, s_v = sign * s_lam with lam weakly decreasing, or
-    ``(0, None)`` when s_v = 0, by s_{.., a, b, ..} = -s_{.., b-1, a+1, ..}
-    (Macdonald, I.3)."""
-    v = list(v)
-    sign, i, last = 1, 0, len(v) - 1
-    while i < last:
-        a, b = v[i], v[i + 1]
-        if a >= b:
-            i += 1
-        elif b == a + 1:
-            return 0, None
-        else:
-            v[i], v[i + 1] = b - 1, a + 1
-            sign, i = -sign, max(i - 1, 0)
-    return sign, tuple(v)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -310,12 +291,12 @@ class SchurPoly(LaurentPoly):
         (exact, as in a product) before any key is formed."""
         if type(f) is not LaurentPoly or (f.ring, f.nvars) != (self.ring, self.nvars):
             raise TypeError("times takes a monomial-basis polynomial over %s in %d variables" % (self.ring, self.nvars))
-        require_symmetric(f)
+        parts = require_symmetric(f)
         if not self.coeffs or not f.coeffs:
             return self._like({})
         box_sum(self.bounds(), f.bounds())
         out = {}
-        right = f.z_terms().items()
+        right = [(unpack(z, self.nvars), units) for z, units in parts.items()]
         for lam, left in self.z_terms().items():
             for beta, units in right:
                 sign, kappa = straighten(map(add, lam, beta))

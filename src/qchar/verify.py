@@ -6,24 +6,25 @@ first counterexample).  The subset-fraction identities behind the operator
 algebra are verified in N!-cleared form: both sides are multiplied by the
 Vandermonde determinant and by the symmetric product of all (z_x - q z_y),
 which turns them into polynomial statements, and the signed permutation
-orbits are compared in canonical alternant-bucket form.  The buckets are
-read off the two-block Schur form of the cleared factor (the cross product
-by the dual Cauchy identity, the within-block products by the one product
+orbits, each over a_delta, are compared as Schur forms.  Each side is read
+off the two-block Schur form of the cleared factor (the cross product by
+the dual Cauchy identity, the within-block products by the one product
 rule ``SchurPoly.times``, as are the Pieri sides and the classical limit),
-so no cleared product is ever expanded into monomials; the full expansion
-is the reference in the tests.  A qsystem, eigen or difference-equation
-point is one ``qdiff.operator_sum`` residual tested for zero, and only a
-failure forms its two sides.  Every difference-equation report is built
-by ``_equation_report`` from its grid and relation rows; the level-1
-report is that report collapsed to one point per grid.  A failing lemma
-point names the first differing alternant with both payloads, a failing
-point of those, of the limits (the classical limit included) or a moment,
-boundary or compatibility point the first differing Schur coefficient, a
-failing level-1 point its first failing n and that coefficient, a failing
-Macdonald point the first differing monomial, and a failing class-one
-point the first n and u-order where the two series differ.  The operator,
-character, equation and limit checks compare Schur forms; the Macdonald
-and Whittaker oracles compare monomial expansions.
+each two-block term straightened once, so no cleared product is ever
+expanded into monomials; the full expansion is the reference in the
+tests.  A qsystem, eigen or difference-equation point is one
+``qdiff.operator_sum`` residual tested for zero, and only a failure forms
+its two sides.  Every difference-equation report is built by
+``_equation_report`` from its grid and relation rows; the level-1 report
+is that report collapsed to one point per grid.  A failing point of those,
+of the lemmas, of the limits (the classical limit included) or a moment,
+boundary or compatibility point names the first differing Schur
+coefficient with both payloads, a failing level-1 point its first failing
+n and that coefficient, a failing Macdonald point the first differing
+monomial, and a failing class-one point the first n and u-order where the
+two series differ.  The lemma, operator, character, equation and limit
+checks compare Schur forms; the Macdonald and Whittaker oracles compare
+monomial expansions.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ from .characters import (
     raising_product,
     top_component,
 )
-from .laurent import LaurentPoly, sorted_sign
+from .laurent import UNIT, LaurentPoly, pack, straighten
 from .macdonald import (
-    lift_q_to_qt,
     macdonald_poly,
     qt_t_infinity_limit,
     qwhittaker_specialize,
@@ -100,10 +100,12 @@ class CheckReport(Record):
 # P = W_I W_J X, where W_m is the product of (z_x - q z_y) over the ordered
 # pairs x != y of one block and X the product over x in I, y in J (or over
 # x in J, y in I).  P is symmetric in each block, so Delta_I Delta_J P is a
-# sum of products a_x(z_I) a_y(z_J) of block alternants, and the signed
-# permutation orbit of a_x(z_I) a_y(z_J) z_I**s z_J**t is a!b! times the
-# alternant of (x + s, y + t).  The alternant buckets of each side are read
-# off that two-block form, which never depends on the power of z.
+# sum of products a_{kappa+delta}(z_I) a_{nu+delta}(z_J) of block
+# alternants, and the signed permutation orbit of such a product times
+# z_I**s z_J**t is a!b! a_delta s_{(kappa + s - b, nu + t)}, straightened.
+# Each side is that sum of Schur functions, a ``SchurPoly`` in a + b
+# variables read off the two-block form, which never depends on the power
+# of z.
 
 
 @lru_cache(maxsize=8)
@@ -115,19 +117,18 @@ def _pair_monomials(m: int) -> LaurentPoly:
 
 @lru_cache(maxsize=256)
 def _times_pairs(mu):
-    """a_{mu+delta} W_m = a_delta s_mu W_m on m = len(mu) variables as
-    {(q-exponent, x): c}, each s_kappa of the product read as x = kappa + delta."""
+    """s_mu W_m on m = len(mu) variables as {kappa: {q-exponent: c}}, the
+    Schur coefficients of ``SchurPoly.times``."""
     m = len(mu)
-    product = SchurPoly.basis(mu, m).times(_pair_monomials(m))
-    return {(e[0], tuple(x + m - 1 - i for i, x in enumerate(e[1:]))): c for e, c in product.terms()}
+    return SchurPoly.basis(mu, m).times(_pair_monomials(m)).z_terms()
 
 
 @lru_cache(maxsize=32)
 def _two_block_form(a: int, b: int, forward: bool):
-    """Delta_I Delta_J W_I W_J X as ((x, y, {q-exponent: c}), ...), the sum of
-    c q**j a_x(z_I) a_y(z_J); X is the cross product over x in I, y in J
-    when ``forward``, else over x in J, y in I, both by the dual Cauchy
-    identity."""
+    """Delta_I Delta_J W_I W_J X as ((kappa, nu, {q-exponent: c}), ...), the
+    sum of c q**j a_{kappa+delta}(z_I) a_{nu+delta}(z_J); X is the cross
+    product over x in I, y in J when ``forward``, else over x in J, y in I,
+    both by the dual Cauchy identity."""
     if forward:
         cross = dual_cauchy(a, b)
     else:
@@ -136,50 +137,52 @@ def _two_block_form(a: int, b: int, forward: bool):
     for size, left, right in cross:
         sign = -1 if size % 2 else 1
         lows = _times_pairs(left).items()
-        for (j2, y), c2 in _times_pairs(right).items():
-            for (j1, x), c1 in lows:
-                d = acc.setdefault((x, y), {})
-                j = size + j1 + j2
-                d[j] = d.get(j, 0) + sign * c1 * c2
-    acc = {xy: {j: c for j, c in d.items() if c} for xy, d in acc.items()}
-    return tuple((x, y, d) for (x, y), d in acc.items() if d)
+        for nu, d2 in _times_pairs(right).items():
+            for kappa, d1 in lows:
+                d = acc.setdefault((kappa, nu), {})
+                for j2, c2 in d2.items():
+                    for j1, c1 in d1.items():
+                        j = size + j1 + j2
+                        d[j] = d.get(j, 0) + sign * c1 * c2
+    acc = {pair: {j: c for j, c in d.items() if c} for pair, d in acc.items()}
+    return tuple((kappa, nu, d) for (kappa, nu), d in acc.items() if d)
 
 
-def _alternant_buckets(a: int, b: int, forward: bool, parts):
-    """``signed_buckets`` of Delta_I Delta_J W_I W_J X times the sum of
-    scale * q**k z_I**s z_J**t over ``parts`` (s, t, k, scale), read off
-    the two-block form."""
+def _lemma_side(a: int, b: int, forward: bool, parts) -> SchurPoly:
+    """The signed orbit sum of Delta_I Delta_J W_I W_J X times the sum of
+    scale * q**k z_I**s z_J**t over ``parts`` (s, t, k, scale), divided by
+    a_delta: each two-block term lands on a!b! s_{(kappa + s - b, nu + t)},
+    straightened."""
     fact = factorial(a) * factorial(b)
     out = {}
-    for x, y, payload in _two_block_form(a, b, forward):
+    for kappa, nu, payload in _two_block_form(a, b, forward):
         for s, t, k, scale in parts:
-            key, sign = sorted_sign(tuple([e + s for e in x] + [e + t for e in y]))
+            sign, lam = straighten([e + s - b for e in kappa] + [e + t for e in nu])
             if sign:
-                d = out.setdefault(key, {})
-                unit = sign * scale * fact
+                base, unit = pack((k,) + lam), sign * scale * fact
                 for j, c in payload.items():
-                    d[j + k] = d.get(j + k, 0) + unit * c
-    out = {key: {j: c for j, c in d.items() if c} for key, d in out.items()}
-    return {key: d for key, d in out.items() if d}
+                    key = base + j * UNIT
+                    out[key] = out.get(key, 0) + unit * c
+    return SchurPoly(RING_Q, a + b, {key: c for key, c in out.items() if c})
 
 
 def _swap_sides(a: int, b: int, p: int):
-    """The alternant buckets of the two cleared orbit sums of the swap
-    identity, the second with its factor (-1)**(ab) q**(pa)."""
+    """The two cleared orbit sums of the swap identity, the second with its
+    factor (-1)**(ab) q**(pa)."""
     sign = -1 if (a * b) % 2 else 1
     return (
-        _alternant_buckets(a, b, True, ((b, p + a, 0, 1),)),
-        _alternant_buckets(a, b, False, ((b, p + a, p * a, sign),)),
+        _lemma_side(a, b, True, ((b, p + a, 0, 1),)),
+        _lemma_side(a, b, False, ((b, p + a, p * a, sign),)),
     )
 
 
 def _square_sides(a: int):
-    """The alternant buckets of (a+1) x left and a x right of the square
-    identity, each cleared on its own blocks."""
+    """(a+1) x left and a x right of the square identity, each cleared on its
+    own blocks."""
     left = ((a, a, 0, a + 1), (a + 1, a - 1, a, -(a + 1)))
     return (
-        _alternant_buckets(a, a, True, left),
-        _alternant_buckets(a + 1, a - 1, True, ((a - 1, a + 1, 0, a),)),
+        _lemma_side(a, a, True, left),
+        _lemma_side(a + 1, a - 1, True, ((a - 1, a + 1, 0, a),)),
     )
 
 
@@ -189,12 +192,10 @@ def subset_swap_identity_holds(a: int, b: int, p: int) -> bool:
         sum_{I | J = [1, a+b], |I| = a}  z_J**p (a_{I,J} b_{J,I} - q**(pa) a_{J,I} b_{I,J})
 
     vanishes (claimed for |p| <= b - a + 1).  Checked in cleared form: both
-    orbit sums are compared as alternant buckets after multiplying by the
+    orbit sums are compared in the Schur basis after multiplying by the
     Vandermonde and by the symmetric product of all (z_x - q z_y)."""
     if a < 0 or b < 0:
         raise ValueError("block sizes must be >= 0")
-    if a == 0:
-        return True
     lhs, rhs = _swap_sides(a, b, p)
     return lhs == rhs
 
@@ -205,7 +206,7 @@ def subset_square_identity_holds(a: int) -> bool:
         sum_{|I|=|J|=a} a_{I,J} b_{J,I} (1 - q**a z_I/z_J)
           = sum_{|I|=a+1, |J|=a-1} a_{I,J} b_{J,I}
 
-    on 2a variables, in the same cleared-bucket form (combinatorial
+    on 2a variables, in the same cleared Schur form (combinatorial
     normalizations reduce to comparing (a+1) x left against a x right)."""
     if a < 1:
         raise ValueError("a must be >= 1")
@@ -217,11 +218,11 @@ def _cap(text: str) -> str:
     return text if len(text) <= 200 else text[:197] + "..."
 
 
-def _first_difference(lhs, rhs, label: str = "alternant") -> str:
+def _first_difference(lhs, rhs, label: str) -> str:
     """The first key, in decreasing order, whose payloads differ between two
-    dicts of {exponent: int} payloads (alternant buckets, Schur or monomial
-    coefficients, or the ``terms()`` of torus elements), named by ``label``,
-    with both payloads, cut to 200 characters."""
+    dicts of {exponent: int} payloads (Schur or monomial coefficients, or
+    the ``terms()`` of torus elements), named by ``label``, with both
+    payloads, cut to 200 characters."""
     for key in sorted(lhs.keys() | rhs.keys(), reverse=True):
         if lhs.get(key) != rhs.get(key):
             return _cap("%s %s: lhs %s, rhs %s" % (
@@ -272,11 +273,9 @@ def check_subset_identities(bound: int = 3, rank_max: int = 4) -> CheckReport:
     for a in range(0, bound + 1):
         for b in range(max(a, 1), bound + 1):
             for p in _swap_window(a, b):
-                ok = subset_swap_identity_holds(a, b, p)
-                rep.record(("swap", a, b, p), ok, None if ok else _first_difference(*_swap_sides(a, b, p)))
+                _record_equal(rep, ("swap", a, b, p), *_swap_sides(a, b, p))
     for a in range(1, bound + 1):
-        ok = subset_square_identity_holds(a)
-        rep.record(("square", a), ok, None if ok else _first_difference(*_square_sides(a)))
+        _record_equal(rep, ("square", a), *_square_sides(a))
     for r in range(1, rank_max + 1):
         n = r + 1
         one_q, zero_q = SchurPoly.one(RING_Q, n), SchurPoly.zero(RING_Q, n)
@@ -629,7 +628,7 @@ def check_macdonald(nvars_max: int = 3, weight_max: int = 4) -> CheckReport:
         nvars = r + 1
         for n in _level1_grid(r, 2):
             chi = graded_character(n).monomials()
-            lifted = lift_q_to_qt(chi)
+            lifted = chi.with_ring(RING_QT)
             for alpha in range(1, r + 1):
                 g = apply_macdonald_qt(alpha, lifted)
                 try:

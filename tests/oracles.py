@@ -27,7 +27,9 @@
   before the constraint z_1...z_N = 1, the reference for
   ``SchurPoly.times`` with e_m and ``times_e_constrained``; ``dominates`` and
   ``project_qt_to_q`` are the dominance order and the inverse of
-  ``macdonald.lift_q_to_qt``.
+  ``with_ring(RING_QT)`` on a Q-ring polynomial; ``image_nc`` reads a
+  packed ev0 image (``qtorus.PackedImage``) back as an ``NcLaurent``
+  through ``Packed.digits``.
 * ``ref_apply_macdonald_qt``, ``ref_macdonald_poly`` and
   ``ref_specialize_t0_qinv`` are the Macdonald path over the fraction field
   ``QT_REF`` = Q(q, t) of sympy, as it ran before the package cleared its
@@ -44,7 +46,9 @@
 * ``ref_swap_buckets`` and ``ref_square_buckets`` certify the
   subset-fraction lemmas the way ``qchar.verify`` did before it read them
   off the two-block Schur form: every cleared product expanded as a
-  monomial polynomial (10**4 to 10**5 terms) and bucketed term by term.
+  monomial polynomial (10**4 to 10**5 terms) and bucketed term by term by
+  ``ref_signed_buckets``, keyed by the alternant's strictly decreasing
+  exponents lam + delta.
 * ``ref_mul``, ``ref_times_z``, ``ref_signed_buckets``, ``ref_exact_div`` and
   ``ref_nc_mul`` recode the packed-key kernels on plain exponent tuples;
   ``ref_div`` runs ``ref_exact_div`` on two ``LaurentPoly`` values (the
@@ -77,6 +81,7 @@ from qchar.laurent import (
     require_symmetric,
     signed_buckets,
     unit_slots,
+    unpack,
 )
 from qchar.qtorus import NcLaurent, ev0_image, ev0_negative_term, q_recursion
 from qchar.rings import (
@@ -425,18 +430,24 @@ def _swap_cores(a: int, b: int):
     return core1, core2
 
 
+def _alternant_buckets(f: LaurentPoly) -> dict:
+    """{lam + delta: {q-exponent: c}}: the signed orbit sum of the Q-ring
+    polynomial f as a sum of alternants, by ``ref_signed_buckets``."""
+    return {key: {u[0]: c for u, c in d.items()} for key, d in ref_signed_buckets(dict(f.terms()), 1).items()}
+
+
 def ref_swap_buckets(a, b, p):
     """The two sides of ``verify.subset_swap_identity_holds`` by expanding
-    each cleared core as a monomial polynomial and bucketing every term:
-    ``signed_buckets`` of the first, and of the second with its factor
+    each cleared core as a monomial polynomial and bucketing every term
+    into alternants: the first, and the second with its factor
     (-1)**(ab) q**(pa)."""
     n = a + b
     core1, core2 = _swap_cores(a, b)
     zpow = tuple(b if x < a else p + a for x in range(n))
     sign = -1 if (a * b) % 2 else 1
     return (
-        signed_buckets(core1.times_z(zpow)),
-        _bucket_adjust(signed_buckets(core2.times_z(zpow)), p * a, sign),
+        _alternant_buckets(core1.times_z(zpow)),
+        _bucket_adjust(_alternant_buckets(core2.times_z(zpow)), p * a, sign),
     )
 
 
@@ -454,7 +465,7 @@ def ref_square_buckets(a):
     base2 = delta_on(RING_Q, n, i2) * delta_on(RING_Q, n, j2)
     base2 = base2.times_z(tuple(a - 1 if x <= a else a + 1 for x in range(n)))
     right = base2 * qpair_product(n, {(x, y) for x in j2 for y in i2})
-    return signed_buckets(left * (a + 1)), signed_buckets(right * a)
+    return _alternant_buckets(left * (a + 1)), _alternant_buckets(right * a)
 
 
 # -- the signed-orbit operator path ----------------------------------------------
@@ -476,11 +487,10 @@ def _unit_shift_gamma(ring, rank):
 
 
 def _schur_reconstruct_folded(buckets, ring, nvars, den):
-    """Rebuild sum_buckets payload * alternant(key) / Vandermonde / den for
-    the folded integer rings."""
+    """Rebuild sum_buckets payload * s_lam / den (the ``signed_buckets`` of
+    the orbit, over a_delta) for the folded integer rings."""
     out = {}
-    for zkey, payload in buckets.items():
-        lam = tuple(zkey[i] - (nvars - 1 - i) for i in range(nvars))
+    for lam, payload in buckets.items():
         off = lam[-1]
         core = normalize_partition(tuple(x - off for x in lam))
         for ez, cs in ref_schur(core, nvars).terms():
@@ -601,7 +611,8 @@ def dominates(lam, mu) -> bool:
 
 
 def project_qt_to_q(f: LaurentPoly) -> LaurentPoly:
-    """Inverse of ``lift_q_to_qt``: no term may involve t."""
+    """Inverse of ``with_ring(RING_QT)`` on a Q-ring polynomial: no term may
+    involve t."""
     terms = list(f.terms())
     if any(key[1] for key, _ in terms):
         raise NotDivisible("polynomial involves t")
@@ -647,9 +658,11 @@ def antisymmetrize(f: LaurentPoly) -> LaurentPoly:
 def signed_orbit_sum(f: LaurentPoly) -> LaurentPoly:
     """N! times the antisymmetrization, expanded as a polynomial (W and Q
     rings)."""
-    out = LaurentPoly.zero(f.ring, f.nvars)
-    for zkey, payload in signed_buckets(f).items():
-        out = out + alternant(f.ring, f.nvars, zkey) * constant(f.ring, f.nvars, payload)
+    n = f.nvars
+    out = LaurentPoly.zero(f.ring, n)
+    for lam, payload in signed_buckets(f).items():
+        shifted = tuple(x + n - 1 - i for i, x in enumerate(lam))
+        out = out + alternant(f.ring, n, shifted) * constant(f.ring, n, payload)
     return out
 
 
@@ -677,8 +690,10 @@ def ref_times_z(a: dict, zshift, zoff: int) -> dict:
 
 def ref_signed_buckets(a: dict, zoff: int) -> dict:
     """``laurent.signed_buckets`` by sorting every term and counting
-    inversions for its sign; payloads are keyed by the tuple of the first
-    ``zoff`` exponents, or are single field elements when ``zoff`` is 0."""
+    inversions for its sign, keyed by the sorted alternant exponents
+    lam + delta (``signed_buckets`` keys lam); payloads are keyed by the
+    tuple of the first ``zoff`` exponents, or are single field elements when
+    ``zoff`` is 0."""
     out = {}
     for k, c in a.items():
         z = k[zoff:]
@@ -780,6 +795,14 @@ def ref_ev0_word(rank: int, word, table: dict) -> dict:
         if alpha not in (0, rank + 1):
             prod = prod * table[(alpha, k)]
     return ref_ev0(rank, dict(prod.terms()))
+
+
+def image_nc(img) -> NcLaurent:
+    """A packed ev0 image (``qtorus.PackedImage``) as an ``NcLaurent``: row by
+    row, each digit d of a position's integer the coefficient of w**d."""
+    r = img.rank
+    positions = {pos: unpack(pos, 2 * r) for pos in img.packing[1]}
+    return NcLaurent.from_terms(r, [((e[:r], e[r:]), dict(img.digits(pos))) for pos, e in positions.items()])
 
 
 def ref_nc_div(rank: int, num: dict, den: dict, side: str) -> dict:

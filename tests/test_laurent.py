@@ -120,11 +120,12 @@ def test_antisymmetrize_inexact_raises():
 
 
 def test_signed_buckets_cancellation():
-    # repeated exponents cancel; distinct ones land signed on sorted keys
+    # repeated exponents cancel; distinct ones land signed on the partition
+    # lam of the sorted alternant lam + delta
     f = LaurentPoly.monomial(RING_Q, 2, (1, 1))
     assert signed_buckets(f) == {}
     g = LaurentPoly.monomial(RING_Q, 2, (0, 2), 3, unit=1)
-    assert signed_buckets(g) == {(2, 0): {1: -3}}
+    assert signed_buckets(g) == {(1, 0): {1: -3}}
 
 
 def test_constrain_examples():

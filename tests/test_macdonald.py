@@ -17,14 +17,13 @@ from qchar.characters import NVector, graded_character
 from qchar.laurent import EXP_MIN, LaurentPoly
 from qchar.macdonald import (
     eigenvalue_formula,
-    lift_q_to_qt,
     macdonald_poly,
     qt_specialize_t0_qinv,
     qt_t_infinity_limit,
     qwhittaker_specialize,
 )
 from qchar.qdiff import apply_macdonald_qt
-from qchar.rings import RING_Q, RING_QT, ExponentOverflow, NotDivisible, PoleAtZero
+from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible, PoleAtZero
 from qchar.symfun import elementary, partitions, partitions_up_to
 
 
@@ -225,13 +224,17 @@ def test_shifted_gap_is_caught(monkeypatch):
 
 def test_lift_and_project_roundtrip():
     chi = graded_character(NVector.level_one(2, (1, 1))).monomials()
-    assert project_qt_to_q(lift_q_to_qt(chi)) == chi
+    assert project_qt_to_q(chi.with_ring(RING_QT)) == chi
+    # only a Q-ring polynomial lifts to the QT ring
+    for other in (chi.with_ring(RING_W), chi.with_ring(RING_QT)):
+        with pytest.raises(ValueError):
+            other.with_ring(RING_QT)
 
 
 def test_degenerate_limit_eigenrelation():
     n = NVector.level_one(2, (1, 1))
     chi = graded_character(n).monomials()
-    lifted = lift_q_to_qt(chi)
+    lifted = chi.with_ring(RING_QT)
     for alpha in (1, 2):
         g = apply_macdonald_qt(alpha, lifted)
         ev = sum(min(alpha, b) for b in (1, 2))

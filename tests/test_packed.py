@@ -121,8 +121,12 @@ def test_signed_buckets_match_reference(ring, nvars, data):
         a.setdefault(k[:zo] + k[zo:][::-1], c)
     f = LaurentPoly.from_terms(ring, nvars, a)
     expected = ref_signed_buckets(view(f), zo)
+    # keys are the partitions lam of the sorted alternants lam + delta, and
     # payloads are keyed by the offset of the unit exponents
-    assert signed_buckets(f) == {z: {offset(u): c for u, c in d.items()} for z, d in expected.items()}
+    delta = range(nvars - 1, -1, -1)
+    assert signed_buckets(f) == {
+        tuple(x - e for x, e in zip(z, delta)): {offset(u): c for u, c in d.items()} for z, d in expected.items()
+    }
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import qchar.verify as verify
-from oracles import ref_ev0, ref_square_buckets, ref_swap_buckets, schur_form
+from oracles import image_nc, ref_ev0, ref_square_buckets, ref_swap_buckets, schur_form
 from qchar.cartan import CartanData
 from qchar.characters import NVector, g_coefficient, graded_character
 from qchar.laurent import LaurentPoly, constrain
@@ -58,15 +58,22 @@ def test_square_identity():
 
 
 def test_two_block_buckets_match_full_expansion():
-    # the buckets read off the two-block Schur form equal, key for key, those
-    # of the fully expanded cleared products, in the window and one step out
+    # the Schur forms read off the two-block form equal, key for key, the
+    # alternant buckets of the fully expanded cleared products, each key
+    # lam + delta read as lam, in the window and one step out
+    def schur_keys(sides, nvars):
+        return tuple({tuple(x - (nvars - 1 - i) for i, x in enumerate(key)): d for key, d in side.items()} for side in sides)
+
+    def terms(sides):
+        return tuple(side.z_terms() for side in sides)
+
     blocks = [(a, b) for b in (1, 2) for a in range(1, b + 1)] + [(1, 3), (2, 3), (1, 4)]
     for a, b in blocks:
         w = b - a + 2
         for p in range(-w, w + 1):
-            assert verify._swap_sides(a, b, p) == ref_swap_buckets(a, b, p), (a, b, p)
+            assert terms(verify._swap_sides(a, b, p)) == schur_keys(ref_swap_buckets(a, b, p), a + b), (a, b, p)
     for a in (1, 2):
-        assert verify._square_sides(a) == ref_square_buckets(a), a
+        assert terms(verify._square_sides(a)) == schur_keys(ref_square_buckets(a), 2 * a), a
 
 
 def test_swap_identity_rejects_negative_blocks():
@@ -78,18 +85,18 @@ def test_swap_identity_rejects_negative_blocks():
         subset_square_identity_holds(0)
 
 
-def test_lemma_failure_names_first_differing_alternant(monkeypatch):
+def test_lemma_failure_names_first_differing_schur_coefficient(monkeypatch):
     # widen the swap window by one: exactly the new edge points fail, each
-    # with the first differing alternant key and both payloads
+    # with the first differing Schur coefficient and both payloads
     monkeypatch.setattr(verify, "_swap_window", lambda a, b: range(-(b - a + 2), b - a + 3))
     rep = check_subset_identities(bound=2, rank_max=1)
     edges = [(a, b, p) for a in range(3) for b in range(max(a, 1), 3) for p in (-(b - a + 2), b - a + 2)]
     failed = [f["point"] for f in rep.failures]
     assert failed == [str(("swap",) + e) for e in edges if e[0]]
     one_two = rep.failures[failed.index("('swap', 1, 2, 3)")]
-    assert one_two["detail"] == "alternant (8, 5, 2): lhs {3: -2}, rhs {4: -2}"
-    assert all(f["detail"].startswith("alternant (") and len(f["detail"]) <= 200 for f in rep.failures)
-    long = verify._first_difference({(3, 1): {j: 7 for j in range(100)}}, {})
+    assert one_two["detail"] == "schur (6, 4, 2): lhs {3: -2}, rhs {4: -2}"
+    assert all(f["detail"].startswith("schur (") and len(f["detail"]) <= 200 for f in rep.failures)
+    long = verify._first_difference({(3, 1): {j: 7 for j in range(100)}}, {}, "schur")
     assert len(long) == 200 and long.endswith("...")
 
 
@@ -345,7 +352,7 @@ def test_polynomiality_failure_names_first_negative_monomial(monkeypatch):
     import qchar.qtorus as qtorus
 
     def lowered(img, x, step=qtorus.ev0_times):
-        return qtorus.PackedImage.of(step(img, x).nc() * qtorus.NcLaurent.generator(img.rank, 1, 1, -1))
+        return qtorus.PackedImage.of(image_nc(step(img, x)) * qtorus.NcLaurent.generator(img.rank, 1, 1, -1))
 
     grid = dict(rank_max=2, k_min=-1, k_max=3, word_k_max=2, word_len=2, samples=0)
     expected = []
