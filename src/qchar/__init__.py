@@ -10,7 +10,7 @@ from .characters import (
     multiplicities,
     top_component,
 )
-from .laurent import LaurentPoly, constrain, w_to_q
+from .laurent import LaurentPoly, constrain
 from .macdonald import MacdonaldPoly, macdonald_poly, qwhittaker_specialize
 from .qdiff import apply_D, apply_M, apply_macdonald_qt
 from .qtorus import NcLaurent, evaluate, q_recursion

@@ -12,9 +12,11 @@ with the level-1 factors applied first and the integer exponent
 
 The same product in the twisted operators, constrained to z_1...z_{r+1} = 1,
 gives the renormalized coefficients G_n; the two paths are related by an
-explicit power of v and cross-check each other.  Both chains, and the
-difference equations, run on Schur forms (``symfun.SchurPoly``); monomial
-expansions are views computed on demand.
+explicit power of v and cross-check each other (``char_from_g`` reads the
+packed twisted product times that power in q, q = v**-(r+1), by moving
+its offset).  Both chains, and the difference equations, run on Schur
+forms (``symfun.SchurPoly``); monomial expansions are views computed on
+demand.
 
 Each chain value is one raising step from the cached value of its prefix,
 the word of factors M_{a,i} less its last letter, and is kept packed: each
@@ -33,10 +35,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cartan import CartanData
-from .laurent import LaurentPoly, constrain, w_to_q
+from .laurent import LaurentPoly, constrain
 from .qdiff import PackedSchur, operator_sum, packed_step
 from .records import FrozenRecord
-from .rings import RING_Q, RING_W
+from .rings import RING_Q, RING_W, ExponentNotDivisible
 from .symfun import SchurPoly, partition_of_weight
 
 
@@ -231,11 +233,17 @@ def g_to_char_w_exponent(n: NVector) -> int:
 
 
 def char_from_g(n: NVector) -> SchurPoly:
-    """The character computed through the twisted-operator path: unconstrained
-    product, prefactor, then conversion w -> q.  Equals
-    ``graded_character(n)`` exactly."""
-    lifted = _chain(n, "D", RING_W).times_unit(g_to_char_w_exponent(n)).schur()
-    return w_to_q(lifted, n.rank)
+    """The character computed through the twisted-operator path: the packed
+    unconstrained product times its prefactor w**E, read in q.  Digit d of
+    that value is w**(offset - 2Nd) = q**(d - offset/2N), so the same rows
+    at offset -offset/2N over Q are the character; ``ExponentNotDivisible``
+    when 2N does not divide the offset (the value is no function of q).
+    Equals ``graded_character(n)`` exactly."""
+    packed = _chain(n, "D", RING_W).times_unit(g_to_char_w_exponent(n))
+    step = 2 * (n.rank + 1)
+    if packed.offset % step:
+        raise ExponentNotDivisible("w-exponent %d is not a multiple of %d" % (packed.offset, step))
+    return PackedSchur(RING_Q, n.rank + 1, -packed.offset // step, *packed.packing).schur()
 
 
 # -- difference equations ------------------------------------------------------

@@ -46,6 +46,11 @@ W-ring polynomial in the 2r torus exponents, the w-exponent in the unit
 slot, with a twisted product.  Their constructors take other arguments, so
 the methods here build zero and one through ``_like``.
 
+``from_terms``, ``sum``, ``+``, ``-`` and ``at_unit_one`` add through one
+loop, ``_add_into``: repeated keys add up, zero sums drop out.  The
+binomial division and ``signed_buckets`` add a few terms per row or
+z-part, where a call per row measured slower, so they keep inline loops.
+
 Everything here is exact.  The one division is ``divide_binomial``, by
 1 - x u**i in one pass, for the Whittaker series and the t = 0 Macdonald
 limit; Schur polynomials are built by branching (``symfun``).  Values are
@@ -56,13 +61,11 @@ immutable by convention: no method mutates ``self``, but for
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, sub
+from operator import add, neg, sub
 
 from .rings import (
     RING_Q,
     RING_QT,
-    RING_W,
-    ExponentNotDivisible,
     ExponentOverflow,
     NotSymmetric,
 )
@@ -278,12 +281,20 @@ def unit_slots(ring) -> int:
     return 2 if ring == RING_QT else 1
 
 
-def _accumulate(out, key, c):
-    nv = out.get(key, 0) + c
-    if nv:
-        out[key] = nv
-    else:
-        del out[key]
+def _add_into(out, pairs):
+    """Add each (key, c) of ``pairs`` into the dict ``out``, a key whose sum
+    is zero dropping out, and return ``out``: the one add loop of
+    ``from_terms``, ``sum``, ``+``, ``-`` and ``at_unit_one``."""
+    for k, c in pairs:
+        if k in out:
+            c += out[k]
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        elif c:
+            out[k] = c
+    return out
 
 
 class LaurentPoly:
@@ -332,18 +343,12 @@ class LaurentPoly:
         pairs (a mapping or an iterable); repeated vectors add up, zero
         coefficients drop out."""
         width = nvars + unit_slots(ring)
-        out = {}
+        keyed = []
         for exps, c in terms.items() if hasattr(terms, "items") else terms:
             if len(exps) != width:
                 raise ValueError("exponent vector has wrong length")
-            key = pack(exps)
-            cur = out.get(key)
-            nv = c if cur is None else cur + c
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-        return cls(ring, nvars, out)
+            keyed.append((pack(exps), c))
+        return cls(ring, nvars, _add_into({}, keyed))
 
     @classmethod
     def monomial(cls, ring, nvars, zexps, coeff=1, unit=0):
@@ -371,13 +376,7 @@ class LaurentPoly:
         """The sum of ``polys``, accumulated in one dict."""
         out = {}
         for f in polys:
-            for k, c in f.coeffs.items():
-                cur = out.get(k)
-                nv = c if cur is None else cur + c
-                if nv:
-                    out[k] = nv
-                else:
-                    del out[k]
+            _add_into(out, f.coeffs.items())
         return cls(ring, nvars, out)
 
     # -- basic structure ---------------------------------------------------
@@ -449,30 +448,14 @@ class LaurentPoly:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            cur = out.get(k)
-            nv = c if cur is None else cur + c
-            if nv:
-                out[k] = nv
-            else:
-                del out[k]
-        return self._like(out)
+        return self._like(_add_into(dict(self.coeffs), other.coeffs.items()))
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.coeffs.items()}, self._box)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            cur = out.get(k)
-            nv = -c if cur is None else cur - c
-            if nv:
-                out[k] = nv
-            else:
-                del out[k]
-        return self._like(out)
+        return self._like(_add_into(dict(self.coeffs), zip(other.coeffs, map(neg, other.coeffs.values()))))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -553,10 +536,7 @@ class LaurentPoly:
         """Set the scalar variable to 1 (integer rings); unit slot collapses to 0."""
         if self.ring == RING_QT:
             raise ValueError("QT ring has no distinguished unit variable")
-        out = {}
-        for k, c in self.coeffs.items():
-            _accumulate(out, k - (k & _MASK) + _BIAS, c)
-        return self._like(out)
+        return self._like(_add_into({}, ((k - (k & _MASK) + _BIAS, c) for k, c in self.coeffs.items())))
 
     def unit_slice(self, j: int):
         """Terms whose scalar exponent equals ``j``, with the unit reset to 0."""
@@ -692,7 +672,7 @@ def divide_binomial(rows, shift: int, step: int):
                 del row[k]
 
 
-# -- ring maps ---------------------------------------------------------------
+# -- the constraint ----------------------------------------------------------
 
 
 def constrain(f: LaurentPoly, rank: int) -> LaurentPoly:
@@ -708,26 +688,6 @@ def constrain(f: LaurentPoly, rank: int) -> LaurentPoly:
         rank,
         ((e[:zo] + tuple(x - e[-1] for x in e[zo:-1]), c) for e, c in f.terms()),
     )
-
-
-def w_to_q(f: LaurentPoly, rank: int) -> LaurentPoly:
-    """Convert a W-ring polynomial (either basis) to the Q-ring through
-    w**(-2*(r+1)) = q.
-
-    Raises ``ExponentNotDivisible`` when some w-exponent is not a multiple of
-    2*(r+1), i.e. the input is not a function of q alone."""
-    if f.ring != RING_W:
-        raise ValueError("w_to_q expects a W-ring polynomial")
-    m = 2 * (rank + 1)
-    out = {}
-    for k, c in f.coeffs.items():
-        j = (k & _MASK) - _BIAS
-        if j % m:
-            raise ExponentNotDivisible(
-                "w-exponent %d is not a multiple of %d" % (j, m)
-            )
-        out[k - j - j // m] = c
-    return type(f)(RING_Q, f.nvars, out)
 
 
 def _z_parts(f: LaurentPoly):

@@ -17,7 +17,7 @@ binomials 1 - q**i of D by one-pass divisions (``qt_specialize_t0_qinv``).
 
 from __future__ import annotations
 
-from .laurent import SLOT_BITS, LaurentPoly, divide_binomial, pack, split_unit
+from .laurent import SLOT_BITS, LaurentPoly, _z_parts, divide_binomial, pack, split_unit, unpack, zero_key
 from .qdiff import apply_macdonald_qt
 from .records import FrozenRecord
 from .rings import RING_Q, RING_QT, DegenerateEigenvalue, NotDivisible, PoleAtZero
@@ -48,13 +48,16 @@ def eigenvalue_formula(lam, nvars):
 
 def _m_expand(f: LaurentPoly) -> dict:
     """Monomial-symmetric expansion of a symmetric QT polynomial:
-    {partition: QT constant}."""
+    {partition: QT constant}, read off its dominant z-parts
+    (``laurent._z_parts``), each payload's unit offsets moved onto the key
+    of the zero vector."""
+    n, zero = f.nvars, zero_key(f.width)
     out = {}
-    for exps, c in f.terms():
-        z = exps[2:]
-        if all(z[i] >= z[i + 1] for i in range(len(z) - 1)):
-            out.setdefault(normalize_partition(z), []).append((exps[:2], c))
-    return {mu: _constant(f.nvars, terms) for mu, terms in out.items()}
+    for z, payload in _z_parts(f).items():
+        e = unpack(z, n)
+        if all(e[i] >= e[i + 1] for i in range(n - 1)):
+            out[normalize_partition(e)] = f._like({zero + u: c for u, c in payload.items()})
+    return out
 
 
 def macdonald_poly(lam, nvars: int) -> MacdonaldPoly:

@@ -33,8 +33,11 @@ steps a ``PackedSchur`` instead, a ``laurent.Packed`` with one row per
 Schur coefficient (``packed_step``).  Both read the images of s_lam modulo
 full columns.
 The Macdonald operator has no such form; its Vandermonde-cleared subset sum
-is one signed permutation orbit, read off Schur function by Schur function
-and divided by alpha! (N - alpha)! exactly.
+is one signed permutation orbit, read off as Schur coefficients
+(``signed_buckets``), divided by alpha! (N - alpha)! exactly and expanded
+by the one Schur-to-monomial rule (``symfun._schur_monomials``).  The
+Kostka matrix is unitriangular over Z, so the Schur coefficients divide
+exactly when the monomial ones do.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .laurent import (
     zero_key,
 )
 from .rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
-from .symfun import SchurPoly, branch, column_split, interlacing, schur
+from .symfun import SchurPoly, _schur_monomials, branch, column_split, interlacing
 
 
 @lru_cache(maxsize=16)
@@ -76,32 +79,6 @@ def _pair_delta_qt(nvars, alpha):
         for j in range(alpha, nvars):
             out = out * (t * z[i] - z[j])
     return out
-
-
-@lru_cache(maxsize=256)
-def _schur_qt(lam, nvars):
-    """s_lam over the QT ring, lam weakly decreasing (negative parts allowed)."""
-    off = lam[-1]
-    return schur(tuple(x - off for x in lam), nvars, RING_QT).times_z((off,) * nvars)
-
-
-def _schur_reconstruct_qt(buckets, nvars, den):
-    """The sum over the ``signed_buckets`` of payload * s_lam, divided by
-    ``den`` exactly."""
-    out = {}
-    get = out.get
-    for lam, payload in buckets.items():
-        for k, b in _schur_qt(lam, nvars).coeffs.items():
-            for u, c in payload.items():
-                out[k + u] = get(k + u, 0) + c * b
-    quot = {}
-    for k, c in out.items():
-        q, rem = divmod(c, den)
-        if rem:
-            raise NotDivisible("orbit sum not divisible by %d" % den)
-        if q:
-            quot[k] = q
-    return LaurentPoly(RING_QT, nvars, quot)
 
 
 @lru_cache(maxsize=1 << 13)
@@ -329,4 +306,8 @@ def apply_macdonald_qt(alpha, f):
     shifted = {k + sum(unpack(k, nvars + 2)[2 : 2 + alpha]) * UNIT: c for k, c in f.coeffs.items()}
     t0 = _pair_delta_qt(nvars, alpha) * LaurentPoly(RING_QT, nvars, shifted)
     den = factorial(alpha) * factorial(nvars - alpha)
-    return _schur_reconstruct_qt(signed_buckets(t0), nvars, den)
+    buckets = signed_buckets(t0)
+    if any(c % den for payload in buckets.values() for c in payload.values()):
+        raise NotDivisible("orbit sum not divisible by %d" % den)
+    quot = {lam: {u: c // den for u, c in payload.items()} for lam, payload in buckets.items()}
+    return _schur_monomials(quot, RING_QT, nvars)

@@ -21,7 +21,7 @@ from math import prod
 from operator import add
 
 from .laurent import EXP_MAX, EXP_MIN, SLOT_BITS, UNIT, LaurentPoly, box_sum, coefficient_text, offset, pack
-from .laurent import require_fit, require_symmetric, split_unit, straighten, unpack
+from .laurent import require_fit, require_symmetric, split_unit, straighten, unit_slots, unpack, zero_key
 from .rings import RING_Q, RING_W, ExponentOverflow
 
 
@@ -242,6 +242,30 @@ def _pieri_constrained_keys(key, m, nvars):
     return tuple(column_split(k, nvars)[1] for k in product.coeffs)
 
 
+def _schur_monomials(coeffs, ring, nvars) -> LaurentPoly:
+    """sum payload * s_lam over ``coeffs`` = {lam: payload}, lam weakly
+    decreasing (negative parts allowed), in the monomial basis over any
+    ring, in one pass: payloads are {unit offset: int} as ``signed_buckets``
+    returns them (over W and Q the offset is the unit exponent), and each
+    term adds c times the cached s_{lam - lam_N} moved by the unit offset
+    and (z_1...z_N)**lam_N, so every exponent stays in [lam_N, lam_1].  The
+    cached keys have one unit slot, at exponent 0: shifted up past the
+    ring's other unit slots, once per lam, and given their zero key, they
+    are keys of the ring."""
+    slots = unit_slots(ring)
+    shift, base = SLOT_BITS * (slots - 1), zero_key(slots - 1)
+    column, out = offset((0,) * slots + (1,) * nvars), {}
+    get = out.get
+    for lam, payload in coeffs.items():
+        top = lam[-1]
+        core = [(k << shift, x) for k, x in _schur_zcoeffs(tuple(e - top for e in lam if e != top), nvars).coeffs.items()]
+        for u, c in payload.items():
+            d = u + top * column + base
+            for k, x in core:
+                out[k + d] = get(k + d, 0) + c * x
+    return LaurentPoly(ring, nvars, {k: c for k, c in out.items() if c})
+
+
 def _require_schur_ring(ring):
     """A Schur form has one unit slot: its keys misread under the QT ring."""
     if ring not in (RING_W, RING_Q):
@@ -291,10 +315,14 @@ class SchurPoly(LaurentPoly):
         (exact, as in a product) before any key is formed."""
         if type(f) is not LaurentPoly or (f.ring, f.nvars) != (self.ring, self.nvars):
             raise TypeError("times takes a monomial-basis polynomial over %s in %d variables" % (self.ring, self.nvars))
-        parts = require_symmetric(f)
-        if not self.coeffs or not f.coeffs:
+        return self._times_parts(require_symmetric(f), f.bounds())
+
+    def _times_parts(self, parts, box):
+        """``times`` of the f that ``require_symmetric`` grouped into
+        ``parts`` (so f is symmetric), with exponent bounds ``box``."""
+        if not self.coeffs or not parts:
             return self._like({})
-        box_sum(self.bounds(), f.bounds())
+        box_sum(self.bounds(), box)
         out = {}
         right = [(unpack(z, self.nvars), units) for z, units in parts.items()]
         for lam, left in self.z_terms().items():
@@ -333,17 +361,8 @@ class SchurPoly(LaurentPoly):
         return {normalize_partition(lam): d for lam, d in self.z_terms().items()}
 
     def monomials(self) -> LaurentPoly:
-        """The same value in the monomial basis, in one pass: each term
-        c u**j s_lam adds c times the cached s_{lam - lam_N} moved by u**j
-        and (z_1...z_N)**lam_N, so every exponent stays in [lam_N, lam_1]."""
-        n, out = self.nvars, {}
-        for lam, coeff in self.z_terms().items():
-            core = _schur_zcoeffs(normalize_partition(tuple(e - lam[-1] for e in lam)), n).coeffs
-            for j, c in coeff.items():
-                d = offset((j,) + (lam[-1],) * n)
-                for k, x in core.items():
-                    out[k + d] = out.get(k + d, 0) + c * x
-        return LaurentPoly(self.ring, n, {k: c for k, c in out.items() if c})
+        """The same value in the monomial basis (``_schur_monomials``)."""
+        return _schur_monomials(self.z_terms(), self.ring, self.nvars)
 
     def __repr__(self):
         terms = sorted(self.z_terms().items(), reverse=True)

@@ -45,7 +45,7 @@ from .characters import (
     raising_product,
     top_component,
 )
-from .laurent import UNIT, LaurentPoly, pack, straighten
+from .laurent import UNIT, LaurentPoly, pack, require_symmetric, straighten
 from .macdonald import (
     macdonald_poly,
     qt_t_infinity_limit,
@@ -109,10 +109,12 @@ class CheckReport(Record):
 
 
 @lru_cache(maxsize=8)
-def _pair_monomials(m: int) -> LaurentPoly:
-    """W_m on m variables, in the monomial basis."""
+def _pair_parts(m: int):
+    """W_m on m variables, in the monomial basis, as ``require_symmetric``
+    groups it, checked once per m, and its exponent bounds."""
     z = [LaurentPoly.variable(RING_Q, m, i) for i in range(m)]
-    return prod((z[x] - z[y].times_unit(1) for x, y in itertools.permutations(range(m), 2)), start=LaurentPoly.one(RING_Q, m))
+    w = prod((z[x] - z[y].times_unit(1) for x, y in itertools.permutations(range(m), 2)), start=LaurentPoly.one(RING_Q, m))
+    return require_symmetric(w), w.bounds()
 
 
 @lru_cache(maxsize=256)
@@ -120,7 +122,7 @@ def _times_pairs(mu):
     """s_mu W_m on m = len(mu) variables as {kappa: {q-exponent: c}}, the
     Schur coefficients of ``SchurPoly.times``."""
     m = len(mu)
-    return SchurPoly.basis(mu, m).times(_pair_monomials(m)).z_terms()
+    return SchurPoly.basis(mu, m)._times_parts(*_pair_parts(m)).z_terms()
 
 
 @lru_cache(maxsize=32)

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from oracles import times_e
+from qchar import characters
 from qchar.cartan import CartanData
 from qchar.characters import (
     NVector,
@@ -21,7 +22,7 @@ from qchar.characters import (
 )
 from qchar.laurent import LaurentPoly, constrain
 from qchar.qtorus import NcLaurent
-from qchar.rings import RING_Q, RING_W
+from qchar.rings import RING_Q, RING_W, ExponentNotDivisible
 from qchar.symfun import SchurPoly, elementary, schur
 from qchar.verify import CheckReport
 
@@ -206,15 +207,18 @@ def test_within_level_order_irrelevant():
     assert f == g
 
 
-def test_g_unconstrained_conversion_is_clean():
-    # every w-exponent of the lifted product is a multiple of 2(r+1), i.e.
-    # the assembled prefactor times the twisted product is a function of q
-    from qchar.characters import _chain, g_to_char_w_exponent
-    from qchar.laurent import w_to_q
-
-    for n in [NVector.level_one(2, (1, 1)), NVector.from_rows(1, 2, ((1, 2),))]:
-        lifted = _chain(n, "D", RING_W).schur().times_unit(g_to_char_w_exponent(n))
-        w_to_q(lifted, n.rank)  # would raise on a stray half-power
+def test_g_unconstrained_conversion_is_clean(monkeypatch):
+    # the twisted product times its prefactor w**E is a function of q: its
+    # packed value is read in q by its offset alone, and equals the
+    # character; one stray w-power and the offset is no multiple of 2(r+1)
+    grid = [NVector.level_one(2, (1, 1)), NVector.from_rows(1, 2, ((1, 2),))]
+    for n in grid:
+        assert char_from_g(n) == graded_character(n), n
+    true_exponent = characters.g_to_char_w_exponent
+    monkeypatch.setattr(characters, "g_to_char_w_exponent", lambda n: true_exponent(n) + 1)
+    for n in grid:
+        with pytest.raises(ExponentNotDivisible):
+            char_from_g(n)
 
 
 # -- the difference-equation generator -----------------------------------------

@@ -9,12 +9,9 @@ from qchar.laurent import (
     LaurentPoly,
     constrain,
     signed_buckets,
-    w_to_q,
 )
 from qchar.rings import (
     RING_Q,
-    RING_W,
-    ExponentNotDivisible,
     NotDivisible,
 )
 
@@ -137,13 +134,21 @@ def test_constrain_examples():
     assert constrain(schur((1, 1, 1), 3), 2) == LaurentPoly.one(RING_Q, 2)
 
 
-def test_w_to_q():
-    c = LaurentPoly.unit_power(RING_W, 1, -6)
-    assert w_to_q(c, 2) == LaurentPoly.unit_power(RING_Q, 1, 1)
-    three = LaurentPoly.from_int(RING_W, 1, 3)
-    assert w_to_q(three, 2) == LaurentPoly.from_int(RING_Q, 1, 3)
-    with pytest.raises(ExponentNotDivisible):
-        w_to_q(LaurentPoly.unit_power(RING_W, 1, -3), 2)
+def test_sums_drop_zero_sums_and_repeated_keys():
+    # from_terms, sum, + and - share one add loop: a repeated vector adds
+    # up, a zero coefficient or a zero sum leaves no key behind
+    x, y = (1, 0, 2), (0, -1, 1)
+    f = LaurentPoly.from_terms(RING_Q, 2, [(x, 2), (y, 3), (x, -2), ((0, 0, 0), 0), (y, 1)])
+    assert f.coeffs == LaurentPoly.monomial(RING_Q, 2, y[1:], 4).coeffs
+    assert LaurentPoly.from_terms(RING_Q, 2, {x: 0}).coeffs == {}
+    g = LaurentPoly.from_terms(RING_Q, 2, [(x, 1), (y, -4)])
+    assert (f + g).coeffs == LaurentPoly.monomial(RING_Q, 2, x[1:], unit=1).coeffs
+    assert (f - f).coeffs == {} and (g - g + g).coeffs == g.coeffs
+    assert LaurentPoly.sum(RING_Q, 2, [f, g, -f, -g]).coeffs == {}
+    assert LaurentPoly.sum(RING_Q, 2, [f, g, f]) == f * 2 + g
+    assert (f + g).at_unit_one() == LaurentPoly.monomial(RING_Q, 2, x[1:])
+    with pytest.raises(ValueError, match="wrong length"):
+        LaurentPoly.from_terms(RING_Q, 2, [(x, 1), ((0, 0), 1)])
 
 
 def test_divide_int():

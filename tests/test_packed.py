@@ -446,5 +446,5 @@ def test_every_cache_is_bounded():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
                 caches["%s.%s" % (info.name, name)] = obj.cache_parameters()["maxsize"]
-    assert {"symfun._schur_zcoeffs", "laurent.zero_key", "qdiff._schur_qt"} <= caches.keys()
+    assert {"symfun._schur_zcoeffs", "laurent.zero_key", "qdiff._image"} <= caches.keys()
     assert [name for name, maxsize in caches.items() if maxsize is None] == []

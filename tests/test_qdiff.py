@@ -13,6 +13,8 @@ from oracles import (
     orbit_apply_D,
     orbit_apply_M,
     poly_to_sympy,
+    qt_to_ref,
+    ref_apply_macdonald_qt,
     ref_branch,
     schur_form,
     subset_apply_D,
@@ -161,6 +163,39 @@ def test_macdonald_qt_read_off_is_exact(monkeypatch):
     monkeypatch.setattr(qdiff, "require_symmetric", lambda f: None)
     with pytest.raises(NotDivisible):
         apply_macdonald_qt(1, f)
+
+
+def test_macdonald_qt_divides_the_schur_coefficients(monkeypatch):
+    # negative control: one orbit payload off by one at alpha = 1, N = 3,
+    # where alpha! (N - alpha)! = 2, leaves a Schur coefficient that 2 does
+    # not divide; the division on Schur coefficients raises
+    f = monomial_sym((2, 1), 3, RING_QT)
+    true_buckets = qdiff.signed_buckets
+
+    def off_by_one(g):
+        out = true_buckets(g)
+        lam = max(out)
+        u = max(out[lam])
+        out[lam] = {**out[lam], u: out[lam][u] + 1}
+        return out
+
+    apply_macdonald_qt(1, f)
+    monkeypatch.setattr(qdiff, "signed_buckets", off_by_one)
+    with pytest.raises(NotDivisible):
+        apply_macdonald_qt(1, f)
+
+
+def test_macdonald_qt_against_the_field_oracle():
+    # the division on Schur coefficients and the one expansion over QT
+    # against the orbit read off in Q(q, t): inputs with negative parts,
+    # q- and t-powers
+    shift = LaurentPoly.from_terms(RING_QT, 3, {(1, 0, 0, 0, 0): 2, (0, -1, 0, 0, 0): -1})
+    for lam in partitions_up_to(3, 3):
+        base = monomial_sym(lam, 3, RING_QT)
+        for f in (base, (base * shift).times_z((-1, -1, -1))):
+            for alpha in (1, 2, 3):
+                ours = qt_to_ref(apply_macdonald_qt(alpha, f))
+                assert ours == ref_apply_macdonald_qt(alpha, qt_to_ref(f), 3), (lam, alpha)
 
 
 def test_macdonald_qt_against_symbolic_oracle():

@@ -22,10 +22,11 @@ from oracles import (
     times_e,
     weight_of,
 )
-from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly
+from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, offset
 from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotSymmetric
 from qchar.symfun import (
     SchurPoly,
+    _schur_monomials,
     _schur_zcoeffs,
     branch,
     dual_cauchy,
@@ -90,6 +91,27 @@ def test_monomial_view_matches_alternant_over_vandermonde(ring):
                 assert term.monomials() == ref, (lam, nvars)
                 form, expected = form + term, expected + ref
             assert form.monomials() == expected, (size, nvars)
+
+
+def test_one_schur_to_monomial_rule_on_every_ring():
+    # W and Q: sums of s_lam with negative full columns and unit shifts
+    # round-trip through oracles.schur_form; QT: payloads keyed by the unit
+    # offsets of (q, t) powers, as signed_buckets returns them
+    for nvars in range(1, 5):
+        for ring in (RING_Q, RING_W):
+            f = LaurentPoly.zero(ring, nvars)
+            for i, lam in enumerate(partitions_up_to(3, nvars)):
+                f = f + schur(lam, nvars, ring).times_z((-1 - i % 2,) * nvars).times_unit(i - 3) * (i - 2 or 5)
+            form = schur_form(f)
+            assert _schur_monomials(form.z_terms(), ring, nvars) == form.monomials() == f, (nvars, ring)
+        payloads, expected = {}, LaurentPoly.zero(RING_QT, nvars)
+        for i, lam in enumerate(partitions_up_to(3, nvars)):
+            full = tuple(x - 1 for x in lam) + (-1,) * (nvars - len(lam))
+            q, t = i - 2, 1 - i % 3
+            payloads[full] = {offset((q, t)): i + 1, offset((0, 1)): -2}
+            scalar = LaurentPoly.from_terms(RING_QT, nvars, {(q, t) + (0,) * nvars: i + 1, (0, 1) + (0,) * nvars: -2})
+            expected = expected + schur(lam, nvars, RING_QT).times_z((-1,) * nvars) * scalar
+        assert _schur_monomials(payloads, RING_QT, nvars) == expected, nvars
 
 
 def test_elementary_bounds():

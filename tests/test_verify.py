@@ -100,6 +100,23 @@ def test_lemma_failure_names_first_differing_schur_coefficient(monkeypatch):
     assert len(long) == 200 and long.endswith("...")
 
 
+def test_lemmas_check_each_pair_product_once(monkeypatch):
+    # from cold caches, the lemmas at bound 3 check the symmetry of W_m once
+    # per block size m = 0..4, not once per block partition; times still
+    # checks every operand it is handed
+    from qchar import laurent
+
+    calls = []
+    true_check = laurent._swap_closed
+    monkeypatch.setattr(laurent, "_swap_closed", lambda parts, n: calls.append(n) or true_check(parts, n))
+    for cached in (verify._pair_parts, verify._times_pairs, verify._two_block_form):
+        cached.cache_clear()
+    assert check_subset_identities(bound=3).passed
+    assert sorted(calls) == [0, 1, 2, 3, 4]
+    SchurPoly.basis((1,), 2).times(elementary(1, 2))
+    assert calls[5:] == [2]
+
+
 def test_moment_identity_and_window():
     one = SchurPoly.one(RING_Q, 4)
     assert subset_moment_value(1, 0, 4) == one
