@@ -20,9 +20,12 @@ demand.
 
 Each chain value is one raising step from the cached value of its prefix,
 the word of factors M_{a,i} less its last letter, and is kept packed: each
-Schur coefficient one integer (``qdiff.packed_step``).  The character is
-checked on that value (``packed_character``, which ``qchar char`` prints),
-then cached per n as a Schur form, as are the equation values.
+Schur coefficient one integer (``qdiff.packed_step``).  A step from many
+Schur coefficients straightens each distinct branching term once; the
+cached per-s_lam images, modulo full columns, serve only the steps from
+few and ``qdiff.operator_sum``.  The character is checked on that value
+(``packed_character``, which ``qchar char`` prints), then cached per n as
+a Schur form, as are the equation values.
 
 ``difference_equation_terms`` generates the level-k difference equation at
 every rank and level; ``equation_sides`` checks it on chi or G as one

@@ -237,7 +237,7 @@ def main(argv=None) -> int:
     payload = {
         "schema": 1,
         "suite": args.suite,
-        "passed": all(r.passed for r in reports),
+        "passed": all(r.passed and r.total for r in reports),
         "reports": [r.to_json() for r in reports],
     }
     if not _emit(json.dumps(payload, separators=(",", ":")) + "\n", args.out):

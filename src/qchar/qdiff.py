@@ -24,14 +24,17 @@ antisymmetrizes it, so
 
     M_{alpha,n} s_lam = sum c^lam_{mu nu} q**|mu| s_{(mu + n, nu)},
 
-each s_{(mu + n, nu)} straightened to +-s_kappa or 0 (``laurent.straighten``).
+each s_{(mu + n, nu)} straightened to +-s_kappa or 0 (``laurent.straighten``);
+one rule, ``_terms``, lists those terms before straightening.
 One kernel, ``operator_sum``, forms every such action: a signed sum of M, D
 and identity terms, each with its power of q (or w), in one dict.
 ``apply_M`` and ``apply_D`` are its one-term calls, and an operator identity
 is one residual tested for zero, with no side formed.  A raising chain
 steps a ``PackedSchur`` instead, a ``laurent.Packed`` with one row per
-Schur coefficient (``packed_step``).  Both read the images of s_lam modulo
-full columns.
+Schur coefficient (``packed_step``).  ``operator_sum`` and the steps from
+few rows read the cached image of each s_lam modulo full columns
+(``_column_image``); a step from more rows builds no image, but groups its
+rows by term s_{(mu + n, nu)} and straightens each distinct term once.
 The Macdonald operator has no such form; its Vandermonde-cleared subset sum
 is one signed permutation orbit, read off as Schur coefficients
 (``signed_buckets``), divided by alpha! (N - alpha)! exactly and expanded
@@ -81,34 +84,40 @@ def _pair_delta_qt(nvars, alpha):
     return out
 
 
+def _terms(lam, alpha, n):
+    """The terms (|mu|, v, c) of M_{alpha,n} s_lam = sum c q**|mu| s_v, each
+    s_v still to be straightened, lam weakly decreasing (negative parts
+    allowed).  A block of one variable (alpha = 1 or N - 1) has
+    c^lam_{mu nu} = 1 exactly when the other block's rho interlaces lam,
+    lam_{i+1} <= rho_i <= lam_i (Macdonald, I.5), the one variable taking
+    k = |lam| - |rho|: its terms s_{(k + n, rho)} or s_{(rho + n, k)} come
+    from those rho with no filling built (``symfun.interlacing``, capped).
+    Any other block takes the Littlewood-Richardson fillings of
+    ``symfun.branch``.  The cap and a lam that cannot branch raise
+    ValueError here, before any term is enumerated."""
+    nvars, size = len(lam), sum(lam)
+    if min(alpha, nvars - alpha) != 1:
+        return ((sum(mu), tuple(x + n for x in mu) + nu, c) for mu, nu, c in branch(lam, alpha))
+    if any(lam[i] < lam[i + 1] for i in range(nvars - 1)):
+        raise ValueError("cannot branch %r at alpha = %d" % (lam, alpha))
+    # at alpha = N - 1 rho is enumerated as rho + n, so |lam| - |rho| = lift - sum
+    shift = 0 if alpha == 1 else n
+    rhos = interlacing(lam, shift)
+    lift = size + (nvars - 1) * shift
+    if alpha == 1:
+        return ((k, (k + n,) + rho, 1) for rho in rhos for k in (lift - sum(rho),))
+    return ((size - k, rho + (k,), 1) for rho in rhos for k in (lift - sum(rho),))
+
+
 @lru_cache(maxsize=1 << 13)
 def _image(zkey, nvars, alpha, n):
     """M_{alpha,n} s_lam, zkey the key of lam, with the q-power left open:
     (|lam|, least and greatest |mu|, ((|mu|, key of s_kappa, c), ...), least
-    and greatest part of a kappa), the keys packed with unit exponent 0.  A
-    block of one variable (alpha = 1 or N - 1) has c^lam_{mu nu} = 1 exactly
-    when the other block's rho interlaces lam, lam_{i+1} <= rho_i <= lam_i
-    (Macdonald, I.5), the one variable taking k = |lam| - |rho|: its terms
-    s_{(k + n, rho)} or s_{(rho + n, k)} come from those rho with no filling
-    built (``symfun.interlacing``, capped).  Any other block takes the
-    Littlewood-Richardson fillings of ``symfun.branch``."""
+    and greatest part of a kappa), the keys packed with unit exponent 0: the
+    terms of ``_terms``, straightened and merged."""
     lam = unpack(zkey, nvars)
-    size = sum(lam)
-    if min(alpha, nvars - alpha) != 1:
-        parts = ((sum(mu), tuple(x + n for x in mu) + nu, c) for mu, nu, c in branch(lam, alpha))
-    elif any(lam[i] < lam[i + 1] for i in range(nvars - 1)):
-        raise ValueError("cannot branch %r at alpha = %d" % (lam, alpha))
-    else:
-        # at alpha = N - 1 rho is enumerated as rho + n, so |lam| - |rho| = lift - sum
-        shift = 0 if alpha == 1 else n
-        rhos = interlacing(lam, shift)
-        lift = size + (nvars - 1) * shift
-        if alpha == 1:
-            parts = ((k, (k + n,) + rho, 1) for rho in rhos for k in (lift - sum(rho),))
-        else:
-            parts = ((size - k, rho + (k,), 1) for rho in rhos for k in (lift - sum(rho),))
     out = {}
-    for dmu, v, c in parts:
+    for dmu, v, c in _terms(lam, alpha, n):
         sign, kappa = straighten(v)
         if sign:
             key = (dmu, kappa)
@@ -119,7 +128,7 @@ def _image(zkey, nvars, alpha, n):
                 del out[key]
     terms = tuple((dmu, pack((0,) + kappa), c) for (dmu, kappa), c in out.items())
     dmus, firsts, lasts = zip(*((dmu, kappa[0], kappa[-1]) for dmu, kappa in out)) if out else ((0,),) * 3
-    return size, min(dmus), max(dmus), terms, min(lasts), max(firsts)
+    return sum(lam), min(dmus), max(dmus), terms, min(lasts), max(firsts)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -263,17 +272,46 @@ class PackedSchur(Packed):
         return SchurPoly(self.ring, self.nvars, {key + e * UNIT: c for key, ds in self._decoded() for e, c in ds})
 
 
+# A step from at least this many rows groups them by branching term; a
+# smaller one reads the cached per-lam images, which verify-operators
+# reuses (573 of its 714 chain rows) and char-ladder never does (0 of 332).
+# Time in packed_step per job against the per-lam images everywhere
+# (fresh processes, 30 interleaved runs, a 2-CPU Xeon VM): R = 7 and R = 5
+# both read 0.63x on char-ladder, and 1.16x and 1.52x on verify-operators;
+# R = 9 read 1.04x R = 7's on char-ladder and 0.99x on verify-operators.
+_GROUPED_ROWS = 7
+
+
 def packed_step(op, alpha, n, f: PackedSchur) -> PackedSchur:
     """op(alpha, n) f, op "M" or "D": each image term (|mu|, s_kappa, b) of
     s_lam adds n_lam * b, |mu| places up, to kappa's integer (``kron_add``),
     one shift-and-add whatever the q-length.  kappa's bound is the sum of
     bound_lam * |b| over the terms landing on it, and f is held at a width
-    for the largest (``Packed.hold``)."""
+    for the largest (``Packed.hold``).  A step from fewer than _GROUPED_ROWS
+    rows reads the cached images of s_lam modulo full columns
+    (``_step_by_images``); a larger one builds no image (``_step_by_terms``).
+    D dilates by |lam|, so a D step needs one |lam| and raises ValueError
+    before any work otherwise; M steps rows of any sizes."""
     ring, nvars = f.ring, f.nvars
     alpha, du_subset, du_all, du_const = _unit_rates(op, alpha, n, ring, nvars)
-    sources, bounds = [], {}
+    rows = f.packing[1]
+    if du_all:
+        sizes = {sum(unpack(key >> SLOT_BITS, nvars)) for key in rows}
+        if len(sizes) > 1:
+            raise ValueError("a twisted step needs one |lam|, not %s" % sorted(sizes))
+        du_const += du_all * next(iter(sizes), 0)
+    step = _step_by_terms if len(rows) >= _GROUPED_ROWS else _step_by_images
+    s, acc, bounds = step(f, alpha, n)
+    return PackedSchur(ring, nvars, f.offset + du_const, s, Packed.summed(acc, s, bounds))
+
+
+def _step_by_images(f, alpha, n):
+    """(width, ``kron_add`` accumulator, bounds by key) of M_{alpha,n} f in
+    places of q, its unit offset left to ``packed_step``, from the cached
+    image of each s_lam."""
+    nvars, sources, bounds = f.nvars, [], {}
     for key, (bound, _, _) in f.packing[1].items():
-        top, move, (size, _, _, image, _, _) = _column_image(key, nvars, alpha, n)
+        top, move, (_, _, _, image, _, _) = _column_image(key, nvars, alpha, n)
         sources.append((move, alpha * top, image))
         for _, kappa, b in image:
             kappa += move
@@ -284,9 +322,37 @@ def packed_step(op, alpha, n, f: PackedSchur) -> PackedSchur:
         lo += up
         for dmu, kappa, b in image:
             kron_add(acc, kappa + move, lo + dmu, value * b, s)
-    # every lam has one size, so the dilation moves every term alike
-    offset = f.offset + du_const + (du_all * (size + nvars * top) if rows else 0)
-    return PackedSchur(ring, nvars, offset, s, Packed.summed(acc, s, bounds))
+    return s, acc, bounds
+
+
+def _step_by_terms(f, alpha, n):
+    """``_step_by_images`` with no image built: the rows' terms s_v
+    (``_terms``) are grouped by v, which fixes |mu| and |lam|, so rows of
+    different sizes never share a group, and each distinct v is straightened
+    and packed once.  Each c is a count of fillings, so a row is listed c
+    times under v: v's bound is the sum of bound_lam over the list and its
+    integer the sum of n_lam, every row first moved to the least place of
+    the form.  A bound sums terms before they merge, so it is never below
+    the image's."""
+    nvars, rows, groups = f.nvars, f.packing[1], {}
+    for i, key in enumerate(rows):
+        for _, v, c in _terms(unpack(key >> SLOT_BITS, nvars), alpha, n):
+            groups.setdefault(v, []).extend((i,) * c)
+    row_bounds = [bound for bound, _, _ in rows.values()]
+    targets, bounds = [], {}
+    for v, uses in groups.items():
+        sign, kappa = straighten(v)
+        if sign:
+            kappa = pack((0,) + kappa)
+            bounds[kappa] = bounds.get(kappa, 0) + sum(map(row_bounds.__getitem__, uses))
+            targets.append((kappa, sign, sum(v[:alpha]) - alpha * n, uses))
+    s, rows = f.hold(max(bounds.values(), default=0))
+    base = min(lo for _, lo, _ in rows.values())
+    values = [value << s * (lo - base) for _, lo, value in rows.values()].__getitem__
+    acc = {}
+    for kappa, sign, dmu, uses in targets:
+        kron_add(acc, kappa, base + dmu, sign * sum(map(values, uses)), s)
+    return s, acc, bounds
 
 
 def apply_macdonald_qt(alpha, f):

@@ -144,7 +144,7 @@ def _branch_partition(lam, alpha):
     word.  A column holds at most m letters, so lam_{i+m} <= inner_i <=
     lam_i.  Each row is filled letter by letter: letter k runs only over
     cells whose entry above is < k, at most counts[k-2] - counts[k-1]
-    times, so no filling is built and then rejected.  ``qdiff._image``
+    times, so no filling is built and then rejected.  ``qdiff._terms``
     calls it through ``branch`` only for m >= 2: a block of one variable is
     read off the interlacing vectors there, as in ``_schur_zcoeffs``."""
     n = len(lam)
@@ -251,13 +251,13 @@ def _schur_monomials(coeffs, ring, nvars) -> LaurentPoly:
     and (z_1...z_N)**lam_N, so every exponent stays in [lam_N, lam_1].  The
     cached keys have one unit slot, at exponent 0: shifted up past the
     ring's other unit slots, once per lam, and given their zero key, they
-    are keys of the ring."""
+    are keys of the ring.  In 0 variables lam is () and s_() = 1."""
     slots = unit_slots(ring)
     shift, base = SLOT_BITS * (slots - 1), zero_key(slots - 1)
     column, out = offset((0,) * slots + (1,) * nvars), {}
     get = out.get
     for lam, payload in coeffs.items():
-        top = lam[-1]
+        top = lam[-1] if lam else 0
         core = [(k << shift, x) for k, x in _schur_zcoeffs(tuple(e - top for e in lam if e != top), nvars).coeffs.items()]
         for u, c in payload.items():
             d = u + top * column + base

@@ -371,10 +371,13 @@ def test_verify_diffeq_stdout_pinned():
 
 def test_verify_vacuous_reports_are_marked():
     # the rank-1/rank-2 level-k grids and the level-2 G grid are empty at
-    # bound 1: such a report checked nothing and must say so
+    # bound 1: such a report checked nothing and must say so, and a run
+    # with one does not pass, though no report failed
     out = run_cli(["verify", "--suite", "diffeq", "--bound", "1"])
-    assert out.returncode == 0
-    reports = json.loads(out.stdout)["reports"]
+    assert out.returncode == 1
+    payload = json.loads(out.stdout)
+    assert payload["passed"] is False and all(r["passed"] for r in payload["reports"])
+    reports = payload["reports"]
     vacuous = [r["name"] for r in reports if r.get("vacuous")]
     assert vacuous == ["diffeq-r1-k2", "diffeq-r1-k3", "diffeq-r2-k2", "diffeq-r2-k3", "sl2-levelk-G"]
     assert all(r["points"] == 0 for r in reports if r["name"] in vacuous)

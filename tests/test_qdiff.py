@@ -481,25 +481,67 @@ def _random_chain_form(rng, ring, nvars):
     return SchurPoly(ring, nvars, {k: c for k, c in out.items() if c})
 
 
-def test_packed_step_matches_the_operators_term_for_term():
+def _wide_chain_form(rng, ring, nvars, rows):
+    """A random signed Schur form of ``rows`` s_lam, parts in [-2, 14 //
+    (N - 1)], so that some rows carry full columns of negative parts: over
+    Q of different |lam|, over W of one |lam| and one class of w-exponents
+    mod 2N."""
+    step = 1 if ring == RING_Q else -2 * nvars
+    pool = [v[::-1] for v in itertools.combinations_with_replacement(range(-2, 14 // (nvars - 1) + 1), nvars)]
+    if ring == RING_W:
+        sizes = Counter(map(sum, pool))
+        size = rng.choice(sorted(s for s, k in sizes.items() if k >= rows))
+        pool = [lam for lam in pool if sum(lam) == size]
+    off, out = rng.randrange(-6, 7), {}
+    for lam in rng.sample(pool, rows):
+        for d in rng.sample(range(6), rng.randrange(1, 4)):
+            out[pack((off + step * d,) + lam)] = rng.choice((-1, 1)) * rng.randrange(1, 60)
+    return SchurPoly(ring, nvars, out)
+
+
+def test_packed_step_matches_the_operators_term_for_term(monkeypatch):
     # random signed forms on ranks 1-4, M over Q and D over W, every alpha
-    # and n in [-1, 3]: the packed step, unpacked, is apply_M / apply_D
+    # and n in [-1, 3]: the packed step, unpacked, is apply_M / apply_D.
+    # Four forms of up to 5 rows and two of at least _GROUPED_ROWS rows per
+    # rank and ring, each stepped with every step grouped and with none
     import random
 
     rng = random.Random(7)
+    least = qdiff._GROUPED_ROWS
     cases = 0
     for nvars in range(2, 6):
         for ring, op, apply in ((RING_Q, "M", apply_M), (RING_W, "D", apply_D)):
-            for _ in range(4):
-                f = _random_chain_form(rng, ring, nvars)
+            forms = [_random_chain_form(rng, ring, nvars) for _ in range(4)]
+            forms += [_wide_chain_form(rng, ring, nvars, least + rng.randrange(3)) for _ in range(2)]
+            for f in forms:
                 packed = _pack(f)
                 assert packed.schur() == f
                 for alpha in range(nvars + 1):
                     for n in range(-1, 4):
-                        got = qdiff.packed_step(op, alpha, n, packed).schur()
-                        assert got.coeffs == apply(alpha, n, f).coeffs, (ring, nvars, alpha, n)
-                        cases += 1
-    assert cases == 2 * 4 * 5 * (3 + 4 + 5 + 6)
+                        expected = apply(alpha, n, f).coeffs
+                        for grouped in (1, 1 << 30):
+                            monkeypatch.setattr(qdiff, "_GROUPED_ROWS", grouped)
+                            got = qdiff.packed_step(op, alpha, n, packed).schur()
+                            assert got.coeffs == expected, (ring, nvars, alpha, n, grouped)
+                            cases += 1
+    assert cases == 2 * 2 * 6 * 5 * (3 + 4 + 5 + 6)
+
+
+def test_twisted_step_needs_one_size(monkeypatch):
+    # D dilates by |lam|, so a packed D step on s_(2) + s_(1) in 3
+    # variables would read both rows at one size: it refuses the form before
+    # any work, on either side of the row switch.  M over W has no dilation
+    # and steps mixed sizes exactly
+    f = SchurPoly.basis((2,), 3, RING_W) + SchurPoly.basis((1,), 3, RING_W)
+    rows = {key: (1, 0, 1) for key in f.coeffs}
+    for grouped in (1, 1 << 30):
+        monkeypatch.setattr(qdiff, "_GROUPED_ROWS", grouped)
+        qdiff._image.cache_clear()
+        packed = qdiff.PackedSchur(RING_W, 3, 0, 2, dict(rows))
+        with pytest.raises(ValueError, match=r"one \|lam\|"):
+            qdiff.packed_step("D", 1, 1, packed)
+        assert packed.packing == (2, rows) and qdiff._image.cache_info().misses == 0
+        assert qdiff.packed_step("M", 1, 1, packed).schur() == apply_M(1, 1, f)
 
 
 def test_packed_width_at_the_coefficient_bound():
@@ -604,3 +646,11 @@ def test_image_enumeration_is_bounded_before_it_starts():
     assert sum(1 for _ in itertools.islice(symfun.interlacing((cap - 1, 0)), 3)) == 3
     with pytest.raises(ValueError):
         symfun.interlacing((cap, 0))
+    # a step from _GROUPED_ROWS or more rows builds no image: it raises at
+    # the wide row, first in the form, before enumerating any term
+    rows = {pack((0, 2**25 - 1, 0, 0)): (1, 0, 1)}
+    rows.update({pack((0, k, 0, 0)): (1, 0, 1) for k in range(qdiff._GROUPED_ROWS)})
+    qdiff._image.cache_clear()
+    with pytest.raises(ValueError, match="above the cap"):
+        qdiff.packed_step("M", 1, 1, qdiff.PackedSchur(RING_Q, 3, 0, 2, rows))
+    assert qdiff._image.cache_info().misses == 0

@@ -114,6 +114,15 @@ def test_one_schur_to_monomial_rule_on_every_ring():
         assert _schur_monomials(payloads, RING_QT, nvars) == expected, nvars
 
 
+def test_monomial_view_in_zero_variables():
+    # s_() = 1 is the one Schur function in 0 variables: its key has no
+    # z-part, so lam_N is read as 0
+    for ring in (RING_Q, RING_W):
+        assert SchurPoly.one(ring, 0).monomials() == LaurentPoly.one(ring, 0)
+        assert SchurPoly.zero(ring, 0).monomials() == LaurentPoly.zero(ring, 0)
+        assert SchurPoly.unit_power(ring, 0, -3, 2).monomials() == LaurentPoly.unit_power(ring, 0, -3, 2)
+
+
 def test_elementary_bounds():
     assert elementary(0, 3) == LaurentPoly.one(RING_Q, 3)
     assert elementary(4, 3).is_zero()
