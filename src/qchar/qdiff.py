@@ -25,7 +25,8 @@ antisymmetrizes it, so
     M_{alpha,n} s_lam = sum c^lam_{mu nu} q**|mu| s_{(mu + n, nu)},
 
 each s_{(mu + n, nu)} straightened to +-s_kappa or 0 (``laurent.straighten``);
-one rule, ``_terms``, lists those terms before straightening.
+one rule, ``_terms``, lists those terms by branching key before
+straightening: rho for a one-variable block, else the pair (mu, nu).
 One kernel, ``operator_sum``, forms every such action: a signed sum of M, D
 and identity terms, each with its power of q (or w), in one dict.
 ``apply_M`` and ``apply_D`` are its one-term calls, and an operator identity
@@ -34,7 +35,7 @@ steps a ``PackedSchur`` instead, a ``laurent.Packed`` with one row per
 Schur coefficient (``packed_step``).  ``operator_sum`` and the steps from
 few rows read the cached image of each s_lam modulo full columns
 (``_column_image``); a step from more rows builds no image, but groups its
-rows by term s_{(mu + n, nu)} and straightens each distinct term once.
+rows by branching key and builds and straightens each key's term once.
 The Macdonald operator has no such form; its Vandermonde-cleared subset sum
 is one signed permutation orbit, read off as Schur coefficients
 (``signed_buckets``), divided by alpha! (N - alpha)! exactly and expanded
@@ -85,28 +86,33 @@ def _pair_delta_qt(nvars, alpha):
 
 
 def _terms(lam, alpha, n):
-    """The terms (|mu|, v, c) of M_{alpha,n} s_lam = sum c q**|mu| s_v, each
-    s_v still to be straightened, lam weakly decreasing (negative parts
-    allowed).  A block of one variable (alpha = 1 or N - 1) has
+    """M_{alpha,n} s_lam = sum q**|mu| s_v over branching keys, lam weakly
+    decreasing (negative parts allowed), as (head, keys, term): term(head,
+    key) is (|mu|, v), s_v still to be straightened, and depends on lam only
+    through the head, so a step groups its rows by head and key and builds
+    each term once.  A block of one variable (alpha = 1 or N - 1) has
     c^lam_{mu nu} = 1 exactly when the other block's rho interlaces lam,
-    lam_{i+1} <= rho_i <= lam_i (Macdonald, I.5), the one variable taking
-    k = |lam| - |rho|: its terms s_{(k + n, rho)} or s_{(rho + n, k)} come
-    from those rho with no filling built (``symfun.interlacing``, capped).
-    Any other block takes the Littlewood-Richardson fillings of
-    ``symfun.branch``.  The cap and a lam that cannot branch raise
-    ValueError here, before any term is enumerated."""
-    nvars, size = len(lam), sum(lam)
+    lam_{i+1} <= rho_i <= lam_i (Macdonald, I.5): the keys are those rho
+    (``symfun.interlacing``, capped), the head |lam| with its shift, and the
+    one variable takes k = head - |rho|.  Any other block takes the pairs
+    (mu, nu) of ``symfun.branch``, each listed once per Littlewood-Richardson
+    filling, under head None.  The cap and a lam that cannot branch raise
+    ValueError here, before any key is enumerated."""
+    nvars = len(lam)
     if min(alpha, nvars - alpha) != 1:
-        return ((sum(mu), tuple(x + n for x in mu) + nu, c) for mu, nu, c in branch(lam, alpha))
-    if any(lam[i] < lam[i + 1] for i in range(nvars - 1)):
-        raise ValueError("cannot branch %r at alpha = %d" % (lam, alpha))
-    # at alpha = N - 1 rho is enumerated as rho + n, so |lam| - |rho| = lift - sum
+
+        def term(_, pair):
+            return sum(pair[0]), tuple(x + n for x in pair[0]) + pair[1]
+
+        return None, ((mu, nu) for mu, nu, c in branch(lam, alpha) for _ in range(c)), term
+    # at alpha = N - 1 rho is enumerated as rho + n: s_{(rho, k)}, |mu| = |lam| - k
     shift = 0 if alpha == 1 else n
-    rhos = interlacing(lam, shift)
-    lift = size + (nvars - 1) * shift
-    if alpha == 1:
-        return ((k, (k + n,) + rho, 1) for rho in rhos for k in (lift - sum(rho),))
-    return ((size - k, rho + (k,), 1) for rho in rhos for k in (lift - sum(rho),))
+
+    def term(head, rho):
+        k = head - sum(rho)
+        return (k, (k + n,) + rho) if alpha == 1 else (head - (nvars - 1) * n - k, rho + (k,))
+
+    return sum(lam) + (nvars - 1) * shift, interlacing(lam, shift), term
 
 
 @lru_cache(maxsize=1 << 13)
@@ -116,12 +122,13 @@ def _image(zkey, nvars, alpha, n):
     and greatest part of a kappa), the keys packed with unit exponent 0: the
     terms of ``_terms``, straightened and merged."""
     lam = unpack(zkey, nvars)
+    head, keys, term = _terms(lam, alpha, n)
     out = {}
-    for dmu, v, c in _terms(lam, alpha, n):
+    for dmu, v in (term(head, k) for k in keys):
         sign, kappa = straighten(v)
         if sign:
             key = (dmu, kappa)
-            nv = out.get(key, 0) + sign * c
+            nv = out.get(key, 0) + sign
             if nv:
                 out[key] = nv
             else:
@@ -272,13 +279,14 @@ class PackedSchur(Packed):
         return SchurPoly(self.ring, self.nvars, {key + e * UNIT: c for key, ds in self._decoded() for e, c in ds})
 
 
-# A step from at least this many rows groups them by branching term; a
+# A step from at least this many rows groups them by branching key; a
 # smaller one reads the cached per-lam images, which verify-operators
 # reuses (573 of its 714 chain rows) and char-ladder never does (0 of 332).
-# Time in packed_step per job against the per-lam images everywhere
-# (fresh processes, 30 interleaved runs, a 2-CPU Xeon VM): R = 7 and R = 5
-# both read 0.63x on char-ladder, and 1.16x and 1.52x on verify-operators;
-# R = 9 read 1.04x R = 7's on char-ladder and 0.99x on verify-operators.
+# Time in packed_step per job (fresh processes, interleaved, a 2-CPU Xeon
+# VM) against R = 7: R = 3, 5 and 9 read 0.96x, 0.98x and 1.05x on
+# char-ladder but 1.72x, 1.24x and 0.96x on verify-operators (30 runs
+# each); the per-lam images everywhere read 1.81x on char-ladder and 0.96x
+# on verify-operators (20 runs each).
 _GROUPED_ROWS = 7
 
 
@@ -326,26 +334,30 @@ def _step_by_images(f, alpha, n):
 
 
 def _step_by_terms(f, alpha, n):
-    """``_step_by_images`` with no image built: the rows' terms s_v
-    (``_terms``) are grouped by v, which fixes |mu| and |lam|, so rows of
-    different sizes never share a group, and each distinct v is straightened
-    and packed once.  Each c is a count of fillings, so a row is listed c
-    times under v: v's bound is the sum of bound_lam over the list and its
-    integer the sum of n_lam, every row first moved to the least place of
-    the form.  A bound sums terms before they merge, so it is never below
-    the image's."""
+    """``_step_by_images`` with no image built: the rows are listed by head
+    and branching key (``_terms``), which fix the term s_v and so |mu| and
+    |lam|, and each key's term is built, straightened and packed once.  The
+    key's bound is the sum of bound_lam over its list and its integer the
+    sum of n_lam, every row first moved to the least place of the form.  A
+    bound sums terms before they merge, so it is never below the image's.
+    Each row first passes the images' slot check (``column_split``)."""
     nvars, rows, groups = f.nvars, f.packing[1], {}
     for i, key in enumerate(rows):
-        for _, v, c in _terms(unpack(key >> SLOT_BITS, nvars), alpha, n):
-            groups.setdefault(v, []).extend((i,) * c)
+        column_split(key, nvars)
+        head, keys, term = _terms(unpack(key >> SLOT_BITS, nvars), alpha, n)
+        by_key = groups.setdefault(head, {})
+        for k in keys:
+            by_key.setdefault(k, []).append(i)
     row_bounds = [bound for bound, _, _ in rows.values()]
     targets, bounds = [], {}
-    for v, uses in groups.items():
-        sign, kappa = straighten(v)
-        if sign:
-            kappa = pack((0,) + kappa)
-            bounds[kappa] = bounds.get(kappa, 0) + sum(map(row_bounds.__getitem__, uses))
-            targets.append((kappa, sign, sum(v[:alpha]) - alpha * n, uses))
+    for head, by_key in groups.items():
+        for k, uses in by_key.items():
+            dmu, v = term(head, k)
+            sign, kappa = straighten(v)
+            if sign:
+                kappa = pack((0,) + kappa)
+                bounds[kappa] = bounds.get(kappa, 0) + sum(map(row_bounds.__getitem__, uses))
+                targets.append((kappa, sign, dmu, uses))
     s, rows = f.hold(max(bounds.values(), default=0))
     base = min(lo for _, lo, _ in rows.values())
     values = [value << s * (lo - base) for _, lo, value in rows.values()].__getitem__

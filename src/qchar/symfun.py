@@ -71,10 +71,12 @@ INTERLACING_CAP = 1 << 22
 
 
 def interlacing(lam, shift=0):
-    """An iterator over the rho with lam_{i+1} <= rho_i - shift <= lam_i,
-    lam weakly decreasing; ValueError when there are more than
-    INTERLACING_CAP, which is decided before any range is enumerated."""
+    """An iterator over the rho with lam_{i+1} <= rho_i - shift <= lam_i;
+    ValueError when lam is not weakly decreasing (a range is empty) or has
+    more than INTERLACING_CAP, both decided before any range is enumerated."""
     ranges = [range(lam[i + 1] + shift, lam[i] + shift + 1) for i in range(len(lam) - 1)]
+    if not all(ranges):
+        raise ValueError("%r is not weakly decreasing" % (lam,))
     count = prod(map(len, ranges))
     if count > INTERLACING_CAP:
         raise ValueError("%r has %d interlacing vectors, above the cap %d" % (lam, count, INTERLACING_CAP))
@@ -145,8 +147,8 @@ def _branch_partition(lam, alpha):
     lam_i.  Each row is filled letter by letter: letter k runs only over
     cells whose entry above is < k, at most counts[k-2] - counts[k-1]
     times, so no filling is built and then rejected.  ``qdiff._terms``
-    calls it through ``branch`` only for m >= 2: a block of one variable is
-    read off the interlacing vectors there, as in ``_schur_zcoeffs``."""
+    keys its terms by the pairs (mu, nu) of ``branch`` only for m >= 2, and
+    a one-variable block by interlacing vectors, as ``_schur_zcoeffs`` does."""
     n = len(lam)
     m = min(alpha, n - alpha)
     if not m:

@@ -93,6 +93,15 @@ def test_frontier_digests_past_32_bit_widths(rank, flag, digest):
     assert characters._chain(n, "M", characters.RING_Q).packing[0] > 32
 
 
+def test_level3_littlewood_richardson_chain_digest():
+    # SHA-256 of the JSON output before raising steps were grouped by
+    # branching key: at rank 3 the alpha = 2 steps take the two-variable
+    # Littlewood-Richardson fillings, with multiplicities above 1
+    out = run_cli(["char", "--rank", "3", "--level", "3", "--n", "1,1,1;1,1,1;1,1,1"])
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == "7e57f40617199701c05657214438ab054f840e31cf25822ed676d674ace15e83"
+
+
 @pytest.mark.parametrize("fault", ["raised", "lowered", "extra q**0 term"])
 def test_char_checks_read_the_packed_chain_value(fault, monkeypatch, capsys):
     # the two structural checks run on the packed value both views come

@@ -544,6 +544,26 @@ def test_twisted_step_needs_one_size(monkeypatch):
         assert qdiff.packed_step("M", 1, 1, packed).schur() == apply_M(1, 1, f)
 
 
+def test_unrepresentable_row_overflows_on_both_sides_of_the_row_switch(monkeypatch):
+    # s_(EXP_MAX, -1) in 2 variables packs, but lam_1 - lam_N leaves the
+    # slot: a step raises ExponentOverflow before enumerating any term,
+    # through the images or grouped (where the interlacing count of lam,
+    # above the cap, must not be reached first)
+    listed = []
+
+    def counted(lam, shift=0):
+        listed.append(lam)
+        return symfun.interlacing(lam, shift)
+
+    monkeypatch.setattr(qdiff, "interlacing", counted)
+    rows = {pack((0, EXP_MAX, -1)): (1, 0, 1)}
+    for grouped in (1, 1 << 30):
+        monkeypatch.setattr(qdiff, "_GROUPED_ROWS", grouped)
+        with pytest.raises(ExponentOverflow):
+            qdiff.packed_step("M", 1, 1, qdiff.PackedSchur(RING_Q, 2, 0, 2, dict(rows)))
+    assert listed == []
+
+
 def test_packed_width_at_the_coefficient_bound():
     # coefficients +-(2**(s-1) - 1) round-trip at the derived width s; a
     # bound of exactly 2**(s-1) takes one bit more

@@ -31,6 +31,7 @@ from qchar.symfun import (
     branch,
     dual_cauchy,
     elementary,
+    interlacing,
     monomial_sym,
     partition_of_weight,
     partitions,
@@ -308,6 +309,16 @@ def test_branch_examples_and_guards():
         branch((1, 0), 3)
     with pytest.raises(ValueError):
         branch((), 0)
+
+
+def test_interlacing_refuses_a_vector_that_is_not_weakly_decreasing():
+    # an increasing pair leaves one range empty: that is an error, not an
+    # empty expansion, whatever the shift and wherever the pair sits
+    assert list(interlacing((2, 0))) == [(0,), (1,), (2,)]
+    assert list(interlacing((2, 1, 1), shift=-1)) == [(0, 0), (1, 0)]
+    for lam, shift in (((0, 2), 0), ((0, 2), 3), ((3, 1, 2), 0), ((1, 2, -1, -1), -2)):
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            interlacing(lam, shift)
 
 
 def _branch_grid():
