@@ -20,10 +20,10 @@ demand.
 
 Each chain value is one raising step from the cached value of its prefix,
 the word of factors M_{a,i} less its last letter, and is kept packed: each
-Schur coefficient one integer (``qdiff.packed_step``).  A step from many
-Schur coefficients straightens the term of each branching key once; the
-cached per-s_lam images, modulo full columns, serve only the steps from
-few and ``qdiff.operator_sum``.  The character is checked on that value
+Schur coefficient one integer (``qdiff.packed_step``).  A step
+straightens the term of each branching key once and builds no per-s_lam
+image; the cached images, modulo full columns, serve
+``qdiff.operator_sum``.  The character is checked on that value
 (``packed_character``, which ``qchar char`` prints), then cached per n as
 a Schur form, as are the equation values.
 

@@ -18,7 +18,7 @@ to the two blocks, s_lam(q x, y) = sum c^lam_{mu nu} q**|mu| s_mu(x) s_nu(y).
 When one block is a single variable (alpha = 1 or r), c^lam_{mu nu} is 1
 exactly when the other block's part interlaces lam (Macdonald, I.5), and the
 terms are read off those interlacing vectors; any other block takes the
-Littlewood-Richardson fillings of ``symfun.branch``.  Clearing the
+Littlewood-Richardson fillings of ``symfun._branch_partition``.  Clearing the
 Vandermonde turns each term into a bialternant, and the subset sum
 antisymmetrizes it, so
 
@@ -32,10 +32,10 @@ and identity terms, each with its power of q (or w), in one dict.
 ``apply_M`` and ``apply_D`` are its one-term calls, and an operator identity
 is one residual tested for zero, with no side formed.  A raising chain
 steps a ``PackedSchur`` instead, a ``laurent.Packed`` with one row per
-Schur coefficient (``packed_step``).  ``operator_sum`` and the steps from
-few rows read the cached image of each s_lam modulo full columns
-(``_column_image``); a step from more rows builds no image, but groups its
-rows by branching key and builds and straightens each key's term once.
+Schur coefficient (``packed_step``).  ``operator_sum`` reads the cached
+image of each s_lam modulo full columns (``_column_image``); a step builds
+no image, but groups its rows by branching key and builds and straightens
+each key's term once.
 The Macdonald operator has no such form; its Vandermonde-cleared subset sum
 is one signed permutation orbit, read off as Schur coefficients
 (``signed_buckets``), divided by alpha! (N - alpha)! exactly and expanded
@@ -69,7 +69,7 @@ from .laurent import (
     zero_key,
 )
 from .rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
-from .symfun import SchurPoly, _schur_monomials, branch, column_split, interlacing
+from .symfun import SchurPoly, _branch_partition, _schur_monomials, column_split, interlacing
 
 
 @lru_cache(maxsize=16)
@@ -94,17 +94,22 @@ def _terms(lam, alpha, n):
     c^lam_{mu nu} = 1 exactly when the other block's rho interlaces lam,
     lam_{i+1} <= rho_i <= lam_i (Macdonald, I.5): the keys are those rho
     (``symfun.interlacing``, capped), the head |lam| with its shift, and the
-    one variable takes k = head - |rho|.  Any other block takes the pairs
-    (mu, nu) of ``symfun.branch``, each listed once per Littlewood-Richardson
-    filling, under head None.  The cap and a lam that cannot branch raise
-    ValueError here, before any key is enumerated."""
+    one variable takes k = head - |rho|.  Any other block takes the
+    Littlewood-Richardson pairs (mu, nu) of lam - lam_N
+    (``symfun._branch_partition``), each listed once per filling, under the
+    head lam_N, which term adds back to both blocks.  The cap and a lam that
+    cannot branch raise ValueError here, before any key is listed."""
     nvars = len(lam)
     if min(alpha, nvars - alpha) != 1:
+        if not lam or any(lam[i] < lam[i + 1] for i in range(nvars - 1)) or not 0 <= alpha <= nvars:
+            raise ValueError("cannot branch %r at alpha = %d" % (lam, alpha))
 
-        def term(_, pair):
-            return sum(pair[0]), tuple(x + n for x in pair[0]) + pair[1]
+        def term(top, pair):
+            mu, nu = pair
+            return sum(mu) + alpha * top, tuple([x + top + n for x in mu] + [x + top for x in nu])
 
-        return None, ((mu, nu) for mu, nu, c in branch(lam, alpha) for _ in range(c)), term
+        core = _branch_partition(tuple(x - lam[-1] for x in lam), alpha)
+        return lam[-1], ((mu, nu) for mu, nu, c in core for _ in range(c)), term
     # at alpha = N - 1 rho is enumerated as rho + n: s_{(rho, k)}, |mu| = |lam| - k
     shift = 0 if alpha == 1 else n
 
@@ -279,69 +284,27 @@ class PackedSchur(Packed):
         return SchurPoly(self.ring, self.nvars, {key + e * UNIT: c for key, ds in self._decoded() for e, c in ds})
 
 
-# A step from at least this many rows groups them by branching key; a
-# smaller one reads the cached per-lam images, which verify-operators
-# reuses (573 of its 714 chain rows) and char-ladder never does (0 of 332).
-# Time in packed_step per job (fresh processes, interleaved, a 2-CPU Xeon
-# VM) against R = 7: R = 3, 5 and 9 read 0.96x, 0.98x and 1.05x on
-# char-ladder but 1.72x, 1.24x and 0.96x on verify-operators (30 runs
-# each); the per-lam images everywhere read 1.81x on char-ladder and 0.96x
-# on verify-operators (20 runs each).
-_GROUPED_ROWS = 7
-
-
 def packed_step(op, alpha, n, f: PackedSchur) -> PackedSchur:
-    """op(alpha, n) f, op "M" or "D": each image term (|mu|, s_kappa, b) of
-    s_lam adds n_lam * b, |mu| places up, to kappa's integer (``kron_add``),
-    one shift-and-add whatever the q-length.  kappa's bound is the sum of
-    bound_lam * |b| over the terms landing on it, and f is held at a width
-    for the largest (``Packed.hold``).  A step from fewer than _GROUPED_ROWS
-    rows reads the cached images of s_lam modulo full columns
-    (``_step_by_images``); a larger one builds no image (``_step_by_terms``).
-    D dilates by |lam|, so a D step needs one |lam| and raises ValueError
-    before any work otherwise; M steps rows of any sizes."""
+    """op(alpha, n) f, op "M" or "D", with no image built: the rows are
+    listed by head and branching key (``_terms``), which fix the term s_v
+    and so |mu| and |lam|, and each key's term sign * s_kappa is built,
+    straightened and packed once.  It adds sign times the sum of its rows'
+    n_lam, each first moved to the least place of the form, |mu| places up
+    to kappa's integer (``kron_add``): one shift-and-add whatever the
+    q-length.  kappa's bound is the sum of bound_lam over the rows of the
+    keys landing on it, and f is held at a width for the largest
+    (``Packed.hold``).  Each row first passes the images' slot check
+    (``column_split``).  D dilates by |lam|, so a D step needs one |lam|
+    and raises ValueError before any work otherwise; M steps rows of any
+    sizes."""
     ring, nvars = f.ring, f.nvars
-    alpha, du_subset, du_all, du_const = _unit_rates(op, alpha, n, ring, nvars)
-    rows = f.packing[1]
+    alpha, _, du_all, du_const = _unit_rates(op, alpha, n, ring, nvars)
+    rows, groups = f.packing[1], {}
     if du_all:
         sizes = {sum(unpack(key >> SLOT_BITS, nvars)) for key in rows}
         if len(sizes) > 1:
             raise ValueError("a twisted step needs one |lam|, not %s" % sorted(sizes))
         du_const += du_all * next(iter(sizes), 0)
-    step = _step_by_terms if len(rows) >= _GROUPED_ROWS else _step_by_images
-    s, acc, bounds = step(f, alpha, n)
-    return PackedSchur(ring, nvars, f.offset + du_const, s, Packed.summed(acc, s, bounds))
-
-
-def _step_by_images(f, alpha, n):
-    """(width, ``kron_add`` accumulator, bounds by key) of M_{alpha,n} f in
-    places of q, its unit offset left to ``packed_step``, from the cached
-    image of each s_lam."""
-    nvars, sources, bounds = f.nvars, [], {}
-    for key, (bound, _, _) in f.packing[1].items():
-        top, move, (_, _, _, image, _, _) = _column_image(key, nvars, alpha, n)
-        sources.append((move, alpha * top, image))
-        for _, kappa, b in image:
-            kappa += move
-            bounds[kappa] = bounds.get(kappa, 0) + bound * abs(b)
-    s, rows = f.hold(max(bounds.values(), default=0))
-    acc = {}
-    for (move, up, image), (_, lo, value) in zip(sources, rows.values()):
-        lo += up
-        for dmu, kappa, b in image:
-            kron_add(acc, kappa + move, lo + dmu, value * b, s)
-    return s, acc, bounds
-
-
-def _step_by_terms(f, alpha, n):
-    """``_step_by_images`` with no image built: the rows are listed by head
-    and branching key (``_terms``), which fix the term s_v and so |mu| and
-    |lam|, and each key's term is built, straightened and packed once.  The
-    key's bound is the sum of bound_lam over its list and its integer the
-    sum of n_lam, every row first moved to the least place of the form.  A
-    bound sums terms before they merge, so it is never below the image's.
-    Each row first passes the images' slot check (``column_split``)."""
-    nvars, rows, groups = f.nvars, f.packing[1], {}
     for i, key in enumerate(rows):
         column_split(key, nvars)
         head, keys, term = _terms(unpack(key >> SLOT_BITS, nvars), alpha, n)
@@ -359,12 +322,12 @@ def _step_by_terms(f, alpha, n):
                 bounds[kappa] = bounds.get(kappa, 0) + sum(map(row_bounds.__getitem__, uses))
                 targets.append((kappa, sign, dmu, uses))
     s, rows = f.hold(max(bounds.values(), default=0))
-    base = min(lo for _, lo, _ in rows.values())
+    base = min((lo for _, lo, _ in rows.values()), default=0)
     values = [value << s * (lo - base) for _, lo, value in rows.values()].__getitem__
     acc = {}
     for kappa, sign, dmu, uses in targets:
         kron_add(acc, kappa, base + dmu, sign * sum(map(values, uses)), s)
-    return s, acc, bounds
+    return PackedSchur(ring, nvars, f.offset + du_const, s, Packed.summed(acc, s, bounds))
 
 
 def apply_macdonald_qt(alpha, f):

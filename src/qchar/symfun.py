@@ -138,7 +138,10 @@ def monomial_sym(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
 
 @lru_cache(maxsize=1 << 12)
 def _branch_partition(lam, alpha):
-    """branch() of a partition padded to N parts (the last one 0).  By
+    """The two-block expansion s_lam(x, y) = sum c^lam_{mu nu} s_mu(x)
+    s_nu(y) of a partition padded to N parts (the last one 0), x the first
+    alpha variables and y the rest, as (mu, nu, c) with len(mu) = alpha and
+    len(nu) = N - alpha.  By
     c^lam_{mu nu} = c^lam_{nu mu}, the block with m = min(alpha, N - alpha)
     variables is the content of Littlewood-Richardson tableaux of shape
     lam/inner (Macdonald, I.9): rows weakly increase, columns strictly
@@ -147,8 +150,8 @@ def _branch_partition(lam, alpha):
     lam_i.  Each row is filled letter by letter: letter k runs only over
     cells whose entry above is < k, at most counts[k-2] - counts[k-1]
     times, so no filling is built and then rejected.  ``qdiff._terms``
-    keys its terms by the pairs (mu, nu) of ``branch`` only for m >= 2, and
-    a one-variable block by interlacing vectors, as ``_schur_zcoeffs`` does."""
+    keys its terms by these pairs (mu, nu) only for m >= 2, and a
+    one-variable block by interlacing vectors, as ``_schur_zcoeffs`` does."""
     n = len(lam)
     m = min(alpha, n - alpha)
     if not m:
@@ -188,23 +191,6 @@ def _branch_partition(lam, alpha):
 
     row(0, [lam[0]] * m)
     return tuple((mu, nu, c) for (mu, nu), c in out.items())
-
-
-def branch(lam, alpha: int):
-    """The two-block expansion s_lam(x, y) = sum c^lam_{mu nu} s_mu(x) s_nu(y)
-    in N = len(lam) variables, x the first ``alpha`` and y the rest, as
-    (mu, nu, c) with len(mu) = alpha and len(nu) = N - alpha, by pruned
-    Littlewood-Richardson fillings from the block with fewer variables.
-    Negative parts are allowed: the full column (z_1...z_N)**lam_N is
-    factored out, and the expansion of the partition left over is cached."""
-    lam = tuple(lam)
-    if not lam or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or not 0 <= alpha <= len(lam):
-        raise ValueError("cannot branch %r at alpha = %d" % (lam, alpha))
-    off = lam[-1]
-    core = _branch_partition(tuple(x - off for x in lam), alpha)
-    if not off:
-        return core
-    return tuple((tuple(x + off for x in mu), tuple(x + off for x in nu), c) for mu, nu, c in core)
 
 
 def dual_cauchy(a: int, b: int):

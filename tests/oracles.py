@@ -53,10 +53,13 @@
   ``ref_nc_mul`` recode the packed-key kernels on plain exponent tuples;
   ``ref_div`` runs ``ref_exact_div`` on two ``LaurentPoly`` values (the
   Vandermonde quotients above).
-* ``ref_branch`` is the two-block branching rule as ``qchar.symfun`` ran it
-  before it pruned its fillings: every inner shape mu in the x-block, and
-  for each row the full product of letter counts, filtered afterwards by
-  row length and column strictness.
+* ``branch`` is the two-block expansion of any weakly decreasing lam by
+  the pruned fillings of ``qchar.symfun._branch_partition``, the full
+  column (z_1...z_N)**lam_N factored out; ``qchar.qdiff._terms`` keys its
+  terms by the same pairs.  ``ref_branch`` is the rule as ``qchar.symfun``
+  ran it before it pruned its fillings: every inner shape mu in the
+  x-block, and for each row the full product of letter counts, filtered
+  afterwards by row length and column strictness.
 * ``weight_of`` (partition to dominant weight), ``check_toda_eigen`` (the
   rank-one three-term relation over a range of n) and
   ``check_polynomiality`` (ev0 of a word polynomial in the Q_{b,1}) are
@@ -93,7 +96,7 @@ from qchar.rings import (
     NotSymmetric,
     PoleAtZero,
 )
-from qchar.symfun import SchurPoly, normalize_partition, partitions
+from qchar.symfun import SchurPoly, _branch_partition, normalize_partition, partitions
 from qchar.whittaker import TruncatedSeries, toda_residual
 
 Q = sympy.Symbol("q")
@@ -963,7 +966,22 @@ def ref_specialize_t0_qinv(c) -> dict:
     return out
 
 
-# -- the two-block branching rule, unpruned ----------------------------------------
+# -- the two-block branching rule ----------------------------------------------------
+
+
+def branch(lam, alpha: int):
+    """The two-block expansion s_lam(x, y) = sum c^lam_{mu nu} s_mu(x) s_nu(y)
+    in N = len(lam) variables, x the first ``alpha`` and y the rest, as
+    (mu, nu, c) with len(mu) = alpha and len(nu) = N - alpha, by pruned
+    Littlewood-Richardson fillings from the block with fewer variables.
+    Negative parts are allowed: the full column (z_1...z_N)**lam_N is
+    factored out, and the expansion of the partition left over is cached."""
+    lam = tuple(lam)
+    if not lam or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or not 0 <= alpha <= len(lam):
+        raise ValueError("cannot branch %r at alpha = %d" % (lam, alpha))
+    off = lam[-1]
+    core = _branch_partition(tuple(x - off for x in lam), alpha)
+    return tuple((tuple(x + off for x in mu), tuple(x + off for x in nu), c) for mu, nu, c in core)
 
 
 def _ref_lr_contents(lam, mu, letters):

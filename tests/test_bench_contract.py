@@ -10,7 +10,9 @@ import sys
 
 import pytest
 
+import qchar.characters as characters
 import qchar.cli as cli
+import qchar.qdiff as qdiff
 import qchar.verify as verify
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
@@ -24,6 +26,16 @@ def test_ladder_case_passes_its_gate(case):
     rank, level, flag = case
     text = cli.render_character(cli.character_payload(cli.parse_n_flag(flag, rank, level)), "json")
     assert workloads.gate_character(case, text) == (0, None)
+
+
+def test_ladder_builds_no_image():
+    # a raising step groups its rows by branching key: building every
+    # ladder character from scratch builds no per-s_lam image
+    characters._CHAINS.clear()
+    qdiff._image.cache_clear()
+    for rank, level, flag in sorted(workloads.LADDER):
+        cli.character_payload(cli.parse_n_flag(flag, rank, level))
+    assert qdiff._image.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("workload", ["verify-operators", "verify-kernels", "verify-series"])

@@ -10,6 +10,7 @@ import pytest
 import sympy
 
 from oracles import (
+    branch,
     orbit_apply_D,
     orbit_apply_M,
     poly_to_sympy,
@@ -340,7 +341,7 @@ def test_one_variable_images_match_the_fillings_on_a_grid():
                         kappas = [unpack(key, nvars + 1)[1:] for _, key in got] or [(0,)]
                         assert (least, most) == (min(k[-1] for k in kappas), max(k[0] for k in kappas))
                         assert len(got) == len(terms) and size == sum(lam), (lam, alpha, n)
-                        assert got == _image_by_fillings(lam, alpha, n, symfun.branch), (lam, alpha, n)
+                        assert got == _image_by_fillings(lam, alpha, n, branch), (lam, alpha, n)
                         assert got == _image_by_fillings(lam, alpha, n, ref_branch), (lam, alpha, n)
                         dmus = [dmu for dmu, _ in got] or [0]
                         assert (lo, hi) == (min(dmus), max(dmus)), (lam, alpha, n)
@@ -363,6 +364,28 @@ def test_one_variable_image_guards(alpha):
     assert qdiff._image(top, 3, alpha, 0)[3]
     with pytest.raises(ExponentOverflow):
         qdiff._image(top, 3, alpha, 1)
+
+
+def test_two_block_terms_refuse_a_lam_that_cannot_branch(monkeypatch):
+    # blocks of two or more variables: a lam that is not weakly decreasing,
+    # or alpha out of range, raises ValueError before any key is listed
+    listed = []
+
+    def counted(lam, alpha):
+        listed.append(lam)
+        return symfun._branch_partition(lam, alpha)
+
+    monkeypatch.setattr(qdiff, "_branch_partition", counted)
+    for lam, alpha in (((0, 1, 0, 0), 2), ((2, 1, 0, -1), 5), ((2, 1, 0, -1), -1)):
+        with pytest.raises(ValueError, match="cannot branch"):
+            qdiff._terms(lam, alpha, 1)
+    with pytest.raises(ValueError, match="cannot branch"):
+        qdiff.packed_step("M", 2, 1, qdiff.PackedSchur(RING_Q, 4, 0, 2, {pack((0, 0, 1, 0, 0)): (1, 0, 1)}))
+    assert listed == []
+    # under the head lam_N the keys are those of lam - lam_N
+    head, keys, term = qdiff._terms((1, 1, -1, -1), 2, 1)
+    assert head == -1 and Counter(keys) == Counter((mu, nu) for mu, nu, c in branch((2, 2, 0, 0), 2) for _ in range(c))
+    assert term(head, ((2, 1), (1, 0))) == (1, (2, 1, 0, -1))
 
 
 def test_character_and_torus_caches_are_bounded():
@@ -441,19 +464,20 @@ def test_operator_sum_rejects_mixed_terms():
 def _pack(f):
     """The Schur form f as a ``qdiff.PackedSchur`` at the least width its
     coefficients allow: places d from the least exponent over Q, from the
-    greatest over W; ValueError when f is no form a packed chain can hold."""
+    greatest over W; ValueError when f is no form a packed chain can hold.
+    The zero form packs to no rows."""
     from qchar.laurent import kron_width, split_unit
 
     step = 1 if f.ring == RING_Q else -2 * f.nvars
     exps = [split_unit(k)[0] for k in f.coeffs]
-    off = min(exps) if step > 0 else max(exps)
+    off = min(exps, default=0) if step > 0 else max(exps, default=0)
     if any((j - off) % step for j in exps) or step < 0 and len({sum(unpack(k, f.nvars + 1)[1:]) for k in f.coeffs}) > 1:
         raise ValueError("a packed W form needs one |lam| and one class of exponents mod %d" % -step)
     rows = {}
     for key, c in f.coeffs.items():
         j = split_unit(key)[0]
         rows.setdefault(key - j, {})[(j - off) // step] = c
-    s = kron_width(max(map(abs, f.coeffs.values())))
+    s = kron_width(max(map(abs, f.coeffs.values()), default=1))
     terms = {}
     for key, row in rows.items():
         lo = min(row)
@@ -499,56 +523,50 @@ def _wide_chain_form(rng, ring, nvars, rows):
     return SchurPoly(ring, nvars, out)
 
 
-def test_packed_step_matches_the_operators_term_for_term(monkeypatch):
+def test_packed_step_matches_the_operators_term_for_term():
     # random signed forms on ranks 1-4, M over Q and D over W, every alpha
     # and n in [-1, 3]: the packed step, unpacked, is apply_M / apply_D.
-    # Four forms of up to 5 rows and two of at least _GROUPED_ROWS rows per
-    # rank and ring, each stepped with every step grouped and with none
+    # Per rank and ring: four forms of up to 5 rows, two of 7 to 9 rows and
+    # the zero form, which steps to no rows
     import random
 
     rng = random.Random(7)
-    least = qdiff._GROUPED_ROWS
     cases = 0
     for nvars in range(2, 6):
         for ring, op, apply in ((RING_Q, "M", apply_M), (RING_W, "D", apply_D)):
             forms = [_random_chain_form(rng, ring, nvars) for _ in range(4)]
-            forms += [_wide_chain_form(rng, ring, nvars, least + rng.randrange(3)) for _ in range(2)]
+            forms += [_wide_chain_form(rng, ring, nvars, 7 + rng.randrange(3)) for _ in range(2)]
+            forms.append(SchurPoly(ring, nvars, {}))
             for f in forms:
                 packed = _pack(f)
                 assert packed.schur() == f
                 for alpha in range(nvars + 1):
                     for n in range(-1, 4):
-                        expected = apply(alpha, n, f).coeffs
-                        for grouped in (1, 1 << 30):
-                            monkeypatch.setattr(qdiff, "_GROUPED_ROWS", grouped)
-                            got = qdiff.packed_step(op, alpha, n, packed).schur()
-                            assert got.coeffs == expected, (ring, nvars, alpha, n, grouped)
-                            cases += 1
-    assert cases == 2 * 2 * 6 * 5 * (3 + 4 + 5 + 6)
+                        got = qdiff.packed_step(op, alpha, n, packed)
+                        assert got.schur().coeffs == apply(alpha, n, f).coeffs, (ring, nvars, alpha, n)
+                        assert f.coeffs or got.packing[1] == {}, (ring, nvars, alpha, n)
+                        cases += 1
+    assert cases == 2 * 7 * 5 * (3 + 4 + 5 + 6)
 
 
-def test_twisted_step_needs_one_size(monkeypatch):
+def test_twisted_step_needs_one_size():
     # D dilates by |lam|, so a packed D step on s_(2) + s_(1) in 3
     # variables would read both rows at one size: it refuses the form before
-    # any work, on either side of the row switch.  M over W has no dilation
-    # and steps mixed sizes exactly
+    # any work.  M over W has no dilation and steps mixed sizes exactly
     f = SchurPoly.basis((2,), 3, RING_W) + SchurPoly.basis((1,), 3, RING_W)
     rows = {key: (1, 0, 1) for key in f.coeffs}
-    for grouped in (1, 1 << 30):
-        monkeypatch.setattr(qdiff, "_GROUPED_ROWS", grouped)
-        qdiff._image.cache_clear()
-        packed = qdiff.PackedSchur(RING_W, 3, 0, 2, dict(rows))
-        with pytest.raises(ValueError, match=r"one \|lam\|"):
-            qdiff.packed_step("D", 1, 1, packed)
-        assert packed.packing == (2, rows) and qdiff._image.cache_info().misses == 0
-        assert qdiff.packed_step("M", 1, 1, packed).schur() == apply_M(1, 1, f)
+    packed = qdiff.PackedSchur(RING_W, 3, 0, 2, dict(rows))
+    with pytest.raises(ValueError, match=r"one \|lam\|"):
+        qdiff.packed_step("D", 1, 1, packed)
+    assert packed.packing == (2, rows)
+    assert qdiff.packed_step("M", 1, 1, packed).schur() == apply_M(1, 1, f)
 
 
-def test_unrepresentable_row_overflows_on_both_sides_of_the_row_switch(monkeypatch):
+def test_unrepresentable_row_overflows_before_any_term(monkeypatch):
     # s_(EXP_MAX, -1) in 2 variables packs, but lam_1 - lam_N leaves the
-    # slot: a step raises ExponentOverflow before enumerating any term,
-    # through the images or grouped (where the interlacing count of lam,
-    # above the cap, must not be reached first)
+    # slot: a step raises ExponentOverflow before enumerating any term, as
+    # operator_sum does (the interlacing count of lam, above the cap, must
+    # not be reached first)
     listed = []
 
     def counted(lam, shift=0):
@@ -556,11 +574,11 @@ def test_unrepresentable_row_overflows_on_both_sides_of_the_row_switch(monkeypat
         return symfun.interlacing(lam, shift)
 
     monkeypatch.setattr(qdiff, "interlacing", counted)
-    rows = {pack((0, EXP_MAX, -1)): (1, 0, 1)}
-    for grouped in (1, 1 << 30):
-        monkeypatch.setattr(qdiff, "_GROUPED_ROWS", grouped)
-        with pytest.raises(ExponentOverflow):
-            qdiff.packed_step("M", 1, 1, qdiff.PackedSchur(RING_Q, 2, 0, 2, dict(rows)))
+    key = pack((0, EXP_MAX, -1))
+    with pytest.raises(ExponentOverflow):
+        qdiff.packed_step("M", 1, 1, qdiff.PackedSchur(RING_Q, 2, 0, 2, {key: (1, 0, 1)}))
+    with pytest.raises(ExponentOverflow):
+        apply_M(1, 1, SchurPoly(RING_Q, 2, {key: 1}))
     assert listed == []
 
 
@@ -666,10 +684,10 @@ def test_image_enumeration_is_bounded_before_it_starts():
     assert sum(1 for _ in itertools.islice(symfun.interlacing((cap - 1, 0)), 3)) == 3
     with pytest.raises(ValueError):
         symfun.interlacing((cap, 0))
-    # a step from _GROUPED_ROWS or more rows builds no image: it raises at
-    # the wide row, first in the form, before enumerating any term
+    # a packed step builds no image: it raises at the wide row, first of 8
+    # in the form, before enumerating any term
     rows = {pack((0, 2**25 - 1, 0, 0)): (1, 0, 1)}
-    rows.update({pack((0, k, 0, 0)): (1, 0, 1) for k in range(qdiff._GROUPED_ROWS)})
+    rows.update({pack((0, k, 0, 0)): (1, 0, 1) for k in range(7)})
     qdiff._image.cache_clear()
     with pytest.raises(ValueError, match="above the cap"):
         qdiff.packed_step("M", 1, 1, qdiff.PackedSchur(RING_Q, 3, 0, 2, rows))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     NonzeroRemainder,
+    branch,
     dominates,
     pieri_e,
     ref_branch,
@@ -28,7 +29,6 @@ from qchar.symfun import (
     SchurPoly,
     _schur_monomials,
     _schur_zcoeffs,
-    branch,
     dual_cauchy,
     elementary,
     interlacing,
