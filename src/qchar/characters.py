@@ -15,8 +15,8 @@ gives the renormalized coefficients G_n; the two paths are related by an
 explicit power of v and cross-check each other (``char_from_g`` reads the
 packed twisted product times that power in q, q = v**-(r+1), by moving
 its offset).  Both chains, and the difference equations, run on Schur
-forms (``symfun.SchurPoly``); monomial expansions are views computed on
-demand.
+forms (``symfun.SchurPoly`` or its packed ``qdiff.PackedSchur``);
+monomial expansions are views computed on demand.
 
 Each chain value is one raising step from the cached value of its prefix,
 the word of factors M_{a,i} less its last letter, and is kept packed: each
@@ -25,12 +25,13 @@ straightens the term of each branching key once and builds no per-s_lam
 image; the cached images, modulo full columns, serve
 ``qdiff.operator_sum``.  The character is checked on that value
 (``packed_character``, which ``qchar char`` prints), then cached per n as
-a Schur form, as are the equation values.
+a Schur form; the equation values, modulo z_1...z_{r+1} = 1, stay packed.
 
 ``difference_equation_terms`` generates the level-k difference equation at
 every rank and level; ``equation_sides`` checks it on chi or G as one
-residual, forming its two sides only when it fails.  Every equation report
-of ``verify`` goes through ``equation_sides``.
+packed residual (``qdiff.packed_sum``), each integer tested for zero, and
+unpacks its two sides only when it fails.  Every equation report of
+``verify`` goes through ``equation_sides``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import lru_cache
 
 from .cartan import CartanData
 from .laurent import LaurentPoly, constrain
-from .qdiff import PackedSchur, operator_sum, packed_step
+from .qdiff import PackedSchur, packed_step, packed_sum
 from .records import FrozenRecord
 from .rings import RING_Q, RING_W, ExponentNotDivisible
 from .symfun import SchurPoly, partition_of_weight
@@ -109,7 +110,10 @@ class NVector(FrozenRecord):
 
     def shift(self, *moves):
         """Apply unit moves (see ``_moved``); None when an entry goes negative."""
-        rows = self._moved(moves)
+        return self._on(self._moved(moves))
+
+    def _on(self, rows):
+        """The NVector with these rows, None when an entry is negative."""
         return None if min(map(min, rows)) < 0 else NVector(self.rank, self.level, rows)
 
     def top_weight(self):
@@ -215,18 +219,14 @@ def top_component(n: NVector):
     return partition_of_weight(n.top_weight())
 
 
-def g_schur_form(n: NVector) -> SchurPoly:
-    """G_n as a Schur form: the twisted product on 1 modulo
-    z_1...z_{r+1} = 1 (W-ring, r+1 variables, every lam_{r+1} = 0)."""
-    return _chain(n, "D", RING_W).constrained().schur()
-
-
 def g_coefficient(n: NVector) -> LaurentPoly:
     """The renormalized coefficient G_n: the twisted product on 1, with
-    z_1...z_{r+1} = 1 imposed (W-ring, r variables, monomial basis)."""
-    return constrain(g_schur_form(n).monomials(), n.rank)
+    z_1...z_{r+1} = 1 imposed (W-ring, r variables, monomial basis): the
+    packed G_n of ``_equation_value`` unpacked and expanded."""
+    return constrain(_equation_value(n, "G").schur().monomials(), n.rank)
 
 
+@lru_cache(maxsize=_CHARACTER_CACHE)
 def g_to_char_w_exponent(n: NVector) -> int:
     """w-exponent of the prefactor relating the twisted product to the
     character: chi_n = w**E * (twisted product on 1)."""
@@ -275,12 +275,9 @@ def difference_equation_terms(n: NVector, dual: bool = False) -> list:
             qexp = k - 1 - sum(i * n.entry(a, i) for i in range(1, k + 1))
             sums.append((low + ((a + 1, k, 1), (a, k, -1)), qexp, -1))
         for moves, qexp, sign in sums:
-            coeff = merged.setdefault(n._moved(moves), (moves, {}))[1]
+            coeff = merged.setdefault(n._moved(moves), {})
             coeff[qexp] = coeff.get(qexp, 0) + sign
-    return [
-        (n.shift(*moves), {e: c for e, c in coeff.items() if c})
-        for moves, coeff in merged.values()
-    ]
+    return [(n._on(rows), {e: c for e, c in coeff.items() if c}) for rows, coeff in merged.items()]
 
 
 def g_form_terms(n: NVector, terms) -> list:
@@ -296,29 +293,32 @@ def g_form_terms(n: NVector, terms) -> list:
 
 
 @lru_cache(maxsize=_CHARACTER_CACHE)
-def _equation_value(m: NVector, form: str) -> SchurPoly:
-    """G_m, or chi_m modulo z_1...z_{r+1} = 1."""
-    return g_schur_form(m) if form == "G" else packed_character(m).constrained().schur()
+def _equation_value(m: NVector, form: str) -> PackedSchur:
+    """G_m, or the checked chi_m, modulo z_1...z_{r+1} = 1, packed."""
+    return (_chain(m, "D", RING_W) if form == "G" else packed_character(m)).constrained()
+
+
+def packed_sides(lhs, rhs):
+    """None when the ``qdiff.packed_sum`` parts lhs and rhs (rhs nonempty)
+    have one sum, every integer of lhs - rhs 0; else both sums unpacked."""
+    if not any(f.packing[1] for f in packed_sum(lhs + [(f, e, -c, m) for f, e, c, m in rhs])):
+        return None
+    zero = SchurPoly.zero(rhs[0][0].ring, rhs[0][0].nvars)
+    return tuple(sum((f.schur() for f in packed_sum(side)), zero) for side in (lhs, rhs))
 
 
 def equation_sides(n: NVector, form: str = "chi", dual: bool = False):
     """None when the difference equation holds at n, else its sides (lhs,
     rhs), lhs None for a weighted term off the grid: constrained characters
     in q (form "chi") or G_n in w (form "G") as Schur forms, e_1 (e_r) by
-    the Pieri rule.  Only a nonzero residual lhs - rhs forms the lhs."""
+    the Pieri rule, nonzero (R(SL_{r+1}) is a domain).  The packed values
+    are summed as one residual; only a failing point unpacks its sides."""
     if form not in ("chi", "G"):
         raise ValueError("unknown equation form %r" % form)
     terms = difference_equation_terms(n, dual)
     if form == "G":
         terms = g_form_terms(n, terms)
-    rhs = _equation_value(n, form).times_e_constrained(n.rank if dual else 1)
-    lhs = []
-    for m, coeff in terms:
-        if coeff and m is None:
-            return None, rhs
-        if coeff:
-            value = _equation_value(m, form)
-            lhs += [(None, 0, 0, value, e, c) for e, c in coeff.items()]
-    if not operator_sum(lhs + [(None, 0, 0, rhs, 0, -1)]):
-        return None
-    return operator_sum(lhs) if lhs else SchurPoly.zero(rhs.ring, rhs.nvars), rhs
+    rhs = [(_equation_value(n, form), 0, 1, n.rank if dual else 1)]
+    if any(coeff and m is None for m, coeff in terms):
+        return None, packed_sides([], rhs)[1]
+    return packed_sides([(_equation_value(m, form), e, c, None) for m, coeff in terms for e, c in coeff.items()], rhs)

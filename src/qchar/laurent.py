@@ -33,12 +33,13 @@ A one-variable coefficient read off on its own is an ``{exponent: int}``
 dict, printed by ``coefficient_text``.  The Kronecker codec packs such a
 polynomial with coefficients at most a bound into one integer, its value at
 x = 2**s (Harvey, J. Symb. Comp. 2009), s derived from the bound and never
-fixed: ``kron_width``, ``kron_digits`` (balanced digits), ``kron_add``
-(rebase-and-add from the least exponent) and ``Packed``, rows of such
-integers at one width with the widening rule (``hold``) and the least-digit
-normalization (``summed``).  The torus commutator packs positions with the
-codec; the raising chains (``qdiff.PackedSchur``) and the torus's ev0
-images (``qtorus.PackedImage``) are ``Packed`` values.
+fixed: ``kron_width``, ``kron_digits`` (balanced digits), ``kron_repack``
+(the same digits at another width), ``kron_add`` (rebase-and-add from the
+least exponent) and ``Packed``, rows of such integers at one width with the
+widening rule (``hold``) and the least-digit normalization (``summed``).
+The torus commutator packs positions with the codec; the raising chains
+(``qdiff.PackedSchur``) and the torus's ev0 images (``qtorus.PackedImage``)
+are ``Packed`` values.
 
 Subclasses keep the keys and change the basis or the product:
 ``symfun.SchurPoly`` keys Schur functions, and ``qtorus.NcLaurent`` is a
@@ -46,10 +47,11 @@ W-ring polynomial in the 2r torus exponents, the w-exponent in the unit
 slot, with a twisted product.  Their constructors take other arguments, so
 the methods here build zero and one through ``_like``.
 
-``from_terms``, ``sum``, ``+``, ``-`` and ``at_unit_one`` add through one
-loop, ``_add_into``: repeated keys add up, zero sums drop out.  The
-binomial division and ``signed_buckets`` add a few terms per row or
-z-part, where a call per row measured slower, so they keep inline loops.
+``from_terms``, ``sum``, ``+``, ``-``, ``at_unit_one`` and
+``SchurPoly.constrained`` add through one loop, ``_add_into``: repeated
+keys add up, zero sums drop out.  The binomial division and
+``signed_buckets`` add a few terms per row or z-part, where a call per row
+measured slower, so they keep inline loops.
 
 Everything here is exact.  The one division is ``divide_binomial``, by
 1 - x u**i in one pass, for the Whittaker series and the t = 0 Macdonald
@@ -219,6 +221,11 @@ def kron_digits(n: int, s: int):
     return out
 
 
+def kron_repack(n, s, width):
+    """n, read at x = 2**s, read at x = 2**width instead: the same digits."""
+    return sum(c << width * i for i, c in kron_digits(n, s))
+
+
 def kron_add(acc, target, lo, n, s):
     """Add n, a polynomial read at x = 2**s from x**lo, to acc[target] =
     [least exponent, the sum read from it], rebasing the sum when lo is
@@ -265,7 +272,7 @@ class Packed:
         s, rows = self.packing
         if kron_width(bound) > s:
             width = max(kron_width(bound), 2 * s)
-            self.packing = width, {key: (b, lo, sum(c << width * i for i, c in kron_digits(n, s))) for key, (b, lo, n) in rows.items()}
+            self.packing = width, {key: (b, lo, kron_repack(n, s, width)) for key, (b, lo, n) in rows.items()}
         return self.packing
 
     def digits(self, key):
@@ -284,7 +291,8 @@ def unit_slots(ring) -> int:
 def _add_into(out, pairs):
     """Add each (key, c) of ``pairs`` into the dict ``out``, a key whose sum
     is zero dropping out, and return ``out``: the one add loop of
-    ``from_terms``, ``sum``, ``+``, ``-`` and ``at_unit_one``."""
+    ``from_terms``, ``sum``, ``+``, ``-``, ``at_unit_one`` and
+    ``SchurPoly.constrained``."""
     for k, c in pairs:
         if k in out:
             c += out[k]

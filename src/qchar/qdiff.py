@@ -35,7 +35,7 @@ steps a ``PackedSchur`` instead, a ``laurent.Packed`` with one row per
 Schur coefficient (``packed_step``).  ``operator_sum`` reads the cached
 image of each s_lam modulo full columns (``_column_image``); a step builds
 no image, but groups its rows by branching key and builds and straightens
-each key's term once.
+each key's term once.  ``packed_sum`` adds packed values, times e_m or not.
 The Macdonald operator has no such form; its Vandermonde-cleared subset sum
 is one signed permutation orbit, read off as Schur coefficients
 (``signed_buckets``), divided by alpha! (N - alpha)! exactly and expanded
@@ -58,6 +58,7 @@ from .laurent import (
     Packed,
     delta_on,
     kron_add,
+    kron_repack,
     kron_width,
     pack,
     require_fit,
@@ -69,7 +70,7 @@ from .laurent import (
     zero_key,
 )
 from .rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
-from .symfun import SchurPoly, _branch_partition, _schur_monomials, column_split, interlacing
+from .symfun import SchurPoly, _branch_partition, _pieri_constrained_keys, _schur_monomials, column_split, interlacing
 
 
 @lru_cache(maxsize=16)
@@ -328,6 +329,33 @@ def packed_step(op, alpha, n, f: PackedSchur) -> PackedSchur:
     for kappa, sign, dmu, uses in targets:
         kron_add(acc, kappa, base + dmu, sign * sum(map(values, uses)), s)
     return PackedSchur(ring, nvars, f.offset + du_const, s, Packed.summed(acc, s, bounds))
+
+
+def packed_sum(parts) -> list:
+    """The sum of c * u**e * f over ``parts`` (f, e, c, m), f PackedSchurs of
+    one ring and size (else TypeError), times e_m mod z_1...z_N = 1 by each
+    row's Pieri keys when m is not None: one PackedSchur per u-exponent class
+    mod 2N (one over Q), at offset the class, its rows ``kron_add``-ed at the
+    widest part's or bound's width, narrower rows repacked; zero iff rowless."""
+    classes, listed, s, first = {}, [], 1, parts[0][0] if parts else None
+    for f, e, c, m in parts:
+        if not isinstance(f, PackedSchur) or (f.ring, f.nvars) != (first.ring, first.nvars):
+            raise TypeError("a packed sum takes PackedSchur values of one ring and size")
+        place, cls = divmod(f.offset + e, 1 if f.ring == RING_Q else -2 * f.nvars)
+        acc, bounds = classes.setdefault(cls, ({}, {}))
+        width, rows = f.packing
+        s = max(s, width)
+        for key, (bound, lo, n) in rows.items():
+            keys = (key,) if m is None else _pieri_constrained_keys(key, m, f.nvars)
+            for k in keys:
+                bounds[k] = bounds.get(k, 0) + abs(c) * bound
+            listed.append((acc, keys, place + lo, c, n, width))
+    s = max([s] + [kron_width(b) for _, bounds in classes.values() for b in bounds.values()])
+    for acc, keys, lo, c, n, width in listed:
+        n = c * (n if width == s else kron_repack(n, width, s))
+        for k in keys:
+            kron_add(acc, k, lo, n, s)
+    return [PackedSchur(first.ring, first.nvars, cls, s, Packed.summed(acc, s, bounds)) for cls, (acc, bounds) in classes.items()]
 
 
 def apply_macdonald_qt(alpha, f):

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import prod
 from operator import add
 
-from .laurent import EXP_MAX, EXP_MIN, SLOT_BITS, UNIT, LaurentPoly, box_sum, coefficient_text, offset, pack
+from .laurent import EXP_MAX, EXP_MIN, SLOT_BITS, UNIT, LaurentPoly, _add_into, box_sum, coefficient_text, offset, pack
 from .laurent import require_fit, require_symmetric, split_unit, straighten, unit_slots, unpack, zero_key
 from .rings import RING_Q, RING_W, ExponentOverflow
 
@@ -225,7 +225,8 @@ def column_split(key, nvars):
 @lru_cache(maxsize=1 << 12)
 def _pieri_constrained_keys(key, m, nvars):
     """The keys of s_lam * e_m modulo z_1...z_N = 1, key that of s_lam at unit
-    exponent 0: each s_kappa of ``SchurPoly.times`` as s_{kappa - kappa_N}."""
+    exponent 0: each s_kappa of ``SchurPoly.times`` as s_{kappa - kappa_N};
+    ``qdiff.packed_sum`` adds each row of a packed value at these keys."""
     product = SchurPoly.basis(unpack(key >> SLOT_BITS, nvars), nvars).times(elementary(m, nvars))
     return tuple(column_split(k, nvars)[1] for k in product.coeffs)
 
@@ -324,25 +325,9 @@ class SchurPoly(LaurentPoly):
                             out[k] = out.get(k, 0) + sign * c * d
         return self._like({k: c for k, c in out.items() if c})
 
-    def _map_bases(self, image):
-        """Replace every s_lam by the sum of the basis elements whose keys
-        ``image`` lists for the key of s_lam, all with unit exponent 0."""
-        out = {}
-        for key, c in self.coeffs.items():
-            j = split_unit(key)[0] * UNIT
-            for kk in image(key - j):
-                kk += j
-                out[kk] = out.get(kk, 0) + c
-        return self._like({k: c for k, c in out.items() if c})
-
-    def times_e_constrained(self, m: int):
-        """The product with the elementary symmetric polynomial e_m (Pieri
-        rule) modulo z_1...z_N = 1, in one pass."""
-        return self._map_bases(lambda key: _pieri_constrained_keys(key, m, self.nvars))
-
     def constrained(self):
         """The value modulo z_1...z_N = 1: every s_lam becomes s_{lam - lam_N}."""
-        return self._map_bases(lambda key: column_split(key, self.nvars)[1:])
+        return self._like(_add_into({}, ((column_split(key, self.nvars)[1], c) for key, c in self.coeffs.items())))
 
     def expansion(self) -> dict:
         """{partition: {unit exponent: int}}: the Schur coefficients (parts >= 0)."""

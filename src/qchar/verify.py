@@ -12,9 +12,10 @@ the dual Cauchy identity, the within-block products by the one product
 rule ``SchurPoly.times``, as are the Pieri sides and the classical limit),
 each two-block term straightened once, so no cleared product is ever
 expanded into monomials; the full expansion is the reference in the
-tests.  A qsystem, eigen or difference-equation point is one
-``qdiff.operator_sum`` residual tested for zero, and only a failure forms
-its two sides.  Every difference-equation report is built by
+tests.  A qsystem or eigen point is one ``qdiff.operator_sum`` residual
+tested for zero, a difference-equation or compatibility point one packed
+residual (``characters.packed_sides``), and only a failure forms its two
+sides.  Every difference-equation report is built by
 ``_equation_report`` from its grid and relation rows; the level-1 report
 is that report collapsed to one point per grid.  A failing point of those,
 of the lemmas, of the limits (the classical limit included) or a moment,
@@ -38,10 +39,11 @@ from .cartan import CartanData
 from .characters import (
     NVector,
     char_from_g,
+    _equation_value,
     equation_sides,
-    g_schur_form,
     graded_character,
     operator_product,
+    packed_sides,
     raising_product,
     top_component,
 )
@@ -409,23 +411,23 @@ def _equation_report(name, grid, relations) -> CheckReport:
     A failing point names the first differing Schur coefficient of its two
     sides.  The report of the two G-form relations ends with their
     compatibility e_2 G_{1,0} = e_1 G_{0,1}; any other notes its grid size."""
-    rep = CheckReport(name)
+    rep, checked = CheckReport(name), []
     for n in grid:
         entries = tuple(x for level in zip(*n.rows) for x in level)
         for label, form, dual in relations:
-            point = n if label is None else (label,) + entries
-            sides = equation_sides(n, form, dual)
-            if not sides:
-                rep.record(point, True)
-            elif sides[0] is None:
-                rep.record(point, False, "a term off the grid has a nonzero coefficient")
-            else:
-                _record_equal(rep, point, *sides)
+            checked.append((n if label is None else (label,) + entries, equation_sides(n, form, dual)))
     if relations == _G_PAIR:
-        g10, g01 = (g_schur_form(NVector.level_one(2, x)) for x in ((1, 0), (0, 1)))
-        _record_equal(rep, ("compatibility",), g10.times_e_constrained(2), g01.times_e_constrained(1))
+        g10, g01 = (_equation_value(NVector.level_one(2, x), "G") for x in ((1, 0), (0, 1)))
+        checked.append((("compatibility",), packed_sides([(g10, 0, 1, 2)], [(g01, 0, 1, 1)])))
     else:
         rep.notes["points"] = len(grid)
+    for point, sides in checked:
+        if not sides:
+            rep.record(point, True)
+        elif sides[0] is None:
+            rep.record(point, False, "a term off the grid has a nonzero coefficient")
+        else:
+            _record_equal(rep, point, *sides)
     return rep
 
 

@@ -25,7 +25,9 @@
   the boundary of the tests (through ``schur_expand``); ``pieri_e`` is the
   Pieri rule by vertical strips, and ``times_e`` the Pieri product with e_m
   before the constraint z_1...z_N = 1, the reference for
-  ``SchurPoly.times`` with e_m and ``times_e_constrained``; ``dominates`` and
+  ``SchurPoly.times`` with e_m and for the Pieri side of
+  ``qdiff.packed_sum``, whose inputs ``packed_parts`` packs digit by digit
+  from a Schur form; ``dominates`` and
   ``project_qt_to_q`` are the dominance order and the inverse of
   ``with_ring(RING_QT)`` on a Q-ring polynomial; ``image_nc`` reads a
   packed ev0 image (``qtorus.PackedImage``) back as an ``NcLaurent``
@@ -81,11 +83,13 @@ from qchar.cartan import CartanData
 from qchar.laurent import (
     LaurentPoly,
     delta_on,
+    pack,
     require_symmetric,
     signed_buckets,
     unit_slots,
     unpack,
 )
+from qchar.qdiff import PackedSchur
 from qchar.qtorus import NcLaurent, ev0_image, ev0_negative_term, q_recursion
 from qchar.rings import (
     RING_Q,
@@ -591,7 +595,7 @@ def pieri_e(lam, m: int, nvars: int):
 def times_e(f: SchurPoly, m: int) -> SchurPoly:
     """f times the elementary symmetric polynomial e_m by ``pieri_e``, with
     no constraint, full columns of each s_lam kept: the reference for
-    ``SchurPoly.times`` with e_m and for ``times_e_constrained``."""
+    ``SchurPoly.times`` with e_m and for the Pieri side of ``packed_sum``."""
     n, out = f.nvars, {}
     for vec, c in f.terms():
         j, lam = vec[0], vec[1:]
@@ -600,6 +604,26 @@ def times_e(f: SchurPoly, m: int) -> SchurPoly:
             key = (j,) + tuple(x + lam[-1] for x in kappa)
             out[key] = out.get(key, 0) + c
     return SchurPoly.from_terms(f.ring, n, out)
+
+
+def packed_parts(f: SchurPoly, width: int, m=None) -> list:
+    """f as ``qdiff.packed_sum`` parts (g, 0, 1, m), one ``PackedSchur`` g per
+    class of unit exponents (mod 2N over W), each row the digits of one
+    s_lam read at x = 2**width, from its least place."""
+    step = 1 if f.ring == RING_Q else -2 * f.nvars
+    classes = {}
+    for vec, c in f.terms():
+        place, cls = divmod(vec[0], step)
+        classes.setdefault(cls, {}).setdefault(pack((0,) + vec[1:]), {})[place] = c
+    parts = []
+    for cls, rows in classes.items():
+        packed = {}
+        for key, digits in rows.items():
+            lo, bound = min(digits), max(map(abs, digits.values()))
+            assert bound < 1 << (width - 1), "a digit needs more than %d bits" % width
+            packed[key] = bound, lo, sum(c << width * (d - lo) for d, c in digits.items())
+        parts.append((PackedSchur(f.ring, f.nvars, cls, width, packed), 0, 1, m))
+    return parts
 
 
 def dominates(lam, mu) -> bool:

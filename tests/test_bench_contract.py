@@ -38,6 +38,24 @@ def test_ladder_builds_no_image():
     assert qdiff._image.cache_info().misses == 0
 
 
+def test_equation_checks_unpack_no_value(monkeypatch):
+    # every difference-equation point of verify-operators and verify-series
+    # holds, and on cold caches its check sums packed values only: no
+    # chain value or equation residual is unpacked
+    equation_checks = {"check_level1_report", "check_sl3_level1_G", "check_difference_equation", "check_sl2_levelk_G"}
+    calls = [call for workload in ("verify-operators", "verify-series") for call in workloads.verify_calls(workload, 1)]
+    calls = [call for call in calls if call[0] in equation_checks]
+    assert len(calls) == 7
+    characters._CHAINS.clear()
+    characters._equation_value.cache_clear()
+    unpacked = []
+    schur = qdiff.PackedSchur.schur
+    monkeypatch.setattr(qdiff.PackedSchur, "schur", lambda self: unpacked.append(self) or schur(self))
+    for fn, args, kwargs, expected in calls:
+        assert workloads.gate_verify(getattr(verify, fn)(*args, **kwargs), expected) == (0, None), (fn, args)
+    assert unpacked == []
+
+
 @pytest.mark.parametrize("workload", ["verify-operators", "verify-kernels", "verify-series"])
 def test_verify_workload_calls_pass_their_gates(workload):
     for fn, args, kwargs, expected in workloads.verify_calls(workload, 1):

@@ -398,10 +398,10 @@ def test_a_cached_prefix_is_repacked_once(monkeypatch):
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_equation_residual_matches_two_sided_sums(monkeypatch, perturbed):
     # on every n with entries <= 1 (admissible or not), ranks 1-2, levels
-    # 1-3: the one-pass residual gives the verdict of the sum of shifted
-    # values against the Pieri side, and a failure returns those two sides
-    # (lhs None for a term off the grid); with one q-exponent moved in the
-    # generator, the failures are genuine
+    # 1-3: the packed residual gives the verdict of the sum of the unpacked
+    # shifted values against the Pieri side, and a failure returns those
+    # two sides (lhs None for a term off the grid); with one q-exponent
+    # moved in the generator, the failures are genuine
     from qchar import characters
 
     generate = characters.difference_equation_terms
@@ -421,16 +421,46 @@ def test_equation_residual_matches_two_sided_sums(monkeypatch, perturbed):
                 terms = characters.difference_equation_terms(n, dual)
                 if form == "G":
                     terms = g_form_terms(n, terms)
-                rhs = times_e(characters._equation_value(n, form), r if dual else 1).constrained()
+                rhs = times_e(characters._equation_value(n, form).schur(), r if dual else 1).constrained()
                 if any(c and m is None for m, c in terms):
                     lhs = None
                 else:
                     lhs = SchurPoly.zero(rhs.ring, r + 1)
                     for m, c in terms:
                         for e, x in c.items():
-                            lhs = lhs + characters._equation_value(m, form).times_unit(e) * x
+                            lhs = lhs + characters._equation_value(m, form).schur().times_unit(e) * x
                 sides = characters.equation_sides(n, form, dual)
                 assert (lhs == rhs) == (sides is None)
                 assert sides is None or sides == (lhs, rhs), (n, form, dual)
                 counts["holds" if sides is None else "off-grid" if lhs is None else "sides"] += 1
     assert counts == ({"holds": 0, "off-grid": 336, "sides": 56} if perturbed else {"holds": 56, "off-grid": 336, "sides": 0})
+
+
+def test_packed_residual_sums_each_w_class_apart():
+    # a W-form residual whose parts lie in two w-classes mod 2N holds only
+    # when each class sums to 0: u and u**2N times G are one place apart
+    # in q, and u**1 G is in another class, where nothing cancels it
+    from qchar.characters import _equation_value, packed_sides
+    from qchar.qdiff import packed_sum
+
+    g = _equation_value(NVector.level_one(2, (1, 0)), "G")
+    assert g.ring == RING_W and g.packing[1]
+    both = [(g, 0, 1, None), (g, 1, 2, None)]
+    assert packed_sides(both, [(g, 1, 2, None), (g, 0, 1, None)]) is None
+    assert len(packed_sum(both)) == 2
+    for lhs, rhs in (
+        ([(g, 0, 1, None)], [(g, 1, 1, None)]),
+        ([(g, 0, 1, None), (g, 1, 1, None)], [(g, 0, 1, None), (g, 7, 1, None)]),
+        ([(g, 0, 1, None)], [(g, 6, 1, None)]),
+    ):
+        sides = packed_sides(lhs, rhs)
+        assert sides is not None
+        for side, parts in zip(sides, (lhs, rhs)):
+            assert side == sum((g.schur().times_unit(e) * c for _, e, c, _ in parts), SchurPoly.zero(RING_W, 3))
+    assert packed_sides([(g, 6, 1, None)], [(g.times_unit(6), 0, 1, None)]) is None
+    # parts of two rings or two sizes are refused
+    chi = _equation_value(NVector.level_one(2, (1, 0)), "chi")
+    other = _equation_value(NVector.level_one(1, (1,)), "G")
+    for parts in ([(g, 0, 1, None), (chi, 0, 1, None)], [(g, 0, 1, None), (other, 0, 1, 1)], [(g.schur(), 0, 1, None)]):
+        with pytest.raises(TypeError):
+            packed_sum(parts)

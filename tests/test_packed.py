@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    packed_parts,
     ref_div,
     ref_ev,
     ref_ev0,
@@ -25,7 +26,7 @@ from qchar.laurent import (
     signed_buckets,
     unit_slots,
 )
-from qchar.qdiff import apply_M, apply_macdonald_qt
+from qchar.qdiff import apply_M, apply_macdonald_qt, packed_sum
 from qchar.qtorus import NcLaurent, _twisted, evaluate, nc_div_left, nc_div_right, q_commutator
 from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow
 from qchar.symfun import SchurPoly, monomial_sym, schur
@@ -346,7 +347,7 @@ def test_schur_keys_at_the_edge():
     with pytest.raises(ExponentOverflow):
         SchurPoly.basis((EXP_MAX + 1, 0), 2, RING_Q)
     with pytest.raises(ExponentOverflow):
-        s.times_e_constrained(1)
+        packed_sum(packed_parts(s, 2, 1))
     one = SchurPoly.one(RING_Q, 2)
     assert apply_M(1, 0, one.times_unit(EXP_MAX - 1)) == one.times_unit(EXP_MAX - 1)
     with pytest.raises(ExponentOverflow):
@@ -361,9 +362,14 @@ def test_schur_keys_at_the_edge():
     assert SchurPoly.basis((EXP_MAX - 1, -1), 2).constrained() == SchurPoly.basis((EXP_MAX, 0), 2)
     wide = SchurPoly.basis((EXP_MAX, -1), 2)
     packed = PackedSchur(RING_Q, 2, 0, 2, {key: (1, 0, 1) for key in wide.coeffs})
-    for view in (wide.constrained, lambda: wide.times_e_constrained(0), lambda: apply_M(1, 0, wide), packed.constrained):
+    for view in (wide.constrained, lambda: packed_sum([(packed, 0, 1, 0)]), lambda: apply_M(1, 0, wide), packed.constrained):
         with pytest.raises(ExponentOverflow):
             view()
+    # a packed sum keeps any unit exponent; its Schur view checks the slot
+    top = packed_sum([(PackedSchur.one(RING_Q, 2).times_unit(EXP_MAX - 1), 1, 1, None)])
+    assert top[0].schur() == one.times_unit(EXP_MAX)
+    with pytest.raises(ExponentOverflow):
+        packed_sum([(PackedSchur.one(RING_Q, 2).times_unit(EXP_MAX), 1, 1, None)])[0].schur()
     # the monomial view by branching: every slot value is range-checked.
     # (s_(EXP_MAX) in two variables would have 2**25 terms, so the edge in
     # two variables is s_(EXP_MAX, EXP_MAX - 2) = (z1 z2)**(EXP_MAX - 2) h_2)

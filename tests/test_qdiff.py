@@ -396,6 +396,7 @@ def test_character_and_torus_caches_are_bounded():
     for cached, least in (
         (characters.graded_character, 1024),
         (characters._equation_value, 1024),
+        (characters.g_to_char_w_exponent, 1024),
         (qtorus._twist_rows, 16),
         (qtorus._twist_vector, 1 << 14),
     ):

@@ -13,6 +13,7 @@ from oracles import (
     NonzeroRemainder,
     branch,
     dominates,
+    packed_parts,
     pieri_e,
     ref_branch,
     ref_schur,
@@ -24,6 +25,7 @@ from oracles import (
     weight_of,
 )
 from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, offset
+from qchar.qdiff import packed_sum
 from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotSymmetric
 from qchar.symfun import (
     SchurPoly,
@@ -381,17 +383,32 @@ def test_schur_form_rejects_the_qt_ring():
     assert form.with_ring(RING_W).ring == RING_W and type(form.with_ring(RING_W)) is SchurPoly
 
 
+def _packed_value(parts, ring, nvars):
+    return sum((f.schur() for f in packed_sum(parts)), SchurPoly.zero(ring, nvars))
+
+
 def test_pieri_into_constrained_basis_matches_two_passes():
+    # the Pieri side of ``qdiff.packed_sum``, each row added at its keys in
+    # one pass, equals Pieri then the constraint (``oracles.times_e``):
     # every lam up to size 6, one and two terms of it with unit and column
-    # shifts, over both rings: one pass equals Pieri then the constraint
+    # shifts and a q-coefficient of several digits, ranks 1-3, both rings,
+    # every m in [0, N], the zero form, and parts at two widths in one sum
     for rank in (1, 2, 3):
         nvars = rank + 1
-        for lam in partitions_up_to(6, nvars):
-            for ring in (RING_Q, RING_W):
+        for ring in (RING_Q, RING_W):
+            zero = SchurPoly.zero(ring, nvars)
+            for m in range(nvars + 1):
+                assert _packed_value(packed_parts(zero, 2, m), ring, nvars) == zero
+            for lam in partitions_up_to(6, nvars):
                 s = SchurPoly.basis(lam, nvars, ring)
-                for f in (s, s.times_unit(3) - 5 * s.times_z((-2,) * nvars)):
-                    for m in range(1, rank + 1):
-                        assert f.times_e_constrained(m) == times_e(f, m).constrained(), (lam, m, ring)
+                spread = s.times_unit(-1) * 3 + s.times_unit(2 * nvars) - s.times_unit(5 * nvars) * 7
+                for f in (s, s.times_unit(3) - 5 * s.times_z((-2,) * nvars), spread):
+                    for m in range(nvars + 1):
+                        want = times_e(f, m).constrained()
+                        assert _packed_value(packed_parts(f, 5, m), ring, nvars) == want, (lam, m, ring)
+                        # one more part at another width: the narrower rows are repacked
+                        parts = packed_parts(f, 5, m) + packed_parts(s.times_unit(1) * -2, 19, m)
+                        assert _packed_value(parts, ring, nvars) == want - 2 * times_e(s, m).constrained().times_unit(1)
 
 
 def test_times_matches_the_monomial_product():

@@ -302,8 +302,8 @@ def test_boolean_points_name_their_first_difference(monkeypatch):
     assert limits.failures[1]["detail"] == "schur (1, 0): lhs {0: 1}, rhs {1: 1}"
     # G_{1,0} with one more power of w breaks the compatibility of the two
     # G relations, and nothing else
-    real_g = verify.g_schur_form
-    monkeypatch.setattr(verify, "g_schur_form", lambda n: real_g(n).times_unit(n.entry(1, 1)))
+    real_g = verify._equation_value
+    monkeypatch.setattr(verify, "_equation_value", lambda n, form: real_g(n, form).times_unit(n.entry(1, 1)))
     assert check_sl3_level1_G(1).failures == [{"point": "('compatibility',)", "detail": "schur (2, 1, 0): lhs {-7: 1}, rhs {-8: 1}"}]
     for rep in (lemmas, limits):
         assert all(f["detail"].startswith(("schur (", "monomial (")) and len(f["detail"]) <= 200 for f in rep.failures)
