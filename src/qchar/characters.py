@@ -263,21 +263,21 @@ def difference_equation_terms(n: NVector, dual: bool = False) -> list:
     per distinct shift.  Moves at label 0 or r+1 and at level 0 drop out, so
     at k = 1 the sums merge into the level-1 coefficients 1 - q**(-n^(a)).
     A negative shift (None) must carry a zero coefficient.  ``dual``
-    relabels a -> r+1-a, which puts e_r on the right-hand side."""
-    if dual:
-        return [(m and m.dual(), c) for m, c in difference_equation_terms(n.dual())]
+    relabels a -> r+1-a, which puts e_r on the right-hand side: the shifts
+    are formed on the dual rows and each NVector built from them reversed."""
+    m, flip = (n.dual(), -1) if dual else (n, 1)
     r, k = n.rank, n.level
     merged = {}
     for a in range(1, r + 2):
         low = ((a - 1, k - 1, 1), (a, k - 1, -1))
         sums = [(low + ((a, k, 1), (a - 1, k, -1)), 0, 1)]
         if a <= r:
-            qexp = k - 1 - sum(i * n.entry(a, i) for i in range(1, k + 1))
+            qexp = k - 1 - sum(i * m.entry(a, i) for i in range(1, k + 1))
             sums.append((low + ((a + 1, k, 1), (a, k, -1)), qexp, -1))
         for moves, qexp, sign in sums:
-            coeff = merged.setdefault(n._moved(moves), {})
+            coeff = merged.setdefault(m._moved(moves), {})
             coeff[qexp] = coeff.get(qexp, 0) + sign
-    return [(n._on(rows), {e: c for e, c in coeff.items() if c}) for rows, coeff in merged.items()]
+    return [(n._on(rows[::flip]), {e: c for e, c in coeff.items() if c}) for rows, coeff in merged.items()]
 
 
 def g_form_terms(n: NVector, terms) -> list:

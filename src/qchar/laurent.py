@@ -22,7 +22,8 @@ slots themselves; the other modules use ``terms()``, ``from_terms()`` and
 the codec: ``pack``, ``unpack``, ``split_unit``, ``offset``, ``zero_key``
 and ``UNIT``, shifts by multiples of ``SLOT_BITS`` (``symfun._schur_zcoeffs``
 puts z_N on top, ``macdonald.qt_specialize_t0_qinv`` lifts z-keys past the
-unit slot), range checks against ``EXP_MIN``/``EXP_MAX``
+unit slot, ``qdiff.operator_sum`` reads the unit slot off a key less its
+z-part, ``whittaker`` steps u), range checks against ``EXP_MIN``/``EXP_MAX``
 (``qdiff.operator_sum``, ``cli``) and the unit offsets of
 ``signed_buckets`` (``qdiff``).  No value is keyed by alternant exponents:
 ``straighten`` (a_{v+delta} = +-a_{lam+delta} or 0) reads an alternant as
@@ -42,16 +43,17 @@ The torus commutator packs positions with the codec; the raising chains
 are ``Packed`` values.
 
 Subclasses keep the keys and change the basis or the product:
-``symfun.SchurPoly`` keys Schur functions, and ``qtorus.NcLaurent`` is a
-W-ring polynomial in the 2r torus exponents, the w-exponent in the unit
-slot, with a twisted product.  Their constructors take other arguments, so
-the methods here build zero and one through ``_like``.
+``symfun.SchurPoly`` keys Schur functions, ``qtorus.NcLaurent`` (W ring,
+the 2r torus exponents, w in the unit slot) twists the product, and
+``whittaker.TruncatedSeries`` (W ring, u, s = p**(1/2) in the unit slot)
+truncates it.  Their constructors take other arguments, so the methods
+here build zero and one through ``_like``.
 
-``from_terms``, ``sum``, ``+``, ``-``, ``at_unit_one`` and
-``SchurPoly.constrained`` add through one loop, ``_add_into``: repeated
-keys add up, zero sums drop out.  The binomial division and
-``signed_buckets`` add a few terms per row or z-part, where a call per row
-measured slower, so they keep inline loops.
+``from_terms``, ``sum``, ``+``, ``-``, ``at_unit_one``,
+``SchurPoly.constrained`` and the operator images (``qdiff._image``) add
+through one loop, ``_add_into``: repeated keys add up, zero sums drop out.
+The binomial division and ``signed_buckets`` add a few terms per row or
+z-part, where a call per row measured slower, so they keep inline loops.
 
 Everything here is exact.  The one division is ``divide_binomial``, by
 1 - x u**i in one pass, for the Whittaker series and the t = 0 Macdonald
@@ -291,8 +293,8 @@ def unit_slots(ring) -> int:
 def _add_into(out, pairs):
     """Add each (key, c) of ``pairs`` into the dict ``out``, a key whose sum
     is zero dropping out, and return ``out``: the one add loop of
-    ``from_terms``, ``sum``, ``+``, ``-``, ``at_unit_one`` and
-    ``SchurPoly.constrained``."""
+    ``from_terms``, ``sum``, ``+``, ``-``, ``at_unit_one``,
+    ``SchurPoly.constrained`` and ``qdiff._image``."""
     for k, c in pairs:
         if k in out:
             c += out[k]

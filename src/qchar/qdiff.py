@@ -33,8 +33,8 @@ and identity terms, each with its power of q (or w), in one dict.
 is one residual tested for zero, with no side formed.  A raising chain
 steps a ``PackedSchur`` instead, a ``laurent.Packed`` with one row per
 Schur coefficient (``packed_step``).  ``operator_sum`` reads the cached
-image of each s_lam modulo full columns (``_column_image``); a step builds
-no image, but groups its rows by branching key and builds and straightens
+image of each s_lam modulo full columns (``_image``); a step builds no
+image, but groups its rows by branching key and builds and straightens
 each key's term once.  ``packed_sum`` adds packed values, times e_m or not.
 The Macdonald operator has no such form; its Vandermonde-cleared subset sum
 is one signed permutation orbit, read off as Schur coefficients
@@ -56,6 +56,7 @@ from .laurent import (
     UNIT,
     LaurentPoly,
     Packed,
+    _add_into,
     delta_on,
     kron_add,
     kron_repack,
@@ -64,7 +65,6 @@ from .laurent import (
     require_fit,
     require_symmetric,
     signed_buckets,
-    split_unit,
     straighten,
     unpack,
     zero_key,
@@ -129,33 +129,11 @@ def _image(zkey, nvars, alpha, n):
     terms of ``_terms``, straightened and merged."""
     lam = unpack(zkey, nvars)
     head, keys, term = _terms(lam, alpha, n)
-    out = {}
-    for dmu, v in (term(head, k) for k in keys):
-        sign, kappa = straighten(v)
-        if sign:
-            key = (dmu, kappa)
-            nv = out.get(key, 0) + sign
-            if nv:
-                out[key] = nv
-            else:
-                del out[key]
+    straightened = ((dmu, straighten(v)) for dmu, v in (term(head, k) for k in keys))
+    out = _add_into({}, (((dmu, kappa), sign) for dmu, (sign, kappa) in straightened))
     terms = tuple((dmu, pack((0,) + kappa), c) for (dmu, kappa), c in out.items())
     dmus, firsts, lasts = zip(*((dmu, kappa[0], kappa[-1]) for dmu, kappa in out)) if out else ((0,),) * 3
     return sum(lam), min(dmus), max(dmus), terms, min(lasts), max(firsts)
-
-
-@lru_cache(maxsize=1 << 14)
-def _column_image(key, nvars, alpha, n):
-    """(lam_N, lam_N full columns as a key offset, ``_image`` of lam -
-    lam_N), key the key of s_lam with unit exponent 0: images are built
-    modulo full columns (``symfun.column_split``), each kappa, |mu| and
-    |lam| moving by lam_N, alpha lam_N and N lam_N.  ``ExponentOverflow``
-    when a kappa part would leave the slot."""
-    top, core = column_split(key, nvars)
-    image = _image(core >> SLOT_BITS, nvars, alpha, n)
-    if image[4] + top < EXP_MIN or image[5] + top > EXP_MAX:
-        raise ExponentOverflow("a part of s_kappa would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
-    return top, key - core, image
 
 
 def _unit_rates(op, alpha, n, ring, nvars):
@@ -199,13 +177,18 @@ def operator_sum(terms):
                 out[key + d] = get(key + d, 0) + coeff * c
             continue
         for key, c in f.coeffs.items():
-            j = split_unit(key)[0]
-            top, move, (size, lo, hi, image, _, _) = _column_image(key - j * UNIT, nvars, alpha, n)
+            # s_lam reads the image of lam - lam_N, each kappa, |mu| and |lam|
+            # moved by lam_N, alpha lam_N and N lam_N, in one offset per source
+            top, core = column_split(key, nvars)
+            zcore = core >> SLOT_BITS
+            size, lo, hi, image, least, most = _image(zcore, nvars, alpha, n)
+            if least + top < EXP_MIN or most + top > EXP_MAX:
+                raise ExponentOverflow("a part of s_kappa would leave [%d, %d]" % (EXP_MIN, EXP_MAX))
+            j = core - (zcore << SLOT_BITS) + EXP_MIN  # the unit exponent: core's low slot, less the bias
             base = j + du_all * (size + nvars * top) + du_const + du_subset * alpha * top
             if not EXP_MIN <= base + du_subset * lo <= EXP_MAX or not EXP_MIN <= base + du_subset * hi <= EXP_MAX:
                 raise ExponentOverflow("unit exponent outside [%d, %d]" % (EXP_MIN, EXP_MAX))
-            # one offset per source: its unit exponent and lam_N full columns
-            base = base * UNIT + move
+            base = base * UNIT + key - core
             c *= coeff
             for dmu, kappa, b in image:
                 kk = kappa + base + step * dmu

@@ -16,8 +16,8 @@ Read off on its own (``z_terms``, ``expansion``, the difference-equation
 terms), a ``RING_W``/``RING_Q`` coefficient is a plain ``{exponent: int}``
 dict with no zero values; a ``RING_QT`` one is read through ``terms()``.
 Every coefficient is an integer: the package uses no fraction field.  The
-rank-one Whittaker series use the same integer trick as ``RING_W``, with
-s = p**(1/2).
+rank-one Whittaker series are ``RING_W`` values too, with s = p**(1/2) in
+the unit slot (``whittaker.TruncatedSeries``).
 """
 
 from __future__ import annotations

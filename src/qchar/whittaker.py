@@ -7,7 +7,8 @@ order N in u = q**-1:
     W_ref(n)  = p**(1/2-n)  sum_{a>=0} u**(a(n+1)) / prod_{i=1}^{a} (1-u**i)(1-p**-2 u**i)
 
 Every coefficient is an integer Laurent polynomial in s = p**(1/2), so the
-series live in Z[s, s**-1][u] / (u**(N+1)), and the reflection p -> 1/p is
+series live in Z[s, s**-1][u] / (u**(N+1)): ``RING_W`` polynomials in u,
+s in the unit slot (``TruncatedSeries``).  The reflection p -> 1/p is
 s -> 1/s.  Both satisfy the three-term relation
 
     W(n+1) + (1 - u**n) W(n-1) = (p + p**-1) W(n),
@@ -35,20 +36,26 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .characters import NVector, graded_character
-from .laurent import constrain, divide_binomial
+from .laurent import EXP_MIN, SLOT_BITS, LaurentPoly, constrain, divide_binomial, require_fit, zero_key
+from .rings import RING_W
+
+_ZERO = zero_key(2)  # the key of s**0 u**0
+_U = 1 << SLOT_BITS  # adding e * _U to a key multiplies by u**e
+_LOW = _ZERO + EXP_MIN  # divmod(key - _LOW, _U) is (e, k - EXP_MIN) for s**k u**e
 
 
-class TruncatedSeries:
-    """Truncated power series in u with integer Laurent-polynomial
-    coefficients in s = p**(1/2), stored as {(u-exponent, s-exponent): int}."""
+class TruncatedSeries(LaurentPoly):
+    """A power series in u through u**order with integer Laurent-polynomial
+    coefficients in s = p**(1/2): a ``RING_W`` polynomial in the one
+    variable u, s in the unit slot, so c s**k u**e has the exponent vector
+    (k, e) and no term has e > order.  Sums, ``==`` and products of two
+    orders raise ValueError."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order",)
 
-    def __init__(self, order, coeffs=None):
+    def __init__(self, order, coeffs, box=None):
+        super().__init__(RING_W, 1, coeffs, box)
         self.order = order
-        self.coeffs = {} if coeffs is None else {
-            k: c for k, c in coeffs.items() if c and k[0] <= order
-        }
 
     @classmethod
     def zero(cls, order):
@@ -56,64 +63,25 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, order):
-        return cls(order, {(0, 0): 1})
+        return cls(order, {_ZERO: 1})
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+    def _like(self, coeffs, box=None):
+        return TruncatedSeries(self.order, coeffs, box)
 
-    __hash__ = None
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        out = {k: c for k, c in self.coeffs.items() if k[0] <= order}
-        for k, c in other.coeffs.items():
-            if k[0] > order:
-                continue
-            nv = out.get(k, 0) + c
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return TruncatedSeries(order, out)
-
-    def __neg__(self):
-        return TruncatedSeries(self.order, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _check_basis(self, other):
+        super()._check_basis(other)
+        if other.order != self.order:
+            raise ValueError("series truncated at orders %d and %d do not combine" % (self.order, other.order))
 
     def __mul__(self, other):
-        order = min(self.order, other.order)
-        out = {}
-        for (e1, k1), c1 in self.coeffs.items():
-            if e1 > order:
-                continue
-            for (e2, k2), c2 in other.coeffs.items():
-                e = e1 + e2
-                if e > order:
-                    continue
-                key = (e, k1 + k2)
-                nv = out.get(key, 0) + c1 * c2
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
-        return TruncatedSeries(order, out)
-
-    def is_zero(self):
-        return not self.coeffs
+        """The product through u**order: u is the top slot, so the terms
+        above the order are the keys from that of s**EXP_MIN u**(order+1) on."""
+        cut = _LOW + (self.order + 1) * _U
+        return self._like({k: c for k, c in super().__mul__(other).coeffs.items() if k < cut})
 
     def lowest_order(self):
         """The least u-exponent with a nonzero coefficient (None for zero)."""
-        return min((e for e, _ in self.coeffs), default=None)
-
-    def __repr__(self):
-        bits = ["%d s^%d u^%d" % (c, k, e) for (e, k), c in sorted(self.coeffs.items())]
-        return "TruncatedSeries(%s + O(u^%d))" % (" + ".join(bits) or "0", self.order + 1)
+        return divmod(min(self.coeffs) - _LOW, _U)[0] if self.coeffs else None
 
 
 def _check_order(order: int):
@@ -141,22 +109,30 @@ def _pochhammer_prefixes(order: int):
 
 def w_series(n: int, reflected: bool, order: int) -> TruncatedSeries:
     """The fundamental series at argument n >= 0, truncated at the order:
-    the sum over a of s**pref u**(a(n+1)) T_a (see ``_pochhammer_prefixes``)."""
+    the sum over a of s**pref u**(a(n+1)) T_a (see ``_pochhammer_prefixes``).
+    Its exponent box is exact: T_0 = 1 gives s**pref at u**0, and x**e u**e
+    in T_1, moved to u**(n+1+e), the far end of the s-range and of u."""
     _check_order(order)
     if n < 0:
         raise ValueError("the series is only summable for n >= 0")
     sign = -1 if reflected else 1
     pref, x = sign * (2 * n - 1), sign * 4
+    far = pref + x * max(order - n - 1, 0)
+    box = (min(pref, far), 0), (max(pref, far), order if order > n else 0)
+    require_fit(*box)
     out = {}
+    get = out.get
     for a, prefix in enumerate(_pochhammer_prefixes(order)):
         shift = a * (n + 1)
         if shift > order:
             break
-        for e, row in enumerate(prefix[: order - shift + 1], shift):
+        base = _ZERO + pref + shift * _U
+        for row in prefix[: order - shift + 1]:
             for l, c in row:
-                key = (e, pref + x * l)
-                out[key] = out.get(key, 0) + c
-    return TruncatedSeries(order, out)
+                k = base + x * l
+                out[k] = get(k, 0) + c
+            base += _U
+    return TruncatedSeries(order, out, box)
 
 
 def toda_residual(n: int, order: int, reflected: bool) -> TruncatedSeries:
@@ -168,24 +144,29 @@ def toda_residual(n: int, order: int, reflected: bool) -> TruncatedSeries:
     _check_order(order)
     if n < 1:
         raise ValueError("the three-term relation needs n >= 1")
-    gate = TruncatedSeries(order, {(0, 0): 1, (n, 0): -1})
+    gate = TruncatedSeries(order, {_ZERO: 1, _ZERO + n * _U: -1} if n <= order else {_ZERO: 1})
     lhs = w_series(n + 1, reflected, order) + gate * w_series(n - 1, reflected, order)
-    eigen = TruncatedSeries(order, {(0, 2): 1, (0, -2): 1})
+    eigen = TruncatedSeries(order, {_ZERO + 2: 1, _ZERO - 2: 1})
     return lhs - eigen * w_series(n, reflected, order)
 
 
 def _times_coefficient(series: TruncatedSeries, reflected: bool) -> TruncatedSeries:
     """``class_one_coefficient(order, reflected) * series``, as ``order``
     one-pass divisions of s * series (of -s**-5 * series when reflected) by
-    1 - s**-4 u**i (by 1 - s**4 u**i), i = 1..order."""
+    1 - s**-4 u**i (by 1 - s**4 u**i), i = 1..order: each division moves
+    an s-exponent by x at most once per power of u."""
     order = series.order
     shift, sign, x = (-5, -1, 4) if reflected else (1, 1, -4)
     rows = [{} for _ in range(order + 1)]
-    for (e, k), c in series.coeffs.items():
-        rows[e][k + shift] = sign * c
+    for key, c in series.coeffs.items():
+        e, k = divmod(key - _LOW, _U)
+        rows[e][k + EXP_MIN + shift] = sign * c
+    (lo, _), (hi, _) = series.bounds() or ((0, 0), (0, 0))
+    require_fit((lo + shift + min(x * order, 0),), (hi + shift + max(x * order, 0),))
     for i in range(1, order + 1):
         divide_binomial(rows, x, i)
-    return TruncatedSeries(order, {(e, k): c for e, row in enumerate(rows) for k, c in row.items()})
+    bases = range(_ZERO, _ZERO + (order + 1) * _U, _U)
+    return TruncatedSeries(order, {base + k: c for base, row in zip(bases, rows) for k, c in row.items()})
 
 
 def class_one_coefficient(order: int, reflected: bool) -> TruncatedSeries:
@@ -200,9 +181,17 @@ def class_one_coefficient(order: int, reflected: bool) -> TruncatedSeries:
 
 def char_to_series(n: int, order: int) -> TruncatedSeries:
     """The rank-one level-1 character chi_n constrained to z = p, as a
-    u-series (exact; polynomial, so truncation only forgets nothing)."""
+    u-series (exact; a polynomial in u = q**-1, so truncation only forgets
+    its terms above the order)."""
     chi = constrain(graded_character(NVector.level_one(1, (n,))).monomials(), 1)
-    return TruncatedSeries(order, {(-qe, 2 * ze): c for (qe, ze), c in chi.terms()})
+    (_, lo), (_, hi) = chi.bounds()
+    require_fit((2 * lo,), (2 * hi,))
+    out = {}
+    for key, c in chi.coeffs.items():
+        z, j = divmod(key - _LOW, _U)  # the term q**(j + EXP_MIN) z**z
+        if -EXP_MIN - j <= order:
+            out[_ZERO + (-EXP_MIN - j) * _U + 2 * z] = c
+    return TruncatedSeries(order, out)
 
 
 def class_one_difference(n_values, order: int):
@@ -212,15 +201,13 @@ def class_one_difference(n_values, order: int):
     the two u**e coefficients as {s-exponent: int}.  Both sides are
     multiplied by 1 - p**-2 (see ``class_one_coefficient``)."""
     _check_order(order)
-    head = TruncatedSeries(order, {(0, 0): 1, (0, -4): -1})
+    head = TruncatedSeries(order, {_ZERO: 1, _ZERO - 4: -1})
     for n in n_values:
-        combo = _times_coefficient(w_series(n, False, order), False) + _times_coefficient(
-            w_series(n, True, order), True
-        )
-        target = head * char_to_series(n, order)
+        plain, refl = (_times_coefficient(w_series(n, r, order), r) for r in (False, True))
+        combo, target = plain + refl, head * char_to_series(n, order)
         if combo != target:
             e = (combo - target).lowest_order()
-            return n, e, *({k: c for (u, k), c in sorted(f.coeffs.items()) if u == e} for f in (combo, target))
+            return n, e, *(dict(sorted(f.z_terms().get((e,), {}).items())) for f in (combo, target))
     return None
 
 

@@ -44,7 +44,9 @@
   class-one coefficient as ``qchar.whittaker`` built them before it divided
   by each binomial in one pass: every factor 1/(1 - s**a u**i) a truncated
   geometric series, multiplied in by a full ``TruncatedSeries``
-  convolution, and every W(n) rebuilt from scratch.
+  convolution, and every W(n) rebuilt from scratch.  ``series_of`` and
+  ``pairs_of`` turn {(u-exponent, s-exponent): int} maps into series and
+  back.
 * ``ref_swap_buckets`` and ``ref_square_buckets`` certify the
   subset-fraction lemmas the way ``qchar.verify`` did before it read them
   off the two-block Schur form: every cleared product expanded as a
@@ -370,9 +372,21 @@ def whittaker_series_sympy(n, reflected, order):
     return {k: c for k, c in out.items() if c}
 
 
+def series_of(order, pairs):
+    """The ``TruncatedSeries`` through u**order with the terms of ``pairs``,
+    {(u-exponent, s-exponent): int}: terms above the order and zero
+    coefficients dropped."""
+    return TruncatedSeries(order, {pack((k, e)): c for (e, k), c in pairs.items() if c and e <= order})
+
+
+def pairs_of(series):
+    """The terms of a ``TruncatedSeries`` as {(u-exponent, s-exponent): int}."""
+    return {(e, k): c for (k, e), c in series.terms()}
+
+
 def _geometric(order, s_exp, step):
     """1 / (1 - s**s_exp * u**step) to the given order."""
-    return TruncatedSeries(order, {(j * step, j * s_exp): 1 for j in range(order // step + 1)})
+    return series_of(order, {(j * step, j * s_exp): 1 for j in range(order // step + 1)})
 
 
 def ref_w_series(n, reflected, order):
@@ -388,9 +402,7 @@ def ref_w_series(n, reflected, order):
         for i in range(1, a + 1):
             term = term * _geometric(term.order, 0, i)
             term = term * _geometric(term.order, s4, i)
-        total = total + TruncatedSeries(
-            order, {(e + shift, k + pref): c for (e, k), c in term.coeffs.items()}
-        )
+        total = total + series_of(order, {(e + shift, k + pref): c for (e, k), c in pairs_of(term).items()})
         a += 1
     return total
 
@@ -399,7 +411,7 @@ def ref_class_one_coefficient(order, reflected):
     """``whittaker.class_one_coefficient`` as the product of ``order``
     truncated geometric series."""
     s4 = 4 if reflected else -4
-    series = TruncatedSeries(order, {(0, -5): -1} if reflected else {(0, 1): 1})
+    series = series_of(order, {(0, -5): -1} if reflected else {(0, 1): 1})
     for i in range(1, order + 1):
         series = series * _geometric(order, s4, i)
     return series

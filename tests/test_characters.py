@@ -307,6 +307,18 @@ def test_level1_generator_merges_the_two_sums():
     assert len(terms) == 3
 
 
+def test_dual_terms_are_the_relabelled_equation():
+    # the dual terms, formed on the dual rows, are those of the equation at
+    # n.dual() relabelled a -> r+1-a, term for term and in order
+    for rank, level in itertools.product((1, 2, 3), repeat=2):
+        for entries in itertools.product(range(3), repeat=rank * level):
+            if sum(entries) > 3:
+                continue
+            n = NVector(rank, level, tuple(entries[a * level : (a + 1) * level] for a in range(rank)))
+            relabelled = [(m and m.dual(), c) for m, c in difference_equation_terms(n.dual())]
+            assert difference_equation_terms(n, dual=True) == relabelled, n
+
+
 def test_rank3_g_form_and_dual_equations():
     # coverage beyond the verify suite: rank 3, the G-form and both duals
     for entries in itertools.product(range(4), repeat=3):

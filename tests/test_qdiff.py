@@ -656,7 +656,6 @@ def test_images_are_cached_modulo_full_columns():
     # s_{lam + c} for full columns c reads the image of lam: one cached
     # image, each kappa moved by c and |mu| by alpha c
     qdiff._image.cache_clear()
-    qdiff._column_image.cache_clear()
     for c in (-2, 0, 3):
         lam = SchurPoly.basis((3 + c, 1 + c, c), 3)
         for alpha in (1, 2):

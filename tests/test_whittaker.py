@@ -1,13 +1,16 @@
 """Whittaker series tests: frozen expansions, an independent sympy expansion,
 series ring axioms, the three-term relation, the class-one combination, and
 the general-rank level-1 equation.  Series coefficients are integer Laurent
-polynomials in s = p**(1/2), keyed (u-exponent, s-exponent)."""
+polynomials in s = p**(1/2), written as {(u-exponent, s-exponent): int}
+through ``oracles.series_of`` and ``oracles.pairs_of``."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import check_toda_eigen, whittaker_series_sympy
+from oracles import check_toda_eigen, pairs_of, series_of, whittaker_series_sympy
+from qchar.laurent import EXP_MAX, EXP_MIN
+from qchar.rings import ExponentOverflow
 from qchar.verify import check_level1_report
 from qchar.whittaker import (
     TruncatedSeries,
@@ -22,21 +25,21 @@ from qchar.whittaker import (
 def test_leading_coefficients():
     # order-0 coefficient of the series at argument n is p**(n - 1/2)
     for n in (0, 1, 4):
-        assert w_series(n, False, 0).coeffs == {(0, 2 * n - 1): 1}
-    assert w_series(2, True, 0).coeffs == {(0, -3): 1}
+        assert pairs_of(w_series(n, False, 0)) == {(0, 2 * n - 1): 1}
+    assert pairs_of(w_series(2, True, 0)) == {(0, -3): 1}
 
 
 def test_frozen_order2_expansion():
     # direct expansion of the a-sum at n = 0 through order 2:
     # p**(-1/2) (1 + u + (2 + p**2) u**2)
     s = w_series(0, False, 2)
-    assert s.coeffs == {(0, -1): 1, (1, -1): 1, (2, -1): 2, (2, 3): 1}
+    assert pairs_of(s) == {(0, -1): 1, (1, -1): 1, (2, -1): 2, (2, 3): 1}
 
 
 def test_reflection_is_p_inversion():
     w = w_series(3, False, 6)
     wr = w_series(3, True, 6)
-    assert wr.coeffs == {(e, -k): c for (e, k), c in w.coeffs.items()}
+    assert pairs_of(wr) == {(e, -k): c for (e, k), c in pairs_of(w).items()}
 
 
 def test_against_sympy_series():
@@ -45,7 +48,7 @@ def test_against_sympy_series():
         for refl in (False, True):
             brute = whittaker_series_sympy(n, refl, 6)
             for order in range(7):
-                assert w_series(n, refl, order) == TruncatedSeries(order, brute), (n, refl, order)
+                assert w_series(n, refl, order) == series_of(order, brute), (n, refl, order)
 
 
 def small_series(order):
@@ -53,7 +56,7 @@ def small_series(order):
         st.tuples(st.integers(0, order), st.integers(-3, 3)),
         st.integers(-4, 4),
     )
-    return st.lists(term, max_size=5).map(lambda terms: TruncatedSeries(order, dict(terms)))
+    return st.lists(term, max_size=5).map(lambda terms: series_of(order, dict(terms)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -65,9 +68,43 @@ def test_series_ring_axioms(f, g, h, cut):
     assert f - f == TruncatedSeries.zero(5)
     # truncating commutes with multiplication
     def trunc(x):
-        return TruncatedSeries(cut, x.coeffs)
+        return series_of(cut, pairs_of(x))
 
     assert trunc(f * g) == trunc(f) * trunc(g)
+
+
+def test_series_of_two_orders_do_not_combine():
+    # no value is truncated silently: a sum, a product or == of two
+    # orders raises
+    f, g = w_series(1, False, 3), w_series(1, False, 4)
+    for combine in (lambda: f + g, lambda: g - f, lambda: f * g, lambda: f == g):
+        with pytest.raises(ValueError, match="do not combine"):
+            combine()
+
+
+def test_product_drops_exactly_the_terms_above_the_order():
+    # the s-exponents reach both ends of their slot: u**3 s**EXP_MAX stays
+    # and u**4 s**EXP_MIN, the least key above the order, goes
+    f = {(0, EXP_MAX): 1, (1, EXP_MIN): 1, (3, 0): 2, (2, 7): -3}
+    g = {(0, 0): 1, (2, 0): 5, (3, 0): -1, (1, 0): 4}
+    full = {}
+    for (e1, k1), c1 in f.items():
+        for (e2, k2), c2 in g.items():
+            full[e1 + e2, k1 + k2] = full.get((e1 + e2, k1 + k2), 0) + c1 * c2
+    product = pairs_of(series_of(3, f) * series_of(3, g))
+    assert product == {(e, k): c for (e, k), c in full.items() if c and e <= 3}
+    assert (3, EXP_MAX) in product and (4, EXP_MIN) in full
+
+
+def test_s_exponent_edge():
+    # at order 0 the series at n is s**(2n - 1): n = 2**24 reaches EXP_MAX
+    # and reads back, the next n would carry into the u slot and raises
+    edge = 2**24
+    assert pairs_of(w_series(edge, False, 0)) == {(0, EXP_MAX): 1}
+    assert pairs_of(w_series(edge, True, 0)) == {(0, -EXP_MAX): 1}
+    for refl in (False, True):
+        with pytest.raises(ExponentOverflow):
+            w_series(edge + 1, refl, 0)
 
 
 def test_toda_relation():
@@ -79,11 +116,11 @@ def test_toda_relation():
 
 def test_toda_negative_control():
     bad = w_series(3, False, 12)
-    perturbed = dict(bad.coeffs)
+    perturbed = pairs_of(bad)
     perturbed[(5, 1)] = perturbed.get((5, 1), 0) + 1
-    bad = TruncatedSeries(12, perturbed)
-    gate = TruncatedSeries(12, {(0, 0): 1, (2, 0): -1})
-    eigen = TruncatedSeries(12, {(0, 2): 1, (0, -2): 1})
+    bad = series_of(12, perturbed)
+    gate = series_of(12, {(0, 0): 1, (2, 0): -1})
+    eigen = series_of(12, {(0, 2): 1, (0, -2): 1})
     lhs = bad + gate * w_series(1, False, 12)
     assert not (lhs - eigen * w_series(2, False, 12)).is_zero()
 
@@ -91,11 +128,11 @@ def test_toda_negative_control():
 def test_class_one_combination():
     assert class_one_combination(range(0, 5), 20)
     # chi_0 = 1 and chi_1 = p + 1/p as series
-    assert char_to_series(0, 8).coeffs == {(0, 0): 1}
-    assert char_to_series(1, 8).coeffs == {(0, 2): 1, (0, -2): 1}
+    assert pairs_of(char_to_series(0, 8)) == {(0, 0): 1}
+    assert pairs_of(char_to_series(1, 8)) == {(0, 2): 1, (0, -2): 1}
     # the coefficients times (1 - p**-2): s and -s**-5 at order 0
-    assert class_one_coefficient(0, False).coeffs == {(0, 1): 1}
-    assert class_one_coefficient(0, True).coeffs == {(0, -5): -1}
+    assert pairs_of(class_one_coefficient(0, False)) == {(0, 1): 1}
+    assert pairs_of(class_one_coefficient(0, True)) == {(0, -5): -1}
 
 
 def test_class_one_negative_control(monkeypatch):
@@ -105,7 +142,7 @@ def test_class_one_negative_control(monkeypatch):
 
     def perturbed(n, order):
         out = exact(n, order)
-        return out + TruncatedSeries(order, {(1, 2): 1})
+        return out + series_of(order, {(1, 2): 1})
 
     monkeypatch.setattr(wh, "char_to_series", perturbed)
     assert not class_one_combination([2], 8)

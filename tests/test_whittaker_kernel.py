@@ -7,9 +7,10 @@ import pytest
 
 import qchar.verify as verify
 import qchar.whittaker as wh
-from oracles import ref_class_one_coefficient, ref_w_series
+from oracles import ref_class_one_coefficient, ref_w_series, series_of
+from qchar.laurent import key_bounds
+from qchar.rings import ExponentOverflow
 from qchar.whittaker import (
-    TruncatedSeries,
     class_one_coefficient,
     class_one_combination,
     toda_residual,
@@ -41,6 +42,24 @@ def test_series_match_convolution_oracle(fresh_prefixes):
     for order in ORDERS:
         for refl in (False, True):
             assert class_one_coefficient(order, refl) == ref_class_one_coefficient(order, refl)
+
+
+def test_series_boxes_are_exact():
+    # w_series states its exponent box rather than scanning its keys;
+    # products and the class-one divisions check slot ranges against it
+    for order in ORDERS:
+        for refl in (False, True):
+            for n in range(0, 9):
+                w = w_series(n, refl, order)
+                assert w.bounds() == key_bounds(w.coeffs, 2), (n, refl, order)
+
+
+def test_class_one_products_range_check_s():
+    # at n = 2**24 the series is s**(2**25 - 1) (s**(1 - 2**25) reflected);
+    # the class-one factor s (-s**-5) moves it out of the slot
+    for refl in (False, True):
+        with pytest.raises(ExponentOverflow):
+            wh._times_coefficient(w_series(2**24, refl, 0), refl)
 
 
 def test_class_one_products_match_oracle_product():
@@ -85,7 +104,7 @@ def test_class_one_failure_names_first_n_and_u_order(monkeypatch):
 
     def perturbed(n, order):
         out = exact(n, order)
-        return out + TruncatedSeries(order, {(3, 2): 1}) if n == 2 else out
+        return out + series_of(order, {(3, 2): 1}) if n == 2 else out
 
     monkeypatch.setattr(wh, "char_to_series", perturbed)
     rep = verify.check_whittaker(order=6, toda_n=1, classone_n=4)
@@ -100,6 +119,6 @@ def test_class_one_failure_names_first_n_and_u_order(monkeypatch):
 def test_class_one_failure_detail_is_capped(monkeypatch):
     exact = wh.char_to_series
     noise = {(0, 8 * k): 1000003 for k in range(40)}
-    monkeypatch.setattr(wh, "char_to_series", lambda n, order: exact(n, order) + TruncatedSeries(order, noise))
+    monkeypatch.setattr(wh, "char_to_series", lambda n, order: exact(n, order) + series_of(order, noise))
     detail = verify.check_whittaker(order=2, toda_n=0, classone_n=0).failures[0]["detail"]
     assert detail.startswith("n 0, u**0: combination {") and len(detail) == 200 and detail.endswith("...")
