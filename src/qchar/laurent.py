@@ -21,14 +21,15 @@ quotient exponent in one mask test.  This module and ``qtorus`` mask key
 slots themselves; the other modules use ``terms()``, ``from_terms()`` and
 the codec: ``pack``, ``unpack``, ``split_unit``, ``offset``, ``zero_key``
 and ``UNIT``, shifts by multiples of ``SLOT_BITS`` (``symfun._schur_zcoeffs``
-puts z_N on top, ``macdonald.qt_specialize_t0_qinv`` lifts z-keys past the
-unit slot, ``qdiff.operator_sum`` reads the unit slot off a key less its
-z-part, ``whittaker`` steps u), range checks against ``EXP_MIN``/``EXP_MAX``
-(``qdiff.operator_sum``, ``cli``) and the unit offsets of
-``signed_buckets`` (``qdiff``).  No value is keyed by alternant exponents:
-``straighten`` (a_{v+delta} = +-a_{lam+delta} or 0) reads an alternant as
-a Schur function, in ``signed_buckets``, ``SchurPoly.times``, the operator
-images and the lemma sides.
+puts z_N on top, ``macdonald`` moves z-keys past the unit slots,
+``qdiff.operator_sum`` reads the unit slot off a key less its z-part,
+``whittaker`` steps u), range checks against ``EXP_MIN``/``EXP_MAX``
+(``qdiff.operator_sum``, ``cli``) and unit offsets, the payloads of
+``signed_buckets`` and of m-forms (``qdiff``).  No value is keyed by
+alternant exponents: ``straighten`` (a_{v+delta} = +-a_{lam+delta} or 0)
+reads an alternant as a Schur function, in ``signed_buckets``,
+``SchurPoly.times``, the operator images, the Macdonald operator and the
+lemma sides.
 
 A one-variable coefficient read off on its own is an ``{exponent: int}``
 dict, printed by ``coefficient_text``.  The Kronecker codec packs such a
@@ -47,7 +48,7 @@ Subclasses keep the keys and change the basis or the product:
 the 2r torus exponents, w in the unit slot) twists the product, and
 ``whittaker.TruncatedSeries`` (W ring, u, s = p**(1/2) in the unit slot)
 truncates it.  Their constructors take other arguments, so the methods
-here build zero and one through ``_like``.
+here build zero and one through ``_like``, and refuse the others (``refused``).
 
 ``from_terms``, ``sum``, ``+``, ``-``, ``at_unit_one``,
 ``SchurPoly.constrained`` and the operator images (``qdiff._image``) add
@@ -311,6 +312,7 @@ class LaurentPoly:
     """A sparse Laurent polynomial over one of the scalar rings."""
 
     __slots__ = ("ring", "nvars", "coeffs", "_box")
+    _symbols = None  # (unit, z names) for to_text; None is the ring's and z1..zN
 
     def __init__(self, ring, nvars, coeffs, box=None):
         # Trusted constructor: ``coeffs`` must already be canonical (no zero
@@ -568,8 +570,8 @@ class LaurentPoly:
     def to_text(self) -> str:
         """Canonical text form: terms sorted lexicographically by z-exponent
         vector (descending), coefficients printed as integer polynomials in
-        the ring variable; over QT, the terms ``c*q^i*t^j*z1^e1...`` in
-        descending order of their exponent vectors."""
+        the ring variable (or a subclass's ``_symbols``); over QT, the terms
+        ``c*q^i*t^j*z1^e1...`` in descending order of their exponent vectors."""
         if not self.coeffs:
             return "0"
         if self.ring == RING_QT:
@@ -579,13 +581,12 @@ class LaurentPoly:
                 mono = "*".join("%s^%d" % (x, e) for x, e in zip(names, exps) if e)
                 bits.append(str(c) if not mono else mono if c == 1 else "%d*%s" % (c, mono))
             return " + ".join(bits).replace("+ -", "- ")
+        unit, zs = self._symbols or (self.ring, ["z%d" % (i + 1) for i in range(self.nvars)])
         groups = self.z_terms()
         bits = []
         for zex in sorted(groups, reverse=True):
-            coeff = coefficient_text(self.ring, groups[zex])
-            zpart = "*".join(
-                "z%d^%d" % (i + 1, e) for i, e in enumerate(zex) if e
-            )
+            coeff = coefficient_text(unit, groups[zex])
+            zpart = "*".join("%s^%d" % (zs[i], e) for i, e in enumerate(zex) if e)
             if zpart:
                 bits.append("%s*%s" % (coeff, zpart) if coeff != "1" else zpart)
             else:
@@ -597,6 +598,16 @@ class LaurentPoly:
         if len(text) > 120:
             text = text[:117] + "..."
         return "LaurentPoly[%s,%d](%s)" % (self.ring, self.nvars, text)
+
+
+def refused(name):
+    """The ``LaurentPoly`` classmethod ``name`` for a subclass whose own
+    constructor takes other arguments: it raises TypeError."""
+
+    def refuse(cls, *args, **kwargs):
+        raise TypeError("LaurentPoly.%s does not fit %s, whose constructor takes other arguments" % (name, cls.__name__))
+
+    return classmethod(refuse)
 
 
 def coefficient_text(var, data) -> str:
@@ -615,23 +626,6 @@ def coefficient_text(var, data) -> str:
         bits.append(mono if c == 1 else "-" + mono if c == -1 else "%d*%s" % (c, mono))
     text = " + ".join(bits).replace("+ -", "- ")
     return "(%s)" % text if len(bits) > 1 else text
-
-
-# -- construction helpers ----------------------------------------------------
-
-
-def delta_on(ring, nvars, indices):
-    """Product of (z_i - z_j) over pairs i < j drawn from ``indices``
-    (0-based variable indices, taken in increasing order)."""
-    idx = sorted(indices)
-    out = LaurentPoly.one(ring, nvars)
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            out = out * (
-                LaurentPoly.variable(ring, nvars, idx[a])
-                - LaurentPoly.variable(ring, nvars, idx[b])
-            )
-    return out
 
 
 # -- signed orbits -----------------------------------------------------------

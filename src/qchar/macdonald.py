@@ -1,15 +1,16 @@
 """Independent Macdonald polynomial construction over Z[q, t].
 
 ``macdonald_poly`` builds P_lam as the unique monic-in-m_lam eigenvector of
-the first Macdonald difference operator by a triangular solve on the
-monomial-symmetric basis.  The solve is fraction-free: it keeps
-P_lam = C / D with C an integer polynomial in q, t and the z's and D in
-Z[q, t] (the denominators Macdonald's integral form clears, *Symmetric
-Functions and Hall Polynomials*, VI.8), and verifies the eigen-relation
+the first Macdonald difference operator by a triangular solve on m-forms
+(``qdiff.apply_macdonald_m``).  The solve is fraction-free: it keeps
+P_lam = C / D with C an m-form over Z[q, t] and D in Z[q, t] (the
+denominators Macdonald's integral form clears, *Symmetric Functions and
+Hall Polynomials*, VI.8), verifies the eigen-relation
 
     M_1^{q,t} C = (sum_i q**lam_i t**(N-i)) C
 
-over the integers before returning.  This path never touches the
+on m-forms, and expands C into monomials once (``symfun.m_monomials``),
+the numerator of the result.  This path never touches the
 raising-operator machinery, so its t = 0, q -> q**-1 specialization is a
 genuine cross-check of the level-1 characters; the t = 0 limit peels the
 binomials 1 - q**i of D by one-pass divisions (``qt_specialize_t0_qinv``).
@@ -17,11 +18,11 @@ binomials 1 - q**i of D by one-pass divisions (``qt_specialize_t0_qinv``).
 
 from __future__ import annotations
 
-from .laurent import SLOT_BITS, LaurentPoly, _z_parts, divide_binomial, pack, split_unit, unpack, zero_key
-from .qdiff import apply_macdonald_qt
+from .laurent import SLOT_BITS, LaurentPoly, divide_binomial, pack, split_unit, zero_key
+from .qdiff import apply_macdonald_m
 from .records import FrozenRecord
 from .rings import RING_Q, RING_QT, DegenerateEigenvalue, NotDivisible, PoleAtZero
-from .symfun import monomial_sym, normalize_partition, partitions
+from .symfun import m_monomials, normalize_partition, partitions
 
 
 class MacdonaldPoly(FrozenRecord):
@@ -46,18 +47,16 @@ def eigenvalue_formula(lam, nvars):
     return _constant(nvars, (((part, nvars - 1 - i), 1) for i, part in enumerate(full)))
 
 
-def _m_expand(f: LaurentPoly) -> dict:
-    """Monomial-symmetric expansion of a symmetric QT polynomial:
-    {partition: QT constant}, read off its dominant z-parts
-    (``laurent._z_parts``), each payload's unit offsets moved onto the key
-    of the zero vector."""
-    n, zero = f.nvars, zero_key(f.width)
-    out = {}
-    for z, payload in _z_parts(f).items():
-        e = unpack(z, n)
-        if all(e[i] >= e[i + 1] for i in range(n - 1)):
-            out[normalize_partition(e)] = f._like({zero + u: c for u, c in payload.items()})
-    return out
+def _payload(c: LaurentPoly) -> dict:
+    """A QT constant as an m-form payload, {unit offset: int}."""
+    zero = zero_key(c.width)
+    return {k - zero: x for k, x in c.coeffs.items()}
+
+
+def _column(mu, nvars) -> dict:
+    """M_1 m_mu as {nu: QT constant}, mu and nu weakly decreasing N-vectors."""
+    image = apply_macdonald_m(1, {mu: {0: 1}}, nvars).items()
+    return {nu: LaurentPoly(RING_QT, nvars, {zero_key(nvars + 2) + u: c for u, c in d.items()}) for nu, d in image}
 
 
 def macdonald_poly(lam, nvars: int) -> MacdonaldPoly:
@@ -65,39 +64,34 @@ def macdonald_poly(lam, nvars: int) -> MacdonaldPoly:
     lam = normalize_partition(lam)
     if len(lam) > nvars:
         raise ValueError("partition has more parts than variables")
-    basis = sorted(partitions(sum(lam), nvars), reverse=True)
-    monos = {mu: monomial_sym(mu, nvars, RING_QT) for mu in basis}
-    columns = {mu: _m_expand(apply_macdonald_qt(1, monos[mu])) for mu in basis}
-
+    # an m-form keys m_mu by mu padded to N parts, in the order of the partitions
+    basis = [mu + (0,) * (nvars - len(mu)) for mu in sorted(partitions(sum(lam), nvars), reverse=True)]
+    columns, top = {mu: _column(mu, nvars) for mu in basis}, lam + (0,) * (nvars - len(lam))
     zero = LaurentPoly.zero(RING_QT, nvars)
-    eig = columns[lam].get(lam, zero)
+    eig = columns[top].get(top, zero)
     # P_lam = sum_mu numer[mu] m_mu / den; each nonzero step multiplies the
     # numerators so far and den by its eigenvalue gap, so nothing is divided
-    numer = {lam: LaurentPoly.one(RING_QT, nvars)}
+    numer = {top: LaurentPoly.one(RING_QT, nvars)}
     den = LaurentPoly.one(RING_QT, nvars)
     for mu in basis:
-        if mu >= lam:
+        if mu >= top:
             continue
-        acc = LaurentPoly.sum(
-            RING_QT, nvars, (columns[nu][mu] * c for nu, c in numer.items() if mu in columns[nu])
-        )
+        acc = LaurentPoly.sum(RING_QT, nvars, (columns[nu][mu] * c for nu, c in numer.items() if mu in columns[nu]))
         if not acc:
             continue
         gap = eig - columns[mu].get(mu, zero)
         if not gap:
-            raise DegenerateEigenvalue(
-                "eigenvalue collision between %r and %r" % (lam, mu)
-            )
+            raise DegenerateEigenvalue("eigenvalue collision between %r and %r" % (lam, normalize_partition(mu)))
         numer = {nu: c * gap for nu, c in numer.items()}
         numer[mu] = acc
         den = den * gap
 
-    poly = LaurentPoly.sum(RING_QT, nvars, (monos[mu] * c for mu, c in numer.items()))
     if eig != eigenvalue_formula(lam, nvars):
         raise ArithmeticError("triangular eigenvalue disagrees with the formula")
-    if apply_macdonald_qt(1, poly) != poly * eig:
+    form = {mu: _payload(c) for mu, c in numer.items()}
+    if apply_macdonald_m(1, form, nvars) != {mu: _payload(c * eig) for mu, c in numer.items()}:
         raise ArithmeticError("eigen-relation failed for %r" % (lam,))
-    return MacdonaldPoly(lam, nvars, poly, den, eig)
+    return MacdonaldPoly(lam, nvars, m_monomials(form, RING_QT, nvars), den, eig)
 
 
 # -- specializations ---------------------------------------------------------
@@ -105,10 +99,14 @@ def macdonald_poly(lam, nvars: int) -> MacdonaldPoly:
 
 def _t_slice(f: LaurentPoly, j: int) -> LaurentPoly:
     """The terms of a QT polynomial with t-exponent j, as a Q-ring
-    polynomial."""
-    return LaurentPoly.from_terms(
-        RING_Q, f.nvars, ((e[:1] + e[2:], c) for e, c in f.terms() if e[1] == j)
-    )
+    polynomial: each key's t slot dropped, the z slots moved down."""
+    t, out = zero_key(1) + j, {}
+    for k, c in f.coeffs.items():
+        tz = k >> SLOT_BITS  # the key of (t, z)
+        z = tz >> SLOT_BITS
+        if tz - (z << SLOT_BITS) == t:
+            out[k - (tz << SLOT_BITS) + (z << SLOT_BITS)] = c
+    return LaurentPoly(RING_Q, f.nvars, out)
 
 
 def _q_rows(f: LaurentPoly):

@@ -74,6 +74,7 @@ from .laurent import (
     offset,
     outside_box,
     pack,
+    refused,
     require_fit,
     split_unit,
     unpack,
@@ -114,6 +115,7 @@ class NcLaurent(LaurentPoly):
     operand raises TypeError."""
 
     __slots__ = ("_positions", "_packs")
+    from_int, variable, unit_power = map(refused, ("from_int", "variable", "unit_power"))
 
     @property
     def rank(self):

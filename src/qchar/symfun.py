@@ -126,11 +126,14 @@ def elementary(m: int, nvars: int, ring=RING_Q) -> LaurentPoly:
 def monomial_sym(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
     """The monomial symmetric polynomial m_lam(z_1..z_N)."""
     lam = normalize_partition(lam)
-    if len(lam) > nvars:
-        return LaurentPoly.zero(ring, nvars)
-    full = tuple(lam) + (0,) * (nvars - len(lam))
-    orbit = set(itertools.permutations(full))
-    return LaurentPoly.sum(ring, nvars, (LaurentPoly.monomial(ring, nvars, e) for e in orbit))
+    return m_monomials({lam + (0,) * (nvars - len(lam)): {0: 1}} if len(lam) <= nvars else {}, ring, nvars)
+
+
+def m_monomials(m, ring, nvars) -> LaurentPoly:
+    """An m-form {mu: {unit offset: int}}, sum payload * m_mu over mu weakly
+    decreasing N-vectors, in the monomial basis."""
+    zero = (0,) * unit_slots(ring)
+    return LaurentPoly(ring, nvars, {k + u: c for mu, d in m.items() for k in {pack(zero + e) for e in itertools.permutations(mu)} for u, c in d.items()})
 
 
 # -- the Schur basis -------------------------------------------------------------

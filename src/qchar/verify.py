@@ -22,9 +22,10 @@ of the lemmas, of the limits (the classical limit included) or a moment,
 boundary or compatibility point names the first differing Schur
 coefficient with both payloads, a failing level-1 point its first failing
 n and that coefficient, a failing Macdonald point the first differing
-monomial, and a failing class-one point the first n and u-order where the
-two series differ.  The lemma, operator, character, equation and limit
-checks compare Schur forms; the Macdonald and Whittaker oracles compare
+monomial (m_mu coefficient), and a failing class-one point the first n and
+u-order where the two series differ.  The lemma, operator, character,
+equation and limit checks compare Schur forms; the Macdonald oracle
+compares m-forms, and its q-Whittaker points, like the Whittaker oracle,
 monomial expansions.
 """
 
@@ -47,17 +48,17 @@ from .characters import (
     raising_product,
     top_component,
 )
-from .laurent import UNIT, LaurentPoly, pack, require_symmetric, straighten
+from .laurent import UNIT, LaurentPoly, pack, require_symmetric, straighten, unit_slots
 from .macdonald import (
     macdonald_poly,
     qt_t_infinity_limit,
     qwhittaker_specialize,
 )
-from .qdiff import apply_D, apply_M, apply_macdonald_qt, operator_sum
+from .qdiff import apply_D, apply_M, apply_macdonald_m, operator_sum, to_m_basis
 from .qtorus import NcLaurent, ev0_image, ev0_negative_term, evaluate, q_commutator, q_recursion, relation_rhs
 from .records import Record
 from .rings import RING_Q, RING_QT, RING_W
-from .symfun import SchurPoly, dual_cauchy, monomial_sym, partitions, partitions_up_to, schur
+from .symfun import SchurPoly, dual_cauchy, partitions, partitions_up_to, schur
 from .whittaker import class_one_combination, class_one_difference, toda_residual
 
 
@@ -355,16 +356,22 @@ def check_dual_qsystem(
     return rep
 
 
+def _m_terms(m, ring, nvars) -> LaurentPoly:
+    """The terms z**mu of an m-form, one per m_mu: they agree iff the m-forms
+    do, and a t-limit or unit shift acts on them term by term."""
+    return LaurentPoly(ring, nvars, {pack((0,) * unit_slots(ring) + mu) + u: c for mu, d in m.items() for u, c in d.items()})
+
+
 def check_macdonald_commuting(nvars: int = 3, degree_bound: int = 4) -> CheckReport:
-    """[M_a^{q,t}, M_b^{q,t}] = 0 on the monomial basis up to the bound."""
+    """[M_a^{q,t}, M_b^{q,t}] = 0 on the m-basis up to the bound, on m-forms."""
     rep = CheckReport("macdonald-commuting")
-    basis = [monomial_sym(lam, nvars, RING_QT) for lam in partitions_up_to(degree_bound, nvars)]
+    basis = [{lam + (0,) * (nvars - len(lam)): {0: 1}} for lam in partitions_up_to(degree_bound, nvars)]
     for a in range(1, nvars):
         for b in range(a + 1, nvars):
             for idx, f in enumerate(basis):
-                lhs = apply_macdonald_qt(a, apply_macdonald_qt(b, f))
-                rhs = apply_macdonald_qt(b, apply_macdonald_qt(a, f))
-                _record_equal(rep, ("commute", a, b, idx), lhs, rhs)
+                lhs = apply_macdonald_m(a, apply_macdonald_m(b, f, nvars), nvars)
+                rhs = apply_macdonald_m(b, apply_macdonald_m(a, f, nvars), nvars)
+                _record_equal(rep, ("commute", a, b, idx), _m_terms(lhs, RING_QT, nvars), _m_terms(rhs, RING_QT, nvars))
     return rep
 
 
@@ -631,10 +638,11 @@ def check_macdonald(nvars_max: int = 3, weight_max: int = 4) -> CheckReport:
     for r in range(1, nvars_max):
         nvars = r + 1
         for n in _level1_grid(r, 2):
-            chi = graded_character(n).monomials()
-            lifted = chi.with_ring(RING_QT)
+            # the character's m-form by Kostka numbers: q**j is the offset j over QT too
+            m = to_m_basis(graded_character(n).z_terms(), nvars)
+            chi = _m_terms(m, RING_Q, nvars)
             for alpha in range(1, r + 1):
-                g = apply_macdonald_qt(alpha, lifted)
+                g = _m_terms(apply_macdonald_m(alpha, m, nvars), RING_QT, nvars)
                 try:
                     lim = qt_t_infinity_limit(g, alpha * (nvars - alpha))
                 except ArithmeticError as exc:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .characters import NVector, graded_character
-from .laurent import EXP_MIN, SLOT_BITS, LaurentPoly, constrain, divide_binomial, require_fit, zero_key
+from .laurent import EXP_MIN, SLOT_BITS, LaurentPoly, constrain, divide_binomial, refused, require_fit, zero_key
 from .rings import RING_W
 
 _ZERO = zero_key(2)  # the key of s**0 u**0
@@ -52,6 +52,8 @@ class TruncatedSeries(LaurentPoly):
     orders raise ValueError."""
 
     __slots__ = ("order",)
+    _symbols = ("s", ("u",))
+    from_terms, from_int, monomial, variable, unit_power, sum, with_ring = map(refused, ("from_terms", "from_int", "monomial", "variable", "unit_power", "sum", "with_ring"))
 
     def __init__(self, order, coeffs, box=None):
         super().__init__(RING_W, 1, coeffs, box)
@@ -67,6 +69,9 @@ class TruncatedSeries(LaurentPoly):
 
     def _like(self, coeffs, box=None):
         return TruncatedSeries(self.order, coeffs, box)
+
+    def __repr__(self):
+        return "TruncatedSeries(order=%d, %s)" % (self.order, self.to_text())
 
     def _check_basis(self, other):
         super()._check_basis(other)

@@ -84,7 +84,6 @@ from sympy.polys.rings import ring
 from qchar.cartan import CartanData
 from qchar.laurent import (
     LaurentPoly,
-    delta_on,
     pack,
     require_symmetric,
     signed_buckets,
@@ -108,6 +107,17 @@ from qchar.whittaker import TruncatedSeries, toda_residual
 Q = sympy.Symbol("q")
 T = sympy.Symbol("t")
 W = sympy.Symbol("w")
+
+
+def delta_on(ring, nvars, indices):
+    """Product of (z_i - z_j) over pairs i < j drawn from ``indices``
+    (0-based variable indices, taken in increasing order)."""
+    idx = sorted(indices)
+    out = LaurentPoly.one(ring, nvars)
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            out = out * (LaurentPoly.variable(ring, nvars, idx[a]) - LaurentPoly.variable(ring, nvars, idx[b]))
+    return out
 
 
 def zsyms(nvars):

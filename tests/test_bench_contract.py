@@ -12,7 +12,9 @@ import pytest
 
 import qchar.characters as characters
 import qchar.cli as cli
+import qchar.macdonald as macdonald
 import qchar.qdiff as qdiff
+import qchar.symfun as symfun
 import qchar.verify as verify
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
@@ -54,6 +56,25 @@ def test_equation_checks_unpack_no_value(monkeypatch):
     for fn, args, kwargs, expected in calls:
         assert workloads.gate_verify(getattr(verify, fn)(*args, **kwargs), expected) == (0, None), (fn, args)
     assert unpacked == []
+
+
+def test_macdonald_suite_expands_no_schur_function(monkeypatch):
+    # on cold caches, the commuting check and the eigen-solve of every lam of
+    # the verify-series Macdonald suite run on m-forms: no Schur form is
+    # expanded into all its monomials
+    (bound,) = [kw["bound"] for fn, args, kw, _ in workloads.verify_calls("verify-series", 1) if args == ("macdonald",)]
+    modules = (symfun, qdiff, macdonald, verify)
+    for cached in [obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_clear")]:
+        cached.cache_clear()
+    expanded, expand = [], symfun._schur_monomials
+    for mod in modules:
+        if hasattr(mod, "_schur_monomials"):
+            monkeypatch.setattr(mod, "_schur_monomials", lambda *args: expanded.append(args) or expand(*args))
+    assert verify.check_macdonald_commuting().passed
+    for nvars in (2, 3):
+        for lam in symfun.partitions_up_to(bound, nvars):
+            macdonald.macdonald_poly(lam, nvars)
+    assert expanded == []
 
 
 @pytest.mark.parametrize("workload", ["verify-operators", "verify-kernels", "verify-series"])

@@ -208,16 +208,16 @@ def test_shifted_gap_is_caught(monkeypatch):
     # lam's by q, so each eigenvalue gap of the solve is off by one q-power;
     # the integer eigen-check must then reject the result
     lam = (2, 1)
-    true_expand = macdonald._m_expand
+    true_column = macdonald._column
 
-    def shifted(f):
-        out = true_expand(f)
+    def shifted(mu, nvars):
+        out = true_column(mu, nvars)
         top = max(out)
-        if top != lam:
+        if top != (2, 1, 0):
             out[top] = out[top].times_unit(1)
         return out
 
-    monkeypatch.setattr(macdonald, "_m_expand", shifted)
+    monkeypatch.setattr(macdonald, "_column", shifted)
     with pytest.raises(ArithmeticError, match="eigen-relation failed"):
         macdonald_poly(lam, 3)
 

@@ -56,6 +56,14 @@ def test_generator_rejects_alpha_outside_the_diagram():
         gen(2, 1, 2)
 
 
+@pytest.mark.parametrize("name, args", [("from_int", (RING_W, 2, 1)), ("variable", (RING_W, 2, 0)), ("unit_power", (RING_W, 2, 3))])
+def test_laurent_constructors_are_refused(name, args):
+    # LaurentPoly's (ring, nvars, ...) arguments do not fit the rank
+    for owner in (NcLaurent, NcLaurent.one(1)):
+        with pytest.raises(TypeError, match="LaurentPoly.%s does not fit NcLaurent" % name):
+            getattr(owner, name)(*args)
+
+
 def test_ev0_image_names_a_letter_outside_the_table():
     table = q_recursion(2, 3)
     for letter in ((4, 1), (1, 4), (-1, 2)):

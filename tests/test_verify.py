@@ -490,13 +490,16 @@ def test_macdonald_failures_name_first_differing_monomial(monkeypatch):
 
     # M_1 that also adds the constant 1 no longer commutes with M_2: the
     # constant monomial differs, its payload keyed by (q, t) exponents
-    real_op = verify.apply_macdonald_qt
+    real_op = verify.apply_macdonald_m
 
-    def shifted(alpha, f):
-        out = real_op(alpha, f)
-        return out + LaurentPoly.one(f.ring, f.nvars) if alpha == 1 else out
+    def shifted(alpha, f, nvars):
+        out = dict(real_op(alpha, f, nvars))
+        if alpha == 1:
+            one = out.get((0,) * nvars, {})
+            out[(0,) * nvars] = {**one, 0: one.get(0, 0) + 1}
+        return out
 
-    monkeypatch.setattr(verify, "apply_macdonald_qt", shifted)
+    monkeypatch.setattr(verify, "apply_macdonald_m", shifted)
     rep = check_macdonald_commuting(3, 2)
     assert rep.total == len(rep.failures) == 4
     assert rep.failures[1] == {

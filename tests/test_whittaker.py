@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import check_toda_eigen, pairs_of, series_of, whittaker_series_sympy
 from qchar.laurent import EXP_MAX, EXP_MIN
-from qchar.rings import ExponentOverflow
+from qchar.rings import RING_Q, RING_W, ExponentOverflow
 from qchar.verify import check_level1_report
 from qchar.whittaker import (
     TruncatedSeries,
@@ -154,3 +154,28 @@ def test_level1_difference_equation():
     for rank, sigma, points in ((1, 10, 11), (2, 5, 21), (3, 3, 20)):
         rep = check_level1_report(rank, sigma)
         assert rep.passed and rep.total == 1 and rep.notes["points"] == points, rep.failures[:1]
+
+
+def test_repr_is_written_in_s_and_u():
+    assert repr(w_series(1, False, 3)) == "TruncatedSeries(order=3, (s^5 + s^1)*u^3 + s^1*u^2 + s^1)"
+    assert repr(series_of(2, {(0, 0): -1, (2, 0): 1})) == "TruncatedSeries(order=2, u^2 - 1)"
+    assert repr(TruncatedSeries.zero(4)) == "TruncatedSeries(order=4, 0)"
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("from_terms", (RING_W, 1, {(0, 0): 1})),
+        ("from_int", (RING_W, 1, 1)),
+        ("monomial", (RING_W, 1, (1,))),
+        ("variable", (RING_W, 1, 0)),
+        ("unit_power", (RING_W, 1, 2)),
+        ("sum", (RING_W, 1, [])),
+        ("with_ring", (RING_Q,)),
+    ],
+)
+def test_laurent_constructors_are_refused(name, args):
+    # LaurentPoly's (ring, nvars, ...) arguments do not fit (order, coeffs)
+    for owner in (TruncatedSeries, TruncatedSeries.one(3)):
+        with pytest.raises(TypeError, match="LaurentPoly.%s does not fit TruncatedSeries" % name):
+            getattr(owner, name)(*args)
