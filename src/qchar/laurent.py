@@ -24,12 +24,11 @@ and ``UNIT``, shifts by multiples of ``SLOT_BITS`` (``symfun._schur_zcoeffs``
 puts z_N on top, ``macdonald`` moves z-keys past the unit slots,
 ``qdiff.operator_sum`` reads the unit slot off a key less its z-part,
 ``whittaker`` steps u), range checks against ``EXP_MIN``/``EXP_MAX``
-(``qdiff.operator_sum``, ``cli``) and unit offsets, the payloads of
-``signed_buckets`` and of m-forms (``qdiff``).  No value is keyed by
-alternant exponents: ``straighten`` (a_{v+delta} = +-a_{lam+delta} or 0)
-reads an alternant as a Schur function, in ``signed_buckets``,
-``SchurPoly.times``, the operator images, the Macdonald operator and the
-lemma sides.
+(``qdiff.operator_sum``, ``cli``) and unit offsets, the payloads of the
+z-parts of ``require_symmetric`` and of m-forms (``qdiff``).  No value is
+keyed by alternant exponents: ``straighten`` (a_{v+delta} = +-a_{lam+delta}
+or 0) reads an alternant as a Schur function, in ``SchurPoly.times``, the
+operator images, the Macdonald operator and the lemma sides.
 
 A one-variable coefficient read off on its own is an ``{exponent: int}``
 dict, printed by ``coefficient_text``.  The Kronecker codec packs such a
@@ -53,8 +52,8 @@ here build zero and one through ``_like``, and refuse the others (``refused``).
 ``from_terms``, ``sum``, ``+``, ``-``, ``at_unit_one``,
 ``SchurPoly.constrained`` and the operator images (``qdiff._image``) add
 through one loop, ``_add_into``: repeated keys add up, zero sums drop out.
-The binomial division and ``signed_buckets`` add a few terms per row or
-z-part, where a call per row measured slower, so they keep inline loops.
+The binomial division adds a few terms per row, where a call per row
+measured slower, so it keeps an inline loop.
 
 Everything here is exact.  The one division is ``divide_binomial``, by
 1 - x u**i in one pass, for the Whittaker series and the t = 0 Macdonald
@@ -66,7 +65,7 @@ immutable by convention: no method mutates ``self``, but for
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, neg, sub
+from operator import add, neg
 
 from .rings import (
     RING_Q,
@@ -559,12 +558,6 @@ class LaurentPoly:
         slot = j + _BIAS
         return self._like({k - j: c for k, c in self.coeffs.items() if k & _MASK == slot})
 
-    # -- symmetry ----------------------------------------------------------
-
-    def is_symmetric(self) -> bool:
-        """True when invariant under all permutations of the z variables."""
-        return _swap_closed(_z_parts(self), self.nvars)
-
     # -- presentation ------------------------------------------------------
 
     def to_text(self) -> str:
@@ -628,34 +621,6 @@ def coefficient_text(var, data) -> str:
     return "(%s)" % text if len(bits) > 1 else text
 
 
-# -- signed orbits -----------------------------------------------------------
-
-
-def signed_buckets(f: LaurentPoly):
-    """The signed permutation-orbit sum of ``f`` in the Schur basis.
-
-    Returns ``{lam: payload}``, lam weakly decreasing (negative parts
-    allowed), such that ``sum_sigma sgn(sigma) sigma(f) = a_delta * sum_lam
-    payload * s_lam``: a z-part e is the alternant a_e, and ``straighten(e -
-    delta)`` reads it as +-a_{lam+delta} or 0.  Payloads are ``{unit offset:
-    int}`` dicts, the unit offset being ``offset`` of the ring-variable
-    exponents: the unit exponent itself over W and Q, ``offset((i, j))``
-    for q**i t**j over QT.  Monomials with a repeated z-exponent cancel and
-    are dropped.  Each distinct z-part is straightened once.
-    """
-    n = f.nvars
-    delta = range(n - 1, -1, -1)
-    out: dict = {}
-    for z, d in _z_parts(f).items():
-        sign, lam = straighten(map(sub, unpack(z, n), delta))
-        if sign:
-            acc = out.setdefault(lam, {})
-            for u, c in d.items():
-                acc[u] = acc.get(u, 0) + sign * c
-    out = {lam: {u: c for u, c in d.items() if c} for lam, d in out.items()}
-    return {lam: d for lam, d in out.items() if d}
-
-
 # -- binomial division -------------------------------------------------------
 
 
@@ -696,7 +661,8 @@ def constrain(f: LaurentPoly, rank: int) -> LaurentPoly:
 
 def _z_parts(f: LaurentPoly):
     """{key of a z-part: {unit offset: int}}: the terms of f grouped by their
-    z-exponents, unit offsets as in ``signed_buckets``."""
+    z-exponents, a unit offset the ``offset`` of the ring-variable exponents
+    (the unit exponent itself over W and Q, ``offset((i, j))`` for q**i t**j)."""
     shift = SLOT_BITS * f.zoff
     low, base = (1 << shift) - 1, zero_key(f.zoff)
     out = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import prod
-from operator import add
+from operator import add, ge
 
 from .laurent import EXP_MAX, EXP_MIN, SLOT_BITS, UNIT, LaurentPoly, _add_into, box_sum, coefficient_text, offset, pack
 from .laurent import require_fit, require_symmetric, split_unit, straighten, unit_slots, unpack, zero_key
@@ -123,12 +123,6 @@ def elementary(m: int, nvars: int, ring=RING_Q) -> LaurentPoly:
     return schur((1,) * m, nvars, ring)
 
 
-def monomial_sym(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
-    """The monomial symmetric polynomial m_lam(z_1..z_N)."""
-    lam = normalize_partition(lam)
-    return m_monomials({lam + (0,) * (nvars - len(lam)): {0: 1}} if len(lam) <= nvars else {}, ring, nvars)
-
-
 def m_monomials(m, ring, nvars) -> LaurentPoly:
     """An m-form {mu: {unit offset: int}}, sum payload * m_mu over mu weakly
     decreasing N-vectors, in the monomial basis."""
@@ -228,17 +222,21 @@ def column_split(key, nvars):
 @lru_cache(maxsize=1 << 12)
 def _pieri_constrained_keys(key, m, nvars):
     """The keys of s_lam * e_m modulo z_1...z_N = 1, key that of s_lam at unit
-    exponent 0: each s_kappa of ``SchurPoly.times`` as s_{kappa - kappa_N};
-    ``qdiff.packed_sum`` adds each row of a packed value at these keys."""
-    product = SchurPoly.basis(unpack(key >> SLOT_BITS, nvars), nvars).times(elementary(m, nvars))
-    return tuple(column_split(k, nvars)[1] for k in product.coeffs)
+    exponent 0, by the Pieri rule (Macdonald, I.5): s_{kappa - kappa_N} for each
+    weakly decreasing kappa that adds a box to each of m distinct rows of lam,
+    none for m < 0 or m > N; ``qdiff.packed_sum`` adds each packed row at them."""
+    if m < 0:
+        return ()
+    lam = unpack(key >> SLOT_BITS, nvars)
+    strips = ([x + (i in rows) for i, x in enumerate(lam)] for rows in itertools.combinations(range(nvars), m))
+    return tuple(column_split(pack([0] + kappa), nvars)[1] for kappa in strips if all(map(ge, kappa, kappa[1:])))
 
 
 def _schur_monomials(coeffs, ring, nvars) -> LaurentPoly:
     """sum payload * s_lam over ``coeffs`` = {lam: payload}, lam weakly
     decreasing (negative parts allowed), in the monomial basis over any
-    ring, in one pass: payloads are {unit offset: int} as ``signed_buckets``
-    returns them (over W and Q the offset is the unit exponent), and each
+    ring, in one pass: payloads are {unit offset: int}, the unit offset as in
+    ``laurent.require_symmetric`` (over W and Q the unit exponent), and each
     term adds c times the cached s_{lam - lam_N} moved by the unit offset
     and (z_1...z_N)**lam_N, so every exponent stays in [lam_N, lam_1].  The
     cached keys have one unit slot, at exponent 0: shifted up past the

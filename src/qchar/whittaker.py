@@ -156,10 +156,13 @@ def toda_residual(n: int, order: int, reflected: bool) -> TruncatedSeries:
 
 
 def _times_coefficient(series: TruncatedSeries, reflected: bool) -> TruncatedSeries:
-    """``class_one_coefficient(order, reflected) * series``, as ``order``
-    one-pass divisions of s * series (of -s**-5 * series when reflected) by
-    1 - s**-4 u**i (by 1 - s**4 u**i), i = 1..order: each division moves
-    an s-exponent by x at most once per power of u."""
+    """``series`` times the class-one coefficient times 1 - p**-2, the product
+    truncated at its order.  The coefficient p**(1/2) / ((1-p**-2) prod_{i>=1}
+    (1-p**-2 u**i)) makes this s * series / prod (1 - s**-4 u**i); reflected,
+    p**(-1/2) / ((1-p**2) prod (1-p**2 u**i)) and (1-p**-2)/(1-p**2) = -p**-2
+    make it -s**-5 * series / prod (1 - s**4 u**i).  Each of the ``order``
+    divisions (i = 1..order) is one pass that moves an s-exponent by x at
+    most once per power of u."""
     order = series.order
     shift, sign, x = (-5, -1, 4) if reflected else (1, 1, -4)
     rows = [{} for _ in range(order + 1)]
@@ -172,16 +175,6 @@ def _times_coefficient(series: TruncatedSeries, reflected: bool) -> TruncatedSer
         divide_binomial(rows, x, i)
     bases = range(_ZERO, _ZERO + (order + 1) * _U, _U)
     return TruncatedSeries(order, {base + k: c for base, row in zip(bases, rows) for k, c in row.items()})
-
-
-def class_one_coefficient(order: int, reflected: bool) -> TruncatedSeries:
-    """The combination coefficient times 1 - p**-2, with the infinite product
-    truncated.  The coefficient is  p**(1/2) / ((1-p**-2) prod_{i>=1} (1-p**-2 u**i)),
-    so this is  s / prod (1 - s**-4 u**i);  the reflected coefficient is
-    p**(-1/2) / ((1-p**2) prod (1-p**2 u**i)), and (1-p**-2)/(1-p**2) = -p**-2
-    makes this  -s**-5 / prod (1 - s**4 u**i)."""
-    _check_order(order)
-    return _times_coefficient(TruncatedSeries.one(order), reflected)
 
 
 def char_to_series(n: int, order: int) -> TruncatedSeries:
@@ -204,7 +197,7 @@ def class_one_difference(n_values, order: int):
     ``n_values`` through the order, else (n, e, combination, head * chi_n)
     for the first n that fails and the lowest u-order e where they differ,
     the two u**e coefficients as {s-exponent: int}.  Both sides are
-    multiplied by 1 - p**-2 (see ``class_one_coefficient``)."""
+    multiplied by 1 - p**-2 (see ``_times_coefficient``)."""
     _check_order(order)
     head = TruncatedSeries(order, {_ZERO: 1, _ZERO - 4: -1})
     for n in n_values:

@@ -20,7 +20,9 @@
   counts semistandard tableaux directly, a cheaper reference for five and
   more variables.
 * ``symmetrize``, ``antisymmetrize`` and ``signed_orbit_sum`` expand the
-  (signed) permutation orbit term by term, against ``signed_buckets``.
+  (signed) permutation orbit term by term, the signed one as a sum of
+  alternants by ``ref_signed_buckets``.  ``monomial_sym`` is the monomial
+  symmetric polynomial m_lam, through ``qchar.symfun.m_monomials``.
 * ``schur_form`` turns a symmetric Laurent polynomial into a Schur form at
   the boundary of the tests (through ``schur_expand``); ``pieri_e`` is the
   Pieri rule by vertical strips, and ``times_e`` the Pieri product with e_m
@@ -53,8 +55,10 @@
   monomial polynomial (10**4 to 10**5 terms) and bucketed term by term by
   ``ref_signed_buckets``, keyed by the alternant's strictly decreasing
   exponents lam + delta.
-* ``ref_mul``, ``ref_times_z``, ``ref_signed_buckets``, ``ref_exact_div`` and
-  ``ref_nc_mul`` recode the packed-key kernels on plain exponent tuples;
+* ``ref_mul``, ``ref_times_z``, ``ref_exact_div`` and ``ref_nc_mul`` recode
+  the packed-key kernels on plain exponent tuples, and
+  ``ref_signed_buckets`` sorts every term of a signed orbit into its
+  alternant, the read-off behind the orbit paths above;
   ``ref_div`` runs ``ref_exact_div`` on two ``LaurentPoly`` values (the
   Vandermonde quotients above).
 * ``branch`` is the two-block expansion of any weakly decreasing lam by
@@ -86,7 +90,6 @@ from qchar.laurent import (
     LaurentPoly,
     pack,
     require_symmetric,
-    signed_buckets,
     unit_slots,
     unpack,
 )
@@ -98,10 +101,9 @@ from qchar.rings import (
     RING_W,
     NcNotDivisible,
     NotDivisible,
-    NotSymmetric,
     PoleAtZero,
 )
-from qchar.symfun import SchurPoly, _branch_partition, normalize_partition, partitions
+from qchar.symfun import SchurPoly, _branch_partition, m_monomials, normalize_partition, partitions
 from qchar.whittaker import TruncatedSeries, toda_residual
 
 Q = sympy.Symbol("q")
@@ -236,8 +238,7 @@ def schur_expand(f: LaurentPoly) -> dict:
     Returns {partition: {unit exponent: int}}.  Raises ``NotSymmetric`` for asymmetric
     input and ``NonzeroRemainder`` when peeling gets stuck (negative
     exponents, or a leading monomial that is not a partition)."""
-    if not f.is_symmetric():
-        raise NotSymmetric("Schur expansion needs a symmetric polynomial")
+    require_symmetric(f)
     zo = f.zoff
     if f and min(f.bounds()[0][zo:]) < 0:
         raise NonzeroRemainder("input has negative exponents")
@@ -418,8 +419,9 @@ def ref_w_series(n, reflected, order):
 
 
 def ref_class_one_coefficient(order, reflected):
-    """``whittaker.class_one_coefficient`` as the product of ``order``
-    truncated geometric series."""
+    """The class-one coefficient times 1 - p**-2 (``whittaker._times_coefficient``
+    of the series 1) as the product of ``order`` truncated geometric
+    series."""
     s4 = 4 if reflected else -4
     series = series_of(order, {(0, -5): -1} if reflected else {(0, 1): 1})
     for i in range(1, order + 1):
@@ -460,8 +462,8 @@ def _swap_cores(a: int, b: int):
 
 
 def _alternant_buckets(f: LaurentPoly) -> dict:
-    """{lam + delta: {q-exponent: c}}: the signed orbit sum of the Q-ring
-    polynomial f as a sum of alternants, by ``ref_signed_buckets``."""
+    """{lam + delta: {unit exponent: c}}: the signed orbit sum of the W- or
+    Q-ring polynomial f as a sum of alternants, by ``ref_signed_buckets``."""
     return {key: {u[0]: c for u, c in d.items()} for key, d in ref_signed_buckets(dict(f.terms()), 1).items()}
 
 
@@ -516,10 +518,13 @@ def _unit_shift_gamma(ring, rank):
 
 
 def _schur_reconstruct_folded(buckets, ring, nvars, den):
-    """Rebuild sum_buckets payload * s_lam / den (the ``signed_buckets`` of
-    the orbit, over a_delta) for the folded integer rings."""
+    """Rebuild sum_buckets payload * s_lam / den from the alternant buckets
+    {lam + delta: {unit exponent: int}} of the orbit (``_alternant_buckets``),
+    each a_{lam + delta} read as a_delta s_lam, for the folded integer
+    rings."""
     out = {}
-    for lam, payload in buckets.items():
+    for shifted, payload in buckets.items():
+        lam = tuple(x - (nvars - 1 - i) for i, x in enumerate(shifted))
         off = lam[-1]
         core = normalize_partition(tuple(x - off for x in lam))
         for ez, cs in ref_schur(core, nvars).terms():
@@ -552,7 +557,7 @@ def _orbit_apply_folded(f, alpha, power, du_subset, du_all):
     step = power + nvars - alpha
     t0 = t0.times_z(tuple(step if i < alpha else 0 for i in range(nvars)))
     den = factorial(alpha) * factorial(nvars - alpha)
-    return _schur_reconstruct_folded(signed_buckets(t0), f.ring, nvars, den)
+    return _schur_reconstruct_folded(_alternant_buckets(t0), f.ring, nvars, den)
 
 
 def orbit_apply_M(alpha, n, f):
@@ -584,6 +589,12 @@ def schur_form(f: LaurentPoly) -> SchurPoly:
         for j, c in coeff.items():
             out[(j,) + full] = c
     return SchurPoly.from_terms(f.ring, f.nvars, out)
+
+
+def monomial_sym(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
+    """The monomial symmetric polynomial m_lam(z_1..z_N) over ``ring``."""
+    lam = normalize_partition(lam)
+    return m_monomials({lam + (0,) * (nvars - len(lam)): {0: 1}} if len(lam) <= nvars else {}, ring, nvars)
 
 
 def pieri_e(lam, m: int, nvars: int):
@@ -709,8 +720,7 @@ def signed_orbit_sum(f: LaurentPoly) -> LaurentPoly:
     rings)."""
     n = f.nvars
     out = LaurentPoly.zero(f.ring, n)
-    for lam, payload in signed_buckets(f).items():
-        shifted = tuple(x + n - 1 - i for i, x in enumerate(lam))
+    for shifted, payload in _alternant_buckets(f).items():
         out = out + alternant(f.ring, n, shifted) * constant(f.ring, n, payload)
     return out
 
@@ -738,9 +748,10 @@ def ref_times_z(a: dict, zshift, zoff: int) -> dict:
 
 
 def ref_signed_buckets(a: dict, zoff: int) -> dict:
-    """``laurent.signed_buckets`` by sorting every term and counting
-    inversions for its sign, keyed by the sorted alternant exponents
-    lam + delta (``signed_buckets`` keys lam); payloads are keyed by the
+    """The signed permutation-orbit sum of {exponent tuple: coefficient} as
+    a sum of alternants: every term sorted, its sign the parity of its
+    inversions, keyed by the sorted alternant exponents lam + delta (a
+    term with a repeated z-exponent cancels); payloads are keyed by the
     tuple of the first ``zoff`` exponents, or are single field elements when
     ``zoff`` is 0."""
     out = {}

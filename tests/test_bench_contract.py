@@ -90,12 +90,20 @@ def test_traced_checks_exist():
 
 def test_traced_layers_resolve():
     # a layer the program no longer has reads 0 in every benchmark row, so a
-    # rename of a traced function must fail here; these three are gone from
-    # the program on purpose and wait to be dropped from the benchmark
+    # rename of a traced function must fail here; these four are gone from
+    # the program on purpose and wait to be dropped from the benchmark.
+    # signed_buckets went last: every alternant the program meets is read
+    # into the Schur basis by straighten, so only the test oracles bucketed
+    # signed orbits, and they do it by ref_signed_buckets
     missing = []
     for prefix, module, attr, _, _ in tracing.LAYERS:
         try:
             tracing._resolve(module, attr)
         except (ImportError, AttributeError, KeyError):
             missing.append(prefix)
-    assert sorted(missing) == ["laurent.exact_div", "symfun.schur_expand", "whittaker.check_level1_toda"]
+    assert sorted(missing) == [
+        "laurent.exact_div",
+        "laurent.signed_buckets",
+        "symfun.schur_expand",
+        "whittaker.check_level1_toda",
+    ]

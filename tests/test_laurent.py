@@ -8,7 +8,6 @@ from oracles import antisymmetrize, divide_int, ref_div, signed_orbit_sum, symme
 from qchar.laurent import (
     LaurentPoly,
     constrain,
-    signed_buckets,
 )
 from qchar.rings import (
     RING_Q,
@@ -114,15 +113,6 @@ def test_antisymmetrize_inexact_raises():
         antisymmetrize(z1)
     z2 = zvar(1, 2)
     assert signed_orbit_sum(z1) == z1 - z2
-
-
-def test_signed_buckets_cancellation():
-    # repeated exponents cancel; distinct ones land signed on the partition
-    # lam of the sorted alternant lam + delta
-    f = LaurentPoly.monomial(RING_Q, 2, (1, 1))
-    assert signed_buckets(f) == {}
-    g = LaurentPoly.monomial(RING_Q, 2, (0, 2), 3, unit=1)
-    assert signed_buckets(g) == {(1, 0): {1: -3}}
 
 
 def test_constrain_examples():

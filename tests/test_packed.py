@@ -7,13 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    monomial_sym,
     packed_parts,
     ref_div,
     ref_ev,
     ref_ev0,
     ref_mul,
     ref_nc_mul,
-    ref_signed_buckets,
     ref_times_z,
 )
 from qchar.laurent import (
@@ -23,13 +23,12 @@ from qchar.laurent import (
     LaurentPoly,
     offset,
     outside_box,
-    signed_buckets,
     unit_slots,
 )
 from qchar.qdiff import apply_M, apply_macdonald_qt, packed_sum
 from qchar.qtorus import NcLaurent, _twisted, evaluate, nc_div_left, nc_div_right, q_commutator
 from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow
-from qchar.symfun import SchurPoly, monomial_sym, schur
+from qchar.symfun import SchurPoly, schur
 
 RINGS = (RING_Q, RING_W, RING_QT)
 
@@ -110,24 +109,6 @@ def test_shifts_match_reference_or_overflow(ring, nvars, data):
     else:
         with pytest.raises(ExponentOverflow):
             f.times_unit(j)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(RINGS), st.integers(1, 4), st.data())
-def test_signed_buckets_match_reference(ring, nvars, data):
-    a = data.draw(term_dicts(ring, nvars, max_terms=8))
-    # a permuted copy of each term, so that buckets collect and cancel
-    zo = unit_slots(ring)
-    for k, c in list(a.items()):
-        a.setdefault(k[:zo] + k[zo:][::-1], c)
-    f = LaurentPoly.from_terms(ring, nvars, a)
-    expected = ref_signed_buckets(view(f), zo)
-    # keys are the partitions lam of the sorted alternants lam + delta, and
-    # payloads are keyed by the offset of the unit exponents
-    delta = range(nvars - 1, -1, -1)
-    assert signed_buckets(f) == {
-        tuple(x - e for x, e in zip(z, delta)): {offset(u): c for u, c in d.items()} for z, d in expected.items()
-    }
 
 
 @settings(max_examples=100, deadline=None)

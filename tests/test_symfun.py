@@ -3,6 +3,7 @@ branching and the dual Cauchy expansion against classical facts and their
 definitions."""
 
 from collections import Counter
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     NonzeroRemainder,
     branch,
     dominates,
+    monomial_sym,
     packed_parts,
     pieri_e,
     ref_branch,
@@ -29,12 +31,12 @@ from qchar.qdiff import packed_sum
 from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotSymmetric
 from qchar.symfun import (
     SchurPoly,
+    _pieri_constrained_keys,
     _schur_monomials,
     _schur_zcoeffs,
     dual_cauchy,
     elementary,
     interlacing,
-    monomial_sym,
     partition_of_weight,
     partitions,
     partitions_up_to,
@@ -99,7 +101,7 @@ def test_monomial_view_matches_alternant_over_vandermonde(ring):
 def test_one_schur_to_monomial_rule_on_every_ring():
     # W and Q: sums of s_lam with negative full columns and unit shifts
     # round-trip through oracles.schur_form; QT: payloads keyed by the unit
-    # offsets of (q, t) powers, as signed_buckets returns them
+    # offsets of (q, t) powers, as require_symmetric groups them
     for nvars in range(1, 5):
         for ring in (RING_Q, RING_W):
             f = LaurentPoly.zero(ring, nvars)
@@ -191,6 +193,22 @@ def test_pieri_matches_polynomial_product(lam, m):
         rhs = rhs + schur(mu, nvars)
     assert lhs == rhs
     assert SchurPoly.basis(lam, nvars).times(elementary(m, nvars)) == pieri_sum(lam, m, nvars)
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4, 5])
+def test_pieri_keys_match_the_vertical_strips(nvars):
+    # the Pieri keys of packed_sum, as sets, against the vertical strips of
+    # times_e modulo full columns: every m in [-1, N + 1], and lam with
+    # repeated parts and a zero or negative last part
+    shapes = list(combinations_with_replacement((3, 2, 1, 0, -1), nvars))
+    assert any(lam[-1] < 0 for lam in shapes) and any(len(set(lam)) < nvars for lam in shapes)
+    for lam in shapes:
+        f = SchurPoly.basis(lam, nvars)
+        (key,) = f.coeffs
+        for m in range(-1, nvars + 2):
+            keys = _pieri_constrained_keys(key, m, nvars)
+            assert len(keys) == len(set(keys))
+            assert set(keys) == set(times_e(f, m).constrained().coeffs), (lam, m)
 
 
 def test_monomial_symmetric():

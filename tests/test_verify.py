@@ -207,8 +207,8 @@ def test_generator_negative_control(monkeypatch):
 
 def test_qsystem_negative_control():
     # a misstated q-power in the recursion relation fails on some basis input
+    from oracles import monomial_sym
     from qchar.qdiff import apply_M
-    from qchar.symfun import monomial_sym
 
     f = schur_form(monomial_sym((1,), 3))
     a, n = 1, 0

@@ -14,8 +14,8 @@ from qchar.rings import RING_Q, RING_W, ExponentOverflow
 from qchar.verify import check_level1_report
 from qchar.whittaker import (
     TruncatedSeries,
+    _times_coefficient,
     char_to_series,
-    class_one_coefficient,
     class_one_combination,
     toda_residual,
     w_series,
@@ -131,8 +131,8 @@ def test_class_one_combination():
     assert pairs_of(char_to_series(0, 8)) == {(0, 0): 1}
     assert pairs_of(char_to_series(1, 8)) == {(0, 2): 1, (0, -2): 1}
     # the coefficients times (1 - p**-2): s and -s**-5 at order 0
-    assert pairs_of(class_one_coefficient(0, False)) == {(0, 1): 1}
-    assert pairs_of(class_one_coefficient(0, True)) == {(0, -5): -1}
+    assert pairs_of(_times_coefficient(TruncatedSeries.one(0), False)) == {(0, 1): 1}
+    assert pairs_of(_times_coefficient(TruncatedSeries.one(0), True)) == {(0, -5): -1}
 
 
 def test_class_one_negative_control(monkeypatch):

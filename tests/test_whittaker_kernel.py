@@ -11,7 +11,7 @@ from oracles import ref_class_one_coefficient, ref_w_series, series_of
 from qchar.laurent import key_bounds
 from qchar.rings import ExponentOverflow
 from qchar.whittaker import (
-    class_one_coefficient,
+    TruncatedSeries,
     class_one_combination,
     toda_residual,
     w_series,
@@ -41,7 +41,7 @@ def test_series_match_convolution_oracle(fresh_prefixes):
     assert _series_grid_matches()
     for order in ORDERS:
         for refl in (False, True):
-            assert class_one_coefficient(order, refl) == ref_class_one_coefficient(order, refl)
+            assert wh._times_coefficient(TruncatedSeries.one(order), refl) == ref_class_one_coefficient(order, refl)
 
 
 def test_series_boxes_are_exact():
@@ -89,7 +89,6 @@ def test_negative_order_is_rejected():
     for call in (
         lambda: w_series(0, False, -1),
         lambda: toda_residual(1, -1, False),
-        lambda: class_one_coefficient(-1, True),
         lambda: class_one_combination([0, 1], -1),
         lambda: class_one_combination([], -1),
         lambda: verify.check_whittaker(-1),
