@@ -24,7 +24,6 @@ from .rings import (
     NcNotDivisible,
     NotDivisible,
     NotSymmetric,
-    PoleAtZero,
 )
 from .symfun import SchurPoly, elementary, schur
 from .whittaker import TruncatedSeries, class_one_combination, w_series

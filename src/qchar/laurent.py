@@ -21,7 +21,7 @@ quotient exponent in one mask test.  This module and ``qtorus`` mask key
 slots themselves; the other modules use ``terms()``, ``from_terms()`` and
 the codec: ``pack``, ``unpack``, ``split_unit``, ``offset``, ``zero_key``
 and ``UNIT``, shifts by multiples of ``SLOT_BITS`` (``symfun._schur_zcoeffs``
-puts z_N on top, ``macdonald`` moves z-keys past the unit slots,
+puts z_N on top, ``macdonald`` drops the t slot of a QT key,
 ``qdiff.operator_sum`` reads the unit slot off a key less its z-part,
 ``whittaker`` steps u), range checks against ``EXP_MIN``/``EXP_MAX``
 (``qdiff.operator_sum``, ``cli``) and unit offsets, the payloads of the
@@ -56,9 +56,9 @@ The binomial division adds a few terms per row, where a call per row
 measured slower, so it keeps an inline loop.
 
 Everything here is exact.  The one division is ``divide_binomial``, by
-1 - x u**i in one pass, for the Whittaker series and the t = 0 Macdonald
-limit; Schur polynomials are built by branching (``symfun``).  Values are
-immutable by convention: no method mutates ``self``, but for
+1 - x u**i in one pass, for the Whittaker series and the eigenvalue gaps of
+the Macdonald solve; Schur polynomials are built by branching (``symfun``).
+Values are immutable by convention: no method mutates ``self``, but for
 ``Packed.hold``, which changes the representation, never the value.
 """
 

@@ -52,7 +52,3 @@ class NcNotDivisible(ArithmeticError):
 class DegenerateEigenvalue(ArithmeticError):
     """Two partitions share a symbolic eigenvalue; the triangular solve
     cannot proceed."""
-
-
-class PoleAtZero(ArithmeticError):
-    """A coefficient has a pole at t = 0."""

@@ -25,7 +25,7 @@ n and that coefficient, a failing Macdonald point the first differing
 monomial (m_mu coefficient), and a failing class-one point the first n and
 u-order where the two series differ.  The lemma, operator, character,
 equation and limit checks compare Schur forms; the Macdonald oracle
-compares m-forms, and its q-Whittaker points, like the Whittaker oracle,
+compares m-forms, its q-Whittaker points included, and the Whittaker oracle
 monomial expansions.
 """
 
@@ -358,7 +358,8 @@ def check_dual_qsystem(
 
 def _m_terms(m, ring, nvars) -> LaurentPoly:
     """The terms z**mu of an m-form, one per m_mu: they agree iff the m-forms
-    do, and a t-limit or unit shift acts on them term by term."""
+    do, and a t-limit, a unit shift or a full column (z_1...z_N)**c acts on
+    them term by term."""
     return LaurentPoly(ring, nvars, {pack((0,) * unit_slots(ring) + mu) + u: c for mu, d in m.items() for u, c in d.items()})
 
 
@@ -619,22 +620,21 @@ def check_torus(
 
 
 def check_macdonald(nvars_max: int = 3, weight_max: int = 4) -> CheckReport:
-    """The independent eigen-solve path: its t = 0, q -> 1/q specialization
-    equals the level-1 characters, and the rescaled t -> oo operator limit
-    acts on characters with the degenerate eigenvalue."""
+    """The independent eigen-solve path: the t**0 slice of each integral form
+    J_lam, read in 1/q, equals the level-1 character on m-forms, and the
+    rescaled t -> oo operator limit acts on characters with the degenerate
+    eigenvalue."""
     rep = CheckReport("macdonald")
     for nvars in range(2, nvars_max + 1):
         r = nvars - 1
         for size in range(0, weight_max + 1):
             for lam in partitions(size, nvars):
-                P = macdonald_poly(lam, nvars)
-                w = qwhittaker_specialize(P)
+                w = qwhittaker_specialize(macdonald_poly(lam, nvars))
                 full = tuple(lam) + (0,) * (nvars - len(lam))
                 n = NVector.level_one(r, tuple(full[a] - full[a + 1] for a in range(r)))
-                chi = graded_character(n).monomials()
-                if full[-1]:
-                    chi = chi.times_z((full[-1],) * nvars)
-                _record_equal(rep, ("whittaker", nvars, lam), w, chi)
+                # the character of lam - lam_N by Kostka numbers, times (z_1...z_N)**lam_N
+                chi = _m_terms(to_m_basis(graded_character(n).z_terms(), nvars), RING_Q, nvars).times_z((full[-1],) * nvars)
+                _record_equal(rep, ("whittaker", nvars, lam), _m_terms(w, RING_Q, nvars), chi)
     for r in range(1, nvars_max):
         nvars = r + 1
         for n in _level1_grid(r, 2):

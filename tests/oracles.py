@@ -101,7 +101,6 @@ from qchar.rings import (
     RING_W,
     NcNotDivisible,
     NotDivisible,
-    PoleAtZero,
 )
 from qchar.symfun import SchurPoly, _branch_partition, m_monomials, normalize_partition, partitions
 from qchar.whittaker import TruncatedSeries, toda_residual
@@ -1004,6 +1003,10 @@ def _univariate_div(num: dict, den: dict) -> dict:
             else:
                 work.pop(qe + e, None)
     return {e + lo_n - lo_d: c for e, c in quot.items()}
+
+
+class PoleAtZero(ArithmeticError):
+    """A reduced fraction's denominator vanishes at t = 0."""
 
 
 def ref_specialize_t0_qinv(c) -> dict:

@@ -274,7 +274,7 @@ def test_ring_errors_are_the_package_error_types():
     # the parametrization above covers every error type, and only those
     assert [c.__name__ for c in RING_ERRORS] == [
         "DegenerateEigenvalue", "ExponentNotDivisible", "ExponentOverflow", "NcNotDivisible",
-        "NotDivisible", "NotSymmetric", "PoleAtZero",
+        "NotDivisible", "NotSymmetric",
     ]
 
 

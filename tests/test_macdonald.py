@@ -1,30 +1,37 @@
-"""Macdonald oracle tests: the fraction-free triangular construction against
-the field solve of ``oracles``, duality, both degenerate limits, and
-negative controls."""
+"""Macdonald oracle tests: the integral form J_lam against the field solve of
+``oracles``, integrality, duality and the top t-slice on a grid, the exact
+division by an eigenvalue gap, both degenerate limits, and negative
+controls."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dominates,
     project_qt_to_q,
     qt_to_ref,
-    ref_exact_div,
+    ref_div,
     ref_macdonald_poly,
     ref_specialize_t0_qinv,
 )
 import qchar.macdonald as macdonald
 from qchar.characters import NVector, graded_character
-from qchar.laurent import EXP_MIN, LaurentPoly
+from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, zero_key
 from qchar.macdonald import (
+    _divide_gap,
     eigenvalue_formula,
+    integral_norm,
     macdonald_poly,
-    qt_specialize_t0_qinv,
     qt_t_infinity_limit,
     qwhittaker_specialize,
 )
 from qchar.qdiff import apply_macdonald_qt
-from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible, PoleAtZero
-from qchar.symfun import elementary, partitions, partitions_up_to
+from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
+from qchar.symfun import elementary, m_monomials, partitions_up_to
+
+# every lam with N = 2, |lam| <= 6; N = 3, |lam| <= 5; and N = 4, |lam| <= 4
+GRID = [(nvars, lam) for nvars, size in ((2, 6), (3, 5), (4, 4)) for lam in partitions_up_to(size, nvars)]
 
 
 def qt_const(nvars, terms):
@@ -32,41 +39,73 @@ def qt_const(nvars, terms):
     return LaurentPoly.from_terms(RING_QT, nvars, {ij + (0,) * nvars: c for ij, c in terms.items()})
 
 
-def coeff_at(f, z):
-    """The coefficient of z**z in a QT polynomial, as a QT constant."""
-    return qt_const(f.nvars, {e[:2]: c for e, c in f.terms() if e[2:] == z})
+def monomials(J):
+    """J in the monomial basis."""
+    return m_monomials(J.form, RING_QT, J.nvars)
+
+
+def coefficients(J):
+    """J's m-coefficients as QT constants."""
+    zero = zero_key(J.nvars + 2)
+    return {mu: LaurentPoly(RING_QT, J.nvars, {zero + u: c for u, c in d.items()}) for mu, d in J.form.items()}
+
+
+def invert(f):
+    """f(1/q, 1/t)."""
+    return LaurentPoly.from_terms(RING_QT, f.nvars, {(-e[0], -e[1]) + e[2:]: v for e, v in f.terms()})
+
+
+def level_one(nvars, lam):
+    """The level-1 character of lam - lam_N times (z_1...z_N)**lam_N, in monomials."""
+    full = tuple(lam) + (0,) * (nvars - len(lam))
+    n = NVector.level_one(nvars - 1, tuple(full[a] - full[a + 1] for a in range(nvars - 1)))
+    return graded_character(n).monomials().times_z((full[-1],) * nvars)
+
+
+def n_of(lam):
+    """n(lam) = sum_i (i - 1) lam_i."""
+    return sum(i * part for i, part in enumerate(lam))
+
+
+def conjugate(lam):
+    """lam', the column lengths of lam."""
+    return tuple(sum(p > j for p in lam) for j in range(lam[0])) if lam else ()
+
+
+def q_binomial(e, d, j=0):
+    """q**e (1 - q**d) t**j as a QT constant in 2 variables."""
+    return qt_const(2, {(e, j): 1, (e + d, j): -1})
 
 
 def test_single_class_cases():
+    one_t, one_t2 = qt_const(3, {(0, 0): 1, (0, 1): -1}), qt_const(3, {(0, 0): 1, (0, 2): -1})
     for lam, nvars, expected in [
-        ((1,), 3, elementary(1, 3, RING_QT)),
-        ((1, 1), 3, elementary(2, 3, RING_QT)),
+        ((1,), 3, elementary(1, 3, RING_QT) * one_t),
+        ((1, 1), 3, elementary(2, 3, RING_QT) * one_t * one_t2),
         ((), 2, LaurentPoly.one(RING_QT, 2)),
     ]:
-        P = macdonald_poly(lam, nvars)
-        assert P.denominator == LaurentPoly.one(RING_QT, nvars)
-        assert P.numerator == expected
+        J = macdonald_poly(lam, nvars)
+        assert len(J.form) == 1
+        assert monomials(J) == expected
 
 
 def test_two_class_case_and_duality():
-    P = macdonald_poly((2,), 2)
-    c = coeff_at(P.numerator, (1, 1))
-    # the classical coefficient c / D = (1+q)(1-t)/(1-qt), eigen-validated in-module
-    lhs = c * qt_const(2, {(0, 0): 1, (1, 1): -1})
-    assert lhs == P.denominator * qt_const(2, {(0, 0): 1, (1, 0): 1, (0, 1): -1, (1, 1): -1})
-
-    def invert(f):
-        return LaurentPoly.from_terms(RING_QT, 2, {(-e[0], -e[1]) + e[2:]: v for e, v in f.terms()})
-
-    # invariant under (q, t) -> (1/q, 1/t)
-    assert invert(c) * P.denominator == c * invert(P.denominator)
+    J = macdonald_poly((2,), 2)
+    # c_(2) = (1 - t)(1 - q t) on m_2; the classical coefficient
+    # (1+q)(1-t)/(1-qt) of P times c_(2) on m_11
+    assert coefficients(J) == {
+        (2, 0): qt_const(2, {(0, 0): 1, (0, 1): -1, (1, 1): -1, (1, 2): 1}),
+        (1, 1): qt_const(2, {(0, 0): 1, (1, 0): 1, (0, 1): -2, (1, 1): -2, (0, 2): 1, (1, 2): 1}),
+    }
+    # under (q, t) -> (1/q, 1/t) each coefficient picks up q**-1 t**-2
+    for c in coefficients(J).values():
+        assert invert(c) == c * qt_const(2, {(-1, -2): 1})
 
 
 def test_triangularity():
-    P = macdonald_poly((2, 1), 3)
-    for key, _ in P.numerator.terms():
-        mu = tuple(x for x in sorted(key[2:], reverse=True) if x)
-        assert dominates((2, 1), mu)
+    J = macdonald_poly((2, 1), 3)
+    assert coefficients(J)[(2, 1, 0)] == integral_norm((2, 1), 3)
+    assert all(dominates((2, 1), mu) for mu in J.form)
 
 
 def test_eigen_relation_second_operator():
@@ -74,9 +113,9 @@ def test_eigen_relation_second_operator():
     # also act diagonally, with eigenvalue t**(-a(a-1)/2) e_a(q^lam_i t^(N-i))
     # (the bare subset form carries no t-power normalization); for lam = (2)
     # the spectrum is q^2 t^2, t, 1, so e_2 / t = q^2 t^2 + q^2 t + 1
-    P = macdonald_poly((2,), 3)
+    J = monomials(macdonald_poly((2,), 3))
     e2 = qt_const(3, {(2, 2): 1, (2, 1): 1, (0, 0): 1})
-    assert apply_macdonald_qt(2, P.numerator) == P.numerator * e2
+    assert apply_macdonald_qt(2, J) == J * e2
 
 
 def test_eigenvalue_formula():
@@ -84,60 +123,57 @@ def test_eigenvalue_formula():
     assert eigenvalue_formula((3, 1), 2) == qt_const(2, {(3, 1): 1, (1, 0): 1})
 
 
-def test_fraction_free_solve_matches_field_solve():
-    # C == D * P_ref coefficientwise, equal eigenvalues, equal t = 0 limits
+def test_integral_form_matches_field_solve():
+    # J == c_lam * P_ref coefficientwise, equal eigenvalues, equal t = 0 limits
     for nvars in (1, 2, 3):
         for lam in partitions_up_to(4, nvars):
-            P = macdonald_poly(lam, nvars)
+            J = macdonald_poly(lam, nvars)
             ref, ref_eig = ref_macdonald_poly(lam, nvars)
-            (den,) = qt_to_ref(P.denominator).values()
-            numer = qt_to_ref(P.numerator)
-            assert numer.keys() == ref.keys(), (nvars, lam)
-            assert all(numer[z] == den * ref[z] for z in ref), (nvars, lam)
-            assert qt_to_ref(P.eigenvalue) == {(0,) * nvars: ref_eig}
-            expected = LaurentPoly.from_terms(
-                RING_Q,
-                nvars,
-                [((qe,) + z, v) for z, c in ref.items() for qe, v in ref_specialize_t0_qinv(c).items()],
-            )
-            assert qwhittaker_specialize(P) == expected, (nvars, lam)
+            (norm,) = qt_to_ref(integral_norm(lam, nvars)).values()
+            ours = qt_to_ref(monomials(J))
+            assert ours.keys() == ref.keys(), (nvars, lam)
+            assert all(ours[z] == norm * ref[z] for z in ref), (nvars, lam)
+            assert qt_to_ref(J.eigenvalue) == {(0,) * nvars: ref_eig}
+            limits = {mu: ref_specialize_t0_qinv(ref[mu]) for mu in J.form}
+            assert qwhittaker_specialize(J) == {mu: d for mu, d in limits.items() if d}, (nvars, lam)
+
+
+def test_integral_form_is_integral():
+    # every m-coefficient of J lies in Z[q, t]: no negative power of q or t
+    assert len(GRID) == 44
+    for nvars, lam in GRID:
+        for mu, c in coefficients(macdonald_poly(lam, nvars)).items():
+            assert c and min(c.bounds()[0][:2]) >= 0, (nvars, lam, mu)
+
+
+def test_integral_form_duality():
+    # J(1/q, 1/t) = (-1)**|lam| q**-n(lam') t**(-n(lam) - |lam|) J
+    for nvars, lam in GRID:
+        factor = qt_const(nvars, {(-n_of(conjugate(lam)), -n_of(lam) - sum(lam)): (-1) ** sum(lam)})
+        for mu, c in coefficients(macdonald_poly(lam, nvars)).items():
+            assert invert(c) == c * factor, (nvars, lam, mu)
+
+
+def test_top_t_slice_is_the_level1_character():
+    # the t**(n(lam) + |lam|) slice of J is (-1)**|lam| q**n(lam') times the
+    # level-1 character, and no coefficient reaches a higher power of t
+    for nvars, lam in GRID:
+        top = n_of(lam) + sum(lam)
+        J = monomials(macdonald_poly(lam, nvars))
+        assert J.bounds()[1][1] == top, (nvars, lam)
+        chi = level_one(nvars, lam).times_unit(n_of(conjugate(lam))) * (-1) ** sum(lam)
+        assert qt_t_infinity_limit(J, top) == chi, (nvars, lam)
 
 
 def test_whittaker_specialization_matches_characters():
-    for nvars in (2, 3):
-        r = nvars - 1
-        for size in range(0, 5):
-            for lam in partitions(size, nvars):
-                P = macdonald_poly(lam, nvars)
-                w = qwhittaker_specialize(P)
-                full = tuple(lam) + (0,) * (nvars - len(lam))
-                n = NVector.level_one(r, tuple(full[a] - full[a + 1] for a in range(r)))
-                chi = graded_character(n).monomials()
-                if full[-1]:
-                    chi = chi.times_z((full[-1],) * nvars)
-                assert w == chi, (nvars, lam)
+    # the t**0 slice read in 1/q, expanded into monomials: the level-1 character
+    for nvars, lam in GRID:
+        w = qwhittaker_specialize(macdonald_poly(lam, nvars))
+        assert m_monomials(w, RING_Q, nvars) == level_one(nvars, lam), (nvars, lam)
 
 
 def test_scalar_specialization_helpers():
-    one = qt_const(1, {(0, 0): 1})
-    # (1+q)(1-t)/(1-qt) -> 1 + q**-1
-    num = qt_const(1, {(0, 0): 1, (1, 0): 1, (0, 1): -1, (1, 1): -1})
-    den = qt_const(1, {(0, 0): 1, (1, 1): -1})
-    expected = LaurentPoly.from_terms(RING_Q, 1, {(0, 0): 1, (-1, 0): 1})
-    assert qt_specialize_t0_qinv(num, den) == expected
-    # a common factor t cancels: the limit reads the lowest t-orders
     t = qt_const(1, {(0, 1): 1})
-    assert qt_specialize_t0_qinv(num * t, den * t) == expected
-    assert qt_specialize_t0_qinv(t, one).is_zero()
-    with pytest.raises(PoleAtZero):
-        qt_specialize_t0_qinv(qt_const(1, {(0, -1): 1}), one)
-    with pytest.raises(PoleAtZero):
-        qt_specialize_t0_qinv(num, den * t)
-    with pytest.raises(NotDivisible):
-        qt_specialize_t0_qinv(one, one * 2)
-    with pytest.raises(NotDivisible):
-        qt_specialize_t0_qinv(one, qt_const(1, {(0, 0): 1, (1, 0): 1}))
-
     assert qt_t_infinity_limit(qt_const(1, {(1, 2): 1, (0, 1): 1}), 2) == LaurentPoly.from_terms(
         RING_Q, 1, {(1, 0): 1}
     )
@@ -146,67 +182,66 @@ def test_scalar_specialization_helpers():
         qt_t_infinity_limit(qt_const(1, {(0, 3): 1}), 2)
 
 
-def lowest_slice(f, order):
-    """The t**order terms of a QT polynomial as {(q, z..): c}."""
-    return {e[:1] + e[2:]: c for e, c in f.terms() if e[1] == order}
+small_qt = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-2, 2)), st.integers(-4, 4).filter(bool), max_size=6)
 
 
-def test_t0_limit_matches_oracle_quotient_of_lowest_slices():
-    # the binomial peel against the greedy quotient of the two lowest
-    # t-slices, on every lam with N = 2, |lam| <= 6; N = 3, |lam| <= 5; and
-    # N = 4, |lam| <= 4
-    cases = [(nvars, lam) for nvars, size in ((2, 6), (3, 5), (4, 4)) for lam in partitions_up_to(size, nvars)]
-    assert len(cases) == 44
-    peeled = 0
-    for nvars, lam in cases:
-        P = macdonald_poly(lam, nvars)
-        order = P.denominator.bounds()[0][1]
-        dslice = lowest_slice(P.denominator, order)
-        quot = ref_exact_div(lowest_slice(P.numerator, order), dslice)
-        expected = LaurentPoly.from_terms(RING_Q, nvars, {(-e[0],) + e[1:]: c for e, c in quot.items()})
-        assert qt_specialize_t0_qinv(P.numerator, P.denominator) == expected, (nvars, lam)
-        peeled += len(dslice) > 1
-    # the other 18 denominators are 1: each such lam is a column plus full
-    # columns, so P_lam is e_k times a power of z_1 ... z_N
-    assert peeled == 26
+@settings(max_examples=80, deadline=None)
+@given(
+    quot=small_qt,
+    e=st.integers(-3, 3),
+    d=st.integers(1, 4),
+    sign=st.sampled_from((1, -1)),
+    low=st.integers(-2, 2),
+    higher=st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(1, 3)), st.integers(-2, 2).filter(bool), max_size=4),
+)
+def test_gap_division_matches_the_oracle(quot, e, d, sign, low, higher):
+    # a gap with the binomial sign q**e (1 - q**d) as its lowest t-slice
+    # divides each of its multiples exactly, as leading-term division does,
+    # and leaves a remainder on a multiple plus a monomial
+    gap = qt_const(2, {(e, low): sign, (e + d, low): -sign, **{(i, low + j): c for (i, j), c in higher.items()}})
+    q = qt_const(2, quot)
+    f = q * gap
+    assert _divide_gap(f, gap) == q == ref_div(f, gap)
+    with pytest.raises(NotDivisible):
+        _divide_gap(f + qt_const(2, {(e, low + 1): 1}), gap)
 
 
-def test_t0_limit_peel_edges():
-    def qpoly(terms, j=0):
-        return qt_const(2, {(i, j): c for i, c in terms.items()})
+def test_gap_division_remainders():
+    gap = qt_const(2, {(1, 0): 1, (3, 0): -1, (0, 1): 2, (2, 2): -1})  # q (1 - q**2) + 2 t - q**2 t**2
+    quot = qt_const(2, {(0, 0): 1, (1, 1): -3})
+    assert _divide_gap(quot * gap, gap) == quot
+    # a q-order remainder: q**2 is no multiple of 1 - q**2
+    with pytest.raises(NotDivisible, match="binomial"):
+        _divide_gap(quot * gap + qt_const(2, {(2, 0): 1}), gap)
+    # a remainder left on a coefficient above the quotient's t-degree
+    with pytest.raises(NotDivisible, match="eigenvalue gap"):
+        _divide_gap(quot * gap + qt_const(2, {(0, 3): 1}), gap)
+    # a lowest slice that is no binomial +-q**e (1 - q**d)
+    for bad in ({(0, 0): 1, (1, 0): 1}, {(0, 0): 2, (1, 0): -2}, {(0, 0): 1}):
+        with pytest.raises(NotDivisible, match="no binomial"):
+            _divide_gap(quot, qt_const(2, bad))
 
-    one = qpoly({0: 1})
-    # q**EXP_MIN flips to q**(EXP_MAX + 1): no key holds it
+
+def test_gap_division_exponent_edges():
+    # the quotient's q-exponent leaves the slot at either edge
     with pytest.raises(ExponentOverflow):
-        qt_specialize_t0_qinv(qpoly({EXP_MIN: 1}), one)
-    # a slice -q**2 (1 - q)**3 (1 - q**2), with a t-term above it that the
-    # limit never reads: the sign and the q-shift come through
-    b1, b2 = qpoly({0: 1, 1: -1}), qpoly({0: 1, 2: -1})
-    den = qpoly({2: -1}) * b1 ** 3 * b2 + qpoly({0: 5}, j=1)
-    quot = LaurentPoly.from_terms(RING_QT, 2, {(-1, 0, 1, 0): 3, (4, 0, 0, -1): -2, (0, 0, 0, 0): 1})
-    expected = LaurentPoly.from_terms(RING_Q, 2, {(1, 1, 0): 3, (-4, 0, -1): -2, (0, 0, 0): 1})
-    assert qt_specialize_t0_qinv(quot * den, den) == expected
-    # 1 - q**2 is peeled whole, never as 1 - q with 1 + q left over
-    assert qt_specialize_t0_qinv(b2, b2) == LaurentPoly.one(RING_Q, 2)
-    # (1 - q) / (1 - q**2) = 1 / (1 + q): the numerator is no multiple of
-    # the peeled factor
-    with pytest.raises(NotDivisible):
-        qt_specialize_t0_qinv(b1, b2)
-    with pytest.raises(NotDivisible):
-        qt_specialize_t0_qinv(quot * den + one, den)
-    # a factor 1 + q is no binomial 1 - q**i: refused even when it divides
-    with pytest.raises(NotDivisible):
-        qt_specialize_t0_qinv(qpoly({0: 1, 1: 1}), qpoly({0: 1, 1: 1}))
-    # a scalar denominator divides exactly or not at all
-    assert qt_specialize_t0_qinv(one * 2, one * 2) == LaurentPoly.one(RING_Q, 2)
-    with pytest.raises(NotDivisible):
-        qt_specialize_t0_qinv(one, one * 2)
+        _divide_gap(q_binomial(EXP_MIN, 1), q_binomial(1, 1))
+    with pytest.raises(ExponentOverflow):
+        _divide_gap(q_binomial(EXP_MAX - 1, 1), q_binomial(-2, 1))
+    # and its t-exponent
+    with pytest.raises(ExponentOverflow):
+        _divide_gap(q_binomial(0, 1, EXP_MIN), q_binomial(0, 1, 1))
+    with pytest.raises(ExponentOverflow):
+        _divide_gap(q_binomial(0, 1, EXP_MAX), q_binomial(0, 1, -1))
+    # at the edges themselves the quotient fits
+    assert _divide_gap(q_binomial(EXP_MIN, 1), q_binomial(0, 1)) == qt_const(2, {(EXP_MIN, 0): 1})
+    assert _divide_gap(q_binomial(0, 1, EXP_MAX), q_binomial(0, 1)) == qt_const(2, {(0, EXP_MAX): 1})
 
 
 def test_shifted_gap_is_caught(monkeypatch):
     # negative control: multiply the diagonal entry of every column but
     # lam's by q, so each eigenvalue gap of the solve is off by one q-power;
-    # the integer eigen-check must then reject the result
+    # a gap division or the integer eigen-check must then reject the result
     lam = (2, 1)
     true_column = macdonald._column
 
@@ -218,7 +253,7 @@ def test_shifted_gap_is_caught(monkeypatch):
         return out
 
     monkeypatch.setattr(macdonald, "_column", shifted)
-    with pytest.raises(ArithmeticError, match="eigen-relation failed"):
+    with pytest.raises(ArithmeticError, match="eigen-relation failed|no exact quotient|no binomial"):
         macdonald_poly(lam, 3)
 
 
