@@ -12,7 +12,7 @@ from .characters import (
 )
 from .laurent import LaurentPoly, constrain
 from .macdonald import MacdonaldPoly, macdonald_poly, qwhittaker_specialize
-from .qdiff import apply_D, apply_M, apply_macdonald_qt
+from .qdiff import apply_D, apply_M
 from .qtorus import NcLaurent, evaluate, q_recursion
 from .rings import (
     RING_Q,

@@ -1,30 +1,122 @@
-"""Independent Macdonald polynomial construction over Z[q, t].
+"""The classical Macdonald operator over Z[q, t] and Macdonald polynomials.
+
+``apply_macdonald_m(alpha, m, N)`` acts with the Macdonald operator of index
+alpha, coefficients prod (t z_i - z_j)/(z_i - z_j) over the alpha-subsets I
+and a q-shift of the z_i, i in I, on m-forms {mu: {unit offset: int}}, the
+sum of payload * m_mu over weakly decreasing N-vectors mu.  On m_mu its
+Vandermonde-cleared subset sum is one z-part per block orbit of z**mu, each
+times each term of the cleared factor straightened once (``_cleared``), the
+Schur coefficients divided by alpha! (N - alpha)! exactly and read back by
+Kostka numbers (``to_m_basis``).
 
 ``macdonald_poly`` builds Macdonald's integral form J_lam = c_lam P_lam,
 c_lam = prod_{s in lam} (1 - q**a(s) t**(l(s)+1)) (*Symmetric Functions and
 Hall Polynomials*, VI.8), as the eigenvector of the first Macdonald
-difference operator with c_lam on m_lam, by a triangular solve on m-forms
-(``qdiff.apply_macdonald_m``).  Its m-coefficients lie in Z[q, t] (Knop,
-*Integrality of two variable Kostka functions*, 1997), so each one is a
-single exact division by an eigenvalue gap (``_divide_gap``), and the
-result is verified by the eigen-relation
+difference operator with c_lam on m_lam, by a triangular solve on m-forms.
+Its m-coefficients lie in Z[q, t] (Knop, *Integrality of two variable
+Kostka functions*, 1997), so each one is a single exact division by an
+eigenvalue gap (``_divide_gap``), and the result is verified by the
+eigen-relation
 
     M_1^{q,t} J = (sum_i q**lam_i t**(N-i)) J
 
-on m-forms.  This path never touches the raising-operator machinery, so its
-t = 0, q -> q**-1 specialization is a genuine cross-check of the level-1
-characters; since c_lam(q, 0) = 1, that limit is J's t**0 slice.
+on m-forms.  This path never touches the raising-operator machinery of
+``qdiff``, so its t = 0, q -> q**-1 specialization is a genuine cross-check
+of the level-1 characters; since c_lam(q, 0) = 1, that limit is J's t**0
+slice.
 """
 
 from __future__ import annotations
 
-from math import prod
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import factorial, prod
 
-from .laurent import SLOT_BITS, LaurentPoly, divide_binomial, zero_key
-from .qdiff import apply_macdonald_m
+from .laurent import SLOT_BITS, LaurentPoly, _add_into, divide_binomial, key_bounds, require_fit, straighten, zero_key
 from .records import FrozenRecord
 from .rings import RING_Q, RING_QT, DegenerateEigenvalue, NotDivisible
-from .symfun import normalize_partition, partitions
+from .symfun import _schur_zcoeffs, normalize_partition, partitions
+
+
+# -- the operator on m-forms -------------------------------------------------
+
+
+@lru_cache(maxsize=16)
+def _pair_delta_qt(nvars, alpha):
+    """The terms (z-vector less delta, t-power's unit offset, c) of P = delta_I
+    delta_J prod_{i in I, j in J} (t z_i - z_j), I the first alpha variables."""
+    z = [LaurentPoly.variable(RING_QT, nvars, i) for i in range(nvars)]
+    t, out = LaurentPoly.from_terms(RING_QT, nvars, [((0, 1) + (0,) * nvars, 1)]), LaurentPoly.one(RING_QT, nvars)
+    for i, j in combinations(range(nvars), 2):
+        out = out * ((t if i < alpha <= j else 1) * z[i] - z[j])
+    return tuple((tuple(x - i for x, i in zip(e[2:], range(nvars - 1, -1, -1))), e[1] << SLOT_BITS, c) for e, c in out.terms())
+
+
+def _splits(mu, alpha):
+    """(a + b, |a|, orbit size) for each orbit of S_alpha x S_{N - alpha} on
+    the permutations of mu, a + b its member with both blocks decreasing."""
+    blocks = {tuple(mu[i] for i in a): tuple(mu[i] for i in range(len(mu)) if i not in a) for a in combinations(range(len(mu)), alpha)}
+    return sorted((a + b, sum(a), len(set(permutations(a))) * len(set(permutations(b)))) for a, b in blocks.items())
+
+
+@lru_cache(maxsize=1 << 12)
+def _cleared(mu, alpha):
+    """alpha! (N - alpha)! M_alpha m_mu as ((lam, ((unit offset, c), ...)), ...)
+    in the Schur basis: the signed orbit of P m_mu(q x, y) over a_delta.  P
+    (``_pair_delta_qt``) is antisymmetric and m_mu(q x, y) symmetric under
+    S_alpha x S_{N - alpha}, so each block orbit of z**mu adds its size times
+    the signed orbit of P z**e, e its member in ``_splits``."""
+    out = {}
+    for e, shift, size in _splits(mu, alpha):
+        for p, v, c in _pair_delta_qt(len(mu), alpha):
+            sign, lam = straighten([x + y for x, y in zip(e, p)])
+            if sign:
+                _add_into(out.setdefault(lam, {}), ((v + shift, sign * size * c),))
+    return tuple((lam, tuple(d.items())) for lam, d in out.items())
+
+
+@lru_cache(maxsize=1 << 12)
+def _kostka(lam, nvars):
+    """((mu, K_{lam mu}), ...): the dominant terms of the cached s_lam."""
+    return tuple((mu, d[0]) for mu, d in _schur_zcoeffs(lam, nvars).z_terms().items() if mu == tuple(sorted(mu, reverse=True)))
+
+
+def to_m_basis(coeffs, nvars) -> dict:
+    """The m-form of sum payload * s_lam over ``coeffs`` = {lam: payload},
+    by Kostka numbers: s_lam = sum_mu K_{lam - lam_N, mu} m_{mu + lam_N}."""
+    out = {}
+    for lam, payload in coeffs.items():
+        for mu, k in _kostka(normalize_partition(x - lam[-1] for x in lam), nvars):
+            _add_into(out.setdefault(tuple(x + lam[-1] for x in mu), {}), ((u, k * c) for u, c in payload.items()))
+    return {mu: d for mu, d in out.items() if d}
+
+
+def apply_macdonald_m(alpha, m, nvars) -> dict:
+    """The Macdonald operator of index alpha on an m-form over QT, {mu: {unit
+    offset: int}} for sum payload * m_mu, mu weakly decreasing N-vectors: the
+    ``_cleared`` images divided by alpha! (N - alpha)! exactly (else
+    ``NotDivisible``) and read back.  The cleared offsets of m_mu run over
+    q**|a|, from the alpha least parts of mu to the alpha greatest, times
+    t**0 to t**(alpha (N - alpha)), each end reached, so ``ExponentOverflow``
+    is raised exactly when a payload offset plus a cleared one leaves a unit
+    slot."""
+    cleared, zero = {}, zero_key(2)
+    for mu, payload in m.items():
+        if payload:
+            lo, hi = key_bounds([u + zero for u in payload], 2)
+            require_fit((lo[0] + sum(mu[nvars - alpha :]),), (hi[0] + sum(mu[:alpha]), hi[1] + alpha * (nvars - alpha)))
+        for lam, image in _cleared(mu, alpha):
+            acc = cleared.setdefault(lam, {})
+            for v, d in image:
+                for u, c in payload.items():
+                    acc[u + v] = acc.get(u + v, 0) + c * d
+    den = factorial(alpha) * factorial(nvars - alpha)
+    if any(c % den for d in cleared.values() for c in d.values()):
+        raise NotDivisible("orbit sum not divisible by %d" % den)
+    return to_m_basis({lam: {u: c // den for u, c in d.items()} for lam, d in cleared.items()}, nvars)
+
+
+# -- the integral form --------------------------------------------------------
 
 
 class MacdonaldPoly(FrozenRecord):

@@ -1,16 +1,16 @@
 """q-difference operators acting on symmetric Laurent polynomials.
 
-Three families act in r+1 variables:
+Two families act in r+1 variables:
 
 * ``apply_M(alpha, n, f)``   -- subset operators sum_{|I|=alpha} z_I**n a_I(z) G_I,
   where ``G_I`` scales each z_i, i in I, by q and
   ``a_I = prod_{i in I, j not in I} z_i / (z_i - z_j)``;
 * ``apply_D(alpha, n, f)``   -- the same sum with the twisted shift (every
   variable scaled by v, subset variables by q besides) and the prefactor
-  ``v**(-lam(a,a)*n/2 - sum_b lam(a,b))``, acting on W-ring coefficients;
-* ``apply_macdonald_qt(alpha, f)`` -- the classical Macdonald operator with
-  coefficients prod (t z_i - z_j)/(z_i - z_j), on integer polynomials in
-  q, t and the z's.
+  ``v**(-lam(a,a)*n/2 - sum_b lam(a,b))``, acting on W-ring coefficients.
+
+The classical (q, t) Macdonald operator, whose t -> oo limit is M at
+n = 0, is ``macdonald.apply_macdonald_m``.
 
 ``apply_M`` and ``apply_D`` act on Schur forms (``symfun.SchurPoly``) in
 closed form.  With x the first alpha variables and y the rest, restrict s_lam
@@ -36,26 +36,17 @@ Schur coefficient (``packed_step``).  ``operator_sum`` reads the cached
 image of each s_lam modulo full columns (``_image``); a step builds no
 image, but groups its rows by branching key and builds and straightens
 each key's term once.  ``packed_sum`` adds packed values, times e_m or not.
-The Macdonald operator acts on m-forms {mu: {unit offset: int}}: on m_mu
-its Vandermonde-cleared subset sum is one z-part per block orbit of z**mu,
-each times each term of the cleared factor straightened once (``_cleared``),
-the Schur coefficients divided by alpha! (N - alpha)! exactly and read back
-by Kostka numbers (``to_m_basis``).  ``apply_macdonald_qt`` is its monomial
-view.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import factorial
 
 from .laurent import (
     EXP_MAX,
     EXP_MIN,
     SLOT_BITS,
     UNIT,
-    LaurentPoly,
     Packed,
     _add_into,
     kron_add,
@@ -63,24 +54,12 @@ from .laurent import (
     kron_width,
     pack,
     require_fit,
-    require_symmetric,
     straighten,
     unpack,
     zero_key,
 )
-from .rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
-from .symfun import SchurPoly, _branch_partition, _pieri_constrained_keys, _schur_zcoeffs, column_split, interlacing, m_monomials, normalize_partition
-
-
-@lru_cache(maxsize=16)
-def _pair_delta_qt(nvars, alpha):
-    """The terms (z-vector less delta, t-power's unit offset, c) of P = delta_I
-    delta_J prod_{i in I, j in J} (t z_i - z_j), I the first alpha variables."""
-    z = [LaurentPoly.variable(RING_QT, nvars, i) for i in range(nvars)]
-    t, out = LaurentPoly.from_terms(RING_QT, nvars, [((0, 1) + (0,) * nvars, 1)]), LaurentPoly.one(RING_QT, nvars)
-    for i, j in combinations(range(nvars), 2):
-        out = out * ((t if i < alpha <= j else 1) * z[i] - z[j])
-    return tuple((tuple(x - i for x, i in zip(e[2:], range(nvars - 1, -1, -1))), e[1] << SLOT_BITS, c) for e, c in out.terms())
+from .rings import RING_Q, RING_W, ExponentOverflow
+from .symfun import SchurPoly, _branch_partition, _pieri_constrained_keys, column_split, interlacing
 
 
 def _terms(lam, alpha, n):
@@ -336,78 +315,3 @@ def packed_sum(parts) -> list:
         for k in keys:
             kron_add(acc, k, lo, n, s)
     return [PackedSchur(first.ring, first.nvars, cls, s, Packed.summed(acc, s, bounds)) for cls, (acc, bounds) in classes.items()]
-
-
-def _splits(mu, alpha):
-    """(a + b, |a|, orbit size) for each orbit of S_alpha x S_{N - alpha} on
-    the permutations of mu, a + b its member with both blocks decreasing."""
-    blocks = {tuple(mu[i] for i in a): tuple(mu[i] for i in range(len(mu)) if i not in a) for a in combinations(range(len(mu)), alpha)}
-    return sorted((a + b, sum(a), len(set(permutations(a))) * len(set(permutations(b)))) for a, b in blocks.items())
-
-
-@lru_cache(maxsize=1 << 12)
-def _cleared(mu, alpha):
-    """alpha! (N - alpha)! M_alpha m_mu as ((lam, ((unit offset, c), ...)), ...)
-    in the Schur basis: the signed orbit of P m_mu(q x, y) over a_delta.  P
-    (``_pair_delta_qt``) is antisymmetric and m_mu(q x, y) symmetric under
-    S_alpha x S_{N - alpha}, so each block orbit of z**mu adds its size times
-    the signed orbit of P z**e, e its member in ``_splits``."""
-    out = {}
-    for e, shift, size in _splits(mu, alpha):
-        for p, v, c in _pair_delta_qt(len(mu), alpha):
-            sign, lam = straighten([x + y for x, y in zip(e, p)])
-            if sign:
-                _add_into(out.setdefault(lam, {}), ((v + shift, sign * size * c),))
-    return tuple((lam, tuple(d.items())) for lam, d in out.items())
-
-
-@lru_cache(maxsize=1 << 12)
-def _kostka(lam, nvars):
-    """((mu, K_{lam mu}), ...): the dominant terms of the cached s_lam."""
-    return tuple((mu, d[0]) for mu, d in _schur_zcoeffs(lam, nvars).z_terms().items() if mu == tuple(sorted(mu, reverse=True)))
-
-
-def to_m_basis(coeffs, nvars) -> dict:
-    """The m-form of sum payload * s_lam over ``coeffs`` = {lam: payload},
-    by Kostka numbers: s_lam = sum_mu K_{lam - lam_N, mu} m_{mu + lam_N}."""
-    out = {}
-    for lam, payload in coeffs.items():
-        for mu, k in _kostka(normalize_partition(x - lam[-1] for x in lam), nvars):
-            _add_into(out.setdefault(tuple(x + lam[-1] for x in mu), {}), ((u, k * c) for u, c in payload.items()))
-    return {mu: d for mu, d in out.items() if d}
-
-
-def apply_macdonald_m(alpha, m, nvars) -> dict:
-    """The Macdonald operator of index alpha on an m-form over QT, {mu: {unit
-    offset: int}} for sum payload * m_mu, mu weakly decreasing N-vectors: the
-    ``_cleared`` images divided by alpha! (N - alpha)! exactly (else
-    ``NotDivisible``) and read back; the caller keeps offsets in range."""
-    cleared = {}
-    for mu, payload in m.items():
-        for lam, image in _cleared(mu, alpha):
-            acc = cleared.setdefault(lam, {})
-            for v, d in image:
-                for u, c in payload.items():
-                    acc[u + v] = acc.get(u + v, 0) + c * d
-    den = factorial(alpha) * factorial(nvars - alpha)
-    if any(c % den for d in cleared.values() for c in d.values()):
-        raise NotDivisible("orbit sum not divisible by %d" % den)
-    return to_m_basis({lam: {u: c // den for u, c in d.items()} for lam, d in cleared.items()}, nvars)
-
-
-def apply_macdonald_qt(alpha, f):
-    """The classical Macdonald operator of index ``alpha`` on a symmetric QT
-    polynomial: the monomial view of ``apply_macdonald_m`` on its m-form."""
-    if f.ring != RING_QT:
-        raise ValueError("Macdonald operator needs QT coefficients")
-    nvars = f.nvars
-    if not 0 <= alpha <= nvars:
-        raise ValueError("alpha out of range [0, N]")
-    parts = require_symmetric(f)
-    if alpha == 0 or f.is_zero():
-        return f
-    # q**(z_1 + .. + z_alpha) and P's t**(alpha (N - alpha)) stay in their slots
-    lo, hi = f.bounds()
-    require_fit((lo[0] + sum(lo[2 : 2 + alpha]),), (hi[0] + sum(hi[2 : 2 + alpha]), hi[1] + alpha * (nvars - alpha)))
-    m = {mu: d for mu, d in ((unpack(z, nvars), d) for z, d in parts.items()) if mu == tuple(sorted(mu, reverse=True))}
-    return m_monomials(apply_macdonald_m(alpha, m, nvars), RING_QT, nvars)

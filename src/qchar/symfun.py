@@ -123,13 +123,6 @@ def elementary(m: int, nvars: int, ring=RING_Q) -> LaurentPoly:
     return schur((1,) * m, nvars, ring)
 
 
-def m_monomials(m, ring, nvars) -> LaurentPoly:
-    """An m-form {mu: {unit offset: int}}, sum payload * m_mu over mu weakly
-    decreasing N-vectors, in the monomial basis."""
-    zero = (0,) * unit_slots(ring)
-    return LaurentPoly(ring, nvars, {k + u: c for mu, d in m.items() for k in {pack(zero + e) for e in itertools.permutations(mu)} for u, c in d.items()})
-
-
 # -- the Schur basis -------------------------------------------------------------
 
 

@@ -50,11 +50,13 @@ from .characters import (
 )
 from .laurent import UNIT, LaurentPoly, pack, require_symmetric, straighten, unit_slots
 from .macdonald import (
+    apply_macdonald_m,
     macdonald_poly,
     qt_t_infinity_limit,
     qwhittaker_specialize,
+    to_m_basis,
 )
-from .qdiff import apply_D, apply_M, apply_macdonald_m, operator_sum, to_m_basis
+from .qdiff import apply_D, apply_M, operator_sum
 from .qtorus import NcLaurent, ev0_image, ev0_negative_term, evaluate, q_commutator, q_recursion, relation_rhs
 from .records import Record
 from .rings import RING_Q, RING_QT, RING_W

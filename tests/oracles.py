@@ -3,6 +3,9 @@
 * ``subset_operator_bruteforce`` recomputes the subset difference operators
   with sympy's symbolic rational-function arithmetic (no shared code with the
   package kernel), so an agreement is a genuine two-path check.
+* ``apply_macdonald_qt`` is the classical Macdonald operator on symmetric
+  QT polynomials: the monomial view of ``qchar.macdonald.apply_macdonald_m``
+  on the polynomial's m-form, read back by ``m_monomials``.
 * ``subset_apply_M``/``subset_apply_D``/``subset_apply_macdonald_qt`` expand
   the same operators subset by subset and divide once by the Vandermonde.
   Unlike the sympy oracle this path shares ``LaurentPoly`` arithmetic with
@@ -22,7 +25,8 @@
 * ``symmetrize``, ``antisymmetrize`` and ``signed_orbit_sum`` expand the
   (signed) permutation orbit term by term, the signed one as a sum of
   alternants by ``ref_signed_buckets``.  ``monomial_sym`` is the monomial
-  symmetric polynomial m_lam, through ``qchar.symfun.m_monomials``.
+  symmetric polynomial m_lam, through ``m_monomials``, which writes an
+  m-form {mu: {unit offset: int}} in the monomial basis.
 * ``schur_form`` turns a symmetric Laurent polynomial into a Schur form at
   the boundary of the tests (through ``schur_expand``); ``pieri_e`` is the
   Pieri rule by vertical strips, and ``times_e`` the Pieri product with e_m
@@ -93,6 +97,7 @@ from qchar.laurent import (
     unit_slots,
     unpack,
 )
+from qchar.macdonald import apply_macdonald_m
 from qchar.qdiff import PackedSchur
 from qchar.qtorus import NcLaurent, ev0_image, ev0_negative_term, q_recursion
 from qchar.rings import (
@@ -102,7 +107,7 @@ from qchar.rings import (
     NcNotDivisible,
     NotDivisible,
 )
-from qchar.symfun import SchurPoly, _branch_partition, m_monomials, normalize_partition, partitions
+from qchar.symfun import SchurPoly, _branch_partition, normalize_partition, partitions
 from qchar.whittaker import TruncatedSeries, toda_residual
 
 Q = sympy.Symbol("q")
@@ -339,8 +344,24 @@ def subset_apply_D(alpha, n, f):
     return out.times_unit(-cart.lam(alpha, alpha) * n - 2 * cart.lam_row_sum(alpha))
 
 
+def apply_macdonald_qt(alpha, f):
+    """The classical Macdonald operator of index ``alpha`` on a symmetric QT
+    polynomial: the monomial view of ``qchar.macdonald.apply_macdonald_m``
+    on its m-form."""
+    if f.ring != RING_QT:
+        raise ValueError("Macdonald operator needs QT coefficients")
+    nvars = f.nvars
+    if not 0 <= alpha <= nvars:
+        raise ValueError("alpha out of range [0, N]")
+    parts = require_symmetric(f)
+    if alpha == 0 or f.is_zero():
+        return f
+    m = {mu: d for mu, d in ((unpack(z, nvars), d) for z, d in parts.items()) if mu == tuple(sorted(mu, reverse=True))}
+    return m_monomials(apply_macdonald_m(alpha, m, nvars), RING_QT, nvars)
+
+
 def subset_apply_macdonald_qt(alpha, f):
-    """``qdiff.apply_macdonald_qt`` by the literal subset sum."""
+    """``apply_macdonald_qt`` by the literal subset sum."""
     nvars = f.nvars
     num = LaurentPoly.zero(RING_QT, nvars)
     t = LaurentPoly.from_terms(RING_QT, nvars, {(0, 1) + (0,) * nvars: 1})
@@ -588,6 +609,13 @@ def schur_form(f: LaurentPoly) -> SchurPoly:
         for j, c in coeff.items():
             out[(j,) + full] = c
     return SchurPoly.from_terms(f.ring, f.nvars, out)
+
+
+def m_monomials(m, ring, nvars) -> LaurentPoly:
+    """An m-form {mu: {unit offset: int}}, sum payload * m_mu over mu weakly
+    decreasing N-vectors, in the monomial basis."""
+    zero = (0,) * unit_slots(ring)
+    return LaurentPoly(ring, nvars, {k + u: c for mu, d in m.items() for k in {pack(zero + e) for e in itertools.permutations(mu)} for u, c in d.items()})
 
 
 def monomial_sym(lam, nvars: int, ring=RING_Q) -> LaurentPoly:

@@ -90,11 +90,14 @@ def test_traced_checks_exist():
 
 def test_traced_layers_resolve():
     # a layer the program no longer has reads 0 in every benchmark row, so a
-    # rename of a traced function must fail here; these four are gone from
+    # rename of a traced function must fail here; these five are gone from
     # the program on purpose and wait to be dropped from the benchmark.
-    # signed_buckets went last: every alternant the program meets is read
+    # signed_buckets went when every alternant the program meets was read
     # into the Schur basis by straighten, so only the test oracles bucketed
-    # signed orbits, and they do it by ref_signed_buckets
+    # signed orbits, and they do it by ref_signed_buckets.  apply_macdonald_qt
+    # went last: the program runs the Macdonald operator on m-forms
+    # (macdonald.apply_macdonald_m), and only the tests read its monomial
+    # view, which oracles.apply_macdonald_qt now gives
     missing = []
     for prefix, module, attr, _, _ in tracing.LAYERS:
         try:
@@ -104,6 +107,7 @@ def test_traced_layers_resolve():
     assert sorted(missing) == [
         "laurent.exact_div",
         "laurent.signed_buckets",
+        "qdiff.apply_macdonald_qt",
         "symfun.schur_expand",
         "whittaker.check_level1_toda",
     ]

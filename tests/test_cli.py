@@ -310,6 +310,7 @@ def test_verify_whittaker_stdout_pinned():
     [
         (["--suite", "all"], "c1517ecb174b96968447025048b74f60fa8d3b36b3836989fb3983d8c81ec338"),
         (["--suite", "limits", "--rank", "5", "--bound", "4"], "d8bda32da16e992349f0f98a3084fa41005cbb66ca08ed385dfbf084bdfd4d23"),
+        (["--suite", "macdonald", "--bound", "8"], "1b05f7a3a0b31d998a955e0e7eed2352f91610b8a35f145eeeb25072b2220101"),
     ],
 )
 def test_verify_stdout_digests(args, digest):

@@ -1,34 +1,39 @@
-"""Macdonald oracle tests: the integral form J_lam against the field solve of
-``oracles``, integrality, duality and the top t-slice on a grid, the exact
-division by an eigenvalue gap, both degenerate limits, and negative
-controls."""
+"""Macdonald tests: the operator on m-forms against the literal subset sum,
+with its exact read-off controls; the integral form J_lam against the field
+solve of ``oracles``, integrality, duality and the top t-slice on a grid,
+the exact division by an eigenvalue gap, both degenerate limits, and
+negative controls."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    apply_macdonald_qt,
     dominates,
+    m_monomials,
+    monomial_sym,
     project_qt_to_q,
     qt_to_ref,
     ref_div,
     ref_macdonald_poly,
     ref_specialize_t0_qinv,
+    subset_apply_macdonald_qt,
 )
 import qchar.macdonald as macdonald
 from qchar.characters import NVector, graded_character
-from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, zero_key
+from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, offset, zero_key
 from qchar.macdonald import (
     _divide_gap,
+    apply_macdonald_m,
     eigenvalue_formula,
     integral_norm,
     macdonald_poly,
     qt_t_infinity_limit,
     qwhittaker_specialize,
 )
-from qchar.qdiff import apply_macdonald_qt
-from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible
-from qchar.symfun import elementary, m_monomials, partitions_up_to
+from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible, NotSymmetric
+from qchar.symfun import elementary, partitions_up_to
 
 # every lam with N = 2, |lam| <= 6; N = 3, |lam| <= 5; and N = 4, |lam| <= 4
 GRID = [(nvars, lam) for nvars, size in ((2, 6), (3, 5), (4, 4)) for lam in partitions_up_to(size, nvars)]
@@ -75,6 +80,63 @@ def conjugate(lam):
 def q_binomial(e, d, j=0):
     """q**e (1 - q**d) t**j as a QT constant in 2 variables."""
     return qt_const(2, {(e, j): 1, (e + d, j): -1})
+
+
+def test_macdonald_m_matches_the_subset_sum():
+    # the kernel on m-forms and its monomial view apply_macdonald_qt against
+    # the literal subset sum: every m_mu with N in {2, 3, 4} and |mu| <= 5
+    # (<= 4 at N = 4), every alpha in [0, N], with payload 1 and with several
+    # (q, t) terms moved by (z_1...z_N)**-1; repeated parts of mu make block
+    # orbits of size > 1
+    cases = 0
+    for nvars, size in ((2, 5), (3, 5), (4, 4)):
+        for lam in partitions_up_to(size, nvars):
+            for payload, shift in (({(0, 0): 1}, 0), ({(1, 0): 2, (0, -1): -1, (3, 2): 1}, -1)):
+                mu = tuple(x + shift for x in lam + (0,) * (nvars - len(lam)))
+                weight = LaurentPoly.from_terms(RING_QT, nvars, {ij + (shift,) * nvars: c for ij, c in payload.items()})
+                f = monomial_sym(lam, nvars, RING_QT) * weight
+                m = {mu: {offset(ij): c for ij, c in payload.items()}}
+                for alpha in range(nvars + 1):
+                    expected = subset_apply_macdonald_qt(alpha, f)
+                    assert m_monomials(apply_macdonald_m(alpha, m, nvars), RING_QT, nvars) == expected, (mu, alpha)
+                    assert apply_macdonald_qt(alpha, f) == expected, (mu, alpha)
+                    cases += 1
+    assert cases == 2 * 160
+
+
+def test_macdonald_qt_read_off_is_exact(monkeypatch):
+    # an input the block group does not fix: each block orbit of m_(2,1,0)
+    # counted once, not by its size, as if z**e stood for its orbit; the
+    # orbit sum is then not divisible by alpha! (N - alpha)!, and the
+    # read-off raises, never rounds
+    f = LaurentPoly.monomial(RING_QT, 3, (2, 1, 0))
+    with pytest.raises(NotSymmetric):
+        apply_macdonald_qt(1, f)
+    true_splits = macdonald._splits
+    monkeypatch.setattr(macdonald, "_splits", lambda mu, alpha: [(e, s, 1) for e, s, _ in true_splits(mu, alpha)])
+    monkeypatch.setattr(macdonald, "_cleared", macdonald._cleared.__wrapped__)  # no cached image
+    with pytest.raises(NotDivisible):
+        apply_macdonald_qt(1, monomial_sym((2, 1), 3, RING_QT))
+
+
+def test_macdonald_qt_divides_the_schur_coefficients(monkeypatch):
+    # negative control: one cleared payload off by one at alpha = 1, N = 3,
+    # where alpha! (N - alpha)! = 2, leaves a Schur coefficient that 2 does
+    # not divide; the division on Schur coefficients raises
+    f = monomial_sym((2, 1), 3, RING_QT)
+    true_cleared = macdonald._cleared
+
+    def off_by_one(mu, alpha):
+        out = dict(true_cleared(mu, alpha))
+        lam = max(out)
+        (v, c), *rest = out[lam]
+        out[lam] = ((v, c + 1), *rest)
+        return tuple(out.items())
+
+    apply_macdonald_qt(1, f)
+    monkeypatch.setattr(macdonald, "_cleared", off_by_one)
+    with pytest.raises(NotDivisible):
+        apply_macdonald_qt(1, f)
 
 
 def test_single_class_cases():

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    monomial_sym,
     packed_parts,
     ref_div,
     ref_ev,
@@ -25,7 +24,8 @@ from qchar.laurent import (
     outside_box,
     unit_slots,
 )
-from qchar.qdiff import apply_M, apply_macdonald_qt, packed_sum
+from qchar.macdonald import apply_macdonald_m
+from qchar.qdiff import apply_M, packed_sum
 from qchar.qtorus import NcLaurent, _twisted, evaluate, nc_div_left, nc_div_right, q_commutator
 from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow
 from qchar.symfun import SchurPoly, schur
@@ -313,13 +313,22 @@ def test_qt_unit_slots_at_the_edge():
             tuple(x + 1 - y for x, y in zip(top, step)) + (1, 0)
         ]
     # the q-shift of the Macdonald operator checks the q slot, also where
-    # an unchecked shift would carry into the t slot and leave a valid key
-    m1 = monomial_sym((1,), n, RING_QT)
-    assert apply_macdonald_qt(1, m1 * qt(EXP_MAX - 1, 0))
+    # an unchecked shift would carry into the t slot and leave a valid key;
+    # its t-powers t**0 .. t**(alpha (N - alpha)) check the t slot, and the
+    # least q-shift, of the alpha least parts of mu, the bottom of the q slot;
+    # in two variables M_1 m_mu = (q**mu_2 + q**mu_1 t) m_mu
+    m1, low = (1, 0), (0, -1)
+    assert apply_macdonald_m(1, {m1: {offset((EXP_MAX - 1,)): 1}}, n) == {m1: {offset((EXP_MAX - 1,)): 1, offset((EXP_MAX, 1)): 1}}
     with pytest.raises(ExponentOverflow):
-        apply_macdonald_qt(1, m1 * qt(EXP_MAX, 0))
+        apply_macdonald_m(1, {m1: {offset((EXP_MAX,)): 1}}, n)
     with pytest.raises(ExponentOverflow):
-        apply_macdonald_qt(3, monomial_sym((EXP_MAX - 2,) * 3, 3, RING_QT).times_unit(EXP_MAX))
+        apply_macdonald_m(3, {(EXP_MAX - 2,) * 3: {offset((EXP_MAX,)): 1}}, 3)
+    assert apply_macdonald_m(1, {m1: {offset((0, EXP_MAX - 1)): 1}}, n) == {m1: {offset((0, EXP_MAX - 1)): 1, offset((1, EXP_MAX)): 1}}
+    with pytest.raises(ExponentOverflow):
+        apply_macdonald_m(1, {m1: {offset((0, EXP_MAX)): 1}}, n)
+    assert apply_macdonald_m(1, {low: {offset((EXP_MIN + 1,)): 1}}, n) == {low: {offset((EXP_MIN,)): 1, offset((EXP_MIN + 1, 1)): 1}}
+    with pytest.raises(ExponentOverflow):
+        apply_macdonald_m(1, {low: {offset((EXP_MIN,)): 1}}, n)
 
 
 def test_schur_keys_at_the_edge():

@@ -1,7 +1,10 @@
 """Difference operator tests: boundary actions, the Schur-basis action
 against the signed-orbit and literal subset-sum paths and an independent
 symbolic oracle, and the operator algebra.  Monomial inputs enter the Schur
-action through ``oracles.schur_form``."""
+action through ``oracles.schur_form``.  The classical Macdonald operator
+enters through its monomial view ``oracles.apply_macdonald_qt``: its values,
+its field and symbolic oracles, its commuting family, and its t -> oo limit
+against M at n = 0."""
 
 import itertools
 from collections import Counter
@@ -10,6 +13,7 @@ import pytest
 import sympy
 
 from oracles import (
+    apply_macdonald_qt,
     branch,
     monomial_sym,
     orbit_apply_D,
@@ -27,11 +31,11 @@ from oracles import (
 )
 from qchar import characters, qdiff, qtorus, symfun
 from qchar.cartan import CartanData
-from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, offset, pack, require_symmetric, unpack
-from qchar.qdiff import apply_D, apply_M, apply_macdonald_m, apply_macdonald_qt
+from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, pack, require_symmetric, unpack
+from qchar.qdiff import apply_D, apply_M
 from qchar.macdonald import qt_t_infinity_limit
-from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible, NotSymmetric
-from qchar.symfun import SchurPoly, elementary, m_monomials, partitions_up_to, schur
+from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotSymmetric
+from qchar.symfun import SchurPoly, elementary, partitions_up_to, schur
 
 
 def one(ring, nvars):
@@ -154,63 +158,6 @@ def test_macdonald_qt_values():
     f = LaurentPoly.one(RING_QT, 3)
     out = apply_macdonald_qt(1, f)
     assert out == LaurentPoly.from_terms(RING_QT, 3, {(0, j, 0, 0, 0): 1 for j in range(3)})
-
-
-def test_macdonald_m_matches_the_subset_sum():
-    # the kernel on m-forms and its monomial view apply_macdonald_qt against
-    # the literal subset sum: every m_mu with N in {2, 3, 4} and |mu| <= 5
-    # (<= 4 at N = 4), every alpha in [0, N], with payload 1 and with several
-    # (q, t) terms moved by (z_1...z_N)**-1; repeated parts of mu make block
-    # orbits of size > 1
-    cases = 0
-    for nvars, size in ((2, 5), (3, 5), (4, 4)):
-        for lam in partitions_up_to(size, nvars):
-            for payload, shift in (({(0, 0): 1}, 0), ({(1, 0): 2, (0, -1): -1, (3, 2): 1}, -1)):
-                mu = tuple(x + shift for x in lam + (0,) * (nvars - len(lam)))
-                weight = LaurentPoly.from_terms(RING_QT, nvars, {ij + (shift,) * nvars: c for ij, c in payload.items()})
-                f = monomial_sym(lam, nvars, RING_QT) * weight
-                m = {mu: {offset(ij): c for ij, c in payload.items()}}
-                for alpha in range(nvars + 1):
-                    expected = subset_apply_macdonald_qt(alpha, f)
-                    assert m_monomials(apply_macdonald_m(alpha, m, nvars), RING_QT, nvars) == expected, (mu, alpha)
-                    assert apply_macdonald_qt(alpha, f) == expected, (mu, alpha)
-                    cases += 1
-    assert cases == 2 * 160
-
-
-def test_macdonald_qt_read_off_is_exact(monkeypatch):
-    # an input the block group does not fix: each block orbit of m_(2,1,0)
-    # counted once, not by its size, as if z**e stood for its orbit; the
-    # orbit sum is then not divisible by alpha! (N - alpha)!, and the
-    # read-off raises, never rounds
-    f = LaurentPoly.monomial(RING_QT, 3, (2, 1, 0))
-    with pytest.raises(NotSymmetric):
-        apply_macdonald_qt(1, f)
-    true_splits = qdiff._splits
-    monkeypatch.setattr(qdiff, "_splits", lambda mu, alpha: [(e, s, 1) for e, s, _ in true_splits(mu, alpha)])
-    monkeypatch.setattr(qdiff, "_cleared", qdiff._cleared.__wrapped__)  # no cached image
-    with pytest.raises(NotDivisible):
-        apply_macdonald_qt(1, monomial_sym((2, 1), 3, RING_QT))
-
-
-def test_macdonald_qt_divides_the_schur_coefficients(monkeypatch):
-    # negative control: one cleared payload off by one at alpha = 1, N = 3,
-    # where alpha! (N - alpha)! = 2, leaves a Schur coefficient that 2 does
-    # not divide; the division on Schur coefficients raises
-    f = monomial_sym((2, 1), 3, RING_QT)
-    true_cleared = qdiff._cleared
-
-    def off_by_one(mu, alpha):
-        out = dict(true_cleared(mu, alpha))
-        lam = max(out)
-        (v, c), *rest = out[lam]
-        out[lam] = ((v, c + 1), *rest)
-        return tuple(out.items())
-
-    apply_macdonald_qt(1, f)
-    monkeypatch.setattr(qdiff, "_cleared", off_by_one)
-    with pytest.raises(NotDivisible):
-        apply_macdonald_qt(1, f)
 
 
 def test_macdonald_qt_against_the_field_oracle():
