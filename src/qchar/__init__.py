@@ -16,7 +16,6 @@ from .qdiff import apply_D, apply_M
 from .qtorus import NcLaurent, evaluate, q_recursion
 from .rings import (
     RING_Q,
-    RING_QT,
     RING_W,
     DegenerateEigenvalue,
     ExponentNotDivisible,

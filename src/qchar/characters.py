@@ -86,9 +86,6 @@ class NVector(FrozenRecord):
             raise ValueError("entry (%d, %d) outside the occupation matrix" % (alpha, i))
         return self.rows[alpha - 1][i - 1]
 
-    def sigma(self) -> int:
-        return sum(sum(row) for row in self.rows)
-
     def cells(self):
         """(alpha, i, n_i^(alpha)) for every nonzero entry."""
         return [(a + 1, i + 1, x) for a, row in enumerate(self.rows) for i, x in enumerate(row) if x]
@@ -107,10 +104,6 @@ class NVector(FrozenRecord):
             if 0 < alpha <= self.rank and i:
                 rows[alpha - 1][i - 1] += delta
         return tuple(tuple(r) for r in rows)
-
-    def shift(self, *moves):
-        """Apply unit moves (see ``_moved``); None when an entry goes negative."""
-        return self._on(self._moved(moves))
 
     def _on(self, rows):
         """The NVector with these rows, None when an entry is negative."""

@@ -1,15 +1,13 @@
 """Sparse multivariate Laurent polynomials with exact coefficients.
 
 A polynomial in ``z_1 .. z_N`` is a finite map from exponent vectors to
-nonzero Python integers.  The exponents of the ring variables come first:
-for ``RING_W`` and ``RING_Q`` the term ``c * u**j * z1**e1 * ... * zN**eN``
-has the exponent vector ``(j, e1, .., eN)``, and for ``RING_QT`` the term
-``c * q**i * t**j * z**e`` has ``(i, j, e1, .., eN)``: one unit slot, or
-two (``zoff``).
+nonzero Python integers.  The exponent of the ring variable comes first:
+over ``RING_W`` and ``RING_Q`` the term ``c * u**j * z1**e1 * ... * zN**eN``
+has the exponent vector ``(j, e1, .., eN)``, one unit slot.
 
 Packed keys.  The map is a dict keyed by one Python int per term (Monagan &
 Pearce, CASC 2007): entry i of the exponent vector, plus the bias 2**25,
-fills bits [27 i, 27 i + 27) of the key, so the unit slots are lowest,
+fills bits [27 i, 27 i + 27) of the key, so the unit slot is lowest,
 then z_1 .. z_N.  Packing is additive, ``pack(a) + offset(b) ==
 pack(a + b)``, so multiplying two monomials is one integer addition.
 Exponents must lie in [EXP_MIN, EXP_MAX] = [-2**25, 2**25 - 1]: products,
@@ -21,11 +19,13 @@ quotient exponent in one mask test.  This module and ``qtorus`` mask key
 slots themselves; the other modules use ``terms()``, ``from_terms()`` and
 the codec: ``pack``, ``unpack``, ``split_unit``, ``offset``, ``zero_key``
 and ``UNIT``, shifts by multiples of ``SLOT_BITS`` (``symfun._schur_zcoeffs``
-puts z_N on top, ``macdonald`` drops the t slot of a QT key,
+puts z_N on top, ``macdonald`` reads the t slot of a (q, t) offset,
 ``qdiff.operator_sum`` reads the unit slot off a key less its z-part,
 ``whittaker`` steps u), range checks against ``EXP_MIN``/``EXP_MAX``
 (``qdiff.operator_sum``, ``cli``) and unit offsets, the payloads of the
-z-parts of ``require_symmetric`` and of m-forms (``qdiff``).  No value is
+z-parts of ``require_symmetric`` and of m-forms (``macdonald``, whose
+(q, t) coefficients are payloads keyed by the offset of (i, j), q**i t**j,
+and never a ``LaurentPoly``).  No value is
 keyed by alternant exponents: ``straighten`` (a_{v+delta} = +-a_{lam+delta}
 or 0) reads an alternant as a Schur function, in ``SchurPoly.times``, the
 operator images, the Macdonald operator and the lemma sides.
@@ -49,9 +49,10 @@ the 2r torus exponents, w in the unit slot) twists the product, and
 truncates it.  Their constructors take other arguments, so the methods
 here build zero and one through ``_like``, and refuse the others (``refused``).
 
-``from_terms``, ``sum``, ``+``, ``-``, ``at_unit_one``,
-``SchurPoly.constrained`` and the operator images (``qdiff._image``) add
-through one loop, ``_add_into``: repeated keys add up, zero sums drop out.
+``from_terms``, ``+``, ``-``, ``at_unit_one``, ``SchurPoly.constrained``,
+the operator images (``qdiff._image``) and the (q, t) payloads of the
+Macdonald solve add through one loop, ``_add_into``: repeated keys add up,
+zero sums drop out.
 The binomial division adds a few terms per row, where a call per row
 measured slower, so it keeps an inline loop.
 
@@ -67,12 +68,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add, neg
 
-from .rings import (
-    RING_Q,
-    RING_QT,
-    ExponentOverflow,
-    NotSymmetric,
-)
+from .rings import RING_Q, RING_W, ExponentOverflow, NotSymmetric
 
 # -- the key codec -------------------------------------------------------------
 
@@ -284,17 +280,17 @@ class Packed:
         return [(lo + i, c) for i, c in kron_digits(n, s)]
 
 
-def unit_slots(ring) -> int:
-    """How many ring-variable exponents precede the z-exponents: 2 (q, t)
-    for ``RING_QT``, 1 for the W and Q rings."""
-    return 2 if ring == RING_QT else 1
+def _require_ring(ring):
+    """ValueError unless ``ring`` is the W or Q ring."""
+    if ring not in (RING_W, RING_Q):
+        raise ValueError("a polynomial lives over the W or Q ring, not %r" % (ring,))
 
 
 def _add_into(out, pairs):
     """Add each (key, c) of ``pairs`` into the dict ``out``, a key whose sum
     is zero dropping out, and return ``out``: the one add loop of
-    ``from_terms``, ``sum``, ``+``, ``-``, ``at_unit_one``,
-    ``SchurPoly.constrained`` and ``qdiff._image``."""
+    ``from_terms``, ``+``, ``-``, ``at_unit_one``, ``SchurPoly.constrained``,
+    ``qdiff._image`` and the payloads of ``macdonald``."""
     for k, c in pairs:
         if k in out:
             c += out[k]
@@ -323,14 +319,9 @@ class LaurentPoly:
         self._box = box
 
     @property
-    def zoff(self) -> int:
-        """Index of the first z-entry in exponent vectors."""
-        return unit_slots(self.ring)
-
-    @property
     def width(self) -> int:
-        """Length of the exponent vectors."""
-        return self.nvars + self.zoff
+        """Length of the exponent vectors: the unit slot and the z's."""
+        return self.nvars + 1
 
     # -- constructors ------------------------------------------------------
 
@@ -342,7 +333,7 @@ class LaurentPoly:
     def from_int(cls, ring, nvars, n: int):
         if not n:
             return cls.zero(ring, nvars)
-        return cls(ring, nvars, {zero_key(nvars + unit_slots(ring)): n})
+        return cls(ring, nvars, {zero_key(nvars + 1): n})
 
     @classmethod
     def one(cls, ring, nvars):
@@ -353,7 +344,7 @@ class LaurentPoly:
         """The polynomial with the given ``(exponent vector, coefficient)``
         pairs (a mapping or an iterable); repeated vectors add up, zero
         coefficients drop out."""
-        width = nvars + unit_slots(ring)
+        width = nvars + 1
         keyed = []
         for exps, c in terms.items() if hasattr(terms, "items") else terms:
             if len(exps) != width:
@@ -363,12 +354,11 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, ring, nvars, zexps, coeff=1, unit=0):
-        """coeff * u**unit * z**zexps, u = q over the QT ring."""
+        """coeff * u**unit * z**zexps."""
         zexps = tuple(zexps)
         if len(zexps) != nvars:
             raise ValueError("exponent vector has wrong length")
-        lead = (unit,) + (0,) * (unit_slots(ring) - 1)
-        return cls.from_terms(ring, nvars, [(lead + zexps, coeff)])
+        return cls.from_terms(ring, nvars, [((unit,) + zexps, coeff)])
 
     @classmethod
     def variable(cls, ring, nvars, i):
@@ -379,16 +369,8 @@ class LaurentPoly:
 
     @classmethod
     def unit_power(cls, ring, nvars, k, coeff=1):
-        """coeff * u**k as a constant polynomial (u = q over QT)."""
+        """coeff * u**k as a constant polynomial."""
         return cls.monomial(ring, nvars, (0,) * nvars, coeff, unit=k)
-
-    @classmethod
-    def sum(cls, ring, nvars, polys):
-        """The sum of ``polys``, accumulated in one dict."""
-        out = {}
-        for f in polys:
-            _add_into(out, f.coeffs.items())
-        return cls(ring, nvars, out)
 
     # -- basic structure ---------------------------------------------------
 
@@ -427,17 +409,10 @@ class LaurentPoly:
         return type(self)(self.ring, self.nvars, coeffs, box)
 
     def with_ring(self, ring):
-        """The same terms over another ring: W <-> Q keeps every unit
-        exponent as it is, and Q -> QT embeds each q-polynomial coefficient
-        with t-exponent 0."""
-        if RING_QT not in (ring, self.ring):
-            return type(self)(ring, self.nvars, self.coeffs, self._box)
-        if (self.ring, ring) != (RING_Q, RING_QT):
-            raise ValueError("with_ring cannot map the %s ring to %s" % (self.ring, ring))
-        # the q slot stays lowest; the z slots move up past a zero t slot
-        t0 = _BIAS << SLOT_BITS
-        coeffs = {(k & _MASK) + t0 + (k >> SLOT_BITS << 2 * SLOT_BITS): c for k, c in self.coeffs.items()}
-        return type(self)(ring, self.nvars, coeffs)
+        """The same terms over the W or Q ring, every unit exponent kept
+        (any other ring raises ValueError)."""
+        _require_ring(ring)
+        return type(self)(ring, self.nvars, self.coeffs, self._box)
 
     def _check_basis(self, other):
         """Subclasses key their terms by other bases (``symfun.SchurPoly``);
@@ -518,7 +493,7 @@ class LaurentPoly:
         return self._like({k + d: c for k, c in self.coeffs.items()}, box)
 
     def times_unit(self, k: int):
-        """Multiply by u**k (shift the first unit exponent; u = q over QT)."""
+        """Multiply by u**k (shift the unit exponent)."""
         return self._shifted((k,) + (0,) * (self.width - 1))
 
     def times_z(self, zshift):
@@ -526,33 +501,24 @@ class LaurentPoly:
         zshift = tuple(zshift)
         if len(zshift) != self.nvars:
             raise ValueError("exponent vector has wrong length")
-        return self._shifted((0,) * self.zoff + zshift)
+        return self._shifted((0,) + zshift)
 
     # -- views -------------------------------------------------------------
 
     def z_terms(self):
-        """Group terms by z-exponent: a dict {z-tuple: {unit exponent: int}}
-        (W and Q rings)."""
-        if self.ring == RING_QT:
-            raise ValueError("QT coefficients have no one-variable view; use terms()")
+        """Group terms by z-exponent: a dict {z-tuple: {unit exponent: int}}."""
         n = self.nvars
         return {unpack(z, n): d for z, d in _z_parts(self).items()}
 
     def unit_exponents(self):
-        if self.ring == RING_QT:
-            raise ValueError("QT ring has no distinguished unit variable")
         return {(k & _MASK) - _BIAS for k in self.coeffs}
 
     def at_unit_one(self):
-        """Set the scalar variable to 1 (integer rings); unit slot collapses to 0."""
-        if self.ring == RING_QT:
-            raise ValueError("QT ring has no distinguished unit variable")
+        """Set the scalar variable to 1; the unit slot collapses to 0."""
         return self._like(_add_into({}, ((k - (k & _MASK) + _BIAS, c) for k, c in self.coeffs.items())))
 
     def unit_slice(self, j: int):
         """Terms whose scalar exponent equals ``j``, with the unit reset to 0."""
-        if self.ring == RING_QT:
-            raise ValueError("QT ring has no distinguished unit variable")
         if not EXP_MIN <= j <= EXP_MAX:
             return self._like({})
         slot = j + _BIAS
@@ -563,17 +529,9 @@ class LaurentPoly:
     def to_text(self) -> str:
         """Canonical text form: terms sorted lexicographically by z-exponent
         vector (descending), coefficients printed as integer polynomials in
-        the ring variable (or a subclass's ``_symbols``); over QT, the terms
-        ``c*q^i*t^j*z1^e1...`` in descending order of their exponent vectors."""
+        the ring variable (or a subclass's ``_symbols``)."""
         if not self.coeffs:
             return "0"
-        if self.ring == RING_QT:
-            names = ("q", "t") + tuple("z%d" % (i + 1) for i in range(self.nvars))
-            bits = []
-            for exps, c in sorted(self.terms(), reverse=True):
-                mono = "*".join("%s^%d" % (x, e) for x, e in zip(names, exps) if e)
-                bits.append(str(c) if not mono else mono if c == 1 else "%d*%s" % (c, mono))
-            return " + ".join(bits).replace("+ -", "- ")
         unit, zs = self._symbols or (self.ring, ["z%d" % (i + 1) for i in range(self.nvars)])
         groups = self.z_terms()
         bits = []
@@ -651,23 +609,15 @@ def constrain(f: LaurentPoly, rank: int) -> LaurentPoly:
         raise TypeError("constrain takes a polynomial in the monomial basis")
     if f.nvars != rank + 1:
         raise ValueError("expected a polynomial in %d variables" % (rank + 1))
-    zo = f.zoff
-    return LaurentPoly.from_terms(
-        f.ring,
-        rank,
-        ((e[:zo] + tuple(x - e[-1] for x in e[zo:-1]), c) for e, c in f.terms()),
-    )
+    return LaurentPoly.from_terms(f.ring, rank, (((e[0],) + tuple(x - e[-1] for x in e[1:-1]), c) for e, c in f.terms()))
 
 
 def _z_parts(f: LaurentPoly):
-    """{key of a z-part: {unit offset: int}}: the terms of f grouped by their
-    z-exponents, a unit offset the ``offset`` of the ring-variable exponents
-    (the unit exponent itself over W and Q, ``offset((i, j))`` for q**i t**j)."""
-    shift = SLOT_BITS * f.zoff
-    low, base = (1 << shift) - 1, zero_key(f.zoff)
+    """{key of a z-part: {unit exponent: int}}: the terms of f grouped by
+    their z-exponents."""
     out = {}
     for k, c in f.coeffs.items():
-        out.setdefault(k >> shift, {})[(k & low) - base] = c
+        out.setdefault(k >> SLOT_BITS, {})[(k & _MASK) - _BIAS] = c
     return out
 
 
@@ -689,7 +639,7 @@ def _swap_closed(parts, nvars) -> bool:
 
 def require_symmetric(f: LaurentPoly):
     """The terms of f grouped by z-part, as ``{key of the z-part: {unit
-    offset: int}}``; ``NotSymmetric`` unless f is symmetric in the z
+    exponent: int}}``; ``NotSymmetric`` unless f is symmetric in the z
     variables."""
     parts = _z_parts(f)
     if not _swap_closed(parts, f.nvars):

@@ -21,8 +21,8 @@ from math import prod
 from operator import add, ge
 
 from .laurent import EXP_MAX, EXP_MIN, SLOT_BITS, UNIT, LaurentPoly, _add_into, box_sum, coefficient_text, offset, pack
-from .laurent import require_fit, require_symmetric, split_unit, straighten, unit_slots, unpack, zero_key
-from .rings import RING_Q, RING_W, ExponentOverflow
+from .laurent import _require_ring, require_fit, require_symmetric, split_unit, straighten, unpack
+from .rings import RING_Q, ExponentOverflow
 
 
 Partition = tuple
@@ -227,32 +227,21 @@ def _pieri_constrained_keys(key, m, nvars):
 
 def _schur_monomials(coeffs, ring, nvars) -> LaurentPoly:
     """sum payload * s_lam over ``coeffs`` = {lam: payload}, lam weakly
-    decreasing (negative parts allowed), in the monomial basis over any
-    ring, in one pass: payloads are {unit offset: int}, the unit offset as in
-    ``laurent.require_symmetric`` (over W and Q the unit exponent), and each
-    term adds c times the cached s_{lam - lam_N} moved by the unit offset
-    and (z_1...z_N)**lam_N, so every exponent stays in [lam_N, lam_1].  The
-    cached keys have one unit slot, at exponent 0: shifted up past the
-    ring's other unit slots, once per lam, and given their zero key, they
-    are keys of the ring.  In 0 variables lam is () and s_() = 1."""
-    slots = unit_slots(ring)
-    shift, base = SLOT_BITS * (slots - 1), zero_key(slots - 1)
-    column, out = offset((0,) * slots + (1,) * nvars), {}
+    decreasing (negative parts allowed), in the monomial basis over the W or
+    Q ring, in one pass: payloads are {unit exponent: int}, and each term
+    adds c times the cached s_{lam - lam_N} (its unit slot at exponent 0)
+    moved by u**j and (z_1...z_N)**lam_N, so every exponent stays in
+    [lam_N, lam_1].  In 0 variables lam is () and s_() = 1."""
+    column, out = offset((0,) + (1,) * nvars), {}
     get = out.get
     for lam, payload in coeffs.items():
         top = lam[-1] if lam else 0
-        core = [(k << shift, x) for k, x in _schur_zcoeffs(tuple(e - top for e in lam if e != top), nvars).coeffs.items()]
+        core = _schur_zcoeffs(tuple(e - top for e in lam if e != top), nvars).coeffs.items()
         for u, c in payload.items():
-            d = u + top * column + base
+            d = u + top * column
             for k, x in core:
                 out[k + d] = get(k + d, 0) + c * x
     return LaurentPoly(ring, nvars, {k: c for k, c in out.items() if c})
-
-
-def _require_schur_ring(ring):
-    """A Schur form has one unit slot: its keys misread under the QT ring."""
-    if ring not in (RING_W, RING_Q):
-        raise ValueError("a Schur form lives over the W or Q ring, not %r" % (ring,))
 
 
 class SchurPoly(LaurentPoly):
@@ -271,16 +260,11 @@ class SchurPoly(LaurentPoly):
     def basis(cls, lam, nvars, ring=RING_Q):
         """The basis element s_lam, lam padded with zeros to length N, over
         the W or Q ring (any other raises ValueError)."""
-        _require_schur_ring(ring)
+        _require_ring(ring)
         lam = tuple(lam) + (0,) * (nvars - len(lam))
         if len(lam) != nvars or any(lam[i] < lam[i + 1] for i in range(nvars - 1)):
             raise ValueError("%r is not a weakly decreasing %d-vector" % (lam, nvars))
         return cls.monomial(ring, nvars, lam)
-
-    def with_ring(self, ring):
-        """The same terms over the W or Q ring (any other raises ValueError)."""
-        _require_schur_ring(ring)
-        return LaurentPoly.with_ring(self, ring)
 
     def __mul__(self, other):
         if not isinstance(other, int):

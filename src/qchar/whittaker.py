@@ -53,7 +53,7 @@ class TruncatedSeries(LaurentPoly):
 
     __slots__ = ("order",)
     _symbols = ("s", ("u",))
-    from_terms, from_int, monomial, variable, unit_power, sum, with_ring = map(refused, ("from_terms", "from_int", "monomial", "variable", "unit_power", "sum", "with_ring"))
+    from_terms, from_int, monomial, variable, unit_power, with_ring = map(refused, ("from_terms", "from_int", "monomial", "variable", "unit_power", "with_ring"))
 
     def __init__(self, order, coeffs, box=None):
         super().__init__(RING_W, 1, coeffs, box)

@@ -3,14 +3,19 @@
 * ``subset_operator_bruteforce`` recomputes the subset difference operators
   with sympy's symbolic rational-function arithmetic (no shared code with the
   package kernel), so an agreement is a genuine two-path check.
+* A QT dict {(i, j, e_1, .., e_N): int} is the polynomial sum c q**i t**j
+  z**e, the (q, t) side of the tests: the package keeps no (q, t)
+  polynomial, only m-form payloads {offset of (i, j): int}, and
+  ``qt_terms`` writes such an m-form as a QT dict.
 * ``apply_macdonald_qt`` is the classical Macdonald operator on symmetric
-  QT polynomials: the monomial view of ``qchar.macdonald.apply_macdonald_m``
-  on the polynomial's m-form, read back by ``m_monomials``.
-* ``subset_apply_M``/``subset_apply_D``/``subset_apply_macdonald_qt`` expand
-  the same operators subset by subset and divide once by the Vandermonde.
-  Unlike the sympy oracle this path shares ``LaurentPoly`` arithmetic with
-  the package; it checks the signed-orbit compression and the Schur
-  read-off, not the kernel.
+  QT dicts: the monomial view of ``qchar.macdonald.apply_macdonald_m`` on
+  the dict's m-form, read back by ``qt_terms``.
+* ``subset_apply_M``/``subset_apply_D`` expand the same operators subset by
+  subset and divide once by the Vandermonde.  Unlike the sympy oracle this
+  path shares ``LaurentPoly`` arithmetic with the package; it checks the
+  signed-orbit compression and the Schur read-off, not the kernel.
+  ``subset_apply_macdonald_qt`` does the same on QT dicts with ``ref_mul``
+  and ``ref_exact_div``, sharing no arithmetic with the package.
 * ``orbit_apply_M``/``orbit_apply_D`` act on monomial polynomials by one
   signed permutation orbit: the Vandermonde-cleared summand for the first
   alpha variables is antisymmetrized in alternant form and divided by the
@@ -26,16 +31,15 @@
   (signed) permutation orbit term by term, the signed one as a sum of
   alternants by ``ref_signed_buckets``.  ``monomial_sym`` is the monomial
   symmetric polynomial m_lam, through ``m_monomials``, which writes an
-  m-form {mu: {unit offset: int}} in the monomial basis.
+  m-form {mu: {unit exponent: int}} in the monomial basis (W and Q rings);
+  ``qt_monomial_sym`` is m_lam as a QT dict.
 * ``schur_form`` turns a symmetric Laurent polynomial into a Schur form at
   the boundary of the tests (through ``schur_expand``); ``pieri_e`` is the
   Pieri rule by vertical strips, and ``times_e`` the Pieri product with e_m
   before the constraint z_1...z_N = 1, the reference for
   ``SchurPoly.times`` with e_m and for the Pieri side of
   ``qdiff.packed_sum``, whose inputs ``packed_parts`` packs digit by digit
-  from a Schur form; ``dominates`` and
-  ``project_qt_to_q`` are the dominance order and the inverse of
-  ``with_ring(RING_QT)`` on a Q-ring polynomial; ``image_nc`` reads a
+  from a Schur form; ``dominates`` is the dominance order; ``image_nc`` reads a
   packed ev0 image (``qtorus.PackedImage``) back as an ``NcLaurent``
   through ``Packed.digits``.
 * ``ref_apply_macdonald_qt``, ``ref_macdonald_poly`` and
@@ -43,7 +47,7 @@
   ``QT_REF`` = Q(q, t) of sympy, as it ran before the package cleared its
   denominators: the operator as one signed orbit on tuple-keyed dicts, the
   triangular solve dividing by each eigenvalue gap, and the t = 0 limit of
-  a reduced fraction.
+  a reduced fraction; ``qt_to_ref`` reads a QT dict into the field.
 * ``whittaker_series_sympy`` expands the rank-one Whittaker series as
   products of truncated geometric series in sympy's polynomial ring.
   ``ref_w_series`` and ``ref_class_one_coefficient`` are the series and the
@@ -90,23 +94,11 @@ from sympy.polys.fields import field
 from sympy.polys.rings import ring
 
 from qchar.cartan import CartanData
-from qchar.laurent import (
-    LaurentPoly,
-    pack,
-    require_symmetric,
-    unit_slots,
-    unpack,
-)
+from qchar.laurent import LaurentPoly, offset, pack, require_symmetric, unpack
 from qchar.macdonald import apply_macdonald_m
 from qchar.qdiff import PackedSchur
 from qchar.qtorus import NcLaurent, ev0_image, ev0_negative_term, q_recursion
-from qchar.rings import (
-    RING_Q,
-    RING_QT,
-    RING_W,
-    NcNotDivisible,
-    NotDivisible,
-)
+from qchar.rings import RING_Q, RING_W, NcNotDivisible, NotDivisible, NotSymmetric
 from qchar.symfun import SchurPoly, _branch_partition, normalize_partition, partitions
 from qchar.whittaker import TruncatedSeries, toda_residual
 
@@ -130,10 +122,14 @@ def zsyms(nvars):
     return sympy.symbols("z1:%d" % (nvars + 1))
 
 
-def poly_to_sympy(f: LaurentPoly):
-    symbols = {RING_W: (W,), RING_Q: (Q,), RING_QT: (Q, T)}[f.ring] + zsyms(f.nvars)
+def poly_to_sympy(f):
+    """A W- or Q-ring ``LaurentPoly``, or a QT dict, as a sympy expression."""
+    if isinstance(f, dict):
+        symbols, terms = (Q, T) + zsyms(len(next(iter(f), (0, 0))) - 2), f.items()
+    else:
+        symbols, terms = {RING_W: (W,), RING_Q: (Q,)}[f.ring] + zsyms(f.nvars), f.terms()
     total = sympy.Integer(0)
-    for key, c in f.terms():
+    for key, c in terms:
         term = sympy.Integer(c)
         for x, e in zip(symbols, key):
             term *= x**e
@@ -171,13 +167,12 @@ def alternant(ring, nvars, exps):
     exps = tuple(exps)
     if len(set(exps)) != len(exps):
         raise ValueError("alternant exponents must be distinct")
-    unit = (0,) * unit_slots(ring)
     terms = []
     for perm, sign in perms_with_sign(nvars):
         new = [0] * nvars
         for i, e in enumerate(exps):
             new[perm[i]] = e
-        terms.append((unit + tuple(new), sign))
+        terms.append(((0,) + tuple(new), sign))
     return LaurentPoly.from_terms(ring, nvars, terms)
 
 
@@ -221,8 +216,7 @@ def _tableau_contents(lam, nvars) -> dict:
 def tableau_schur(lam, nvars, ring=RING_Q) -> LaurentPoly:
     """s_lam(z_1..z_N) as the sum of z**content over semistandard tableaux
     of shape lam with entries at most N."""
-    unit = (0,) * unit_slots(ring)
-    return LaurentPoly.from_terms(ring, nvars, [(unit + k, c) for k, c in _tableau_contents(tuple(lam), nvars).items()])
+    return LaurentPoly.from_terms(ring, nvars, [((0,) + k, c) for k, c in _tableau_contents(tuple(lam), nvars).items()])
 
 
 def constant(ring, nvars, coeff) -> LaurentPoly:
@@ -243,8 +237,7 @@ def schur_expand(f: LaurentPoly) -> dict:
     input and ``NonzeroRemainder`` when peeling gets stuck (negative
     exponents, or a leading monomial that is not a partition)."""
     require_symmetric(f)
-    zo = f.zoff
-    if f and min(f.bounds()[0][zo:]) < 0:
+    if f and min(f.bounds()[0][1:]) < 0:
         raise NonzeroRemainder("input has negative exponents")
 
     out = {}
@@ -266,9 +259,9 @@ def subset_operator_bruteforce(alpha, n, f: LaurentPoly, kind="gamma"):
     kind='gamma' scales subset variables by q; kind='twisted' scales every
     variable by w**2 and subset variables by q = w**(-2(r+1)) besides (the
     bare sum, no prefactor); kind='qt' uses the (t z_i - z_j)/(z_i - z_j)
-    coefficients with q-scaling.
+    coefficients with q-scaling, on a nonzero QT dict f.
     """
-    nvars = f.nvars
+    nvars = len(next(iter(f))) - 2 if kind == "qt" else f.nvars
     z = list(zsyms(nvars))
     expr = poly_to_sympy(f)
     rank = nvars - 1
@@ -344,40 +337,55 @@ def subset_apply_D(alpha, n, f):
     return out.times_unit(-cart.lam(alpha, alpha) * n - 2 * cart.lam_row_sum(alpha))
 
 
-def apply_macdonald_qt(alpha, f):
+def qt_terms(m) -> dict:
+    """An m-form over (q, t), {mu: {offset of (i, j): int}} for the sum of
+    c q**i t**j m_mu, as a QT dict."""
+    zero = pack((0, 0))
+    return {unpack(u + zero, 2) + e: c for mu, d in m.items() for e in set(itertools.permutations(mu)) for u, c in d.items()}
+
+
+def qt_monomial_sym(lam, nvars: int) -> dict:
+    """m_lam(z_1..z_N) as a QT dict."""
+    lam = normalize_partition(lam)
+    return qt_terms({lam + (0,) * (nvars - len(lam)): {0: 1}})
+
+
+def apply_macdonald_qt(alpha, f: dict, nvars: int) -> dict:
     """The classical Macdonald operator of index ``alpha`` on a symmetric QT
-    polynomial: the monomial view of ``qchar.macdonald.apply_macdonald_m``
-    on its m-form."""
-    if f.ring != RING_QT:
-        raise ValueError("Macdonald operator needs QT coefficients")
-    nvars = f.nvars
-    if not 0 <= alpha <= nvars:
-        raise ValueError("alpha out of range [0, N]")
-    parts = require_symmetric(f)
-    if alpha == 0 or f.is_zero():
-        return f
-    m = {mu: d for mu, d in ((unpack(z, nvars), d) for z, d in parts.items()) if mu == tuple(sorted(mu, reverse=True))}
-    return m_monomials(apply_macdonald_m(alpha, m, nvars), RING_QT, nvars)
+    dict in N variables (else ``NotSymmetric``): the monomial view of
+    ``qchar.macdonald.apply_macdonald_m`` on its m-form."""
+    parts = {}
+    for k, c in f.items():
+        parts.setdefault(k[2:], {})[offset(k[:2])] = c
+    if any(parts.get(p) != d for e, d in parts.items() for p in itertools.permutations(e)):
+        raise NotSymmetric("QT dict is not symmetric in the z variables")
+    m = {e: d for e, d in parts.items() if list(e) == sorted(e, reverse=True)}
+    return qt_terms(apply_macdonald_m(alpha, m, nvars))
 
 
-def subset_apply_macdonald_qt(alpha, f):
-    """``apply_macdonald_qt`` by the literal subset sum."""
-    nvars = f.nvars
-    num = LaurentPoly.zero(RING_QT, nvars)
-    t = LaurentPoly.from_terms(RING_QT, nvars, {(0, 1) + (0,) * nvars: 1})
+def subset_apply_macdonald_qt(alpha, f: dict, nvars: int) -> dict:
+    """``apply_macdonald_qt`` by the literal subset sum on QT dicts: each
+    subset's Vandermonde-cleared summand expanded by ``ref_mul``, and the
+    sum divided once by the Vandermonde by ``ref_exact_div``."""
+
+    def z(i, t=0):
+        return (0, t) + tuple(int(k == i) for k in range(nvars))
+
+    num = {}
     for subset, comp, sign in _subset_data(nvars, alpha):
-        shifted = {}
-        for k, c in f.terms():
-            s = sum(k[2 + i] for i in subset)
-            shifted[(k[0] + s,) + k[1:]] = sign * c
-        part = delta_on(RING_QT, nvars, subset) * delta_on(RING_QT, nvars, comp)
+        part = {(0,) * (nvars + 2): sign}
+        for i, j in [*itertools.combinations(subset, 2), *itertools.combinations(comp, 2)]:
+            part = ref_mul(part, {z(i): 1, z(j): -1})
         for i in subset:
             for j in comp:
-                zi = LaurentPoly.variable(RING_QT, nvars, i)
-                zj = LaurentPoly.variable(RING_QT, nvars, j)
-                part = part * (t * zi - zj)
-        num = num + part * LaurentPoly.from_terms(RING_QT, nvars, shifted)
-    return ref_div(num, vandermonde(RING_QT, nvars))
+                part = ref_mul(part, {z(i, 1): 1, z(j): -1})
+        shifted = {(k[0] + sum(k[2 + i] for i in subset),) + k[1:]: c for k, c in f.items()}
+        for k, c in ref_mul(part, shifted).items():
+            num[k] = num.get(k, 0) + c
+    vandermonde = {(0,) * (nvars + 2): 1}
+    for i, j in itertools.combinations(range(nvars), 2):
+        vandermonde = ref_mul(vandermonde, {z(i): 1, z(j): -1})
+    return ref_exact_div({k: c for k, c in num.items() if c}, vandermonde)
 
 
 def whittaker_series_sympy(n, reflected, order):
@@ -612,10 +620,9 @@ def schur_form(f: LaurentPoly) -> SchurPoly:
 
 
 def m_monomials(m, ring, nvars) -> LaurentPoly:
-    """An m-form {mu: {unit offset: int}}, sum payload * m_mu over mu weakly
-    decreasing N-vectors, in the monomial basis."""
-    zero = (0,) * unit_slots(ring)
-    return LaurentPoly(ring, nvars, {k + u: c for mu, d in m.items() for k in {pack(zero + e) for e in itertools.permutations(mu)} for u, c in d.items()})
+    """An m-form {mu: {unit exponent: int}}, sum payload * m_mu over mu
+    weakly decreasing N-vectors, in the monomial basis over the W or Q ring."""
+    return LaurentPoly(ring, nvars, {k + u: c for mu, d in m.items() for k in {pack((0,) + e) for e in itertools.permutations(mu)} for u, c in d.items()})
 
 
 def monomial_sym(lam, nvars: int, ring=RING_Q) -> LaurentPoly:
@@ -697,15 +704,6 @@ def dominates(lam, mu) -> bool:
     return tot_l == tot_m
 
 
-def project_qt_to_q(f: LaurentPoly) -> LaurentPoly:
-    """Inverse of ``with_ring(RING_QT)`` on a Q-ring polynomial: no term may
-    involve t."""
-    terms = list(f.terms())
-    if any(key[1] for key, _ in terms):
-        raise NotDivisible("polynomial involves t")
-    return LaurentPoly.from_terms(RING_Q, f.nvars, ((key[:1] + key[2:], c) for key, c in terms))
-
-
 # -- (signed) permutation orbits, term by term ----------------------------------------
 
 
@@ -724,15 +722,14 @@ def divide_int(f: LaurentPoly, m: int) -> LaurentPoly:
 
 def symmetrize(f: LaurentPoly) -> LaurentPoly:
     """(1/N!) * sum over permutations of f; exact, error if N! does not divide."""
-    zo = f.zoff
     acc = LaurentPoly.zero(f.ring, f.nvars)
     for perm, _ in perms_with_sign(f.nvars):
         moved = {}
         for k, c in f.terms():
             new = [0] * f.nvars
-            for i, e in enumerate(k[zo:]):
+            for i, e in enumerate(k[1:]):
                 new[perm[i]] = e
-            moved[k[:zo] + tuple(new)] = c
+            moved[k[:1] + tuple(new)] = c
         acc = acc + f.from_terms(f.ring, f.nvars, moved)
     return divide_int(acc, factorial(f.nvars))
 
@@ -942,10 +939,10 @@ def ref_nc_div(rank: int, num: dict, den: dict, side: str) -> dict:
 QT_REF, ref_q, ref_t = field("q,t", QQ)
 
 
-def qt_to_ref(f: LaurentPoly) -> dict:
-    """A QT polynomial as {z-tuple: element of QT_REF}."""
+def qt_to_ref(f: dict) -> dict:
+    """A QT dict as {z-tuple: element of QT_REF}."""
     out = {}
-    for key, c in f.terms():
+    for key, c in f.items():
         out[key[2:]] = out.get(key[2:], QT_REF.zero) + c * ref_q ** key[0] * ref_t ** key[1]
     return {z: c for z, c in out.items() if c}
 

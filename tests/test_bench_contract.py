@@ -16,6 +16,7 @@ import qchar.macdonald as macdonald
 import qchar.qdiff as qdiff
 import qchar.symfun as symfun
 import qchar.verify as verify
+from qchar.laurent import LaurentPoly
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 
@@ -75,6 +76,21 @@ def test_macdonald_suite_expands_no_schur_function(monkeypatch):
         for lam in symfun.partitions_up_to(bound, nvars):
             macdonald.macdonald_poly(lam, nvars)
     assert expanded == []
+
+
+def test_warm_macdonald_solve_multiplies_payloads_only(monkeypatch):
+    # with warm caches, the eigen-solve of every lam of the verify-series
+    # Macdonald grid keeps its (q, t) coefficients as m-form payloads: it
+    # forms no LaurentPoly product
+    (bound,) = [kw["bound"] for fn, args, kw, _ in workloads.verify_calls("verify-series", 1) if args == ("macdonald",)]
+    grid = [(lam, nvars) for nvars in (2, 3) for lam in symfun.partitions_up_to(bound, nvars)]
+    for lam, nvars in grid:
+        macdonald.macdonald_poly(lam, nvars)
+    products, mul = [], LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda self, other: products.append(other) or mul(self, other))
+    for lam, nvars in grid:
+        macdonald.macdonald_poly(lam, nvars)
+    assert len(grid) == 13 and products == []
 
 
 @pytest.mark.parametrize("workload", ["verify-operators", "verify-kernels", "verify-series"])

@@ -46,21 +46,21 @@ def test_nvector_validation():
     n = NVector.from_levels(2, 2, [[1, 0], [0, 1]])
     assert n.rows == ((1, 0), (0, 1))
     assert n.entry(1, 1) == 1 and n.entry(2, 2) == 1
-    assert n.sigma() == 2
-    assert n.shift((1, 1, -1), (2, 2, -1)).sigma() == 0
-    assert n.shift((1, 2, -1)) is None
-    assert n.shift((0, 1, -1), (3, 1, -1)) == n  # boundary moves dropped
+    assert sum(map(sum, n.rows)) == 2
+    assert sum(map(sum, n._on(n._moved([(1, 1, -1), (2, 2, -1)])).rows)) == 0
+    assert n._on(n._moved([(1, 2, -1)])) is None
+    assert n._on(n._moved([(0, 1, -1), (3, 1, -1)])) == n  # boundary moves dropped
     # no negative-index wrap-around: entries outside the matrix are errors,
     # level-0 moves drop out, other out-of-range moves are errors
     m = NVector.from_rows(1, 2, ((3, 5),))
     for alpha, i in ((1, 0), (0, 1), (2, 1), (1, 3), (-1, 1)):
         with pytest.raises(ValueError):
             m.entry(alpha, i)
-    assert m.shift((1, 0, -1)) == m
-    assert m.shift((0, 0, 1), (2, 0, -1)) == m
+    assert m._on(m._moved([(1, 0, -1)])) == m
+    assert m._on(m._moved([(0, 0, 1), (2, 0, -1)])) == m
     for move in ((1, -1, -1), (1, 3, 1), (-1, 1, 1), (3, 1, 1)):
         with pytest.raises(ValueError):
-            m.shift(move)
+            m._on(m._moved([move]))
     assert n.dual().rows == ((0, 1), (1, 0)) and n.dual().dual() == n
 
 
@@ -291,9 +291,9 @@ def test_generated_g_form_matches_handwritten_recursions():
             nv = NVector.from_rows(1, k, (rows,))
             nk = rows[-1]
             expected = {
-                nv.shift((1, k - 1, -1), (1, k, 1)).rows: {2 * (nk + 1): 1},
-                nv.shift((1, k - 1, 1), (1, k, -1)).rows: {2 * (1 - nk): 1},
-                nv.shift((1, k - 1, -1), (1, k, -1)).rows: {2 * (nk - 1): -1},
+                nv._on(nv._moved([(1, k - 1, -1), (1, k, 1)])).rows: {2 * (nk + 1): 1},
+                nv._on(nv._moved([(1, k - 1, 1), (1, k, -1)])).rows: {2 * (1 - nk): 1},
+                nv._on(nv._moved([(1, k - 1, -1), (1, k, -1)])).rows: {2 * (nk - 1): -1},
             }
             assert _normalised_g_form(nv, 1) == expected, rows
 

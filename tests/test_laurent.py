@@ -125,8 +125,8 @@ def test_constrain_examples():
 
 
 def test_sums_drop_zero_sums_and_repeated_keys():
-    # from_terms, sum, + and - share one add loop: a repeated vector adds
-    # up, a zero coefficient or a zero sum leaves no key behind
+    # from_terms, + and - share one add loop: a repeated vector adds up, a
+    # zero coefficient or a zero sum leaves no key behind
     x, y = (1, 0, 2), (0, -1, 1)
     f = LaurentPoly.from_terms(RING_Q, 2, [(x, 2), (y, 3), (x, -2), ((0, 0, 0), 0), (y, 1)])
     assert f.coeffs == LaurentPoly.monomial(RING_Q, 2, y[1:], 4).coeffs
@@ -134,8 +134,8 @@ def test_sums_drop_zero_sums_and_repeated_keys():
     g = LaurentPoly.from_terms(RING_Q, 2, [(x, 1), (y, -4)])
     assert (f + g).coeffs == LaurentPoly.monomial(RING_Q, 2, x[1:], unit=1).coeffs
     assert (f - f).coeffs == {} and (g - g + g).coeffs == g.coeffs
-    assert LaurentPoly.sum(RING_Q, 2, [f, g, -f, -g]).coeffs == {}
-    assert LaurentPoly.sum(RING_Q, 2, [f, g, f]) == f * 2 + g
+    assert sum([f, g, -f, -g], LaurentPoly.zero(RING_Q, 2)).coeffs == {}
+    assert sum([f, g, f], LaurentPoly.zero(RING_Q, 2)) == f * 2 + g
     assert (f + g).at_unit_one() == LaurentPoly.monomial(RING_Q, 2, x[1:])
     with pytest.raises(ValueError, match="wrong length"):
         LaurentPoly.from_terms(RING_Q, 2, [(x, 1), ((0, 0), 1)])

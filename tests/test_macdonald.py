@@ -2,27 +2,31 @@
 with its exact read-off controls; the integral form J_lam against the field
 solve of ``oracles``, integrality, duality and the top t-slice on a grid,
 the exact division by an eigenvalue gap, both degenerate limits, and
-negative controls."""
+negative controls.  (q, t) values are compared as QT dicts and {(i, j): c}
+pairs, multiplied by ``ref_mul`` and divided by ``ref_exact_div``, never
+with the package's arithmetic."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    QT_REF,
     apply_macdonald_qt,
     dominates,
     m_monomials,
-    monomial_sym,
-    project_qt_to_q,
+    qt_monomial_sym,
+    qt_terms,
     qt_to_ref,
-    ref_div,
+    ref_exact_div,
     ref_macdonald_poly,
+    ref_mul,
     ref_specialize_t0_qinv,
     subset_apply_macdonald_qt,
 )
 import qchar.macdonald as macdonald
 from qchar.characters import NVector, graded_character
-from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, offset, zero_key
+from qchar.laurent import EXP_MAX, EXP_MIN, offset, pack, unpack
 from qchar.macdonald import (
     _divide_gap,
     apply_macdonald_m,
@@ -32,32 +36,41 @@ from qchar.macdonald import (
     qt_t_infinity_limit,
     qwhittaker_specialize,
 )
-from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotDivisible, NotSymmetric
-from qchar.symfun import elementary, partitions_up_to
+from qchar.rings import RING_Q, RING_W, ExponentOverflow, NotDivisible, NotSymmetric
+from qchar.symfun import partitions_up_to
 
 # every lam with N = 2, |lam| <= 6; N = 3, |lam| <= 5; and N = 4, |lam| <= 4
 GRID = [(nvars, lam) for nvars, size in ((2, 6), (3, 5), (4, 4)) for lam in partitions_up_to(size, nvars)]
 
 
+def payload(terms):
+    """The m-form payload of sum c q**i t**j over {(i, j): c}."""
+    return {offset(ij): c for ij, c in terms.items()}
+
+
+def pairs(d):
+    """A payload as {(i, j): c}."""
+    return {unpack(u + pack((0, 0)), 2): c for u, c in d.items()}
+
+
 def qt_const(nvars, terms):
-    """The QT constant sum c q**i t**j over {(i, j): c}."""
-    return LaurentPoly.from_terms(RING_QT, nvars, {ij + (0,) * nvars: c for ij, c in terms.items()})
-
-
-def monomials(J):
-    """J in the monomial basis."""
-    return m_monomials(J.form, RING_QT, J.nvars)
+    """The QT dict of the constant sum c q**i t**j over {(i, j): c}."""
+    return {ij + (0,) * nvars: c for ij, c in terms.items()}
 
 
 def coefficients(J):
-    """J's m-coefficients as QT constants."""
-    zero = zero_key(J.nvars + 2)
-    return {mu: LaurentPoly(RING_QT, J.nvars, {zero + u: c for u, c in d.items()}) for mu, d in J.form.items()}
+    """J's m-coefficients as {(i, j): c} pairs."""
+    return {mu: pairs(d) for mu, d in J.form.items()}
 
 
 def invert(f):
-    """f(1/q, 1/t)."""
-    return LaurentPoly.from_terms(RING_QT, f.nvars, {(-e[0], -e[1]) + e[2:]: v for e, v in f.terms()})
+    """f(1/q, 1/t) for {(i, j): c} pairs."""
+    return {(-i, -j): v for (i, j), v in f.items()}
+
+
+def ref_element(f):
+    """{(i, j): c} pairs as an element of ``QT_REF``."""
+    return qt_to_ref({ij + (0,): c for ij, c in f.items()}).get((0,), QT_REF.zero)
 
 
 def level_one(nvars, lam):
@@ -78,8 +91,8 @@ def conjugate(lam):
 
 
 def q_binomial(e, d, j=0):
-    """q**e (1 - q**d) t**j as a QT constant in 2 variables."""
-    return qt_const(2, {(e, j): 1, (e + d, j): -1})
+    """q**e (1 - q**d) t**j as a payload."""
+    return payload({(e, j): 1, (e + d, j): -1})
 
 
 def test_macdonald_m_matches_the_subset_sum():
@@ -91,17 +104,37 @@ def test_macdonald_m_matches_the_subset_sum():
     cases = 0
     for nvars, size in ((2, 5), (3, 5), (4, 4)):
         for lam in partitions_up_to(size, nvars):
-            for payload, shift in (({(0, 0): 1}, 0), ({(1, 0): 2, (0, -1): -1, (3, 2): 1}, -1)):
+            for terms, shift in (({(0, 0): 1}, 0), ({(1, 0): 2, (0, -1): -1, (3, 2): 1}, -1)):
                 mu = tuple(x + shift for x in lam + (0,) * (nvars - len(lam)))
-                weight = LaurentPoly.from_terms(RING_QT, nvars, {ij + (shift,) * nvars: c for ij, c in payload.items()})
-                f = monomial_sym(lam, nvars, RING_QT) * weight
-                m = {mu: {offset(ij): c for ij, c in payload.items()}}
+                f = ref_mul(qt_monomial_sym(lam, nvars), {ij + (shift,) * nvars: c for ij, c in terms.items()})
+                m = {mu: payload(terms)}
                 for alpha in range(nvars + 1):
-                    expected = subset_apply_macdonald_qt(alpha, f)
-                    assert m_monomials(apply_macdonald_m(alpha, m, nvars), RING_QT, nvars) == expected, (mu, alpha)
-                    assert apply_macdonald_qt(alpha, f) == expected, (mu, alpha)
+                    expected = subset_apply_macdonald_qt(alpha, f, nvars)
+                    assert qt_terms(apply_macdonald_m(alpha, m, nvars)) == expected, (mu, alpha)
+                    assert apply_macdonald_qt(alpha, f, nvars) == expected, (mu, alpha)
                     cases += 1
     assert cases == 2 * 160
+
+
+def test_kernel_rejects_misread_inputs():
+    # a key of the wrong length, a key that is not weakly decreasing, and an
+    # alpha outside [0, N] raise ValueError naming the bad input before any
+    # work, where they were read as m_(1,0) or died in math.factorial; so
+    # does the integral form in 0 variables
+    before = macdonald._cleared.cache_info()
+    for alpha, m, bad in [
+        (1, {(1, 0, 0): {0: 1}}, r"\(1, 0, 0\) is not a weakly decreasing 2-vector"),
+        (1, {(1, 0): {0: 1}, (0, 1): {0: 1}}, r"\(0, 1\) is not a weakly decreasing 2-vector"),
+        (3, {(1, 0): {0: 1}}, r"alpha 3 outside \[0, 2\]"),
+        (-1, {}, r"alpha -1 outside \[0, 2\]"),
+    ]:
+        with pytest.raises(ValueError, match=bad):
+            apply_macdonald_m(alpha, m, 2)
+    assert macdonald._cleared.cache_info() == before
+    with pytest.raises(ValueError, match=r"partition \(\) does not fit 0 variables"):
+        macdonald_poly((), 0)
+    with pytest.raises(ValueError, match=r"partition \(1, 1, 1\) does not fit 2 variables"):
+        macdonald_poly((1, 1, 1), 2)
 
 
 def test_macdonald_qt_read_off_is_exact(monkeypatch):
@@ -109,21 +142,21 @@ def test_macdonald_qt_read_off_is_exact(monkeypatch):
     # counted once, not by its size, as if z**e stood for its orbit; the
     # orbit sum is then not divisible by alpha! (N - alpha)!, and the
     # read-off raises, never rounds
-    f = LaurentPoly.monomial(RING_QT, 3, (2, 1, 0))
+    f = {(0, 0, 2, 1, 0): 1}
     with pytest.raises(NotSymmetric):
-        apply_macdonald_qt(1, f)
+        apply_macdonald_qt(1, f, 3)
     true_splits = macdonald._splits
     monkeypatch.setattr(macdonald, "_splits", lambda mu, alpha: [(e, s, 1) for e, s, _ in true_splits(mu, alpha)])
     monkeypatch.setattr(macdonald, "_cleared", macdonald._cleared.__wrapped__)  # no cached image
     with pytest.raises(NotDivisible):
-        apply_macdonald_qt(1, monomial_sym((2, 1), 3, RING_QT))
+        apply_macdonald_qt(1, qt_monomial_sym((2, 1), 3), 3)
 
 
 def test_macdonald_qt_divides_the_schur_coefficients(monkeypatch):
     # negative control: one cleared payload off by one at alpha = 1, N = 3,
     # where alpha! (N - alpha)! = 2, leaves a Schur coefficient that 2 does
     # not divide; the division on Schur coefficients raises
-    f = monomial_sym((2, 1), 3, RING_QT)
+    f = qt_monomial_sym((2, 1), 3)
     true_cleared = macdonald._cleared
 
     def off_by_one(mu, alpha):
@@ -133,22 +166,22 @@ def test_macdonald_qt_divides_the_schur_coefficients(monkeypatch):
         out[lam] = ((v, c + 1), *rest)
         return tuple(out.items())
 
-    apply_macdonald_qt(1, f)
+    apply_macdonald_qt(1, f, 3)
     monkeypatch.setattr(macdonald, "_cleared", off_by_one)
     with pytest.raises(NotDivisible):
-        apply_macdonald_qt(1, f)
+        apply_macdonald_qt(1, f, 3)
 
 
 def test_single_class_cases():
     one_t, one_t2 = qt_const(3, {(0, 0): 1, (0, 1): -1}), qt_const(3, {(0, 0): 1, (0, 2): -1})
     for lam, nvars, expected in [
-        ((1,), 3, elementary(1, 3, RING_QT) * one_t),
-        ((1, 1), 3, elementary(2, 3, RING_QT) * one_t * one_t2),
-        ((), 2, LaurentPoly.one(RING_QT, 2)),
+        ((1,), 3, ref_mul(qt_monomial_sym((1,), 3), one_t)),
+        ((1, 1), 3, ref_mul(ref_mul(qt_monomial_sym((1, 1), 3), one_t), one_t2)),
+        ((), 2, qt_const(2, {(0, 0): 1})),
     ]:
         J = macdonald_poly(lam, nvars)
         assert len(J.form) == 1
-        assert monomials(J) == expected
+        assert qt_terms(J.form) == expected
 
 
 def test_two_class_case_and_duality():
@@ -156,17 +189,19 @@ def test_two_class_case_and_duality():
     # c_(2) = (1 - t)(1 - q t) on m_2; the classical coefficient
     # (1+q)(1-t)/(1-qt) of P times c_(2) on m_11
     assert coefficients(J) == {
-        (2, 0): qt_const(2, {(0, 0): 1, (0, 1): -1, (1, 1): -1, (1, 2): 1}),
-        (1, 1): qt_const(2, {(0, 0): 1, (1, 0): 1, (0, 1): -2, (1, 1): -2, (0, 2): 1, (1, 2): 1}),
+        (2, 0): {(0, 0): 1, (0, 1): -1, (1, 1): -1, (1, 2): 1},
+        (1, 1): {(0, 0): 1, (1, 0): 1, (0, 1): -2, (1, 1): -2, (0, 2): 1, (1, 2): 1},
     }
     # under (q, t) -> (1/q, 1/t) each coefficient picks up q**-1 t**-2
     for c in coefficients(J).values():
-        assert invert(c) == c * qt_const(2, {(-1, -2): 1})
+        assert invert(c) == ref_mul(c, {(-1, -2): 1})
 
 
 def test_triangularity():
     J = macdonald_poly((2, 1), 3)
-    assert coefficients(J)[(2, 1, 0)] == integral_norm((2, 1), 3)
+    assert J.form[(2, 1, 0)] == integral_norm((2, 1))
+    # c_(2,1) = (1 - q t**2)(1 - t)(1 - t)
+    assert coefficients(J)[(2, 1, 0)] == ref_mul(ref_mul({(0, 0): 1, (1, 2): -1}, {(0, 0): 1, (0, 1): -1}), {(0, 0): 1, (0, 1): -1})
     assert all(dominates((2, 1), mu) for mu in J.form)
 
 
@@ -175,14 +210,14 @@ def test_eigen_relation_second_operator():
     # also act diagonally, with eigenvalue t**(-a(a-1)/2) e_a(q^lam_i t^(N-i))
     # (the bare subset form carries no t-power normalization); for lam = (2)
     # the spectrum is q^2 t^2, t, 1, so e_2 / t = q^2 t^2 + q^2 t + 1
-    J = monomials(macdonald_poly((2,), 3))
+    J = qt_terms(macdonald_poly((2,), 3).form)
     e2 = qt_const(3, {(2, 2): 1, (2, 1): 1, (0, 0): 1})
-    assert apply_macdonald_qt(2, J) == J * e2
+    assert apply_macdonald_qt(2, J, 3) == ref_mul(J, e2)
 
 
 def test_eigenvalue_formula():
-    assert eigenvalue_formula((), 2) == qt_const(2, {(0, 1): 1, (0, 0): 1})
-    assert eigenvalue_formula((3, 1), 2) == qt_const(2, {(3, 1): 1, (1, 0): 1})
+    assert pairs(eigenvalue_formula((), 2)) == {(0, 1): 1, (0, 0): 1}
+    assert pairs(eigenvalue_formula((3, 1), 2)) == {(3, 1): 1, (1, 0): 1}
 
 
 def test_integral_form_matches_field_solve():
@@ -191,11 +226,11 @@ def test_integral_form_matches_field_solve():
         for lam in partitions_up_to(4, nvars):
             J = macdonald_poly(lam, nvars)
             ref, ref_eig = ref_macdonald_poly(lam, nvars)
-            (norm,) = qt_to_ref(integral_norm(lam, nvars)).values()
-            ours = qt_to_ref(monomials(J))
+            norm = ref_element(pairs(integral_norm(lam)))
+            ours = qt_to_ref(qt_terms(J.form))
             assert ours.keys() == ref.keys(), (nvars, lam)
             assert all(ours[z] == norm * ref[z] for z in ref), (nvars, lam)
-            assert qt_to_ref(J.eigenvalue) == {(0,) * nvars: ref_eig}
+            assert ref_element(pairs(J.eigenvalue)) == ref_eig
             limits = {mu: ref_specialize_t0_qinv(ref[mu]) for mu in J.form}
             assert qwhittaker_specialize(J) == {mu: d for mu, d in limits.items() if d}, (nvars, lam)
 
@@ -205,15 +240,15 @@ def test_integral_form_is_integral():
     assert len(GRID) == 44
     for nvars, lam in GRID:
         for mu, c in coefficients(macdonald_poly(lam, nvars)).items():
-            assert c and min(c.bounds()[0][:2]) >= 0, (nvars, lam, mu)
+            assert c and min(map(min, c)) >= 0, (nvars, lam, mu)
 
 
 def test_integral_form_duality():
     # J(1/q, 1/t) = (-1)**|lam| q**-n(lam') t**(-n(lam) - |lam|) J
     for nvars, lam in GRID:
-        factor = qt_const(nvars, {(-n_of(conjugate(lam)), -n_of(lam) - sum(lam)): (-1) ** sum(lam)})
+        factor = {(-n_of(conjugate(lam)), -n_of(lam) - sum(lam)): (-1) ** sum(lam)}
         for mu, c in coefficients(macdonald_poly(lam, nvars)).items():
-            assert invert(c) == c * factor, (nvars, lam, mu)
+            assert invert(c) == ref_mul(c, factor), (nvars, lam, mu)
 
 
 def test_top_t_slice_is_the_level1_character():
@@ -221,10 +256,10 @@ def test_top_t_slice_is_the_level1_character():
     # level-1 character, and no coefficient reaches a higher power of t
     for nvars, lam in GRID:
         top = n_of(lam) + sum(lam)
-        J = monomials(macdonald_poly(lam, nvars))
-        assert J.bounds()[1][1] == top, (nvars, lam)
+        J = macdonald_poly(lam, nvars)
+        assert max(k[1] for k in qt_terms(J.form)) == top, (nvars, lam)
         chi = level_one(nvars, lam).times_unit(n_of(conjugate(lam))) * (-1) ** sum(lam)
-        assert qt_t_infinity_limit(J, top) == chi, (nvars, lam)
+        assert m_monomials(qt_t_infinity_limit(J.form, top), RING_Q, nvars) == chi, (nvars, lam)
 
 
 def test_whittaker_specialization_matches_characters():
@@ -235,13 +270,11 @@ def test_whittaker_specialization_matches_characters():
 
 
 def test_scalar_specialization_helpers():
-    t = qt_const(1, {(0, 1): 1})
-    assert qt_t_infinity_limit(qt_const(1, {(1, 2): 1, (0, 1): 1}), 2) == LaurentPoly.from_terms(
-        RING_Q, 1, {(1, 0): 1}
-    )
-    assert qt_t_infinity_limit(t, 2).is_zero()
+    t = {(0,): payload({(0, 1): 1})}
+    assert qt_t_infinity_limit({(0,): payload({(1, 2): 1, (0, 1): 1})}, 2) == {(0,): {1: 1}}
+    assert qt_t_infinity_limit(t, 2) == {}
     with pytest.raises(ArithmeticError):
-        qt_t_infinity_limit(qt_const(1, {(0, 3): 1}), 2)
+        qt_t_infinity_limit({(0,): payload({(0, 3): 1})}, 2)
 
 
 small_qt = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-2, 2)), st.integers(-4, 4).filter(bool), max_size=6)
@@ -260,28 +293,30 @@ def test_gap_division_matches_the_oracle(quot, e, d, sign, low, higher):
     # a gap with the binomial sign q**e (1 - q**d) as its lowest t-slice
     # divides each of its multiples exactly, as leading-term division does,
     # and leaves a remainder on a multiple plus a monomial
-    gap = qt_const(2, {(e, low): sign, (e + d, low): -sign, **{(i, low + j): c for (i, j), c in higher.items()}})
-    q = qt_const(2, quot)
-    f = q * gap
-    assert _divide_gap(f, gap) == q == ref_div(f, gap)
+    gap = {(e, low): sign, (e + d, low): -sign, **{(i, low + j): c for (i, j), c in higher.items()}}
+    f = ref_mul(quot, gap)
+    assert pairs(_divide_gap(payload(f), payload(gap))) == quot == ref_exact_div(f, gap)
+    bumped = {**f, (e, low + 1): f.get((e, low + 1), 0) + 1}
     with pytest.raises(NotDivisible):
-        _divide_gap(f + qt_const(2, {(e, low + 1): 1}), gap)
+        _divide_gap(payload({k: c for k, c in bumped.items() if c}), payload(gap))
 
 
 def test_gap_division_remainders():
-    gap = qt_const(2, {(1, 0): 1, (3, 0): -1, (0, 1): 2, (2, 2): -1})  # q (1 - q**2) + 2 t - q**2 t**2
-    quot = qt_const(2, {(0, 0): 1, (1, 1): -3})
-    assert _divide_gap(quot * gap, gap) == quot
+    gap = {(1, 0): 1, (3, 0): -1, (0, 1): 2, (2, 2): -1}  # q (1 - q**2) + 2 t - q**2 t**2
+    quot = {(0, 0): 1, (1, 1): -3}
+    f = ref_mul(quot, gap)
+    assert pairs(_divide_gap(payload(f), payload(gap))) == quot
     # a q-order remainder: q**2 is no multiple of 1 - q**2
+    assert (2, 0) not in f and (0, 3) not in f
     with pytest.raises(NotDivisible, match="binomial"):
-        _divide_gap(quot * gap + qt_const(2, {(2, 0): 1}), gap)
+        _divide_gap(payload({**f, (2, 0): 1}), payload(gap))
     # a remainder left on a coefficient above the quotient's t-degree
     with pytest.raises(NotDivisible, match="eigenvalue gap"):
-        _divide_gap(quot * gap + qt_const(2, {(0, 3): 1}), gap)
+        _divide_gap(payload({**f, (0, 3): 1}), payload(gap))
     # a lowest slice that is no binomial +-q**e (1 - q**d)
     for bad in ({(0, 0): 1, (1, 0): 1}, {(0, 0): 2, (1, 0): -2}, {(0, 0): 1}):
         with pytest.raises(NotDivisible, match="no binomial"):
-            _divide_gap(quot, qt_const(2, bad))
+            _divide_gap(payload(quot), payload(bad))
 
 
 def test_gap_division_exponent_edges():
@@ -296,8 +331,8 @@ def test_gap_division_exponent_edges():
     with pytest.raises(ExponentOverflow):
         _divide_gap(q_binomial(0, 1, EXP_MAX), q_binomial(0, 1, -1))
     # at the edges themselves the quotient fits
-    assert _divide_gap(q_binomial(EXP_MIN, 1), q_binomial(0, 1)) == qt_const(2, {(EXP_MIN, 0): 1})
-    assert _divide_gap(q_binomial(0, 1, EXP_MAX), q_binomial(0, 1)) == qt_const(2, {(0, EXP_MAX): 1})
+    assert pairs(_divide_gap(q_binomial(EXP_MIN, 1), q_binomial(0, 1))) == {(EXP_MIN, 0): 1}
+    assert pairs(_divide_gap(q_binomial(0, 1, EXP_MAX), q_binomial(0, 1))) == {(0, EXP_MAX): 1}
 
 
 def test_shifted_gap_is_caught(monkeypatch):
@@ -311,7 +346,7 @@ def test_shifted_gap_is_caught(monkeypatch):
         out = true_column(mu, nvars)
         top = max(out)
         if top != (2, 1, 0):
-            out[top] = out[top].times_unit(1)
+            out[top] = {u + offset((1,)): c for u, c in out[top].items()}
         return out
 
     monkeypatch.setattr(macdonald, "_column", shifted)
@@ -320,19 +355,29 @@ def test_shifted_gap_is_caught(monkeypatch):
 
 
 def test_lift_and_project_roundtrip():
+    # a Q coefficient lifts to (q, t) as it is, q**j being the offset j in
+    # both, so a character's m-form is a (q, t) m-form of t-degree 0, and its
+    # t**0 slice gives it back
     chi = graded_character(NVector.level_one(2, (1, 1))).monomials()
-    assert project_qt_to_q(chi.with_ring(RING_QT)) == chi
-    # only a Q-ring polynomial lifts to the QT ring
-    for other in (chi.with_ring(RING_W), chi.with_ring(RING_QT)):
+    m = {mu: d for mu, d in chi.z_terms().items() if list(mu) == sorted(mu, reverse=True)}
+    for j in (EXP_MIN, -1, 0, 1, EXP_MAX):
+        assert macdonald._qt(j, 0) == offset((j,))
+    assert qt_t_infinity_limit(m, 0) == m
+    assert m_monomials(qt_t_infinity_limit(m, 0), RING_Q, 3) == chi
+    # no polynomial lifts to a (q, t) ring: only W and Q take one
+    for other in (chi, chi.with_ring(RING_W)):
         with pytest.raises(ValueError):
-            other.with_ring(RING_QT)
+            other.with_ring("qt")
 
 
 def test_degenerate_limit_eigenrelation():
+    # the character's dominant monomials as an m-form: q**j is the offset j
+    # over (q, t) too
     n = NVector.level_one(2, (1, 1))
     chi = graded_character(n).monomials()
-    lifted = chi.with_ring(RING_QT)
+    m = {mu: d for mu, d in chi.z_terms().items() if list(mu) == sorted(mu, reverse=True)}
+    assert m_monomials(m, RING_Q, 3) == chi
     for alpha in (1, 2):
-        g = apply_macdonald_qt(alpha, lifted)
+        g = apply_macdonald_m(alpha, m, 3)
         ev = sum(min(alpha, b) for b in (1, 2))
-        assert qt_t_infinity_limit(g, alpha * (3 - alpha)) == chi.times_unit(ev)
+        assert m_monomials(qt_t_infinity_limit(g, alpha * (3 - alpha)), RING_Q, 3) == chi.times_unit(ev)

@@ -2,9 +2,9 @@
 against the signed-orbit and literal subset-sum paths and an independent
 symbolic oracle, and the operator algebra.  Monomial inputs enter the Schur
 action through ``oracles.schur_form``.  The classical Macdonald operator
-enters through its monomial view ``oracles.apply_macdonald_qt``: its values,
-its field and symbolic oracles, its commuting family, and its t -> oo limit
-against M at n = 0."""
+enters through its monomial view ``oracles.apply_macdonald_qt`` on QT dicts:
+its values, its field and symbolic oracles, its commuting family, and its
+t -> oo limit against M at n = 0."""
 
 import itertools
 from collections import Counter
@@ -15,13 +15,17 @@ import sympy
 from oracles import (
     apply_macdonald_qt,
     branch,
+    m_monomials,
     monomial_sym,
     orbit_apply_D,
     orbit_apply_M,
     poly_to_sympy,
+    qt_monomial_sym,
     qt_to_ref,
     ref_apply_macdonald_qt,
     ref_branch,
+    ref_mul,
+    ref_times_z,
     schur_form,
     subset_apply_D,
     subset_apply_M,
@@ -33,8 +37,8 @@ from qchar import characters, qdiff, qtorus, symfun
 from qchar.cartan import CartanData
 from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, pack, require_symmetric, unpack
 from qchar.qdiff import apply_D, apply_M
-from qchar.macdonald import qt_t_infinity_limit
-from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotSymmetric
+from qchar.macdonald import apply_macdonald_m, qt_t_infinity_limit
+from qchar.rings import RING_Q, RING_W, ExponentOverflow, NotSymmetric
 from qchar.symfun import SchurPoly, elementary, partitions_up_to, schur
 
 
@@ -90,7 +94,7 @@ def test_orbit_and_subset_paths_agree():
     for lam in partitions_up_to(3, 3):
         f = monomial_sym(lam, 3)
         fw = monomial_sym(lam, 3, RING_W)
-        fqt = monomial_sym(lam, 3, RING_QT)
+        fqt = qt_monomial_sym(lam, 3)
         for alpha in (1, 2, 3):
             for n in (-1, 0, 1, 2):
                 expected = subset_apply_M(alpha, n, f)
@@ -99,7 +103,7 @@ def test_orbit_and_subset_paths_agree():
                 expected = subset_apply_D(alpha, n, fw)
                 assert orbit_apply_D(alpha, n, fw) == expected
                 assert apply_D(alpha, n, schur_form(fw)).monomials() == expected
-            assert apply_macdonald_qt(alpha, fqt) == subset_apply_macdonald_qt(alpha, fqt)
+            assert apply_macdonald_qt(alpha, fqt, 3) == subset_apply_macdonald_qt(alpha, fqt, 3)
 
 
 def test_against_symbolic_oracle():
@@ -155,21 +159,20 @@ def test_twisted_vs_plain_dilation_identity():
 
 
 def test_macdonald_qt_values():
-    f = LaurentPoly.one(RING_QT, 3)
-    out = apply_macdonald_qt(1, f)
-    assert out == LaurentPoly.from_terms(RING_QT, 3, {(0, j, 0, 0, 0): 1 for j in range(3)})
+    out = apply_macdonald_qt(1, {(0, 0, 0, 0, 0): 1}, 3)
+    assert out == {(0, j, 0, 0, 0): 1 for j in range(3)}
 
 
 def test_macdonald_qt_against_the_field_oracle():
     # the division on Schur coefficients and the one expansion over QT
     # against the orbit read off in Q(q, t): inputs with negative parts,
     # q- and t-powers
-    shift = LaurentPoly.from_terms(RING_QT, 3, {(1, 0, 0, 0, 0): 2, (0, -1, 0, 0, 0): -1})
+    shift = {(1, 0, 0, 0, 0): 2, (0, -1, 0, 0, 0): -1}
     for lam in partitions_up_to(3, 3):
-        base = monomial_sym(lam, 3, RING_QT)
-        for f in (base, (base * shift).times_z((-1, -1, -1))):
+        base = qt_monomial_sym(lam, 3)
+        for f in (base, ref_times_z(ref_mul(base, shift), (-1, -1, -1), 2)):
             for alpha in (1, 2, 3):
-                ours = qt_to_ref(apply_macdonald_qt(alpha, f))
+                ours = qt_to_ref(apply_macdonald_qt(alpha, f, 3))
                 assert ours == ref_apply_macdonald_qt(alpha, qt_to_ref(f), 3), (lam, alpha)
 
 
@@ -177,17 +180,17 @@ def test_macdonald_qt_against_symbolic_oracle():
     # the integer operator against the subset sum in sympy's rational
     # functions of q, t and the z's, no shared code
     for lam in partitions_up_to(3, 3):
-        f = monomial_sym(lam, 3, RING_QT)
+        f = qt_monomial_sym(lam, 3)
         for alpha in (1, 2, 3):
-            ours = poly_to_sympy(apply_macdonald_qt(alpha, f))
+            ours = poly_to_sympy(apply_macdonald_qt(alpha, f, 3))
             assert sympy_equal(ours, subset_operator_bruteforce(alpha, 0, f, kind="qt")), (lam, alpha)
 
 
 def test_macdonald_qt_commuting_family():
     for lam in partitions_up_to(3, 3):
-        f = monomial_sym(lam, 3, RING_QT)
-        ab = apply_macdonald_qt(1, apply_macdonald_qt(2, f))
-        ba = apply_macdonald_qt(2, apply_macdonald_qt(1, f))
+        f = qt_monomial_sym(lam, 3)
+        ab = apply_macdonald_qt(1, apply_macdonald_qt(2, f, 3), 3)
+        ba = apply_macdonald_qt(2, apply_macdonald_qt(1, f, 3), 3)
         assert ab == ba
 
 
@@ -195,11 +198,11 @@ def test_rescaled_t_limit_is_plain_operator():
     # lim_{t->oo} t**(-a(N-a)) M_a^{q,t} agrees with the zero-power subset
     # operator on test inputs
     for lam in [(), (1,), (2,), (1, 1)]:
-        fqt = monomial_sym(lam, 3, RING_QT)
+        m = {lam + (0,) * (3 - len(lam)): {0: 1}}
         fq = monomial_sym(lam, 3)
         for alpha in (1, 2):
-            lim = qt_t_infinity_limit(apply_macdonald_qt(alpha, fqt), alpha * (3 - alpha))
-            assert lim == apply_M(alpha, 0, schur_form(fq)).monomials(), (lam, alpha)
+            lim = qt_t_infinity_limit(apply_macdonald_m(alpha, m, 3), alpha * (3 - alpha))
+            assert m_monomials(lim, RING_Q, 3) == apply_M(alpha, 0, schur_form(fq)).monomials(), (lam, alpha)
 
 
 def test_symmetry_preserved():

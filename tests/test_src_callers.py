@@ -1,9 +1,11 @@
 """Every function in ``src/qchar`` has a caller in ``src/qchar``, and every
 error type of ``qchar.rings`` a ``raise`` there.
 
-A function or method passes when some code of the package names it: a
-``Name`` or an attribute ``.name`` outside its own ``def`` line (an import
-alone does not count; docstrings and comments are not code).  The public
+A function passes when some code of the package names it: a ``Name`` or an
+attribute ``.name`` outside its own ``def`` line (an import alone does not
+count; docstrings and comments are not code).  A method, defined in a class
+body, passes only by an attribute ``.name``: a local variable of the same
+spelling does not call it.  The public
 surface passes as well: the names ``qchar/__init__.py`` imports, the public
 names of ``qchar.verify`` and ``qchar.cli`` (the checks and the entry
 point), and the dunder methods Python calls itself.  A helper that only the
@@ -23,15 +25,16 @@ def _trees():
     return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
-def _referenced(trees) -> set:
-    names = set()
+def _referenced(trees):
+    """(bare names, attribute names) over the package's code."""
+    names, attrs = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                attrs.add(node.attr)
+    return names, attrs
 
 
 def _exported(trees) -> set:
@@ -45,12 +48,16 @@ def uncalled() -> list:
     """(module, name) of every function or method no code of the package
     names, outside the public surface."""
     trees = _trees()
-    keep = _referenced(trees) | _exported(trees)
+    names, attrs = _referenced(trees)
+    by_attr = _exported(trees) | attrs
+    by_name = by_attr | names
     out = []
     for module, tree in trees.items():
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = node.name
+                keep = by_attr if id(node) in methods else by_name
                 if not (name.startswith("__") and name.endswith("__")) and name not in keep:
                     out.append((module, name))
     return out

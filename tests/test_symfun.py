@@ -26,9 +26,9 @@ from oracles import (
     times_e,
     weight_of,
 )
-from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly, offset
+from qchar.laurent import EXP_MAX, EXP_MIN, LaurentPoly
 from qchar.qdiff import packed_sum
-from qchar.rings import RING_Q, RING_QT, RING_W, ExponentOverflow, NotSymmetric
+from qchar.rings import RING_Q, RING_W, ExponentOverflow, NotSymmetric
 from qchar.symfun import (
     SchurPoly,
     _pieri_constrained_keys,
@@ -72,7 +72,7 @@ def test_tableau_oracle_matches_alternant_over_vandermonde():
             assert tableau_schur(lam, nvars) == ref_schur(lam, nvars), (lam, nvars)
 
 
-@pytest.mark.parametrize("ring", [RING_Q, RING_W, RING_QT])
+@pytest.mark.parametrize("ring", [RING_Q, RING_W])
 def test_branching_schur_matches_alternant_over_vandermonde(ring):
     # every lam with N <= 5 and |lam| <= 8, and N = 6 with |lam| <= 6
     for lam, nvars in SCHUR_GRID:
@@ -99,9 +99,8 @@ def test_monomial_view_matches_alternant_over_vandermonde(ring):
 
 
 def test_one_schur_to_monomial_rule_on_every_ring():
-    # W and Q: sums of s_lam with negative full columns and unit shifts
-    # round-trip through oracles.schur_form; QT: payloads keyed by the unit
-    # offsets of (q, t) powers, as require_symmetric groups them
+    # sums of s_lam with negative full columns and unit shifts round-trip
+    # through oracles.schur_form
     for nvars in range(1, 5):
         for ring in (RING_Q, RING_W):
             f = LaurentPoly.zero(ring, nvars)
@@ -109,14 +108,6 @@ def test_one_schur_to_monomial_rule_on_every_ring():
                 f = f + schur(lam, nvars, ring).times_z((-1 - i % 2,) * nvars).times_unit(i - 3) * (i - 2 or 5)
             form = schur_form(f)
             assert _schur_monomials(form.z_terms(), ring, nvars) == form.monomials() == f, (nvars, ring)
-        payloads, expected = {}, LaurentPoly.zero(RING_QT, nvars)
-        for i, lam in enumerate(partitions_up_to(3, nvars)):
-            full = tuple(x - 1 for x in lam) + (-1,) * (nvars - len(lam))
-            q, t = i - 2, 1 - i % 3
-            payloads[full] = {offset((q, t)): i + 1, offset((0, 1)): -2}
-            scalar = LaurentPoly.from_terms(RING_QT, nvars, {(q, t) + (0,) * nvars: i + 1, (0, 1) + (0,) * nvars: -2})
-            expected = expected + schur(lam, nvars, RING_QT).times_z((-1,) * nvars) * scalar
-        assert _schur_monomials(payloads, RING_QT, nvars) == expected, nvars
 
 
 def test_monomial_view_in_zero_variables():
@@ -170,7 +161,7 @@ def test_littlewood_richardson_positivity():
 
 def pieri_sum(lam, m, nvars):
     """The sum of s_mu over the vertical-strip reference ``pieri_e``."""
-    return SchurPoly.sum(RING_Q, nvars, (SchurPoly.basis(mu, nvars) for mu in pieri_e(lam, m, nvars)))
+    return sum((SchurPoly.basis(mu, nvars) for mu in pieri_e(lam, m, nvars)), SchurPoly.zero(RING_Q, nvars))
 
 
 def test_pieri_rule_cases():
@@ -390,15 +381,30 @@ def test_schur_form_views_and_guards():
 
 
 def test_schur_form_rejects_the_qt_ring():
-    # the QT ring has two unit slots, so a Schur key would misread its q
-    # and t exponents: both ways in raise, and W <-> Q still converts
+    # a (q, t) coefficient has two unit slots, so a Schur key would misread
+    # its q and t exponents: both ways into the Schur basis raise, and
+    # W <-> Q still converts
     with pytest.raises(ValueError, match="W or Q ring"):
-        SchurPoly.basis((2, 1), 2, RING_QT)
+        SchurPoly.basis((2, 1), 2, "qt")
     form = SchurPoly.basis((2, 1), 2) + SchurPoly.basis((1,), 2).times_unit(3)
     with pytest.raises(ValueError, match="W or Q ring"):
-        form.with_ring(RING_QT)
+        form.with_ring("qt")
     assert form.with_ring(RING_W).with_ring(RING_Q) == form
     assert form.with_ring(RING_W).ring == RING_W and type(form.with_ring(RING_W)) is SchurPoly
+
+
+def test_with_ring_rejects_other_rings():
+    # a ring other than W and Q would relabel the keys silently: every way
+    # in raises, in the Schur and the monomial basis, and W <-> Q still
+    # converts, every term and unit exponent kept
+    form = SchurPoly.basis((2, 1), 2) + SchurPoly.basis((1,), 2).times_unit(3)
+    f = schur((1,), 2).times_unit(-3)
+    for ring in ("x", "qt", None):
+        for way in (lambda: SchurPoly.basis((2, 1), 2, ring), lambda: form.with_ring(ring), lambda: f.with_ring(ring), lambda: schur((1,), 2, ring)):
+            with pytest.raises(ValueError, match="W or Q ring"):
+                way()
+    g = f.with_ring(RING_W)
+    assert g.ring == RING_W and g.coeffs == f.coeffs and g.with_ring(RING_Q) == f
 
 
 def _packed_value(parts, ring, nvars):
@@ -461,7 +467,7 @@ def test_times_rejects_bad_operands():
     # the z-parts are closed under the swap, but a swapped coefficient differs
     with pytest.raises(NotSymmetric):
         s.times(z1 + z2.times_unit(1))
-    for other in (SchurPoly.basis((1,), 2), elementary(1, 2, RING_W), elementary(1, 3), elementary(1, 2, RING_QT), 2):
+    for other in (SchurPoly.basis((1,), 2), elementary(1, 2, RING_W), elementary(1, 3), 2):
         with pytest.raises(TypeError):
             s.times(other)
     with pytest.raises(TypeError, match="use times"):

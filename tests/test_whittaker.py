@@ -170,7 +170,6 @@ def test_repr_is_written_in_s_and_u():
         ("monomial", (RING_W, 1, (1,))),
         ("variable", (RING_W, 1, 0)),
         ("unit_power", (RING_W, 1, 2)),
-        ("sum", (RING_W, 1, [])),
         ("with_ring", (RING_Q,)),
     ],
 )
