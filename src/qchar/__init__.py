@@ -25,6 +25,6 @@ from .rings import (
     NotSymmetric,
 )
 from .symfun import SchurPoly, elementary, schur
-from .whittaker import TruncatedSeries, class_one_combination, w_series
+from .whittaker import class_one_combination, w_series
 
 __version__ = "0.1.0"

@@ -20,10 +20,10 @@ slots themselves; the other modules use ``terms()``, ``from_terms()`` and
 the codec: ``pack``, ``unpack``, ``split_unit``, ``offset``, ``zero_key``
 and ``UNIT``, shifts by multiples of ``SLOT_BITS`` (``symfun._schur_zcoeffs``
 puts z_N on top, ``macdonald`` reads the t slot of a (q, t) offset,
-``qdiff.operator_sum`` reads the unit slot off a key less its z-part,
-``whittaker`` steps u), range checks against ``EXP_MIN``/``EXP_MAX``
-(``qdiff.operator_sum``, ``cli``) and unit offsets, the payloads of the
-z-parts of ``require_symmetric`` and of m-forms (``macdonald``, whose
+``qdiff.operator_sum`` reads the unit slot off a key less its z-part),
+range checks against ``EXP_MIN``/``EXP_MAX`` (``qdiff.operator_sum``,
+``cli``) and unit offsets, the payloads of the z-parts of
+``require_symmetric`` and of m-forms (``macdonald``, whose
 (q, t) coefficients are payloads keyed by the offset of (i, j), q**i t**j,
 and never a ``LaurentPoly``).  No value is
 keyed by alternant exponents: ``straighten`` (a_{v+delta} = +-a_{lam+delta}
@@ -43,22 +43,22 @@ The torus commutator packs positions with the codec; the raising chains
 are ``Packed`` values.
 
 Subclasses keep the keys and change the basis or the product:
-``symfun.SchurPoly`` keys Schur functions, ``qtorus.NcLaurent`` (W ring,
-the 2r torus exponents, w in the unit slot) twists the product, and
-``whittaker.TruncatedSeries`` (W ring, u, s = p**(1/2) in the unit slot)
-truncates it.  Their constructors take other arguments, so the methods
-here build zero and one through ``_like``, and refuse the others (``refused``).
+``symfun.SchurPoly`` keys Schur functions and ``qtorus.NcLaurent`` (W ring,
+the 2r torus exponents, w in the unit slot) twists the product.  Their
+constructors take other arguments, so the methods here build zero and one
+through ``_like``, and refuse the others (``refused``).
 
 ``from_terms``, ``+``, ``-``, ``at_unit_one``, ``SchurPoly.constrained``,
-the operator images (``qdiff._image``) and the (q, t) payloads of the
-Macdonald solve add through one loop, ``_add_into``: repeated keys add up,
-zero sums drop out.
+the operator images (``qdiff._image``), the (q, t) payloads of the
+Macdonald solve and the Whittaker rows add through one loop, ``_add_into``:
+repeated keys add up, zero sums drop out.
 The binomial division adds a few terms per row, where a call per row
 measured slower, so it keeps an inline loop.
 
 Everything here is exact.  The one division is ``divide_binomial``, by
-1 - x u**i in one pass, for the Whittaker series and the eigenvalue gaps of
-the Macdonald solve; Schur polynomials are built by branching (``symfun``).
+1 - x u**i in one pass, for the Whittaker series (rows {s-exponent: int},
+no ``LaurentPoly``) and the eigenvalue gaps of the Macdonald solve; Schur
+polynomials are built by branching (``symfun``).
 Values are immutable by convention: no method mutates ``self``, but for
 ``Packed.hold``, which changes the representation, never the value.
 """
@@ -290,7 +290,8 @@ def _add_into(out, pairs):
     """Add each (key, c) of ``pairs`` into the dict ``out``, a key whose sum
     is zero dropping out, and return ``out``: the one add loop of
     ``from_terms``, ``+``, ``-``, ``at_unit_one``, ``SchurPoly.constrained``,
-    ``qdiff._image`` and the payloads of ``macdonald``."""
+    ``qdiff._image``, the payloads of ``macdonald`` and the rows of
+    ``whittaker``."""
     for k, c in pairs:
         if k in out:
             c += out[k]
@@ -307,7 +308,6 @@ class LaurentPoly:
     """A sparse Laurent polynomial over one of the scalar rings."""
 
     __slots__ = ("ring", "nvars", "coeffs", "_box")
-    _symbols = None  # (unit, z names) for to_text; None is the ring's and z1..zN
 
     def __init__(self, ring, nvars, coeffs, box=None):
         # Trusted constructor: ``coeffs`` must already be canonical (no zero
@@ -529,15 +529,14 @@ class LaurentPoly:
     def to_text(self) -> str:
         """Canonical text form: terms sorted lexicographically by z-exponent
         vector (descending), coefficients printed as integer polynomials in
-        the ring variable (or a subclass's ``_symbols``)."""
+        the ring variable."""
         if not self.coeffs:
             return "0"
-        unit, zs = self._symbols or (self.ring, ["z%d" % (i + 1) for i in range(self.nvars)])
         groups = self.z_terms()
         bits = []
         for zex in sorted(groups, reverse=True):
-            coeff = coefficient_text(unit, groups[zex])
-            zpart = "*".join("%s^%d" % (zs[i], e) for i, e in enumerate(zex) if e)
+            coeff = coefficient_text(self.ring, groups[zex])
+            zpart = "*".join("z%d^%d" % (i + 1, e) for i, e in enumerate(zex) if e)
             if zpart:
                 bits.append("%s*%s" % (coeff, zpart) if coeff != "1" else zpart)
             else:

@@ -12,8 +12,8 @@ A coefficient lives in the unit slot of a polynomial's exponent vectors.
 Read off on its own (``z_terms``, ``expansion``, the difference-equation
 terms), it is a plain ``{exponent: int}`` dict with no zero values.  Every
 coefficient is an integer: the package uses no fraction field.  The
-rank-one Whittaker series are ``RING_W`` values too, with s = p**(1/2) in
-the unit slot (``whittaker.TruncatedSeries``).  The coefficients of the
+rank-one Whittaker series are no ``LaurentPoly``: ``whittaker`` keeps each
+as rows of {s-exponent: int}, s = p**(1/2).  The coefficients of the
 Macdonald operators once their denominators are cleared, Laurent
 polynomials in ``q`` and ``t`` (Macdonald, *Symmetric Functions and Hall
 Polynomials*, VI.8), are no ring here: ``macdonald`` keeps each one as a

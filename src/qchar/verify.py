@@ -61,7 +61,7 @@ from .qtorus import NcLaurent, ev0_image, ev0_negative_term, evaluate, q_commuta
 from .records import Record
 from .rings import RING_Q, RING_W
 from .symfun import SchurPoly, dual_cauchy, partitions, partitions_up_to, schur
-from .whittaker import class_one_combination, class_one_difference, toda_residual
+from .whittaker import _require_int, class_one_combination, class_one_difference, toda_residual
 
 
 class CheckReport(Record):
@@ -662,14 +662,16 @@ def check_macdonald(nvars_max: int = 3, weight_max: int = 4) -> CheckReport:
 
 
 def check_whittaker(order: int = 20, toda_n: int = 6, classone_n: int = 4) -> CheckReport:
+    _require_int(order, 0, "the truncation order")
+    _require_int(toda_n, 0, "toda_n")
+    _require_int(classone_n, 0, "classone_n")
     rep = CheckReport("whittaker")
     for n in range(1, toda_n + 1):
         for refl in (False, True):
-            res = toda_residual(n, order, refl)
-            first_bad = res.lowest_order()
+            first_bad = next((e for e, row in enumerate(toda_residual(n, order, refl)) if row), None)
             rep.record(
                 ("toda-residual", n, "reflected" if refl else "plain"),
-                res.is_zero(),
+                first_bad is None,
                 None if first_bad is None else "first nonzero residual at order %d" % first_bad,
             )
     rep.notes["residual-order"] = order

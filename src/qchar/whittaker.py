@@ -7,9 +7,9 @@ order N in u = q**-1:
     W_ref(n)  = p**(1/2-n)  sum_{a>=0} u**(a(n+1)) / prod_{i=1}^{a} (1-u**i)(1-p**-2 u**i)
 
 Every coefficient is an integer Laurent polynomial in s = p**(1/2), so the
-series live in Z[s, s**-1][u] / (u**(N+1)): ``RING_W`` polynomials in u,
-s in the unit slot (``TruncatedSeries``).  The reflection p -> 1/p is
-s -> 1/s.  Both satisfy the three-term relation
+series live in Z[s, s**-1][u] / (u**(N+1)).  A series is its N + 1 rows:
+rows[e] = {s-exponent: int}, the u**e coefficient, with no zero values.
+The reflection p -> 1/p is s -> 1/s.  Both satisfy the three-term relation
 
     W(n+1) + (1 - u**n) W(n-1) = (p + p**-1) W(n),
 
@@ -20,15 +20,16 @@ degree cancel order by order.  The coefficients carry a 1/(1 - p**-2) head,
 so the identity is checked multiplied through by 1 - p**-2, which is not a
 zero divisor in the series ring.
 
-Each factor 1/(1 - s**a u**i) is applied as a division, and dividing by a
-binomial with constant term 1 is one pass in increasing u-order
-(``laurent.divide_binomial`` on rows {s-exponent: int}).  The Pochhammer
-prefixes T_a = prod_{i<=a} 1/((1-u**i)(1-x u**i)), x = p**(+-2), do not
-depend on n, so they are built once per order, each from the last by two
-such divisions, and every W(n) is a shifted sum of them; the class-one
-products c W(n) are ``order`` divisions of the head times W(n).  The
-general-rank level-1 equation is checked on the characters themselves by
-``verify.check_level1_report``.
+Every multiplier here is a monomial or a binomial (1 - u**n, s**2 + s**-2,
+1 - s**-4), applied as a sum of shifted rows (``_add_shifted``), and each
+factor 1/(1 - s**a u**i) as a division: by a binomial with constant term 1
+it is one pass in increasing u-order (``laurent.divide_binomial``).  The
+Pochhammer prefixes T_a = prod_{i<=a} 1/((1-u**i)(1-x u**i)), x = p**(+-2),
+do not depend on n, so they are built once per order, each from the last
+by two such divisions, and every W(n) is a shifted sum of them; the
+class-one products c W(n) are ``order`` divisions of the head times W(n).
+The general-rank level-1 equation is checked on the characters themselves
+by ``verify.check_level1_report``.
 """
 
 from __future__ import annotations
@@ -36,62 +37,20 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .characters import NVector, graded_character
-from .laurent import EXP_MIN, SLOT_BITS, LaurentPoly, constrain, divide_binomial, refused, require_fit, zero_key
-from .rings import RING_W
-
-_ZERO = zero_key(2)  # the key of s**0 u**0
-_U = 1 << SLOT_BITS  # adding e * _U to a key multiplies by u**e
-_LOW = _ZERO + EXP_MIN  # divmod(key - _LOW, _U) is (e, k - EXP_MIN) for s**k u**e
+from .laurent import _add_into, constrain, divide_binomial
 
 
-class TruncatedSeries(LaurentPoly):
-    """A power series in u through u**order with integer Laurent-polynomial
-    coefficients in s = p**(1/2): a ``RING_W`` polynomial in the one
-    variable u, s in the unit slot, so c s**k u**e has the exponent vector
-    (k, e) and no term has e > order.  Sums, ``==`` and products of two
-    orders raise ValueError."""
-
-    __slots__ = ("order",)
-    _symbols = ("s", ("u",))
-    from_terms, from_int, monomial, variable, unit_power, with_ring = map(refused, ("from_terms", "from_int", "monomial", "variable", "unit_power", "with_ring"))
-
-    def __init__(self, order, coeffs, box=None):
-        super().__init__(RING_W, 1, coeffs, box)
-        self.order = order
-
-    @classmethod
-    def zero(cls, order):
-        return cls(order, {})
-
-    @classmethod
-    def one(cls, order):
-        return cls(order, {_ZERO: 1})
-
-    def _like(self, coeffs, box=None):
-        return TruncatedSeries(self.order, coeffs, box)
-
-    def __repr__(self):
-        return "TruncatedSeries(order=%d, %s)" % (self.order, self.to_text())
-
-    def _check_basis(self, other):
-        super()._check_basis(other)
-        if other.order != self.order:
-            raise ValueError("series truncated at orders %d and %d do not combine" % (self.order, other.order))
-
-    def __mul__(self, other):
-        """The product through u**order: u is the top slot, so the terms
-        above the order are the keys from that of s**EXP_MIN u**(order+1) on."""
-        cut = _LOW + (self.order + 1) * _U
-        return self._like({k: c for k, c in super().__mul__(other).coeffs.items() if k < cut})
-
-    def lowest_order(self):
-        """The least u-exponent with a nonzero coefficient (None for zero)."""
-        return divmod(min(self.coeffs) - _LOW, _U)[0] if self.coeffs else None
+def _require_int(value, least: int, name: str):
+    """Raise ValueError unless ``value`` is an int >= ``least`` (as in ``NVector``, a bool is not one)."""
+    if type(value) is not int or value < least:
+        raise ValueError("%s must be >= %d, an int (a bool is not one), not %r" % (name, least, value))
 
 
-def _check_order(order: int):
-    if order < 0:
-        raise ValueError("the truncation order must be >= 0, not %d" % order)
+def _add_shifted(out, rows, u_shift: int, s_shift: int, c: int = 1):
+    """Add c s**s_shift u**u_shift times the series ``rows`` to ``out`` in
+    place, through out's order: a shift past the order adds nothing."""
+    for e in range(len(out) - u_shift):
+        _add_into(out[e + u_shift], ((k + s_shift, c * v) for k, v in rows[e].items()))
 
 
 @lru_cache(maxsize=4)
@@ -112,100 +71,88 @@ def _pochhammer_prefixes(order: int):
     return tuple(out)
 
 
-def w_series(n: int, reflected: bool, order: int) -> TruncatedSeries:
-    """The fundamental series at argument n >= 0, truncated at the order:
-    the sum over a of s**pref u**(a(n+1)) T_a (see ``_pochhammer_prefixes``).
-    Its exponent box is exact: T_0 = 1 gives s**pref at u**0, and x**e u**e
-    in T_1, moved to u**(n+1+e), the far end of the s-range and of u."""
-    _check_order(order)
-    if n < 0:
-        raise ValueError("the series is only summable for n >= 0")
+def w_series(n: int, reflected: bool, order: int) -> list:
+    """The rows of the fundamental series at argument n >= 0 through the
+    order: the sum over a of s**pref u**(a(n+1)) T_a (``_pochhammer_prefixes``),
+    whose coefficients are all positive, so no sum cancels."""
+    _require_int(order, 0, "the truncation order")
+    _require_int(n, 0, "the series argument n")
     sign = -1 if reflected else 1
     pref, x = sign * (2 * n - 1), sign * 4
-    far = pref + x * max(order - n - 1, 0)
-    box = (min(pref, far), 0), (max(pref, far), order if order > n else 0)
-    require_fit(*box)
-    out = {}
-    get = out.get
+    out = [{} for _ in range(order + 1)]
     for a, prefix in enumerate(_pochhammer_prefixes(order)):
         shift = a * (n + 1)
         if shift > order:
             break
-        base = _ZERO + pref + shift * _U
-        for row in prefix[: order - shift + 1]:
+        for dst, row in zip(out[shift:], prefix):
+            get = dst.get
             for l, c in row:
-                k = base + x * l
-                out[k] = get(k, 0) + c
-            base += _U
-    return TruncatedSeries(order, out, box)
+                k = pref + x * l
+                dst[k] = get(k, 0) + c
+    return out
 
 
-def toda_residual(n: int, order: int, reflected: bool) -> TruncatedSeries:
-    """W(n+1) + (1 - u**n) W(n-1) - (p + p**-1) W(n); zero when the relation
-    holds.  Defined for n >= 1: at n = 0 the middle coefficient vanishes but
-    the series at argument -1 is not u-adically summable, so the three-term
+def toda_residual(n: int, order: int, reflected: bool) -> list:
+    """The rows of W(n+1) + (1 - u**n) W(n-1) - (p + p**-1) W(n), all empty
+    when the relation holds.  Defined for n >= 1: at n = 0 the middle
+    coefficient vanishes but W(-1) is not u-adically summable, so the
     relation has no content there (the n = 0 boundary is exactly the
     class-one condition, verified by ``class_one_combination``)."""
-    _check_order(order)
-    if n < 1:
-        raise ValueError("the three-term relation needs n >= 1")
-    gate = TruncatedSeries(order, {_ZERO: 1, _ZERO + n * _U: -1} if n <= order else {_ZERO: 1})
-    lhs = w_series(n + 1, reflected, order) + gate * w_series(n - 1, reflected, order)
-    eigen = TruncatedSeries(order, {_ZERO + 2: 1, _ZERO - 2: 1})
-    return lhs - eigen * w_series(n, reflected, order)
+    _require_int(order, 0, "the truncation order")
+    _require_int(n, 1, "n in the three-term relation")
+    out = w_series(n + 1, reflected, order)
+    lower, middle = w_series(n - 1, reflected, order), w_series(n, reflected, order)
+    _add_shifted(out, lower, 0, 0)
+    _add_shifted(out, lower, n, 0, -1)
+    _add_shifted(out, middle, 0, 2, -1)
+    _add_shifted(out, middle, 0, -2, -1)
+    return out
 
 
-def _times_coefficient(series: TruncatedSeries, reflected: bool) -> TruncatedSeries:
-    """``series`` times the class-one coefficient times 1 - p**-2, the product
-    truncated at its order.  The coefficient p**(1/2) / ((1-p**-2) prod_{i>=1}
-    (1-p**-2 u**i)) makes this s * series / prod (1 - s**-4 u**i); reflected,
-    p**(-1/2) / ((1-p**2) prod (1-p**2 u**i)) and (1-p**-2)/(1-p**2) = -p**-2
-    make it -s**-5 * series / prod (1 - s**4 u**i).  Each of the ``order``
-    divisions (i = 1..order) is one pass that moves an s-exponent by x at
-    most once per power of u."""
-    order = series.order
+def _times_coefficient(rows, reflected: bool) -> list:
+    """The series ``rows`` times the class-one coefficient times 1 - p**-2,
+    truncated at its order.  The coefficient p**(1/2) / ((1-p**-2)
+    prod_{i>=1} (1-p**-2 u**i)) makes this s * series / prod (1 - s**-4 u**i);
+    reflected, p**(-1/2) / ((1-p**2) prod (1-p**2 u**i)) and
+    (1-p**-2)/(1-p**2) = -p**-2 make it -s**-5 * series / prod (1 - s**4 u**i).
+    Each of the ``order`` divisions (i = 1..order) is one pass."""
     shift, sign, x = (-5, -1, 4) if reflected else (1, 1, -4)
-    rows = [{} for _ in range(order + 1)]
-    for key, c in series.coeffs.items():
-        e, k = divmod(key - _LOW, _U)
-        rows[e][k + EXP_MIN + shift] = sign * c
-    (lo, _), (hi, _) = series.bounds() or ((0, 0), (0, 0))
-    require_fit((lo + shift + min(x * order, 0),), (hi + shift + max(x * order, 0),))
-    for i in range(1, order + 1):
-        divide_binomial(rows, x, i)
-    bases = range(_ZERO, _ZERO + (order + 1) * _U, _U)
-    return TruncatedSeries(order, {base + k: c for base, row in zip(bases, rows) for k, c in row.items()})
+    out = [{k + shift: sign * c for k, c in row.items()} for row in rows]
+    for i in range(1, len(out)):
+        divide_binomial(out, x, i)
+    return out
 
 
-def char_to_series(n: int, order: int) -> TruncatedSeries:
-    """The rank-one level-1 character chi_n constrained to z = p, as a
-    u-series (exact; a polynomial in u = q**-1, so truncation only forgets
-    its terms above the order)."""
+def char_to_series(n: int, order: int) -> list:
+    """The rank-one level-1 character chi_n constrained to z = p, as the rows
+    of a u-series (exact; a polynomial in u = q**-1, so truncation only
+    forgets its terms above the order)."""
     chi = constrain(graded_character(NVector.level_one(1, (n,))).monomials(), 1)
-    (_, lo), (_, hi) = chi.bounds()
-    require_fit((2 * lo,), (2 * hi,))
-    out = {}
-    for key, c in chi.coeffs.items():
-        z, j = divmod(key - _LOW, _U)  # the term q**(j + EXP_MIN) z**z
-        if -EXP_MIN - j <= order:
-            out[_ZERO + (-EXP_MIN - j) * _U + 2 * z] = c
-    return TruncatedSeries(order, out)
+    out = [{} for _ in range(order + 1)]
+    for (j, z), c in chi.terms():  # the term q**j z**z, j <= 0
+        if -j <= order:
+            out[-j][2 * z] = c
+    return out
 
 
 def class_one_difference(n_values, order: int):
     """None when the class-one combination reproduces every character of
-    ``n_values`` through the order, else (n, e, combination, head * chi_n)
-    for the first n that fails and the lowest u-order e where they differ,
-    the two u**e coefficients as {s-exponent: int}.  Both sides are
-    multiplied by 1 - p**-2 (see ``_times_coefficient``)."""
-    _check_order(order)
-    head = TruncatedSeries(order, {_ZERO: 1, _ZERO - 4: -1})
+    ``n_values`` (at least one n) through the order, else (n, e, combination,
+    head * chi_n) for the first n that fails and the lowest u-order e where
+    they differ, the two u**e rows.  Both sides are multiplied by the head
+    1 - p**-2 (see ``_times_coefficient``)."""
+    _require_int(order, 0, "the truncation order")
+    n_values = tuple(n_values)
+    if not n_values:
+        raise ValueError("the class-one combination needs at least one n")
     for n in n_values:
-        plain, refl = (_times_coefficient(w_series(n, r, order), r) for r in (False, True))
-        combo, target = plain + refl, head * char_to_series(n, order)
-        if combo != target:
-            e = (combo - target).lowest_order()
-            return n, e, *(dict(sorted(f.z_terms().get((e,), {}).items())) for f in (combo, target))
+        combo = _times_coefficient(w_series(n, False, order), False)
+        _add_shifted(combo, _times_coefficient(w_series(n, True, order), True), 0, 0)
+        target = char_to_series(n, order)
+        _add_shifted(target, [dict(row) for row in target], 0, -4, -1)
+        for e, (got, want) in enumerate(zip(combo, target)):
+            if got != want:
+                return n, e, dict(sorted(got.items())), dict(sorted(want.items()))
     return None
 
 

@@ -53,10 +53,12 @@
   ``ref_w_series`` and ``ref_class_one_coefficient`` are the series and the
   class-one coefficient as ``qchar.whittaker`` built them before it divided
   by each binomial in one pass: every factor 1/(1 - s**a u**i) a truncated
-  geometric series, multiplied in by a full ``TruncatedSeries``
-  convolution, and every W(n) rebuilt from scratch.  ``series_of`` and
-  ``pairs_of`` turn {(u-exponent, s-exponent): int} maps into series and
-  back.
+  geometric series, multiplied in by a full convolution (``ref_series_mul``,
+  ``ref_mul`` cut above the order), and every W(n) rebuilt from scratch.
+  They work on {(u-exponent, s-exponent): int} dicts and share no code with
+  the package; ``series_of`` and ``pairs_of`` turn such a dict into the
+  package's rows {s-exponent: int} and back, and ``series_plus`` adds one to
+  rows.
 * ``ref_swap_buckets`` and ``ref_square_buckets`` certify the
   subset-fraction lemmas the way ``qchar.verify`` did before it read them
   off the two-block Schur form: every cleared product expanded as a
@@ -100,7 +102,7 @@ from qchar.qdiff import PackedSchur
 from qchar.qtorus import NcLaurent, ev0_image, ev0_negative_term, q_recursion
 from qchar.rings import RING_Q, RING_W, NcNotDivisible, NotDivisible, NotSymmetric
 from qchar.symfun import SchurPoly, _branch_partition, normalize_partition, partitions
-from qchar.whittaker import TruncatedSeries, toda_residual
+from qchar.whittaker import toda_residual
 
 Q = sympy.Symbol("q")
 T = sympy.Symbol("t")
@@ -412,20 +414,39 @@ def whittaker_series_sympy(n, reflected, order):
 
 
 def series_of(order, pairs):
-    """The ``TruncatedSeries`` through u**order with the terms of ``pairs``,
+    """The rows through u**order (rows[e] = {s-exponent: int}, the form of
+    ``qchar.whittaker``) of the series with the terms of ``pairs``,
     {(u-exponent, s-exponent): int}: terms above the order and zero
     coefficients dropped."""
-    return TruncatedSeries(order, {pack((k, e)): c for (e, k), c in pairs.items() if c and e <= order})
+    rows = [{} for _ in range(order + 1)]
+    for (e, k), c in pairs.items():
+        if c and e <= order:
+            rows[e][k] = c
+    return rows
 
 
-def pairs_of(series):
-    """The terms of a ``TruncatedSeries`` as {(u-exponent, s-exponent): int}."""
-    return {(e, k): c for (k, e), c in series.terms()}
+def pairs_of(rows):
+    """The terms of the rows of a series as {(u-exponent, s-exponent): int}."""
+    return {(e, k): c for e, row in enumerate(rows) for k, c in row.items()}
+
+
+def series_plus(rows, pairs):
+    """The rows of ``rows`` plus the terms of ``pairs``, through its order."""
+    total = pairs_of(rows)
+    for key, c in pairs.items():
+        total[key] = total.get(key, 0) + c
+    return series_of(len(rows) - 1, total)
+
+
+def ref_series_mul(a, b, order):
+    """The product of two {(u-exponent, s-exponent): int} series by
+    ``ref_mul``, cut above u**order."""
+    return {(e, k): c for (e, k), c in ref_mul(a, b).items() if e <= order}
 
 
 def _geometric(order, s_exp, step):
     """1 / (1 - s**s_exp * u**step) to the given order."""
-    return series_of(order, {(j * step, j * s_exp): 1 for j in range(order // step + 1)})
+    return {(j * step, j * s_exp): 1 for j in range(order // step + 1)}
 
 
 def ref_w_series(n, reflected, order):
@@ -433,17 +454,18 @@ def ref_w_series(n, reflected, order):
     each Pochhammer prefix rebuilt by convolutions for every a."""
     s4 = -4 if reflected else 4
     pref = 1 - 2 * n if reflected else 2 * n - 1
-    total = TruncatedSeries.zero(order)
+    total = {}
     a = 0
     while a * (n + 1) <= order:
         shift = a * (n + 1)
-        term = TruncatedSeries.one(order - shift)
+        term = {(0, 0): 1}
         for i in range(1, a + 1):
-            term = term * _geometric(term.order, 0, i)
-            term = term * _geometric(term.order, s4, i)
-        total = total + series_of(order, {(e + shift, k + pref): c for (e, k), c in pairs_of(term).items()})
+            term = ref_series_mul(term, _geometric(order - shift, 0, i), order - shift)
+            term = ref_series_mul(term, _geometric(order - shift, s4, i), order - shift)
+        for (e, k), c in ref_mul(term, {(shift, pref): 1}).items():
+            total[e, k] = total.get((e, k), 0) + c
         a += 1
-    return total
+    return {key: c for key, c in total.items() if c}
 
 
 def ref_class_one_coefficient(order, reflected):
@@ -451,9 +473,9 @@ def ref_class_one_coefficient(order, reflected):
     of the series 1) as the product of ``order`` truncated geometric
     series."""
     s4 = 4 if reflected else -4
-    series = series_of(order, {(0, -5): -1} if reflected else {(0, 1): 1})
+    series = {(0, -5): -1} if reflected else {(0, 1): 1}
     for i in range(1, order + 1):
-        series = series * _geometric(order, s4, i)
+        series = ref_series_mul(series, _geometric(order, s4, i), order)
     return series
 
 
@@ -1122,10 +1144,11 @@ def weight_of(lam, rank: int):
 
 def check_toda_eigen(n_values, order: int) -> bool:
     """Both fundamental series satisfy the three-term relation to the given
-    truncation order for every n >= 1 in ``n_values`` (n = 0 entries are
-    skipped; see ``whittaker.toda_residual``)."""
+    truncation order for every n >= 1 in ``n_values``: every row of the
+    residual is empty (n = 0 entries are skipped; see
+    ``whittaker.toda_residual``)."""
     return all(
-        toda_residual(n, order, refl).is_zero()
+        not any(toda_residual(n, order, refl))
         for n in n_values
         if n >= 1
         for refl in (False, True)

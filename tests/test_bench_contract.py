@@ -106,14 +106,17 @@ def test_traced_checks_exist():
 
 def test_traced_layers_resolve():
     # a layer the program no longer has reads 0 in every benchmark row, so a
-    # rename of a traced function must fail here; these five are gone from
+    # rename of a traced function must fail here; these six are gone from
     # the program on purpose and wait to be dropped from the benchmark.
     # signed_buckets went when every alternant the program meets was read
     # into the Schur basis by straighten, so only the test oracles bucketed
     # signed orbits, and they do it by ref_signed_buckets.  apply_macdonald_qt
     # went last: the program runs the Macdonald operator on m-forms
     # (macdonald.apply_macdonald_m), and only the tests read its monomial
-    # view, which oracles.apply_macdonald_qt now gives
+    # view, which oracles.apply_macdonald_qt now gives.  series_mul
+    # (TruncatedSeries.__mul__) went with the class: a Whittaker series is
+    # its rows {s-exponent: int}, and every multiplier the module meets is a
+    # monomial or a binomial, applied as a sum of shifted rows
     missing = []
     for prefix, module, attr, _, _ in tracing.LAYERS:
         try:
@@ -126,4 +129,5 @@ def test_traced_layers_resolve():
         "qdiff.apply_macdonald_qt",
         "symfun.schur_expand",
         "whittaker.check_level1_toda",
+        "whittaker.series_mul",
     ]

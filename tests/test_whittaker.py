@@ -1,22 +1,21 @@
 """Whittaker series tests: frozen expansions, an independent sympy expansion,
-series ring axioms, the three-term relation, the class-one combination, and
-the general-rank level-1 equation.  Series coefficients are integer Laurent
-polynomials in s = p**(1/2), written as {(u-exponent, s-exponent): int}
-through ``oracles.series_of`` and ``oracles.pairs_of``."""
+the row shift, the three-term relation, the class-one combination, strict
+inputs, and the general-rank level-1 equation.  A series is its rows
+{s-exponent: int}, s = p**(1/2); the tests write its terms as
+{(u-exponent, s-exponent): int} through ``oracles.series_of`` and
+``oracles.pairs_of``."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from oracles import check_toda_eigen, pairs_of, series_of, whittaker_series_sympy
-from qchar.laurent import EXP_MAX, EXP_MIN
-from qchar.rings import RING_Q, RING_W, ExponentOverflow
-from qchar.verify import check_level1_report
+import qchar.whittaker as wh
+from oracles import check_toda_eigen, pairs_of, ref_series_mul, series_of, series_plus, whittaker_series_sympy
+from qchar.verify import check_level1_report, check_whittaker
 from qchar.whittaker import (
-    TruncatedSeries,
+    _add_shifted,
     _times_coefficient,
     char_to_series,
     class_one_combination,
+    class_one_difference,
     toda_residual,
     w_series,
 )
@@ -51,78 +50,54 @@ def test_against_sympy_series():
                 assert w_series(n, refl, order) == series_of(order, brute), (n, refl, order)
 
 
-def small_series(order):
-    term = st.tuples(
-        st.tuples(st.integers(0, order), st.integers(-3, 3)),
-        st.integers(-4, 4),
-    )
-    return st.lists(term, max_size=5).map(lambda terms: series_of(order, dict(terms)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_series(5), small_series(5), small_series(5), st.integers(0, 5))
-def test_series_ring_axioms(f, g, h, cut):
-    assert (f * g) * h == f * (g * h)
-    assert f * (g + h) == f * g + f * h
-    assert f * g == g * f
-    assert f - f == TruncatedSeries.zero(5)
-    # truncating commutes with multiplication
-    def trunc(x):
-        return series_of(cut, pairs_of(x))
-
-    assert trunc(f * g) == trunc(f) * trunc(g)
-
-
-def test_series_of_two_orders_do_not_combine():
-    # no value is truncated silently: a sum, a product or == of two
-    # orders raises
-    f, g = w_series(1, False, 3), w_series(1, False, 4)
-    for combine in (lambda: f + g, lambda: g - f, lambda: f * g, lambda: f == g):
-        with pytest.raises(ValueError, match="do not combine"):
-            combine()
-
-
 def test_product_drops_exactly_the_terms_above_the_order():
-    # the s-exponents reach both ends of their slot: u**3 s**EXP_MAX stays
-    # and u**4 s**EXP_MIN, the least key above the order, goes
-    f = {(0, EXP_MAX): 1, (1, EXP_MIN): 1, (3, 0): 2, (2, 7): -3}
-    g = {(0, 0): 1, (2, 0): 5, (3, 0): -1, (1, 0): 4}
-    full = {}
-    for (e1, k1), c1 in f.items():
-        for (e2, k2), c2 in g.items():
-            full[e1 + e2, k1 + k2] = full.get((e1 + e2, k1 + k2), 0) + c1 * c2
-    product = pairs_of(series_of(3, f) * series_of(3, g))
-    assert product == {(e, k): c for (e, k), c in full.items() if c and e <= 3}
-    assert (3, EXP_MAX) in product and (4, EXP_MIN) in full
+    # a monomial times a series through u**3 is a row shift: the terms
+    # shifted past u**3 go, every s-exponent stays, however large
+    f = {(0, 2**40): 1, (1, -(2**40)): 1, (3, 0): 2, (2, 7): -3}
+    for u_shift, s_shift, c in ((0, 0, 1), (1, 5, -2), (2, -(2**41), 3), (3, 1, 1), (4, 0, 1)):
+        out = series_of(3, {})
+        _add_shifted(out, series_of(3, f), u_shift, s_shift, c)
+        assert pairs_of(out) == ref_series_mul(f, {(u_shift, s_shift): c}, 3), (u_shift, s_shift)
+    # a sum that cancels leaves no zero coefficient behind
+    out = series_of(3, f)
+    _add_shifted(out, series_of(3, f), 0, 0, -1)
+    assert out == [{}, {}, {}, {}]
 
 
 def test_s_exponent_edge():
-    # at order 0 the series at n is s**(2n - 1): n = 2**24 reaches EXP_MAX
-    # and reads back, the next n would carry into the u slot and raises
-    edge = 2**24
-    assert pairs_of(w_series(edge, False, 0)) == {(0, EXP_MAX): 1}
-    assert pairs_of(w_series(edge, True, 0)) == {(0, -EXP_MAX): 1}
-    for refl in (False, True):
-        with pytest.raises(ExponentOverflow):
-            w_series(edge + 1, refl, 0)
+    # at order 0 the series at n is s**(2n - 1); a row has no exponent
+    # slot, so n = 2**24 + 1 reads s**(2**25 + 1), reflected s**-(2**25 + 1)
+    edge = 2**24 + 1
+    assert pairs_of(w_series(edge, False, 0)) == {(0, 2**25 + 1): 1}
+    assert pairs_of(w_series(edge, True, 0)) == {(0, -(2**25 + 1)): 1}
 
 
 def test_toda_relation():
     assert check_toda_eigen(range(0, 7), 20)
-    assert toda_residual(3, 0, False).is_zero()  # leading order already matches
+    assert not any(toda_residual(3, 0, False))  # leading order already matches
+    # for n > order the term u**n W(n-1) lies wholly above the order
+    for order in range(4):
+        assert check_toda_eigen(range(order + 1, order + 4), order), order
     with pytest.raises(ValueError):
         toda_residual(0, 5, False)
 
 
-def test_toda_negative_control():
-    bad = w_series(3, False, 12)
-    perturbed = pairs_of(bad)
-    perturbed[(5, 1)] = perturbed.get((5, 1), 0) + 1
-    bad = series_of(12, perturbed)
-    gate = series_of(12, {(0, 0): 1, (2, 0): -1})
-    eigen = series_of(12, {(0, 2): 1, (0, -2): 1})
-    lhs = bad + gate * w_series(1, False, 12)
-    assert not (lhs - eigen * w_series(2, False, 12)).is_zero()
+def test_toda_negative_control(monkeypatch):
+    # W(3) with its u**5 term moved from s**k to s**(k + 4): the relation
+    # at n = 2, which reads W(3), fails from u**5 on; at n = 1 it holds
+    exact = wh.w_series
+
+    def moved(n, reflected, order):
+        rows = exact(n, reflected, order)
+        if n != 3:
+            return rows
+        k, c = min(rows[5].items())
+        return series_plus(rows, {(5, k): -c, (5, k + 4): c})
+
+    monkeypatch.setattr(wh, "w_series", moved)
+    residual = toda_residual(2, 12, False)
+    assert next(e for e, row in enumerate(residual) if row) == 5
+    assert not any(toda_residual(1, 12, False))
 
 
 def test_class_one_combination():
@@ -131,21 +106,44 @@ def test_class_one_combination():
     assert pairs_of(char_to_series(0, 8)) == {(0, 0): 1}
     assert pairs_of(char_to_series(1, 8)) == {(0, 2): 1, (0, -2): 1}
     # the coefficients times (1 - p**-2): s and -s**-5 at order 0
-    assert pairs_of(_times_coefficient(TruncatedSeries.one(0), False)) == {(0, 1): 1}
-    assert pairs_of(_times_coefficient(TruncatedSeries.one(0), True)) == {(0, -5): -1}
+    one = series_of(0, {(0, 0): 1})
+    assert pairs_of(_times_coefficient(one, False)) == {(0, 1): 1}
+    assert pairs_of(_times_coefficient(one, True)) == {(0, -5): -1}
 
 
 def test_class_one_negative_control(monkeypatch):
-    import qchar.whittaker as wh
-
     exact = wh.char_to_series
-
-    def perturbed(n, order):
-        out = exact(n, order)
-        return out + series_of(order, {(1, 2): 1})
-
-    monkeypatch.setattr(wh, "char_to_series", perturbed)
+    monkeypatch.setattr(wh, "char_to_series", lambda n, order: series_plus(exact(n, order), {(1, 2): 1}))
     assert not class_one_combination([2], 8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: w_series(True, False, 2), id="w_series-n"),
+        pytest.param(lambda: w_series(1, False, True), id="w_series-order"),
+        pytest.param(lambda: w_series(1.0, False, 2), id="w_series-float-n"),
+        pytest.param(lambda: toda_residual(True, 3, False), id="toda_residual-n"),
+        pytest.param(lambda: toda_residual(2, True, False), id="toda_residual-order"),
+        pytest.param(lambda: class_one_combination([True], 3), id="class_one_combination-n"),
+        pytest.param(lambda: class_one_combination([1], True), id="class_one_combination-order"),
+        pytest.param(lambda: class_one_difference([1], 2.0), id="class_one_difference-float-order"),
+    ],
+)
+def test_whittaker_inputs_are_ints(call):
+    # as NVector takes its entries: an int, and a bool is not one
+    with pytest.raises(ValueError, match="a bool is not one"):
+        call()
+
+
+def test_empty_or_negative_ranges_are_rejected():
+    # an empty n range compares nothing, so it is no class-one point
+    for n_values in ([], range(0), iter(())):
+        with pytest.raises(ValueError, match="at least one n"):
+            class_one_combination(n_values, 3)
+    for kwargs in ({"toda_n": -1}, {"classone_n": -1}):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            check_whittaker(order=2, **kwargs)
 
 
 def test_level1_difference_equation():
@@ -154,27 +152,3 @@ def test_level1_difference_equation():
     for rank, sigma, points in ((1, 10, 11), (2, 5, 21), (3, 3, 20)):
         rep = check_level1_report(rank, sigma)
         assert rep.passed and rep.total == 1 and rep.notes["points"] == points, rep.failures[:1]
-
-
-def test_repr_is_written_in_s_and_u():
-    assert repr(w_series(1, False, 3)) == "TruncatedSeries(order=3, (s^5 + s^1)*u^3 + s^1*u^2 + s^1)"
-    assert repr(series_of(2, {(0, 0): -1, (2, 0): 1})) == "TruncatedSeries(order=2, u^2 - 1)"
-    assert repr(TruncatedSeries.zero(4)) == "TruncatedSeries(order=4, 0)"
-
-
-@pytest.mark.parametrize(
-    "name, args",
-    [
-        ("from_terms", (RING_W, 1, {(0, 0): 1})),
-        ("from_int", (RING_W, 1, 1)),
-        ("monomial", (RING_W, 1, (1,))),
-        ("variable", (RING_W, 1, 0)),
-        ("unit_power", (RING_W, 1, 2)),
-        ("with_ring", (RING_Q,)),
-    ],
-)
-def test_laurent_constructors_are_refused(name, args):
-    # LaurentPoly's (ring, nvars, ...) arguments do not fit (order, coeffs)
-    for owner in (TruncatedSeries, TruncatedSeries.one(3)):
-        with pytest.raises(TypeError, match="LaurentPoly.%s does not fit TruncatedSeries" % name):
-            getattr(owner, name)(*args)

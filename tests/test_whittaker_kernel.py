@@ -1,17 +1,14 @@
 """The Whittaker series kernel against its convolution oracle: the
-fundamental series and the class-one products on grids, a negative control
-for the one-pass division, negative orders, and the class-one failure
-detail."""
+fundamental series and the class-one products on grids and at large
+s-exponents, a negative control for the one-pass division, negative
+orders, and the class-one failure detail."""
 
 import pytest
 
 import qchar.verify as verify
 import qchar.whittaker as wh
-from oracles import ref_class_one_coefficient, ref_w_series, series_of
-from qchar.laurent import key_bounds
-from qchar.rings import ExponentOverflow
+from oracles import pairs_of, ref_class_one_coefficient, ref_series_mul, ref_w_series, series_of, series_plus
 from qchar.whittaker import (
-    TruncatedSeries,
     class_one_combination,
     toda_residual,
     w_series,
@@ -22,7 +19,7 @@ ORDERS = range(0, 21)
 
 def _series_grid_matches():
     return all(
-        w_series(n, refl, order) == ref_w_series(n, refl, order)
+        pairs_of(w_series(n, refl, order)) == ref_w_series(n, refl, order)
         for order in ORDERS
         for refl in (False, True)
         for n in range(0, 9)
@@ -41,25 +38,19 @@ def test_series_match_convolution_oracle(fresh_prefixes):
     assert _series_grid_matches()
     for order in ORDERS:
         for refl in (False, True):
-            assert wh._times_coefficient(TruncatedSeries.one(order), refl) == ref_class_one_coefficient(order, refl)
+            one = series_of(order, {(0, 0): 1})
+            assert pairs_of(wh._times_coefficient(one, refl)) == ref_class_one_coefficient(order, refl)
 
 
-def test_series_boxes_are_exact():
-    # w_series states its exponent box rather than scanning its keys;
-    # products and the class-one divisions check slot ranges against it
-    for order in ORDERS:
-        for refl in (False, True):
-            for n in range(0, 9):
-                w = w_series(n, refl, order)
-                assert w.bounds() == key_bounds(w.coeffs, 2), (n, refl, order)
-
-
-def test_class_one_products_range_check_s():
-    # at n = 2**24 the series is s**(2**25 - 1) (s**(1 - 2**25) reflected);
-    # the class-one factor s (-s**-5) moves it out of the slot
+def test_class_one_products_are_exact_at_large_s():
+    # at n = 2**24 the series is s**(2**25 - 1) (s**(1 - 2**25) reflected)
+    # through u**n; the class-one factor s (-s**-5) moves it past 2**25
+    n = 2**24
+    assert pairs_of(wh._times_coefficient(w_series(n, False, 0), False)) == {(0, 2**25): 1}
+    assert pairs_of(wh._times_coefficient(w_series(n, True, 0), True)) == {(0, -(2**25) - 4): -1}
     for refl in (False, True):
-        with pytest.raises(ExponentOverflow):
-            wh._times_coefficient(w_series(2**24, refl, 0), refl)
+        product = ref_series_mul(ref_class_one_coefficient(3, refl), ref_w_series(n, refl, 3), 3)
+        assert pairs_of(wh._times_coefficient(w_series(n, refl, 3), refl)) == product
 
 
 def test_class_one_products_match_oracle_product():
@@ -67,8 +58,8 @@ def test_class_one_products_match_oracle_product():
         for refl in (False, True):
             coeff = ref_class_one_coefficient(order, refl)
             for n in range(0, 5):
-                product = coeff * ref_w_series(n, refl, order)
-                assert wh._times_coefficient(w_series(n, refl, order), refl) == product, (n, refl, order)
+                product = ref_series_mul(coeff, ref_w_series(n, refl, order), order)
+                assert pairs_of(wh._times_coefficient(w_series(n, refl, order), refl)) == product, (n, refl, order)
 
 
 def test_division_one_step_off_fails_the_grid(monkeypatch, fresh_prefixes):
@@ -81,8 +72,8 @@ def test_division_one_step_off_fails_the_grid(monkeypatch, fresh_prefixes):
 
     monkeypatch.setattr(wh, "divide_binomial", off_by_one)
     assert not _series_grid_matches()
-    assert w_series(0, False, 3) == ref_w_series(0, False, 3)
-    assert w_series(0, False, 4) != ref_w_series(0, False, 4)
+    assert pairs_of(w_series(0, False, 3)) == ref_w_series(0, False, 3)
+    assert pairs_of(w_series(0, False, 4)) != ref_w_series(0, False, 4)
 
 
 def test_negative_order_is_rejected():
@@ -93,6 +84,7 @@ def test_negative_order_is_rejected():
         lambda: class_one_combination([], -1),
         lambda: verify.check_whittaker(-1),
         lambda: verify.check_whittaker(-1, toda_n=0, classone_n=0),
+        lambda: verify.check_whittaker(-1, toda_n=-1, classone_n=-1),
     ):
         with pytest.raises(ValueError, match="order must be >= 0"):
             call()
@@ -103,7 +95,7 @@ def test_class_one_failure_names_first_n_and_u_order(monkeypatch):
 
     def perturbed(n, order):
         out = exact(n, order)
-        return out + series_of(order, {(3, 2): 1}) if n == 2 else out
+        return series_plus(out, {(3, 2): 1}) if n == 2 else out
 
     monkeypatch.setattr(wh, "char_to_series", perturbed)
     rep = verify.check_whittaker(order=6, toda_n=1, classone_n=4)
@@ -118,6 +110,6 @@ def test_class_one_failure_names_first_n_and_u_order(monkeypatch):
 def test_class_one_failure_detail_is_capped(monkeypatch):
     exact = wh.char_to_series
     noise = {(0, 8 * k): 1000003 for k in range(40)}
-    monkeypatch.setattr(wh, "char_to_series", lambda n, order: exact(n, order) + series_of(order, noise))
+    monkeypatch.setattr(wh, "char_to_series", lambda n, order: series_plus(exact(n, order), noise))
     detail = verify.check_whittaker(order=2, toda_n=0, classone_n=0).failures[0]["detail"]
     assert detail.startswith("n 0, u**0: combination {") and len(detail) == 200 and detail.endswith("...")
